@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	goruntime "runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -517,15 +518,14 @@ func (e *Engine) stepDense() error {
 
 	// Phase 1 (parallel): assemble every live node's outgoing frame into
 	// the engine's scratch. All frames must exist before delivery resolves
-	// sender indices against them. When neither the node's shared
-	// variables nor its cached summaries changed, the scratch copy from
-	// the previous step is still valid.
+	// sender indices against them. When nothing the node publishes
+	// changed, the scratch copy from the previous step is still valid.
 	e.forEachNode(func(i int) bool {
 		if e.status[i] != StatusAlive {
 			return false
 		}
 		if n := e.nodes[i]; n.frameDirty {
-			n.fillFrame(&e.out[i])
+			n.fillFrame(&e.out[i], e.proto.Fusion)
 			n.frameDirty = false
 		}
 		return false
@@ -565,14 +565,13 @@ func (e *Engine) stepDense() error {
 	// dirty nodes: they are deterministic functions of the cache and the
 	// node's own shared variables, so unchanged inputs mean unchanged
 	// outputs and a stabilized network steps in O(delivered frames).
-	ttl := e.proto.CacheTTL
 	tracking := e.disrupt.active
 	e.stepChanged = e.forEachNode(func(i int) bool {
 		if e.status[i] != StatusAlive {
 			return false // sleeping/dead: radio off, state frozen, no aging
 		}
 		n := e.nodes[i]
-		n.ingest(e.out, e.inbox.Senders(i), ttl)
+		ingest(n, e.out, e.inbox.Senders(i), nil, e.proto)
 		if act != nil && !act[i] {
 			return false // the daemon did not schedule this node this step
 		}
@@ -814,23 +813,32 @@ func (e *Engine) Corrupt(frac float64, kind CorruptionKind, src *rng.Source) {
 			n.parent = garbageID()
 		}
 		if kind&CorruptCache != 0 {
+			n.linksOK = false // relayed identifiers are about to change
+			private := make([]NbrList, len(n.cache))
 			// The cache is id-sorted, so iteration consumes the rng stream
 			// deterministically (ascending neighbor id).
 			for j := range n.cache {
-				entry := &n.cache[j]
-				entry.frame.TieID = garbageID()
-				entry.frame.Density = src.Float64() * 100
-				entry.frame.HeadID = garbageID()
-				if len(entry.frame.Nbrs) > 0 {
-					// Cached lists alias the sender's shared published slice;
-					// privatize before scribbling so one node's corruption
-					// cannot leak into other receivers' caches (or the
-					// sender's own outgoing frame).
-					entry.frame.Nbrs = append([]NbrSummary(nil), entry.frame.Nbrs...)
-					i := src.Intn(len(entry.frame.Nbrs))
-					entry.frame.Nbrs[i].ID = garbageID()
-					entry.frame.Nbrs[i].HeadID = entry.frame.Nbrs[i].ID
-					entry.frame.Nbrs[i].Density = src.Float64() * 100
+				f := &n.cache[j].frame
+				f.TieID = garbageID()
+				f.Density = src.Float64() * 100
+				f.HeadID = garbageID()
+				if len(f.Nbrs.ids()) > 0 {
+					// The cached list aliases the sender's shared published
+					// one; privatize before scribbling so one node's
+					// corruption cannot leak into other receivers' caches
+					// (or the sender's own outgoing frame). The scrambled
+					// slot becomes a garbage head claim; the draws are the
+					// same whether or not values are relayed.
+					l := &private[j]
+					l.IDs, l.Vals = slices.Clone(f.Nbrs.IDs), slices.Clone(f.Nbrs.Vals)
+					k := src.Intn(len(l.IDs))
+					l.IDs[k] = garbageID()
+					density := src.Float64() * 100
+					if k < len(l.Vals) {
+						l.Vals[k].HeadID = l.IDs[k]
+						l.Vals[k].Density = density
+					}
+					f.Nbrs = l
 				}
 			}
 		}

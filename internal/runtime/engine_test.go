@@ -481,10 +481,10 @@ func TestStickyHysteresis(t *testing.T) {
 		e.nodes[0].headID, e.nodes[0].parent = 9, 9
 		e.nodes[1].headID, e.nodes[1].parent = 9, 9
 		e.nodes[0].cache.put(cacheEntry{frame: Frame{
-			ID: 2, TieID: 2, Density: 1, HeadID: 9, Nbrs: []NbrSummary{{ID: 9, TieID: 9, Density: 1, HeadID: 9}},
+			ID: 2, TieID: 2, Density: 1, HeadID: 9, Nbrs: &NbrList{IDs: []int64{9}},
 		}})
 		e.nodes[1].cache.put(cacheEntry{frame: Frame{
-			ID: 9, TieID: 9, Density: 1, HeadID: 9, Nbrs: []NbrSummary{{ID: 2, TieID: 2, Density: 1, HeadID: 9}},
+			ID: 9, TieID: 9, Density: 1, HeadID: 9, Nbrs: &NbrList{IDs: []int64{2}},
 		}})
 		if _, err := e.RunUntilStable(100, 5); err != nil {
 			t.Fatal(err)

@@ -12,34 +12,65 @@
 // package cluster — within a bounded expected number of steps.
 package runtime
 
-// NbrSummary is what a node relays about one of its cached neighbors.
-// Relaying it gives receivers 2-hop knowledge: neighbor lists (for the
-// density computation) and 2-hop head claims (for the fusion rule).
-type NbrSummary struct {
-	ID      int64
+// NbrValue is what a node relays about one cached neighbor's shared
+// variables under the Section 4.3 fusion rule. It is the only part of a
+// relayed list that a head or density change at that neighbor alters.
+type NbrValue struct {
 	TieID   int64
 	Density float64
 	HeadID  int64
 }
 
-// Frame is one broadcast: the sender's shared variables plus a summary of
-// its current neighbor cache, Nbrs, sorted by neighbor identifier.
+// NbrList is one published generation of a node's relayed 2-hop
+// knowledge — exactly what some guard of the configured protocol reads:
 //
-// The scalar header fields live in a reusable arena (one outgoing frame
-// per sender, rewritten in place between steps), but a published Nbrs
-// slice is IMMUTABLE: fillFrame allocates a fresh list only when the
-// summary content changed, and never writes into an already-published
-// one. Receivers rely on that to cache the list by reference — one shared
-// allocation per sender generation instead of a deep copy per receiver —
-// so an old alias stays valid forever, and anything that wants to mutate
-// a summary list it did not just allocate (fault injection, tests) must
-// copy it first.
+//   - IDs, always: the identifiers of the sender's cached neighbors,
+//     id-sorted. Guard R1 (Definition 1) counts links from identifiers
+//     alone, so this slice changes only when the sender's neighbor SET does.
+//   - Vals, only when Protocol.Fusion is set: each listed neighbor's tie
+//     identifier, density and head, parallel to IDs. The fusion branch of
+//     guard R2 is the one reader of relayed values; without it they are
+//     not published (Vals stays nil), and a head or density change at a
+//     node wakes the 1-hop neighborhood that can observe it, not the 2-hop
+//     one.
+//
+// A published NbrList is IMMUTABLE: fillFrame allocates a fresh one only
+// when its content changed, and never writes into one it already
+// published. Receivers rely on that to cache the list by reference — one
+// shared allocation per sender generation instead of a deep copy per
+// receiver — and to recognize "the list I already hold" by pointer
+// identity. An old alias stays valid forever, and anything that wants to
+// mutate a list it did not just allocate (fault injection, tests) must
+// copy it first. The nil list is the empty list.
+type NbrList struct {
+	IDs  []int64
+	Vals []NbrValue
+}
+
+func (l *NbrList) ids() []int64 {
+	if l == nil {
+		return nil
+	}
+	return l.IDs
+}
+
+func (l *NbrList) vals() []NbrValue {
+	if l == nil {
+		return nil
+	}
+	return l.Vals
+}
+
+// Frame is one broadcast: the sender's shared variables plus its current
+// relayed list. The scalar header fields live in a reusable arena (one
+// outgoing frame per sender, rewritten in place between steps); Nbrs
+// points at the sender's current published NbrList.
 type Frame struct {
 	ID      int64
 	TieID   int64
 	Density float64
 	HeadID  int64
-	Nbrs    []NbrSummary
+	Nbrs    *NbrList
 }
 
 // IsHeadClaim reports whether the frame's sender currently claims to be a

@@ -200,7 +200,7 @@ func (e *Engine) stepSparse() error {
 			return false
 		}
 		if n := e.nodes[i]; n.frameDirty {
-			n.fillFrame(&e.out[i])
+			n.fillFrame(&e.out[i], e.proto.Fusion)
 			n.frameDirty = false
 		}
 		return false
@@ -213,14 +213,13 @@ func (e *Engine) stepSparse() error {
 	// Phase 2+3 (parallel): ingest + guards for worklist nodes. The
 	// lossless medium delivers each alive neighbor's frame verbatim, so
 	// ingest reads adjacency directly — no Deliver call, no inbox.
-	ttl := e.proto.CacheTTL
 	tracking := e.disrupt.active
 	e.stepChanged = e.forEachListed(e.exec, func(i int) bool {
 		if e.status[i] != StatusAlive {
 			return false
 		}
 		n := e.nodes[i]
-		n.ingestAdj(e.out, e.g.Neighbors(i), e.sendMask, ttl)
+		ingest(n, e.out, e.g.Neighbors(i), e.sendMask, e.proto)
 		if !n.dirty {
 			return false
 		}
@@ -300,7 +299,7 @@ func (e *Engine) stepSparseSaturated() error {
 			return false
 		}
 		if n := e.nodes[i]; n.frameDirty {
-			n.fillFrame(&e.out[i])
+			n.fillFrame(&e.out[i], e.proto.Fusion)
 			n.frameDirty = false
 		}
 		return false
@@ -312,14 +311,13 @@ func (e *Engine) stepSparseSaturated() error {
 
 	// Phase 2+3 (parallel): ingest + guards for every alive node —
 	// identical per-node work to the frontier path.
-	ttl := e.proto.CacheTTL
 	tracking := e.disrupt.active
 	e.stepChanged = e.forEachNode(func(i int) bool {
 		if e.status[i] != StatusAlive {
 			return false
 		}
 		n := e.nodes[i]
-		n.ingestAdj(e.out, e.g.Neighbors(i), e.sendMask, ttl)
+		ingest(n, e.out, e.g.Neighbors(i), e.sendMask, e.proto)
 		if !n.dirty {
 			return false
 		}

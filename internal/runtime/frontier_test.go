@@ -167,6 +167,35 @@ func (tw *twin) apply(t *testing.T, op traceOp) {
 		}
 	case "corrupt":
 		tw.e.Corrupt(op.frac, CorruptAll, tw.corrupt)
+	case "scale":
+		if err := tw.e.SetDensityScale(op.node, op.frac); err != nil {
+			t.Fatal(err)
+		}
+	case "evict":
+		wasSleeping := tw.e.Status(op.node) == StatusSleeping
+		if err := tw.e.Evict(op.node); err != nil {
+			t.Fatal(err)
+		}
+		if wasSleeping {
+			tw.gi.Reactivate(op.node)
+		}
+	case "compact":
+		remap, newN := tw.e.CompactionRemap()
+		if remap == nil {
+			return
+		}
+		if err := tw.gi.Compact(remap, newN); err != nil {
+			t.Fatal(err)
+		}
+		if err := tw.e.Compact(remap, newN); err != nil {
+			t.Fatal(err)
+		}
+		for old, nw := range remap {
+			if nw >= 0 {
+				tw.pts[nw] = tw.pts[old]
+			}
+		}
+		tw.pts = tw.pts[:newN]
 	case "step":
 		if err := tw.e.Run(op.steps); err != nil {
 			t.Fatal(err)
@@ -205,6 +234,14 @@ func pickStatus(e *Engine, src *rng.Source, want NodeStatus) int {
 // stay valid), recording every op for replay against the other twins.
 func buildTrace(t *testing.T, seed int64, n int, r float64, proto Protocol, ops int) []traceOp {
 	t.Helper()
+	return buildTraceKinds(t, seed, n, r, proto, ops, 7)
+}
+
+// buildTraceKinds is buildTrace drawing from the first kinds operation
+// kinds: the seven of buildTrace, then density rescaling, byzantine
+// eviction and slot compaction.
+func buildTraceKinds(t *testing.T, seed int64, n int, r float64, proto Protocol, ops, kinds int) []traceOp {
+	t.Helper()
 	scratch := newTwin(t, seed, n, r, proto, true, 1)
 	script := rng.New(seed + 99)
 	var trace []traceOp
@@ -214,7 +251,7 @@ func buildTrace(t *testing.T, seed int64, n int, r float64, proto Protocol, ops 
 	}
 	emit(traceOp{kind: "step", steps: 30}) // partial convergence first
 	for k := 0; k < ops; k++ {
-		switch script.Intn(7) {
+		switch script.Intn(kinds) {
 		case 0: // jitter a handful of nodes
 			m := 1 + script.Intn(5)
 			op := traceOp{kind: "move"}
@@ -257,6 +294,16 @@ func buildTrace(t *testing.T, seed int64, n int, r float64, proto Protocol, ops 
 			}
 		case 6:
 			emit(traceOp{kind: "corrupt", frac: 0.15})
+		case 7:
+			if i := pickStatus(scratch.e, script, StatusAlive); i >= 0 {
+				emit(traceOp{kind: "scale", node: i, frac: 0.25 * float64(1+script.Intn(4))})
+			}
+		case 8:
+			if i := pickStatus(scratch.e, script, StatusAlive); i >= 0 {
+				emit(traceOp{kind: "evict", node: i})
+			}
+		case 9:
+			emit(traceOp{kind: "compact"})
 		}
 		emit(traceOp{kind: "step", steps: 1 + script.Intn(4)})
 	}

@@ -9,12 +9,12 @@ import (
 
 // cacheEntry is the cached copy of a neighbor's last heard frame, plus its
 // age in steps (for eviction under mobility and churn). The entry's Nbrs
-// slice ALIASES the sender's published summary list — published lists are
+// pointer ALIASES the sender's published list — published lists are
 // immutable (fillFrame builds a fresh one only when the content changed),
 // so receivers share one allocation per sender instead of keeping a deep
-// copy each, and a whole cached neighborhood costs O(deg) summaries per
-// node instead of O(deg²). Anything that wants to scribble on a cached
-// list (fault injection) must privatize it first.
+// copy each, and a whole cached neighborhood costs O(deg) words per node
+// instead of O(deg²). Anything that wants to scribble on a cached list
+// (fault injection) must privatize it first.
 type cacheEntry struct {
 	frame Frame
 	age   int
@@ -47,6 +47,19 @@ func (c neighborCache) find(id int64) int {
 
 // has reports whether id is cached.
 func (c neighborCache) has(id int64) bool { return c.find(id) >= 0 }
+
+// hasColor reports whether any cached neighbor advertises tie identifier
+// t. Colors are unordered in the id-sorted cache, so this is a linear
+// scan — over a unit-disk degree's worth of entries, cheaper than building
+// any index, and allocation-free.
+func (c neighborCache) hasColor(t int64) bool {
+	for i := range c {
+		if c[i].frame.TieID == t {
+			return true
+		}
+	}
+	return false
+}
 
 // upsert returns the entry for id, inserting a zero entry at the sorted
 // position when absent, and reports whether it inserted. The pointer is
@@ -84,13 +97,13 @@ func (c *neighborCache) upsert(id int64) (*cacheEntry, bool) {
 	return &s[lo], true
 }
 
-// sameNbrs reports whether two summary lists carry identical content.
-// Published lists are immutable and shared, so in steady state a cached
-// list and a re-heard one are usually the SAME allocation — the pointer
-// check turns the per-refresh comparison from an O(deg) element walk into
-// O(1). The element walk remains as the fallback for lists that are equal
-// by value but not by identity (e.g. hand-built test frames).
-func sameNbrs(a, b []NbrSummary) bool {
+// sameList reports whether two published slices carry identical content.
+// Slices of one generation share their backing array (under fusion a
+// value change republishes the identifiers untouched), so the first-element
+// identity check answers most calls in O(1); the element walk is the
+// fallback for content that is equal by value but not by identity
+// (hand-built test frames, lists privatized by fault injection).
+func sameList[T comparable](a, b []T) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -126,11 +139,14 @@ type Node struct {
 	// costs only delivery and cache-refresh comparisons.
 	//
 	// frameDirty records that the node's broadcast content (own shared
-	// variables or cached summaries) may have changed since the outgoing
-	// frame was last assembled. It is cleared when the frame scratch is
-	// refilled, while dirty is cleared when the guards run — the two
-	// must stay separate: a cache change that leaves every guard output
-	// unchanged still changes the relayed neighbor summaries.
+	// variables, the cache's key set, and under fusion the cached
+	// neighbors' values) may have changed since the outgoing frame was
+	// last assembled. It is cleared when the frame scratch is refilled,
+	// while dirty is cleared when the guards run — the two are
+	// independent in both directions: an appearing neighbor changes the
+	// relayed list even when every guard output stays put, and a
+	// neighbor's new density re-arms the guards without changing
+	// anything an unfused node publishes.
 	//
 	// Anything that mutates node state outside ingest/guards (corruption,
 	// test fixtures) must set both — and, under frontier stepping, also
@@ -138,11 +154,20 @@ type Node struct {
 	dirty      bool
 	frameDirty bool
 
-	// stale records that the last (sparse-path) ingest left at least one
-	// cache entry aging toward TTL eviction — the node must stay on the
-	// frontier so the entry keeps aging exactly as the full scan would
-	// age it. Only meaningful with a positive TTL; see ingestAdj.
+	// stale records that the last ingest left at least one cache entry
+	// aging toward TTL eviction — on the frontier path the node must stay
+	// on the worklist so the entry keeps aging exactly as the full scan
+	// would age it. Only ever set with a positive TTL; see ingest.
 	stale bool
+
+	// links caches guard R1's Definition-1 link count over the current
+	// cache, valid while linksOK. The count depends only on the cached
+	// identifier lists, never on the densities and heads that cause most
+	// guard executions, so R1 recounts only after the cache's key set or
+	// one of its lists changed. Anything that edits the cache outside
+	// ingest (reset, fault injection, test fixtures) must clear linksOK.
+	links   int
+	linksOK bool
 }
 
 // newNode boots a node in the protocol's cold-start state: it claims
@@ -193,6 +218,7 @@ func (n *Node) reset(proto Protocol) {
 	n.dirty = true
 	n.frameDirty = true
 	n.stale = false
+	n.linksOK = false
 }
 
 // ID returns the node's application identifier.
@@ -214,106 +240,87 @@ func (n *Node) ParentID() int64 { return n.parent }
 func (n *Node) IsHead() bool { return n.headID == n.id }
 
 // fillFrame assembles the node's broadcast for this step into f. The
-// cache is id-sorted, so the summary list comes out deterministic without
-// a sort. Publish-on-change: a published Nbrs slice is immutable —
-// receivers alias it instead of deep-copying (see cacheEntry) — so the
-// list is rebuilt into a fresh allocation only when its content actually
-// changed, and kept verbatim otherwise. The content depends only on the
-// neighbor cache, not on the node's own shared variables, so the frequent
-// frameDirty causes (own density/head updates, energy rescaling) refresh
-// the scalar header fields and reuse the list untouched.
+// cache is id-sorted, so the identifier list comes out deterministic
+// without a sort. Publish-on-change: a published NbrList is immutable —
+// receivers alias it instead of deep-copying (see cacheEntry) — so a fresh
+// one is allocated only when its content actually changed, and the old one
+// kept verbatim otherwise. The identifiers depend only on the cache's key
+// set, so the frequent frameDirty causes (own density/head updates, energy
+// rescaling) refresh the scalar header fields and reuse the list
+// untouched. The relayed values are published only under fusion, the one
+// configuration whose guards read them (see NbrList); a value change
+// republishes them over the same identifier slice.
 //
 //selfstab:hotpath
-func (n *Node) fillFrame(f *Frame) {
+func (n *Node) fillFrame(f *Frame, fusion bool) {
 	f.ID = n.id
 	f.TieID = n.tieID
 	f.Density = n.density
 	f.HeadID = n.headID
-	if len(f.Nbrs) == len(n.cache) {
-		same := true
+	ids, vals := f.Nbrs.ids(), f.Nbrs.vals()
+	sameIDs := len(ids) == len(n.cache)
+	for i := 0; sameIDs && i < len(ids); i++ {
+		sameIDs = ids[i] == n.cache[i].frame.ID
+	}
+	sameVals := !fusion || len(vals) == len(n.cache)
+	for i := 0; fusion && sameVals && i < len(vals); i++ {
+		sameVals = vals[i] == valueOf(&n.cache[i].frame)
+	}
+	if sameIDs && sameVals {
+		return
+	}
+	if !sameIDs {
+		ids = make([]int64, len(n.cache))
 		for i := range n.cache {
-			e := &n.cache[i].frame
-			s := &f.Nbrs[i]
-			if s.ID != e.ID || s.TieID != e.TieID || s.Density != e.Density || s.HeadID != e.HeadID {
-				same = false
-				break
-			}
-		}
-		if same {
-			return
+			ids[i] = n.cache[i].frame.ID
 		}
 	}
-	nbrs := make([]NbrSummary, len(n.cache))
-	for i := range n.cache {
-		e := &n.cache[i].frame
-		nbrs[i] = NbrSummary{ID: e.ID, TieID: e.TieID, Density: e.Density, HeadID: e.HeadID}
+	vals = nil
+	if fusion {
+		vals = make([]NbrValue, len(n.cache))
+		for i := range n.cache {
+			vals[i] = valueOf(&n.cache[i].frame)
+		}
 	}
-	f.Nbrs = nbrs
+	f.Nbrs = &NbrList{IDs: ids, Vals: vals}
 }
 
-// ingest ages the cache, installs the frames heard this step (frames[s]
-// for each sender index s), and evicts entries not refreshed within ttl
-// steps (ttl 0 disables eviction; appropriate for static topologies).
-// The cached scalar fields are private copies; the Nbrs list is a shared
-// alias of the sender's immutable published slice (see cacheEntry), so a
-// content change costs one slice-header store, not a deep copy.
-func (n *Node) ingest(frames []Frame, senders []int32, ttl int) {
-	for i := range n.cache {
-		n.cache[i].age++
-	}
-	for _, s := range senders {
-		f := &frames[s]
-		if f.ID == n.id {
-			continue // own echo; cannot happen with honest media, but cheap to guard
-		}
-		e, added := n.cache.upsert(f.ID)
-		// Only an appearing neighbor or a content change re-arms the
-		// guards; the common steady-state refresh (identical frame) costs
-		// one comparison — O(1) when the list aliases match.
-		if added || e.frame.TieID != f.TieID || e.frame.Density != f.Density ||
-			e.frame.HeadID != f.HeadID || !sameNbrs(e.frame.Nbrs, f.Nbrs) {
-			e.frame = Frame{ID: f.ID, TieID: f.TieID, Density: f.Density, HeadID: f.HeadID, Nbrs: f.Nbrs}
-			n.dirty = true
-			n.frameDirty = true
-		}
-		e.age = 0
-	}
-	if ttl > 0 {
-		kept := n.cache[:0]
-		for i := range n.cache {
-			if n.cache[i].age <= ttl {
-				kept = append(kept, n.cache[i])
-			}
-		}
-		if len(kept) != len(n.cache) {
-			// Zero the tail so evicted frames don't pin their Nbrs arrays.
-			for i := len(kept); i < len(n.cache); i++ {
-				n.cache[i] = cacheEntry{}
-			}
-			n.cache = kept
-			n.dirty = true
-			n.frameDirty = true
-		}
-	}
+// valueOf extracts what fusion relays about a cached neighbor.
+func valueOf(f *Frame) NbrValue {
+	return NbrValue{TieID: f.TieID, Density: f.Density, HeadID: f.HeadID}
 }
 
-// ingestAdj is the sparse-path twin of ingest: identical cache semantics
-// (aging, upsert-and-compare, TTL eviction — keep the two in lockstep),
-// but the heard senders come straight from the node's adjacency list
-// filtered by the engine's send mask, which is exactly what a lossless
-// medium delivers. It additionally records in n.stale whether any entry
-// survived the pass unrefreshed, so the frontier engine knows the node
-// must be re-examined next step for its aging to stay bit-identical to
-// the full scan. With ttl 0 eviction never fires, aging is unobservable,
-// and stale stays false so fully-refreshed nodes can leave the frontier.
+// ingest ages the cache, installs the frames heard this step, and evicts
+// entries not refreshed within proto.CacheTTL steps (0 disables eviction;
+// appropriate for static topologies). from lists candidate sender indices
+// into frames: the medium's inbox row on the dense path (sending nil —
+// everything listed was delivered), or the node's adjacency list filtered
+// by the engine's send mask on the frontier path, which is exactly what a
+// lossless medium delivers. The cached scalar fields are private copies;
+// the list is a shared alias of the sender's immutable published NbrList
+// (see cacheEntry), so a content change costs one pointer store, not a
+// deep copy, and the steady-state refresh (identical frame) is four
+// comparisons with no list walk.
+//
+// What a heard change re-arms follows from who reads it. Any difference
+// re-arms the guards. Only an identifier-list difference (or an appearing
+// or evicted neighbor) invalidates the cached R1 link count. And only a
+// change to what this node itself publishes — its cache's key set, plus
+// the cached scalars under fusion — re-arms its own broadcast.
+//
+// n.stale records whether any entry survived the pass unrefreshed, so the
+// frontier engine knows the node must be re-examined next step for its
+// aging to stay bit-identical to the full scan. With a zero TTL eviction
+// never fires, aging is unobservable, and stale stays false so
+// fully-refreshed nodes can leave the frontier.
 //
 //selfstab:hotpath
-func (n *Node) ingestAdj(frames []Frame, nbrs []int, sending []bool, ttl int) {
+func ingest[I int | int32](n *Node, frames []Frame, from []I, sending []bool, proto Protocol) {
 	for i := range n.cache {
 		n.cache[i].age++
 	}
-	for _, s := range nbrs {
-		if !sending[s] {
+	for _, s := range from {
+		if sending != nil && !sending[s] {
 			continue
 		}
 		f := &frames[s]
@@ -321,36 +328,49 @@ func (n *Node) ingestAdj(frames []Frame, nbrs []int, sending []bool, ttl int) {
 			continue // own echo; cannot happen with honest media, but cheap to guard
 		}
 		e, added := n.cache.upsert(f.ID)
-		if added || e.frame.TieID != f.TieID || e.frame.Density != f.Density ||
-			e.frame.HeadID != f.HeadID || !sameNbrs(e.frame.Nbrs, f.Nbrs) {
-			e.frame = Frame{ID: f.ID, TieID: f.TieID, Density: f.Density, HeadID: f.HeadID, Nbrs: f.Nbrs}
+		relisted, revalued := added, false
+		if old := e.frame.Nbrs; old != f.Nbrs {
+			relisted = added || !sameList(old.ids(), f.Nbrs.ids())
+			revalued = !sameList(old.vals(), f.Nbrs.vals())
+			e.frame.Nbrs = f.Nbrs // equal content or not, hold the live alias
+		}
+		scalars := e.frame.TieID != f.TieID || e.frame.Density != f.Density || e.frame.HeadID != f.HeadID
+		if relisted || revalued || scalars {
+			e.frame = *f
 			n.dirty = true
+		}
+		if relisted {
+			n.linksOK = false
+		}
+		if added || (scalars && proto.Fusion) {
 			n.frameDirty = true
 		}
 		e.age = 0
 	}
 	n.stale = false
-	if ttl > 0 {
-		kept := n.cache[:0]
-		for i := range n.cache {
-			if n.cache[i].age <= ttl {
-				kept = append(kept, n.cache[i])
-			}
+	ttl := proto.CacheTTL
+	if ttl <= 0 {
+		return
+	}
+	kept := n.cache[:0]
+	for i := range n.cache {
+		if n.cache[i].age > ttl {
+			continue
 		}
-		if len(kept) != len(n.cache) {
-			for i := len(kept); i < len(n.cache); i++ {
-				n.cache[i] = cacheEntry{}
-			}
-			n.cache = kept
-			n.dirty = true
-			n.frameDirty = true
+		if n.cache[i].age > 0 {
+			n.stale = true
 		}
-		for i := range n.cache {
-			if n.cache[i].age > 0 {
-				n.stale = true
-				break
-			}
+		kept = append(kept, n.cache[i])
+	}
+	if len(kept) != len(n.cache) {
+		// Zero the tail so evicted frames don't pin their list arrays.
+		for i := len(kept); i < len(n.cache); i++ {
+			n.cache[i] = cacheEntry{}
 		}
+		n.cache = kept
+		n.dirty = true
+		n.frameDirty = true
+		n.linksOK = false
 	}
 }
 
@@ -386,13 +406,9 @@ func (n *Node) guardN1(proto Protocol) bool {
 	if !conflict {
 		return n.tieID != old
 	}
-	taken := make(map[int64]bool, len(n.cache))
-	for i := range n.cache {
-		taken[n.cache[i].frame.TieID] = true
-	}
 	for attempt := 0; attempt < 64; attempt++ {
 		c := n.src.Int63() % proto.Gamma
-		if !taken[c] {
+		if !n.cache.hasColor(c) {
 			n.tieID = c
 			return true
 		}
@@ -407,10 +423,10 @@ func (n *Node) guardN1(proto Protocol) bool {
 // guardR1 recomputes the shared density from cached neighbor lists
 // (Definition 1 evaluated on 2-hop knowledge), scaled by the engine's
 // per-node density multiplier (1 unless an energy policy installed one).
-// The cache key set IS the node's view of N(p), and both it and every
-// advertised neighbor list are id-sorted, so the membership test is a
-// merge scan — no hashing, no allocation. Reports whether the shared
-// density changed.
+// The link count is cached on the node (see Node.links): most executions
+// are caused by a neighbor's density or head moving, which no identifier
+// list reflects, and then the guard is scale·links/deg in O(1). Reports
+// whether the shared density changed.
 //
 //selfstab:hotpath
 func (n *Node) guardR1(scale float64) bool {
@@ -420,23 +436,38 @@ func (n *Node) guardR1(scale float64) bool {
 		n.density = 0
 		return n.density != old
 	}
+	if !n.linksOK {
+		n.links = n.countLinks()
+		n.linksOK = true
+	}
+	n.density = scale * (float64(n.links) / float64(deg))
+	return n.density != old
+}
+
+// countLinks evaluates Definition 1's link count from scratch: the |Np|
+// edges p-q plus every edge among neighbors. The cache key set IS the
+// node's view of N(p), and both it and every advertised identifier list
+// are id-sorted, so the membership test is a merge scan — no hashing, no
+// allocation.
+//
+//selfstab:hotpath
+func (n *Node) countLinks() int {
+	deg := len(n.cache)
 	links := deg // the |Np| edges p-q
 	// Count edges among neighbors once: v < w, both in N(p), adjacent
 	// according to v's advertised list.
 	for i := range n.cache {
 		v := n.cache[i].frame.ID
-		nbrs := n.cache[i].frame.Nbrs
-		// Advance j over the cache (sorted) in lockstep with the summary
-		// list, starting past v (only w > v counts). Honest frames carry
-		// id-sorted summaries, making this a merge scan; a corrupted
-		// cache can hold a scrambled list, and from the first
+		// Advance j over the cache (sorted) in lockstep with the
+		// identifier list, starting past v (only w > v counts). Honest
+		// frames carry id-sorted lists, making this a merge scan; a
+		// corrupted cache can hold a scrambled list, and from the first
 		// out-of-order element on we fall back to binary search so the
 		// count stays exactly Definition 1 even on garbage.
 		j := i + 1
 		sorted := true
 		prev := int64(-1) << 62
-		for k := range nbrs {
-			w := nbrs[k].ID
+		for _, w := range n.cache[i].frame.Nbrs.ids() {
 			if w < prev {
 				sorted = false
 			}
@@ -458,8 +489,7 @@ func (n *Node) guardR1(scale float64) bool {
 			}
 		}
 	}
-	n.density = scale * (float64(links) / float64(deg))
-	return n.density != old
+	return links
 }
 
 // guardR2 is the cluster-head selection rule, including the Section 4.3
@@ -505,14 +535,18 @@ func (n *Node) guardR2(proto Protocol) bool {
 			e := &n.cache[i]
 			via := e.frame.ID
 			viaRank := rankOf(e.frame)
-			for _, s := range e.frame.Nbrs {
-				if s.ID == n.id || s.HeadID != s.ID {
+			// A hand-built entry may carry fewer values than identifiers
+			// or the reverse; the pairs that exist are the relayed claims.
+			ids, vals := e.frame.Nbrs.ids(), e.frame.Nbrs.vals()
+			for k, s := range vals[:min(len(vals), len(ids))] {
+				id := ids[k]
+				if id == n.id || s.HeadID != id {
 					continue
 				}
-				if n.cache.has(s.ID) {
+				if n.cache.has(id) {
 					continue // 1-hop claimants are covered by the ≺ scan
 				}
-				r := cluster.Rank{Value: s.Density, TieID: s.TieID, IsHead: true, AppID: s.ID}
+				r := cluster.Rank{Value: s.Density, TieID: s.TieID, IsHead: true, AppID: id}
 				if !proto.Order.Less(myRank, r) {
 					continue
 				}
@@ -522,9 +556,9 @@ func (n *Node) guardR2(proto Protocol) bool {
 				// iteration order).
 				switch {
 				case adoptID < 0 || proto.Order.Less(adoptRank, r):
-					adoptID, adoptRank = s.ID, r
+					adoptID, adoptRank = id, r
 					adoptVia, adoptViaRank = via, viaRank
-				case s.ID == adoptID && proto.Order.Less(adoptViaRank, viaRank):
+				case id == adoptID && proto.Order.Less(adoptViaRank, viaRank):
 					adoptVia, adoptViaRank = via, viaRank
 				}
 			}

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -124,10 +125,20 @@ func TestDirtyTrackingMatchesSnapshotCompare(t *testing.T) {
 // invisible — an engine that is forced to rebuild every frame and evaluate
 // every guard each step (the seed engine's behavior) must produce a
 // bit-identical trajectory. Fusion + loss + TTL + daemon maximizes the
-// 2-hop propagation paths where a stale relayed summary would show.
+// 2-hop propagation paths where a stale relayed value would show; the
+// unfused run pins the narrower publish rule (identifiers only) and the
+// cached link count against the same always-recount reference.
 func TestGuardSkippingIsOutputEquivalent(t *testing.T) {
+	for _, fusion := range []bool{true, false} {
+		t.Run(fmt.Sprintf("fusion=%v", fusion), func(t *testing.T) {
+			guardSkippingIsOutputEquivalent(t, fusion)
+		})
+	}
+}
+
+func guardSkippingIsOutputEquivalent(t *testing.T, fusion bool) {
 	g, ids := randomNetwork(55, 150, 0.14)
-	proto := Protocol{Order: cluster.OrderSticky, Fusion: true, CacheTTL: 5, ActivationProb: 0.8}
+	proto := Protocol{Order: cluster.OrderSticky, Fusion: fusion, CacheTTL: 5, ActivationProb: 0.8}
 	build := func() *Engine {
 		m, err := radio.NewBernoulli(0.85, rng.New(7))
 		if err != nil {
@@ -138,7 +149,7 @@ func TestGuardSkippingIsOutputEquivalent(t *testing.T) {
 	fast := build()
 	ref := build()
 	// Partial corruption every few steps keeps shared densities churning,
-	// so relayed 2-hop summaries keep changing inside otherwise-quiet
+	// so relayed 2-hop values keep changing inside otherwise-quiet
 	// neighborhoods — exactly the traffic a stale frame cache would get
 	// wrong. Both engines consume identical corruption streams.
 	cf, cr := rng.New(99), rng.New(99)
@@ -152,7 +163,7 @@ func TestGuardSkippingIsOutputEquivalent(t *testing.T) {
 		// from its current state, the way the seed engine built one every
 		// step unconditionally.
 		for i, n := range fast.nodes {
-			n.fillFrame(&want[i])
+			n.fillFrame(&want[i], fast.proto.Fusion)
 		}
 		if err := fast.Step(); err != nil {
 			t.Fatal(err)
@@ -163,12 +174,15 @@ func TestGuardSkippingIsOutputEquivalent(t *testing.T) {
 			got := &fast.out[i]
 			if got.ID != want[i].ID || got.TieID != want[i].TieID ||
 				got.Density != want[i].Density || got.HeadID != want[i].HeadID ||
-				!slices.Equal(got.Nbrs, want[i].Nbrs) {
+				!slices.Equal(got.Nbrs.ids(), want[i].Nbrs.ids()) || !slices.Equal(got.Nbrs.vals(), want[i].Nbrs.vals()) {
 				t.Fatalf("step %d: node %d broadcast a stale frame", s, i)
+			}
+			if !fusion && got.Nbrs.vals() != nil {
+				t.Fatalf("step %d: node %d relays values no guard reads", s, i)
 			}
 		}
 		for _, n := range ref.nodes {
-			n.dirty, n.frameDirty = true, true // disable all skipping
+			n.dirty, n.frameDirty, n.linksOK = true, true, false // disable all skipping
 		}
 		if err := ref.Step(); err != nil {
 			t.Fatal(err)
@@ -209,11 +223,7 @@ func TestGuardR1MatchesDensityOracle(t *testing.T) {
 			for j := range n.cache {
 				f := &n.cache[j].frame
 				own = append(own, f.ID)
-				l := make([]int64, 0, len(f.Nbrs))
-				for _, s := range f.Nbrs {
-					l = append(l, s.ID)
-				}
-				lists[f.ID] = l
+				lists[f.ID] = f.Nbrs.ids()
 			}
 			// The daemon is synchronous here, so guardR1 ran this step on
 			// every dirty node; force one evaluation on the current cache

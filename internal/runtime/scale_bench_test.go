@@ -200,12 +200,33 @@ func BenchmarkStepSaturated(b *testing.B) {
 	}
 }
 
+// BenchmarkHealRound10k is the dense recovery path end to end: every node
+// of a stabilized 10k world is corrupted (state and cache), then the
+// engine runs until stable again. One op is one whole round — a few dozen
+// saturated steps in which every cache entry is re-heard, every link
+// count recounted and every frame republished — so it is the
+// micro-benchmark row for the work BenchmarkStepSaturated's clean,
+// nothing-to-do scan leaves out.
+func BenchmarkHealRound10k(b *testing.B) {
+	requireScaleBench(b)
+	e := stableScaleEngine(b, 10_000, true)
+	faults := rng.New(10_001)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Corrupt(1.0, CorruptAll, faults)
+		if _, err := e.RunUntilStable(5000, 5); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkStep1M is the million-node tentpole scenario: the perturbed
 // step at n=1,000,000 under an 8-way tiling, with the post-setup heap
-// reported so the memory diet (interned neighbor summaries: O(deg) per
-// node instead of O(deg²)) shows up next to the step time. Gated twice —
+// reported so the memory diet (interned neighbor identifier lists: O(deg)
+// per node instead of O(deg²)) shows up next to the step time. Gated twice —
 // SELFSTAB_SCALE_BENCH_1M on top of the scale gate — because setup alone
-// costs minutes and ~2 GB; the CI smoke tier never runs it.
+// costs tens of seconds and over a gigabyte; the CI smoke tier never runs it.
 func BenchmarkStep1M(b *testing.B) {
 	requireScaleBench(b)
 	if os.Getenv("SELFSTAB_SCALE_BENCH_1M") == "" {

@@ -291,7 +291,7 @@ func (e *Engine) stepTiled() error {
 				continue
 			}
 			if n := e.nodes[v]; n.frameDirty {
-				n.fillFrame(&e.out[v])
+				n.fillFrame(&e.out[v], e.proto.Fusion)
 				n.frameDirty = false
 			}
 		}
@@ -306,7 +306,6 @@ func (e *Engine) stepTiled() error {
 	// and shared variables, plus its own disrupt.changed slot — per-node
 	// disjoint, so tile boundaries need no synchronization beyond the
 	// phase barrier.
-	ttl := e.proto.CacheTTL
 	tracking := e.disrupt.active
 	e.forEachTile(func(t int) {
 		changed := false
@@ -316,7 +315,7 @@ func (e *Engine) stepTiled() error {
 				continue
 			}
 			n := e.nodes[i]
-			n.ingestAdj(e.out, e.g.Neighbors(i), e.sendMask, ttl)
+			ingest(n, e.out, e.g.Neighbors(i), e.sendMask, e.proto)
 			if !n.dirty {
 				continue
 			}

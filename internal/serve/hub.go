@@ -8,13 +8,15 @@ import (
 // hub fans step frames out to SSE subscribers. Publishing never blocks:
 // a subscriber whose buffer is full misses that frame (the next one
 // carries fresher state anyway), so a stalled client can never stall the
-// step loop or other subscribers. Dropped frames are counted (exported
-// through /metrics) so slow-consumer pressure is visible.
+// step loop or other subscribers. Published and dropped frames are
+// counted (exported through /metrics) so slow-consumer pressure is
+// visible against what was sent.
 type hub struct {
-	mu      sync.Mutex
-	subs    map[chan []byte]struct{}
-	closed  bool
-	dropped atomic.Int64
+	mu        sync.Mutex
+	subs      map[chan []byte]struct{}
+	closed    bool
+	published atomic.Int64
+	dropped   atomic.Int64
 }
 
 func newHub() *hub {
@@ -45,7 +47,10 @@ func (h *hub) subscribers() int {
 	return len(h.subs)
 }
 
-func (h *hub) publish(frame []byte) {
+// publish encodes the frame once and offers it to every subscriber.
+func (h *hub) publish(f stepFrame) {
+	frame := f.encode()
+	h.published.Add(1)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for ch := range h.subs {
@@ -56,6 +61,10 @@ func (h *hub) publish(frame []byte) {
 		}
 	}
 }
+
+// publishedFrames returns how many frames were encoded and offered to
+// subscribers since the hub was built.
+func (h *hub) publishedFrames() int64 { return h.published.Load() }
 
 // droppedFrames returns how many frames were dropped on full subscriber
 // buffers since the hub was built.

@@ -87,6 +87,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(&b, "selfstab_energy_mean_remaining %g\n", es.MeanRemaining)
 	}
 
+	fmt.Fprintf(&b, "# HELP selfstab_sse_published_frames_total Step frames encoded and offered to SSE subscribers.\n")
+	fmt.Fprintf(&b, "# TYPE selfstab_sse_published_frames_total counter\n")
+	fmt.Fprintf(&b, "selfstab_sse_published_frames_total %d\n", s.hub.publishedFrames())
 	fmt.Fprintf(&b, "# HELP selfstab_sse_dropped_frames_total Step frames dropped on full SSE subscriber buffers.\n")
 	fmt.Fprintf(&b, "# TYPE selfstab_sse_dropped_frames_total counter\n")
 	fmt.Fprintf(&b, "selfstab_sse_dropped_frames_total %d\n", s.hub.droppedFrames())

@@ -111,21 +111,35 @@ func (s *Server) Run(ctx context.Context) error {
 		case <-ctx.Done():
 			return s.drain()
 		case <-ticker.C:
-			s.mu.Lock()
-			err := s.net.Step()
-			frame := s.frameLocked()
-			s.mu.Unlock()
-			if err != nil {
-				return fmt.Errorf("serve: step: %w", err)
-			}
-			// Throttle frames to ~20/s regardless of stepping rate, and
-			// skip the work entirely when nobody is listening.
-			if s.hub.subscribers() > 0 && time.Since(lastFrame) >= 50*time.Millisecond {
-				s.hub.publish(frame)
-				lastFrame = time.Now()
+			if err := s.tick(&lastFrame); err != nil {
+				return err
 			}
 		}
 	}
+}
+
+// tick runs one step under the write lock and publishes its frame when
+// one is due: frames are throttled to ~20/s regardless of stepping rate,
+// and with nobody listening none is built at all. Under the lock a due
+// frame is an O(1) copy of counters; encoding happens after the unlock,
+// in the hub.
+func (s *Server) tick(lastFrame *time.Time) error {
+	due := s.hub.subscribers() > 0 && time.Since(*lastFrame) >= 50*time.Millisecond
+	var frame stepFrame
+	s.mu.Lock()
+	err := s.net.Step()
+	if due {
+		frame = s.frameLocked()
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("serve: step: %w", err)
+	}
+	if due {
+		s.hub.publish(frame)
+		*lastFrame = time.Now()
+	}
+	return nil
 }
 
 // drain writes the final checkpoint when configured.
@@ -137,17 +151,25 @@ func (s *Server) drain() error {
 	return err
 }
 
-// frameLocked builds one SSE step frame. Caller holds mu (read or
-// write). O(1): population counters only, so framing never slows a
-// large world's step loop.
-func (s *Server) frameLocked() []byte {
+// stepFrame is one SSE step frame: population counters only, so framing
+// never slows a large world's step loop.
+type stepFrame struct {
+	Alive    int `json:"alive"`
+	Dead     int `json:"dead"`
+	Sleeping int `json:"sleeping"`
+	Step     int `json:"step"`
+}
+
+// frameLocked copies out the current step frame. Caller holds mu (read
+// or write).
+func (s *Server) frameLocked() stepFrame {
 	alive, sleeping, dead := s.net.Population()
-	b, _ := json.Marshal(map[string]any{
-		"step":     s.net.StepCount(),
-		"alive":    alive,
-		"sleeping": sleeping,
-		"dead":     dead,
-	})
+	return stepFrame{Alive: alive, Dead: dead, Sleeping: sleeping, Step: s.net.StepCount()}
+}
+
+// encode renders the frame as the JSON object SSE clients receive.
+func (f stepFrame) encode() []byte {
+	b, _ := json.Marshal(f) // a struct of ints cannot fail to marshal
 	return b
 }
 
@@ -396,7 +418,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	first := s.frameLocked()
 	s.mu.RUnlock()
-	fmt.Fprintf(w, "data: %s\n\n", first)
+	fmt.Fprintf(w, "data: %s\n\n", first.encode())
 	flusher.Flush()
 	ch := s.hub.subscribe()
 	defer s.hub.unsubscribe(ch)

@@ -447,6 +447,46 @@ func TestRunStepsAndSSE(t *testing.T) {
 	}
 }
 
+// TestTickBuildsFramesOnlyWhenPublished: a tick with nobody subscribed, or
+// inside the 50 ms throttle, steps the world but encodes no frame — the
+// hub is the only place a tick's frame is marshaled, and it is not
+// reached. The wire format is the sorted-key object clients always got.
+func TestTickBuildsFramesOnlyWhenPublished(t *testing.T) {
+	srv, _ := testServer(t, 30, Config{})
+	var last time.Time
+	for i := 0; i < 5; i++ {
+		if err := srv.tick(&last); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := srv.hub.publishedFrames(); got != 0 {
+		t.Fatalf("%d frames encoded with no subscriber", got)
+	}
+	if !last.IsZero() {
+		t.Fatal("throttle clock advanced without a publish")
+	}
+
+	ch := srv.hub.subscribe()
+	defer srv.hub.unsubscribe(ch)
+	if err := srv.tick(&last); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.hub.publishedFrames(); got != 1 {
+		t.Fatalf("%d frames encoded for a due tick with a subscriber, want 1", got)
+	}
+	want := fmt.Sprintf(`{"alive":30,"dead":0,"sleeping":0,"step":%d}`, srv.net.StepCount())
+	if got := string(<-ch); got != want {
+		t.Fatalf("frame %s, want %s", got, want)
+	}
+	// Immediately after a publish the throttle holds the next frame back.
+	if err := srv.tick(&last); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.hub.publishedFrames(); got != 1 {
+		t.Fatalf("%d frames encoded inside the throttle window, want 1", got)
+	}
+}
+
 // TestConcurrentReadersWhileStepping is the serving layer's race
 // contract: a stepping world serves concurrent /state, /clusters,
 // /metrics and SSE readers plus injections without torn reads (run under
@@ -590,6 +630,7 @@ func TestObservabilityEndpoints(t *testing.T) {
 		"selfstab_convergence_episodes_total",
 		"selfstab_convergence_steps_to_restabilize{stat=\"mean\"}",
 		"selfstab_convergence_affected_radius{stat=\"max\"}",
+		"selfstab_sse_published_frames_total 0",
 		"selfstab_sse_dropped_frames_total 0",
 	} {
 		if !strings.Contains(out, want) {

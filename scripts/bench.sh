@@ -12,16 +12,24 @@
 # suite in BENCH_traffic.json, the churn suite in BENCH_churn.json, the
 # energy suite in BENCH_energy.json and the scale suite (quiescent
 # frontier stepping, perturbed 100k step with a tile-count sweep,
-# saturated-frontier fallback, slot compaction, and — behind BENCH_1M=1 —
-# the million-node tiled scenario) in BENCH_scale.json — so successive
-# runs can be compared (benchstat on the raw text, or any tool on the
-# JSON).
+# saturated-frontier fallback, the 10k full-corruption recovery round,
+# slot compaction, and — behind BENCH_1M=1 — the million-node tiled
+# scenario) in BENCH_scale.json — so successive runs can be compared
+# (benchstat on the raw text, or any tool on the JSON).
+#
+# Every file starts with its provenance: the commit the tree was at
+# ("+dirty" when it had uncommitted changes) and GOMAXPROCS, as
+# "key: value" configuration lines in the raw text and as header fields
+# of the JSON object whose "samples" array holds the rows. Benchmark
+# names are recorded without the -GOMAXPROCS suffix, so a row keeps its
+# key across hosts and the header says which host shape it came from.
 #
 # After generating the fresh numbers, a regression gate compares the
-# median ns/op of every step-time benchmark against the committed
-# BENCH_*.json baselines captured at script start and fails the run on a
-# >20% regression (scripts/benchgate). Set SKIP_BENCH_GATE=1 to record a
-# new baseline through a known regression.
+# median ns/op of every step-time and heal-round benchmark against the
+# committed BENCH_*.json baselines captured at script start and fails the
+# run on a >20% regression (scripts/benchgate; baselines recorded at a
+# different GOMAXPROCS are reported and skipped, not compared). Set
+# SKIP_BENCH_GATE=1 to record a new baseline through a known regression.
 #
 # Usage: scripts/bench.sh [count]
 #   count        benchmark repetitions per benchmark (default 5)
@@ -55,46 +63,66 @@ echo "== go vet" >&2
 go vet ./...
 
 echo "== race-instrumented determinism tests" >&2
-go test -race -run 'TestParallelDeterminism|TestParallelMatchesSequentialStabilization|TestEngineChurnParallelDeterminism|TestSparseMatchesDenseMixedTrace|TestTiledMatchesFlatMixedTrace|TestSaturatedFallbackMatchesDense' ./internal/runtime
+go test -race -run 'TestParallelDeterminism|TestParallelMatchesSequentialStabilization|TestEngineChurnParallelDeterminism|TestSparseMatchesDenseMixedTrace|TestTiledMatchesFlatMixedTrace|TestSaturatedFallbackMatchesDense|TestCachedLinkCountMatchesRecount' ./internal/runtime
 go test -race -run 'TestTrafficDeterminism|TestChurnDeterminism|TestEnergyDeterminism|TestNetworkSparseMatchesDense|TestCompactTwinEquivalence|TestTilesOracleMixedTrace|TestCompactUnderTiling' .
 
+# Provenance, written at the head of every raw file in the benchmark
+# format's own "key: value" configuration syntax.
+COMMIT="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+if [ "$COMMIT" != unknown ] && [ -n "$(git status --porcelain --untracked-files=no)" ]; then
+    COMMIT="$COMMIT+dirty"
+fi
+export GOMAXPROCS="${GOMAXPROCS:-$(nproc)}"
+provenance() {
+    echo "commit: $COMMIT"
+    echo "gomaxprocs: $GOMAXPROCS"
+}
+
 echo "== benchmarks (count=$COUNT)" >&2
-go test -run '^$' -bench . -benchmem -count "$COUNT" "${PKGS[@]}" | tee "$RAW"
+{ provenance; go test -run '^$' -bench . -benchmem -count "$COUNT" "${PKGS[@]}"; } | tee "$RAW"
 
 echo "== traffic + routing benchmarks (count=$COUNT)" >&2
-go test -run '^$' -bench 'BenchmarkRouteCached|BenchmarkRouteRebuild|BenchmarkTrafficStep1000' \
-    -benchmem -count "$COUNT" . | tee "$TRAFFIC_RAW"
+{ provenance; go test -run '^$' -bench 'BenchmarkRouteCached|BenchmarkRouteRebuild|BenchmarkTrafficStep1000' \
+    -benchmem -count "$COUNT" .; } | tee "$TRAFFIC_RAW"
 
 echo "== churn benchmarks (count=$COUNT)" >&2
-go test -run '^$' -bench 'BenchmarkChurnStep1000' \
-    -benchmem -count "$COUNT" . | tee "$CHURN_RAW"
+{ provenance; go test -run '^$' -bench 'BenchmarkChurnStep1000' \
+    -benchmem -count "$COUNT" .; } | tee "$CHURN_RAW"
 
 echo "== energy benchmarks (count=$COUNT)" >&2
-go test -run '^$' -bench 'BenchmarkEnergyStep1000' \
-    -benchmem -count "$COUNT" . | tee "$ENERGY_RAW"
+{ provenance; go test -run '^$' -bench 'BenchmarkEnergyStep1000' \
+    -benchmem -count "$COUNT" .; } | tee "$ENERGY_RAW"
 
 echo "== scale benchmarks (count=$SCALE_COUNT)" >&2
-SELFSTAB_SCALE_BENCH=1 go test -run '^$' -bench 'BenchmarkQuiescentStep|BenchmarkStep100k|BenchmarkStepSaturated|BenchmarkCompact' \
-    -benchmem -benchtime 0.5s -count "$SCALE_COUNT" -timeout 60m ./internal/runtime | tee "$SCALE_RAW"
+{ provenance; SELFSTAB_SCALE_BENCH=1 go test -run '^$' -bench 'BenchmarkQuiescentStep|BenchmarkStep100k|BenchmarkStepSaturated|BenchmarkHealRound10k|BenchmarkCompact' \
+    -benchmem -benchtime 0.5s -count "$SCALE_COUNT" -timeout 60m ./internal/runtime; } | tee "$SCALE_RAW"
 
 # The million-node tier is opt-in on top of the scale suite: setup alone
-# costs minutes and ~2 GB of heap, so the CI smoke tier (and a default
-# bench.sh run) never touches it. Set BENCH_1M=1 to append its rows.
+# costs tens of seconds and over a gigabyte of heap, so the CI smoke tier
+# (and a default bench.sh run) never touches it. Set BENCH_1M=1 to append
+# its rows.
 if [ "${BENCH_1M:-0}" = "1" ]; then
     echo "== million-node benchmarks (count=1)" >&2
     SELFSTAB_SCALE_BENCH=1 SELFSTAB_SCALE_BENCH_1M=1 go test -run '^$' -bench 'BenchmarkStep1M' \
         -benchmem -benchtime 5x -count 1 -timeout 120m ./internal/runtime | tee -a "$SCALE_RAW"
 fi
 
-# bench_to_json converts benchmark lines into a JSON array. Lines look like:
-#   BenchmarkStep1000   232   4536778 ns/op   64 B/op   2 allocs/op
-# (memory columns are absent for benchmarks without -benchmem metrics).
+# bench_to_json converts a raw file into a JSON object: the provenance
+# header, then one sample per benchmark line. Lines look like:
+#   BenchmarkStep1000-2   232   4536778 ns/op   64 B/op   2 allocs/op
+# (memory columns are absent for benchmarks without -benchmem metrics;
+# the -GOMAXPROCS suffix is absent at GOMAXPROCS=1 and dropped otherwise).
 bench_to_json() {
 awk '
-BEGIN { print "["; first = 1 }
+BEGIN { first = 1 }
+function header() { printf "{\"commit\": \"%s\", \"gomaxprocs\": %d, \"samples\": [\n", commit, procs }
+/^commit: / { commit = $2 }
+/^gomaxprocs: / { procs = $2; suffix = "-" procs "$" }
 /^pkg: / { pkg = $2 }
 /^Benchmark/ {
+    if (first) header()
     name = $1; iters = $2; ns = ""; bytes = ""; allocs = ""
+    if (procs > 1) sub(suffix, "", name)
     for (i = 3; i <= NF; i++) {
         if ($i == "ns/op")     ns = $(i - 1)
         if ($i == "B/op")      bytes = $(i - 1)
@@ -108,7 +136,7 @@ BEGIN { print "["; first = 1 }
     if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
     printf "}"
 }
-END { print "\n]" }
+END { if (first) header(); print "\n]}" }
 ' "$1"
 }
 
@@ -123,10 +151,10 @@ echo "== wrote $RAW, $JSON, $TRAFFIC_RAW, $TRAFFIC_JSON, $CHURN_RAW, $CHURN_JSON
 if [ "${SKIP_BENCH_GATE:-0}" = "1" ]; then
     echo "== bench-regression gate skipped (SKIP_BENCH_GATE=1)" >&2
 else
-    echo "== bench-regression gate (fail on >20% step-time regression vs committed baselines)" >&2
+    echo "== bench-regression gate (fail on >20% step-time or heal-round regression vs committed baselines)" >&2
     for f in "$JSON" "$TRAFFIC_JSON" "$CHURN_JSON" "$ENERGY_JSON" "$SCALE_JSON"; do
         if [ -f "$BASELINE_DIR/$f" ]; then
-            go run ./scripts/benchgate -baseline "$BASELINE_DIR/$f" -fresh "$f" -threshold 1.2 -match Step
+            go run ./scripts/benchgate -baseline "$BASELINE_DIR/$f" -fresh "$f" -threshold 1.2 -match 'Step|HealRound'
         else
             echo "benchgate: no committed baseline for $f; skipping" >&2
         fi

@@ -3,11 +3,14 @@
 // baseline copy and fails (exit 1) when the median ns/op of any step-time
 // benchmark regressed beyond the threshold factor.
 //
-//	go run ./scripts/benchgate -baseline old.json -fresh new.json [-threshold 1.2] [-match Step]
+//	go run ./scripts/benchgate -baseline old.json -fresh new.json [-threshold 1.2] [-match 'Step|HealRound']
 //
 // Benchmarks present on only one side are skipped (new benchmarks are
 // not regressions; retired ones are not failures), so the gate tracks
-// the trajectory without blocking additions.
+// the trajectory without blocking additions. Each file's header carries
+// the GOMAXPROCS it was recorded at; when the two differ the files are
+// not comparable, and the gate says so and passes rather than compare
+// a one-core median with a two-core one.
 package main
 
 import (
@@ -25,17 +28,24 @@ type sample struct {
 	NsPerOp *float64 `json:"ns_per_op"`
 }
 
-func medians(path string) (map[string]float64, error) {
+// benchFile is a BENCH_*.json document as scripts/bench.sh writes it.
+type benchFile struct {
+	GoMaxProcs int      `json:"gomaxprocs"`
+	Samples    []sample `json:"samples"`
+}
+
+// medians returns the file's GOMAXPROCS and each benchmark's median ns/op.
+func medians(path string) (int, map[string]float64, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	var samples []sample
-	if err := json.Unmarshal(raw, &samples); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	var doc benchFile
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		return 0, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	byKey := map[string][]float64{}
-	for _, s := range samples {
+	for _, s := range doc.Samples {
 		if s.NsPerOp == nil {
 			continue
 		}
@@ -47,7 +57,7 @@ func medians(path string) (map[string]float64, error) {
 		sort.Float64s(vals)
 		out[key] = vals[len(vals)/2]
 	}
-	return out, nil
+	return doc.GoMaxProcs, out, nil
 }
 
 func main() {
@@ -55,7 +65,7 @@ func main() {
 		baseline  = flag.String("baseline", "", "committed baseline BENCH_*.json")
 		fresh     = flag.String("fresh", "", "freshly generated BENCH_*.json")
 		threshold = flag.Float64("threshold", 1.2, "fail when fresh median exceeds baseline median by this factor")
-		match     = flag.String("match", "Step", "regexp a benchmark name must match to be gated")
+		match     = flag.String("match", "Step|HealRound", "regexp a benchmark name must match to be gated")
 	)
 	flag.Parse()
 	if *baseline == "" || *fresh == "" {
@@ -67,15 +77,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)
 	}
-	base, err := medians(*baseline)
+	baseProcs, base, err := medians(*baseline)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)
 	}
-	cur, err := medians(*fresh)
+	curProcs, cur, err := medians(*fresh)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)
+	}
+	if baseProcs != curProcs {
+		fmt.Fprintf(os.Stderr, "benchgate: %s was recorded at GOMAXPROCS=%d, %s at %d: not comparable, skipping\n",
+			*baseline, baseProcs, *fresh, curProcs)
+		return
 	}
 	keys := make([]string, 0, len(cur))
 	for key := range cur {

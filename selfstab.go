@@ -158,12 +158,18 @@
 //     index-order scan with sparse per-node operations, rebuilding the
 //     worklist on the way out (BenchmarkStepSaturated pins the regime).
 //
-//   - Interned neighbor summaries. A published neighbor-summary list is
-//     immutable: frame assembly reuses the previously published slice
-//     when the cache content is unchanged, and receivers cache the list
-//     by reference instead of copying it. Steady-state per-node memory
-//     drops from O(degree²) (every receiver holding a private copy of
-//     every neighbor's list) to O(degree), which is what keeps the
+//   - Publish only what the guards read, interned. A broadcast relays
+//     the sender's neighbor identifiers — all Definition 1 (guard R1)
+//     reads — and relays the neighbors' tie identifier, density and head
+//     only under WithFusion, whose 2-hop rule is their one reader. The
+//     published list is immutable: frame assembly reuses it while its
+//     content is unchanged, and receivers cache it by reference, so
+//     "this neighbor's list is the one I already counted" is a pointer
+//     comparison. Each node caches its R1 link count and recounts only
+//     when an identifier list or its own neighbor set changed; a head or
+//     density change therefore wakes the 1-hop neighborhood that can
+//     observe it, not the 2-hop one. Steady-state per-node memory is
+//     O(degree) words instead of O(degree²), which is what keeps the
 //     million-node scenario (BenchmarkStep1M) inside a commodity heap.
 //
 //   - O(log N) churn victim selection and O(1) population counts. A
