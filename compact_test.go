@@ -221,7 +221,7 @@ func TestNetworkSparseMatchesDense(t *testing.T) {
 	build := func(sparse bool, workers int) compactObservables {
 		net := compactNet(t, 919)
 		net.SetParallelism(workers)
-		if err := net.SetSparseStepping(sparse); err != nil {
+		if err := net.engine.SetSparse(sparse); err != nil {
 			t.Fatal(err)
 		}
 		if !sparse && net.SparseStepping() {

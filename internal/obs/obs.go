@@ -31,11 +31,11 @@ const (
 	// PhaseChurn is the pre-step window: disruption-episode closing plus
 	// the churn schedule's add/remove/crash/sleep/wake ops.
 	PhaseChurn Phase = iota
-	// PhaseFrame is outgoing-frame assembly (and, on the dense path,
+	// PhaseFrame is outgoing-frame assembly (and, on a full-scan engine,
 	// radio delivery).
 	PhaseFrame
 	// PhaseHalo is the tiled worklist expansion plus the cross-tile halo
-	// outbox merge (tiled path only; per-tile merge spans nest inside).
+	// outbox merge (tiles > 1 only; per-tile merge spans nest inside).
 	PhaseHalo
 	// PhaseIngest is neighbor-cache ingest plus the guarded assignments.
 	PhaseIngest
@@ -72,8 +72,9 @@ const (
 	CtrFrontier Counter = iota
 	// CtrExec is how many nodes the step actually examined (gauge).
 	CtrExec
-	// CtrDenseFallback counts saturated-frontier dense-scan fallbacks
-	// (cumulative; the engine emits 1 per fallback step).
+	// CtrDenseFallback counts steps whose saturated frontier made the
+	// engine visit every node (cumulative; the engine emits 1 per such
+	// step).
 	CtrDenseFallback
 	// CtrHaloCross counts cross-tile halo-outbox activations staged this
 	// step (cumulative; the per-step value is also in the step record).

@@ -3,10 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	goruntime "runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"selfstab/internal/cluster"
 	"selfstab/internal/obs"
@@ -41,6 +38,12 @@ type Protocol struct {
 	ActivationProb float64
 }
 
+// randomizedDaemon reports whether the daemon draws a scheduling decision
+// per node per step (0 and 1 are both the synchronous daemon).
+func (p Protocol) randomizedDaemon() bool {
+	return p.ActivationProb > 0 && p.ActivationProb < 1
+}
+
 func (p Protocol) validate(g *topology.Graph) error {
 	if p.Order != cluster.OrderBasic && p.Order != cluster.OrderSticky {
 		return fmt.Errorf("runtime: invalid order %d", int(p.Order))
@@ -58,17 +61,13 @@ func (p Protocol) validate(g *topology.Graph) error {
 }
 
 // Engine drives a set of protocol nodes over a radio medium, one Δ(τ) step
-// at a time.
+// at a time (step.go describes the step).
 //
 // The step path is engineered for throughput: outgoing frames, the CSR
-// delivery inbox and daemon activation draws live in per-engine scratch
-// buffers that are reused every step, so a steady-state Step performs O(1)
-// amortized allocations; the frame-assembly and ingest+guard phases run on
-// a GOMAXPROCS-sized worker pool. Results are bit-identical for a fixed
-// seed regardless of worker count: the medium and the daemon consume their
-// rng streams sequentially between the parallel phases, per-node draws
-// (DAG colors) come from per-node streams, and a node's guards read only
-// that node's own cache.
+// delivery inbox, the visit lists and daemon activation draws live in
+// per-engine scratch buffers that are reused every step, so a steady-state
+// Step performs O(1) amortized allocations, and the per-node phases run on
+// a GOMAXPROCS-sized worker pool.
 type Engine struct {
 	g       *topology.Graph
 	ids     []int64
@@ -93,30 +92,27 @@ type Engine struct {
 	aliveN   int
 	deadN    int
 
-	// Frontier (worklist) stepping — see frontier.go. sparseOK records
-	// whether this configuration supports it at all; sparse whether it is
-	// currently active. pend is next step's deduplicated worklist, exec
-	// the current step's (pend plus the neighborhoods of nodes about to
-	// broadcast changed content).
+	// The worklist (step.go, frontier.go). sparseOK records whether this
+	// configuration can run as a frontier engine at all; sparse whether it
+	// currently does. pend is next step's deduplicated worklist. execFlag
+	// deduplicates the current step's visit lists.
 	sparse   bool
 	sparseOK bool
 	pendFlag []bool
 	pend     []int32
 	execFlag []bool
-	exec     []int32
 
-	// Spatial tiling (tile.go). tiles > 1 shards frontier stepping by
-	// tile ownership: tileOf maps each slot to its owning tile (kept
-	// current by tileAssign via Retile/Append/Compact), and the remaining
-	// slices are per-tile step scratch — exec worklists, seed counts, the
-	// T×T halo outbox, and per-tile changed flags.
-	tiles       int // 1 = untiled
-	tileOf      []int32
-	tileAssign  func(i int) int
-	tileExec    [][]int32
-	tileSeeds   []int
-	tileOutbox  [][]int32
-	tileChanged []bool
+	// Spatial tiling (tile.go). tileOf maps each slot to its owning tile
+	// when tiles > 1 (kept current by tileAssign via Retile/Append/
+	// Compact). The remaining slices are per-tile step scratch, present at
+	// every tile count: the visit lists, how many entries of each are
+	// worklist seeds, and the T×T halo outbox.
+	tiles      int // 1 = untiled
+	tileOf     []int32
+	tileAssign func(i int) int
+	tileExec   [][]int32
+	tileSeeds  []int
+	tileOutbox [][]int32
 
 	// aliveIdx is a Fenwick tree over alive bits (aliveindex.go): NthAlive
 	// answers order-statistic queries ("the k-th living slot") in O(log N)
@@ -132,11 +128,10 @@ type Engine struct {
 	densityScale []float64
 
 	// Reusable step scratch.
-	out         []Frame // one outgoing frame per sender
-	inbox       radio.Inbox
-	active      []bool // daemon pre-draws (only populated when 0 < p < 1)
-	stepChanged bool   // any shared variable changed during the last Step
-	lastChange  int    // most recent step (or disruption) that changed shared state
+	out        []Frame // one outgoing frame per sender
+	inbox      radio.Inbox
+	active     []bool // daemon pre-draws (only populated when 0 < p < 1)
+	lastChange int    // most recent step (or disruption) that changed shared state
 
 	// Disruption tracking for the convergence ledger (see churn.go).
 	convWindow int
@@ -155,8 +150,11 @@ type Engine struct {
 	// per-tile halo spans, counters). Every emission site is behind a nil
 	// check, so a detached probe costs nothing; an attached probe must be a
 	// pure observer (the obspure rule — see internal/obs) so the execution
-	// stays bit-identical either way.
-	probe obs.Probe
+	// stays bit-identical either way. open is the phase whose span the
+	// step has open while inSpan.
+	probe  obs.Probe
+	open   obs.Phase
+	inSpan bool
 
 	// postStep, when set, runs at the end of every Step after the guards —
 	// the hook the traffic data plane uses to move packets inside the same
@@ -211,8 +209,8 @@ func New(g *topology.Graph, ids []int64, proto Protocol, medium radio.Medium, sr
 		status:   make([]NodeStatus, g.N()),
 		sendMask: make([]bool, g.N()),
 		aliveN:   g.N(),
-		tiles:    1,
 	}
+	e.setTileCount(1)
 	e.aliveIdx.initAll(g.N())
 	// One contiguous node arena for the initial population: cold-start
 	// construction is part of every experiment's per-run cost, and n
@@ -289,7 +287,7 @@ func (e *Engine) Graph() *topology.Graph { return e.g }
 // SetGraph swaps the topology (mobility/churn). Node caches are kept; stale
 // neighbors age out via the protocol's TTL, exactly as in a real network.
 // The swap is opaque — the engine cannot know which adjacencies moved —
-// so on the frontier path every node is conservatively re-examined.
+// so on a frontier engine every node is conservatively re-examined.
 // Callers that maintain the engine's graph in place incrementally (the
 // GridIndex path) should instead Activate the changed nodes and call
 // NoteTopologyChanged, keeping the re-examination proportional to the
@@ -410,202 +408,6 @@ func (e *Engine) densityScaleOf(i int) float64 {
 		return 1
 	}
 	return e.densityScale[i]
-}
-
-// parallelThreshold is the node count below which the per-node phases run
-// inline: goroutine fan-out costs more than it saves on tiny networks.
-const parallelThreshold = 128
-
-// forEachNode runs fn(i) for every node index, in parallel chunks when the
-// network is large enough, and reports whether any call returned true.
-// fn must only touch node i's private state (plus read-only shared data).
-func (e *Engine) forEachNode(fn func(i int) bool) bool {
-	n := len(e.nodes)
-	workers := e.workers
-	if workers == 0 {
-		workers = goruntime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < parallelThreshold {
-		changed := false
-		for i := 0; i < n; i++ {
-			if fn(i) {
-				changed = true
-			}
-		}
-		return changed
-	}
-	var wg sync.WaitGroup
-	var changed atomic.Bool
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			c := false
-			for i := lo; i < hi; i++ {
-				if fn(i) {
-					c = true
-				}
-			}
-			if c {
-				changed.Store(true)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return changed.Load()
-}
-
-// Step executes one Δ(τ) step: every live node broadcasts its frame, the
-// medium delivers, every live node ingests and runs its guarded
-// assignments (N1, R1, R2) once, in that order. Sleeping and dead nodes
-// neither transmit nor listen, and their state is frozen (sleeping) or
-// cleared (dead).
-//
-// With frontier stepping active (see frontier.go) the same semantics are
-// produced by examining only the worklist of potentially-changed nodes;
-// a stabilized network steps in O(1) instead of O(N).
-//
-//selfstab:mutator
-func (e *Engine) Step() error {
-	if p := e.probe; p != nil {
-		p.BeginStep(e.step)
-		p.Counter(obs.CtrFrontier, int64(len(e.pend)))
-		var err error
-		if e.sparse {
-			err = e.stepSparse()
-		} else {
-			err = e.stepDense()
-		}
-		p.EndStep(e.step, e.stepChanged)
-		return err
-	}
-	if e.sparse {
-		return e.stepSparse()
-	}
-	return e.stepDense()
-}
-
-// stepDense is the full-scan step path: every node is visited every
-// step. It is the reference semantics frontier stepping must reproduce
-// bit-for-bit, and the only path able to drive lossy media and
-// randomized daemons (whose per-step randomness touches every node).
-func (e *Engine) stepDense() error {
-	probe := e.probe
-
-	// Close a converged disruption episode before new churn can extend it,
-	// then run the churn pre-step (node add/remove/crash/sleep/wake).
-	if probe != nil {
-		probe.PhaseBegin(obs.PhaseChurn)
-	}
-	e.maybeCloseDisruption()
-	if e.preStep != nil {
-		if err := e.preStep(e.step); err != nil {
-			return fmt.Errorf("step %d: pre-step: %w", e.step, err)
-		}
-	}
-	if probe != nil {
-		probe.PhaseEnd(obs.PhaseChurn)
-		probe.PhaseBegin(obs.PhaseFrame)
-	}
-
-	// Phase 1 (parallel): assemble every live node's outgoing frame into
-	// the engine's scratch. All frames must exist before delivery resolves
-	// sender indices against them. When nothing the node publishes
-	// changed, the scratch copy from the previous step is still valid.
-	e.forEachNode(func(i int) bool {
-		if e.status[i] != StatusAlive {
-			return false
-		}
-		if n := e.nodes[i]; n.frameDirty {
-			n.fillFrame(&e.out[i], e.proto.Fusion)
-			n.frameDirty = false
-		}
-		return false
-	})
-
-	// Phase 2 (sequential): the medium owns its rng stream, so delivery
-	// decisions are drawn on one goroutine regardless of worker count.
-	// Sleeping and dead nodes stay silent via the send mask (their edges
-	// are gone too when the topology layer maintains churn, but the mask
-	// keeps the engine correct on a manually mutated graph).
-	if err := e.medium.Deliver(e.g, e.sendMask, &e.inbox); err != nil {
-		return fmt.Errorf("step %d: %w", e.step, err)
-	}
-	if e.inbox.N() != len(e.nodes) {
-		return fmt.Errorf("step %d: medium delivered %d rows for %d nodes", e.step, e.inbox.N(), len(e.nodes))
-	}
-	if probe != nil {
-		probe.PhaseEnd(obs.PhaseFrame)
-		probe.PhaseBegin(obs.PhaseIngest)
-		probe.Counter(obs.CtrExec, int64(e.aliveN))
-	}
-
-	// Daemon pre-draw (sequential, node order): scheduling decisions come
-	// off the daemon stream exactly as in the sequential engine, so a
-	// fixed seed activates the same nodes for any parallelism.
-	var act []bool
-	if e.proto.ActivationProb > 0 && e.proto.ActivationProb < 1 {
-		act = e.active
-		for i := range act {
-			act[i] = e.daemon.Float64() < e.proto.ActivationProb
-		}
-	}
-
-	// Phase 3 (parallel): ingest + guards. Each node writes only its own
-	// cache and shared variables and reads only the immutable frame
-	// scratch, so the loop is embarrassingly parallel. Guards run only on
-	// dirty nodes: they are deterministic functions of the cache and the
-	// node's own shared variables, so unchanged inputs mean unchanged
-	// outputs and a stabilized network steps in O(delivered frames).
-	tracking := e.disrupt.active
-	e.stepChanged = e.forEachNode(func(i int) bool {
-		if e.status[i] != StatusAlive {
-			return false // sleeping/dead: radio off, state frozen, no aging
-		}
-		n := e.nodes[i]
-		ingest(n, e.out, e.inbox.Senders(i), nil, e.proto)
-		if act != nil && !act[i] {
-			return false // the daemon did not schedule this node this step
-		}
-		if !n.dirty {
-			return false
-		}
-		n.dirty = false
-		changed := n.guardN1(e.proto)
-		changed = n.guardR1(e.densityScaleOf(i)) || changed
-		changed = n.guardR2(e.proto) || changed
-		if changed {
-			// Own shared variables are guard inputs too, and they are
-			// broadcast next step.
-			n.dirty = true
-			n.frameDirty = true
-			if tracking {
-				// Distinct indices: race-free under the worker pool.
-				e.disrupt.changed[i] = true
-			}
-		}
-		return changed
-	})
-	if probe != nil {
-		probe.PhaseEnd(obs.PhaseIngest)
-	}
-	if e.stepChanged {
-		e.epoch++
-		e.lastChange = e.step + 1 // the step about to be counted below
-	}
-	e.step++
-	if e.postStep != nil {
-		return e.postStep(e.step)
-	}
-	return nil
 }
 
 // Run executes exactly steps steps.

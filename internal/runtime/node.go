@@ -155,7 +155,7 @@ type Node struct {
 	frameDirty bool
 
 	// stale records that the last ingest left at least one cache entry
-	// aging toward TTL eviction — on the frontier path the node must stay
+	// aging toward TTL eviction — on a frontier engine the node must stay
 	// on the worklist so the entry keeps aging exactly as the full scan
 	// would age it. Only ever set with a positive TTL; see ingest.
 	stale bool
@@ -293,9 +293,9 @@ func valueOf(f *Frame) NbrValue {
 // ingest ages the cache, installs the frames heard this step, and evicts
 // entries not refreshed within proto.CacheTTL steps (0 disables eviction;
 // appropriate for static topologies). from lists candidate sender indices
-// into frames: the medium's inbox row on the dense path (sending nil —
+// into frames: the medium's inbox row on a full-scan engine (sending nil —
 // everything listed was delivered), or the node's adjacency list filtered
-// by the engine's send mask on the frontier path, which is exactly what a
+// by the engine's send mask on a frontier engine, which is exactly what a
 // lossless medium delivers. The cached scalar fields are private copies;
 // the list is a shared alias of the sender's immutable published NbrList
 // (see cacheEntry), so a content change costs one pointer store, not a

@@ -52,7 +52,7 @@ func TestParallelDeterminism(t *testing.T) {
 				return e
 			}
 			// GOMAXPROCS-shaped worker counts: forced sequential vs a
-			// 4-worker pool (forEachNode honors the explicit setting even
+			// 4-worker pool (forEach honors the explicit setting even
 			// on a single-core host, so the concurrent path really runs).
 			e1 := build(1)
 			e4 := build(4)
@@ -107,10 +107,11 @@ func TestDirtyTrackingMatchesSnapshotCompare(t *testing.T) {
 					t.Fatal(err)
 				}
 				after := e.sharedState()
-				if got, want := e.stepChanged, !statesEqual(before, after); got != want {
-					t.Fatalf("step %d: stepChanged = %v, snapshot compare says %v", s, got, want)
+				changed := e.LastChange() == e.StepCount()
+				if want := !statesEqual(before, after); changed != want {
+					t.Fatalf("step %d: step reported changed = %v, snapshot compare says %v", s, changed, want)
 				}
-				if !e.stepChanged {
+				if !changed {
 					sawQuiet = true
 				}
 			}

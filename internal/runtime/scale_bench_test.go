@@ -58,16 +58,17 @@ func stableScaleEngine(b *testing.B, n int, sparse bool) *Engine {
 }
 
 // BenchmarkQuiescentStep measures a stabilized network's step at 1k,
-// 10k and 100k nodes under frontier stepping. The acceptance criterion
-// of the scale work is that these stay roughly flat in N (O(frontier),
-// and the frontier is empty) with steady-state allocs/op ≤ 2; compare
+// 10k and 100k nodes under frontier stepping, and at 10k under a 4-way
+// tiling. The acceptance criterion of the scale work is that these stay
+// roughly flat in N and in the tile count (O(frontier), and the frontier
+// is empty) with steady-state allocs/op ≤ 2; compare
 // BenchmarkQuiescentStepDense1k for the O(N) full-scan baseline the
 // 100k cost would otherwise extrapolate from.
 func BenchmarkQuiescentStep(b *testing.B) {
 	requireScaleBench(b)
-	for _, n := range []int{1_000, 10_000, 100_000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			e := stableScaleEngine(b, n, true)
+	run := func(name string, n, tiles int) {
+		b.Run(name, func(b *testing.B) {
+			e := stableTiledScaleEngine(b, n, tiles)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -77,6 +78,10 @@ func BenchmarkQuiescentStep(b *testing.B) {
 			}
 		})
 	}
+	for _, n := range []int{1_000, 10_000, 100_000} {
+		run(fmt.Sprintf("n=%d", n), n, 1)
+	}
+	run("n=10000/tiles=4", 10_000, 4)
 }
 
 // BenchmarkQuiescentStepDense1k is the full-scan cost of the same
@@ -163,9 +168,9 @@ func perturbedStep(b *testing.B, e *Engine, n, i int) {
 
 // BenchmarkStep100kTiles is BenchmarkStep100k across a tile-count sweep:
 // the same locally perturbed workload with the region sharded 1, 2, 4 and
-// 8 ways. With one worker the tiled path's overhead (halo routing, outbox
-// merge) should be noise; on a multicore host the per-tile phases run in
-// parallel and the step should scale with min(tiles, cores).
+// 8 ways. With one worker the tiling's overhead (halo routing, outbox
+// merge) should be noise; on a multicore host the expansion runs
+// tile-parallel and the per-node phases spread over the pool either way.
 func BenchmarkStep100kTiles(b *testing.B) {
 	requireScaleBench(b)
 	const n = 100_000
@@ -181,11 +186,11 @@ func BenchmarkStep100kTiles(b *testing.B) {
 	}
 }
 
-// BenchmarkStepSaturated pins the dense-scan fallback: ActivateAll pends
-// the whole population before every step, so 2·|frontier| ≥ alive routes
-// the step through the saturated path — a flat index-order scan instead
-// of worklist bookkeeping for nearly every node. This is the regime where
-// naive frontier stepping is strictly worse than the dense engine.
+// BenchmarkStepSaturated pins the saturated node set: ActivateAll pends
+// the whole population before every step, so 2·|frontier| ≥ alive makes
+// the step visit every slot in index order instead of paying worklist
+// bookkeeping for nearly every node. This is the regime where naive
+// frontier stepping is strictly worse than the full scan.
 func BenchmarkStepSaturated(b *testing.B) {
 	requireScaleBench(b)
 	const n = 10_000

@@ -1,0 +1,499 @@
+package runtime
+
+import (
+	"fmt"
+	goruntime "runtime"
+	"sync"
+	"sync/atomic"
+
+	"selfstab/internal/obs"
+)
+
+// The step pipeline.
+//
+// The paper has one step: in every Δ(τ) each live node broadcasts its
+// shared variables, ingests what it heard and runs N1, R1, R2 once. Step
+// is that step, as one fixed phase sequence:
+//
+//	churn   close a converged disruption episode, run the pre-step hook
+//	plan    choose the node set the step visits
+//	frame   refresh the outgoing frame of every visited node that
+//	        publishes something new; on a full-scan engine, Deliver
+//	ingest  on a full-scan engine, the daemon's draws; then every visited
+//	        node ingests its neighbors' frames and runs its armed guards
+//	re-arm  visited nodes that still have work rejoin the worklist
+//	commit  epoch and quiescence marker, step count, post-step hook
+//
+// Two data choices vary between engines and between steps. Both are
+// computed from what the engine observes; no caller sets them.
+//
+// The frame source. A lossy medium draws per-edge randomness every step
+// and a randomized daemon draws once per node per step, so on such an
+// engine no node ever provably quiesces: it scans every slot every step,
+// asks the medium what was delivered, and is the only shape those
+// configurations can run (Sparse() == false; also the reference the
+// equivalence oracles compare against, via SetSparse(false)). On a
+// lossless medium under a synchronous daemon a node hears exactly its
+// alive, sending radio neighbors, so ingest reads adjacency and the send
+// mask directly and nothing in the step consumes rng: a frontier engine.
+//
+// The node set. A frontier engine keeps a worklist (pend) of nodes whose
+// guard inputs may have changed — seeded by guard firings, lifecycle
+// transitions, corruption, density-scale changes and topology deltas —
+// and a step visits the worklist plus the alive radio neighborhoods of
+// worklist nodes about to broadcast changed content: exactly the nodes
+// whose ingest can observe anything new (expand). A stabilized network
+// therefore steps in O(1), at any tile count, and a locally perturbed one
+// in O(frontier × density). Once half the living population is pending
+// the expansion and list indirection cost more than a straight scan, and
+// the node set becomes every slot for that step. That is safe because
+// visiting an off-worklist node is a no-op: every neighbor it caches is
+// alive and sending (a vanished one would have pended it through
+// activateSpread, an aging entry through Node.stale), so its ingest
+// refreshes every entry with identical content and leaves its guards
+// disarmed.
+//
+// Tiles shard only the expansion, which deduplicates through execFlag and
+// so needs a single writer per flag: the worklist is dealt to the owning
+// tiles, each tile expands its own seeds and stages cross-tile neighbors
+// in a per-(source, destination) outbox, and each destination drains its
+// outboxes in source-tile order. Untiled is the T = 1 case — nothing ever
+// crosses, and there is no halo phase. The per-node phases ignore tile
+// boundaries: a visit writes only the visited node's own state (frame,
+// cache, shared variables, its disrupt.changed slot) and reads frames
+// that the barrier between the two phases has frozen, so the node set is
+// chunked evenly over the workers however the perturbation is distributed
+// over tiles.
+//
+// Determinism: the medium and the daemon draw sequentially, in node
+// order, between the parallel phases; per-node draws (DAG colors) come
+// from per-node streams; every cross-tile merge drains in fixed order.
+// The execution is bit-identical for a fixed seed at any worker count,
+// any tile count and either node set, pinned by the mixed-trace oracle in
+// frontier_test.go.
+
+// parallelThreshold is the visit count below which the per-node phases run
+// inline: goroutine fan-out costs more than it saves on tiny node sets.
+const parallelThreshold = 128
+
+// nodeSet is what one step visits: every slot, or the expanded worklist
+// held in the per-tile lists. n is the length of that iteration space.
+type nodeSet struct {
+	all bool
+	n   int
+}
+
+// Step executes one Δ(τ) step: every live node broadcasts its frame, the
+// medium delivers, every live node ingests and runs its guarded
+// assignments (N1, R1, R2) once, in that order. Sleeping and dead nodes
+// neither transmit nor listen, and their state is frozen (sleeping) or
+// cleared (dead). A frontier engine produces the same execution while
+// visiting only the nodes that can observe a change (see the pipeline
+// comment above).
+//
+//selfstab:mutator
+func (e *Engine) Step() error {
+	if e.probe != nil {
+		e.probe.BeginStep(e.step)
+		e.probe.Counter(obs.CtrFrontier, int64(len(e.pend)))
+	}
+	changed, err := e.runPhases()
+	if e.probe != nil {
+		e.closeSpan() // a failing phase returns with its span open
+		e.probe.EndStep(e.step, changed)
+	}
+	return err
+}
+
+// runPhases is the body of Step; it reports whether any shared variable
+// changed. An error from the pre-step hook or the medium abandons the
+// step uncounted; a post-step hook error is returned only after the step
+// has fully committed.
+func (e *Engine) runPhases() (changed bool, err error) {
+	// Close a converged disruption episode before new churn can extend it.
+	e.span(obs.PhaseChurn)
+	e.maybeCloseDisruption()
+	if e.preStep != nil {
+		if err := e.preStep(e.step); err != nil {
+			return false, fmt.Errorf("step %d: pre-step: %w", e.step, err)
+		}
+	}
+	e.closeSpan()
+
+	set := e.plan()
+	if set.all || set.n > 0 {
+		// All frames must exist before any node ingests: the barrier
+		// between the two per-node phases is what lets a node read any
+		// neighbor's freshly filled frame.
+		e.span(obs.PhaseFrame)
+		e.forEach(set, (*Engine).fillNode)
+		if !e.sparse {
+			// The medium owns its rng stream, so delivery decisions are
+			// drawn on one goroutine regardless of worker count.
+			if err := e.medium.Deliver(e.g, e.sendMask, &e.inbox); err != nil {
+				return false, fmt.Errorf("step %d: %w", e.step, err)
+			}
+			if e.inbox.N() != len(e.nodes) {
+				return false, fmt.Errorf("step %d: medium delivered %d rows for %d nodes", e.step, e.inbox.N(), len(e.nodes))
+			}
+		}
+		e.span(obs.PhaseIngest)
+		if e.proto.randomizedDaemon() {
+			// Scheduling decisions come off the daemon stream in node
+			// order, so a fixed seed activates the same nodes for any
+			// parallelism.
+			for i := range e.active {
+				e.active[i] = e.daemon.Float64() < e.proto.ActivationProb
+			}
+		}
+		changed = e.forEach(set, (*Engine).execNode)
+		e.closeSpan()
+		if e.sparse {
+			e.rearm(set)
+		}
+	}
+
+	if changed {
+		e.epoch++
+		e.lastChange = e.step + 1 // the step about to be counted
+	}
+	e.step++
+	if e.postStep != nil {
+		err = e.postStep(e.step)
+	}
+	return changed, err
+}
+
+// plan chooses the step's node set and consumes the worklist into it.
+func (e *Engine) plan() nodeSet {
+	set := nodeSet{all: true, n: len(e.nodes)}
+	visited := e.aliveN
+	switch {
+	case !e.sparse:
+		// A full-scan engine keeps no worklist.
+	case len(e.pend) > 0 && 2*len(e.pend) >= e.aliveN:
+		e.count(obs.CtrDenseFallback, 1)
+		for _, v := range e.pend {
+			e.pendFlag[v] = false
+		}
+		e.pend = e.pend[:0]
+	default:
+		set = nodeSet{n: e.expand()}
+		visited = set.n
+	}
+	e.count(obs.CtrExec, int64(visited))
+	return set
+}
+
+// expand turns the worklist into the per-tile visit lists and returns
+// their total length: every pending node, plus the alive radio
+// neighborhood of every pending node about to broadcast changed content.
+// Within a tile, seeds keep their activation order and neighbors follow in
+// discovery order; halo arrivals follow in source-tile order.
+//
+//selfstab:hotpath
+func (e *Engine) expand() int {
+	if len(e.pend) == 0 {
+		return 0
+	}
+	T := e.tiles
+	for t := range e.tileExec {
+		e.tileExec[t] = e.tileExec[t][:0]
+	}
+	for i := range e.tileOutbox {
+		e.tileOutbox[i] = e.tileOutbox[i][:0]
+	}
+	// pend is deduplicated (pendFlag), so execFlag is set unconditionally.
+	for _, v := range e.pend {
+		t := 0
+		if T > 1 {
+			t = int(e.tileOf[v])
+		}
+		e.pendFlag[v] = false
+		e.execFlag[v] = true
+		e.tileExec[t] = append(e.tileExec[t], v)
+	}
+	e.pend = e.pend[:0]
+	for t := range e.tileSeeds {
+		e.tileSeeds[t] = len(e.tileExec[t])
+	}
+
+	if T == 1 {
+		e.expandTile(0)
+		return len(e.tileExec[0])
+	}
+	e.span(obs.PhaseHalo)
+	e.fanOut(T, e.expandTile)
+	e.fanOut(T, e.mergeHalos)
+	e.closeSpan()
+	crossings := 0
+	for i := range e.tileOutbox {
+		crossings += len(e.tileOutbox[i])
+	}
+	e.count(obs.CtrHaloCross, int64(crossings))
+	total := 0
+	for t := range e.tileExec {
+		total += len(e.tileExec[t])
+	}
+	return total
+}
+
+// expandTile pulls the alive radio neighborhoods of tile t's seeds about
+// to broadcast changed content onto t's list; neighbors owned by another
+// tile are staged in the (t, owner) outbox instead. A tile writes only its
+// own nodes' execFlag entries, so tiles expand concurrently without locks.
+//
+//selfstab:hotpath
+func (e *Engine) expandTile(t int) {
+	T := e.tiles
+	for k := 0; k < e.tileSeeds[t]; k++ {
+		v := e.tileExec[t][k]
+		if e.status[v] != StatusAlive || !e.nodes[v].frameDirty {
+			continue
+		}
+		for _, w := range e.g.Neighbors(int(v)) {
+			if e.status[w] != StatusAlive {
+				continue
+			}
+			if T > 1 {
+				if wt := int(e.tileOf[w]); wt != t {
+					e.tileOutbox[t*T+wt] = append(e.tileOutbox[t*T+wt], int32(w))
+					continue
+				}
+			}
+			if !e.execFlag[w] {
+				e.execFlag[w] = true
+				e.tileExec[t] = append(e.tileExec[t], int32(w))
+			}
+		}
+	}
+}
+
+// mergeHalos drains every halo outbox addressed to destination tile d in
+// source-tile order — fixed order, so the resulting lists are reproducible
+// run to run — deduplicating against d's own flags (a boundary node may be
+// queued by several source tiles, or already be on its own tile's list).
+// Radio reach is one unit-disk radius, so only boundary nodes ever cross
+// and halo traffic is O(perimeter).
+//
+//selfstab:hotpath
+func (e *Engine) mergeHalos(d int) {
+	probe := e.probe
+	if probe != nil {
+		probe.TileSpanBegin(obs.PhaseHalo, d)
+	}
+	T := e.tiles
+	for s := 0; s < T; s++ {
+		for _, w := range e.tileOutbox[s*T+d] {
+			if !e.execFlag[w] {
+				e.execFlag[w] = true
+				e.tileExec[d] = append(e.tileExec[d], w)
+			}
+		}
+	}
+	if probe != nil {
+		probe.TileSpanEnd(obs.PhaseHalo, d)
+	}
+}
+
+// fillNode refreshes node i's outgoing frame in the engine's scratch when
+// anything the node publishes changed; otherwise the copy from an earlier
+// step is still valid. Every frameDirty node is in every node set (all
+// mutators that set the flag also Activate the node), so after the frame
+// phase the whole arena is current. The result exists to fit forEach.
+func (e *Engine) fillNode(i int) bool {
+	if e.status[i] != StatusAlive {
+		return false
+	}
+	if n := e.nodes[i]; n.frameDirty {
+		n.fillFrame(&e.out[i], e.proto.Fusion)
+		n.frameDirty = false
+	}
+	return false
+}
+
+// execNode is one node's share of the step: ingest what was delivered,
+// then run the guarded assignments if any input changed. It reports
+// whether a shared variable changed. Guards are deterministic functions of
+// the cache and the node's own shared variables, so unchanged inputs mean
+// unchanged outputs and a clean node costs only its ingest.
+//
+//selfstab:hotpath
+func (e *Engine) execNode(i int) bool {
+	if e.status[i] != StatusAlive {
+		return false // sleeping/dead: radio off, state frozen, no aging
+	}
+	n := e.nodes[i]
+	if e.sparse {
+		// Sleeping and dead neighbors stay silent via the send mask (their
+		// edges are gone too when the topology layer maintains churn, but
+		// the mask keeps the engine correct on a manually mutated graph).
+		ingest(n, e.out, e.g.Neighbors(i), e.sendMask, e.proto)
+	} else {
+		ingest(n, e.out, e.inbox.Senders(i), nil, e.proto)
+		if e.proto.randomizedDaemon() && !e.active[i] {
+			return false // the daemon did not schedule this node this step
+		}
+	}
+	if !n.dirty {
+		return false
+	}
+	n.dirty = false
+	changed := n.guardN1(e.proto)
+	changed = n.guardR1(e.densityScaleOf(i)) || changed
+	changed = n.guardR2(e.proto) || changed
+	if changed {
+		// Own shared variables are guard inputs too, and they are
+		// broadcast next step.
+		n.dirty = true
+		n.frameDirty = true
+		if e.disrupt.active {
+			e.disrupt.changed[i] = true
+		}
+	}
+	return changed
+}
+
+// rearm rebuilds the worklist from the visited nodes: a node stays on the
+// frontier while its guards are armed, its broadcast content changed (next
+// step its neighbors join through expand), or a cache entry is aging
+// toward eviction. The worklist stays tile-agnostic between steps, so
+// Activate, Compact and the churn mutators need no tile awareness.
+func (e *Engine) rearm(set nodeSet) {
+	if set.all {
+		for i := range e.nodes {
+			e.requeue(int32(i))
+		}
+		return
+	}
+	for _, list := range e.tileExec {
+		for _, v := range list {
+			e.execFlag[v] = false
+			e.requeue(v)
+		}
+	}
+}
+
+func (e *Engine) requeue(v int32) {
+	if e.status[v] != StatusAlive {
+		return
+	}
+	if n := e.nodes[v]; n.dirty || n.frameDirty || n.stale {
+		e.Activate(int(v))
+	}
+}
+
+// forEach runs visit on every node of the set and reports whether any
+// call returned true. A set of parallelThreshold nodes or more is cut into
+// one even chunk per worker. visit must write only node i's own state.
+func (e *Engine) forEach(set nodeSet, visit func(e *Engine, i int) bool) bool {
+	chunks := 1
+	if set.n >= parallelThreshold {
+		chunks = e.pool(set.n)
+	}
+	if chunks == 1 {
+		return e.visitRange(set, 0, set.n, visit)
+	}
+	var changed atomic.Bool
+	size := (set.n + chunks - 1) / chunks
+	e.fanOut(chunks, func(k int) {
+		if e.visitRange(set, k*size, min((k+1)*size, set.n), visit) {
+			changed.Store(true)
+		}
+	})
+	return changed.Load()
+}
+
+// visitRange is forEach over positions [lo, hi) of the set's iteration
+// space: slot indices, or the concatenation of the per-tile lists.
+func (e *Engine) visitRange(set nodeSet, lo, hi int, visit func(e *Engine, i int) bool) bool {
+	changed := false
+	if set.all {
+		for i := lo; i < hi; i++ {
+			if visit(e, i) {
+				changed = true
+			}
+		}
+		return changed
+	}
+	for _, list := range e.tileExec {
+		if hi <= 0 {
+			break
+		}
+		if lo < len(list) {
+			for _, v := range list[lo:min(hi, len(list))] {
+				if visit(e, int(v)) {
+					changed = true
+				}
+			}
+		}
+		lo = max(lo-len(list), 0)
+		hi -= len(list)
+	}
+	return changed
+}
+
+// pool returns how many goroutines n independent jobs are spread over.
+func (e *Engine) pool(n int) int {
+	workers := e.workers
+	if workers == 0 {
+		workers = goruntime.GOMAXPROCS(0)
+	}
+	return max(min(workers, n), 1)
+}
+
+// fanOut runs job(k) for every k in [0, n) and returns when all are done.
+// Workers claim jobs from a shared counter, so uneven jobs (tiles)
+// balance; one job never runs on two workers.
+func (e *Engine) fanOut(n int, job func(k int)) {
+	workers := e.pool(n)
+	if workers == 1 {
+		for k := 0; k < n; k++ {
+			job(k)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	work := func() {
+		defer wg.Done()
+		for k := int(next.Add(1)) - 1; k < n; k = int(next.Add(1)) - 1 {
+			job(k)
+		}
+	}
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go work()
+	}
+	wg.Wait()
+}
+
+// span moves the probe to phase p: the phase span still open, if any, is
+// closed and p's is opened. closeSpan only closes. Every phase boundary of
+// the step goes through these two, so spans never overlap and Step can
+// close whatever an error return left open.
+func (e *Engine) span(p obs.Phase) {
+	if e.probe != nil {
+		e.openSpan(p) // out of line, so the detached case inlines to a nil check
+	}
+}
+
+func (e *Engine) openSpan(p obs.Phase) {
+	e.closeSpan()
+	e.probe.PhaseBegin(p)
+	e.open, e.inSpan = p, true
+}
+
+func (e *Engine) closeSpan() {
+	if e.inSpan {
+		e.inSpan = false
+		e.probe.PhaseEnd(e.open)
+	}
+}
+
+// count emits one counter observation.
+func (e *Engine) count(c obs.Counter, v int64) {
+	if e.probe != nil {
+		e.probe.Counter(c, v)
+	}
+}

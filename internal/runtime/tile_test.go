@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"selfstab/internal/cluster"
 	"selfstab/internal/geom"
 	"selfstab/internal/radio"
 	"selfstab/internal/rng"
@@ -27,90 +26,8 @@ func newTiledTwin(t *testing.T, seed int64, n int, r float64, proto Protocol, ti
 	return tw
 }
 
-// TestTiledMatchesFlatMixedTrace is the tiled engine's equivalence
-// oracle: over randomized mixed traces — mobility jitter (which migrates
-// nodes across tile boundaries), churn, corruption, interleaved stepping
-// — the tiled execution must be bit-identical to the flat frontier path
-// at every tile count and worker count. Run it under -race to also pin
-// the halo exchange's no-locks discipline.
-func TestTiledMatchesFlatMixedTrace(t *testing.T) {
-	protos := map[string]Protocol{
-		"basic-ttl4": {Order: cluster.OrderBasic, CacheTTL: 4},
-		"dag-fusion": {Order: cluster.OrderSticky, CacheTTL: 3, UseDag: true, Gamma: 1 << 14, Fusion: true},
-	}
-	for name, proto := range protos {
-		for _, seed := range []int64{1, 2} {
-			for _, workers := range []int{1, 4} {
-				for _, tiles := range []int{4, 7} { // 2x2, and a prime (1x7 strip)
-					t.Run(fmt.Sprintf("%s/seed%d/w%d/t%d", name, seed, workers, tiles), func(t *testing.T) {
-						const n, r = 120, 0.14
-						trace := buildTrace(t, seed*1000, n, r, proto, 40)
-						flat := newTwin(t, seed*1000, n, r, proto, true, workers)
-						tiled := newTiledTwin(t, seed*1000, n, r, proto, tiles, workers)
-						if got := tiled.e.Tiles(); got != tiles {
-							t.Fatalf("Tiles() = %d, want %d", got, tiles)
-						}
-						for k, op := range trace {
-							flat.apply(t, op)
-							tiled.apply(t, op)
-							if op.kind == "step" {
-								compareTwins(t, fmt.Sprintf("op %d (%s)", k, op.kind), flat, tiled)
-							}
-						}
-						if _, err := flat.e.RunUntilStable(3000, 5); err != nil {
-							t.Fatal(err)
-						}
-						if _, err := tiled.e.RunUntilStable(3000, 5); err != nil {
-							t.Fatal(err)
-						}
-						compareTwins(t, "final", flat, tiled)
-						if got := tiled.e.FrontierLen(); got != 0 {
-							t.Fatalf("stabilized tiled twin keeps %d nodes on the frontier", got)
-						}
-					})
-				}
-			}
-		}
-	}
-}
-
-// TestSaturatedFallbackMatchesDense drives the frontier to full
-// saturation (whole-population corruption pends every alive node, so
-// 2·|pend| ≥ alive trips the dense-scan fallback on the next step) and
-// checks the execution stays bit-identical to the dense engine — on the
-// flat path and under a tiling (the fallback check precedes the tiled
-// dispatch, so both take it).
-func TestSaturatedFallbackMatchesDense(t *testing.T) {
-	proto := Protocol{Order: cluster.OrderBasic, CacheTTL: 4}
-	const n, r = 150, 0.13
-	const seed = 9000
-	dense := newTwin(t, seed, n, r, proto, false, 2)
-	flat := newTwin(t, seed, n, r, proto, true, 2)
-	tiled := newTiledTwin(t, seed, n, r, proto, 4, 2)
-	twins := []*twin{dense, flat, tiled}
-	step := func(k int) {
-		for _, tw := range twins {
-			if err := tw.e.Run(k); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	step(30)
-	for round := 0; round < 5; round++ {
-		for _, tw := range twins {
-			tw.e.Corrupt(1.0, CorruptAll, tw.corrupt)
-		}
-		if got, alive := flat.e.FrontierLen(), flat.e.AliveCount(); 2*got < alive {
-			t.Fatalf("round %d: corruption pended only %d of %d alive nodes — fallback not exercised", round, got, alive)
-		}
-		step(3)
-		compareTwins(t, fmt.Sprintf("round %d flat", round), dense, flat)
-		compareTwins(t, fmt.Sprintf("round %d tiled", round), dense, tiled)
-	}
-	step(120)
-	compareTwins(t, "final flat", dense, flat)
-	compareTwins(t, "final tiled", dense, tiled)
-}
+// TestTiledMatchesFlatMixedTrace: the tiled rows of the oracle.
+func TestTiledMatchesFlatMixedTrace(t *testing.T) { checkAgainstFullScan(t, 4, 7) }
 
 // TestNthAliveMatchesScan drives random lifecycle transitions and checks
 // the order-statistic index against a reference status scan after each.

@@ -26,9 +26,9 @@ import (
 //     auto-compactions are deterministic consequences of the seed and
 //     the journaled attach ops; journaling them too would apply them
 //     twice on replay.
-//   - Performance knobs. SetParallelism, SetSparseStepping and the tile
-//     layout are bit-identical by contract (the determinism tests pin
-//     this), so they are not part of the world's trajectory.
+//   - Performance knobs. SetParallelism and the tile layout are
+//     bit-identical by contract (the determinism tests pin this), so
+//     they are not part of the world's trajectory.
 //   - Failed calls. applyOp journals only after the mutation succeeded,
 //     and the lifecycle ops validate every id and status transition
 //     up front, so an op that errors has mutated nothing.

@@ -58,16 +58,11 @@ func (n *Network) Run(steps int) error {
 	return nil
 }
 
-// SetSparseStepping toggles the frontier (worklist) step engine. It is
-// on by default whenever the configuration supports it — a lossless
-// medium (no WithTau / WithSlottedRadio) and a synchronous daemon (no
-// WithDaemon below 1) — and produces bit-identical executions to the
-// full scan; the toggle exists for the equivalence oracle tests and for
-// benchmarking the dense baseline. Enabling it on an unsupported
-// configuration returns an error.
-func (n *Network) SetSparseStepping(on bool) error { return n.engine.SetSparse(on) }
-
-// SparseStepping reports whether the frontier step engine is active.
+// SparseStepping reports whether steps visit only the frontier worklist:
+// the engine chooses that whenever the configuration supports it — a
+// lossless medium (no WithTau / WithSlottedRadio) and a synchronous daemon
+// (no WithDaemon below 1) — and scans every node every step otherwise.
+// Both produce bit-identical executions where both can run.
 func (n *Network) SparseStepping() bool { return n.engine.Sparse() }
 
 // Stabilize steps the protocol until the shared state stops changing

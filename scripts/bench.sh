@@ -63,7 +63,7 @@ echo "== go vet" >&2
 go vet ./...
 
 echo "== race-instrumented determinism tests" >&2
-go test -race -run 'TestParallelDeterminism|TestParallelMatchesSequentialStabilization|TestEngineChurnParallelDeterminism|TestSparseMatchesDenseMixedTrace|TestTiledMatchesFlatMixedTrace|TestSaturatedFallbackMatchesDense|TestCachedLinkCountMatchesRecount' ./internal/runtime
+go test -race -run 'TestParallelDeterminism|TestParallelMatchesSequentialStabilization|TestEngineChurnParallelDeterminism|TestSparseMatchesDenseMixedTrace|TestTiledMatchesFlatMixedTrace|TestCachedLinkCountMatchesRecount|TestStepProbeDisabledZeroAlloc|TestStepErrorKeepsProbeStreamSound' ./internal/runtime
 go test -race -run 'TestTrafficDeterminism|TestChurnDeterminism|TestEnergyDeterminism|TestNetworkSparseMatchesDense|TestCompactTwinEquivalence|TestTilesOracleMixedTrace|TestCompactUnderTiling' .
 
 # Provenance, written at the head of every raw file in the benchmark

@@ -111,52 +111,52 @@
 // amount of protocol activity, not the network size times allocator
 // pressure:
 //
-//   - Frontier (worklist) stepping. The protocol is locally quiescent
-//     after stabilization: a node's guards can only produce new output
-//     when its own variables or its neighbor cache changed. The engine
-//     therefore keeps a worklist — seeded by guard firings, churn
-//     transitions, corruption, density-scale writes and incremental
-//     topology deltas (the grid index reports exactly the nodes whose
-//     adjacency an update touched) — and each step examines only
+//   - One step, visiting only what can change. The protocol is locally
+//     quiescent after stabilization: a node's guards can only produce
+//     new output when its own variables or its neighbor cache changed.
+//     The engine therefore keeps a worklist — seeded by guard firings,
+//     churn transitions, corruption, density-scale writes and
+//     incremental topology deltas (the grid index reports exactly the
+//     nodes whose adjacency an update touched) — and a step visits only
 //     worklist nodes plus the radio neighborhoods of nodes about to
-//     broadcast changed content. A stabilized network steps in O(1)
-//     flat in N (BenchmarkQuiescentStep: ~9 ns at 1k, 10k and 100k
-//     nodes, 0 allocs/op) instead of the full scan's O(N)
-//     (BenchmarkQuiescentStepDense1k: ~0.6 ms at 1k alone); a locally
-//     perturbed network steps in O(frontier × density)
-//     (BenchmarkStep100k). The execution is bit-identical to the full
-//     scan — pinned by randomized mixed-trace oracles at 1 and 4
-//     workers under -race — and engages automatically on a lossless
-//     medium with a synchronous daemon (lossy media and randomized
-//     daemons draw per-node randomness every step, so they keep the
-//     dense path).
+//     broadcast changed content. A stabilized network steps in O(1),
+//     flat in N and in the tile count (BenchmarkQuiescentStep: ~12 ns
+//     at 1k, 10k and 100k nodes, 0 allocs/op), instead of the full
+//     scan's O(N) (BenchmarkQuiescentStepDense1k: ~0.2 ms at 1k alone);
+//     a locally perturbed network steps in O(frontier × density)
+//     (BenchmarkStep100k). There is one step body; what varies is the
+//     set of nodes it visits, and the engine picks that from what it
+//     observes, never from a switch: every node, every step, where the
+//     medium is lossy or the daemon randomized (both draw per-node
+//     randomness every step, so no node provably quiesces); the
+//     worklist otherwise; and every node again for any one step whose
+//     worklist holds half the living population or more (mass
+//     corruption, a blackout), where list bookkeeping costs more than
+//     it saves (BenchmarkStepSaturated pins the regime). The choices
+//     are bit-identical wherever more than one can run — pinned by a
+//     randomized mixed-trace oracle against the full scan at 1 and 4
+//     workers and 1, 4 and 7 tiles under -race
+//     (TestSparseMatchesDenseMixedTrace,
+//     TestTiledMatchesFlatMixedTrace).
 //
-//   - Spatially-tiled sharded stepping (WithTiles). The deployment
-//     region is partitioned into k rectangular tiles, each owning its
-//     nodes and its shard of the frontier worklist. A step expands and
-//     evaluates each tile independently on the worker pool; activations
-//     that cross a tile boundary are routed through per-(source, dest)
-//     outboxes and merged at a step barrier — a halo exchange. Because
-//     the radio is a unit disk, only nodes within one radio range of a
-//     boundary can generate cross-tile traffic, so halo volume scales
-//     with tile perimeter while per-tile work scales with area. Tiling
-//     is purely a performance knob: per-node writes touch only that
-//     node's state and merge order is fixed, so the trajectory is
-//     bit-identical at any tile count and worker count (pinned by
-//     TestTiledMatchesFlatMixedTrace and the public-layer
-//     TestTilesOracleMixedTrace, both under -race). At one worker the
-//     tiled path costs the same as the flat worklist
-//     (BenchmarkStep100kTiles shows parity across the sweep on a
-//     single-core host); on multicore the per-tile phases spread across
-//     the pool and the step scales with min(tiles, cores). The default
-//     is automatic — min(GOMAXPROCS, N/2048) tiles.
-//
-//   - Saturated-frontier fallback. When a disruption pends half the
-//     population or more (mass corruption, a blackout, ActivateAll),
-//     worklist bookkeeping costs more than it saves: the engine detects
-//     2·|frontier| ≥ alive before dispatch and runs that step as a flat
-//     index-order scan with sparse per-node operations, rebuilding the
-//     worklist on the way out (BenchmarkStepSaturated pins the regime).
+//   - Spatial tiles (WithTiles). The deployment region is partitioned
+//     into k rectangular tiles, each owning its nodes. The worklist
+//     expansion — the one part of a step that deduplicates through
+//     shared flags — is sharded by that ownership: each tile expands
+//     its own seeds on the worker pool, and activations that cross a
+//     tile boundary are routed through per-(source, dest) outboxes and
+//     merged at a barrier — a halo exchange. Because the radio is a
+//     unit disk, only nodes within one radio range of a boundary can
+//     generate cross-tile traffic, so halo volume scales with tile
+//     perimeter while per-tile work scales with area. The per-node
+//     work that follows is spread evenly over the pool whatever tiles
+//     the perturbation fell in: a visit writes only the visited node's
+//     state. Untiled is simply the one-tile case. Tiling is purely a
+//     performance knob: merge order is fixed, so the trajectory is
+//     bit-identical at any tile count and worker count (the oracle
+//     above and the public-layer TestTilesOracleMixedTrace, both under
+//     -race; BenchmarkStep100kTiles is the sweep). The default is
+//     automatic — min(GOMAXPROCS, N/2048) tiles.
 //
 //   - Publish only what the guards read, interned. A broadcast relays
 //     the sender's neighbor identifiers — all Definition 1 (guard R1)
@@ -263,9 +263,9 @@
 // The benchmark suite quantifies all of this: BenchmarkStep1000 (steady
 // protocol step at paper scale) is the headline throughput number and
 // should stay allocation-flat; the BenchmarkQuiescentStep family and
-// BenchmarkStep100k pin the frontier engine's flat-in-N claim, the
-// BenchmarkStep100kTiles sweep and BenchmarkStep1M pin the tiled
-// engine's scaling and the million-node memory budget;
+// BenchmarkStep100k pin the worklist's flat-in-N claim, the
+// BenchmarkStep100kTiles sweep and BenchmarkStep1M pin scaling over
+// tiles and the million-node memory budget;
 // BenchmarkColdStabilize and BenchmarkRecovery measure convergence
 // phases where guards actually run; the experiment-level benchmarks in
 // bench_test.go regenerate the paper's tables. scripts/bench.sh runs
@@ -467,14 +467,14 @@ func WithRowMajorIDs() Option {
 }
 
 // WithTiles controls spatial tiling of the step engine: the deployment
-// region is partitioned into k rectangular tiles, each owning its nodes
-// and its shard of the frontier worklist, and the step's phases run
-// tile-parallel with halo (boundary) exchange at the phase barriers. The
-// execution is bit-identical at every tile count — tiling is purely a
-// performance knob. k = 1 disables tiling; the default (auto) picks
-// min(GOMAXPROCS, N/2048) tiles so small worlds and single-core hosts
-// stay on the flat path. Tiling engages only where frontier stepping
-// does (lossless medium, synchronous daemon); otherwise it sits idle.
+// region is partitioned into k rectangular tiles, each owning its nodes,
+// and a step's worklist expansion runs tile-parallel with a halo
+// (boundary) exchange at its barrier. The execution is bit-identical at
+// every tile count — tiling is purely a performance knob. k = 1 disables
+// tiling; the default (auto) picks min(GOMAXPROCS, N/2048) tiles so small
+// worlds and single-core hosts stay untiled. Tiling matters only where
+// steps visit a worklist (lossless medium, synchronous daemon); otherwise
+// it sits idle.
 func WithTiles(k int) Option {
 	return func(c *config) error {
 		if k < 1 {
