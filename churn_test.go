@@ -283,37 +283,55 @@ func TestSelfFlowAPI(t *testing.T) {
 	}
 }
 
-// TestFlatDistRowMemoized pins the Dist-hook fix: within one topology
-// epoch, distance lookups are served from memoized per-source rows and
-// allocate nothing; a topology change invalidates exactly once per
-// source.
-func TestFlatDistRowMemoized(t *testing.T) {
+// TestFlatDistMatchesBFS pins the Dist hook: the early-exit point-to-point
+// search agrees with the full BFS row for every pair (self 0, unreachable
+// -1), allocates nothing once its scratch has grown, and follows the
+// topology after SetPositions.
+func TestFlatDistMatchesBFS(t *testing.T) {
 	net := trafficNet(t, 80, 11)
-	// First call per source computes the BFS row...
-	row := net.flatDistRow(3)
-	if len(row) != net.N() {
-		t.Fatalf("row has %d entries for %d nodes", len(row), net.N())
+	check := func() {
+		t.Helper()
+		unreachable := 0
+		for src := 0; src < net.N(); src++ {
+			row := net.g.Distances(src)
+			for dst, want := range row {
+				if got := net.flatDist(src, dst); got != want {
+					t.Fatalf("flatDist(%d,%d) = %d, BFS row says %d", src, dst, got, want)
+				}
+				if want < 0 {
+					unreachable++
+				}
+			}
+		}
+		if unreachable == 0 {
+			t.Fatal("no unreachable pair: the -1 case went untested")
+		}
 	}
-	// ...and repeated lookups, same source or not, allocate zero.
-	net.flatDistRow(5)
-	allocs := testing.AllocsPerRun(200, func() {
-		_ = net.flatDistRow(3)[7]
-		_ = net.flatDistRow(5)[9]
-	})
-	if allocs != 0 {
-		t.Fatalf("memoized distance lookup allocates %.1f/op, want 0", allocs)
-	}
-	// A topology change invalidates the memo: the row pointer must be
-	// rebuilt (positions swap keeps lengths identical).
+	// Strand node 0 in a corner so some pairs are unreachable.
 	pos := net.Positions()
-	pos[0].X = 1 - pos[0].X
+	pos[0] = Point{X: 0.999, Y: 0.999}
+	pos[1] = Point{X: 0.001, Y: 0.001}
 	if err := net.SetPositions(pos); err != nil {
 		t.Fatal(err)
 	}
-	fresh := net.flatDistRow(3)
-	if &fresh[0] == &row[0] {
-		t.Fatal("stale distance row served after a topology change")
+	check()
+	allocs := testing.AllocsPerRun(200, func() {
+		_ = net.flatDist(3, 7)
+		_ = net.flatDist(0, 9)
+		_ = net.flatDist(5, 5)
+	})
+	if allocs != 0 {
+		t.Fatalf("flatDist allocates %.1f/op in steady state, want 0", allocs)
 	}
+	for i := range pos {
+		pos[i].X = 1 - pos[i].X
+		pos[i].Y = clamp01(pos[i].Y + 0.05)
+	}
+	pos[2] = Point{X: 0.5, Y: 0.001}
+	if err := net.SetPositions(pos); err != nil {
+		t.Fatal(err)
+	}
+	check()
 }
 
 // TestInjectFaultsClampedAtNetworkLevel: frac outside [0, 1] is safe at

@@ -2,6 +2,8 @@ package routing
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"selfstab/internal/cluster"
@@ -359,4 +361,364 @@ func TestSingleNodeGraph(t *testing.T) {
 	if got := h.StatePerNode(); got != 0 {
 		t.Errorf("hierarchical state per node = %v on a single node, want 0", got)
 	}
+}
+
+// oracleGraph draws a unit-disk graph sparse enough to fall apart into
+// several components, then cuts every edge of a few nodes: the isolated
+// slots a dead or sleeping node leaves behind.
+func oracleGraph(src *rng.Source, n int) (*topology.Graph, []int64) {
+	dep := deploy.Uniform(n, geom.UnitSquare(), deploy.IDRandom, src)
+	g := topology.FromPoints(dep.Points, 0.12+0.3*src.Float64())
+	for u := 0; u < n; u++ {
+		if src.Intn(8) == 0 {
+			g.RemoveNode(u)
+		}
+	}
+	return g, dep.IDs
+}
+
+// oracleAssignment returns, by kind: the converged clustering; that
+// clustering with a third of the nodes pointing at arbitrary heads and
+// parents (labels whose own Parent is not self, heads in other components);
+// or arbitrary labels from a small pool, so clusters span components.
+func oracleAssignment(t *testing.T, src *rng.Source, g *topology.Graph, ids []int64, kind int) *cluster.Assignment {
+	t.Helper()
+	n := g.N()
+	a, err := cluster.Compute(g, cluster.Config{
+		Values: metric.Density{}.Values(g),
+		TieIDs: ids,
+		Order:  cluster.OrderBasic,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := 1 + src.Intn(n)
+	for u := 0; u < n; u++ {
+		switch {
+		case kind == 1 && src.Intn(3) == 0:
+			a.Head[u], a.Parent[u] = src.Intn(n), src.Intn(n)
+		case kind == 2:
+			a.Head[u], a.Parent[u] = src.Intn(pool), src.Intn(n)
+		}
+	}
+	return a
+}
+
+// TestHierarchicalMatchesReference is the table oracle: on seeded random
+// graphs under converged and scrambled assignments, one reused table
+// answers every NextHop, Route and StatePerNode exactly as the eager
+// reference does, errors included, whatever order the trees fill in.
+func TestHierarchicalMatchesReference(t *testing.T) {
+	src := rng.New(20260930)
+	live := new(Hierarchical)
+	cases := 0
+	for gi := 0; gi < 80; gi++ {
+		n := 1 + src.Intn(40)
+		if gi < 3 {
+			n = 1
+		}
+		g, ids := oracleGraph(src, n)
+		for kind := 0; kind < 3; kind++ {
+			cases++
+			a := oracleAssignment(t, src, g, ids, kind)
+			ref, err := buildReference(g, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Same graph, same topology epoch across the three kinds: the
+			// component labels are the retained ones.
+			if err := live.Reset(g, a, uint64(gi)); err != nil {
+				t.Fatal(err)
+			}
+			tag := fmt.Sprintf("graph %d (n=%d) kind %d", gi, n, kind)
+			if kind == 1 { // before any other query has filled a tree
+				if got, want := live.StatePerNode(), ref.StatePerNode(); got != want {
+					t.Fatalf("%s: StatePerNode = %v, reference %v", tag, got, want)
+				}
+			}
+			for _, u := range src.Perm(n) {
+				for _, v := range src.Perm(n) {
+					next, err := live.NextHop(u, v)
+					wantNext, wantErr := ref.NextHop(u, v)
+					if next != wantNext || errors.Is(err, ErrUnreachable) != errors.Is(wantErr, ErrUnreachable) || (err == nil) != (wantErr == nil) {
+						t.Fatalf("%s: NextHop(%d,%d) = (%d, %v), reference (%d, %v)", tag, u, v, next, err, wantNext, wantErr)
+					}
+					path, err := live.Route(u, v)
+					wantPath, wantErr := ref.Route(u, v)
+					if !slices.Equal(path, wantPath) || errors.Is(err, ErrUnreachable) != errors.Is(wantErr, ErrUnreachable) || (err == nil) != (wantErr == nil) {
+						t.Fatalf("%s: Route(%d,%d) = (%v, %v), reference (%v, %v)", tag, u, v, path, err, wantPath, wantErr)
+					}
+				}
+			}
+			if got, want := live.StatePerNode(), ref.StatePerNode(); got != want {
+				t.Fatalf("%s: StatePerNode = %v, reference %v", tag, got, want)
+			}
+			for _, q := range [][2]int{{-1, 0}, {0, n}, {n, -1}} {
+				_, err := live.NextHop(q[0], q[1])
+				_, wantErr := ref.NextHop(q[0], q[1])
+				_, rerr := live.Route(q[0], q[1])
+				if err == nil || err.Error() != wantErr.Error() || rerr == nil || rerr.Error() != wantErr.Error() {
+					t.Fatalf("%s: out-of-range %v: NextHop %v, Route %v, reference %v", tag, q, err, rerr, wantErr)
+				}
+			}
+		}
+	}
+	if cases < 200 {
+		t.Fatalf("only %d cases", cases)
+	}
+}
+
+// refTable is the eager builder the package shipped before the table became
+// demand-filled, kept verbatim as the reference: every intra-cluster entry,
+// overlay entry and gateway is computed up front into maps. The live table
+// must answer every query exactly as this one does, errors included.
+type refTable struct {
+	g    *topology.Graph
+	head []int
+	// comp labels connected components of the true topology: routing
+	// between different components fails with ErrUnreachable immediately,
+	// regardless of how scrambled a mid-convergence assignment is (a
+	// transient head choice must never turn "unreachable" into a loop
+	// error).
+	comp []int
+	// intra[u] maps same-cluster destinations to u's next hop.
+	intra []map[int]int
+	// overlayNext[h] maps a destination head to the next head on the
+	// overlay path.
+	overlayNext map[int]map[int]int
+	// gateway[h1][h2] is the border edge (u in h1's cluster, v in h2's)
+	// used to cross between adjacent clusters.
+	gateway map[int]map[int][2]int
+}
+
+// buildReference computes the reference table for an assignment.
+func buildReference(g *topology.Graph, a *cluster.Assignment) (*refTable, error) {
+	n := g.N()
+	if len(a.Head) != n {
+		return nil, fmt.Errorf("routing: assignment for %d nodes, graph has %d", len(a.Head), n)
+	}
+	comp, _ := g.Components()
+	h := &refTable{
+		g:           g,
+		head:        append([]int(nil), a.Head...),
+		comp:        comp,
+		intra:       make([]map[int]int, n),
+		overlayNext: make(map[int]map[int]int),
+		gateway:     make(map[int]map[int][2]int),
+	}
+
+	// Intra-cluster tables: BFS restricted to the cluster, per member.
+	members := make(map[int][]int)
+	for u := 0; u < n; u++ {
+		members[a.Head[u]] = append(members[a.Head[u]], u)
+		h.intra[u] = make(map[int]int)
+	}
+	inCluster := make([]bool, n)
+	for head, ms := range members {
+		for _, u := range ms {
+			inCluster[u] = true
+		}
+		for _, dst := range ms {
+			parent := bfsParentsWithin(g, dst, inCluster)
+			for _, src := range ms {
+				if src != dst && parent[src] >= 0 {
+					h.intra[src][dst] = parent[src]
+				}
+			}
+		}
+		for _, u := range ms {
+			inCluster[u] = false
+		}
+		_ = head
+	}
+
+	// Cluster overlay: heads adjacent when their clusters share a border
+	// edge; remember one deterministic gateway edge per cluster pair.
+	heads := a.Heads()
+	overlay := topology.New(n) // sparse use: only head indices get edges
+	for u := 0; u < n; u++ {
+		hu := a.Head[u]
+		for _, v := range g.Neighbors(u) {
+			hv := a.Head[v]
+			if hu == hv {
+				continue
+			}
+			if h.gateway[hu] == nil {
+				h.gateway[hu] = make(map[int][2]int)
+			}
+			gw, exists := h.gateway[hu][hv]
+			// Keep the lexicographically smallest border edge so the
+			// table is deterministic.
+			if !exists || u < gw[0] || (u == gw[0] && v < gw[1]) {
+				h.gateway[hu][hv] = [2]int{u, v}
+			}
+			if !overlay.HasEdge(hu, hv) {
+				if err := overlay.AddEdge(hu, hv); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+
+	// Overlay next-hop tables (BFS per head over the overlay).
+	for _, dstHead := range heads {
+		parent := bfsParents(overlay, dstHead)
+		for _, srcHead := range heads {
+			if srcHead == dstHead || parent[srcHead] < 0 {
+				continue
+			}
+			if h.overlayNext[srcHead] == nil {
+				h.overlayNext[srcHead] = make(map[int]int)
+			}
+			h.overlayNext[srcHead][dstHead] = parent[srcHead]
+		}
+	}
+	return h, nil
+}
+
+// bfsParentsWithin is bfsParents restricted to the member set.
+func bfsParentsWithin(g *topology.Graph, root int, member []bool) []int {
+	parent := make([]int, g.N())
+	for i := range parent {
+		parent[i] = -1
+	}
+	if !member[root] {
+		return parent
+	}
+	parent[root] = root
+	queue := []int{root}
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		for _, w := range g.Neighbors(v) {
+			if member[w] && parent[w] < 0 {
+				parent[w] = v
+				queue = append(queue, w)
+			}
+		}
+	}
+	return parent
+}
+
+// Route returns the hop sequence from src to dst: intra-cluster directly,
+// otherwise along the cluster overlay crossing one gateway edge per
+// cluster boundary.
+func (h *refTable) Route(src, dst int) ([]int, error) {
+	n := h.g.N()
+	if src < 0 || src >= n || dst < 0 || dst >= n {
+		return nil, fmt.Errorf("routing: endpoints (%d, %d) out of range", src, dst)
+	}
+	if h.comp[src] != h.comp[dst] {
+		return nil, ErrUnreachable
+	}
+	if h.head[src] == h.head[dst] {
+		return h.intraRoute(src, dst)
+	}
+	path := []int{src}
+	cur := src
+	for h.head[cur] != h.head[dst] {
+		curHead := h.head[cur]
+		nextHead, ok := h.overlayNext[curHead][h.head[dst]]
+		if !ok {
+			return nil, ErrUnreachable
+		}
+		gw, ok := h.gateway[curHead][nextHead]
+		if !ok {
+			return nil, ErrUnreachable
+		}
+		// Walk inside the current cluster to the gateway's near end, then
+		// cross the border edge.
+		leg, err := h.intraRoute(cur, gw[0])
+		if err != nil {
+			return nil, err
+		}
+		path = append(path, leg[1:]...)
+		path = append(path, gw[1])
+		cur = gw[1]
+		if len(path) > 4*n {
+			return nil, fmt.Errorf("routing: hierarchical loop between %d and %d", src, dst)
+		}
+	}
+	leg, err := h.intraRoute(cur, dst)
+	if err != nil {
+		return nil, err
+	}
+	return append(path, leg[1:]...), nil
+}
+
+// NextHop returns the single next hop a packet at cur takes toward dst —
+// the per-packet primitive the traffic data plane forwards with. It is
+// allocation-free: a handful of map lookups against the prebuilt tables.
+// dst == cur returns cur. ErrUnreachable follows the same rules as Route:
+// always for cross-partition pairs, and whenever the hierarchy has no
+// entry (possible mid-convergence).
+func (h *refTable) NextHop(cur, dst int) (int, error) {
+	n := h.g.N()
+	if cur < 0 || cur >= n || dst < 0 || dst >= n {
+		return -1, fmt.Errorf("routing: endpoints (%d, %d) out of range", cur, dst)
+	}
+	if cur == dst {
+		return cur, nil
+	}
+	if h.comp[cur] != h.comp[dst] {
+		return -1, ErrUnreachable
+	}
+	if h.head[cur] == h.head[dst] {
+		nxt, ok := h.intra[cur][dst]
+		if !ok {
+			return -1, ErrUnreachable
+		}
+		return nxt, nil
+	}
+	curHead := h.head[cur]
+	nextHead, ok := h.overlayNext[curHead][h.head[dst]]
+	if !ok {
+		return -1, ErrUnreachable
+	}
+	gw, ok := h.gateway[curHead][nextHead]
+	if !ok {
+		return -1, ErrUnreachable
+	}
+	if cur == gw[0] {
+		return gw[1], nil // cross the border edge
+	}
+	nxt, ok := h.intra[cur][gw[0]]
+	if !ok {
+		return -1, ErrUnreachable
+	}
+	return nxt, nil
+}
+
+// intraRoute walks the intra-cluster table.
+func (h *refTable) intraRoute(src, dst int) ([]int, error) {
+	path := []int{src}
+	for cur := src; cur != dst; {
+		nxt, ok := h.intra[cur][dst]
+		if !ok {
+			return nil, ErrUnreachable
+		}
+		cur = nxt
+		path = append(path, cur)
+		if len(path) > h.g.N() {
+			return nil, fmt.Errorf("routing: intra-cluster loop between %d and %d", src, dst)
+		}
+	}
+	return path, nil
+}
+
+// StatePerNode returns the mean number of routing entries per node:
+// the intra-cluster table plus, for heads, the overlay and gateway
+// entries. This is the quantity the paper's scalability argument is about.
+func (h *refTable) StatePerNode() float64 {
+	total := 0
+	for u := range h.intra {
+		total += len(h.intra[u])
+	}
+	for head := range h.overlayNext {
+		total += len(h.overlayNext[head])
+	}
+	for head := range h.gateway {
+		total += len(h.gateway[head])
+	}
+	return float64(total) / float64(h.g.N())
 }

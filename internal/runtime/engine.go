@@ -517,10 +517,14 @@ func (e *Engine) Snapshot() Snapshot {
 // comparison against the cluster oracle. Identifiers that do not resolve to
 // a node (possible only in corrupted, not-yet-stabilized states) map to -1.
 func (e *Engine) Assignment() *cluster.Assignment {
-	a := &cluster.Assignment{
-		Parent: make([]int, len(e.nodes)),
-		Head:   make([]int, len(e.nodes)),
-	}
+	return e.AssignmentInto(new(cluster.Assignment))
+}
+
+// AssignmentInto is Assignment written into a, reusing the capacity of its
+// slices: a caller that re-reads the assignment every epoch allocates once.
+func (e *Engine) AssignmentInto(a *cluster.Assignment) *cluster.Assignment {
+	a.Parent = slices.Grow(a.Parent[:0], len(e.nodes))[:len(e.nodes)]
+	a.Head = slices.Grow(a.Head[:0], len(e.nodes))[:len(e.nodes)]
 	for i, n := range e.nodes {
 		a.Parent[i] = e.indexOf(n.parent)
 		a.Head[i] = e.indexOf(n.headID)

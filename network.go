@@ -362,20 +362,20 @@ func (n *Network) Neighbors(i int) ([]int64, error) {
 // RenderSVG draws the current clustering as an SVG document of the given
 // pixel size (heads outlined, members colored by cluster).
 func (n *Network) RenderSVG(size int) (string, error) {
-	return viz.SVG(n.g, n.pts, n.renderAssignment(), size)
+	return viz.SVG(n.g, n.pts, n.renderAssignment(new(cluster.Assignment)), size)
 }
 
 // RenderASCII draws the current clustering as a rows x cols character map
 // (uppercase letters are cluster-heads).
 func (n *Network) RenderASCII(rows, cols int) (string, error) {
-	return viz.ASCII(n.g, n.pts, n.renderAssignment(), rows, cols)
+	return viz.ASCII(n.g, n.pts, n.renderAssignment(new(cluster.Assignment)), rows, cols)
 }
 
-// renderAssignment sanitizes the live assignment for rendering: head
-// references that do not resolve (transient states) fall back to self so
-// the renderers always succeed.
-func (n *Network) renderAssignment() *cluster.Assignment {
-	a := n.engine.Assignment()
+// renderAssignment sanitizes the live assignment for rendering and routing:
+// head references that do not resolve (transient states) fall back to self
+// so the renderers always succeed. It writes into a, reusing its slices.
+func (n *Network) renderAssignment(a *cluster.Assignment) *cluster.Assignment {
+	n.engine.AssignmentInto(a)
 	for u := range a.Head {
 		if a.Head[u] < 0 {
 			a.Head[u] = u

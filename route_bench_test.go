@@ -1,9 +1,8 @@
 package selfstab
 
 import (
+	"math"
 	"testing"
-
-	"selfstab/internal/routing"
 )
 
 // benchStableNet builds and stabilizes a network once per benchmark.
@@ -20,9 +19,10 @@ func benchStableNet(b *testing.B, nodes int) *Network {
 }
 
 // BenchmarkRouteCached measures a Route query against the epoch-cached
-// hierarchical table (the table is built once; every iteration is a pure
-// table walk). Compare with BenchmarkRouteRebuild — the ratio is the win
-// of the satellite caching work.
+// hierarchical table on a quiescent network: the skeleton is built once,
+// the trees the query mix touches fill during the first pass over it, and
+// from then on an iteration is a table walk — two allocations, the path
+// in indices and the path in identifiers.
 func BenchmarkRouteCached(b *testing.B) {
 	net := benchStableNet(b, 500)
 	ids := net.IDs()
@@ -40,21 +40,60 @@ func BenchmarkRouteCached(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteRebuild is the seed behavior: BuildHierarchical from
-// scratch on every query.
-func BenchmarkRouteRebuild(b *testing.B) {
-	net := benchStableNet(b, 500)
+// BenchmarkTrafficStepMovingEpoch2000 is the bench/ "mixed" recipe as a Go
+// benchmark: 2 000 nodes at mean degree 10 carrying 250 flows at rate 0.1
+// with energy rotation and churn (1 arrival, 0.5 departures, 0.5 crashes,
+// 1 sleep a step), so the engine epoch moves nearly every step and each
+// step's forwarding runs against a freshly reset routing table. What it
+// gates is that such a step pays for the trees its packets touch, not for
+// a table build.
+func BenchmarkTrafficStepMovingEpoch2000(b *testing.B) {
+	const nodes = 2000
+	net, err := NewRandomNetwork(nodes, WithSeed(1),
+		WithRange(math.Sqrt(10/(math.Pi*nodes))), WithCacheTTL(8))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := net.Stabilize(5000); err != nil {
+		b.Fatal(err)
+	}
+	ids := net.IDs()
+	flows := make([]Flow, 0, 250)
+	for i := 0; i < cap(flows); i++ {
+		src, dst := ids[(i*17)%nodes], ids[(i*41+nodes/3)%nodes]
+		if i%2 == 0 {
+			flows = append(flows, CBRFlow(src, dst, 0.1))
+		} else {
+			flows = append(flows, PoissonFlow(src, dst, 0.1))
+		}
+	}
+	if err := net.AttachTraffic(TrafficConfig{Flows: flows}); err != nil {
+		b.Fatal(err)
+	}
+	if err := net.AttachEnergy(EnergyConfig{Rotation: true}); err != nil {
+		b.Fatal(err)
+	}
+	if err := net.AttachChurn(ChurnConfig{
+		ArrivalRate: 1, DepartureRate: 0.5, CrashRate: 0.5, SleepRate: 1, SleepSteps: 20,
+	}); err != nil {
+		b.Fatal(err)
+	}
+	if err := net.Run(50); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		table, err := routing.BuildHierarchical(net.g, net.renderAssignment())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := table.Route(0, net.N()-1); err != nil && err != routing.ErrUnreachable {
+		if err := net.Step(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	s, err := net.TrafficStats()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(s.DeliveryRatio, "deliveryRatio")
 }
 
 // BenchmarkTrafficStep1000 is the traffic-phase headline: one Δ(τ) step of

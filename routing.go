@@ -21,10 +21,11 @@ var ErrUnreachable = errors.New("selfstab: destination unreachable")
 // enable; each node's routing state is limited to its own cluster (plus
 // overlay summaries at the heads) instead of the whole network.
 //
-// The routing table is cached on the Network and rebuilt only when the
+// The routing table lives on the Network and is reset only when the
 // cluster assignment or topology actually changed (epoch-based
-// invalidation), so repeated queries on a quiescent network cost a table
-// walk, not a rebuild.
+// invalidation); the reset builds a skeleton and the walk fills the
+// next-hop trees it needs (see hierTable). Repeated queries on a quiescent
+// network cost a table walk and two allocations.
 //
 // The returned path lists node identifiers from src to dst inclusive.
 // Call after Stabilize: routes follow the current head assignment.
@@ -57,65 +58,74 @@ func (n *Network) Route(srcID, dstID int64) ([]int64, error) {
 
 // RoutingState reports the mean number of routing-table entries per node
 // for the two architectures on the current network: flat link-state
-// routing (every node knows every destination) versus hierarchical routing
-// over the current clusters. Their ratio is the scalability benefit the
-// paper's clustering buys. Both tables are served from the epoch-keyed
-// cache shared with Route and the traffic data plane.
+// routing (every node knows every other: N-1 entries, reachable or not)
+// versus hierarchical routing over the current clusters. Their ratio is
+// the scalability benefit the paper's clustering buys.
 func (n *Network) RoutingState() (flat, hierarchical float64, err error) {
 	ht, err := n.hierTable()
 	if err != nil {
 		return 0, 0, err
 	}
-	return n.flatTable().StatePerNode(), ht.StatePerNode(), nil
+	return float64(len(n.pts) - 1), ht.StatePerNode(), nil
 }
 
-// hierTable returns the cached hierarchical routing table, rebuilding it
-// when the engine epoch moved (state-changing step, topology swap, fault
-// injection) since the last build.
+// hierTable returns the hierarchical routing table for the current epoch.
+// When the engine epoch moved since the last call (state-changing step,
+// topology change, fault injection) it resets the one table in place: an
+// O(N+E) skeleton pass over reused buffers, with the component labels kept
+// unless topoEpoch moved too. Next-hop trees are then filled by the queries
+// that need them (see internal/routing), so a step under churn pays for the
+// packets it forwards, not for the table.
 func (n *Network) hierTable() (*routing.Hierarchical, error) {
 	ep := n.engine.Epoch()
 	if n.routeTab == nil || n.routeTabEpoch != ep {
-		t, err := routing.BuildHierarchical(n.g, n.renderAssignment())
-		if err != nil {
+		if n.routeTab == nil {
+			n.routeTab = new(routing.Hierarchical)
+		}
+		if err := n.routeTab.Reset(n.g, n.renderAssignment(&n.routeAsg), n.topoEpoch); err != nil {
+			n.routeTab = nil
 			return nil, err
 		}
-		n.routeTab, n.routeTabEpoch = t, ep
+		n.routeTabEpoch = ep
 	}
 	return n.routeTab, nil
 }
 
-// flatTable returns the cached flat link-state table, rebuilding it only
-// when the topology itself changed (flat routing is independent of the
-// cluster assignment).
-func (n *Network) flatTable() *routing.Flat {
-	if n.flatTab == nil || n.flatTabEpoch != n.topoEpoch {
-		n.flatTab = routing.BuildFlat(n.g)
-		n.flatTabEpoch = n.topoEpoch
+// flatDist returns the hop distance from src to dst on the current topology
+// (0 for src == dst, -1 when unreachable): the flat shortest path that is
+// the traffic data plane's stretch baseline. It is a breadth-first search
+// that stops at dst, over scratch reused across calls, so it allocates
+// nothing once the scratch has grown to the network.
+func (n *Network) flatDist(src, dst int) int {
+	if src == dst {
+		return 0
 	}
-	return n.flatTab
-}
-
-// flatDistRow returns the flat BFS hop-distance row of src on the current
-// topology (-1: unreachable), memoized per source for one topology epoch.
-// The traffic data plane's stretch baseline queries this once per flow per
-// topology change; without the memo that was one allocating BFS per flow —
-// O(flows × BFS) per mobility or churn event even when many flows share a
-// source. Within an epoch repeated lookups are a map hit and allocate
-// nothing (pinned by TestFlatDistRowMemoized).
-func (n *Network) flatDistRow(src int) []int {
-	if n.distRows == nil {
-		n.distRows = make(map[int][]int)
-		n.distRowsEpoch = n.topoEpoch
-	} else if n.distRowsEpoch != n.topoEpoch {
-		clear(n.distRows)
-		n.distRowsEpoch = n.topoEpoch
+	if grow := n.g.N() - len(n.distSeen); grow > 0 {
+		n.distSeen = append(n.distSeen, make([]uint32, grow)...)
 	}
-	row, ok := n.distRows[src]
-	if !ok {
-		row = n.g.Distances(src)
-		n.distRows[src] = row
+	if n.distGen++; n.distGen == 0 { // wrapped: old marks would read as new
+		clear(n.distSeen)
+		n.distGen = 1
 	}
-	return row
+	seen, gen := n.distSeen, n.distGen
+	seen[src] = gen
+	q := append(n.distQueue[:0], int32(src))
+	for i, hops := 0, 1; i < len(q); hops++ {
+		for level := len(q); i < level; i++ {
+			for _, w := range n.g.Neighbors(int(q[i])) {
+				if w == dst {
+					n.distQueue = q
+					return hops
+				}
+				if seen[w] != gen {
+					seen[w] = gen
+					q = append(q, int32(w))
+				}
+			}
+		}
+	}
+	n.distQueue = q
+	return -1
 }
 
 func (n *Network) indexOfID(id int64) (int, bool) {

@@ -2,7 +2,13 @@ package selfstab
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
+
+	"selfstab/internal/cluster"
+	"selfstab/internal/rng"
+	"selfstab/internal/routing"
 )
 
 func TestRouteSameCluster(t *testing.T) {
@@ -166,8 +172,9 @@ func TestRouteSingleNodeNetwork(t *testing.T) {
 }
 
 // TestRoutingCacheInvalidation pins the epoch contract: repeated queries
-// on a quiescent network reuse the same table, and anything that can
-// change the clustering or topology (faults, mobility) forces a rebuild.
+// on a quiescent network keep the table (and the trees filled so far), and
+// anything that can change the clustering or topology (faults, mobility)
+// resets it.
 func TestRoutingCacheInvalidation(t *testing.T) {
 	net, err := NewRandomNetwork(120, WithSeed(44), WithRange(0.15))
 	if err != nil {
@@ -176,42 +183,32 @@ func TestRoutingCacheInvalidation(t *testing.T) {
 	if _, err := net.Stabilize(500); err != nil {
 		t.Fatal(err)
 	}
-	t1, err := net.hierTable()
-	if err != nil {
-		t.Fatal(err)
+	// builtAt returns the engine epoch the table was last reset at.
+	builtAt := func() uint64 {
+		t.Helper()
+		if _, err := net.hierTable(); err != nil {
+			t.Fatal(err)
+		}
+		return net.routeTabEpoch
 	}
-	t2, err := net.hierTable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t1 != t2 {
-		t.Error("quiescent network rebuilt the routing table between queries")
+	e1 := builtAt()
+	if builtAt() != e1 {
+		t.Error("quiescent network reset the routing table between queries")
 	}
 	// Steps on a stabilized network change nothing: the table survives.
 	if err := net.Run(5); err != nil {
 		t.Fatal(err)
 	}
-	t3, err := net.hierTable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t1 != t3 {
+	if builtAt() != e1 {
 		t.Error("no-op steps invalidated the routing table")
 	}
 	// Fault injection must invalidate.
 	net.InjectFaults(1)
-	t4, err := net.hierTable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t4 == t1 {
+	e4 := builtAt()
+	if e4 == e1 {
 		t.Error("fault injection did not invalidate the routing table")
 	}
-	// Mobility must invalidate both tables.
-	f1 := net.flatTable()
-	if f2 := net.flatTable(); f1 != f2 {
-		t.Error("static topology rebuilt the flat table between queries")
-	}
+	// Mobility must invalidate.
 	pos := net.Positions()
 	for i := range pos {
 		pos[i].X = clamp01(pos[i].X + 0.02)
@@ -219,14 +216,103 @@ func TestRoutingCacheInvalidation(t *testing.T) {
 	if err := net.SetPositions(pos); err != nil {
 		t.Fatal(err)
 	}
-	if f3 := net.flatTable(); f3 == f1 {
-		t.Error("mobility did not invalidate the flat table")
-	}
-	t5, err := net.hierTable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t5 == t4 {
+	if builtAt() == e4 {
 		t.Error("mobility did not invalidate the hierarchical table")
+	}
+}
+
+// TestLiveTableMatchesFreshBuild is the root half of the table oracle.
+// internal/routing's TestHierarchicalMatchesReference shows that a table
+// answers as the eager reference builder does; this test shows that the
+// one table the Network resets in place — from reused assignment buffers,
+// keeping component labels across engine epochs and dropping them on
+// topology epochs — is at every step boundary the table a fresh build from
+// the same graph and assignment would be. The trace moves every epoch
+// there is: churn (arrivals grow the buffers, auto-compaction renumbers
+// them), traffic, energy rotation and depletion, faults and mobility.
+func TestLiveTableMatchesFreshBuild(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			net := churnNet(t, 160, 1606)
+			net.SetParallelism(workers)
+			if err := net.AttachTraffic(TrafficConfig{QueueCap: 8, Flows: mixedWorkload(net, 12)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := net.AttachEnergy(EnergyConfig{Capacity: 4, Rotation: true}); err != nil {
+				t.Fatal(err)
+			}
+			if err := net.AttachChurn(ChurnConfig{
+				ArrivalRate: 0.5, DepartureRate: 0.3, CrashRate: 0.2, SleepRate: 0.3, SleepSteps: 6,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := net.SetAutoCompact(0.05); err != nil {
+				t.Fatal(err)
+			}
+			src := rng.New(9)
+			resets, unreachable, grew, shrank := 0, 0, 0, 0
+			for step := 0; step < 140; step++ {
+				switch step {
+				case 40, 95:
+					net.InjectFaults(0.3) // scrambled heads and parents
+				case 70:
+					pos := net.Positions()
+					for i := range pos {
+						pos[i].X = clamp01(pos[i].X + 0.03)
+					}
+					if err := net.SetPositions(pos); err != nil {
+						t.Fatal(err)
+					}
+				}
+				before, slots := net.routeTabEpoch, net.N()
+				if err := net.Step(); err != nil {
+					t.Fatal(err)
+				}
+				if net.N() > slots {
+					grew++
+				} else if net.N() < slots {
+					shrank++
+				}
+				live, err := net.hierTable()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if net.routeTabEpoch != before {
+					resets++
+				}
+				fresh, err := routing.BuildHierarchical(net.g, net.renderAssignment(new(cluster.Assignment)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for q := 0; q < 60; q++ {
+					u, v := src.Intn(net.N()), src.Intn(net.N())
+					next, err := live.NextHop(u, v)
+					wantNext, wantErr := fresh.NextHop(u, v)
+					if next != wantNext || !errors.Is(err, wantErr) {
+						t.Fatalf("step %d: NextHop(%d,%d) = (%d, %v), fresh build says (%d, %v)", step, u, v, next, err, wantNext, wantErr)
+					}
+					path, err := live.Route(u, v)
+					wantPath, wantErr := fresh.Route(u, v)
+					if !slices.Equal(path, wantPath) || !errors.Is(err, wantErr) {
+						t.Fatalf("step %d: Route(%d,%d) = (%v, %v), fresh build says (%v, %v)", step, u, v, path, err, wantPath, wantErr)
+					}
+					if err != nil {
+						unreachable++
+					}
+				}
+				if step%10 == 0 {
+					if got, want := live.StatePerNode(), fresh.StatePerNode(); got != want {
+						t.Fatalf("step %d: StatePerNode = %v, fresh build says %v", step, got, want)
+					}
+				}
+			}
+			// The comparison means something only if the table was reset
+			// over and over, its buffers were regrown and renumbered, and
+			// both outcomes were seen.
+			if resets < 100 || grew == 0 || shrank == 0 || unreachable == 0 || unreachable == 140*60 {
+				t.Fatalf("weak trace: %d resets, slots grew %d times and shrank %d, %d unreachable of %d queries",
+					resets, grew, shrank, unreachable, 140*60)
+			}
+		})
 	}
 }

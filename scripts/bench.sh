@@ -82,7 +82,7 @@ echo "== benchmarks (count=$COUNT)" >&2
 { provenance; go test -run '^$' -bench . -benchmem -count "$COUNT" "${PKGS[@]}"; } | tee "$RAW"
 
 echo "== traffic + routing benchmarks (count=$COUNT)" >&2
-{ provenance; go test -run '^$' -bench 'BenchmarkRouteCached|BenchmarkRouteRebuild|BenchmarkTrafficStep1000' \
+{ provenance; go test -run '^$' -bench 'BenchmarkRouteCached|BenchmarkTrafficStep1000|BenchmarkTrafficStepMovingEpoch2000' \
     -benchmem -count "$COUNT" .; } | tee "$TRAFFIC_RAW"
 
 echo "== churn benchmarks (count=$COUNT)" >&2

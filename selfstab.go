@@ -225,23 +225,27 @@
 //     pre-step phase allocates nothing at steady state for
 //     crash/sleep/wake churn (pinned by TestChurnPreStepAllocationFree;
 //     BenchmarkChurnStep1000 measures a 1000-node step under ~1%/step
-//     churn). Per-source flat-distance rows for the traffic stretch
-//     baseline are memoized per topology epoch — one BFS per source per
-//     topology change, not one per flow.
+//     churn). The traffic stretch baseline is a point-to-point BFS that
+//     stops at the destination, over scratch kept on the Network: it
+//     allocates nothing (TestFlatDistMatchesBFS).
 //
-//   - Epoch-cached routing tables. The hierarchical table behind Route,
-//     RoutingState and the traffic data plane is rebuilt only when the
-//     engine's epoch moved (a state-changing step, fault injection, a
-//     topology swap); the flat table only when the topology itself moved.
-//     A route query on a quiescent network is a pure table walk —
-//     BenchmarkRouteCached vs BenchmarkRouteRebuild measures roughly
-//     three orders of magnitude between the two.
+//   - A routing table that costs what the packets touch. One hierarchical
+//     table serves Route, RoutingState and the traffic data plane. When
+//     the engine's epoch moved it is reset in place — an O(N+E) skeleton
+//     over reused buffers — and its next-hop trees fill as queries ask,
+//     with the answers of a table built in full (see internal/routing;
+//     TestLiveTableMatchesFreshBuild pins the in-place reset through
+//     churn, compaction, faults and mobility).
+//     BenchmarkTrafficStepMovingEpoch2000 steps 2 000 nodes whose epoch
+//     moves every step; BenchmarkRouteCached is a route query on a
+//     quiescent network, a table walk and two allocations.
 //
 //   - An O(1)-amortized traffic phase. The data plane attached by
 //     AttachTraffic runs as a post-guard phase of the same step loop:
 //     packets live in fixed-capacity per-node rings, one-hop moves are
-//     staged in reused buffers, forwarding walks the cached tables via
-//     the allocation-free NextHop primitive, and latencies accumulate in
+//     staged in reused buffers, forwarding walks the routing table via
+//     the NextHop primitive (allocation-free once the trees a flow uses
+//     are filled), and latencies accumulate in
 //     a histogram that only grows to the maximum observed value. All
 //     workload randomness is drawn sequentially from a dedicated stream,
 //     so traffic statistics — like the protocol itself — are bit-identical
@@ -507,23 +511,22 @@ type Network struct {
 	engine *runtime.Engine
 	src    *rng.Source
 
-	// Cached routing tables with epoch invalidation: the hierarchical
-	// table is rebuilt only when the engine's epoch moved (a state-changing
-	// step, fault injection, or a topology swap), the flat table only when
-	// the topology itself moved. Route, RoutingState and the traffic data
-	// plane all share these.
+	// The hierarchical routing table shared by Route, RoutingState and the
+	// traffic data plane. Its skeleton is rebuilt, from routeAsg's reused
+	// slices, only when the engine's epoch moved (a state-changing step,
+	// fault injection, a topology change); its next-hop trees fill as
+	// queries ask. See hierTable.
 	routeTab      *routing.Hierarchical //selfstab:cache
 	routeTabEpoch uint64                //selfstab:cache
-	flatTab       *routing.Flat         //selfstab:cache
-	flatTabEpoch  uint64                //selfstab:cache
+	routeAsg      cluster.Assignment    //selfstab:cache
 	topoEpoch     uint64                // bumped by SetPositions and edge-changing churn
 
-	// Memoized flat BFS distance rows (the path-stretch baseline the
-	// traffic plane queries per flow), keyed by source and valid for one
-	// topology epoch: one BFS per source per topology change instead of
-	// one per flow.
-	distRows      map[int][]int //selfstab:cache
-	distRowsEpoch uint64        //selfstab:cache
+	// Scratch of flatDist, the path-stretch baseline the traffic plane
+	// queries per flow: distSeen[v] == distGen marks v visited by the
+	// current search.
+	distSeen  []uint32 //selfstab:cache
+	distGen   uint32   //selfstab:cache
+	distQueue []int32  //selfstab:cache
 
 	// Post-step phases, driven by stepPhases in order: traffic moves
 	// packets, then energy charges them. The attach flags track whether a

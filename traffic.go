@@ -77,13 +77,12 @@ type TrafficConfig struct {
 // AttachTraffic installs a packet-level data plane that runs as a
 // post-guard phase of every subsequent Δ(τ) step (Step, Run and Stabilize
 // all drive it): flows inject packets, every node forwards queued packets
-// one hop per step along the cached hierarchical routing tables, and a
-// metrics sink accounts for every packet. Call TrafficStats for the
-// ledger.
+// one hop per step along the hierarchical routing table, and a metrics
+// sink accounts for every packet. Call TrafficStats for the ledger.
 //
-// Forwarding follows the same epoch-cached tables as Route, so the data
-// plane reacts to re-clustering (mobility, faults) exactly when the
-// control plane does. All traffic randomness comes from a dedicated
+// Forwarding follows the same epoch-keyed table as Route (see hierTable),
+// so the data plane reacts to re-clustering (mobility, faults) exactly
+// when the control plane does. All traffic randomness comes from a dedicated
 // stream of the network's seed: runs are reproducible and, like the
 // protocol itself, bit-identical at any parallelism.
 //
@@ -138,12 +137,7 @@ func (n *Network) attachTrafficImpl(sc snapshot.TrafficConfig) error {
 			}
 			return next, true
 		},
-		// Dist serves the path-stretch baseline from per-source memoized
-		// BFS rows (see flatDistRow): flows sharing a source share one BFS
-		// per topology epoch instead of running one each.
-		Dist: func(src, dst int) int {
-			return n.flatDistRow(src)[dst]
-		},
+		Dist:      n.flatDist,
 		TopoEpoch: func() uint64 { return n.topoEpoch },
 		Alive: func(i int) bool {
 			return n.engine.Status(i) == runtime.StatusAlive
