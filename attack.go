@@ -308,7 +308,7 @@ func (n *Network) resolveLive(ids []int64) ([]int, error) {
 	idxs := make([]int, len(ids))
 	seen := make(map[int64]bool, len(ids))
 	for k, id := range ids {
-		i, ok := n.indexOfID(id)
+		i, ok := n.IndexOf(id)
 		if !ok {
 			return nil, fmt.Errorf("selfstab: unknown node id %d", id)
 		}
@@ -342,7 +342,7 @@ func (n *Network) SybilJoin(targetID int64, count int, spread float64) ([]int64,
 	if spread <= 0 {
 		return nil, fmt.Errorf("selfstab: sybil spread %v <= 0", spread)
 	}
-	i, ok := n.indexOfID(targetID)
+	i, ok := n.IndexOf(targetID)
 	if !ok {
 		return nil, fmt.Errorf("selfstab: unknown node id %d", targetID)
 	}

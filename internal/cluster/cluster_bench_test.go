@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -28,16 +29,30 @@ func BenchmarkCompute1000Fusion(b *testing.B) {
 	}
 }
 
+// benchSizes are the populations the two whole-assignment scans are
+// measured at: the paper's scale and the bench/ harness's 50 000 nodes,
+// both at mean degree ~30. The larger row is the one that shows a cost
+// growing with clusters × N instead of N + E.
+var benchSizes = []struct {
+	n int
+	r float64
+}{{1000, 0.1}, {50000, 0.0141}}
+
 // BenchmarkComputeStats measures the Tables 4/5 statistics extraction.
 func BenchmarkComputeStats(b *testing.B) {
-	g, cfg := randomInstance(3, 1000, 0.1, OrderBasic, false)
-	a, err := Compute(g, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.ComputeStats(g)
+	for _, sz := range benchSizes {
+		b.Run(fmt.Sprintf("n=%d", sz.n), func(b *testing.B) {
+			g, cfg := randomInstance(3, sz.n, sz.r, OrderBasic, false)
+			a, err := Compute(g, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.ComputeStats(g)
+			}
+		})
 	}
 }
 
@@ -54,15 +69,20 @@ func BenchmarkMaxMin(b *testing.B) {
 
 // BenchmarkCheckInvariants measures the legitimacy predicate.
 func BenchmarkCheckInvariants(b *testing.B) {
-	g, cfg := randomInstance(5, 1000, 0.1, OrderBasic, false)
-	a, err := Compute(g, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := CheckInvariants(g, a, false); err != nil {
-			b.Fatal(err)
-		}
+	for _, sz := range benchSizes {
+		b.Run(fmt.Sprintf("n=%d", sz.n), func(b *testing.B) {
+			g, cfg := randomInstance(5, sz.n, sz.r, OrderBasic, false)
+			a, err := Compute(g, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := CheckInvariants(g, a, false); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

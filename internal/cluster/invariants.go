@@ -79,21 +79,11 @@ func CheckInvariants(g *topology.Graph, a *Assignment, fusion bool) error {
 	}
 	if !fusion {
 		// Cluster connectivity: BFS within each cluster from its head must
-		// reach every member.
-		member := make([]bool, n)
-		for _, h := range a.Heads() {
-			ms := a.Members(h)
-			for _, u := range ms {
-				member[u] = true
-			}
-			dist := g.DistancesWithin(h, member)
-			for _, u := range ms {
-				if dist[u] < 0 {
-					return fmt.Errorf("cluster %d: member %d unreachable inside cluster", h, u)
-				}
-			}
-			for _, u := range ms {
-				member[u] = false
+		// reach every member. (Every Head value is a head by the checks
+		// above, so a.Head is the partition headDistances expects.)
+		for u, d := range headDistances(g, a.Head) {
+			if d < 0 {
+				return fmt.Errorf("cluster %d: member %d unreachable inside cluster", a.Head[u], u)
 			}
 		}
 		return nil

@@ -50,8 +50,11 @@ func (a *Assignment) ComputeStatsOn(g *topology.Graph, operating []bool) Stats {
 	}
 	on := func(u int) bool { return operating == nil || operating[u] }
 
-	members := make(map[int][]int, 8)
-	for u := 0; u < n; u++ {
+	// Resolve every operating node to the cluster it counts in; -1 marks a
+	// slot outside the population.
+	head := make([]int, n)
+	for u := range head {
+		head[u] = -1
 		if !on(u) {
 			continue
 		}
@@ -59,36 +62,38 @@ func (a *Assignment) ComputeStatsOn(g *topology.Graph, operating []bool) Stats {
 		if h < 0 || h >= n || !on(h) {
 			h = u
 		}
-		members[h] = append(members[h], u)
+		head[u] = h
 	}
-	s.NumClusters = len(members)
 
-	// Head eccentricities within each cluster.
-	member := make([]bool, n)
-	eccSum := 0
-	for h, us := range members {
-		for _, u := range us {
-			member[u] = true
+	// Cluster sizes and head eccentricities, indexed by head.
+	dist := headDistances(g, head)
+	size := make([]int, n)
+	ecc := make([]int, n)
+	for u, h := range head {
+		if h < 0 {
+			continue
 		}
-		ecc := 0
-		for _, d := range g.DistancesWithin(h, member) {
-			if d > ecc {
-				ecc = d
-			}
+		size[h]++
+		if dist[u] > ecc[h] {
+			ecc[h] = dist[u]
 		}
-		eccSum += ecc
-		if ecc > s.MaxHeadEccentricity {
-			s.MaxHeadEccentricity = ecc
-		}
-		for _, u := range us {
-			member[u] = false
-		}
-		s.Sizes = append(s.Sizes, len(us))
 	}
-	if len(members) == 0 {
+	eccSum := 0
+	for h, sz := range size {
+		if sz == 0 {
+			continue
+		}
+		s.NumClusters++
+		eccSum += ecc[h]
+		if ecc[h] > s.MaxHeadEccentricity {
+			s.MaxHeadEccentricity = ecc[h]
+		}
+		s.Sizes = append(s.Sizes, sz)
+	}
+	if s.NumClusters == 0 {
 		return s // no operating node: nothing to measure
 	}
-	s.MeanHeadEccentricity = float64(eccSum) / float64(len(members))
+	s.MeanHeadEccentricity = float64(eccSum) / float64(s.NumClusters)
 	sort.Sort(sort.Reverse(sort.IntSlice(s.Sizes)))
 
 	// Parent-chain lengths. A chain ends at a self-parent — or at a
@@ -132,6 +137,39 @@ func (a *Assignment) ComputeStatsOn(g *topology.Graph, operating []bool) Stats {
 		s.MeanTreeLength = float64(sum) / float64(count)
 	}
 	return s
+}
+
+// headDistances returns every node's hop distance to its cluster's head
+// through that cluster's own members, given the partition head[u] (the
+// index of u's cluster, or -1 for a slot in no cluster). It runs one BFS
+// per cluster from its head; the clusters are disjoint, so all of them
+// share one distance array and one queue and the whole pass is O(N+E).
+// A node that is in no cluster, that its head cannot reach inside the
+// cluster, or whose head belongs to another cluster, gets -1.
+func headDistances(g *topology.Graph, head []int) []int {
+	dist := make([]int, len(head))
+	for i := range dist {
+		dist[i] = -1
+	}
+	queue := make([]int, 0, len(head))
+	for h := range head {
+		if head[h] != h {
+			continue
+		}
+		dist[h] = 0
+		next := len(queue)
+		queue = append(queue, h) // every node is queued at most once
+		for ; next < len(queue); next++ {
+			v := queue[next]
+			for _, w := range g.Neighbors(v) {
+				if head[w] == h && dist[w] < 0 {
+					dist[w] = dist[v] + 1
+					queue = append(queue, w)
+				}
+			}
+		}
+	}
+	return dist
 }
 
 // Heads returns the sorted list of cluster-head indices.

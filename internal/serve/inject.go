@@ -83,18 +83,19 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad inject body: %v", err)
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	affected, err := s.applyInjectLocked(req)
+	var (
+		affected, step int
+		err            error
+	)
+	s.update(func(net *selfstab.Network) {
+		affected, err = s.applyInjectLocked(req)
+		step = net.StepCount()
+	})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"kind":     req.Kind,
-		"step":     s.net.StepCount(),
-		"affected": affected,
-	})
+	writeJSON(w, http.StatusOK, map[string]any{"kind": req.Kind, "step": step, "affected": affected})
 }
 
 // applyInjectLocked performs one injection under the write lock and

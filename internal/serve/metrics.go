@@ -2,9 +2,11 @@ package serve
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
+	"selfstab"
 	"selfstab/internal/obs"
 )
 
@@ -12,24 +14,38 @@ import (
 // exposition format. Population and step counters are O(1); the traffic
 // and energy blocks appear only when the subsystem is attached; the
 // phase histograms and probe counters come from the attached collector's
-// atomic totals, never the world. This takes the write lock (not the
-// read lock) because the convergence block reads the disruption ledger,
-// which may close an open episode — a mutation.
+// atomic totals, never the world. The ledgers are copied under the write
+// lock (not the read lock) because the convergence block reads the
+// disruption ledger, which may close an open episode — a mutation; the
+// text is rendered from the copies after the unlock.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	var (
+		step, alive, sleeping, dead int
+		cs                          selfstab.ConvergenceStats
+		ts                          selfstab.TrafficStats
+		es                          selfstab.EnergyStats
+		tsErr, esErr                error
+	)
+	s.update(func(net *selfstab.Network) {
+		step = net.StepCount()
+		alive, sleeping, dead = net.Population()
+		cs = net.ConvergenceStats()
+		ts, tsErr = net.TrafficStats()
+		es, esErr = net.EnergyStats()
+	})
 	var b strings.Builder
-	alive, sleeping, dead := s.net.Population()
 	fmt.Fprintf(&b, "# HELP selfstab_step_count Completed protocol steps.\n")
 	fmt.Fprintf(&b, "# TYPE selfstab_step_count counter\n")
-	fmt.Fprintf(&b, "selfstab_step_count %d\n", s.net.StepCount())
+	fmt.Fprintf(&b, "selfstab_step_count %d\n", step)
+	fmt.Fprintf(&b, "# HELP selfstab_ticks_dropped_total Stepper ticks lost because the previous step (or a lock holder) overran the interval.\n")
+	fmt.Fprintf(&b, "# TYPE selfstab_ticks_dropped_total counter\n")
+	fmt.Fprintf(&b, "selfstab_ticks_dropped_total %d\n", s.ticksDropped.Load())
 	fmt.Fprintf(&b, "# HELP selfstab_nodes Node slots by lifecycle status.\n")
 	fmt.Fprintf(&b, "# TYPE selfstab_nodes gauge\n")
 	fmt.Fprintf(&b, "selfstab_nodes{status=\"alive\"} %d\n", alive)
 	fmt.Fprintf(&b, "selfstab_nodes{status=\"sleeping\"} %d\n", sleeping)
 	fmt.Fprintf(&b, "selfstab_nodes{status=\"dead\"} %d\n", dead)
 
-	cs := s.net.ConvergenceStats()
 	fmt.Fprintf(&b, "# HELP selfstab_convergence_episodes_total Disruption episodes recorded in the ledger.\n")
 	fmt.Fprintf(&b, "# TYPE selfstab_convergence_episodes_total counter\n")
 	fmt.Fprintf(&b, "selfstab_convergence_episodes_total %d\n", len(cs.Disruptions))
@@ -52,7 +68,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(&b, "selfstab_convergence_affected_radius{stat=\"mean\"} %g\n", cs.MeanAffectedRadius)
 	fmt.Fprintf(&b, "selfstab_convergence_affected_radius{stat=\"max\"} %d\n", cs.MaxAffectedRadius)
 
-	if ts, err := s.net.TrafficStats(); err == nil {
+	if tsErr == nil {
 		fmt.Fprintf(&b, "# HELP selfstab_traffic_packets_total Data-plane packet counters by fate.\n")
 		fmt.Fprintf(&b, "# TYPE selfstab_traffic_packets_total counter\n")
 		fmt.Fprintf(&b, "selfstab_traffic_packets_total{fate=\"offered\"} %d\n", ts.Offered)
@@ -71,7 +87,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(&b, "selfstab_traffic_delivery_ratio %g\n", ts.DeliveryRatio)
 	}
 
-	if es, err := s.net.EnergyStats(); err == nil {
+	if esErr == nil {
 		fmt.Fprintf(&b, "# HELP selfstab_energy_drain_total Energy drained by cause.\n")
 		fmt.Fprintf(&b, "# TYPE selfstab_energy_drain_total counter\n")
 		fmt.Fprintf(&b, "selfstab_energy_drain_total{cause=\"head\"} %g\n", es.DrainHead)
@@ -98,7 +114,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write([]byte(b.String()))
+	_, _ = io.WriteString(w, b.String()) // a failed write means the client left
 }
 
 // writeProbeMetrics renders the collector's step/phase duration

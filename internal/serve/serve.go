@@ -8,16 +8,21 @@
 //
 // Consistency model: every read and every mutation happens at a step
 // boundary. The stepper holds the world's write lock for the duration of
-// each Δ(τ) step; query handlers take the read lock (so they observe a
-// fully settled step, never a torn one, and scale with concurrent
-// readers), while injections and ledger reads that may close a
-// disruption episode take the write lock and serialize with stepping.
+// each Δ(τ) step; a query handler copies what it serves under the read
+// lock (so it observes a fully settled step, never a torn one, and scales
+// with concurrent readers), while injections and ledger reads that may
+// close a disruption episode copy under the write lock and serialize with
+// stepping. No handler touches its ResponseWriter while holding the lock:
+// encoding and the socket come after the unlock, so a slow or stalled
+// client costs the stepper the copy and nothing more
+// (TestNoHandlerWritesUnderLock).
 // Injections route through the same journaled op chokepoint as the
 // embedding API, so a snapshot taken over HTTP replays bit-identically —
 // the service is checkpoint/restore/replay-complete by construction.
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -27,6 +32,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"selfstab"
@@ -67,6 +73,10 @@ type Server struct {
 
 	hub *hub
 
+	// ticksDropped counts the ticks Run's ticker discarded because the
+	// previous tick's step had not finished (exported through /metrics).
+	ticksDropped atomic.Int64
+
 	// collector is the instrumentation probe New attaches to the world.
 	// It is a pure observer with its own lock-free ring, so /trace and
 	// the /metrics phase histograms read it without touching mu.
@@ -105,12 +115,19 @@ func (s *Server) Run(ctx context.Context) error {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	defer s.hub.closeAll()
-	var lastFrame time.Time
+	var lastFrame, lastTick time.Time
 	for {
 		select {
 		case <-ctx.Done():
 			return s.drain()
-		case <-ticker.C:
+		case now := <-ticker.C:
+			// The ticker drops ticks for a slow receiver but keeps its
+			// period, so the gap between two delivered ticks says how many
+			// were lost in between.
+			if !lastTick.IsZero() {
+				s.ticksDropped.Add(max(0, int64((now.Sub(lastTick)+interval/2)/interval)-1))
+			}
+			lastTick = now
 			if err := s.tick(&lastFrame); err != nil {
 				return err
 			}
@@ -147,7 +164,7 @@ func (s *Server) drain() error {
 	if !s.cfg.DrainSnapshot {
 		return nil
 	}
-	_, err := s.writeSnapshotFile()
+	_, _, err := s.writeSnapshotFile()
 	return err
 }
 
@@ -253,33 +270,59 @@ func (s *Server) post(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// writeJSON sends v as an indented JSON document. It marshals before it
+// writes the status line, so a value that does not encode (a non-finite
+// float) is a 500 with an error document, not a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		code = http.StatusInternalServerError
+		b, _ = json.MarshalIndent(map[string]string{"error": err.Error()}, "", "  ") // a map of strings always marshals
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(b, '\n')) // a failed write means the client left
 }
 
 func writeError(w http.ResponseWriter, code int, format string, a ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, a...)})
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+// view runs f under the read lock and update runs it under the write
+// lock. They are how handlers reach the world: f copies out what the
+// response needs and returns, and the handler encodes and writes after
+// the lock is released (also when f panics).
+func (s *Server) view(f func(net *selfstab.Network)) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	alive, sleeping, dead := s.net.Population()
+	f(s.net)
+}
+
+func (s *Server) update(f func(net *selfstab.Network)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f(s.net)
+}
+
+func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	var alive, sleeping, dead, step, nodes int
+	s.view(func(net *selfstab.Network) {
+		alive, sleeping, dead = net.Population()
+		step, nodes = net.StepCount(), net.N()
+	})
 	writeJSON(w, http.StatusOK, map[string]any{
 		"ok":       true,
-		"step":     s.net.StepCount(),
-		"nodes":    s.net.N(),
+		"step":     step,
+		"nodes":    nodes,
 		"alive":    alive,
 		"sleeping": sleeping,
 		"dead":     dead,
 	})
 }
 
-// nodeJSON is the wire form of one node's state.
+// nodeJSON is the wire form of one node's state. appendNode in state.go
+// writes the same keys in the same order without reflection; keep the two
+// in step (TestStateStreamMatchesEncodingJSON compares them).
 type nodeJSON struct {
 	ID      int64   `json:"id"`
 	Index   int     `json:"index"`
@@ -301,22 +344,36 @@ func nodeToJSON(i int, st selfstab.NodeState) nodeJSON {
 	}
 }
 
+// handleState serves every node's state: an O(N) copy under the read
+// lock, then the document streamed from the copy (state.go).
 func (s *Server) handleState(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	nodes := make([]nodeJSON, s.net.N())
-	for i := range nodes {
-		st, err := s.net.State(i)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
+	var (
+		step  int
+		nodes []nodeJSON
+		err   error
+	)
+	s.view(func(net *selfstab.Network) {
+		step, nodes = net.StepCount(), make([]nodeJSON, net.N())
+		for i := range nodes {
+			var st selfstab.NodeState
+			if st, err = net.State(i); err != nil {
+				return
+			}
+			nodes[i] = nodeToJSON(i, st)
+			// JSON has no NaN or Inf; refuse while a status can still be sent.
+			if err = finite(st.Position.X, st.Position.Y, st.Density); err != nil {
+				err = fmt.Errorf("node %d: %w", st.ID, err)
+				return
+			}
 		}
-		nodes[i] = nodeToJSON(i, st)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"step":  s.net.StepCount(),
-		"nodes": nodes,
 	})
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_ = writeState(w, step, nodes) // a failed write means the client left
 }
 
 func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
@@ -325,80 +382,83 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad or missing id: %v", err)
 		return
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for i, nid := range s.net.IDs() {
-		if nid != id {
-			continue
+	var (
+		i  int
+		ok bool
+		st selfstab.NodeState
+	)
+	s.view(func(net *selfstab.Network) {
+		if i, ok = net.IndexOf(id); ok {
+			st, err = net.State(i)
 		}
-		st, err := s.net.State(i)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
+	})
+	switch {
+	case !ok:
+		writeError(w, http.StatusNotFound, "unknown node id %d", id)
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, "%v", err)
+	default:
 		writeJSON(w, http.StatusOK, nodeToJSON(i, st))
-		return
 	}
-	writeError(w, http.StatusNotFound, "unknown node id %d", id)
 }
 
 func (s *Server) handleClusters(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"step":     s.net.StepCount(),
-		"clusters": s.net.Clusters(),
-	})
+	var step int
+	var clusters []selfstab.Cluster
+	s.view(func(net *selfstab.Network) { step, clusters = net.StepCount(), net.Clusters() })
+	writeJSON(w, http.StatusOK, map[string]any{"step": step, "clusters": clusters})
 }
 
 func (s *Server) handleClusteringStats(w http.ResponseWriter, _ *http.Request) {
-	// Stats computes on the live assignment; take the write lock so the
-	// computation never overlaps a mutation of the cached tables.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"step":  s.net.StepCount(),
-		"stats": s.net.Stats(),
-	})
+	// Stats is a pure read: it measures a private copy of the assignment
+	// against the topology, in O(N+E).
+	var step int
+	var stats selfstab.Stats
+	s.view(func(net *selfstab.Network) { step, stats = net.StepCount(), net.Stats() })
+	writeJSON(w, http.StatusOK, map[string]any{"step": step, "stats": stats})
 }
 
 func (s *Server) handleConvergence(w http.ResponseWriter, _ *http.Request) {
 	// Reading the ledger may close an open disruption episode — a
 	// mutation — so this is a write-locked read.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"step":        s.net.StepCount(),
-		"convergence": s.net.ConvergenceStats(),
-	})
+	var step int
+	var cs selfstab.ConvergenceStats
+	s.update(func(net *selfstab.Network) { step, cs = net.StepCount(), net.ConvergenceStats() })
+	writeJSON(w, http.StatusOK, map[string]any{"step": step, "convergence": cs})
 }
 
 func (s *Server) handleTrafficStats(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ts, err := s.net.TrafficStats()
+	var (
+		step int
+		ts   selfstab.TrafficStats
+		err  error
+	)
+	s.view(func(net *selfstab.Network) {
+		step = net.StepCount()
+		ts, err = net.TrafficStats()
+	})
 	if err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"step":    s.net.StepCount(),
-		"traffic": ts,
-	})
+	writeJSON(w, http.StatusOK, map[string]any{"step": step, "traffic": ts})
 }
 
 func (s *Server) handleEnergyStats(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	es, err := s.net.EnergyStats()
+	var (
+		step int
+		es   selfstab.EnergyStats
+		err  error
+	)
+	s.view(func(net *selfstab.Network) {
+		step = net.StepCount()
+		es, err = net.EnergyStats()
+	})
 	if err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"step":   s.net.StepCount(),
-		"energy": es,
-	})
+	writeJSON(w, http.StatusOK, map[string]any{"step": step, "energy": es})
 }
 
 // handleEvents streams step frames as server-sent events until the
@@ -415,9 +475,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	// An immediate frame so clients see state before the next step.
-	s.mu.RLock()
-	first := s.frameLocked()
-	s.mu.RUnlock()
+	var first stepFrame
+	s.view(func(*selfstab.Network) { first = s.frameLocked() })
 	fmt.Fprintf(w, "data: %s\n\n", first.encode())
 	flusher.Flush()
 	ch := s.hub.subscribe()
@@ -441,43 +500,48 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // ?stream=1 (or no directory) the document itself is the response.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.SnapshotDir == "" || r.URL.Query().Get("stream") == "1" {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		w.Header().Set("Content-Type", "application/json")
-		if err := s.net.WriteSnapshot(w); err != nil {
+		doc, _, err := s.snapshotDoc()
+		if err != nil {
 			writeError(w, http.StatusInternalServerError, "%v", err)
+			return
 		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(doc) // a failed write means the client left
 		return
 	}
-	path, err := s.writeSnapshotFile()
+	path, step, err := s.writeSnapshotFile()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	s.mu.RLock()
-	step := s.net.StepCount()
-	s.mu.RUnlock()
 	writeJSON(w, http.StatusOK, map[string]any{"path": path, "step": step})
 }
 
-// writeSnapshotFile checkpoints to SnapshotDir under a step-stamped name.
-func (s *Server) writeSnapshotFile() (string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if err := os.MkdirAll(s.cfg.SnapshotDir, 0o755); err != nil {
-		return "", fmt.Errorf("serve: snapshot dir: %w", err)
-	}
-	path := filepath.Join(s.cfg.SnapshotDir, fmt.Sprintf("snapshot-step%08d.json", s.net.StepCount()))
-	f, err := os.Create(path)
+// snapshotDoc encodes the checkpoint document of the current step into
+// memory under the read lock; socket and disk come after the unlock.
+func (s *Server) snapshotDoc() (doc []byte, step int, err error) {
+	var buf bytes.Buffer
+	s.view(func(net *selfstab.Network) { step, err = net.StepCount(), net.WriteSnapshot(&buf) })
 	if err != nil {
-		return "", fmt.Errorf("serve: snapshot: %w", err)
+		return nil, 0, fmt.Errorf("serve: snapshot: %w", err)
 	}
-	if err := s.net.WriteSnapshot(f); err != nil {
-		f.Close()
-		return "", fmt.Errorf("serve: snapshot: %w", err)
+	return buf.Bytes(), step, nil
+}
+
+// writeSnapshotFile checkpoints to SnapshotDir under a step-stamped name
+// and returns the path and the step it holds.
+func (s *Server) writeSnapshotFile() (string, int, error) {
+	doc, step, err := s.snapshotDoc()
+	if err != nil {
+		return "", 0, err
 	}
-	if err := f.Close(); err != nil {
-		return "", fmt.Errorf("serve: snapshot: %w", err)
+	if err := os.MkdirAll(s.cfg.SnapshotDir, 0o755); err != nil {
+		return "", 0, fmt.Errorf("serve: snapshot dir: %w", err)
 	}
-	return path, nil
+	path := filepath.Join(s.cfg.SnapshotDir, fmt.Sprintf("snapshot-step%08d.json", step))
+	if err := os.WriteFile(path, doc, 0o644); err != nil {
+		return "", 0, fmt.Errorf("serve: snapshot: %w", err)
+	}
+	return path, step, nil
 }

@@ -489,8 +489,9 @@ func TestTickBuildsFramesOnlyWhenPublished(t *testing.T) {
 
 // TestConcurrentReadersWhileStepping is the serving layer's race
 // contract: a stepping world serves concurrent /state, /clusters,
-// /metrics and SSE readers plus injections without torn reads (run under
-// -race). The world size scales up when not in -short mode to cover the
+// /stats/clustering (read-locked, so two of them overlap each other and
+// the other readers), /metrics and SSE readers plus injections without
+// torn reads (run under -race). The world size scales up when not in -short mode to cover the
 // 10k-node acceptance scenario.
 func TestConcurrentReadersWhileStepping(t *testing.T) {
 	nodes := 500
@@ -533,7 +534,7 @@ func TestConcurrentReadersWhileStepping(t *testing.T) {
 			resp.Body.Close()
 		}
 	}
-	for _, path := range []string{"/state", "/state", "/clusters", "/metrics", "/healthz", "/stats/convergence"} {
+	for _, path := range []string{"/state", "/state", "/clusters", "/metrics", "/healthz", "/stats/convergence", "/stats/clustering", "/stats/clustering"} {
 		wg.Add(1)
 		go readLoop(path)
 	}
@@ -588,6 +589,101 @@ func TestConcurrentReadersWhileStepping(t *testing.T) {
 	if srv.net.StepCount() == 0 {
 		t.Error("world never stepped")
 	}
+}
+
+// TestNodeLookupFollowsCompaction: /state/node resolves ids through the
+// world's id index, so it answers for the slot an id occupies now: an
+// unknown id and an id whose slot Compact recycled are 404s, and an id
+// that Compact moved is served from its new index.
+func TestNodeLookupFollowsCompaction(t *testing.T) {
+	srv, ts := testServer(t, 40, Config{})
+	ids := srv.net.IDs()
+	gone, moved := ids[2], ids[30]
+
+	var node nodeJSON
+	getJSON(t, fmt.Sprintf("%s/state/node?id=%d", ts.URL, moved), &node)
+	if node.ID != moved || node.Index != 30 {
+		t.Fatalf("before compaction: id %d served as %+v, want index 30", moved, node)
+	}
+	postJSON(t, ts.URL+"/inject", map[string]any{"kind": "remove", "ids": []int64{gone}}, nil)
+	if resp := getJSON(t, fmt.Sprintf("%s/state/node?id=%d", ts.URL, gone), &node); resp.StatusCode != http.StatusOK || node.Status != "dead" {
+		t.Fatalf("removed, not yet compacted: status %d, node %+v; want 200 and dead", resp.StatusCode, node)
+	}
+	var result struct {
+		Affected int `json:"affected"`
+	}
+	postJSON(t, ts.URL+"/inject", map[string]any{"kind": "compact"}, &result)
+	if result.Affected != 1 {
+		t.Fatalf("compact recycled %d slots, want 1", result.Affected)
+	}
+
+	if resp := getJSON(t, fmt.Sprintf("%s/state/node?id=%d", ts.URL, gone), nil); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("compacted-away id: status %d, want 404", resp.StatusCode)
+	}
+	if resp := getJSON(t, ts.URL+"/state/node?id=999999", nil); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("unknown id: status %d, want 404", resp.StatusCode)
+	}
+	getJSON(t, fmt.Sprintf("%s/state/node?id=%d", ts.URL, moved), &node)
+	if node.ID != moved || node.Index != 29 || node.Status != "alive" {
+		t.Errorf("after compaction: id %d served as %+v, want index 29 and alive", moved, node)
+	}
+}
+
+// TestTicksDroppedCounter: a lock holder that outlasts several tick
+// intervals costs the stepper those ticks, and the service says so in
+// selfstab_ticks_dropped_total instead of leaving it to be inferred from
+// the step rate.
+func TestTicksDroppedCounter(t *testing.T) {
+	srv, ts := testServer(t, 30, Config{StepsPerSecond: 100})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- srv.Run(ctx) }()
+
+	// Let the stepper settle into its rhythm, then hold the world for
+	// well over three 10 ms intervals.
+	for start := srv.stepCount(); srv.stepCount() < start+3; {
+		time.Sleep(time.Millisecond)
+	}
+	srv.mu.Lock()
+	time.Sleep(80 * time.Millisecond)
+	srv.mu.Unlock()
+	// The gap shows between the first two ticks delivered after the hold.
+	for deadline := time.Now().Add(5 * time.Second); srv.ticksDropped.Load() < 3 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	_, err = buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dropped int64
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "selfstab_ticks_dropped_total "); ok {
+			if _, err := fmt.Sscan(v, &dropped); err != nil {
+				t.Fatalf("bad counter line %q: %v", line, err)
+			}
+		}
+	}
+	if dropped < 3 {
+		t.Errorf("selfstab_ticks_dropped_total = %d after holding the lock across 8 intervals, want at least 3\n%s", dropped, buf.String())
+	}
+
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("Run returned %v", err)
+	}
+}
+
+// stepCount reads the world's step counter under the read lock.
+func (s *Server) stepCount() (step int) {
+	s.view(func(net *selfstab.Network) { step = net.StepCount() })
+	return step
 }
 
 // TestObservabilityEndpoints covers the instrumentation surface: the

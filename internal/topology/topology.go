@@ -182,33 +182,6 @@ func (g *Graph) Distances(u int) []int {
 	return dist
 }
 
-// DistancesWithin returns BFS distances from u restricted to the node set
-// `member` (nodes where member[v] is true). Used for cluster-head
-// eccentricity inside a cluster. Nodes outside the set, or unreachable
-// through it, get -1.
-func (g *Graph) DistancesWithin(u int, member []bool) []int {
-	dist := make([]int, len(g.adj))
-	for i := range dist {
-		dist[i] = -1
-	}
-	if u < 0 || u >= len(g.adj) || !member[u] {
-		return dist
-	}
-	dist[u] = 0
-	queue := []int{u}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.adj[v] {
-			if member[w] && dist[w] < 0 {
-				dist[w] = dist[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return dist
-}
-
 // Eccentricity returns the maximum finite BFS distance from u, i.e. the
 // eccentricity of u within its connected component.
 func (g *Graph) Eccentricity(u int) int {

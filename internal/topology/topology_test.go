@@ -232,28 +232,6 @@ func TestDistancesUnreachable(t *testing.T) {
 	}
 }
 
-func TestDistancesWithin(t *testing.T) {
-	g := path(t, 5)
-	member := []bool{true, true, false, true, true}
-	d := g.DistancesWithin(0, member)
-	if d[0] != 0 || d[1] != 1 {
-		t.Errorf("in-set distances wrong: %v", d)
-	}
-	if d[2] != -1 {
-		t.Errorf("non-member got distance %d", d[2])
-	}
-	if d[3] != -1 || d[4] != -1 {
-		t.Errorf("nodes cut off by non-member should be -1: %v", d)
-	}
-	// Starting at a non-member yields all -1.
-	d = g.DistancesWithin(2, member)
-	for i, v := range d {
-		if v != -1 {
-			t.Errorf("start at non-member: d[%d]=%d", i, v)
-		}
-	}
-}
-
 func TestEccentricityAndDiameter(t *testing.T) {
 	g := path(t, 6)
 	if e := g.Eccentricity(0); e != 5 {

@@ -125,7 +125,7 @@ func (n *Network) applyLifecycle(kind string, ids []int64) error {
 	idxs := make([]int, len(ids))
 	seen := make(map[int64]bool, len(ids))
 	for k, id := range ids {
-		i, ok := n.indexOfID(id)
+		i, ok := n.IndexOf(id)
 		if !ok {
 			return fmt.Errorf("selfstab: unknown node id %d", id)
 		}

@@ -18,6 +18,15 @@ func (n *Network) N() int { return len(n.pts) }
 // IDs returns a copy of the node identifiers, indexed like Positions.
 func (n *Network) IDs() []int64 { return append([]int64(nil), n.ids...) }
 
+// IndexOf returns the dense index node id currently occupies (the index
+// State and Positions use) and whether the world knows the id at all.
+// Indices move when Compact recycles dead slots, and a compacted-away id
+// is unknown from then on. Read-only and O(1).
+func (n *Network) IndexOf(id int64) (int, bool) {
+	i, ok := n.id2idx[id]
+	return i, ok
+}
+
 // Positions returns a copy of the node positions.
 func (n *Network) Positions() []Point {
 	out := make([]Point, len(n.pts))

@@ -30,11 +30,11 @@ var ErrUnreachable = errors.New("selfstab: destination unreachable")
 // The returned path lists node identifiers from src to dst inclusive.
 // Call after Stabilize: routes follow the current head assignment.
 func (n *Network) Route(srcID, dstID int64) ([]int64, error) {
-	src, ok := n.indexOfID(srcID)
+	src, ok := n.IndexOf(srcID)
 	if !ok {
 		return nil, fmt.Errorf("selfstab: unknown source id %d", srcID)
 	}
-	dst, ok := n.indexOfID(dstID)
+	dst, ok := n.IndexOf(dstID)
 	if !ok {
 		return nil, fmt.Errorf("selfstab: unknown destination id %d", dstID)
 	}
@@ -126,9 +126,4 @@ func (n *Network) flatDist(src, dst int) int {
 	}
 	n.distQueue = q
 	return -1
-}
-
-func (n *Network) indexOfID(id int64) (int, bool) {
-	i, ok := n.id2idx[id]
-	return i, ok
 }

@@ -38,8 +38,8 @@ func TestRouteSameCluster(t *testing.T) {
 	}
 	// Every hop is a radio neighbor of the previous one.
 	for i := 1; i < len(path); i++ {
-		prev, _ := net.indexOfID(path[i-1])
-		cur, _ := net.indexOfID(path[i])
+		prev, _ := net.IndexOf(path[i-1])
+		cur, _ := net.IndexOf(path[i])
 		if !net.g.HasEdge(prev, cur) {
 			t.Fatalf("path uses non-edge %d-%d", path[i-1], path[i])
 		}

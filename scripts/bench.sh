@@ -7,7 +7,10 @@
 # energy subsystem), then benchmarks the core packages with -benchmem
 # and records every sample in BENCH_step.json — including the
 # BenchmarkPhaseBreakdown rows attributing the 1000-node step cost to
-# its churn/frame/ingest phases via the instrumentation collector — plus
+# its churn/frame/ingest phases via the instrumentation collector, and
+# the layer rows under the serve workload's slow reads
+# (BenchmarkComputeStats and BenchmarkCheckInvariants at n=1000|50000,
+# BenchmarkHandleState/n=50000) — plus
 # the routing/traffic
 # suite in BENCH_traffic.json, the churn suite in BENCH_churn.json, the
 # energy suite in BENCH_energy.json and the scale suite (quiescent
@@ -25,7 +28,8 @@
 # key across hosts and the header says which host shape it came from.
 #
 # After generating the fresh numbers, a regression gate compares the
-# median ns/op of every step-time and heal-round benchmark against the
+# median ns/op of every step-time, heal-round and serve-layer benchmark
+# ($GATE_MATCH) against the
 # committed BENCH_*.json baselines captured at script start and fails the
 # run on a >20% regression (scripts/benchgate; baselines recorded at a
 # different GOMAXPROCS are reported and skipped, not compared). Set
@@ -38,7 +42,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 COUNT="${1:-5}"
-PKGS=(./internal/runtime ./internal/topology ./internal/cluster)
+PKGS=(./internal/runtime ./internal/topology ./internal/cluster ./internal/serve)
 RAW="BENCH_step.txt"
 JSON="BENCH_step.json"
 TRAFFIC_RAW="BENCH_traffic.txt"
@@ -50,6 +54,8 @@ ENERGY_JSON="BENCH_energy.json"
 SCALE_RAW="BENCH_scale.txt"
 SCALE_JSON="BENCH_scale.json"
 SCALE_COUNT="${SCALE_COUNT:-3}"
+# The benchmarks the regression gate compares, by name.
+GATE_MATCH='Step|HealRound|ComputeStats|CheckInvariants|HandleState'
 
 # Capture the committed baselines before anything overwrites them: these
 # are what the regression gate at the end compares against.
@@ -151,10 +157,10 @@ echo "== wrote $RAW, $JSON, $TRAFFIC_RAW, $TRAFFIC_JSON, $CHURN_RAW, $CHURN_JSON
 if [ "${SKIP_BENCH_GATE:-0}" = "1" ]; then
     echo "== bench-regression gate skipped (SKIP_BENCH_GATE=1)" >&2
 else
-    echo "== bench-regression gate (fail on >20% step-time or heal-round regression vs committed baselines)" >&2
+    echo "== bench-regression gate (fail on >20% regression of $GATE_MATCH vs committed baselines)" >&2
     for f in "$JSON" "$TRAFFIC_JSON" "$CHURN_JSON" "$ENERGY_JSON" "$SCALE_JSON"; do
         if [ -f "$BASELINE_DIR/$f" ]; then
-            go run ./scripts/benchgate -baseline "$BASELINE_DIR/$f" -fresh "$f" -threshold 1.2 -match 'Step|HealRound'
+            go run ./scripts/benchgate -baseline "$BASELINE_DIR/$f" -fresh "$f" -threshold 1.2 -match "$GATE_MATCH"
         else
             echo "benchgate: no committed baseline for $f; skipping" >&2
         fi

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Serving-mode smoke: boot `selfstab-sim serve`, poll /healthz until the
 # world is live, scrape /metrics (including the step-phase histograms
-# from the instrumentation collector), fetch a Chrome trace over POST
-# /trace, take a 1-second CPU profile through the -pprof endpoints,
+# from the instrumentation collector and the dropped-tick counter), fetch
+# the streamed /state document, fetch a Chrome trace over POST /trace, take a 1-second CPU profile through the -pprof endpoints,
 # inject a regional crash over HTTP, checkpoint to disk, and verify a
 # clean SIGTERM drain (including the drain snapshot) within a timeout.
 # This gates wiring, not timing.
@@ -33,16 +33,28 @@ done
 [ -n "$up" ] || { echo "server never became healthy" >&2; exit 1; }
 
 curl -fsS "http://$ADDR/healthz" | grep -q '"ok": true'
-curl -fsS "http://$ADDR/metrics" | grep -q '^selfstab_step_count'
 
 # The instrumentation layer: phase histograms and engine counters from
 # the attached collector, plus the convergence and SSE-pressure blocks.
+# (Fetched once and matched from a here-string: under pipefail, curl piped
+# into grep -q fails whenever grep matches and exits before curl is done.)
 METRICS="$(curl -fsS "http://$ADDR/metrics")"
-echo "$METRICS" | grep -q '^selfstab_step_duration_seconds_bucket'
-echo "$METRICS" | grep -q 'selfstab_phase_duration_seconds_bucket{phase="churn"'
-echo "$METRICS" | grep -q '^selfstab_engine_frontier_len'
-echo "$METRICS" | grep -q '^selfstab_convergence_episodes_total'
-echo "$METRICS" | grep -q '^selfstab_sse_dropped_frames_total'
+grep -q '^selfstab_step_count' <<<"$METRICS"
+grep -q '^selfstab_step_duration_seconds_bucket' <<<"$METRICS"
+grep -q 'selfstab_phase_duration_seconds_bucket{phase="churn"' <<<"$METRICS"
+grep -q '^selfstab_engine_frontier_len' <<<"$METRICS"
+grep -q '^selfstab_convergence_episodes_total' <<<"$METRICS"
+grep -q '^selfstab_sse_dropped_frames_total' <<<"$METRICS"
+# The stepper's own count of ticks it lost to overrunning steps or lock holders.
+grep -q '^selfstab_ticks_dropped_total' <<<"$METRICS"
+
+# /state is streamed one node per line by a hand-written encoder: the
+# document must still be JSON, with the 300 nodes (and any churn arrivals).
+curl -fsS "http://$ADDR/state" -o "$DIR/state.json"
+[ "$(grep -c '^{"id":' "$DIR/state.json")" -ge 300 ] || { echo "/state does not list 300 nodes, one per line" >&2; exit 1; }
+if command -v python3 >/dev/null; then
+  python3 -m json.tool "$DIR/state.json" >/dev/null
+fi
 
 # A Chrome trace of recent steps over HTTP: well-formed JSON with spans.
 curl -fsS -X POST "http://$ADDR/trace?last=50" -o "$DIR/trace.json"

@@ -197,7 +197,7 @@ func (n *Network) expandFlows(flows []Flow) ([]traffic.FlowSpec, error) {
 	var specs []traffic.FlowSpec
 	for i, f := range flows {
 		if f.hotSources > 0 {
-			sink, ok := n.indexOfID(f.dstID)
+			sink, ok := n.IndexOf(f.dstID)
 			if !ok {
 				return nil, fmt.Errorf("selfstab: flow %d: unknown sink id %d", i, f.dstID)
 			}
@@ -222,11 +222,11 @@ func (n *Network) expandFlows(flows []Flow) ([]traffic.FlowSpec, error) {
 			}
 			continue
 		}
-		su, ok := n.indexOfID(f.srcID)
+		su, ok := n.IndexOf(f.srcID)
 		if !ok {
 			return nil, fmt.Errorf("selfstab: flow %d: unknown source id %d", i, f.srcID)
 		}
-		du, ok := n.indexOfID(f.dstID)
+		du, ok := n.IndexOf(f.dstID)
 		if !ok {
 			return nil, fmt.Errorf("selfstab: flow %d: unknown destination id %d", i, f.dstID)
 		}
