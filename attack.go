@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"selfstab/internal/geom"
 	"selfstab/internal/obs"
 	"selfstab/internal/runtime"
 	"selfstab/internal/snapshot"
@@ -33,26 +32,9 @@ import (
 // affected radius), and the energy ledger prices the drain.
 
 // DefenseConfig parameterizes the traffic-plane defenses installed by
-// SetTrafficDefense. The zero value disables every defense.
-type DefenseConfig struct {
-	// HeadAdmission turns on per-head token-bucket admission control:
-	// each current cluster-head accepts at most HeadBurst queued arrivals
-	// at once and refills at HeadRate tokens per step. Arrivals beyond
-	// the bucket are dropped and accounted as DropsAdmission — a flood
-	// aimed at a head exhausts the bucket and starves itself, while
-	// steady legitimate traffic at or below HeadRate passes untouched.
-	HeadAdmission bool
-	// HeadRate is the bucket refill rate in packets per step (required
-	// > 0 when HeadAdmission is set).
-	HeadRate float64
-	// HeadBurst is the bucket capacity in packets (required >= 1 when
-	// HeadAdmission is set). Buckets start full.
-	HeadBurst float64
-	// SourceCap bounds how many packets any single node may inject per
-	// step; injections beyond the cap are dropped and accounted as
-	// DropsRateLimit. 0 disables the cap.
-	SourceCap int
-}
+// SetTrafficDefense; the zero value disables every defense. It is
+// snapshot.DefenseConfig, the record the journal stores.
+type DefenseConfig = snapshot.DefenseConfig
 
 // SetTrafficDefense installs (or, with a zero config, removes) the
 // traffic-plane defenses on the attached data plane. The call is
@@ -61,22 +43,15 @@ type DefenseConfig struct {
 // across the call. Re-attaching the data plane clears any installed
 // defense. It fails if no data plane is attached.
 func (n *Network) SetTrafficDefense(cfg DefenseConfig) error {
-	sc := defenseToSnapshot(cfg)
-	return n.applyOp(snapshot.Op{Kind: snapshot.OpSetDefense, Defense: &sc})
+	return n.applyOp(snapshot.Op{Kind: snapshot.OpSetDefense, Defense: &cfg})
 }
 
 // setDefenseImpl is the journaled implementation behind SetTrafficDefense.
-func (n *Network) setDefenseImpl(sc snapshot.DefenseConfig) error {
+func (n *Network) setDefenseImpl(cfg DefenseConfig) error {
 	if !n.trafficOn {
 		return fmt.Errorf("selfstab: no traffic attached — defenses guard the data plane")
 	}
-	cfg := defenseFromSnapshot(sc)
-	return n.traffic.SetDefense(traffic.Defense{
-		HeadTokens: cfg.HeadAdmission,
-		HeadRate:   cfg.HeadRate,
-		HeadBurst:  cfg.HeadBurst,
-		SourceCap:  cfg.SourceCap,
-	})
+	return n.traffic.SetDefense(cfg)
 }
 
 // TrafficDefense returns the currently installed traffic-plane defense
@@ -85,11 +60,7 @@ func (n *Network) TrafficDefense() DefenseConfig {
 	if n.traffic == nil {
 		return DefenseConfig{}
 	}
-	d := n.traffic.Defense()
-	return DefenseConfig{
-		HeadAdmission: d.HeadTokens, HeadRate: d.HeadRate,
-		HeadBurst: d.HeadBurst, SourceCap: d.SourceCap,
-	}
+	return n.traffic.Defense()
 }
 
 // SpawnFlows appends flows to the attached data plane without resetting
@@ -102,46 +73,29 @@ func (n *Network) SpawnFlows(flows ...Flow) error {
 	if len(flows) == 0 {
 		return fmt.Errorf("selfstab: no flows")
 	}
-	sc := snapshot.TrafficConfig{Flows: make([]snapshot.Flow, len(flows))}
-	for i, f := range flows {
-		sf, err := flowToSnapshot(f)
-		if err != nil {
-			return fmt.Errorf("selfstab: flow %d: %w", i, err)
-		}
-		sc.Flows[i] = sf
-	}
-	return n.applyOp(snapshot.Op{Kind: snapshot.OpSpawnFlows, Traffic: &sc})
+	return n.applyOp(snapshot.Op{Kind: snapshot.OpSpawnFlows, Traffic: &TrafficConfig{Flows: flows}})
 }
 
 // spawnFlowsImpl is the journaled implementation behind SpawnFlows.
 // Hotspot flows are journaled unexpanded and expanded here at apply
-// time, exactly like attachTrafficImpl, so replay reproduces the same
-// source picks.
-func (n *Network) spawnFlowsImpl(sc snapshot.TrafficConfig) error {
+// time, exactly like attachTrafficImpl — validated in full before the
+// master stream advances — so replay reproduces the same source picks.
+func (n *Network) spawnFlowsImpl(flows []Flow) error {
 	if !n.trafficOn {
 		return fmt.Errorf("selfstab: no traffic attached — spawn flows after AttachTraffic")
 	}
-	flows := make([]Flow, len(sc.Flows))
-	for i, sf := range sc.Flows {
-		f, err := flowFromSnapshot(sf)
-		if err != nil {
-			return err
-		}
-		flows[i] = f
+	specs, err := n.resolveFlows(flows)
+	if err == nil {
+		err = traffic.ValidateFlows(len(n.pts), specs)
 	}
-	specs, err := n.expandFlows(flows)
 	if err != nil {
 		return err
 	}
+	specs = n.expandFlows(flows, specs)
 	if err := n.traffic.AddFlows(specs); err != nil {
 		return err
 	}
-	for _, s := range specs {
-		n.flowIDs = append(n.flowIDs, flowEndpointIDs{src: n.ids[s.Src], dst: n.ids[s.Dst]})
-	}
-	if n.lastTraffic != nil {
-		n.lastTraffic.Flows = append(n.lastTraffic.Flows, flows...)
-	}
+	n.flowIDs = n.pinFlowIDs(n.flowIDs, specs)
 	return nil
 }
 
@@ -214,7 +168,7 @@ func (n *Network) InflateDensity(scale float64, ids ...int64) error {
 	if scale <= 0 {
 		return fmt.Errorf("selfstab: density scale %v <= 0", scale)
 	}
-	if err := n.applyOp(snapshot.Op{Kind: snapshot.OpScaleDensity, IDs: append([]int64(nil), ids...), Scale: scale}); err != nil {
+	if err := n.applyOp(snapshot.Op{Kind: snapshot.OpScaleDensity, IDs: ids, Scale: scale}); err != nil {
 		return err
 	}
 	if p := n.probe; p != nil {
@@ -228,19 +182,12 @@ func (n *Network) scaleDensityImpl(ids []int64, scale float64) error {
 	if scale <= 0 {
 		return fmt.Errorf("selfstab: density scale %v <= 0", scale)
 	}
-	idxs, err := n.resolveLive(ids)
-	if err != nil {
-		return err
-	}
-	for _, i := range idxs {
+	return n.applyToNodes(ids, notDead("is dead"), func(i int) error {
 		if err := n.engine.MarkAttack(i); err != nil {
 			return err
 		}
-		if err := n.engine.SetDensityScale(i, scale); err != nil {
-			return err
-		}
-	}
-	return nil
+		return n.engine.SetDensityScale(i, scale)
+	})
 }
 
 // ImplausibleNodes returns the identifiers of alive nodes whose
@@ -270,58 +217,7 @@ func (n *Network) ImplausibleNodes(factor float64) []int64 {
 // is measured by the same machinery as the attack. All ids are
 // validated before any node mutates.
 func (n *Network) EvictNodes(ids ...int64) error {
-	return n.applyOp(snapshot.Op{Kind: snapshot.OpEvictNodes, IDs: append([]int64(nil), ids...)})
-}
-
-// evictNodesImpl is the journaled implementation behind EvictNodes.
-func (n *Network) evictNodesImpl(ids []int64) error {
-	idxs, err := n.resolveLive(ids)
-	if err != nil {
-		return err
-	}
-	for _, i := range idxs {
-		wasSleeping := n.engine.Status(i) == runtime.StatusSleeping
-		if err := n.engine.Evict(i); err != nil {
-			return err
-		}
-		if wasSleeping {
-			n.grid.Reactivate(i) // an evicted sleeper restarts awake
-			n.topoEpoch++
-		}
-		if n.traffic != nil {
-			n.traffic.FlushNode(i) // the queue is part of the cleared state
-		}
-		if n.churn != nil && i < len(n.churn.sleepUntil) {
-			n.churn.sleepUntil[i] = 0
-		}
-	}
-	return nil
-}
-
-// resolveLive resolves identifiers to indices, rejecting unknown ids,
-// duplicates and dead nodes before any caller mutates — the journal
-// never records a half-applied attack op.
-func (n *Network) resolveLive(ids []int64) ([]int, error) {
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("selfstab: no node ids")
-	}
-	idxs := make([]int, len(ids))
-	seen := make(map[int64]bool, len(ids))
-	for k, id := range ids {
-		i, ok := n.IndexOf(id)
-		if !ok {
-			return nil, fmt.Errorf("selfstab: unknown node id %d", id)
-		}
-		if seen[id] {
-			return nil, fmt.Errorf("selfstab: duplicate node id %d in one call", id)
-		}
-		seen[id] = true
-		if n.engine.Status(i) == runtime.StatusDead {
-			return nil, fmt.Errorf("selfstab: node %d is dead", id)
-		}
-		idxs[k] = i
-	}
-	return idxs, nil
+	return n.applyOp(snapshot.Op{Kind: snapshot.OpEvictNodes, IDs: ids})
 }
 
 // SybilJoin floods the neighborhood of the target node with count sybil
@@ -351,13 +247,12 @@ func (n *Network) SybilJoin(targetID int64, count int, spread float64) ([]int64,
 	// mid-attack must produce the same placements for the same call on
 	// both the original and the restored world.
 	pts := make([]Point, count)
-	for k := 0; k < count; k++ {
+	for k := range pts {
 		a := 2 * math.Pi * float64(k) / float64(count)
-		p := n.region.Clamp(geom.Point{
+		pts[k] = n.region.Clamp(Point{
 			X: center.X + spread*math.Cos(a),
 			Y: center.Y + spread*math.Sin(a),
 		})
-		pts[k] = Point{X: p.X, Y: p.Y}
 	}
 	ids, err := n.AddNodes(pts)
 	if err != nil {

@@ -1,9 +1,9 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation, plus the ablations DESIGN.md calls out. Each benchmark runs
-// the corresponding experiment driver at a tractable scale, reports the
-// headline quantity via b.ReportMetric, and logs the paper-shaped table
-// once (go test -bench=. -v shows it; EXPERIMENTS.md records the
-// paper-vs-measured comparison at full scale).
+// evaluation, plus the ablations (internal/experiment/ablation.go). Each
+// benchmark runs the corresponding experiment driver at a tractable
+// scale, reports the headline quantity via b.ReportMetric, and logs the
+// paper-shaped table once (go test -bench=. -v shows it; EXPERIMENTS.md
+// records the paper-vs-measured comparison at full scale).
 package selfstab_test
 
 import (

@@ -9,96 +9,51 @@ import (
 	"selfstab/internal/snapshot"
 )
 
-// NodeStatus is a node's lifecycle state under churn.
-type NodeStatus int
+// NodeStatus is a node's lifecycle state under churn. It is
+// runtime.NodeStatus.
+type NodeStatus = runtime.NodeStatus
 
 const (
 	// NodeAlive is a normally operating node.
-	NodeAlive NodeStatus = iota
+	NodeAlive = runtime.StatusAlive
 	// NodeSleeping is a duty-cycled node: radio off, protocol state and
 	// queued packets frozen until it wakes.
-	NodeSleeping
+	NodeSleeping = runtime.StatusSleeping
 	// NodeDead is a permanently departed (or never-recovered crashed)
 	// node. Its index slot survives so Positions/State stay aligned, but
 	// it takes no further part in the simulation.
-	NodeDead
+	NodeDead = runtime.StatusDead
 )
 
-// String implements fmt.Stringer.
-func (s NodeStatus) String() string {
-	switch s {
-	case NodeAlive:
-		return "alive"
-	case NodeSleeping:
-		return "sleeping"
-	case NodeDead:
-		return "dead"
-	}
-	return fmt.Sprintf("NodeStatus(%d)", int(s))
-}
-
-func statusOf(s runtime.NodeStatus) NodeStatus {
-	switch s {
-	case runtime.StatusSleeping:
-		return NodeSleeping
-	case runtime.StatusDead:
-		return NodeDead
-	}
-	return NodeAlive
-}
-
 // ChurnKind is a bitmask naming the disruption kinds folded into one
-// convergence-ledger episode.
-type ChurnKind uint8
+// convergence-ledger episode. It is runtime.ChurnKind.
+type ChurnKind = runtime.ChurnKind
 
 const (
 	// ChurnJoin is a node arrival (AddNodes).
-	ChurnJoin = ChurnKind(runtime.ChurnJoin)
+	ChurnJoin = runtime.ChurnJoin
 	// ChurnLeave is a permanent departure (RemoveNodes).
-	ChurnLeave = ChurnKind(runtime.ChurnLeave)
+	ChurnLeave = runtime.ChurnLeave
 	// ChurnCrash is a state-losing reboot (CrashNodes).
-	ChurnCrash = ChurnKind(runtime.ChurnCrash)
+	ChurnCrash = runtime.ChurnCrash
 	// ChurnSleep is a duty-cycle power-down (SleepNodes).
-	ChurnSleep = ChurnKind(runtime.ChurnSleep)
+	ChurnSleep = runtime.ChurnSleep
 	// ChurnWake is a duty-cycle power-up (WakeNodes).
-	ChurnWake = ChurnKind(runtime.ChurnWake)
+	ChurnWake = runtime.ChurnWake
 	// ChurnFault is transient state corruption (InjectFaults).
-	ChurnFault = ChurnKind(runtime.ChurnFault)
+	ChurnFault = runtime.ChurnFault
 	// ChurnAttack is an adversarial disruption: byzantine density
 	// inflation (InflateDensity) or its plausibility eviction
 	// (EvictNodes). Attack episodes land in the same convergence ledger
 	// as organic churn, so steps-to-restabilize after an attack is
 	// measured by the exact machinery the paper's claim is scored with.
-	ChurnAttack = ChurnKind(runtime.ChurnAttack)
+	ChurnAttack = runtime.ChurnAttack
 )
 
-// String renders the set, e.g. "join|crash".
-func (k ChurnKind) String() string { return runtime.ChurnKind(k).String() }
-
 // DisruptionRecord is one closed episode of the convergence ledger: a
-// burst of disruptions followed by the network re-stabilizing. It is the
-// paper's self-stabilization claim made measurable per disruption —
-// how long convergence took and how far it spread.
-type DisruptionRecord struct {
-	// Step is the completed-step count at which the episode opened.
-	Step int
-	// Kinds is the set of disruption kinds folded into the episode.
-	Kinds ChurnKind
-	// Ops counts the individual disruptions in the episode.
-	Ops int
-	// StepsToStabilize is the number of steps from the episode opening to
-	// the last step that changed any shared protocol variable.
-	StepsToStabilize int
-	// AffectedNodes counts nodes whose shared state changed during the
-	// episode.
-	AffectedNodes int
-	// AffectedRadius is the maximum hop distance from the disruption
-	// sites to any affected node, measured on the topology at close time
-	// — the paper's locality claim in hops. For departures and sleeps the
-	// sites are the vanished node's former neighbors. -1 when no affected
-	// node is reachable from a site (including "nothing changed").
-	AffectedRadius int
-}
+// burst of disruptions followed by the network re-stabilizing — how long
+// convergence took and how far it spread. It is runtime.DisruptionRecord.
+type DisruptionRecord = runtime.DisruptionRecord
 
 // ConvergenceStats is the convergence ledger: every closed disruption
 // episode plus aggregates. For a fixed seed it is bit-identical at any
@@ -126,22 +81,14 @@ type ConvergenceStats struct {
 // churn calls (AddNodes, RemoveNodes, CrashNodes, SleepNodes, WakeNodes)
 // and InjectFaults.
 func (n *Network) ConvergenceStats() ConvergenceStats {
-	recs := n.engine.DisruptionRecords()
+	recs := n.engine.DisruptionRecords() // a copy: the ledger stays the engine's
 	out := ConvergenceStats{
-		Disruptions:       make([]DisruptionRecord, len(recs)),
+		Disruptions:       recs,
 		Open:              n.engine.DisruptionOpen(),
 		MaxAffectedRadius: -1,
 	}
 	var steps, affected, radius, radiusN int
-	for i, r := range recs {
-		out.Disruptions[i] = DisruptionRecord{
-			Step:             r.Step,
-			Kinds:            ChurnKind(r.Kinds),
-			Ops:              r.Ops,
-			StepsToStabilize: r.StepsToStabilize,
-			AffectedNodes:    r.AffectedNodes,
-			AffectedRadius:   r.AffectedRadius,
-		}
+	for _, r := range recs {
 		steps += r.StepsToStabilize
 		affected += r.AffectedNodes
 		if r.StepsToStabilize > out.MaxStepsToStabilize {
@@ -183,7 +130,7 @@ func (n *Network) AddNodes(positions []Point) ([]int64, error) {
 	// Identifiers are sequential from nextID, so the journal only needs the
 	// positions — replay hands out the same ids.
 	first := n.nextID
-	if err := n.applyOp(snapshot.Op{Kind: snapshot.OpAddNodes, Points: toSnapshotPoints(positions)}); err != nil {
+	if err := n.applyOp(snapshot.Op{Kind: snapshot.OpAddNodes, Points: positions}); err != nil {
 		return nil, err
 	}
 	ids := make([]int64, len(positions))
@@ -196,14 +143,12 @@ func (n *Network) AddNodes(positions []Point) ([]int64, error) {
 // addNodesImpl is the journaled implementation behind AddNodes. All
 // positions are validated before any node is added, so a failed call
 // mutates nothing.
-func (n *Network) addNodesImpl(points []snapshot.Point) error {
-	if len(points) == 0 {
+func (n *Network) addNodesImpl(pts []Point) error {
+	if len(pts) == 0 {
 		return fmt.Errorf("selfstab: no positions")
 	}
-	pts := make([]geom.Point, len(points))
-	for i, p := range points {
-		pts[i] = geom.Point{X: p.X, Y: p.Y}
-		if !n.region.Contains(pts[i]) {
+	for i, p := range pts {
+		if !n.region.Contains(p) {
 			return fmt.Errorf("selfstab: position %d (%v, %v) outside the region", i, p.X, p.Y)
 		}
 	}
@@ -247,7 +192,7 @@ func (n *Network) addNodeAt(p geom.Point) (int64, error) {
 // stable, but the nodes never return — model a temporary outage with
 // SleepNodes/WakeNodes or a reboot with CrashNodes instead.
 func (n *Network) RemoveNodes(ids ...int64) error {
-	return n.applyOp(snapshot.Op{Kind: snapshot.OpRemoveNodes, IDs: append([]int64(nil), ids...)})
+	return n.applyOp(snapshot.Op{Kind: snapshot.OpRemoveNodes, IDs: ids})
 }
 
 // CrashNodes power-cycles the given nodes: all protocol state, the
@@ -255,7 +200,7 @@ func (n *Network) RemoveNodes(ids ...int64) error {
 // cold at its current position (a sleeping node reboots awake). The
 // protocol re-integrates it exactly like a fresh arrival.
 func (n *Network) CrashNodes(ids ...int64) error {
-	return n.applyOp(snapshot.Op{Kind: snapshot.OpCrashNodes, IDs: append([]int64(nil), ids...)})
+	return n.applyOp(snapshot.Op{Kind: snapshot.OpCrashNodes, IDs: ids})
 }
 
 // SleepNodes duty-cycles the given nodes off: radio silent, protocol
@@ -263,14 +208,14 @@ func (n *Network) CrashNodes(ids ...int64) error {
 // (configure WithCacheTTL — without eviction a sleeping neighbor lingers
 // in caches forever). Nodes slept by this call stay down until WakeNodes.
 func (n *Network) SleepNodes(ids ...int64) error {
-	return n.applyOp(snapshot.Op{Kind: snapshot.OpSleepNodes, IDs: append([]int64(nil), ids...)})
+	return n.applyOp(snapshot.Op{Kind: snapshot.OpSleepNodes, IDs: ids})
 }
 
 // WakeNodes brings sleeping nodes back at their current positions with
 // their frozen — possibly stale — state; self-stabilization repairs the
 // staleness over the following steps.
 func (n *Network) WakeNodes(ids ...int64) error {
-	return n.applyOp(snapshot.Op{Kind: snapshot.OpWakeNodes, IDs: append([]int64(nil), ids...)})
+	return n.applyOp(snapshot.Op{Kind: snapshot.OpWakeNodes, IDs: ids})
 }
 
 func (n *Network) removeNodeIdx(i int) error {
@@ -288,17 +233,26 @@ func (n *Network) removeNodeIdx(i int) error {
 	return nil
 }
 
-func (n *Network) crashNodeIdx(i int) error {
+func (n *Network) crashNodeIdx(i int) error { return n.restartNodeIdx(i, n.engine.Reboot) }
+
+// evictNodeIdx is the journaled implementation behind EvictNodes.
+func (n *Network) evictNodeIdx(i int) error { return n.restartNodeIdx(i, n.engine.Evict) }
+
+// restartNodeIdx restarts node i cold through one of the engine's two
+// state-clearing transitions (Reboot, Evict) and does what both imply
+// outside the engine: a restarted sleeper comes back awake, its queue is
+// part of the lost state, and any scheduled wake is void.
+func (n *Network) restartNodeIdx(i int, restart func(i int) error) error {
 	wasSleeping := n.engine.Status(i) == runtime.StatusSleeping
-	if err := n.engine.Reboot(i); err != nil {
+	if err := restart(i); err != nil {
 		return err
 	}
 	if wasSleeping {
-		n.grid.Reactivate(i) // a crashed sleeper reboots awake
+		n.grid.Reactivate(i)
 		n.topoEpoch++
 	}
 	if n.traffic != nil {
-		n.traffic.FlushNode(i) // the queue is part of the lost state
+		n.traffic.FlushNode(i)
 	}
 	if n.churn != nil && i < len(n.churn.sleepUntil) {
 		n.churn.sleepUntil[i] = 0
@@ -323,7 +277,7 @@ func (n *Network) sleepNodeIdx(i int, until int) error {
 
 func (n *Network) wakeNodeIdx(i int) error {
 	if n.engine.Status(i) != runtime.StatusSleeping {
-		return fmt.Errorf("selfstab: node %d is %s, cannot wake", i, statusOf(n.engine.Status(i)))
+		return fmt.Errorf("selfstab: node %d is %s, cannot wake", i, n.engine.Status(i))
 	}
 	n.grid.Reactivate(i) // before Wake: the join sites include current neighbors
 	if err := n.engine.Wake(i); err != nil {
@@ -336,53 +290,31 @@ func (n *Network) wakeNodeIdx(i int) error {
 	return nil
 }
 
-// ChurnConfig parameterizes the seeded churn schedule AttachChurn drives
-// as a pre-step phase: every step it draws Poisson-distributed counts of
-// arrivals, departures, crashes and sleeps, applies them to uniformly
-// chosen victims, and wakes nodes whose sleep duration expired. All
-// randomness comes from a dedicated stream of the network's seed, so a
-// fixed seed reproduces the same churn — and the same ConvergenceStats
-// and TrafficStats — at any parallelism.
-type ChurnConfig struct {
-	// ArrivalRate is the mean number of new nodes per step, placed
-	// uniformly in the deployment region.
-	ArrivalRate float64
-	// DepartureRate is the mean number of permanent departures per step.
-	DepartureRate float64
-	// CrashRate is the mean number of state-losing reboots per step.
-	CrashRate float64
-	// SleepRate is the mean number of nodes duty-cycled off per step.
-	SleepRate float64
-	// SleepSteps is how many steps a scheduled sleep lasts. Default 10.
-	SleepSteps int
-	// MinAlive pauses departures, crashes and sleeps while the alive
-	// population is at or below this floor. Default 2.
-	MinAlive int
-}
+// ChurnConfig parameterizes the seeded churn schedule AttachChurn
+// drives. It is snapshot.ChurnConfig, the record the journal stores.
+type ChurnConfig = snapshot.ChurnConfig
 
-func (c *ChurnConfig) fillDefaults() {
+// resolveChurn fills the config's defaults and validates it.
+func resolveChurn(c ChurnConfig) (ChurnConfig, error) {
 	if c.SleepSteps == 0 {
 		c.SleepSteps = 10
 	}
 	if c.MinAlive == 0 {
 		c.MinAlive = 2
 	}
-}
-
-func (c *ChurnConfig) validate() error {
 	if c.ArrivalRate < 0 || c.DepartureRate < 0 || c.CrashRate < 0 || c.SleepRate < 0 {
-		return fmt.Errorf("selfstab: negative churn rate: %+v", *c)
+		return c, fmt.Errorf("selfstab: negative churn rate: %+v", c)
 	}
 	if c.ArrivalRate == 0 && c.DepartureRate == 0 && c.CrashRate == 0 && c.SleepRate == 0 {
-		return fmt.Errorf("selfstab: churn config with all rates zero")
+		return c, fmt.Errorf("selfstab: churn config with all rates zero")
 	}
 	if c.SleepSteps < 1 {
-		return fmt.Errorf("selfstab: sleep duration %d < 1", c.SleepSteps)
+		return c, fmt.Errorf("selfstab: sleep duration %d < 1", c.SleepSteps)
 	}
 	if c.MinAlive < 1 {
-		return fmt.Errorf("selfstab: MinAlive %d < 1", c.MinAlive)
+		return c, fmt.Errorf("selfstab: MinAlive %d < 1", c.MinAlive)
 	}
-	return nil
+	return c, nil
 }
 
 // churnState is the attached schedule: config, dedicated rng stream, and
@@ -418,20 +350,18 @@ func (c *churnState) compactSleepers(remap []int32) {
 // radius. Attaching replaces any previously attached schedule; the
 // ledger persists across attaches.
 func (n *Network) AttachChurn(cfg ChurnConfig) error {
-	sc := churnToSnapshot(cfg)
-	return n.applyOp(snapshot.Op{Kind: snapshot.OpAttachChurn, Churn: &sc})
+	return n.applyOp(snapshot.Op{Kind: snapshot.OpAttachChurn, Churn: &cfg})
 }
 
 // attachChurnImpl is the journaled implementation behind AttachChurn. The
 // journal records the config as given; defaults are refilled here, so a
 // replayed attach resolves identically.
-func (n *Network) attachChurnImpl(sc snapshot.ChurnConfig) error {
-	cfg := churnFromSnapshot(sc)
-	cfg.fillDefaults()
-	if err := cfg.validate(); err != nil {
+func (n *Network) attachChurnImpl(cfg ChurnConfig) error {
+	cfg, err := resolveChurn(cfg)
+	if err != nil {
 		return err
 	}
-	if n.cfg.cacheTTL == 0 {
+	if n.cfg.CacheTTL == 0 {
 		return fmt.Errorf("selfstab: churn requires cache eviction — construct the network with WithCacheTTL")
 	}
 	if n.churn == nil {

@@ -90,7 +90,7 @@ func TestChurnRestabilizesToOracle(t *testing.T) {
 	net := churnNet(t, 120, 31)
 	ids := net.IDs()
 
-	newIDs, err := net.AddNodes([]Point{{0.5, 0.5}, {0.52, 0.5}, {0.9, 0.1}})
+	newIDs, err := net.AddNodes([]Point{{X: 0.5, Y: 0.5}, {X: 0.52, Y: 0.5}, {X: 0.9, Y: 0.1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestChurnAPIValidation(t *testing.T) {
 	if _, err := net.AddNodes(nil); err == nil {
 		t.Error("empty AddNodes accepted")
 	}
-	if _, err := net.AddNodes([]Point{{2, 2}}); err == nil {
+	if _, err := net.AddNodes([]Point{{X: 2, Y: 2}}); err == nil {
 		t.Error("out-of-region position accepted")
 	}
 	if err := net.RemoveNodes(); err == nil {

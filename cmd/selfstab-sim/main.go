@@ -1,6 +1,6 @@
 // Command selfstab-sim regenerates the paper's evaluation tables and the
-// ablation studies from DESIGN.md, and drives the packet-level traffic
-// and node-churn subsystems.
+// ablation studies (internal/experiment), and drives the packet-level
+// traffic and node-churn subsystems.
 //
 // Usage:
 //

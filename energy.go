@@ -9,47 +9,9 @@ import (
 	"selfstab/internal/snapshot"
 )
 
-// EnergyConfig parameterizes the battery model attached to a Network.
-//
-// The five costs form one schedule: leave them ALL zero to use the
-// reference schedule shared with the offline energy experiment
-// (internal/energy.DefaultCosts — the per-field values noted below), or
-// set any of them to specify the schedule yourself, in which case the
-// fields you leave zero really cost zero (an explicit free term, e.g.
-// RxCost 0 for a receive-free radio model, stays expressible).
-type EnergyConfig struct {
-	// Capacity is every node's initial battery in energy units. Default 1.
-	Capacity float64
-
-	// IdleHeadCost is the per-step drain of serving as a cluster-head
-	// (beaconing, aggregation, staying receive-ready for the cluster).
-	// Reference schedule: 0.002.
-	IdleHeadCost float64
-	// IdleMemberCost is the per-step drain of an ordinary awake node.
-	// Reference schedule: 0.0002.
-	IdleMemberCost float64
-	// SleepCost is the per-step drain while duty-cycled off — what
-	// SleepNodes and the churn schedule's duty-cycling actually save.
-	// Reference schedule: 0.00002.
-	SleepCost float64
-	// TxCost is the drain per transmitted data packet (one forwarding
-	// event of the attached traffic plane). Reference schedule: 0.0005.
-	TxCost float64
-	// RxCost is the drain per received data packet. Reference schedule:
-	// 0.0002.
-	RxCost float64
-
-	// Rotation enables energy-aware head rotation: each node's shared
-	// density is scaled by its quantized remaining-energy fraction, so a
-	// draining head loses the ≺ election online and the burden rotates —
-	// the paper's Section 6 future work running live.
-	Rotation bool
-	// RotationLevels quantizes the rotation scale: re-elections trigger
-	// only when a battery crosses a 1/RotationLevels capacity boundary,
-	// so the clustering is perturbed at level crossings, not every step.
-	// Default 8.
-	RotationLevels int
-}
+// EnergyConfig parameterizes the battery model attached to a Network. It
+// is snapshot.EnergyConfig, the record the journal stores.
+type EnergyConfig = snapshot.EnergyConfig
 
 // AttachEnergy installs a per-node battery model that runs as a post-step
 // phase of every subsequent Δ(τ) step (Step, Run and Stabilize all drive
@@ -71,27 +33,13 @@ type EnergyConfig struct {
 // Attaching replaces any previously attached model and resets its
 // statistics; batteries restart full.
 func (n *Network) AttachEnergy(cfg EnergyConfig) error {
-	sc := energyToSnapshot(cfg)
-	return n.applyOp(snapshot.Op{Kind: snapshot.OpAttachEnergy, Energy: &sc})
+	return n.applyOp(snapshot.Op{Kind: snapshot.OpAttachEnergy, Energy: &cfg})
 }
 
 // attachEnergyImpl is the journaled implementation behind AttachEnergy.
-func (n *Network) attachEnergyImpl(sc snapshot.EnergyConfig) error {
-	cfg := energyFromSnapshot(sc)
-	if n.cfg.cacheTTL == 0 {
+func (n *Network) attachEnergyImpl(cfg EnergyConfig) error {
+	if n.cfg.CacheTTL == 0 {
 		return fmt.Errorf("selfstab: energy requires cache eviction — construct the network with WithCacheTTL")
-	}
-	ec := energy.Config{
-		Capacity: cfg.Capacity,
-		Costs: energy.Costs{
-			IdleHead:   cfg.IdleHeadCost,
-			IdleMember: cfg.IdleMemberCost,
-			Sleep:      cfg.SleepCost,
-			Tx:         cfg.TxCost,
-			Rx:         cfg.RxCost,
-		},
-		Rotation: cfg.Rotation,
-		Levels:   cfg.RotationLevels,
 	}
 	hooks := energy.Hooks{
 		Alive: func(i int) bool {
@@ -122,7 +70,7 @@ func (n *Network) attachEnergyImpl(sc snapshot.EnergyConfig) error {
 			return n.engine.SetDensityScale(i, s)
 		},
 	}
-	eng, err := energy.New(len(n.pts), ec, hooks)
+	eng, err := energy.New(len(n.pts), cfg, hooks)
 	if err != nil {
 		return err
 	}
@@ -197,47 +145,10 @@ func (n *Network) installStepPhases() {
 	n.engine.SetPostStep(nil)
 }
 
-// EnergyStats is the battery ledger of the attached energy model. The
-// drain identity DrainHead + DrainMember + DrainSleep + DrainTx + DrainRx
-// == TotalDrain holds at every step boundary. For a fixed seed it is
-// bit-identical at any parallelism (pinned by TestEnergyDeterminism).
-type EnergyStats struct {
-	// Steps is how many steps the battery model itself has run.
-	Steps int
-
-	// FirstDeathStep is the completed-step count at which the first
-	// battery depleted — the network-lifetime metric. -1 while every
-	// battery is above zero.
-	FirstDeathStep int
-	// Depletions counts batteries that crossed zero; each one was killed
-	// through the churn machinery and has a matching disruption episode.
-	Depletions int
-
-	// Per-cause drain breakdown in energy units, summed over all nodes.
-	DrainHead   float64
-	DrainMember float64
-	DrainSleep  float64
-	DrainTx     float64
-	DrainRx     float64
-	TotalDrain  float64
-
-	// Role exposure in node-steps; HeadShare is HeadSteps over the awake
-	// total — the burden concentration rotation spreads.
-	HeadSteps   int64
-	MemberSteps int64
-	SleepSteps  int64
-	HeadShare   float64
-
-	// Remaining-energy summary over the operating population, as
-	// fractions of capacity, plus the alive-energy decile histogram
-	// (Histogram[k]: fractions in [k/10, (k+1)/10), full clamps to 9).
-	MeanRemaining float64
-	MinRemaining  float64
-	Histogram     [10]int64
-
-	// Rotation reports whether energy-aware head rotation was active.
-	Rotation bool
-}
+// EnergyStats is the battery ledger of the attached energy model; for a
+// fixed seed it is bit-identical at any parallelism (pinned by
+// TestEnergyDeterminism). It is energy.Stats.
+type EnergyStats = energy.Stats
 
 // EnergyStats snapshots the attached battery model's ledger. It fails if
 // AttachEnergy was never called.
@@ -245,26 +156,7 @@ func (n *Network) EnergyStats() (EnergyStats, error) {
 	if n.energy == nil {
 		return EnergyStats{}, fmt.Errorf("selfstab: no energy model attached")
 	}
-	s := n.energy.Stats()
-	return EnergyStats{
-		Steps:          s.Steps,
-		FirstDeathStep: s.FirstDeathStep,
-		Depletions:     s.Depletions,
-		DrainHead:      s.DrainHead,
-		DrainMember:    s.DrainMember,
-		DrainSleep:     s.DrainSleep,
-		DrainTx:        s.DrainTx,
-		DrainRx:        s.DrainRx,
-		TotalDrain:     s.TotalDrain,
-		HeadSteps:      s.HeadSteps,
-		MemberSteps:    s.MemberSteps,
-		SleepSteps:     s.SleepSteps,
-		HeadShare:      s.HeadShare,
-		MeanRemaining:  s.MeanRemaining,
-		MinRemaining:   s.MinRemaining,
-		Histogram:      s.Histogram,
-		Rotation:       s.Rotation,
-	}, nil
+	return n.energy.Stats(), nil
 }
 
 // EnergyRemaining returns each node's remaining battery as a fraction of

@@ -329,7 +329,7 @@ func TestEnergyArrivalsGetFullBatteries(t *testing.T) {
 	if err := net.Run(10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.AddNodes([]Point{{0.5, 0.5}}); err != nil {
+	if _, err := net.AddNodes([]Point{{X: 0.5, Y: 0.5}}); err != nil {
 		t.Fatal(err)
 	}
 	rem, err := net.EnergyRemaining()

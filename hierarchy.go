@@ -35,7 +35,7 @@ func (n *Network) BuildHierarchy(maxLevels int) ([]HierarchyLevel, error) {
 		return nil, fmt.Errorf("selfstab: need at least one level, got %d", maxLevels)
 	}
 	order := cluster.OrderBasic
-	if n.cfg.sticky {
+	if n.cfg.Sticky {
 		order = cluster.OrderSticky
 	}
 	g, ids := n.g, n.ids
@@ -91,7 +91,7 @@ func (n *Network) BuildHierarchy(maxLevels int) ([]HierarchyLevel, error) {
 	h, err := hierarchy.Build(g, ids, hierarchy.Options{
 		MaxLevels:   maxLevels,
 		Order:       order,
-		Fusion:      n.cfg.fusion,
+		Fusion:      n.cfg.Fusion,
 		Level0Scale: scales,
 	})
 	if err != nil {

@@ -28,7 +28,7 @@ import (
 //     (Chains of fusion-demoted heads relay through a neighbor of the
 //     adopted head, so 6 and 7 are deliberately not required — the merged
 //     cluster's identity is adopted directly, not learned along the parent
-//     chain; see DESIGN.md.)
+//     chain.)
 func CheckInvariants(g *topology.Graph, a *Assignment, fusion bool) error {
 	n := g.N()
 	if len(a.Parent) != n || len(a.Head) != n {

@@ -18,7 +18,7 @@ const (
 	// cluster-head beats a non-head, and only then does the smaller
 	// identifier win. (The paper's clause list leaves two incumbent heads
 	// with equal density incomparable; we fall back to the identifier there
-	// so ≺ stays total — see DESIGN.md.)
+	// so ≺ stays total.)
 	OrderSticky
 )
 

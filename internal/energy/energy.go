@@ -27,99 +27,62 @@ import (
 	"sync"
 
 	"selfstab/internal/obs"
+	"selfstab/internal/snapshot"
 )
 
-// Costs is the per-step drain schedule, shared by the live subsystem and
-// the offline epoch-level experiment (internal/experiment) so the two
-// cannot drift. All costs are in battery units (a full default battery
-// holds 1.0).
-type Costs struct {
-	// IdleHead is the per-step cost of operating as a cluster-head:
-	// beaconing for the cluster, aggregating member state, staying
-	// receive-ready for the whole cluster.
-	IdleHead float64
-	// IdleMember is the per-step cost of an ordinary awake node.
-	IdleMember float64
-	// Sleep is the per-step cost of a duty-cycled node (radio off); it is
-	// what SleepNodes-style scheduling actually saves.
-	Sleep float64
-	// Tx is the cost per transmitted data packet (one forwarding event in
-	// the traffic plane).
-	Tx float64
-	// Rx is the cost per received data packet.
-	Rx float64
-}
+// Config is the journal's record (internal/snapshot documents every
+// field): the engine takes it as the caller gave it.
+type Config = snapshot.EnergyConfig
 
-// DefaultCosts is the reference schedule: heads idle 10x hotter than
-// members (they carry the cluster's control burden), sleep is 10x cheaper
-// than member idle, and moving one packet costs more at the transmitter
-// than at the receiver — the usual WSN radio asymmetry.
-func DefaultCosts() Costs {
-	return Costs{
-		IdleHead:   0.002,
-		IdleMember: 0.0002,
-		Sleep:      0.00002,
-		Tx:         0.0005,
-		Rx:         0.0002,
-	}
-}
+// The reference drain schedule, shared by the live subsystem and the
+// offline epoch-level experiment (internal/experiment) so the two cannot
+// drift: heads idle 10x hotter than members (they carry the cluster's
+// control burden), sleep is 10x cheaper than member idle, and moving one
+// packet costs more at the transmitter than at the receiver — the usual
+// WSN radio asymmetry. All costs are in battery units (a full default
+// battery holds 1.0).
+const (
+	DefaultIdleHeadCost   = 0.002
+	DefaultIdleMemberCost = 0.0002
+	DefaultSleepCost      = 0.00002
+	DefaultTxCost         = 0.0005
+	DefaultRxCost         = 0.0002
+)
 
 // EpochSteps maps one epoch of the offline re-clustering experiment
 // (internal/experiment.Energy) onto this many Δ(τ) steps, so its per-epoch
-// role costs derive from the same Costs schedule the live subsystem
-// charges per step.
+// role costs derive from the same schedule the live subsystem charges per
+// step.
 const EpochSteps = 10
 
-// validate rejects negative costs (zero is legal: it disables that term).
-func (c Costs) validate() error {
-	if c.IdleHead < 0 || c.IdleMember < 0 || c.Sleep < 0 || c.Tx < 0 || c.Rx < 0 {
-		return fmt.Errorf("energy: negative cost in %+v", c)
-	}
-	return nil
-}
-
-// Config parameterizes the battery model.
-type Config struct {
-	// Capacity is every node's initial battery in energy units. Default 1.
-	Capacity float64
-	// Costs is the drain schedule, taken as a whole: an all-zero value
-	// takes DefaultCosts; any non-zero field means the caller specified
-	// the schedule and the remaining zero fields genuinely cost zero.
-	Costs Costs
-	// Rotation enables energy-aware head rotation: the node's shared
-	// density is scaled by its quantized remaining-energy fraction (via
-	// Hooks.Scale), so draining heads lose elections online.
-	Rotation bool
-	// Levels is the quantization of the rotation scale: the battery
-	// fraction is rounded up to a multiple of 1/Levels, so the shared
-	// density only changes — and the clustering only re-elects — when a
-	// battery crosses a level boundary, not every step. Must be in
-	// [2, 1024] (finer makes every step a re-election trigger, defeating
-	// the quantization). Default 8.
-	Levels int
-}
-
-func (c *Config) fillDefaults() {
+// fillDefaults takes the cost schedule as a whole: all five zero means
+// the reference schedule; any non-zero field means the caller specified
+// the schedule and the remaining zero fields genuinely cost zero.
+func fillDefaults(c *Config) {
 	if c.Capacity == 0 {
 		c.Capacity = 1
 	}
-	if c.Costs == (Costs{}) {
-		c.Costs = DefaultCosts()
+	if c.IdleHeadCost == 0 && c.IdleMemberCost == 0 && c.SleepCost == 0 && c.TxCost == 0 && c.RxCost == 0 {
+		c.IdleHeadCost, c.IdleMemberCost, c.SleepCost = DefaultIdleHeadCost, DefaultIdleMemberCost, DefaultSleepCost
+		c.TxCost, c.RxCost = DefaultTxCost, DefaultRxCost
 	}
-	if c.Levels == 0 {
-		c.Levels = 8
+	if c.RotationLevels == 0 {
+		c.RotationLevels = 8
 	}
 }
 
-func (c *Config) validate() error {
+// validate rejects a non-positive capacity, negative costs (zero is
+// legal: it disables that term) and a rotation quantization outside
+// [2, maxLevels].
+func validate(c *Config) error {
 	if c.Capacity <= 0 {
 		return fmt.Errorf("energy: capacity %v must be positive", c.Capacity)
 	}
-	if err := c.Costs.validate(); err != nil {
-		return err
+	if c.IdleHeadCost < 0 || c.IdleMemberCost < 0 || c.SleepCost < 0 || c.TxCost < 0 || c.RxCost < 0 {
+		return fmt.Errorf("energy: negative cost in %+v", *c)
 	}
-	if c.Rotation && (c.Levels < 2 || c.Levels > maxLevels) {
-		return fmt.Errorf("energy: rotation levels %d outside [2, %d]", c.Levels, maxLevels)
+	if c.Rotation && (c.RotationLevels < 2 || c.RotationLevels > maxLevels) {
+		return fmt.Errorf("energy: rotation levels %d outside [2, %d]", c.RotationLevels, maxLevels)
 	}
 	return nil
 }
@@ -217,8 +180,8 @@ func New(n int, cfg Config, hooks Hooks) (*Engine, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("energy: %d nodes", n)
 	}
-	cfg.fillDefaults()
-	if err := cfg.validate(); err != nil {
+	fillDefaults(&cfg)
+	if err := validate(&cfg); err != nil {
 		return nil, err
 	}
 	if hooks.Alive == nil || hooks.Sleeping == nil || hooks.IsHead == nil {
@@ -240,7 +203,7 @@ func New(n int, cfg Config, hooks Hooks) (*Engine, error) {
 	}
 	for i := range e.battery {
 		e.battery[i] = cfg.Capacity
-		e.level[i] = int16(cfg.Levels)
+		e.level[i] = int16(cfg.RotationLevels)
 		// Baseline the traffic counters at attach time: the data plane may
 		// have been running for many steps already, and history before the
 		// batteries existed must not be charged as one giant first-step
@@ -278,7 +241,7 @@ func (e *Engine) Step(step int) error {
 		}
 		return err
 	}
-	c := &e.cfg.Costs
+	c := &e.cfg
 	for i := 0; i < e.n; i++ {
 		if e.depleted[i] {
 			continue
@@ -290,23 +253,23 @@ func (e *Engine) Step(step int) error {
 		}
 		var drain float64
 		if sleeping {
-			drain = c.Sleep
-			e.acc.drainSleep += c.Sleep
+			drain = c.SleepCost
+			e.acc.drainSleep += c.SleepCost
 			e.acc.sleepSteps++
 		} else {
 			if e.hooks.IsHead(i) {
-				drain = c.IdleHead
-				e.acc.drainHead += c.IdleHead
+				drain = c.IdleHeadCost
+				e.acc.drainHead += c.IdleHeadCost
 				e.acc.headSteps++
 			} else {
-				drain = c.IdleMember
-				e.acc.drainMember += c.IdleMember
+				drain = c.IdleMemberCost
+				e.acc.drainMember += c.IdleMemberCost
 				e.acc.memberSteps++
 			}
 			if e.hooks.Tx != nil {
 				tx := e.hooks.Tx(i)
 				if d := tx - e.lastTx[i]; d > 0 {
-					cost := float64(d) * c.Tx
+					cost := float64(d) * c.TxCost
 					drain += cost
 					e.acc.drainTx += cost
 				}
@@ -315,7 +278,7 @@ func (e *Engine) Step(step int) error {
 			if e.hooks.Rx != nil {
 				rx := e.hooks.Rx(i)
 				if d := rx - e.lastRx[i]; d > 0 {
-					cost := float64(d) * c.Rx
+					cost := float64(d) * c.RxCost
 					drain += cost
 					e.acc.drainRx += cost
 				}
@@ -341,7 +304,7 @@ func (e *Engine) Step(step int) error {
 		if e.cfg.Rotation {
 			if lvl := e.quantize(b); lvl != e.level[i] {
 				e.level[i] = lvl
-				if err := e.hooks.Scale(i, float64(lvl)/float64(e.cfg.Levels)); err != nil {
+				if err := e.hooks.Scale(i, float64(lvl)/float64(e.cfg.RotationLevels)); err != nil {
 					return scaleErr(i, err)
 				}
 			}
@@ -433,30 +396,30 @@ func (e *Engine) stepParallel(step int, workers int) error {
 	}
 	wg.Wait()
 
-	c := &e.cfg.Costs
+	c := &e.cfg
 	for i := 0; i < n; i++ {
 		var drain float64
 		switch class[i] {
 		case roleSkip:
 			continue
 		case roleSleep:
-			drain = c.Sleep
-			e.acc.drainSleep += c.Sleep
+			drain = c.SleepCost
+			e.acc.drainSleep += c.SleepCost
 			e.acc.sleepSteps++
 		default:
 			if class[i] == roleHead {
-				drain = c.IdleHead
-				e.acc.drainHead += c.IdleHead
+				drain = c.IdleHeadCost
+				e.acc.drainHead += c.IdleHeadCost
 				e.acc.headSteps++
 			} else {
-				drain = c.IdleMember
-				e.acc.drainMember += c.IdleMember
+				drain = c.IdleMemberCost
+				e.acc.drainMember += c.IdleMemberCost
 				e.acc.memberSteps++
 			}
 			if e.hooks.Tx != nil {
 				tx := txB[i]
 				if d := tx - e.lastTx[i]; d > 0 {
-					cost := float64(d) * c.Tx
+					cost := float64(d) * c.TxCost
 					drain += cost
 					e.acc.drainTx += cost
 				}
@@ -465,7 +428,7 @@ func (e *Engine) stepParallel(step int, workers int) error {
 			if e.hooks.Rx != nil {
 				rx := rxB[i]
 				if d := rx - e.lastRx[i]; d > 0 {
-					cost := float64(d) * c.Rx
+					cost := float64(d) * c.RxCost
 					drain += cost
 					e.acc.drainRx += cost
 				}
@@ -491,7 +454,7 @@ func (e *Engine) stepParallel(step int, workers int) error {
 		if e.cfg.Rotation {
 			if lvl := e.quantize(b); lvl != e.level[i] {
 				e.level[i] = lvl
-				if err := e.hooks.Scale(i, float64(lvl)/float64(e.cfg.Levels)); err != nil {
+				if err := e.hooks.Scale(i, float64(lvl)/float64(e.cfg.RotationLevels)); err != nil {
 					return scaleErr(i, err)
 				}
 			}
@@ -504,7 +467,7 @@ func (e *Engine) stepParallel(step int, workers int) error {
 // [1, Levels]: a full battery is Levels, and the level only drops when
 // the battery crosses a 1/Levels boundary of the capacity.
 func (e *Engine) quantize(b float64) int16 {
-	levels := e.cfg.Levels
+	levels := e.cfg.RotationLevels
 	lvl := int(math.Ceil(b / e.cfg.Capacity * float64(levels)))
 	if lvl < 1 {
 		lvl = 1
@@ -524,7 +487,7 @@ func (e *Engine) Resize(n int) {
 	for len(e.battery) < n {
 		e.battery = append(e.battery, e.cfg.Capacity)
 		e.depleted = append(e.depleted, false)
-		e.level = append(e.level, int16(e.cfg.Levels))
+		e.level = append(e.level, int16(e.cfg.RotationLevels))
 		e.lastTx = append(e.lastTx, 0)
 		e.lastRx = append(e.lastRx, 0)
 	}
@@ -586,7 +549,7 @@ func (e *Engine) RotationScale(i int) float64 {
 	if !e.cfg.Rotation || i < 0 || i >= len(e.level) {
 		return 1
 	}
-	return float64(e.level[i]) / float64(e.cfg.Levels)
+	return float64(e.level[i]) / float64(e.cfg.RotationLevels)
 }
 
 // Rotation reports whether energy-aware head rotation is enabled.

@@ -61,8 +61,7 @@ func TestDrainByRole(t *testing.T) {
 	f.head[0] = true
 	f.sleeping[2] = true
 	f.alive[2] = false
-	c := Costs{IdleHead: 0.01, IdleMember: 0.001, Sleep: 0.0001, Tx: 0.1, Rx: 0.05}
-	e, err := New(3, Config{Capacity: 1, Costs: c}, f.hooks(true))
+	e, err := New(3, Config{Capacity: 1, IdleHeadCost: 0.01, IdleMemberCost: 0.001, SleepCost: 0.0001, TxCost: 0.1, RxCost: 0.05}, f.hooks(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +100,7 @@ func TestDrainByRole(t *testing.T) {
 
 func TestDepletionKillsInNodeOrder(t *testing.T) {
 	f := newFixture(3)
-	e, err := New(3, Config{Capacity: 0.005, Costs: Costs{IdleMember: 0.002}}, f.hooks(false))
+	e, err := New(3, Config{Capacity: 0.005, IdleMemberCost: 0.002}, f.hooks(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +130,7 @@ func TestDepletionKillsInNodeOrder(t *testing.T) {
 
 func TestDeadByChurnStopsDraining(t *testing.T) {
 	f := newFixture(2)
-	e, err := New(2, Config{Costs: Costs{IdleMember: 0.1}}, f.hooks(false))
+	e, err := New(2, Config{IdleMemberCost: 0.1}, f.hooks(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +149,10 @@ func TestDeadByChurnStopsDraining(t *testing.T) {
 func TestRotationQuantization(t *testing.T) {
 	f := newFixture(1)
 	e, err := New(1, Config{
-		Capacity: 1,
-		Costs:    Costs{IdleMember: 0.06},
-		Rotation: true,
-		Levels:   4,
+		Capacity:       1,
+		IdleMemberCost: 0.06,
+		Rotation:       true,
+		RotationLevels: 4,
 	}, f.hooks(false))
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +181,7 @@ func TestRotationQuantization(t *testing.T) {
 
 func TestCounterResetRebaselines(t *testing.T) {
 	f := newFixture(1)
-	e, err := New(1, Config{Capacity: 10, Costs: Costs{IdleMember: 0.0001, Tx: 0.1, Rx: 0.1}}, f.hooks(true))
+	e, err := New(1, Config{Capacity: 10, IdleMemberCost: 0.0001, TxCost: 0.1, RxCost: 0.1}, f.hooks(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +209,7 @@ func TestCounterResetRebaselines(t *testing.T) {
 
 func TestResizeGivesFullBatteries(t *testing.T) {
 	f := newFixture(2)
-	e, err := New(2, Config{Capacity: 0.5, Costs: Costs{IdleMember: 0.1}}, f.hooks(false))
+	e, err := New(2, Config{Capacity: 0.5, IdleMemberCost: 0.1}, f.hooks(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +233,7 @@ func TestResizeGivesFullBatteries(t *testing.T) {
 
 func TestStatsHistogramAndRemaining(t *testing.T) {
 	f := newFixture(4)
-	e, err := New(4, Config{Capacity: 1, Costs: Costs{IdleMember: 0.3}}, f.hooks(false))
+	e, err := New(4, Config{Capacity: 1, IdleMemberCost: 0.3}, f.hooks(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,13 +259,13 @@ func TestValidation(t *testing.T) {
 	if _, err := New(1, Config{Capacity: -1}, f.hooks(false)); err == nil {
 		t.Error("negative capacity accepted")
 	}
-	if _, err := New(1, Config{Costs: Costs{Tx: -1}}, f.hooks(false)); err == nil {
+	if _, err := New(1, Config{TxCost: -1}, f.hooks(false)); err == nil {
 		t.Error("negative cost accepted")
 	}
-	if _, err := New(1, Config{Rotation: true, Levels: 1}, f.hooks(false)); err == nil {
+	if _, err := New(1, Config{Rotation: true, RotationLevels: 1}, f.hooks(false)); err == nil {
 		t.Error("single rotation level accepted")
 	}
-	if _, err := New(1, Config{Rotation: true, Levels: 4096}, f.hooks(false)); err == nil {
+	if _, err := New(1, Config{Rotation: true, RotationLevels: 4096}, f.hooks(false)); err == nil {
 		t.Error("out-of-range rotation levels accepted")
 	}
 	if _, err := New(1, Config{}, Hooks{}); err == nil {

@@ -24,7 +24,7 @@ type EnergyResult struct {
 }
 
 // Per-epoch battery cost, derived from the live subsystem's reference
-// schedule (internal/energy.DefaultCosts) at EpochSteps Δ(τ) steps per
+// schedule (internal/energy's Default*Cost) at EpochSteps Δ(τ) steps per
 // re-clustering epoch — the offline experiment and the live battery model
 // drain from one source of truth and cannot drift. Heads pay the head
 // idle rate (they aggregate and forward their members' traffic), members
@@ -32,9 +32,9 @@ type EnergyResult struct {
 // memberCost — otherwise isolated nodes, which are trivially their own
 // heads under every metric, would dominate the time-to-first-depletion
 // and mask the rotation effect.
-var (
-	headCost   = energy.DefaultCosts().IdleHead * energy.EpochSteps
-	memberCost = energy.DefaultCosts().IdleMember * energy.EpochSteps
+const (
+	headCost   = energy.DefaultIdleHeadCost * energy.EpochSteps
+	memberCost = energy.DefaultIdleMemberCost * energy.EpochSteps
 )
 
 // Energy runs the head-rotation experiment: a static network re-clusters

@@ -1,5 +1,5 @@
 // Package experiment contains one driver per table and figure of the
-// paper's evaluation (Section 5), plus the ablations DESIGN.md calls out.
+// paper's evaluation (Section 5), plus the ablations in ablation.go.
 // Each driver is deterministic given its options and returns a structured
 // result that renders to a plain-text table shaped like the paper's.
 // The CLI (cmd/selfstab-sim), the benchmark suite (bench_test.go) and

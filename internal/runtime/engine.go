@@ -455,36 +455,6 @@ func (e *Engine) RunUntilStable(maxSteps, window int) (int, error) {
 	return 0, ErrNotStabilized
 }
 
-// sharedVars is the per-node shared variable tuple used for stability
-// detection in tests and debugging (the step path tracks changes in the
-// guards instead of snapshotting).
-type sharedVars struct {
-	tieID   int64
-	density float64
-	headID  int64
-	parent  int64
-}
-
-func (e *Engine) sharedState() []sharedVars {
-	s := make([]sharedVars, len(e.nodes))
-	for i, n := range e.nodes {
-		s[i] = sharedVars{tieID: n.tieID, density: n.density, headID: n.headID, parent: n.parent}
-	}
-	return s
-}
-
-func statesEqual(a, b []sharedVars) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Snapshot is a consistent copy of the network's shared state, indexed like
 // the engine's graph.
 type Snapshot struct {

@@ -280,3 +280,33 @@ func TestParallelMatchesSequentialStabilization(t *testing.T) {
 		}
 	}
 }
+
+// sharedVars is the per-node shared variable tuple the tests below diff
+// to cross-check the engine's own change tracking (the step path tracks
+// changes in the guards instead of snapshotting).
+type sharedVars struct {
+	tieID   int64
+	density float64
+	headID  int64
+	parent  int64
+}
+
+func (e *Engine) sharedState() []sharedVars {
+	s := make([]sharedVars, len(e.nodes))
+	for i, n := range e.nodes {
+		s[i] = sharedVars{tieID: n.tieID, density: n.density, headID: n.headID, parent: n.parent}
+	}
+	return s
+}
+
+func statesEqual(a, b []sharedVars) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

@@ -33,26 +33,29 @@ import (
 // exact same casualties without the server in the loop; flood and the
 // id-less evict resolve against the live hierarchy the same way.
 type injectRequest struct {
-	Kind    string          `json:"kind"`
-	Frac    float64         `json:"frac,omitempty"`
-	IDs     []int64         `json:"ids,omitempty"`
-	X       float64         `json:"x,omitempty"`
-	Y       float64         `json:"y,omitempty"`
-	Radius  float64         `json:"radius,omitempty"`
-	Count   int             `json:"count,omitempty"`
-	Op      string          `json:"op,omitempty"`
-	Points  []pointJSON     `json:"points,omitempty"`
-	Flow    *flowRequest    `json:"flow,omitempty"`
-	Rate    float64         `json:"rate,omitempty"`    // flood
-	Scale   float64         `json:"scale,omitempty"`   // byzantine
-	Factor  float64         `json:"factor,omitempty"`  // evict (auto-detect)
-	Target  int64           `json:"target,omitempty"`  // sybil
-	Spread  float64         `json:"spread,omitempty"`  // sybil
-	Defense *defenseRequest `json:"defense,omitempty"` // defense
+	Kind    string           `json:"kind"`
+	Frac    float64          `json:"frac,omitempty"`
+	IDs     []int64          `json:"ids,omitempty"`
+	X       float64          `json:"x,omitempty"`
+	Y       float64          `json:"y,omitempty"`
+	Radius  float64          `json:"radius,omitempty"`
+	Count   int              `json:"count,omitempty"`
+	Op      string           `json:"op,omitempty"`
+	Points  []selfstab.Point `json:"points,omitempty"`
+	Flow    *flowRequest     `json:"flow,omitempty"`
+	Rate    float64          `json:"rate,omitempty"`    // flood
+	Scale   float64          `json:"scale,omitempty"`   // byzantine
+	Factor  float64          `json:"factor,omitempty"`  // evict (auto-detect)
+	Target  int64            `json:"target,omitempty"`  // sybil
+	Spread  float64          `json:"spread,omitempty"`  // sybil
+	Defense *defenseRequest  `json:"defense,omitempty"` // defense
 }
 
-// defenseRequest mirrors selfstab.DefenseConfig for the defense kind. A
-// zero-valued (or empty) object removes every installed defense.
+// defenseRequest is selfstab.DefenseConfig under this API's wire names —
+// field for field, so a request converts to the config — which differ
+// from the snapshot journal's in one place: head_admission here is
+// head_tokens there. A zero-valued (or empty) object removes every
+// installed defense.
 type defenseRequest struct {
 	HeadAdmission bool    `json:"head_admission,omitempty"`
 	HeadRate      float64 `json:"head_rate,omitempty"`
@@ -60,13 +63,10 @@ type defenseRequest struct {
 	SourceCap     int     `json:"source_cap,omitempty"`
 }
 
-type pointJSON struct {
-	X float64 `json:"x"`
-	Y float64 `json:"y"`
-}
-
-// flowRequest describes one flow for spawn_flow. Kind "hotspot" uses Dst
-// as the sink and Sources as the fan-in.
+// flowRequest describes one flow for spawn_flow under this API's wire
+// names, which differ from the snapshot journal's: kind "hotspot" (the
+// journal has hotspot_sources on a poisson flow) uses Dst as the sink
+// and Sources as the fan-in.
 type flowRequest struct {
 	Kind    string  `json:"kind"` // "cbr", "poisson" or "hotspot"
 	Src     int64   `json:"src,omitempty"`
@@ -131,12 +131,8 @@ func (s *Server) applyInjectLocked(req injectRequest) (int, error) {
 	case "churn_burst":
 		return s.churnBurstLocked(req.Count, req.Op)
 	case "add_nodes":
-		pts := make([]selfstab.Point, len(req.Points))
-		for i, p := range req.Points {
-			pts[i] = selfstab.Point{X: p.X, Y: p.Y}
-		}
-		_, err := s.net.AddNodes(pts)
-		return len(pts), err
+		_, err := s.net.AddNodes(req.Points)
+		return len(req.Points), err
 	case "spawn_flow":
 		return s.spawnFlowLocked(req.Flow)
 	case "compact":
@@ -168,12 +164,7 @@ func (s *Server) applyInjectLocked(req injectRequest) (int, error) {
 		if req.Defense == nil {
 			return 0, errf("defense inject without a defense object")
 		}
-		return 0, s.net.SetTrafficDefense(selfstab.DefenseConfig{
-			HeadAdmission: req.Defense.HeadAdmission,
-			HeadRate:      req.Defense.HeadRate,
-			HeadBurst:     req.Defense.HeadBurst,
-			SourceCap:     req.Defense.SourceCap,
-		})
+		return 0, s.net.SetTrafficDefense(selfstab.DefenseConfig(*req.Defense))
 	}
 	return 0, errf("unknown inject kind %q", req.Kind)
 }

@@ -1,7 +1,7 @@
 // Package snapshot defines the versioned, deterministic serialization
-// format behind Network.Snapshot and selfstab.Restore: a checkpoint of a
-// live simulation that can be written to disk, shipped to another
-// process, and replayed bit-identically.
+// format behind Network.WriteSnapshot and selfstab.ReadSnapshot: a
+// checkpoint of a live simulation that can be written to disk, shipped
+// to another process, and replayed bit-identically.
 //
 // The format leans on the simulator's determinism contract instead of
 // dumping raw memory. A world's trajectory is a pure function of three
@@ -25,6 +25,12 @@
 // the step count; Decode rejects unknown magics and versions before
 // touching the rest of the document, so format drift fails loudly
 // instead of replaying garbage.
+//
+// The configuration records an op carries (Options, TrafficConfig, Flow,
+// ChurnConfig, EnergyConfig, DefenseConfig) are declared here once, with
+// the journal's JSON tags; the public selfstab names are aliases of them
+// and the engines take them as given, so no layer re-declares a record or
+// copies one field by field.
 package snapshot
 
 import (
@@ -32,6 +38,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+
+	"selfstab/internal/geom"
 )
 
 // Magic identifies a selfstab snapshot document.
@@ -90,15 +99,6 @@ const (
 	OpSetDefense   = "set_defense"   // traffic-plane defense knobs
 )
 
-// Point is a node position in region coordinates. JSON round-trips Go
-// float64 values exactly (shortest representation that parses back to
-// the same bits), so positions — and every other float in the format —
-// survive encode/decode bit-identically.
-type Point struct {
-	X float64 `json:"x"`
-	Y float64 `json:"y"`
-}
-
 // Header opens every snapshot document.
 type Header struct {
 	Magic   string `json:"magic"`
@@ -121,19 +121,24 @@ type Deployment struct {
 	Spread    float64 `json:"spread,omitempty"`    // hotspot
 	Rows      int     `json:"rows,omitempty"`      // grid
 	Cols      int     `json:"cols,omitempty"`      // grid
-	Points    []Point `json:"points,omitempty"`    // explicit
+	// Points lists the positions of an explicit deployment. JSON
+	// round-trips Go float64 values exactly (shortest representation that
+	// parses back to the same bits), so positions — and every other float
+	// in the format — survive encode/decode bit-identically.
+	Points []geom.Point `json:"points,omitempty"`
 }
 
 // Options records every construction option, resolved (defaults filled
-// in). Together with Deployment this is the Blueprint: rebuilding with
-// the same options consumes the master seed's split streams in the same
-// order, so the restored world starts bit-identical to the original's
-// step zero.
+// in): the functional options of package selfstab (WithSeed, WithRange,
+// ... — each documents its field) write this struct directly. Together
+// with Deployment this is the Blueprint: rebuilding with the same options
+// consumes the master seed's split streams in the same order, so the
+// restored world starts bit-identical to the original's step zero.
 type Options struct {
 	Seed         int64   `json:"seed"`
 	Range        float64 `json:"range"`
 	DAG          bool    `json:"dag,omitempty"`
-	Gamma        int64   `json:"gamma,omitempty"`
+	Gamma        int64   `json:"gamma,omitempty"` // 0 = auto (delta²)
 	Sticky       bool    `json:"sticky,omitempty"`
 	Fusion       bool    `json:"fusion,omitempty"`
 	Tau          float64 `json:"tau"`
@@ -143,7 +148,7 @@ type Options struct {
 	RowMajorIDs  bool    `json:"row_major_ids,omitempty"`
 	IDs          []int64 `json:"ids,omitempty"`
 	StableWindow int     `json:"stable_window"`
-	Tiles        int     `json:"tiles,omitempty"`
+	Tiles        int     `json:"tiles,omitempty"` // 0 = auto, 1 = untiled, k > 1 = force k tiles
 }
 
 // Blueprint is the construction recipe: deployment plus options.
@@ -152,57 +157,212 @@ type Blueprint struct {
 	Options Options    `json:"options"`
 }
 
-// Flow is one traffic workload of an attach_traffic op, as given by the
-// caller (hotspot workloads are journaled unexpanded: expansion draws
-// from a split stream at apply time and reproduces on replay).
+// FlowKind selects the inter-arrival process of a flow. It is spelled
+// "cbr" or "poisson" on the wire.
+type FlowKind int
+
+const (
+	// CBR injects at a constant bit rate: Rate packets per step, with a
+	// fractional-credit accumulator so non-integer rates average out
+	// exactly (0.25 means one packet every fourth step).
+	CBR FlowKind = iota
+	// Poisson injects a Poisson-distributed number of packets per step
+	// with mean Rate — the classic memoryless workload.
+	Poisson
+)
+
+var flowKindNames = []string{CBR: "cbr", Poisson: "poisson"}
+
+// MarshalText implements encoding.TextMarshaler.
+func (k FlowKind) MarshalText() ([]byte, error) { return enumText("flow kind", flowKindNames, int(k)) }
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (k *FlowKind) UnmarshalText(b []byte) error {
+	v, err := enumValue("flow kind", flowKindNames, b)
+	*k = FlowKind(v)
+	return err
+}
+
+// QueueDiscipline selects what a full per-node queue does with arrivals.
+// It is spelled "droptail" or "drophead" on the wire.
+type QueueDiscipline int
+
+const (
+	// DropTail rejects the arriving packet (FIFO tail drop). The default.
+	DropTail QueueDiscipline = iota
+	// DropHead evicts the oldest queued packet to admit the new one —
+	// fresher packets are worth more under congestion.
+	DropHead
+)
+
+var disciplineNames = []string{DropTail: "droptail", DropHead: "drophead"}
+
+// MarshalText implements encoding.TextMarshaler.
+func (d QueueDiscipline) MarshalText() ([]byte, error) {
+	return enumText("queue discipline", disciplineNames, int(d))
+}
+
+// UnmarshalText implements encoding.TextUnmarshaler. The empty string is
+// the default, as in documents that spell the field out.
+func (d *QueueDiscipline) UnmarshalText(b []byte) error {
+	if len(b) == 0 {
+		*d = DropTail
+		return nil
+	}
+	v, err := enumValue("queue discipline", disciplineNames, b)
+	*d = QueueDiscipline(v)
+	return err
+}
+
+func enumText(what string, names []string, v int) ([]byte, error) {
+	if v < 0 || v >= len(names) {
+		return nil, fmt.Errorf("snapshot: invalid %s %d", what, v)
+	}
+	return []byte(names[v]), nil
+}
+
+func enumValue(what string, names []string, b []byte) (int, error) {
+	if v := slices.Index(names, string(b)); v >= 0 {
+		return v, nil
+	}
+	return 0, fmt.Errorf("snapshot: unknown %s %q", what, b)
+}
+
+// Flow is one traffic workload, endpoints named by node identifier. Build
+// flows with selfstab.CBRFlow, PoissonFlow or HotspotFlow and pass them
+// in a TrafficConfig. The journal records a flow as given: a hotspot
+// workload stays unexpanded (expansion draws from a split stream at apply
+// time and reproduces on replay).
 type Flow struct {
-	Kind           string  `json:"kind"` // "cbr" or "poisson"
-	SrcID          int64   `json:"src"`
-	DstID          int64   `json:"dst"`
-	Rate           float64 `json:"rate"`
-	Start          int     `json:"start,omitempty"`
-	Stop           int     `json:"stop,omitempty"`
-	HotspotSources int     `json:"hotspot_sources,omitempty"`
+	Kind  FlowKind `json:"kind"`
+	SrcID int64    `json:"src"`
+	DstID int64    `json:"dst"`
+	// Rate is the mean injection rate in packets per Δ(τ) step.
+	Rate float64 `json:"rate"`
+	// Start and Stop bound the steps the flow injects in; see Between.
+	Start int `json:"start,omitempty"`
+	Stop  int `json:"stop,omitempty"`
+	// HotspotSources > 0 makes the flow many-to-one: that many distinct
+	// sources, drawn at attach time, each send to DstID (SrcID is unused).
+	HotspotSources int `json:"hotspot_sources,omitempty"`
 }
 
-// TrafficConfig mirrors selfstab.TrafficConfig for the journal.
+// Between restricts the flow to inject only in steps [start, stop]
+// (1-based, counted in completed protocol steps; stop 0 means forever).
+func (f Flow) Between(start, stop int) Flow {
+	f.Start, f.Stop = start, stop
+	return f
+}
+
+// TrafficConfig parameterizes the packet data plane attached to a
+// Network. A spawn_flows op carries one with only Flows set.
 type TrafficConfig struct {
-	QueueCap   int    `json:"queue_cap,omitempty"`
-	Discipline string `json:"discipline,omitempty"` // "droptail" or "drophead"
-	Budget     int    `json:"budget,omitempty"`
-	TTL        int    `json:"ttl,omitempty"`
-	Flows      []Flow `json:"flows"`
+	// QueueCap bounds each node's forwarding queue. Default 64.
+	QueueCap int `json:"queue_cap,omitempty"`
+	// Discipline is the queue-overflow policy. Default DropTail.
+	Discipline QueueDiscipline `json:"discipline,omitempty"`
+	// Budget is how many packets a node forwards per step (the link
+	// capacity abstraction — one Δ(τ) step carries Budget transmissions
+	// per node). Default 1.
+	Budget int `json:"budget,omitempty"`
+	// TTL drops packets exceeding this many hops (routing loops under a
+	// churning assignment must not circulate forever). Default 64.
+	TTL int `json:"ttl,omitempty"`
+	// Flows is the workload; at least one flow is required.
+	Flows []Flow `json:"flows"`
 }
 
-// ChurnConfig mirrors selfstab.ChurnConfig for the journal.
+// ChurnConfig parameterizes the seeded churn schedule AttachChurn drives
+// as a pre-step phase: every step it draws Poisson-distributed counts of
+// arrivals, departures, crashes and sleeps, applies them to uniformly
+// chosen victims, and wakes nodes whose sleep duration expired. All
+// randomness comes from a dedicated stream of the network's seed, so a
+// fixed seed reproduces the same churn — and the same ConvergenceStats
+// and TrafficStats — at any parallelism.
 type ChurnConfig struct {
-	ArrivalRate   float64 `json:"arrival_rate,omitempty"`
+	// ArrivalRate is the mean number of new nodes per step, placed
+	// uniformly in the deployment region.
+	ArrivalRate float64 `json:"arrival_rate,omitempty"`
+	// DepartureRate is the mean number of permanent departures per step.
 	DepartureRate float64 `json:"departure_rate,omitempty"`
-	CrashRate     float64 `json:"crash_rate,omitempty"`
-	SleepRate     float64 `json:"sleep_rate,omitempty"`
-	SleepSteps    int     `json:"sleep_steps,omitempty"`
-	MinAlive      int     `json:"min_alive,omitempty"`
+	// CrashRate is the mean number of state-losing reboots per step.
+	CrashRate float64 `json:"crash_rate,omitempty"`
+	// SleepRate is the mean number of nodes duty-cycled off per step.
+	SleepRate float64 `json:"sleep_rate,omitempty"`
+	// SleepSteps is how many steps a scheduled sleep lasts. Default 10.
+	SleepSteps int `json:"sleep_steps,omitempty"`
+	// MinAlive pauses departures, crashes and sleeps while the alive
+	// population is at or below this floor. Default 2.
+	MinAlive int `json:"min_alive,omitempty"`
 }
 
-// EnergyConfig mirrors selfstab.EnergyConfig for the journal.
+// EnergyConfig parameterizes the battery model attached to a Network.
+//
+// The five costs form one schedule: leave them ALL zero to use the
+// reference schedule shared with the offline energy experiment (the
+// internal/energy Default*Cost constants — the per-field values noted
+// below), or set any of them to specify the schedule yourself, in which
+// case the fields you leave zero really cost zero (an explicit free term,
+// e.g. RxCost 0 for a receive-free radio model, stays expressible).
 type EnergyConfig struct {
-	Capacity       float64 `json:"capacity,omitempty"`
-	IdleHeadCost   float64 `json:"idle_head_cost,omitempty"`
+	// Capacity is every node's initial battery in energy units. Default 1.
+	Capacity float64 `json:"capacity,omitempty"`
+
+	// IdleHeadCost is the per-step drain of serving as a cluster-head
+	// (beaconing, aggregation, staying receive-ready for the cluster).
+	// Reference schedule: 0.002.
+	IdleHeadCost float64 `json:"idle_head_cost,omitempty"`
+	// IdleMemberCost is the per-step drain of an ordinary awake node.
+	// Reference schedule: 0.0002.
 	IdleMemberCost float64 `json:"idle_member_cost,omitempty"`
-	SleepCost      float64 `json:"sleep_cost,omitempty"`
-	TxCost         float64 `json:"tx_cost,omitempty"`
-	RxCost         float64 `json:"rx_cost,omitempty"`
-	Rotation       bool    `json:"rotation,omitempty"`
-	RotationLevels int     `json:"rotation_levels,omitempty"`
+	// SleepCost is the per-step drain while duty-cycled off — what
+	// SleepNodes and the churn schedule's duty-cycling actually save.
+	// Reference schedule: 0.00002.
+	SleepCost float64 `json:"sleep_cost,omitempty"`
+	// TxCost is the drain per transmitted data packet (one forwarding
+	// event of the attached traffic plane). Reference schedule: 0.0005.
+	TxCost float64 `json:"tx_cost,omitempty"`
+	// RxCost is the drain per received data packet. Reference schedule:
+	// 0.0002.
+	RxCost float64 `json:"rx_cost,omitempty"`
+
+	// Rotation enables energy-aware head rotation: each node's shared
+	// density is scaled by its quantized remaining-energy fraction, so a
+	// draining head loses the ≺ election online and the burden rotates —
+	// the paper's Section 6 future work running live.
+	Rotation bool `json:"rotation,omitempty"`
+	// RotationLevels quantizes the rotation scale: the battery fraction is
+	// rounded up to a multiple of 1/RotationLevels, so re-elections
+	// trigger only when a battery crosses a level boundary, not every
+	// step. Must be in [2, 1024] when Rotation is set. Default 8.
+	RotationLevels int `json:"rotation_levels,omitempty"`
 }
 
-// DefenseConfig mirrors selfstab.DefenseConfig for the journal: the
-// traffic-plane defense knobs a set_defense op installs.
+// DefenseConfig parameterizes the traffic-plane defenses installed by
+// SetTrafficDefense. The zero value disables every defense. Defense
+// drops are accounted separately from congestion (DropsAdmission,
+// DropsRateLimit), so attack-vs-defense deltas are measurable in the
+// ledger.
 type DefenseConfig struct {
-	HeadTokens bool    `json:"head_tokens,omitempty"`
-	HeadRate   float64 `json:"head_rate,omitempty"`
-	HeadBurst  float64 `json:"head_burst,omitempty"`
-	SourceCap  int     `json:"source_cap,omitempty"`
+	// HeadAdmission turns on per-head token-bucket admission control: a
+	// packet — injected or forwarded — enters a current cluster-head's
+	// queue only if the head's bucket holds a token. Buckets hold up to
+	// HeadBurst tokens and refill at HeadRate tokens per step (lazily, so
+	// an idle head pays nothing). Arrivals beyond the bucket are dropped
+	// and accounted as DropsAdmission — a flood aimed at a head exhausts
+	// the bucket and starves itself, while steady legitimate traffic at or
+	// below HeadRate passes untouched.
+	HeadAdmission bool `json:"head_tokens,omitempty"`
+	// HeadRate is the bucket refill rate in packets per step (required
+	// > 0 when HeadAdmission is set).
+	HeadRate float64 `json:"head_rate,omitempty"`
+	// HeadBurst is the bucket capacity in packets (required >= 1 when
+	// HeadAdmission is set). Buckets start full.
+	HeadBurst float64 `json:"head_burst,omitempty"`
+	// SourceCap bounds how many packets any single node may inject per
+	// step; injections beyond the cap are refused at the source and
+	// accounted as DropsRateLimit. 0 disables the cap.
+	SourceCap int `json:"source_cap,omitempty"`
 }
 
 // Op is one journaled world mutation. Kind selects which payload fields
@@ -213,13 +373,28 @@ type Op struct {
 	Step    int            `json:"step"`
 	Kind    string         `json:"kind"`
 	Frac    float64        `json:"frac,omitempty"`   // inject_faults, set_auto_compact
-	Points  []Point        `json:"points,omitempty"` // add_nodes, set_positions
-	IDs     []int64        `json:"ids,omitempty"`    // remove/crash/sleep/wake_nodes
+	Points  []geom.Point   `json:"points,omitempty"` // add_nodes, set_positions
+	IDs     []int64        `json:"ids,omitempty"`    // lifecycle ops, scale_density, evict_nodes
 	Traffic *TrafficConfig `json:"traffic,omitempty"`
 	Churn   *ChurnConfig   `json:"churn,omitempty"`
 	Energy  *EnergyConfig  `json:"energy,omitempty"`
 	Scale   float64        `json:"scale,omitempty"`   // scale_density
 	Defense *DefenseConfig `json:"defense,omitempty"` // set_defense
+}
+
+// Clone returns a copy of the op that shares no slice with it: the
+// journal keeps clones, so a caller that later edits the ids, points or
+// flows it passed in cannot rewrite history. The scalar config payloads
+// are pointed-to values the mutators build per call and never retain.
+func (op Op) Clone() Op {
+	op.Points = slices.Clone(op.Points)
+	op.IDs = slices.Clone(op.IDs)
+	if op.Traffic != nil {
+		tc := *op.Traffic
+		tc.Flows = slices.Clone(tc.Flows)
+		op.Traffic = &tc
+	}
+	return op
 }
 
 // Snapshot is one checkpoint document.

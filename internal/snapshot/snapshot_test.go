@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"selfstab/internal/geom"
 )
 
 // goldenSnapshot is a fixed document exercising every payload shape the
@@ -26,10 +28,10 @@ func goldenSnapshot() *Snapshot {
 			SleepSteps: 10, MinAlive: 2,
 		}},
 		{Step: 3, Kind: OpAttachTraffic, Traffic: &TrafficConfig{
-			QueueCap: 32, Discipline: "drophead", Budget: 2, TTL: 64,
+			QueueCap: 32, Discipline: DropHead, Budget: 2, TTL: 64,
 			Flows: []Flow{
-				{Kind: "cbr", SrcID: 1, DstID: 2, Rate: 0.5, Start: 5, Stop: 100},
-				{Kind: "poisson", DstID: 9, Rate: 0.1, HotspotSources: 6},
+				{Kind: CBR, SrcID: 1, DstID: 2, Rate: 0.5, Start: 5, Stop: 100},
+				{Kind: Poisson, DstID: 9, Rate: 0.1, HotspotSources: 6},
 			},
 		}},
 		{Step: 3, Kind: OpAttachEnergy, Energy: &EnergyConfig{
@@ -37,19 +39,19 @@ func goldenSnapshot() *Snapshot {
 			Rotation: true, RotationLevels: 8,
 		}},
 		{Step: 7, Kind: OpFaults, Frac: 0.25},
-		{Step: 9, Kind: OpAddNodes, Points: []Point{{X: 0.1, Y: 0.2}, {X: 0.3333333333333333, Y: 0.9}}},
+		{Step: 9, Kind: OpAddNodes, Points: []geom.Point{{X: 0.1, Y: 0.2}, {X: 0.3333333333333333, Y: 0.9}}},
 		{Step: 11, Kind: OpCrashNodes, IDs: []int64{4, 17}},
 		{Step: 12, Kind: OpSleepNodes, IDs: []int64{5}},
 		{Step: 14, Kind: OpWakeNodes, IDs: []int64{5}},
 		{Step: 15, Kind: OpRemoveNodes, IDs: []int64{6}},
 		{Step: 16, Kind: OpSetAutoCompact, Frac: 0.25},
 		{Step: 18, Kind: OpCompact},
-		{Step: 20, Kind: OpSetPositions, Points: []Point{{X: 0.5, Y: 0.5}}},
+		{Step: 20, Kind: OpSetPositions, Points: []geom.Point{{X: 0.5, Y: 0.5}}},
 		{Step: 21, Kind: OpSetDefense, Defense: &DefenseConfig{
-			HeadTokens: true, HeadRate: 0.75, HeadBurst: 4, SourceCap: 3,
+			HeadAdmission: true, HeadRate: 0.75, HeadBurst: 4, SourceCap: 3,
 		}},
 		{Step: 21, Kind: OpSpawnFlows, Traffic: &TrafficConfig{
-			Flows: []Flow{{Kind: "cbr", SrcID: 3, DstID: 8, Rate: 2.5}},
+			Flows: []Flow{{Kind: CBR, SrcID: 3, DstID: 8, Rate: 2.5}},
 		}},
 		{Step: 21, Kind: OpScaleDensity, IDs: []int64{11, 12}, Scale: 4.5},
 		{Step: 21, Kind: OpEvictNodes, IDs: []int64{11}},
@@ -108,7 +110,7 @@ func TestGoldenRoundTrip(t *testing.T) {
 // including float bit patterns.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	s := goldenSnapshot()
-	s.Blueprint.Deploy = Deployment{Kind: DeployExplicit, Points: []Point{
+	s.Blueprint.Deploy = Deployment{Kind: DeployExplicit, Points: []geom.Point{
 		{X: 0.123456789012345678, Y: 1.0 / 3.0},
 		{X: 5e-324, Y: 0.9999999999999999},
 	}}

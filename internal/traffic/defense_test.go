@@ -17,8 +17,8 @@ func headLineHooks(headIdx *int) Hooks {
 // SourceCap 1 has exactly two refused at the NIC every step, accounted
 // DropsRateLimit — never silently vanished.
 func TestSourceCapRateLimit(t *testing.T) {
-	cfg := Config{Flows: []FlowSpec{{Kind: CBR, Src: 0, Dst: 1, Rate: 3}}}
-	e := mustEngine(t, 2, cfg, lineHooks(), 1)
+	cfg, flows := Config{}, []FlowSpec{{Kind: CBR, Src: 0, Dst: 1, Rate: 3}}
+	e := mustEngine(t, 2, cfg, flows, lineHooks(), 1)
 	if err := e.SetDefense(Defense{SourceCap: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -40,9 +40,9 @@ func TestHeadAdmissionFinalHop(t *testing.T) {
 	head := 1
 	// Budget 4 so the link carries the whole flood each step; the bucket
 	// refilling 1/step is then the binding constraint.
-	cfg := Config{Budget: 4, Flows: []FlowSpec{{Kind: CBR, Src: 0, Dst: 1, Rate: 2}}}
-	e := mustEngine(t, 2, cfg, headLineHooks(&head), 1)
-	if err := e.SetDefense(Defense{HeadTokens: true, HeadRate: 1, HeadBurst: 1}); err != nil {
+	cfg, flows := Config{Budget: 4}, []FlowSpec{{Kind: CBR, Src: 0, Dst: 1, Rate: 2}}
+	e := mustEngine(t, 2, cfg, flows, headLineHooks(&head), 1)
+	if err := e.SetDefense(Defense{HeadAdmission: true, HeadRate: 1, HeadBurst: 1}); err != nil {
 		t.Fatal(err)
 	}
 	runSteps(t, e, 60)
@@ -62,9 +62,9 @@ func TestHeadAdmissionFinalHop(t *testing.T) {
 // bucket to packets entering its queue.
 func TestHeadAdmissionTransit(t *testing.T) {
 	head := 1
-	cfg := Config{Budget: 4, Flows: []FlowSpec{{Kind: CBR, Src: 0, Dst: 2, Rate: 2}}}
-	e := mustEngine(t, 3, cfg, headLineHooks(&head), 1)
-	if err := e.SetDefense(Defense{HeadTokens: true, HeadRate: 1, HeadBurst: 1}); err != nil {
+	cfg, flows := Config{Budget: 4}, []FlowSpec{{Kind: CBR, Src: 0, Dst: 2, Rate: 2}}
+	e := mustEngine(t, 3, cfg, flows, headLineHooks(&head), 1)
+	if err := e.SetDefense(Defense{HeadAdmission: true, HeadRate: 1, HeadBurst: 1}); err != nil {
 		t.Fatal(err)
 	}
 	runSteps(t, e, 60)
@@ -82,8 +82,8 @@ func TestHeadAdmissionTransit(t *testing.T) {
 // reasons stay zero even with a head predicate present.
 func TestDefenseUndefendedBaseline(t *testing.T) {
 	head := 1
-	cfg := Config{Flows: []FlowSpec{{Kind: CBR, Src: 0, Dst: 1, Rate: 2}}}
-	e := mustEngine(t, 2, cfg, headLineHooks(&head), 1)
+	cfg, flows := Config{}, []FlowSpec{{Kind: CBR, Src: 0, Dst: 1, Rate: 2}}
+	e := mustEngine(t, 2, cfg, flows, headLineHooks(&head), 1)
 	runSteps(t, e, 40)
 	s := e.Stats()
 	checkLedger(t, s)
@@ -95,13 +95,13 @@ func TestDefenseUndefendedBaseline(t *testing.T) {
 // TestSetDefenseValidation: a bad config is refused and the installed
 // defense is untouched.
 func TestSetDefenseValidation(t *testing.T) {
-	cfg := Config{Flows: []FlowSpec{{Kind: CBR, Src: 0, Dst: 1, Rate: 1}}}
-	e := mustEngine(t, 2, cfg, lineHooks(), 1)
+	cfg, flows := Config{}, []FlowSpec{{Kind: CBR, Src: 0, Dst: 1, Rate: 1}}
+	e := mustEngine(t, 2, cfg, flows, lineHooks(), 1)
 	good := Defense{SourceCap: 2}
 	if err := e.SetDefense(good); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SetDefense(Defense{HeadTokens: true}); err == nil {
+	if err := e.SetDefense(Defense{HeadAdmission: true}); err == nil {
 		t.Error("head admission without rate/burst accepted")
 	} else if !strings.Contains(err.Error(), "rate") {
 		t.Errorf("error %v does not explain the missing rate", err)
@@ -119,9 +119,9 @@ func TestSetDefenseValidation(t *testing.T) {
 // Compact remaps survivors — with the ledger identity intact throughout.
 func TestDefenseAcrossResizeAndCompact(t *testing.T) {
 	head := 2
-	cfg := Config{Flows: []FlowSpec{{Kind: CBR, Src: 1, Dst: 2, Rate: 2}}}
-	e := mustEngine(t, 3, cfg, headLineHooks(&head), 1)
-	if err := e.SetDefense(Defense{HeadTokens: true, HeadRate: 1, HeadBurst: 1, SourceCap: 1}); err != nil {
+	cfg, flows := Config{}, []FlowSpec{{Kind: CBR, Src: 1, Dst: 2, Rate: 2}}
+	e := mustEngine(t, 3, cfg, flows, headLineHooks(&head), 1)
+	if err := e.SetDefense(Defense{HeadAdmission: true, HeadRate: 1, HeadBurst: 1, SourceCap: 1}); err != nil {
 		t.Fatal(err)
 	}
 	runSteps(t, e, 10)

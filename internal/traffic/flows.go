@@ -6,22 +6,11 @@ import (
 	"selfstab/internal/rng"
 )
 
-// FlowKind selects the inter-arrival process of a flow.
-type FlowKind int
-
-const (
-	// CBR injects at a constant bit rate: Rate packets per step, with a
-	// fractional-credit accumulator so non-integer rates average out
-	// exactly (0.25 means one packet every fourth step).
-	CBR FlowKind = iota
-	// Poisson injects a Poisson-distributed number of packets per step
-	// with mean Rate — the classic memoryless workload.
-	Poisson
-)
-
-// FlowSpec is one unicast workload between fixed endpoints (node indices).
-// Many-to-one hotspot workloads are expressed as one spec per source
-// sharing a sink; the caller-facing API does that expansion.
+// FlowSpec is one unicast workload between fixed endpoints, resolved for
+// the engine: where a snapshot.Flow names its endpoints by identifier, a
+// spec holds the node indices they occupy (kept current across Compact),
+// and a many-to-one hotspot flow has become one spec per source sharing
+// a sink; the caller-facing API does that resolution and expansion.
 type FlowSpec struct {
 	Kind     FlowKind
 	Src, Dst int

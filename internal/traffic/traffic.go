@@ -28,17 +28,25 @@ import (
 
 	"selfstab/internal/obs"
 	"selfstab/internal/rng"
+	"selfstab/internal/snapshot"
 )
 
-// Discipline selects what a full queue does with new arrivals.
-type Discipline int
+// Config, Defense and the two enums are the journal's records
+// (internal/snapshot documents every field): the engine takes them as the
+// caller gave them instead of re-declaring them.
+type (
+	Config     = snapshot.TrafficConfig
+	Defense    = snapshot.DefenseConfig
+	Discipline = snapshot.QueueDiscipline
+	FlowKind   = snapshot.FlowKind
+)
 
+// Re-exported enum values.
 const (
-	// DropTail rejects the arriving packet (the classic FIFO tail drop).
-	DropTail Discipline = iota
-	// DropHead evicts the oldest queued packet to admit the new one —
-	// fresher packets are worth more under congestion.
-	DropHead
+	DropTail = snapshot.DropTail
+	DropHead = snapshot.DropHead
+	CBR      = snapshot.CBR
+	Poisson  = snapshot.Poisson
 )
 
 // Hooks connects the data plane to the control plane it routes over. All
@@ -64,37 +72,12 @@ type Hooks struct {
 	// IsHead reports whether node i is currently a cluster-head — the
 	// admission-control defense guards head queues only. nil means no node
 	// is ever a head (admission control never fires). Only consulted while
-	// a Defense with HeadTokens is installed.
+	// a Defense with HeadAdmission is installed.
 	IsHead func(i int) bool
 }
 
-// Defense parameterizes the data plane's attack mitigations. The zero
-// value disables everything; install with Engine.SetDefense. Defense
-// drops are accounted separately from congestion (DropsAdmission,
-// DropsRateLimit), so attack-vs-defense deltas are measurable in the
-// ledger.
-type Defense struct {
-	// HeadTokens enables per-head token-bucket admission control: a packet
-	// — injected or forwarded — enters a cluster-head's queue only if the
-	// head's bucket holds a token. Buckets hold up to HeadBurst tokens and
-	// refill at HeadRate tokens per step (lazily, so an idle head pays
-	// nothing); a packet refused by an empty bucket is a DropsAdmission.
-	// This caps the rate at which a flood can occupy a head's queue,
-	// forwarding budget and radio, at the cost of also shedding legitimate
-	// head-bound traffic beyond the rate.
-	HeadTokens bool
-	// HeadRate is the bucket refill rate in tokens (packets) per step.
-	HeadRate float64
-	// HeadBurst is the bucket capacity in tokens.
-	HeadBurst float64
-	// SourceCap caps how many packets any single source may inject per
-	// step; the excess is refused at the source NIC and accounted
-	// DropsRateLimit. 0 disables the cap.
-	SourceCap int
-}
-
-func (d *Defense) validate() error {
-	if d.HeadTokens && (d.HeadRate <= 0 || d.HeadBurst < 1) {
+func validateDefense(d Defense) error {
+	if d.HeadAdmission && (d.HeadRate <= 0 || d.HeadBurst < 1) {
 		return fmt.Errorf("traffic: head admission needs rate > 0 and burst >= 1 (got rate %v, burst %v)", d.HeadRate, d.HeadBurst)
 	}
 	if d.SourceCap < 0 {
@@ -103,24 +86,7 @@ func (d *Defense) validate() error {
 	return nil
 }
 
-// Config parameterizes the data plane.
-type Config struct {
-	// QueueCap bounds each node's packet queue. Default 64.
-	QueueCap int
-	// Discipline is the overflow policy. Default DropTail.
-	Discipline Discipline
-	// Budget is how many packets one node forwards per step (the link
-	// capacity abstraction — one Δ(τ) step carries Budget transmissions
-	// per node). Default 1.
-	Budget int
-	// TTL drops packets that exceed this many hops (routing loops under a
-	// churning assignment must not circulate forever). Default 64.
-	TTL int
-	// Flows are the workloads injecting packets.
-	Flows []FlowSpec
-}
-
-func (c *Config) fillDefaults() {
+func fillDefaults(c *Config) {
 	if c.QueueCap == 0 {
 		c.QueueCap = 64
 	}
@@ -132,24 +98,36 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-func (c *Config) validate(n int) error {
-	if c.QueueCap < 1 {
-		return fmt.Errorf("traffic: queue capacity %d < 1", c.QueueCap)
+// Validate reports whether New accepts cfg with flows on an n-node
+// network. It is pure, so a caller that splits the engine's rng stream
+// off a shared parent can refuse a bad config before drawing from it.
+func Validate(n int, cfg Config, flows []FlowSpec) error {
+	if n < 1 {
+		return fmt.Errorf("traffic: %d nodes", n)
 	}
-	if c.Discipline != DropTail && c.Discipline != DropHead {
-		return fmt.Errorf("traffic: invalid discipline %d", int(c.Discipline))
+	fillDefaults(&cfg)
+	if cfg.QueueCap < 1 {
+		return fmt.Errorf("traffic: queue capacity %d < 1", cfg.QueueCap)
 	}
-	if c.Budget < 1 {
-		return fmt.Errorf("traffic: per-node budget %d < 1", c.Budget)
+	if cfg.Discipline != DropTail && cfg.Discipline != DropHead {
+		return fmt.Errorf("traffic: invalid discipline %d", int(cfg.Discipline))
 	}
-	if c.TTL < 1 {
-		return fmt.Errorf("traffic: ttl %d < 1", c.TTL)
+	if cfg.Budget < 1 {
+		return fmt.Errorf("traffic: per-node budget %d < 1", cfg.Budget)
 	}
-	if len(c.Flows) == 0 {
+	if cfg.TTL < 1 {
+		return fmt.Errorf("traffic: ttl %d < 1", cfg.TTL)
+	}
+	if len(flows) == 0 {
 		return fmt.Errorf("traffic: no flows")
 	}
-	for i := range c.Flows {
-		if err := c.Flows[i].validate(n); err != nil {
+	return ValidateFlows(n, flows)
+}
+
+// ValidateFlows is the per-flow half of Validate: what AddFlows accepts.
+func ValidateFlows(n int, flows []FlowSpec) error {
+	for i := range flows {
+		if err := flows[i].validate(n); err != nil {
 			return fmt.Errorf("traffic: flow %d: %w", i, err)
 		}
 	}
@@ -254,23 +232,23 @@ type Engine struct {
 	probe obs.Probe
 }
 
-// New builds a data plane for n nodes. The rng source feeds all workload
-// randomness; pass a dedicated Split so traffic draws never perturb the
-// protocol's streams.
-func New(n int, cfg Config, hooks Hooks, src *rng.Source) (*Engine, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("traffic: %d nodes", n)
-	}
+// New builds a data plane for n nodes running flows. cfg.Flows — the
+// caller's identifier-keyed form of the workload — is not read: flows is
+// that workload resolved to node indices. The rng source feeds all
+// workload randomness; pass a dedicated Split so traffic draws never
+// perturb the protocol's streams.
+func New(n int, cfg Config, flows []FlowSpec, hooks Hooks, src *rng.Source) (*Engine, error) {
 	if hooks.NextHop == nil || hooks.Dist == nil || hooks.TopoEpoch == nil {
 		return nil, fmt.Errorf("traffic: all hooks are required")
 	}
 	if src == nil {
 		return nil, fmt.Errorf("traffic: nil rng source")
 	}
-	cfg.fillDefaults()
-	if err := cfg.validate(n); err != nil {
+	if err := Validate(n, cfg, flows); err != nil {
 		return nil, err
 	}
+	fillDefaults(&cfg)
+	cfg.Flows = nil
 	e := &Engine{
 		cfg:      cfg,
 		hooks:    hooks,
@@ -282,13 +260,13 @@ func New(n int, cfg Config, hooks Hooks, src *rng.Source) (*Engine, error) {
 		recv:     make([]int64, n),
 		busyFlag: make([]bool, n),
 		arrFlag:  make([]bool, n),
-		flows:    make([]flowState, len(cfg.Flows)),
+		flows:    make([]flowState, len(flows)),
 	}
 	for i := range e.queues {
 		e.queues[i].init(cfg.QueueCap)
 	}
 	for i := range e.flows {
-		e.flows[i] = flowState{spec: cfg.Flows[i], flatDist: -2}
+		e.flows[i] = flowState{spec: flows[i], flatDist: -2}
 	}
 	return e, nil
 }
@@ -305,13 +283,13 @@ func (e *Engine) SetProbe(p obs.Probe) { e.probe = p }
 //
 //selfstab:mutator
 func (e *Engine) SetDefense(d Defense) error {
-	if err := d.validate(); err != nil {
+	if err := validateDefense(d); err != nil {
 		return err
 	}
 	e.defense = d
 	e.tokens, e.tokensAt = nil, nil
 	e.injCount, e.injAt = nil, nil
-	if d.HeadTokens {
+	if d.HeadAdmission {
 		e.tokens = make([]float64, len(e.queues))
 		e.tokensAt = make([]int32, len(e.queues))
 		for i := range e.tokensAt {
@@ -340,15 +318,12 @@ func (e *Engine) Defense() Defense { return e.defense }
 //
 //selfstab:mutator
 func (e *Engine) AddFlows(specs []FlowSpec) error {
-	for i := range specs {
-		if err := specs[i].validate(len(e.queues)); err != nil {
-			return fmt.Errorf("traffic: flow %d: %w", i, err)
-		}
+	if err := ValidateFlows(len(e.queues), specs); err != nil {
+		return err
 	}
 	for _, s := range specs {
 		e.flows = append(e.flows, flowState{spec: s, flatDist: -2})
 	}
-	e.cfg.Flows = append(e.cfg.Flows, specs...)
 	return nil
 }
 
@@ -376,7 +351,7 @@ func (e *Engine) takeToken(v int) bool {
 // arriving packet. It gates every arrival at a head — transit packets
 // entering the queue AND packets addressed to the head itself — so a
 // flood aimed at a head exhausts the bucket instead of the head. False
-// whenever the HeadTokens defense is off or v is not currently a head.
+// whenever the HeadAdmission defense is off or v is not currently a head.
 //
 //selfstab:hotpath
 func (e *Engine) headRefuses(v int) bool {

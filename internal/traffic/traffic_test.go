@@ -31,9 +31,9 @@ func lineHooks() Hooks {
 	}
 }
 
-func mustEngine(t *testing.T, n int, cfg Config, hooks Hooks, seed int64) *Engine {
+func mustEngine(t *testing.T, n int, cfg Config, flows []FlowSpec, hooks Hooks, seed int64) *Engine {
 	t.Helper()
-	e, err := New(n, cfg, hooks, rng.New(seed))
+	e, err := New(n, cfg, flows, hooks, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +62,8 @@ func checkLedger(t *testing.T, s Stats) {
 func TestCBRLineDelivery(t *testing.T) {
 	// One packet per step across a 5-node line: 4 hops, so after warmup a
 	// packet is delivered every step with latency 4.
-	cfg := Config{Flows: []FlowSpec{{Kind: CBR, Src: 0, Dst: 4, Rate: 1}}}
-	e := mustEngine(t, 5, cfg, lineHooks(), 1)
+	cfg, flows := Config{}, []FlowSpec{{Kind: CBR, Src: 0, Dst: 4, Rate: 1}}
+	e := mustEngine(t, 5, cfg, flows, lineHooks(), 1)
 	runSteps(t, e, 100)
 	s := e.Stats()
 	checkLedger(t, s)
@@ -93,8 +93,8 @@ func TestCBRLineDelivery(t *testing.T) {
 }
 
 func TestFractionalCBRRate(t *testing.T) {
-	cfg := Config{Flows: []FlowSpec{{Kind: CBR, Src: 0, Dst: 1, Rate: 0.25}}}
-	e := mustEngine(t, 2, cfg, lineHooks(), 1)
+	cfg, flows := Config{}, []FlowSpec{{Kind: CBR, Src: 0, Dst: 1, Rate: 0.25}}
+	e := mustEngine(t, 2, cfg, flows, lineHooks(), 1)
 	runSteps(t, e, 400)
 	if s := e.Stats(); s.Offered != 100 {
 		t.Errorf("offered %d over 400 steps at rate 0.25, want exactly 100", s.Offered)
@@ -102,9 +102,9 @@ func TestFractionalCBRRate(t *testing.T) {
 }
 
 func TestPoissonRateAndDeterminism(t *testing.T) {
-	cfg := Config{Flows: []FlowSpec{{Kind: Poisson, Src: 0, Dst: 3, Rate: 2}}}
-	a := mustEngine(t, 4, cfg, lineHooks(), 7)
-	b := mustEngine(t, 4, cfg, lineHooks(), 7)
+	cfg, flows := Config{}, []FlowSpec{{Kind: Poisson, Src: 0, Dst: 3, Rate: 2}}
+	a := mustEngine(t, 4, cfg, flows, lineHooks(), 7)
+	b := mustEngine(t, 4, cfg, flows, lineHooks(), 7)
 	runSteps(t, a, 500)
 	runSteps(t, b, 500)
 	sa, sb := a.Stats(), b.Stats()
@@ -120,11 +120,8 @@ func TestPoissonRateAndDeterminism(t *testing.T) {
 func TestQueueOverflowDropTail(t *testing.T) {
 	// Rate 5 into a capacity-2 queue draining 1/step: steady state drops
 	// 4 packets per step at the source queue, and every drop is counted.
-	cfg := Config{
-		QueueCap: 2,
-		Flows:    []FlowSpec{{Kind: CBR, Src: 0, Dst: 2, Rate: 5}},
-	}
-	e := mustEngine(t, 3, cfg, lineHooks(), 1)
+	cfg, flows := Config{QueueCap: 2}, []FlowSpec{{Kind: CBR, Src: 0, Dst: 2, Rate: 5}}
+	e := mustEngine(t, 3, cfg, flows, lineHooks(), 1)
 	runSteps(t, e, 50)
 	s := e.Stats()
 	checkLedger(t, s)
@@ -141,12 +138,8 @@ func TestQueueOverflowDropTail(t *testing.T) {
 }
 
 func TestQueueOverflowDropHead(t *testing.T) {
-	cfg := Config{
-		QueueCap:   2,
-		Discipline: DropHead,
-		Flows:      []FlowSpec{{Kind: CBR, Src: 0, Dst: 2, Rate: 5}},
-	}
-	e := mustEngine(t, 3, cfg, lineHooks(), 1)
+	cfg, flows := Config{QueueCap: 2, Discipline: DropHead}, []FlowSpec{{Kind: CBR, Src: 0, Dst: 2, Rate: 5}}
+	e := mustEngine(t, 3, cfg, flows, lineHooks(), 1)
 	runSteps(t, e, 50)
 	s := e.Stats()
 	checkLedger(t, s)
@@ -162,8 +155,8 @@ func TestNoRouteDrops(t *testing.T) {
 	hooks := lineHooks()
 	hooks.NextHop = func(cur, dst int) (int, bool) { return -1, false }
 	hooks.Dist = func(src, dst int) int { return -1 }
-	cfg := Config{Flows: []FlowSpec{{Kind: CBR, Src: 0, Dst: 1, Rate: 1}}}
-	e := mustEngine(t, 2, cfg, hooks, 1)
+	cfg, flows := Config{}, []FlowSpec{{Kind: CBR, Src: 0, Dst: 1, Rate: 1}}
+	e := mustEngine(t, 2, cfg, flows, hooks, 1)
 	runSteps(t, e, 10)
 	s := e.Stats()
 	checkLedger(t, s)
@@ -184,8 +177,8 @@ func TestTTLDrops(t *testing.T) {
 		}
 		return 0, true
 	}
-	cfg := Config{TTL: 5, Flows: []FlowSpec{{Kind: CBR, Src: 0, Dst: 3, Rate: 1}}}
-	e := mustEngine(t, 4, cfg, hooks, 1)
+	cfg, flows := Config{TTL: 5}, []FlowSpec{{Kind: CBR, Src: 0, Dst: 3, Rate: 1}}
+	e := mustEngine(t, 4, cfg, flows, hooks, 1)
 	runSteps(t, e, 40)
 	s := e.Stats()
 	checkLedger(t, s)
@@ -198,8 +191,8 @@ func TestTTLDrops(t *testing.T) {
 }
 
 func TestSelfFlowDeliversInstantly(t *testing.T) {
-	cfg := Config{Flows: []FlowSpec{{Kind: CBR, Src: 1, Dst: 1, Rate: 1}}}
-	e := mustEngine(t, 3, cfg, lineHooks(), 1)
+	cfg, flows := Config{}, []FlowSpec{{Kind: CBR, Src: 1, Dst: 1, Rate: 1}}
+	e := mustEngine(t, 3, cfg, flows, lineHooks(), 1)
 	runSteps(t, e, 10)
 	s := e.Stats()
 	checkLedger(t, s)
@@ -209,8 +202,8 @@ func TestSelfFlowDeliversInstantly(t *testing.T) {
 }
 
 func TestFlowWindow(t *testing.T) {
-	cfg := Config{Flows: []FlowSpec{{Kind: CBR, Src: 0, Dst: 1, Rate: 1, Start: 5, Stop: 8}}}
-	e := mustEngine(t, 2, cfg, lineHooks(), 1)
+	cfg, flows := Config{}, []FlowSpec{{Kind: CBR, Src: 0, Dst: 1, Rate: 1, Start: 5, Stop: 8}}
+	e := mustEngine(t, 2, cfg, flows, lineHooks(), 1)
 	runSteps(t, e, 20)
 	if s := e.Stats(); s.Offered != 4 {
 		t.Errorf("offered %d, want 4 (steps 5-8 inclusive)", s.Offered)
@@ -220,25 +213,31 @@ func TestFlowWindow(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	hooks := lineHooks()
 	src := rng.New(1)
-	bad := []Config{
+	ok := []FlowSpec{{Src: 0, Dst: 1, Rate: 1}}
+	bad := []struct {
+		cfg   Config
+		flows []FlowSpec
+	}{
 		{}, // no flows
-		{Flows: []FlowSpec{{Src: -1, Dst: 0, Rate: 1}}},                   // src range
-		{Flows: []FlowSpec{{Src: 0, Dst: 9, Rate: 1}}},                    // dst range
-		{Flows: []FlowSpec{{Src: 0, Dst: 1, Rate: 0}}},                    // rate
-		{Flows: []FlowSpec{{Src: 0, Dst: 1, Rate: 1, Start: 5, Stop: 2}}}, // window
-		{QueueCap: -1, Flows: []FlowSpec{{Src: 0, Dst: 1, Rate: 1}}},
-		{TTL: -3, Flows: []FlowSpec{{Src: 0, Dst: 1, Rate: 1}}},
-		{Budget: -2, Flows: []FlowSpec{{Src: 0, Dst: 1, Rate: 1}}},
+		{flows: []FlowSpec{{Src: -1, Dst: 0, Rate: 1}}},                   // src range
+		{flows: []FlowSpec{{Src: 0, Dst: 9, Rate: 1}}},                    // dst range
+		{flows: []FlowSpec{{Src: 0, Dst: 1, Rate: 0}}},                    // rate
+		{flows: []FlowSpec{{Src: 0, Dst: 1, Rate: 1, Start: 5, Stop: 2}}}, // window
+		{flows: []FlowSpec{{Kind: 7, Src: 0, Dst: 1, Rate: 1}}},           // kind
+		{cfg: Config{QueueCap: -1}, flows: ok},
+		{cfg: Config{Discipline: 7}, flows: ok},
+		{cfg: Config{TTL: -3}, flows: ok},
+		{cfg: Config{Budget: -2}, flows: ok},
 	}
-	for i, cfg := range bad {
-		if _, err := New(3, cfg, hooks, src); err == nil {
-			t.Errorf("config %d accepted: %+v", i, cfg)
+	for i, b := range bad {
+		if _, err := New(3, b.cfg, b.flows, hooks, src); err == nil {
+			t.Errorf("config %d accepted: %+v", i, b)
 		}
 	}
-	if _, err := New(3, Config{Flows: []FlowSpec{{Src: 0, Dst: 1, Rate: 1}}}, Hooks{}, src); err == nil {
+	if _, err := New(3, Config{}, ok, Hooks{}, src); err == nil {
 		t.Error("missing hooks accepted")
 	}
-	if _, err := New(0, Config{}, hooks, src); err == nil {
+	if _, err := New(0, Config{}, ok, hooks, src); err == nil {
 		t.Error("zero nodes accepted")
 	}
 }
@@ -247,12 +246,8 @@ func TestBudgetControlsDrainRate(t *testing.T) {
 	// Two packets per step into budget-1 forwarding congests; budget 2
 	// keeps up.
 	mk := func(budget int) Stats {
-		cfg := Config{
-			Budget:   budget,
-			QueueCap: 4,
-			Flows:    []FlowSpec{{Kind: CBR, Src: 0, Dst: 2, Rate: 2}},
-		}
-		e := mustEngine(t, 3, cfg, lineHooks(), 1)
+		cfg, flows := Config{Budget: budget, QueueCap: 4}, []FlowSpec{{Kind: CBR, Src: 0, Dst: 2, Rate: 2}}
+		e := mustEngine(t, 3, cfg, flows, lineHooks(), 1)
 		runSteps(t, e, 60)
 		return e.Stats()
 	}
@@ -275,11 +270,11 @@ func TestBudgetControlsDrainRate(t *testing.T) {
 // step, never queued, with zero hops, zero latency, and no stretch
 // sample — and the per-flow ledger agrees with the totals.
 func TestSelfFlowCountsInLedger(t *testing.T) {
-	cfg := Config{Flows: []FlowSpec{
+	cfg, flows := Config{}, []FlowSpec{
 		{Kind: CBR, Src: 1, Dst: 1, Rate: 1},
 		{Kind: CBR, Src: 0, Dst: 2, Rate: 1}, // a real flow alongside
-	}}
-	e := mustEngine(t, 3, cfg, lineHooks(), 7)
+	}
+	e := mustEngine(t, 3, cfg, flows, lineHooks(), 7)
 	runSteps(t, e, 50)
 	s := e.Stats()
 	checkLedger(t, s)
@@ -313,11 +308,11 @@ func aliveHooks(alive []bool) Hooks {
 // dead source pause without offering.
 func TestDeadEndpointDrops(t *testing.T) {
 	alive := []bool{true, true, true, true, true}
-	cfg := Config{Flows: []FlowSpec{
+	cfg, flows := Config{}, []FlowSpec{
 		{Kind: CBR, Src: 0, Dst: 4, Rate: 1},
 		{Kind: CBR, Src: 3, Dst: 0, Rate: 1},
-	}}
-	e := mustEngine(t, 5, cfg, aliveHooks(alive), 9)
+	}
+	e := mustEngine(t, 5, cfg, flows, aliveHooks(alive), 9)
 	runSteps(t, e, 10)
 	before := e.Stats()
 	checkLedger(t, before)
@@ -362,8 +357,8 @@ func TestDeadEndpointDrops(t *testing.T) {
 // TestResizeAndFlush: growing the plane under churn gives new nodes
 // working queues, and FlushNode accounts a lost queue exactly.
 func TestResizeAndFlush(t *testing.T) {
-	cfg := Config{QueueCap: 8, Flows: []FlowSpec{{Kind: CBR, Src: 0, Dst: 3, Rate: 1}}}
-	e := mustEngine(t, 4, cfg, lineHooks(), 11)
+	cfg, flows := Config{QueueCap: 8}, []FlowSpec{{Kind: CBR, Src: 0, Dst: 3, Rate: 1}}
+	e := mustEngine(t, 4, cfg, flows, lineHooks(), 11)
 	runSteps(t, e, 2) // two packets in flight along the line
 	e.Resize(6)       // two new arrivals
 	if len(e.Load()) != 6 {
@@ -390,8 +385,8 @@ func TestResizeAndFlush(t *testing.T) {
 // destination, never the source), and the allocation-free accessors agree
 // with the copying ones.
 func TestRecvCountersMatchLoad(t *testing.T) {
-	cfg := Config{Flows: []FlowSpec{{Kind: CBR, Src: 0, Dst: 3, Rate: 1}}}
-	e := mustEngine(t, 4, cfg, lineHooks(), 1)
+	cfg, flows := Config{}, []FlowSpec{{Kind: CBR, Src: 0, Dst: 3, Rate: 1}}
+	e := mustEngine(t, 4, cfg, flows, lineHooks(), 1)
 	runSteps(t, e, 50)
 	load, recv := e.Load(), e.Recv()
 	var txTotal, rxTotal int64

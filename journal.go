@@ -1,12 +1,11 @@
 package selfstab
 
 import (
+	"errors"
 	"fmt"
 
-	"selfstab/internal/geom"
 	"selfstab/internal/runtime"
 	"selfstab/internal/snapshot"
-	"selfstab/internal/traffic"
 )
 
 // This file is the world-mutation chokepoint. Every public mutator —
@@ -30,8 +29,14 @@ import (
 //     bit-identical by contract (the determinism tests pin this), so
 //     they are not part of the world's trajectory.
 //   - Failed calls. applyOp journals only after the mutation succeeded,
-//     and the lifecycle ops validate every id and status transition
-//     up front, so an op that errors has mutated nothing.
+//     and every op validates its whole input up front — ids and status
+//     transitions, positions, configs — before it mutates a node or
+//     draws from the master rng stream (rng.Split advances its parent),
+//     so an op that errors has changed nothing a replay could miss.
+//
+// The journal owns its memory: applyOp appends a clone of the op, so the
+// id, point and flow slices a caller passed in can be reused or edited
+// afterwards without rewriting history.
 
 // applyOp performs one world mutation and journals it. It is the only
 // entry point through which the world changes, shared by the public
@@ -41,6 +46,7 @@ func (n *Network) applyOp(op snapshot.Op) error {
 	if err := n.dispatchOp(op); err != nil {
 		return err
 	}
+	op = op.Clone()
 	op.Step = n.engine.StepCount()
 	n.oplog = append(n.oplog, op)
 	return nil
@@ -56,8 +62,14 @@ func (n *Network) dispatchOp(op snapshot.Op) error {
 		return n.setPositionsImpl(op.Points)
 	case snapshot.OpAddNodes:
 		return n.addNodesImpl(op.Points)
-	case snapshot.OpRemoveNodes, snapshot.OpCrashNodes, snapshot.OpSleepNodes, snapshot.OpWakeNodes:
-		return n.applyLifecycle(op.Kind, op.IDs)
+	case snapshot.OpRemoveNodes:
+		return n.applyToNodes(op.IDs, notDead("is already dead"), n.removeNodeIdx)
+	case snapshot.OpCrashNodes:
+		return n.applyToNodes(op.IDs, notDead("is already dead"), n.crashNodeIdx)
+	case snapshot.OpSleepNodes:
+		return n.applyToNodes(op.IDs, only(runtime.StatusAlive, "sleep"), func(i int) error { return n.sleepNodeIdx(i, 0) })
+	case snapshot.OpWakeNodes:
+		return n.applyToNodes(op.IDs, only(runtime.StatusSleeping, "wake"), n.wakeNodeIdx)
 	case snapshot.OpAttachTraffic:
 		if op.Traffic == nil {
 			return fmt.Errorf("selfstab: %s op without a traffic config", op.Kind)
@@ -98,11 +110,11 @@ func (n *Network) dispatchOp(op snapshot.Op) error {
 		if op.Traffic == nil {
 			return fmt.Errorf("selfstab: %s op without a traffic config", op.Kind)
 		}
-		return n.spawnFlowsImpl(*op.Traffic)
+		return n.spawnFlowsImpl(op.Traffic.Flows)
 	case snapshot.OpScaleDensity:
 		return n.scaleDensityImpl(op.IDs, op.Scale)
 	case snapshot.OpEvictNodes:
-		return n.evictNodesImpl(op.IDs)
+		return n.applyToNodes(op.IDs, notDead("is dead"), n.evictNodeIdx)
 	case snapshot.OpSetDefense:
 		if op.Defense == nil {
 			return fmt.Errorf("selfstab: %s op without a defense config", op.Kind)
@@ -112,204 +124,67 @@ func (n *Network) dispatchOp(op snapshot.Op) error {
 	return fmt.Errorf("selfstab: unknown op kind %q", op.Kind)
 }
 
-// applyLifecycle applies one journaled lifecycle op (remove, crash,
-// sleep, wake) to a list of node identifiers. Indices are resolved and
-// status transitions validated up front, so a bad id, a duplicate, or an
-// illegal transition fails before ANY node mutates — the journal never
-// records a half-applied op, and a half-mutated world never outlives an
-// error return.
-func (n *Network) applyLifecycle(kind string, ids []int64) error {
+// resolve maps identifiers to indices, rejecting an empty list, unknown
+// ids, duplicates, and any node whose status allow refuses (allow's error
+// is what follows "node <id> " in the complaint: "is already dead") — all
+// before the caller mutates anything, so the journal never records a
+// half-applied op and a half-mutated world never outlives an error
+// return.
+func (n *Network) resolve(ids []int64, allow func(runtime.NodeStatus) error) ([]int, error) {
 	if len(ids) == 0 {
-		return fmt.Errorf("selfstab: no node ids")
+		return nil, fmt.Errorf("selfstab: no node ids")
 	}
 	idxs := make([]int, len(ids))
 	seen := make(map[int64]bool, len(ids))
 	for k, id := range ids {
 		i, ok := n.IndexOf(id)
 		if !ok {
-			return fmt.Errorf("selfstab: unknown node id %d", id)
+			return nil, fmt.Errorf("selfstab: unknown node id %d", id)
 		}
 		if seen[id] {
-			return fmt.Errorf("selfstab: duplicate node id %d in one call", id)
+			return nil, fmt.Errorf("selfstab: duplicate node id %d in one call", id)
 		}
 		seen[id] = true
-		st := n.engine.Status(i)
-		switch kind {
-		case snapshot.OpRemoveNodes, snapshot.OpCrashNodes:
-			if st == runtime.StatusDead {
-				return fmt.Errorf("selfstab: node %d is already dead", id)
-			}
-		case snapshot.OpSleepNodes:
-			if st != runtime.StatusAlive {
-				return fmt.Errorf("selfstab: node %d is %s, cannot sleep", id, statusOf(st))
-			}
-		case snapshot.OpWakeNodes:
-			if st != runtime.StatusSleeping {
-				return fmt.Errorf("selfstab: node %d is %s, cannot wake", id, statusOf(st))
-			}
+		if err := allow(n.engine.Status(i)); err != nil {
+			return nil, fmt.Errorf("selfstab: node %d %v", id, err)
 		}
 		idxs[k] = i
 	}
-	for _, i := range idxs {
-		var err error
-		switch kind {
-		case snapshot.OpRemoveNodes:
-			err = n.removeNodeIdx(i)
-		case snapshot.OpCrashNodes:
-			err = n.crashNodeIdx(i)
-		case snapshot.OpSleepNodes:
-			err = n.sleepNodeIdx(i, 0)
-		case snapshot.OpWakeNodes:
-			err = n.wakeNodeIdx(i)
+	return idxs, nil
+}
+
+// notDead is the resolve predicate of ops that apply to any node still
+// in the world, awake or asleep.
+func notDead(complaint string) func(runtime.NodeStatus) error {
+	return func(st runtime.NodeStatus) error {
+		if st == runtime.StatusDead {
+			return errors.New(complaint)
 		}
-		if err != nil {
+		return nil
+	}
+}
+
+// only is the resolve predicate of ops that apply to one status.
+func only(want runtime.NodeStatus, verb string) func(runtime.NodeStatus) error {
+	return func(st runtime.NodeStatus) error {
+		if st != want {
+			return fmt.Errorf("is %s, cannot %s", st, verb)
+		}
+		return nil
+	}
+}
+
+// applyToNodes runs apply on every listed node, once resolve has
+// accepted the whole list.
+func (n *Network) applyToNodes(ids []int64, allow func(runtime.NodeStatus) error, apply func(i int) error) error {
+	idxs, err := n.resolve(ids, allow)
+	if err != nil {
+		return err
+	}
+	for _, i := range idxs {
+		if err := apply(i); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// --- type conversions between the public option structs and their
-// journal records. They are exact: attach ops are journaled exactly as
-// given (defaults unfilled), and replay refills them identically.
-
-func toSnapshotPoints(pts []Point) []snapshot.Point {
-	out := make([]snapshot.Point, len(pts))
-	for i, p := range pts {
-		out[i] = snapshot.Point{X: p.X, Y: p.Y}
-	}
-	return out
-}
-
-func fromSnapshotPoints(pts []snapshot.Point) []geom.Point {
-	out := make([]geom.Point, len(pts))
-	for i, p := range pts {
-		out[i] = geom.Point{X: p.X, Y: p.Y}
-	}
-	return out
-}
-
-func flowToSnapshot(f Flow) (snapshot.Flow, error) {
-	var kind string
-	switch f.kind {
-	case traffic.CBR:
-		kind = "cbr"
-	case traffic.Poisson:
-		kind = "poisson"
-	default:
-		return snapshot.Flow{}, fmt.Errorf("selfstab: flow with unknown kind %d (build flows with CBRFlow, PoissonFlow or HotspotFlow)", int(f.kind))
-	}
-	return snapshot.Flow{
-		Kind: kind, SrcID: f.srcID, DstID: f.dstID, Rate: f.rate,
-		Start: f.start, Stop: f.stop, HotspotSources: f.hotSources,
-	}, nil
-}
-
-func flowFromSnapshot(sf snapshot.Flow) (Flow, error) {
-	var kind traffic.FlowKind
-	switch sf.Kind {
-	case "cbr":
-		kind = traffic.CBR
-	case "poisson":
-		kind = traffic.Poisson
-	default:
-		return Flow{}, fmt.Errorf("selfstab: journaled flow with unknown kind %q", sf.Kind)
-	}
-	return Flow{
-		kind: kind, srcID: sf.SrcID, dstID: sf.DstID, rate: sf.Rate,
-		start: sf.Start, stop: sf.Stop, hotSources: sf.HotspotSources,
-	}, nil
-}
-
-func trafficToSnapshot(cfg TrafficConfig) (snapshot.TrafficConfig, error) {
-	var disc string
-	switch cfg.Discipline {
-	case DropTail:
-		disc = "droptail"
-	case DropHead:
-		disc = "drophead"
-	default:
-		return snapshot.TrafficConfig{}, fmt.Errorf("selfstab: invalid queue discipline %d", int(cfg.Discipline))
-	}
-	out := snapshot.TrafficConfig{
-		QueueCap: cfg.QueueCap, Discipline: disc, Budget: cfg.Budget, TTL: cfg.TTL,
-		Flows: make([]snapshot.Flow, len(cfg.Flows)),
-	}
-	for i, f := range cfg.Flows {
-		sf, err := flowToSnapshot(f)
-		if err != nil {
-			return snapshot.TrafficConfig{}, fmt.Errorf("selfstab: flow %d: %w", i, err)
-		}
-		out.Flows[i] = sf
-	}
-	return out, nil
-}
-
-func trafficFromSnapshot(sc snapshot.TrafficConfig) (TrafficConfig, error) {
-	out := TrafficConfig{QueueCap: sc.QueueCap, Budget: sc.Budget, TTL: sc.TTL,
-		Flows: make([]Flow, len(sc.Flows))}
-	switch sc.Discipline {
-	case "droptail", "":
-		out.Discipline = DropTail
-	case "drophead":
-		out.Discipline = DropHead
-	default:
-		return TrafficConfig{}, fmt.Errorf("selfstab: journaled traffic config with unknown discipline %q", sc.Discipline)
-	}
-	for i, sf := range sc.Flows {
-		f, err := flowFromSnapshot(sf)
-		if err != nil {
-			return TrafficConfig{}, err
-		}
-		out.Flows[i] = f
-	}
-	return out, nil
-}
-
-func churnToSnapshot(cfg ChurnConfig) snapshot.ChurnConfig {
-	return snapshot.ChurnConfig{
-		ArrivalRate: cfg.ArrivalRate, DepartureRate: cfg.DepartureRate,
-		CrashRate: cfg.CrashRate, SleepRate: cfg.SleepRate,
-		SleepSteps: cfg.SleepSteps, MinAlive: cfg.MinAlive,
-	}
-}
-
-func churnFromSnapshot(sc snapshot.ChurnConfig) ChurnConfig {
-	return ChurnConfig{
-		ArrivalRate: sc.ArrivalRate, DepartureRate: sc.DepartureRate,
-		CrashRate: sc.CrashRate, SleepRate: sc.SleepRate,
-		SleepSteps: sc.SleepSteps, MinAlive: sc.MinAlive,
-	}
-}
-
-func energyToSnapshot(cfg EnergyConfig) snapshot.EnergyConfig {
-	return snapshot.EnergyConfig{
-		Capacity: cfg.Capacity, IdleHeadCost: cfg.IdleHeadCost,
-		IdleMemberCost: cfg.IdleMemberCost, SleepCost: cfg.SleepCost,
-		TxCost: cfg.TxCost, RxCost: cfg.RxCost,
-		Rotation: cfg.Rotation, RotationLevels: cfg.RotationLevels,
-	}
-}
-
-func energyFromSnapshot(sc snapshot.EnergyConfig) EnergyConfig {
-	return EnergyConfig{
-		Capacity: sc.Capacity, IdleHeadCost: sc.IdleHeadCost,
-		IdleMemberCost: sc.IdleMemberCost, SleepCost: sc.SleepCost,
-		TxCost: sc.TxCost, RxCost: sc.RxCost,
-		Rotation: sc.Rotation, RotationLevels: sc.RotationLevels,
-	}
-}
-
-func defenseToSnapshot(cfg DefenseConfig) snapshot.DefenseConfig {
-	return snapshot.DefenseConfig{
-		HeadTokens: cfg.HeadAdmission, HeadRate: cfg.HeadRate,
-		HeadBurst: cfg.HeadBurst, SourceCap: cfg.SourceCap,
-	}
-}
-
-func defenseFromSnapshot(sc snapshot.DefenseConfig) DefenseConfig {
-	return DefenseConfig{
-		HeadAdmission: sc.HeadTokens, HeadRate: sc.HeadRate,
-		HeadBurst: sc.HeadBurst, SourceCap: sc.SourceCap,
-	}
 }

@@ -2,10 +2,10 @@ package selfstab
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"selfstab/internal/cluster"
-	"selfstab/internal/geom"
 	"selfstab/internal/metric"
 	"selfstab/internal/runtime"
 	"selfstab/internal/snapshot"
@@ -28,16 +28,10 @@ func (n *Network) IndexOf(id int64) (int, bool) {
 }
 
 // Positions returns a copy of the node positions.
-func (n *Network) Positions() []Point {
-	out := make([]Point, len(n.pts))
-	for i, p := range n.pts {
-		out[i] = Point{X: p.X, Y: p.Y}
-	}
-	return out
-}
+func (n *Network) Positions() []Point { return slices.Clone(n.pts) }
 
 // Range returns the radio transmission range.
-func (n *Network) Range() float64 { return n.cfg.radioRng }
+func (n *Network) Range() float64 { return n.cfg.Range }
 
 // StepCount returns how many Δ(τ) steps have executed.
 func (n *Network) StepCount() int { return n.engine.StepCount() }
@@ -88,7 +82,7 @@ func (n *Network) SparseStepping() bool { return n.engine.Sparse() }
 // premature — and would leave the episode dangling open in
 // ConvergenceStats.
 func (n *Network) Stabilize(maxSteps int) (int, error) {
-	win := n.cfg.stableWindow
+	win := n.cfg.StableWindow
 	if n.engine.DisruptionOpen() || n.churnAttached {
 		win = max(win, n.engine.ConvergenceWindow())
 	}
@@ -145,13 +139,13 @@ func (n *Network) State(i int) (NodeState, error) {
 	node := n.engine.Node(i)
 	return NodeState{
 		ID:       node.ID(),
-		Position: Point{X: n.pts[i].X, Y: n.pts[i].Y},
+		Position: n.pts[i],
 		Density:  node.Density(),
 		HeadID:   node.HeadID(),
 		ParentID: node.ParentID(),
 		Color:    node.TieID(),
 		IsHead:   node.IsHead(),
-		Status:   statusOf(n.engine.Status(i)),
+		Status:   n.engine.Status(i),
 	}, nil
 }
 
@@ -244,12 +238,12 @@ func (n *Network) Verify() error {
 		}
 	}
 	// Locally unique colors (Theorem 1 legitimacy).
-	if n.cfg.useDag && !n.engine.DagLocallyUnique() {
+	if n.cfg.DAG && !n.engine.DagLocallyUnique() {
 		return fmt.Errorf("selfstab: DAG colors not locally unique")
 	}
 	// Head fixpoint (Lemma 2): equals the oracle on the realized colors.
 	order := cluster.OrderBasic
-	if n.cfg.sticky {
+	if n.cfg.Sticky {
 		order = cluster.OrderSticky
 	}
 	oracle, err := cluster.Compute(n.g, cluster.Config{
@@ -257,7 +251,7 @@ func (n *Network) Verify() error {
 		TieIDs:   snap.TieID,
 		AppIDs:   n.ids,
 		Order:    order,
-		Fusion:   n.cfg.fusion,
+		Fusion:   n.cfg.Fusion,
 		PrevHead: n.engine.Assignment().Head,
 	})
 	if err != nil {
@@ -276,7 +270,7 @@ func (n *Network) Verify() error {
 			return fmt.Errorf("selfstab: node %d heads %d, oracle fixpoint %d", u, got.Head[u], oracle.Head[u])
 		}
 	}
-	if err := cluster.CheckInvariants(n.g, got, n.cfg.fusion); err != nil {
+	if err := cluster.CheckInvariants(n.g, got, n.cfg.Fusion); err != nil {
 		return fmt.Errorf("selfstab: %w", err)
 	}
 	return nil
@@ -305,21 +299,20 @@ func (n *Network) operatingMask() []bool {
 // The Network's graph is updated in place. Combine with WithCacheTTL so
 // stale neighbors age out of caches.
 func (n *Network) SetPositions(positions []Point) error {
-	return n.applyOp(snapshot.Op{Kind: snapshot.OpSetPositions, Points: toSnapshotPoints(positions)})
+	return n.applyOp(snapshot.Op{Kind: snapshot.OpSetPositions, Points: positions})
 }
 
 // setPositionsImpl is the journaled implementation behind SetPositions.
-func (n *Network) setPositionsImpl(positions []snapshot.Point) error {
+func (n *Network) setPositionsImpl(positions []Point) error {
 	if len(positions) != len(n.pts) {
 		return fmt.Errorf("selfstab: %d positions for %d nodes", len(positions), len(n.pts))
 	}
-	pts := make([]geom.Point, len(positions))
 	for i, p := range positions {
-		pts[i] = geom.Point{X: p.X, Y: p.Y}
-		if !n.region.Contains(pts[i]) {
+		if !n.region.Contains(p) {
 			return fmt.Errorf("selfstab: position %d outside the region", i)
 		}
 	}
+	pts := slices.Clone(positions) // the world's own copy, not the caller's slice
 	g, err := n.grid.Update(pts)
 	if err != nil {
 		return err

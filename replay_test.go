@@ -251,7 +251,7 @@ func TestSnapshotRoundTripEveryConstructor(t *testing.T) {
 		build func() (*Network, error)
 	}{
 		{"explicit", func() (*Network, error) {
-			return NewNetwork([]Point{{0.2, 0.2}, {0.25, 0.22}, {0.8, 0.8}}, WithSeed(5))
+			return NewNetwork([]Point{{X: 0.2, Y: 0.2}, {X: 0.25, Y: 0.22}, {X: 0.8, Y: 0.8}}, WithSeed(5))
 		}},
 		{"random", func() (*Network, error) {
 			return NewRandomNetwork(40, WithSeed(5), WithDAG(1<<16))
@@ -311,32 +311,253 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestFailedOpsAreNotJournaled: an op that errors mutates nothing and
-// leaves no journal entry, so a snapshot after a failed call replays
-// cleanly.
-func TestFailedOpsAreNotJournaled(t *testing.T) {
-	net := churnNet(t, 30, 99)
-	before := fingerprint(t, net)
-	if err := net.RemoveNodes(123456); err == nil {
-		t.Fatal("unknown id accepted")
-	}
-	ids := firstAliveIDs(t, net, 2)
-	// Second id is unknown: the whole call must fail before the first
-	// node mutates.
-	if err := net.CrashNodes(ids[0], 123456); err == nil {
-		t.Fatal("half-applicable call accepted")
-	}
-	if err := net.WakeNodes(ids[1]); err == nil {
-		t.Fatal("waking an alive node accepted")
-	}
-	requireSameWorld(t, "after failed ops", before, fingerprint(t, net))
+// snapshotBytes is the world's checkpoint document.
+func snapshotBytes(t *testing.T, n *Network) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := net.WriteSnapshot(&buf); err != nil {
+	if err := n.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := ReadSnapshot(&buf)
+	return buf.Bytes()
+}
+
+// TestFailedOpsAreNotJournaled: an op that errors mutates nothing — no
+// node, no ledger, and not the master rng stream either — and leaves no
+// journal entry, so a snapshot taken after a failed call replays to the
+// same world. One row (or more) per op kind that has a failing input;
+// inject_faults, compact and the three detach ops accept every input.
+// The fault injection after the failure is what exposes a stream the
+// failed call advanced: its corruption draw comes from a Split of the
+// master stream, so the live world and its replay corrupt different
+// nodes unless the failure left the stream where it was.
+func TestFailedOpsAreNotJournaled(t *testing.T) {
+	const ghost = 123456 // an id no world here ever hands out
+	withTraffic := func(t *testing.T, n *Network) {
+		ids := firstAliveIDs(t, n, 2)
+		if err := n.AttachTraffic(TrafficConfig{Flows: []Flow{CBRFlow(ids[0], ids[1], 0.5)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// first returns the first alive id; removed and asleep put it in the
+	// status the row needs before the failing call.
+	first := func(t *testing.T, n *Network) int64 { return firstAliveIDs(t, n, 1)[0] }
+	removed := func(t *testing.T, n *Network) {
+		if err := n.RemoveNodes(first(t, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	asleep := func(t *testing.T, n *Network) {
+		if err := n.SleepNodes(first(t, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	firstDead := func(n *Network) int64 {
+		for i := 0; i < n.N(); i++ {
+			if st, _ := n.State(i); st.Status == NodeDead {
+				return st.ID
+			}
+		}
+		return ghost
+	}
+	rows := []struct {
+		kind  string // the op kind the failing call would have journaled
+		name  string
+		opts  []Option
+		setup func(*testing.T, *Network)
+		fail  func(*testing.T, *Network) error
+	}{
+		{"set_positions", "wrong length", nil, nil, func(t *testing.T, n *Network) error {
+			return n.SetPositions([]Point{{X: 0.5, Y: 0.5}})
+		}},
+		{"set_positions", "out of region", nil, nil, func(t *testing.T, n *Network) error {
+			pts := n.Positions()
+			pts[len(pts)-1] = Point{X: 2, Y: 2}
+			return n.SetPositions(pts)
+		}},
+		{"add_nodes", "out of region", nil, nil, func(t *testing.T, n *Network) error {
+			_, err := n.AddNodes([]Point{{X: 0.5, Y: 0.5}, {X: 2, Y: 2}})
+			return err
+		}},
+		{"add_nodes", "no positions", nil, nil, func(t *testing.T, n *Network) error {
+			_, err := n.AddNodes(nil)
+			return err
+		}},
+		{"remove_nodes", "unknown id", nil, nil, func(t *testing.T, n *Network) error {
+			return n.RemoveNodes(ghost)
+		}},
+		{"remove_nodes", "duplicate id", nil, nil, func(t *testing.T, n *Network) error {
+			id := first(t, n)
+			return n.RemoveNodes(id, id)
+		}},
+		{"remove_nodes", "dead id", nil, removed, func(t *testing.T, n *Network) error {
+			return n.RemoveNodes(firstDead(n))
+		}},
+		{"crash_nodes", "second id unknown", nil, nil, func(t *testing.T, n *Network) error {
+			// The whole call must fail before the first node mutates.
+			return n.CrashNodes(first(t, n), ghost)
+		}},
+		{"crash_nodes", "dead id", nil, removed, func(t *testing.T, n *Network) error {
+			return n.CrashNodes(firstDead(n))
+		}},
+		{"sleep_nodes", "already asleep", nil, asleep, func(t *testing.T, n *Network) error {
+			for i := 0; i < n.N(); i++ {
+				if st, _ := n.State(i); st.Status == NodeSleeping {
+					return n.SleepNodes(st.ID)
+				}
+			}
+			t.Fatal("setup left no sleeper")
+			return nil
+		}},
+		{"sleep_nodes", "no ids", nil, nil, func(t *testing.T, n *Network) error {
+			return n.SleepNodes()
+		}},
+		{"wake_nodes", "alive id", nil, nil, func(t *testing.T, n *Network) error {
+			return n.WakeNodes(first(t, n))
+		}},
+		{"attach_traffic", "unknown destination", nil, nil, func(t *testing.T, n *Network) error {
+			return n.AttachTraffic(TrafficConfig{Flows: []Flow{CBRFlow(first(t, n), ghost, 1)}})
+		}},
+		{"attach_traffic", "negative queue capacity", nil, nil, func(t *testing.T, n *Network) error {
+			ids := firstAliveIDs(t, n, 2)
+			return n.AttachTraffic(TrafficConfig{QueueCap: -1, Flows: []Flow{CBRFlow(ids[0], ids[1], 1)}})
+		}},
+		{"attach_traffic", "hotspot larger than the world", nil, nil, func(t *testing.T, n *Network) error {
+			return n.AttachTraffic(TrafficConfig{Flows: []Flow{HotspotFlow(first(t, n), n.N(), 0.1)}})
+		}},
+		{"attach_traffic", "zero rate", nil, nil, func(t *testing.T, n *Network) error {
+			ids := firstAliveIDs(t, n, 2)
+			return n.AttachTraffic(TrafficConfig{Flows: []Flow{PoissonFlow(ids[0], ids[1], 0)}})
+		}},
+		{"attach_traffic", "no flows", nil, nil, func(t *testing.T, n *Network) error {
+			return n.AttachTraffic(TrafficConfig{})
+		}},
+		{"attach_churn", "all rates zero", nil, nil, func(t *testing.T, n *Network) error {
+			return n.AttachChurn(ChurnConfig{SleepSteps: 5})
+		}},
+		{"attach_churn", "no cache ttl", []Option{WithCacheTTL(0)}, nil, func(t *testing.T, n *Network) error {
+			return n.AttachChurn(ChurnConfig{CrashRate: 0.1})
+		}},
+		{"attach_energy", "no cache ttl", []Option{WithCacheTTL(0)}, nil, func(t *testing.T, n *Network) error {
+			return n.AttachEnergy(EnergyConfig{})
+		}},
+		{"attach_energy", "negative capacity", nil, nil, func(t *testing.T, n *Network) error {
+			return n.AttachEnergy(EnergyConfig{Capacity: -1})
+		}},
+		{"set_auto_compact", "fraction above one", nil, nil, func(t *testing.T, n *Network) error {
+			return n.SetAutoCompact(1.5)
+		}},
+		{"spawn_flows", "no traffic attached", nil, nil, func(t *testing.T, n *Network) error {
+			ids := firstAliveIDs(t, n, 2)
+			return n.SpawnFlows(CBRFlow(ids[0], ids[1], 1))
+		}},
+		{"spawn_flows", "unknown source", nil, withTraffic, func(t *testing.T, n *Network) error {
+			return n.SpawnFlows(CBRFlow(ghost, first(t, n), 1))
+		}},
+		{"spawn_flows", "hotspot larger than the world", nil, withTraffic, func(t *testing.T, n *Network) error {
+			return n.SpawnFlows(HotspotFlow(first(t, n), n.N(), 0.1))
+		}},
+		{"spawn_flows", "stop before start", nil, withTraffic, func(t *testing.T, n *Network) error {
+			ids := firstAliveIDs(t, n, 2)
+			return n.SpawnFlows(CBRFlow(ids[0], ids[1], 1).Between(9, 3))
+		}},
+		{"scale_density", "scale not positive", nil, nil, func(t *testing.T, n *Network) error {
+			return n.InflateDensity(0, first(t, n))
+		}},
+		{"scale_density", "unknown id", nil, nil, func(t *testing.T, n *Network) error {
+			return n.InflateDensity(3, first(t, n), ghost)
+		}},
+		{"evict_nodes", "dead id", nil, removed, func(t *testing.T, n *Network) error {
+			return n.EvictNodes(firstDead(n))
+		}},
+		{"evict_nodes", "duplicate id", nil, nil, func(t *testing.T, n *Network) error {
+			id := first(t, n)
+			return n.EvictNodes(id, id)
+		}},
+		{"set_defense", "no traffic attached", nil, nil, func(t *testing.T, n *Network) error {
+			return n.SetTrafficDefense(DefenseConfig{SourceCap: 2})
+		}},
+		{"set_defense", "admission without a rate", nil, withTraffic, func(t *testing.T, n *Network) error {
+			return n.SetTrafficDefense(DefenseConfig{HeadAdmission: true})
+		}},
+	}
+	for _, r := range rows {
+		r := r
+		t.Run(r.kind+"/"+strings.ReplaceAll(r.name, " ", "_"), func(t *testing.T) {
+			t.Parallel()
+			net := churnNet(t, 30, 99, r.opts...)
+			if r.setup != nil {
+				r.setup(t, net)
+			}
+			before, journaled := fingerprint(t, net), len(net.oplog)
+			if err := r.fail(t, net); err == nil {
+				t.Fatal("accepted")
+			}
+			if len(net.oplog) != journaled {
+				t.Fatalf("failed op was journaled: %+v", net.oplog[journaled:])
+			}
+			requireSameWorld(t, "after the failed op", before, fingerprint(t, net))
+			net.InjectFaults(0.5)
+			restored, err := ReadSnapshot(bytes.NewReader(snapshotBytes(t, net)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameWorld(t, "restored after the failed op", fingerprint(t, net), fingerprint(t, restored))
+		})
+	}
+}
+
+// TestJournalOwnsItsMemory: the blueprint and the journal keep their own
+// copies of every slice a caller hands in, so editing those slices after
+// the call returns cannot rewrite the checkpoint — and neither can the
+// world's own in-place edits of its id array under Compact.
+func TestJournalOwnsItsMemory(t *testing.T) {
+	positions := []Point{{X: 0.2, Y: 0.2}, {X: 0.25, Y: 0.22}, {X: 0.3, Y: 0.2}, {X: 0.8, Y: 0.8}}
+	custom := []int64{40, 30, 20, 10}
+	net, err := NewNetwork(positions, WithSeed(5), WithIDs(custom), WithCacheTTL(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameWorld(t, "restored after failed ops", before, fingerprint(t, restored))
+	added := []Point{{X: 0.31, Y: 0.47}, {X: 0.72, Y: 0.18}}
+	if _, err := net.AddNodes(added); err != nil {
+		t.Fatal(err)
+	}
+	moved := net.Positions()
+	moved[0].X += 0.01
+	if err := net.SetPositions(moved); err != nil {
+		t.Fatal(err)
+	}
+	victims := []int64{30}
+	if err := net.CrashNodes(victims...); err != nil {
+		t.Fatal(err)
+	}
+	flows := []Flow{CBRFlow(40, 20, 0.5), HotspotFlow(10, 2, 0.1)}
+	if err := net.AttachTraffic(TrafficConfig{Flows: flows}); err != nil {
+		t.Fatal(err)
+	}
+	want := snapshotBytes(t, net)
+
+	positions[0], added[1], moved[2] = Point{X: 0.9, Y: 0.9}, Point{}, Point{X: 0.5, Y: 0.5}
+	custom[0], victims[0] = 77, 20
+	flows[0], flows[1].HotspotSources = PoissonFlow(10, 20, 3), 3
+	if got := snapshotBytes(t, net); !bytes.Equal(want, got) {
+		t.Fatalf("editing the callers' slices rewrote the checkpoint:\nbefore:\n%s\nafter:\n%s", want, got)
+	}
+
+	// Compact shifts the survivors down the world's id array in place;
+	// the blueprint's WithIDs list must not be that array.
+	net, err = NewRandomNetwork(6, WithSeed(5), WithIDs([]int64{60, 50, 40, 30, 20, 10}), WithCacheTTL(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.RemoveNodes(60); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := ReadSnapshot(bytes.NewReader(snapshotBytes(t, net)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameWorld(t, "restored after compaction", fingerprint(t, net), fingerprint(t, restored))
 }

@@ -118,8 +118,8 @@ func TestRoutingStateAdvantage(t *testing.T) {
 // network.
 func TestRoutePartitionedNetwork(t *testing.T) {
 	pts := []Point{
-		{0.1, 0.1}, {0.12, 0.1}, {0.1, 0.12},
-		{0.9, 0.9}, {0.88, 0.9}, {0.9, 0.88},
+		{X: 0.1, Y: 0.1}, {X: 0.12, Y: 0.1}, {X: 0.1, Y: 0.12},
+		{X: 0.9, Y: 0.9}, {X: 0.88, Y: 0.9}, {X: 0.9, Y: 0.88},
 	}
 	net, err := NewNetwork(pts, WithSeed(8), WithRange(0.05))
 	if err != nil {
@@ -150,7 +150,7 @@ func TestRoutePartitionedNetwork(t *testing.T) {
 // TestRouteSingleNodeNetwork: the degenerate one-node network routes to
 // itself and reports zero routing state.
 func TestRouteSingleNodeNetwork(t *testing.T) {
-	net, err := NewNetwork([]Point{{0.5, 0.5}}, WithSeed(9))
+	net, err := NewNetwork([]Point{{X: 0.5, Y: 0.5}}, WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}

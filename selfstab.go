@@ -176,7 +176,11 @@
 //     Fenwick-tree order-statistic index over the alive set backs the
 //     churn schedule's random victim picks (NthAlive) and Population,
 //     replacing O(N) status scans that dominated large quiescent worlds.
-//     compactions; an explicit Network.Compact (or a SetAutoCompact
+//
+//   - Dead-slot compaction. Index slots of departed nodes are never
+//     reused on their own — every per-node array stays aligned — so
+//     sustained add/remove churn would grow memory with cumulative
+//     arrivals; an explicit Network.Compact (or a SetAutoCompact
 //     dead-fraction threshold) recycles dead slots under one monotone
 //     index remap propagated to every index cache — grid and graph,
 //     engine arrays, traffic queues and flow endpoints, energy arrays,
@@ -283,6 +287,7 @@ import (
 	"errors"
 	"fmt"
 	goruntime "runtime"
+	"slices"
 	"sort"
 
 	"selfstab/internal/cluster"
@@ -300,47 +305,23 @@ import (
 )
 
 // Point is a node position in the deployment region (the unit square by
-// default; 1 unit = 1 km at the paper's scale).
-type Point struct {
-	X, Y float64
-}
+// default; 1 unit = 1 km at the paper's scale). It is geom.Point.
+type Point = geom.Point
 
-// config collects the functional options.
-type config struct {
-	seed         int64
-	radioRng     float64
-	useDag       bool
-	gamma        int64 // 0 = auto (delta^2)
-	sticky       bool
-	fusion       bool
-	tau          float64
-	slots        int
-	cacheTTL     int
-	activation   float64
-	rowMajor     bool
-	idsCustom    []int64
-	stableWindow int
-	tiles        int // 0 = auto, 1 = untiled, k > 1 = force k tiles
-}
+// Option customizes a Network at construction. Options write the
+// blueprint record the snapshot stores (snapshot.Options), so an option
+// that shapes the trajectory cannot escape the checkpoint.
+type Option func(*snapshot.Options) error
 
-func defaults() config {
-	return config{
-		seed:         1,
-		radioRng:     0.1,
-		tau:          1,
-		activation:   1,
-		stableWindow: 5,
-	}
+func defaults() snapshot.Options {
+	return snapshot.Options{Seed: 1, Range: 0.1, Tau: 1, Activation: 1, StableWindow: 5}
 }
-
-// Option customizes a Network at construction.
-type Option func(*config) error
 
 // WithSeed fixes the random seed; identical seeds reproduce identical
 // networks and protocol executions.
 func WithSeed(seed int64) Option {
-	return func(c *config) error {
-		c.seed = seed
+	return func(c *snapshot.Options) error {
+		c.Seed = seed
 		return nil
 	}
 }
@@ -348,11 +329,11 @@ func WithSeed(seed int64) Option {
 // WithRange sets the radio transmission range in region units (the paper
 // sweeps 0.05-0.1). Default 0.1.
 func WithRange(r float64) Option {
-	return func(c *config) error {
+	return func(c *snapshot.Options) error {
 		if r <= 0 || r > 1 {
 			return fmt.Errorf("selfstab: range must be in (0, 1], got %v", r)
 		}
-		c.radioRng = r
+		c.Range = r
 		return nil
 	}
 }
@@ -363,12 +344,12 @@ func WithRange(r float64) Option {
 // the network diameter. gamma is the color-space size; pass 0 to use the
 // paper's simulation choice delta².
 func WithDAG(gamma int64) Option {
-	return func(c *config) error {
+	return func(c *snapshot.Options) error {
 		if gamma < 0 {
 			return fmt.Errorf("selfstab: negative gamma %d", gamma)
 		}
-		c.useDag = true
-		c.gamma = gamma
+		c.DAG = true
+		c.Gamma = gamma
 		return nil
 	}
 }
@@ -376,8 +357,8 @@ func WithDAG(gamma int64) Option {
 // WithStickyHeads enables the Section 4.3 incumbency rule: on density
 // ties a standing cluster-head wins over a challenger.
 func WithStickyHeads() Option {
-	return func(c *config) error {
-		c.sticky = true
+	return func(c *snapshot.Options) error {
+		c.Sticky = true
 		return nil
 	}
 }
@@ -386,8 +367,8 @@ func WithStickyHeads() Option {
 // within two hops the ≺-lesser dissolves its cluster into the greater's,
 // guaranteeing heads are at least three hops apart.
 func WithFusion() Option {
-	return func(c *config) error {
-		c.fusion = true
+	return func(c *snapshot.Options) error {
+		c.Fusion = true
 		return nil
 	}
 }
@@ -395,11 +376,11 @@ func WithFusion() Option {
 // WithTau sets the per-link frame delivery probability of the radio medium
 // (the paper's CSMA/CA abstraction). Default 1 (lossless).
 func WithTau(tau float64) Option {
-	return func(c *config) error {
+	return func(c *snapshot.Options) error {
 		if tau <= 0 || tau > 1 {
 			return fmt.Errorf("selfstab: tau must be in (0, 1], got %v", tau)
 		}
-		c.tau = tau
+		c.Tau = tau
 		return nil
 	}
 }
@@ -408,11 +389,11 @@ func WithTau(tau float64) Option {
 // slotted-CSMA medium of the given slot count: collisions — and hence τ —
 // become emergent instead of assumed.
 func WithSlottedRadio(slots int) Option {
-	return func(c *config) error {
+	return func(c *snapshot.Options) error {
 		if slots < 1 {
 			return fmt.Errorf("selfstab: need at least 1 slot, got %d", slots)
 		}
-		c.slots = slots
+		c.Slots = slots
 		return nil
 	}
 }
@@ -423,11 +404,11 @@ func WithSlottedRadio(slots int) Option {
 // synchronous daemon; lower values model slower, unsynchronized nodes —
 // self-stabilization holds regardless.
 func WithDaemon(p float64) Option {
-	return func(c *config) error {
+	return func(c *snapshot.Options) error {
 		if p <= 0 || p > 1 {
 			return fmt.Errorf("selfstab: activation probability must be in (0, 1], got %v", p)
 		}
-		c.activation = p
+		c.Activation = p
 		return nil
 	}
 }
@@ -438,11 +419,11 @@ func WithDaemon(p float64) Option {
 // produce accidental quiet stretches, so such experiments should raise
 // the window to avoid declaring stability on a lull.
 func WithStableWindow(k int) Option {
-	return func(c *config) error {
+	return func(c *snapshot.Options) error {
 		if k < 1 {
 			return fmt.Errorf("selfstab: stable window must be >= 1, got %d", k)
 		}
-		c.stableWindow = k
+		c.StableWindow = k
 		return nil
 	}
 }
@@ -450,11 +431,11 @@ func WithStableWindow(k int) Option {
 // WithCacheTTL evicts neighbor-table entries not refreshed for ttl steps.
 // Needed under mobility and churn; 0 (default) never evicts.
 func WithCacheTTL(ttl int) Option {
-	return func(c *config) error {
+	return func(c *snapshot.Options) error {
 		if ttl < 0 {
 			return fmt.Errorf("selfstab: negative ttl %d", ttl)
 		}
-		c.cacheTTL = ttl
+		c.CacheTTL = ttl
 		return nil
 	}
 }
@@ -464,8 +445,8 @@ func WithCacheTTL(ttl int) Option {
 // identifier tie-breaking degenerates (Table 5). Default is a random
 // permutation.
 func WithRowMajorIDs() Option {
-	return func(c *config) error {
-		c.rowMajor = true
+	return func(c *snapshot.Options) error {
+		c.RowMajorIDs = true
 		return nil
 	}
 }
@@ -480,11 +461,11 @@ func WithRowMajorIDs() Option {
 // steps visit a worklist (lossless medium, synchronous daemon); otherwise
 // it sits idle.
 func WithTiles(k int) Option {
-	return func(c *config) error {
+	return func(c *snapshot.Options) error {
 		if k < 1 {
 			return fmt.Errorf("selfstab: tile count must be >= 1, got %d", k)
 		}
-		c.tiles = k
+		c.Tiles = k
 		return nil
 	}
 }
@@ -492,8 +473,8 @@ func WithTiles(k int) Option {
 // WithIDs supplies explicit unique node identifiers (overrides
 // WithRowMajorIDs). Length must match the node count.
 func WithIDs(ids []int64) Option {
-	return func(c *config) error {
-		c.idsCustom = append([]int64(nil), ids...)
+	return func(c *snapshot.Options) error {
+		c.IDs = append([]int64(nil), ids...)
 		return nil
 	}
 }
@@ -501,7 +482,6 @@ func WithIDs(ids []int64) Option {
 // Network is a simulated multihop wireless network running the clustering
 // protocol stack.
 type Network struct {
-	cfg    config
 	region geom.Rect
 	pts    []geom.Point
 	ids    []int64
@@ -552,13 +532,14 @@ type Network struct {
 	autoCompact   float64     // dead-slot fraction that triggers Compact (0: never)
 	workers       int         // SetParallelism setting, replayed onto late-attached subsystems
 
-	// Snapshot support: the construction blueprint and the journal of
-	// every world mutation (see journal.go). Together with the step count
-	// they are the whole checkpoint — WriteSnapshot serializes exactly
-	// these, and ReadSnapshot replays them.
-	bp          snapshot.Blueprint
-	oplog       []snapshot.Op
-	lastTraffic *TrafficConfig // config of the last AttachTraffic, for online flow spawning
+	// Snapshot support: the construction blueprint — deployment and
+	// resolved options, the latter also what the running world consults —
+	// and the journal of every world mutation (see journal.go). Together
+	// with the step count they are the whole checkpoint: WriteSnapshot
+	// serializes exactly these, and ReadSnapshot replays them.
+	deploy snapshot.Deployment
+	cfg    snapshot.Options
+	oplog  []snapshot.Op
 }
 
 // flowEndpointIDs is one attached flow's endpoints by identifier.
@@ -575,7 +556,7 @@ func NewNetwork(positions []Point, opts ...Option) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	return construct(snapshot.Deployment{Kind: snapshot.DeployExplicit, Points: toSnapshotPoints(positions)}, cfg)
+	return construct(snapshot.Deployment{Kind: snapshot.DeployExplicit, Points: positions}, cfg)
 }
 
 // NewRandomNetwork deploys exactly n uniformly random nodes.
@@ -629,7 +610,7 @@ func NewGridNetwork(rows, cols int, opts ...Option) (*Network, error) {
 	return construct(snapshot.Deployment{Kind: snapshot.DeployGrid, Rows: rows, Cols: cols}, cfg)
 }
 
-func apply(opts []Option) (config, error) {
+func apply(opts []Option) (snapshot.Options, error) {
 	cfg := defaults()
 	for _, o := range opts {
 		if err := o(&cfg); err != nil {
@@ -644,19 +625,21 @@ func apply(opts []Option) (config, error) {
 // descriptor, consuming the master seed's split streams in a fixed order,
 // so rebuilding from a snapshot blueprint lands on exactly the world the
 // original constructor produced — including every per-node rng stream.
-func construct(dep snapshot.Deployment, cfg config) (*Network, error) {
-	src := rng.New(cfg.seed)
+func construct(dep snapshot.Deployment, cfg snapshot.Options) (*Network, error) {
+	src := rng.New(cfg.Seed)
 	var pts []geom.Point
 	switch dep.Kind {
 	case snapshot.DeployExplicit:
 		region := geom.UnitSquare()
-		pts = make([]geom.Point, len(dep.Points))
 		for i, p := range dep.Points {
-			pts[i] = geom.Point{X: p.X, Y: p.Y}
-			if !region.Contains(pts[i]) {
+			if !region.Contains(p) {
 				return nil, fmt.Errorf("selfstab: position %d (%v, %v) outside the unit square", i, p.X, p.Y)
 			}
 		}
+		// The blueprint keeps its own copy: the caller's slice must not
+		// alias the checkpoint (buildWith copies once more for the world).
+		dep.Points = slices.Clone(dep.Points)
+		pts = dep.Points
 	case snapshot.DeployRandom:
 		if dep.N < 1 {
 			return nil, fmt.Errorf("selfstab: need at least one node, got %d", dep.N)
@@ -689,36 +672,11 @@ func construct(dep snapshot.Deployment, cfg config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	if dep.Points != nil {
-		dep.Points = append([]snapshot.Point(nil), dep.Points...)
-	}
-	n.bp = snapshot.Blueprint{Deploy: dep, Options: optionsFromConfig(cfg)}
+	n.deploy = dep
 	return n, nil
 }
 
-// optionsFromConfig records the resolved construction options for the
-// snapshot blueprint; configFromOptions inverts it on restore. The pair
-// must stay exact — any option that changes the trajectory and escapes
-// this round trip breaks replay.
-func optionsFromConfig(c config) snapshot.Options {
-	return snapshot.Options{
-		Seed: c.seed, Range: c.radioRng, DAG: c.useDag, Gamma: c.gamma,
-		Sticky: c.sticky, Fusion: c.fusion, Tau: c.tau, Slots: c.slots,
-		CacheTTL: c.cacheTTL, Activation: c.activation, RowMajorIDs: c.rowMajor,
-		IDs: c.idsCustom, StableWindow: c.stableWindow, Tiles: c.tiles,
-	}
-}
-
-func configFromOptions(o snapshot.Options) config {
-	return config{
-		seed: o.Seed, radioRng: o.Range, useDag: o.DAG, gamma: o.Gamma,
-		sticky: o.Sticky, fusion: o.Fusion, tau: o.Tau, slots: o.Slots,
-		cacheTTL: o.CacheTTL, activation: o.Activation, rowMajor: o.RowMajorIDs,
-		idsCustom: o.IDs, stableWindow: o.StableWindow, tiles: o.Tiles,
-	}
-}
-
-func buildWith(cfg config, pts []geom.Point, src *rng.Source) (*Network, error) {
+func buildWith(cfg snapshot.Options, pts []geom.Point, src *rng.Source) (*Network, error) {
 	n := &Network{
 		cfg:    cfg,
 		region: geom.UnitSquare(),
@@ -736,21 +694,21 @@ func buildWith(cfg config, pts []geom.Point, src *rng.Source) (*Network, error) 
 	// initial point spread) and persists for the Network's lifetime, so
 	// SetPositions can repair the topology incrementally wherever the
 	// nodes later roam.
-	n.grid = topology.NewGridIndexInRegion(n.pts, cfg.radioRng, n.region)
+	n.grid = topology.NewGridIndexInRegion(n.pts, cfg.Range, n.region)
 	n.g = n.grid.Graph()
 
 	proto := runtime.Protocol{
 		Order:          cluster.OrderBasic,
-		Fusion:         cfg.fusion,
-		CacheTTL:       cfg.cacheTTL,
-		ActivationProb: cfg.activation,
+		Fusion:         cfg.Fusion,
+		CacheTTL:       cfg.CacheTTL,
+		ActivationProb: cfg.Activation,
 	}
-	if cfg.sticky {
+	if cfg.Sticky {
 		proto.Order = cluster.OrderSticky
 	}
-	if cfg.useDag {
+	if cfg.DAG {
 		proto.UseDag = true
-		proto.Gamma = cfg.gamma
+		proto.Gamma = cfg.Gamma
 		if proto.Gamma == 0 {
 			d := int64(n.g.MaxDegree())
 			proto.Gamma = d * d
@@ -768,7 +726,7 @@ func buildWith(cfg config, pts []geom.Point, src *rng.Source) (*Network, error) 
 		return nil, err
 	}
 	n.engine = engine
-	engine.SetConvergenceWindow(max(cfg.stableWindow, cfg.cacheTTL+2))
+	engine.SetConvergenceWindow(max(cfg.StableWindow, cfg.CacheTTL+2))
 	// Feed incremental topology deltas straight into the frontier: every
 	// node whose radio adjacency changes under mobility or churn is
 	// re-examined on the next step, and only those (see SetPositions).
@@ -777,7 +735,7 @@ func buildWith(cfg config, pts []geom.Point, src *rng.Source) (*Network, error) 
 	// auto default only engages on multicore hosts with enough nodes to
 	// amortize the per-tile barriers). Ownership follows positions, so the
 	// grid's move hook keeps the assignment current under mobility.
-	tiles := cfg.tiles
+	tiles := cfg.Tiles
 	if tiles == 0 {
 		tiles = goruntime.GOMAXPROCS(0)
 		if maxT := len(n.pts) / 2048; tiles > maxT {
@@ -807,19 +765,19 @@ func buildWith(cfg config, pts []geom.Point, src *rng.Source) (*Network, error) 
 func (n *Network) assignIDs() error {
 	count := len(n.pts)
 	switch {
-	case n.cfg.idsCustom != nil:
-		if len(n.cfg.idsCustom) != count {
-			return fmt.Errorf("selfstab: %d ids for %d nodes", len(n.cfg.idsCustom), count)
+	case n.cfg.IDs != nil:
+		if len(n.cfg.IDs) != count {
+			return fmt.Errorf("selfstab: %d ids for %d nodes", len(n.cfg.IDs), count)
 		}
 		seen := make(map[int64]bool, count)
-		for _, id := range n.cfg.idsCustom {
+		for _, id := range n.cfg.IDs {
 			if seen[id] {
 				return fmt.Errorf("selfstab: duplicate id %d", id)
 			}
 			seen[id] = true
 		}
-		n.ids = n.cfg.idsCustom
-	case n.cfg.rowMajor:
+		n.ids = slices.Clone(n.cfg.IDs) // the blueprint's copy must survive AddNodes and Compact
+	case n.cfg.RowMajorIDs:
 		n.ids = rowMajorIDs(n.pts)
 	default:
 		perm := n.src.Split("ids").Perm(count)
@@ -854,10 +812,10 @@ func rowMajorIDs(pts []geom.Point) []int64 {
 
 func (n *Network) makeMedium() (radio.Medium, error) {
 	switch {
-	case n.cfg.slots > 0:
-		return radio.NewSlotted(n.cfg.slots, n.src.Split("radio"))
-	case n.cfg.tau < 1:
-		return radio.NewBernoulli(n.cfg.tau, n.src.Split("radio"))
+	case n.cfg.Slots > 0:
+		return radio.NewSlotted(n.cfg.Slots, n.src.Split("radio"))
+	case n.cfg.Tau < 1:
+		return radio.NewBernoulli(n.cfg.Tau, n.src.Split("radio"))
 	default:
 		return radio.Perfect{}, nil
 	}

@@ -17,8 +17,8 @@ import (
 // Call between steps (never from a hook, and never concurrently with
 // Step); the serving layer takes its world lock around this.
 func (n *Network) WriteSnapshot(w io.Writer) error {
-	ops := append([]snapshot.Op(nil), n.oplog...)
-	return snapshot.New(n.bp, ops, n.engine.StepCount()).Encode(w)
+	bp := snapshot.Blueprint{Deploy: n.deploy, Options: n.cfg}
+	return snapshot.New(bp, n.oplog, n.engine.StepCount()).Encode(w)
 }
 
 // ReadSnapshot restores a simulation from a snapshot written by
@@ -50,7 +50,7 @@ func ReadSnapshot(r io.Reader) (*Network, error) {
 
 // restore rebuilds and replays one decoded snapshot document.
 func restore(doc *snapshot.Snapshot) (*Network, error) {
-	n, err := construct(doc.Blueprint.Deploy, configFromOptions(doc.Blueprint.Options))
+	n, err := construct(doc.Blueprint.Deploy, doc.Blueprint.Options)
 	if err != nil {
 		return nil, fmt.Errorf("selfstab: restore: %w", err)
 	}

@@ -9,38 +9,32 @@ import (
 )
 
 // QueueDiscipline selects what a full per-node queue does with arrivals.
-type QueueDiscipline int
+// It is snapshot.QueueDiscipline.
+type QueueDiscipline = snapshot.QueueDiscipline
 
 const (
 	// DropTail rejects the arriving packet (FIFO tail drop). The default.
-	DropTail QueueDiscipline = iota
+	DropTail = snapshot.DropTail
 	// DropHead evicts the oldest queued packet to admit the new one.
-	DropHead
+	DropHead = snapshot.DropHead
 )
 
 // Flow is one traffic workload. Build flows with CBRFlow, PoissonFlow or
-// HotspotFlow and pass them in a TrafficConfig.
-type Flow struct {
-	kind       traffic.FlowKind
-	srcID      int64
-	dstID      int64
-	rate       float64
-	start      int
-	stop       int
-	hotSources int // > 0: many-to-one, expanded at attach time
-}
+// HotspotFlow and pass them in a TrafficConfig. It is snapshot.Flow, the
+// record the journal stores.
+type Flow = snapshot.Flow
 
 // CBRFlow is a constant-bit-rate unicast flow: rate packets per Δ(τ) step
 // from srcID to dstID (fractional rates average out exactly — 0.25 injects
 // every fourth step).
 func CBRFlow(srcID, dstID int64, rate float64) Flow {
-	return Flow{kind: traffic.CBR, srcID: srcID, dstID: dstID, rate: rate}
+	return Flow{Kind: snapshot.CBR, SrcID: srcID, DstID: dstID, Rate: rate}
 }
 
 // PoissonFlow is a memoryless unicast flow: a Poisson-distributed number
 // of packets per step with mean rate, from srcID to dstID.
 func PoissonFlow(srcID, dstID int64, rate float64) Flow {
-	return Flow{kind: traffic.Poisson, srcID: srcID, dstID: dstID, rate: rate}
+	return Flow{Kind: snapshot.Poisson, SrcID: srcID, DstID: dstID, Rate: rate}
 }
 
 // HotspotFlow is a many-to-one workload: sources distinct nodes, drawn
@@ -49,30 +43,12 @@ func PoissonFlow(srcID, dstID int64, rate float64) Flow {
 // convergecast pattern that concentrates load on the sink's cluster-head
 // and the gateways toward it.
 func HotspotFlow(sinkID int64, sources int, rate float64) Flow {
-	return Flow{kind: traffic.Poisson, dstID: sinkID, rate: rate, hotSources: sources}
+	return Flow{Kind: snapshot.Poisson, DstID: sinkID, Rate: rate, HotspotSources: sources}
 }
 
-// Between restricts the flow to inject only in steps [start, stop]
-// (1-based, counted in completed protocol steps; stop 0 means forever).
-func (f Flow) Between(start, stop int) Flow {
-	f.start, f.stop = start, stop
-	return f
-}
-
-// TrafficConfig parameterizes the packet data plane attached to a Network.
-type TrafficConfig struct {
-	// QueueCap bounds each node's forwarding queue. Default 64.
-	QueueCap int
-	// Discipline is the queue-overflow policy. Default DropTail.
-	Discipline QueueDiscipline
-	// Budget is how many packets a node forwards per step (the link
-	// capacity abstraction). Default 1.
-	Budget int
-	// TTL drops packets exceeding this many hops. Default 64.
-	TTL int
-	// Flows is the workload; at least one flow is required.
-	Flows []Flow
-}
+// TrafficConfig parameterizes the packet data plane attached to a
+// Network. It is snapshot.TrafficConfig, the record the journal stores.
+type TrafficConfig = snapshot.TrafficConfig
 
 // AttachTraffic installs a packet-level data plane that runs as a
 // post-guard phase of every subsequent Δ(τ) step (Step, Run and Stabilize
@@ -89,42 +65,24 @@ type TrafficConfig struct {
 // Attaching replaces any previously attached data plane and resets its
 // statistics.
 func (n *Network) AttachTraffic(cfg TrafficConfig) error {
-	sc, err := trafficToSnapshot(cfg)
-	if err != nil {
-		return err
-	}
-	return n.applyOp(snapshot.Op{Kind: snapshot.OpAttachTraffic, Traffic: &sc})
+	return n.applyOp(snapshot.Op{Kind: snapshot.OpAttachTraffic, Traffic: &cfg})
 }
 
 // attachTrafficImpl is the journaled implementation behind AttachTraffic.
 // Hotspot flows are journaled unexpanded: expansion draws from the
 // "traffic-flows" split stream here, at apply time, and reproduces on
 // replay.
-func (n *Network) attachTrafficImpl(sc snapshot.TrafficConfig) error {
-	cfg, err := trafficFromSnapshot(sc)
+func (n *Network) attachTrafficImpl(cfg TrafficConfig) error {
+	// Refuse everything refusable before the first Split: a failed attach
+	// is not journaled, so it must not advance the master stream either.
+	specs, err := n.resolveFlows(cfg.Flows)
+	if err == nil {
+		err = traffic.Validate(len(n.pts), cfg, specs)
+	}
 	if err != nil {
 		return err
 	}
-	specs, err := n.expandFlows(cfg.Flows)
-	if err != nil {
-		return err
-	}
-	var disc traffic.Discipline
-	switch cfg.Discipline {
-	case DropTail:
-		disc = traffic.DropTail
-	case DropHead:
-		disc = traffic.DropHead
-	default:
-		return fmt.Errorf("selfstab: invalid queue discipline %d", int(cfg.Discipline))
-	}
-	tc := traffic.Config{
-		QueueCap:   cfg.QueueCap,
-		Discipline: disc,
-		Budget:     cfg.Budget,
-		TTL:        cfg.TTL,
-		Flows:      specs,
-	}
+	specs = n.expandFlows(cfg.Flows, specs)
 	hooks := traffic.Hooks{
 		NextHop: func(cur, dst int) (int, bool) {
 			table, err := n.hierTable()
@@ -148,22 +106,14 @@ func (n *Network) attachTrafficImpl(sc snapshot.TrafficConfig) error {
 			return n.engine.Status(i) == runtime.StatusAlive && n.engine.Node(i).IsHead()
 		},
 	}
-	t, err := traffic.New(len(n.pts), tc, hooks, n.src.Split("traffic"))
+	t, err := traffic.New(len(n.pts), cfg, specs, hooks, n.src.Split("traffic"))
 	if err != nil {
 		return err
 	}
-	// Pin each flow's endpoints by identifier: indices renumber under
-	// Compact, so the per-flow ledger addresses flows by id instead.
-	n.flowIDs = make([]flowEndpointIDs, len(specs))
-	for i, s := range specs {
-		n.flowIDs[i] = flowEndpointIDs{src: n.ids[s.Src], dst: n.ids[s.Dst]}
-	}
+	n.flowIDs = n.pinFlowIDs(nil, specs)
 	t.SetProbe(n.probe) // late attach inherits the network's probe
 	n.traffic = t
 	n.trafficOn = true
-	cfgCopy := cfg
-	cfgCopy.Flows = append([]Flow(nil), cfg.Flows...)
-	n.lastTraffic = &cfgCopy
 	n.installStepPhases()
 	return nil
 }
@@ -175,67 +125,71 @@ func (n *Network) DetachTraffic() {
 	_ = n.applyOp(snapshot.Op{Kind: snapshot.OpDetachTraffic})
 }
 
-// TrafficConfig returns a copy of the config of the last AttachTraffic
-// call and whether traffic is currently attached and running. The serving
-// layer uses it to spawn additional flows online: append to Flows and
-// re-attach (which resets the traffic ledger — see the README's serving
-// section).
-func (n *Network) TrafficConfig() (TrafficConfig, bool) {
-	if n.lastTraffic == nil {
-		return TrafficConfig{}, false
-	}
-	out := *n.lastTraffic
-	out.Flows = append([]Flow(nil), n.lastTraffic.Flows...)
-	return out, n.trafficOn
-}
-
-// expandFlows resolves identifiers to indices and expands hotspot
-// workloads into per-source specs using the deterministic "traffic-flows"
-// rng stream.
-func (n *Network) expandFlows(flows []Flow) ([]traffic.FlowSpec, error) {
-	src := n.src.Split("traffic-flows")
-	var specs []traffic.FlowSpec
+// resolveFlows maps each flow's identifiers to node indices, one spec per
+// flow; a hotspot flow's spec stands in with its sink as the source until
+// expandFlows draws the real ones. It draws no randomness, so a workload
+// can be validated in full before the master stream advances.
+func (n *Network) resolveFlows(flows []Flow) ([]traffic.FlowSpec, error) {
+	specs := make([]traffic.FlowSpec, len(flows))
 	for i, f := range flows {
-		if f.hotSources > 0 {
-			sink, ok := n.IndexOf(f.dstID)
-			if !ok {
-				return nil, fmt.Errorf("selfstab: flow %d: unknown sink id %d", i, f.dstID)
+		dst, dstOK := n.IndexOf(f.DstID)
+		src := dst
+		if f.HotspotSources > 0 {
+			if !dstOK {
+				return nil, fmt.Errorf("selfstab: flow %d: unknown sink id %d", i, f.DstID)
 			}
-			if f.hotSources > len(n.pts)-1 {
-				return nil, fmt.Errorf("selfstab: flow %d: %d hotspot sources for %d nodes", i, f.hotSources, len(n.pts))
+			if f.HotspotSources > len(n.pts)-1 {
+				return nil, fmt.Errorf("selfstab: flow %d: %d hotspot sources for %d nodes", i, f.HotspotSources, len(n.pts))
 			}
-			// A deterministic sample of distinct non-sink sources: walk a
-			// seeded permutation, skipping the sink.
-			perm := src.Perm(len(n.pts))
-			picked := 0
-			for _, u := range perm {
-				if u == sink {
-					continue
-				}
-				specs = append(specs, traffic.FlowSpec{
-					Kind: f.kind, Src: u, Dst: sink, Rate: f.rate,
-					Start: f.start, Stop: f.stop,
-				})
-				if picked++; picked == f.hotSources {
-					break
-				}
+		} else {
+			var srcOK bool
+			if src, srcOK = n.IndexOf(f.SrcID); !srcOK {
+				return nil, fmt.Errorf("selfstab: flow %d: unknown source id %d", i, f.SrcID)
 			}
-			continue
+			if !dstOK {
+				return nil, fmt.Errorf("selfstab: flow %d: unknown destination id %d", i, f.DstID)
+			}
 		}
-		su, ok := n.IndexOf(f.srcID)
-		if !ok {
-			return nil, fmt.Errorf("selfstab: flow %d: unknown source id %d", i, f.srcID)
-		}
-		du, ok := n.IndexOf(f.dstID)
-		if !ok {
-			return nil, fmt.Errorf("selfstab: flow %d: unknown destination id %d", i, f.dstID)
-		}
-		specs = append(specs, traffic.FlowSpec{
-			Kind: f.kind, Src: su, Dst: du, Rate: f.rate,
-			Start: f.start, Stop: f.stop,
-		})
+		specs[i] = traffic.FlowSpec{Kind: f.Kind, Src: src, Dst: dst, Rate: f.Rate, Start: f.Start, Stop: f.Stop}
 	}
 	return specs, nil
+}
+
+// expandFlows turns each hotspot flow's stand-in spec into one spec per
+// source, a deterministic sample of distinct non-sink nodes: it walks a
+// permutation seeded from the "traffic-flows" rng stream, skipping the
+// sink. specs is resolveFlows' answer for flows.
+func (n *Network) expandFlows(flows []Flow, specs []traffic.FlowSpec) []traffic.FlowSpec {
+	src := n.src.Split("traffic-flows")
+	out := make([]traffic.FlowSpec, 0, len(specs))
+	for i, s := range specs {
+		want := flows[i].HotspotSources
+		if want <= 0 {
+			out = append(out, s)
+			continue
+		}
+		for _, u := range src.Perm(len(n.pts)) {
+			if u == s.Dst {
+				continue
+			}
+			s.Src = u
+			out = append(out, s)
+			if want--; want == 0 {
+				break
+			}
+		}
+	}
+	return out
+}
+
+// pinFlowIDs appends each spec's endpoints by identifier: indices
+// renumber under Compact, identifiers never do, so the per-flow ledger
+// addresses flows by id.
+func (n *Network) pinFlowIDs(ids []flowEndpointIDs, specs []traffic.FlowSpec) []flowEndpointIDs {
+	for _, s := range specs {
+		ids = append(ids, flowEndpointIDs{src: n.ids[s.Src], dst: n.ids[s.Dst]})
+	}
+	return ids
 }
 
 // FlowTrafficStats is the per-flow slice of the traffic ledger.

@@ -180,8 +180,8 @@ func TestTrafficQueueOverflowAccounting(t *testing.T) {
 func TestTrafficAcrossPartition(t *testing.T) {
 	// Two clumps far outside radio range of each other.
 	pts := []Point{
-		{0.1, 0.1}, {0.12, 0.1}, {0.1, 0.12},
-		{0.9, 0.9}, {0.88, 0.9}, {0.9, 0.88},
+		{X: 0.1, Y: 0.1}, {X: 0.12, Y: 0.1}, {X: 0.1, Y: 0.12},
+		{X: 0.9, Y: 0.9}, {X: 0.88, Y: 0.9}, {X: 0.9, Y: 0.88},
 	}
 	net, err := NewNetwork(pts, WithSeed(3), WithRange(0.05))
 	if err != nil {
