@@ -590,7 +590,21 @@ func (e *Engine) Corrupt(frac float64, kind CorruptionKind, src *rng.Source) {
 		}
 		if kind&CorruptCache != 0 {
 			n.linksOK = false // relayed identifiers are about to change
+			// The node's private copies are carved from one slab per
+			// element type, sized up front: two allocations per hit node at
+			// any degree (three under fusion), not one or two per cached
+			// neighbor.
+			nIDs, nVals := 0, 0
+			for j := range n.cache {
+				nIDs += len(n.cache[j].frame.Nbrs.ids())
+				nVals += len(n.cache[j].frame.Nbrs.vals())
+			}
 			private := make([]NbrList, len(n.cache))
+			idSlab := make([]int64, 0, nIDs)
+			var valSlab []NbrValue
+			if nVals > 0 {
+				valSlab = make([]NbrValue, 0, nVals)
+			}
 			// The cache is id-sorted, so iteration consumes the rng stream
 			// deterministically (ascending neighbor id).
 			for j := range n.cache {
@@ -602,11 +616,16 @@ func (e *Engine) Corrupt(frac float64, kind CorruptionKind, src *rng.Source) {
 					// The cached list aliases the sender's shared published
 					// one; privatize before scribbling so one node's
 					// corruption cannot leak into other receivers' caches
-					// (or the sender's own outgoing frame). The scrambled
-					// slot becomes a garbage head claim; the draws are the
-					// same whether or not values are relayed.
+					// (or the sender's own outgoing frame). Each copy's
+					// capacity ends where the next begins, so an append on
+					// one reallocates instead of writing into its neighbor.
+					// The scrambled slot becomes a garbage head claim; the
+					// draws are the same whether or not values are relayed.
 					l := &private[j]
-					l.IDs, l.Vals = slices.Clone(f.Nbrs.IDs), slices.Clone(f.Nbrs.Vals)
+					idSlab = append(idSlab, f.Nbrs.IDs...)
+					l.IDs = idSlab[len(idSlab)-len(f.Nbrs.IDs) : len(idSlab) : len(idSlab)]
+					valSlab = append(valSlab, f.Nbrs.Vals...)
+					l.Vals = valSlab[len(valSlab)-len(f.Nbrs.Vals) : len(valSlab) : len(valSlab)]
 					k := src.Intn(len(l.IDs))
 					l.IDs[k] = garbageID()
 					density := src.Float64() * 100

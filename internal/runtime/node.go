@@ -7,17 +7,31 @@ import (
 	"selfstab/internal/rng"
 )
 
-// cacheEntry is the cached copy of a neighbor's last heard frame, plus its
-// age in steps (for eviction under mobility and churn). The entry's Nbrs
-// pointer ALIASES the sender's published list — published lists are
-// immutable (fillFrame builds a fresh one only when the content changed),
-// so receivers share one allocation per sender instead of keeping a deep
-// copy each, and a whole cached neighborhood costs O(deg) words per node
-// instead of O(deg²). Anything that wants to scribble on a cached list
-// (fault injection) must privatize it first.
+// cacheEntry is the cached copy of a neighbor's last heard frame plus two
+// words of ingest bookkeeping, 48 bytes in all (pinned by
+// TestCacheEntrySize). The entry's Nbrs pointer ALIASES the sender's
+// published list — published lists are immutable (fillFrame builds a fresh
+// one only when the content changed), so receivers share one allocation
+// per sender instead of keeping a deep copy each, and a whole cached
+// neighborhood costs O(deg) words per node instead of O(deg²). Anything
+// that wants to scribble on a cached list (fault injection) must privatize
+// it first.
+//
+// heard is the value of the owning node's ingest counter (Node.tick) when
+// this neighbor was last heard; the entry's age in steps is tick − heard
+// in wrapping int32 arithmetic, derived when eviction needs it and never
+// maintained.
+//
+// hint belongs to the entry's POSITION, not to its neighbor: cache[j].hint
+// is the cache index at which ingest last found the sender listed j-th in
+// the node's delivery row (a row longer than the cache has no hint for the
+// excess). It is only ever a guess — ingest trusts it after checking the
+// identifier stored there and binary-searches otherwise — so nothing that
+// moves, copies, zeroes or scribbles entries has to keep hints valid.
 type cacheEntry struct {
 	frame Frame
-	age   int
+	heard int32
+	hint  int32
 }
 
 // neighborCache is a node's neighbor table: one entry per cached neighbor,
@@ -61,10 +75,9 @@ func (c neighborCache) hasColor(t int64) bool {
 	return false
 }
 
-// upsert returns the entry for id, inserting a zero entry at the sorted
-// position when absent, and reports whether it inserted. The pointer is
-// valid only until the next mutation.
-func (c *neighborCache) upsert(id int64) (*cacheEntry, bool) {
+// upsert returns the index of the entry for id, inserting a zero entry at
+// the sorted position when absent, and reports whether it inserted.
+func (c *neighborCache) upsert(id int64) (int, bool) {
 	s := *c
 	lo, hi := 0, len(s)
 	for lo < hi {
@@ -76,7 +89,7 @@ func (c *neighborCache) upsert(id int64) (*cacheEntry, bool) {
 		}
 	}
 	if lo < len(s) && s[lo].frame.ID == id {
-		return &s[lo], false
+		return lo, false
 	}
 	if len(s) == cap(s) {
 		// Grow straight to a useful capacity: the cache starts nil (most
@@ -94,15 +107,16 @@ func (c *neighborCache) upsert(id int64) (*cacheEntry, bool) {
 	copy(s[lo+1:], s[lo:])
 	s[lo] = cacheEntry{frame: Frame{ID: id}}
 	*c = s
-	return &s[lo], true
+	return lo, true
 }
 
 // sameList reports whether two published slices carry identical content.
-// Slices of one generation share their backing array (under fusion a
-// value change republishes the identifiers untouched), so the first-element
-// identity check answers most calls in O(1); the element walk is the
-// fallback for content that is equal by value but not by identity
-// (hand-built test frames, lists privatized by fault injection).
+// Only fusion needs it: there a new list pointer may mean new values over
+// the same identifiers (see ingest). Slices of one generation share their
+// backing array (a value change republishes the identifiers untouched), so
+// the first-element identity check answers most calls in O(1); the element
+// walk is the fallback for content that is equal by value but not by
+// identity (hand-built test frames, lists privatized by fault injection).
 func sameList[T comparable](a, b []T) bool {
 	if len(a) != len(b) {
 		return false
@@ -115,8 +129,8 @@ func sameList[T comparable](a, b []T) bool {
 
 // put installs a full entry (test fixture helper).
 func (c *neighborCache) put(e cacheEntry) {
-	slot, _ := c.upsert(e.frame.ID)
-	*slot = e
+	i, _ := c.upsert(e.frame.ID)
+	(*c)[i] = e
 }
 
 // Node is one protocol participant. Its exported-shape state is exactly the
@@ -132,33 +146,49 @@ type Node struct {
 	cache neighborCache
 	src   *rng.Source
 
-	// dirty records that the node's guard inputs (cache contents or own
-	// shared variables) may have changed since the guards last ran. The
-	// guards are deterministic functions of those inputs, so a clean node
-	// can skip evaluation entirely — in a stabilized network a step then
-	// costs only delivery and cache-refresh comparisons.
+	// Three flags say what the node owes the next step. Each is cleared by
+	// the phase that pays the debt, and they are independent in every
+	// direction: an appearing neighbor changes the relayed list even when
+	// every guard output stays put, a neighbor's new density re-arms the
+	// guards without changing anything an unfused node publishes, and the
+	// node's own new head changes its frame's header and nothing it relays.
 	//
-	// frameDirty records that the node's broadcast content (own shared
-	// variables, the cache's key set, and under fusion the cached
-	// neighbors' values) may have changed since the outgoing frame was
-	// last assembled. It is cleared when the frame scratch is refilled,
-	// while dirty is cleared when the guards run — the two are
-	// independent in both directions: an appearing neighbor changes the
-	// relayed list even when every guard output stays put, and a
-	// neighbor's new density re-arms the guards without changing
-	// anything an unfused node publishes.
+	// dirty: the guard inputs (cache contents or own shared variables) may
+	// have changed since the guards last ran. The guards are deterministic
+	// functions of those inputs, so a clean node skips evaluation entirely
+	// — in a stabilized network a step then costs only delivery and
+	// cache-refresh comparisons. Cleared when the guards run.
+	//
+	// frameDirty: anything the node broadcasts (own shared variables, the
+	// cache's key set, and under fusion the cached neighbors' values) may
+	// have changed since the outgoing frame was last assembled; the frame
+	// phase rebuilds the frame and compares the relayed list (fillFrame).
+	//
+	// headerDirty: the node's own guards moved its color, density or head —
+	// the cause of nearly every republish in a recovery, and one that
+	// cannot touch the relayed list. The frame phase rewrites the three
+	// header scalars and leaves Frame.Nbrs alone. Only execNode sets it.
 	//
 	// Anything that mutates node state outside ingest/guards (corruption,
-	// test fixtures) must set both — and, under frontier stepping, also
-	// Activate the node so the worklist re-examines it.
-	dirty      bool
-	frameDirty bool
+	// churn, test fixtures) must set dirty and frameDirty — and, under
+	// frontier stepping, also Activate the node so the worklist
+	// re-examines it.
+	dirty       bool
+	frameDirty  bool
+	headerDirty bool
 
 	// stale records that the last ingest left at least one cache entry
 	// aging toward TTL eviction — on a frontier engine the node must stay
 	// on the worklist so the entry keeps aging exactly as the full scan
 	// would age it. Only ever set with a positive TTL; see ingest.
 	stale bool
+
+	// tick counts this node's ingests and is the clock cache ages are read
+	// against (cacheEntry.heard). It advances only when the node ingests,
+	// so a sleeping or dead node's entries do not age. It wraps; ages are
+	// differences, and where they are read at all (a positive TTL) an entry
+	// is evicted long before 2³¹ ingests pass.
+	tick int32
 
 	// links caches guard R1's Definition-1 link count over the current
 	// cache, valid while linksOK. The count depends only on the cached
@@ -239,24 +269,31 @@ func (n *Node) ParentID() int64 { return n.parent }
 // IsHead reports whether the node currently claims headship.
 func (n *Node) IsHead() bool { return n.headID == n.id }
 
-// fillFrame assembles the node's broadcast for this step into f. The
-// cache is id-sorted, so the identifier list comes out deterministic
-// without a sort. Publish-on-change: a published NbrList is immutable —
-// receivers alias it instead of deep-copying (see cacheEntry) — so a fresh
-// one is allocated only when its content actually changed, and the old one
-// kept verbatim otherwise. The identifiers depend only on the cache's key
-// set, so the frequent frameDirty causes (own density/head updates, energy
-// rescaling) refresh the scalar header fields and reuse the list
-// untouched. The relayed values are published only under fusion, the one
-// configuration whose guards read them (see NbrList); a value change
-// republishes them over the same identifier slice.
+// fillHeader writes the node's own shared variables into its outgoing
+// frame: all a republish costs when only the node's own guards moved
+// something (Node.headerDirty). f.ID and f.Nbrs are fillFrame's.
+func (n *Node) fillHeader(f *Frame) {
+	f.TieID = n.tieID
+	f.Density = n.density
+	f.HeadID = n.headID
+}
+
+// fillFrame assembles the node's whole broadcast into f: the header, and
+// the relayed list compared against the cache. The cache is id-sorted, so
+// the identifier list comes out deterministic without a sort.
+// Publish-on-change: a published NbrList is immutable — receivers alias it
+// instead of deep-copying (see cacheEntry) and read a changed pointer as a
+// changed list (see ingest) — so a fresh one is allocated only when its
+// content actually changed, and the old one kept verbatim otherwise. The
+// identifiers depend only on the cache's key set; the relayed values are
+// published only under fusion, the one configuration whose guards read
+// them (see NbrList), and a value change republishes them over the same
+// identifier slice.
 //
 //selfstab:hotpath
 func (n *Node) fillFrame(f *Frame, fusion bool) {
 	f.ID = n.id
-	f.TieID = n.tieID
-	f.Density = n.density
-	f.HeadID = n.headID
+	n.fillHeader(f)
 	ids, vals := f.Nbrs.ids(), f.Nbrs.vals()
 	sameIDs := len(ids) == len(n.cache)
 	for i := 0; sameIDs && i < len(ids); i++ {
@@ -290,17 +327,26 @@ func valueOf(f *Frame) NbrValue {
 	return NbrValue{TieID: f.TieID, Density: f.Density, HeadID: f.HeadID}
 }
 
-// ingest ages the cache, installs the frames heard this step, and evicts
-// entries not refreshed within proto.CacheTTL steps (0 disables eviction;
-// appropriate for static topologies). from lists candidate sender indices
-// into frames: the medium's inbox row on a full-scan engine (sending nil —
-// everything listed was delivered), or the node's adjacency list filtered
-// by the engine's send mask on a frontier engine, which is exactly what a
+// ingest installs the frames heard this step and evicts entries not heard
+// within proto.CacheTTL steps (0 disables eviction; appropriate for static
+// topologies). from lists candidate sender indices into frames: the
+// medium's inbox row on a full-scan engine (sending nil — everything
+// listed was delivered), or the node's adjacency list filtered by the
+// engine's send mask on a frontier engine, which is exactly what a
 // lossless medium delivers. The cached scalar fields are private copies;
 // the list is a shared alias of the sender's immutable published NbrList
 // (see cacheEntry), so a content change costs one pointer store, not a
-// deep copy, and the steady-state refresh (identical frame) is four
-// comparisons with no list walk.
+// deep copy.
+//
+// A sender whose frame is already cached costs a constant number of
+// compares: the position hint and the identifier it points at, the list
+// pointer, three scalars and the heard stamp — no search, no list walk, no
+// write but the stamp (BenchmarkIngest/deg=10/heard=same: 15 ns a sender,
+// against 31 for the binary search and aging pass it replaced, same host). Identifiers are a random permutation of slots by default, so
+// a delivery row never arrives in cache order and a merge cursor would
+// never hit; the hint remembers, per row position, where that sender's
+// entry was found last time, and is believed only after the identifier
+// there matches (a miss binary-searches and rewrites it).
 //
 // What a heard change re-arms follows from who reads it. Any difference
 // re-arms the guards. Only an identifier-list difference (or an appearing
@@ -308,18 +354,33 @@ func valueOf(f *Frame) NbrValue {
 // change to what this node itself publishes — its cache's key set, plus
 // the cached scalars under fusion — re-arms its own broadcast.
 //
-// n.stale records whether any entry survived the pass unrefreshed, so the
-// frontier engine knows the node must be re-examined next step for its
-// aging to stay bit-identical to the full scan. With a zero TTL eviction
-// never fires, aging is unobservable, and stale stays false so
-// fully-refreshed nodes can leave the frontier.
+// Without fusion a changed list pointer IS a changed identifier list:
+// fillFrame allocates a new NbrList only when the identifiers changed, so
+// the old list is never dereferenced. (Under fusion a value change also
+// republishes, over the same identifier slice, and sameList tells the two
+// apart.) The one case where identity and content disagree — a list equal
+// by value but allocated separately: a hand-built frame, or a sender that
+// went A→B→A while this node slept — costs one link recount and one guard
+// run that reproduce the values they replace and draw nothing from the
+// node's rng; TestSpuriousRelistChangesNothing pins that.
+//
+// Ages are derived, not maintained: an entry heard now is stamped with the
+// node's ingest counter and its age is tick − heard. When every entry was
+// heard this step — the common case — nothing ages and there is no second
+// pass at all. Otherwise one pass evicts what outlived the TTL, moving an
+// entry only once something before it is gone. n.stale records whether any
+// entry survived that pass unheard, so the frontier engine knows the node
+// must be re-examined next step for its aging to stay bit-identical to the
+// full scan. With a zero TTL eviction never fires, aging is unobservable,
+// and stale stays false so fully-refreshed nodes can leave the frontier.
 //
 //selfstab:hotpath
 func ingest[I int | int32](n *Node, frames []Frame, from []I, sending []bool, proto Protocol) {
-	for i := range n.cache {
-		n.cache[i].age++
-	}
-	for _, s := range from {
+	n.tick++
+	tick := n.tick
+	fresh := 0   // entries heard by this ingest
+	c := n.cache // reloaded wherever an insertion may have moved it
+	for j, s := range from {
 		if sending != nil && !sending[s] {
 			continue
 		}
@@ -327,11 +388,27 @@ func ingest[I int | int32](n *Node, frames []Frame, from []I, sending []bool, pr
 		if f.ID == n.id {
 			continue // own echo; cannot happen with honest media, but cheap to guard
 		}
-		e, added := n.cache.upsert(f.ID)
+		at, added := -1, false
+		if j < len(c) {
+			if h := int(c[j].hint); uint(h) < uint(len(c)) && c[h].frame.ID == f.ID {
+				at = h
+			}
+		}
+		if at < 0 {
+			at, added = n.cache.upsert(f.ID)
+			c = n.cache
+			if j < len(c) {
+				c[j].hint = int32(at)
+			}
+		}
+		e := &c[at]
 		relisted, revalued := added, false
 		if old := e.frame.Nbrs; old != f.Nbrs {
-			relisted = added || !sameList(old.ids(), f.Nbrs.ids())
-			revalued = !sameList(old.vals(), f.Nbrs.vals())
+			relisted = true
+			if proto.Fusion && !added {
+				relisted = !sameList(old.ids(), f.Nbrs.ids())
+				revalued = !sameList(old.vals(), f.Nbrs.vals())
+			}
 			e.frame.Nbrs = f.Nbrs // equal content or not, hold the live alias
 		}
 		scalars := e.frame.TieID != f.TieID || e.frame.Density != f.Density || e.frame.HeadID != f.HeadID
@@ -345,29 +422,33 @@ func ingest[I int | int32](n *Node, frames []Frame, from []I, sending []bool, pr
 		if added || (scalars && proto.Fusion) {
 			n.frameDirty = true
 		}
-		e.age = 0
+		if added || e.heard != tick {
+			fresh++
+		}
+		e.heard = tick
 	}
 	n.stale = false
 	ttl := proto.CacheTTL
-	if ttl <= 0 {
-		return
+	if fresh == len(c) || ttl <= 0 {
+		return // every entry has age 0, or ages are never read
 	}
-	kept := n.cache[:0]
-	for i := range n.cache {
-		if n.cache[i].age > ttl {
+	kept := 0
+	for i := range c {
+		age := int(tick - c[i].heard)
+		if age > ttl {
 			continue
 		}
-		if n.cache[i].age > 0 {
+		if age > 0 {
 			n.stale = true
 		}
-		kept = append(kept, n.cache[i])
-	}
-	if len(kept) != len(n.cache) {
-		// Zero the tail so evicted frames don't pin their list arrays.
-		for i := len(kept); i < len(n.cache); i++ {
-			n.cache[i] = cacheEntry{}
+		if kept < i {
+			c[kept] = c[i]
 		}
-		n.cache = kept
+		kept++
+	}
+	if kept < len(c) {
+		clear(c[kept:]) // evicted frames must not pin their list arrays
+		n.cache = c[:kept]
 		n.dirty = true
 		n.frameDirty = true
 		n.linksOK = false
@@ -450,47 +531,75 @@ func (n *Node) guardR1(scale float64) bool {
 // are id-sorted, so the membership test is a merge scan — no hashing, no
 // allocation.
 //
+// A recount follows a relist, so the lists it reads are usually not in
+// cache, and each costs two dependent misses (the NbrList header, then the
+// identifier array) that a merge scan's unpredictable branches keep the
+// processor from starting early. The count therefore runs in two passes
+// per block of neighbors: gather every list's slice header and first
+// identifier with no data-dependent branch, so the misses overlap; then
+// merge. The first identifier seeds the order check, which is what keeps
+// its load in the gather pass. BenchmarkCountLinks is the row that
+// justifies the split.
+//
 //selfstab:hotpath
 func (n *Node) countLinks() int {
-	deg := len(n.cache)
+	c := n.cache
+	deg := len(c)
 	links := deg // the |Np| edges p-q
-	// Count edges among neighbors once: v < w, both in N(p), adjacent
-	// according to v's advertised list.
-	for i := range n.cache {
-		v := n.cache[i].frame.ID
-		// Advance j over the cache (sorted) in lockstep with the
-		// identifier list, starting past v (only w > v counts). Honest
-		// frames carry id-sorted lists, making this a merge scan; a
-		// corrupted cache can hold a scrambled list, and from the first
-		// out-of-order element on we fall back to binary search so the
-		// count stays exactly Definition 1 even on garbage.
-		j := i + 1
-		sorted := true
-		prev := int64(-1) << 62
-		for _, w := range n.cache[i].frame.Nbrs.ids() {
-			if w < prev {
-				sorted = false
+	var lists [countBlock][]int64
+	var heads [countBlock]int64
+	for base := 0; base < deg; base += countBlock {
+		block := c[base:min(base+countBlock, deg)]
+		for k := range block {
+			ids := block[k].frame.Nbrs.ids()
+			lists[k] = ids
+			if len(ids) > 0 {
+				heads[k] = ids[0]
 			}
-			prev = w
-			if w <= v {
-				continue
-			}
-			if !sorted {
-				if n.cache.has(w) {
+		}
+		// Count edges among neighbors once: v < w, both in N(p), adjacent
+		// according to v's advertised list.
+		for k := range block {
+			v := block[k].frame.ID
+			// Advance j over the cache (sorted) in lockstep with the
+			// identifier list, starting past v (only w > v counts). Honest
+			// frames carry id-sorted lists, making this a merge scan; a
+			// corrupted cache can hold a scrambled list, and from the first
+			// out-of-order element on we fall back to binary search so the
+			// count stays exactly Definition 1 even on garbage.
+			j := base + k + 1
+			sorted := true
+			prev := heads[k]
+			for _, w := range lists[k] {
+				if w < prev {
+					sorted = false
+				}
+				prev = w
+				if w <= v {
+					continue
+				}
+				if !sorted {
+					if c.has(w) {
+						links++
+					}
+					continue
+				}
+				for j < deg && c[j].frame.ID < w {
+					j++
+				}
+				if j < deg && c[j].frame.ID == w {
 					links++
 				}
-				continue
-			}
-			for j < deg && n.cache[j].frame.ID < w {
-				j++
-			}
-			if j < deg && n.cache[j].frame.ID == w {
-				links++
 			}
 		}
 	}
 	return links
 }
+
+// countBlock is how many cached lists countLinks gathers before merging:
+// a kilobyte of stack, and one block at any unit-disk degree the
+// benchmarks run.
+const countBlock = 32
 
 // guardR2 is the cluster-head selection rule, including the Section 4.3
 // fusion variant when enabled. Reports whether head or parent changed.

@@ -211,18 +211,26 @@ func BenchmarkStepSaturated(b *testing.B) {
 // saturated steps in which every cache entry is re-heard, every link
 // count recounted and every frame republished — so it is the
 // micro-benchmark row for the work BenchmarkStepSaturated's clean,
-// nothing-to-do scan leaves out.
+// nothing-to-do scan leaves out. The saturated step is also the only
+// regime with enough work per step to occupy a second core, so the row
+// is recorded at one and two workers (the flat worker split, untiled):
+// their ratio is the committed verdict on what the worker pool buys.
 func BenchmarkHealRound10k(b *testing.B) {
 	requireScaleBench(b)
-	e := stableScaleEngine(b, 10_000, true)
-	faults := rng.New(10_001)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Corrupt(1.0, CorruptAll, faults)
-		if _, err := e.RunUntilStable(5000, 5); err != nil {
-			b.Fatal(err)
-		}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			e := stableScaleEngine(b, 10_000, true)
+			e.SetParallelism(workers)
+			faults := rng.New(10_001)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Corrupt(1.0, CorruptAll, faults)
+				if _, err := e.RunUntilStable(5000, 5); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -18,7 +18,9 @@ import (
 //	churn   close a converged disruption episode, run the pre-step hook
 //	plan    choose the node set the step visits
 //	frame   refresh the outgoing frame of every visited node that
-//	        publishes something new; on a full-scan engine, Deliver
+//	        publishes something new — three header scalars when its own
+//	        guards moved them, the relayed list too when anything else
+//	        did; on a full-scan engine, Deliver
 //	ingest  on a full-scan engine, the daemon's draws; then every visited
 //	        node ingests its neighbors' frames and runs its armed guards
 //	re-arm  visited nodes that still have work rejoin the worklist
@@ -248,7 +250,7 @@ func (e *Engine) expandTile(t int) {
 	T := e.tiles
 	for k := 0; k < e.tileSeeds[t]; k++ {
 		v := e.tileExec[t][k]
-		if e.status[v] != StatusAlive || !e.nodes[v].frameDirty {
+		if n := e.nodes[v]; e.status[v] != StatusAlive || !(n.frameDirty || n.headerDirty) {
 			continue
 		}
 		for _, w := range e.g.Neighbors(int(v)) {
@@ -298,16 +300,23 @@ func (e *Engine) mergeHalos(d int) {
 
 // fillNode refreshes node i's outgoing frame in the engine's scratch when
 // anything the node publishes changed; otherwise the copy from an earlier
-// step is still valid. Every frameDirty node is in every node set (all
-// mutators that set the flag also Activate the node), so after the frame
-// phase the whole arena is current. The result exists to fit forEach.
+// step is still valid. A node whose own guards moved a shared variable
+// (headerDirty) rewrites three scalars; every other cause (frameDirty)
+// rebuilds the frame and compares the relayed list. Every node carrying
+// either flag is in every node set (execNode's visit re-queues it, and
+// all mutators that set frameDirty also Activate the node), so after the
+// frame phase the whole arena is current. The result exists to fit forEach.
 func (e *Engine) fillNode(i int) bool {
 	if e.status[i] != StatusAlive {
 		return false
 	}
-	if n := e.nodes[i]; n.frameDirty {
+	switch n := e.nodes[i]; {
+	case n.frameDirty:
 		n.fillFrame(&e.out[i], e.proto.Fusion)
-		n.frameDirty = false
+		n.frameDirty, n.headerDirty = false, false
+	case n.headerDirty:
+		n.fillHeader(&e.out[i])
+		n.headerDirty = false
 	}
 	return false
 }
@@ -344,9 +353,10 @@ func (e *Engine) execNode(i int) bool {
 	changed = n.guardR2(e.proto) || changed
 	if changed {
 		// Own shared variables are guard inputs too, and they are
-		// broadcast next step.
+		// broadcast next step — in the frame's header: nothing a guard
+		// writes is part of the list the node relays.
 		n.dirty = true
-		n.frameDirty = true
+		n.headerDirty = true
 		if e.disrupt.active {
 			e.disrupt.changed[i] = true
 		}
@@ -378,7 +388,7 @@ func (e *Engine) requeue(v int32) {
 	if e.status[v] != StatusAlive {
 		return
 	}
-	if n := e.nodes[v]; n.dirty || n.frameDirty || n.stale {
+	if n := e.nodes[v]; n.dirty || n.frameDirty || n.headerDirty || n.stale {
 		e.Activate(int(v))
 	}
 }

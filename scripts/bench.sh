@@ -7,7 +7,10 @@
 # energy subsystem), then benchmarks the core packages with -benchmem
 # and records every sample in BENCH_step.json — including the
 # BenchmarkPhaseBreakdown rows attributing the 1000-node step cost to
-# its churn/frame/ingest phases via the instrumentation collector, and
+# its churn/frame/ingest phases via the instrumentation collector, the
+# layer rows under a saturated step (BenchmarkIngest at degree 10|31 for
+# a row heard unchanged, with new scalars and with new lists;
+# BenchmarkCountLinks at degree 10|31), and
 # the layer rows under the serve workload's slow reads
 # (BenchmarkComputeStats and BenchmarkCheckInvariants at n=1000|50000,
 # BenchmarkHandleState/n=50000) — plus
@@ -15,9 +18,10 @@
 # suite in BENCH_traffic.json, the churn suite in BENCH_churn.json, the
 # energy suite in BENCH_energy.json and the scale suite (quiescent
 # frontier stepping, perturbed 100k step with a tile-count sweep,
-# saturated-frontier fallback, the 10k full-corruption recovery round,
-# slot compaction, and — behind BENCH_1M=1 — the million-node tiled
-# scenario) in BENCH_scale.json — so successive runs can be compared
+# saturated-frontier fallback, the 10k full-corruption recovery round
+# at one and two workers, slot compaction, and — behind BENCH_1M=1 — the
+# million-node tiled scenario) in BENCH_scale.json — so successive runs
+# can be compared
 # (benchstat on the raw text, or any tool on the JSON).
 #
 # Every file starts with its provenance: the commit the tree was at
@@ -28,8 +32,8 @@
 # key across hosts and the header says which host shape it came from.
 #
 # After generating the fresh numbers, a regression gate compares the
-# median ns/op of every step-time, heal-round and serve-layer benchmark
-# ($GATE_MATCH) against the
+# median ns/op of every step-time, heal-round, ingest, link-count and
+# serve-layer benchmark ($GATE_MATCH) against the
 # committed BENCH_*.json baselines captured at script start and fails the
 # run on a >20% regression (scripts/benchgate; baselines recorded at a
 # different GOMAXPROCS are reported and skipped, not compared). Set
@@ -55,7 +59,7 @@ SCALE_RAW="BENCH_scale.txt"
 SCALE_JSON="BENCH_scale.json"
 SCALE_COUNT="${SCALE_COUNT:-3}"
 # The benchmarks the regression gate compares, by name.
-GATE_MATCH='Step|HealRound|ComputeStats|CheckInvariants|HandleState'
+GATE_MATCH='Step|HealRound|Ingest|CountLinks|ComputeStats|CheckInvariants|HandleState'
 
 # Capture the committed baselines before anything overwrites them: these
 # are what the regression gate at the end compares against.
@@ -69,7 +73,7 @@ echo "== go vet" >&2
 go vet ./...
 
 echo "== race-instrumented determinism tests" >&2
-go test -race -run 'TestParallelDeterminism|TestParallelMatchesSequentialStabilization|TestEngineChurnParallelDeterminism|TestSparseMatchesDenseMixedTrace|TestTiledMatchesFlatMixedTrace|TestCachedLinkCountMatchesRecount|TestStepProbeDisabledZeroAlloc|TestStepErrorKeepsProbeStreamSound' ./internal/runtime
+go test -race -run 'TestParallelDeterminism|TestParallelMatchesSequentialStabilization|TestEngineChurnParallelDeterminism|TestSparseMatchesDenseMixedTrace|TestTiledMatchesFlatMixedTrace|TestCachedLinkCountMatchesRecount|TestIngestMatchesReference|TestStepProbeDisabledZeroAlloc|TestStepErrorKeepsProbeStreamSound' ./internal/runtime
 go test -race -run 'TestTrafficDeterminism|TestChurnDeterminism|TestEnergyDeterminism|TestNetworkSparseMatchesDense|TestCompactTwinEquivalence|TestTilesOracleMixedTrace|TestCompactUnderTiling' .
 
 # Provenance, written at the head of every raw file in the benchmark
