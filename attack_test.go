@@ -7,9 +7,9 @@ import (
 
 // attackNet is churnNet with a data plane between the first alive nodes —
 // the substrate every adversarial op needs.
-func attackNet(t *testing.T, seed int64, opts ...Option) *Network {
+func attackNet(t *testing.T, seed int64) *Network {
 	t.Helper()
-	net := churnNet(t, 80, seed, opts...)
+	net := churnNet(t, 80, seed)
 	ids := firstAliveIDs(t, net, 4)
 	if err := net.AttachTraffic(TrafficConfig{
 		QueueCap: 8,
@@ -26,8 +26,8 @@ func attackNet(t *testing.T, seed int64, opts ...Option) *Network {
 // runAttackTrace drives a world through every adversarial op the journal
 // carries: defense installation, a head-targeted flood, byzantine density
 // inflation, and a sybil burst. Deterministic for a fixed seed, so the
-// same trace must reproduce bit-identically across worker counts, tile
-// layouts, and snapshot restores.
+// same trace must reproduce bit-identically across worker counts and
+// snapshot restores.
 func runAttackTrace(t *testing.T, net *Network) {
 	t.Helper()
 	if err := net.Run(6); err != nil {
@@ -81,36 +81,23 @@ func continueAttackTrace(t *testing.T, net *Network, evict []int64) {
 
 // TestAttackDeterminism: the full adversarial trace — flood, byzantine
 // inflation, sybil burst, defenses — produces bit-identical worlds at 1
-// and 4 workers, flat and tiled. Attacks are ordinary journaled ops; the
-// determinism contract does not bend for them.
+// and 4 workers. Attacks are ordinary journaled ops; the determinism
+// contract does not bend for them.
 func TestAttackDeterminism(t *testing.T) {
-	build := func(workers, tiles int) worldFingerprint {
-		var opts []Option
-		if tiles > 1 {
-			opts = append(opts, WithTiles(tiles))
-		}
-		net := attackNet(t, 20260810, opts...)
+	build := func(workers int) worldFingerprint {
+		net := attackNet(t, 20260810)
 		net.SetParallelism(workers)
 		runAttackTrace(t, net)
 		return fingerprint(t, net)
 	}
-	baseline := build(1, 1)
+	baseline := build(1)
 	if baseline.Traffic == nil || baseline.Traffic.Offered == 0 {
 		t.Fatal("degenerate trace: no traffic offered")
 	}
 	if baseline.Traffic.DropsAdmission+baseline.Traffic.DropsRateLimit == 0 {
 		t.Fatal("degenerate trace: defenses never fired")
 	}
-	for _, v := range []struct {
-		name           string
-		workers, tiles int
-	}{
-		{"4workers_flat", 4, 1},
-		{"1worker_4tiles", 1, 4},
-		{"4workers_4tiles", 4, 4},
-	} {
-		requireSameWorld(t, v.name, baseline, build(v.workers, v.tiles))
-	}
+	requireSameWorld(t, "4 workers", baseline, build(4))
 }
 
 // TestAttackReplayOracle is the snapshot contract under adversarial load:

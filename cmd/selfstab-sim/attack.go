@@ -21,7 +21,6 @@ func runAttack(args []string, out io.Writer) error {
 		nodes    = fs.Int("nodes", def.Nodes, "network size")
 		seed     = fs.Int64("seed", def.Seed, "master random seed (shared by both worlds)")
 		radioRng = fs.Float64("range", def.Range, "radio transmission range")
-		tiles    = fs.Int("tiles", 0, "spatial tiles (0: untiled)")
 		workers  = fs.Int("workers", 0, "step parallelism (0: single-threaded)")
 		scenario = fs.String("scenario", def.Scenario, "scenario: flood, byzantine, sybil")
 		warmup   = fs.Int("warmup", def.Warmup, "steps of legitimate traffic before the attack")
@@ -44,7 +43,7 @@ func runAttack(args []string, out io.Writer) error {
 		return err
 	}
 	cfg := attack.Config{
-		Nodes: *nodes, Seed: *seed, Range: *radioRng, Tiles: *tiles, Workers: *workers,
+		Nodes: *nodes, Seed: *seed, Range: *radioRng, Workers: *workers,
 		Scenario: strings.ToLower(*scenario), Warmup: *warmup, AttackSteps: *steps,
 		Flows: *flows, FlowRate: *rate,
 		Bots: *bots, FloodRate: *flood,

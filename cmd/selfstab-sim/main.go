@@ -49,7 +49,7 @@
 // /debug/pprof/ for live profiling. SIGTERM drains gracefully.
 //
 // The trace subcommand records a step-phase profile of a run — per-step
-// and per-phase wall-time spans, per-tile halo merges, engine counters —
+// and per-phase wall-time spans, engine counters —
 // and writes it as Chrome trace-event JSON (chrome://tracing,
 // https://ui.perfetto.dev) to a file or stdout.
 //

@@ -6,7 +6,7 @@
 // Why these rules exist:
 //
 //   - Determinism is the product. Every oracle in this repo — the
-//     1-vs-N-worker twins, the flat-vs-tiled twins, snapshot replay —
+//     1-vs-N-worker twins, the sparse-vs-dense twins, snapshot replay —
 //     asserts bit-identical trajectories. A single draw from the global
 //     math/rand source, one wall-clock read, or one `for range` over a
 //     map inside a step phase silently breaks all of them, and the

@@ -58,7 +58,7 @@ func NewDetRand(cfg DetRandConfig) *Analyzer {
 			"global math/rand draws (everywhere the package consumes seeded rng streams), " +
 			"and wall-clock or environment reads (in the engine core). " +
 			"All randomness must flow from seeded internal/rng split streams so that " +
-			"worker-count, tiling and snapshot-replay twins stay bit-identical.",
+			"worker-count, full-scan and snapshot-replay twins stay bit-identical.",
 	}
 	core := make(map[string]bool, len(cfg.Core))
 	for _, p := range cfg.Core {

@@ -11,8 +11,7 @@
 // Both worlds share one seed, so before the attack diverges them they
 // are the same world; every reported difference is attributable to the
 // attack and the defense, not to sampling noise. Runs are deterministic
-// at any worker or tile count — the determinism tests pin the harness
-// itself.
+// at any worker count — the determinism tests pin the harness itself.
 package attack
 
 import (
@@ -46,7 +45,6 @@ type Config struct {
 	Nodes   int     // network size
 	Seed    int64   // master seed, shared by both worlds
 	Range   float64 // radio range
-	Tiles   int     // spatial tiles (0: untiled)
 	Workers int     // step parallelism (0: single-threaded)
 
 	Scenario    string // flood, byzantine or sybil
@@ -185,9 +183,6 @@ func runWorld(cfg Config, defended bool) (*WorldStats, error) {
 		selfstab.WithRange(cfg.Range),
 		selfstab.WithCacheTTL(8),
 		selfstab.WithStableWindow(10),
-	}
-	if cfg.Tiles > 0 {
-		opts = append(opts, selfstab.WithTiles(cfg.Tiles))
 	}
 	net, err := selfstab.NewRandomNetwork(cfg.Nodes, opts...)
 	if err != nil {

@@ -5,26 +5,12 @@ import (
 	"time"
 )
 
-// maxTileSlots bounds the per-tile span scratch. Tiles beyond the bound
-// are still merged correctly by the engine; only their spans go
-// unrecorded. Auto-tiling picks min(GOMAXPROCS, N/2048) tiles, so real
-// configurations sit far below this.
-const maxTileSlots = 256
-
 // PhaseSpan is one phase's slice of a step. BeginNs is relative to the
 // Collector's construction instant (monotonic).
 type PhaseSpan struct {
 	BeginNs int64
 	DurNs   int64
 	Ok      bool // the phase was emitted this step
-}
-
-// TileSpan is one tile's slice of a tile-parallel phase.
-type TileSpan struct {
-	Phase   Phase
-	Tile    int
-	BeginNs int64
-	DurNs   int64
 }
 
 // StepRecord is the complete observation of one Δ(τ) step.
@@ -38,7 +24,6 @@ type StepRecord struct {
 	Phases      [NumPhases]PhaseSpan
 	Counters    [NumCounters]int64 // per-step value (gauges: last emitted; cumulative: this step's sum)
 	CounterSeen [NumCounters]bool
-	Tiles       []TileSpan // per-tile halo-merge spans (tiled steps only)
 }
 
 // histBoundsNs are the histogram bucket upper bounds in nanoseconds
@@ -107,24 +92,18 @@ type Metrics struct {
 // pointer slots plus an atomic cursor — the step loop never takes a
 // lock), while folding durations into atomic histograms.
 //
-// Writer side: the engine's stepping goroutine, plus tile workers for
-// TileSpan calls (one goroutine per tile, ordered before EndStep by the
-// engine's phase barrier). Reader side: any goroutine, via Metrics and
-// Recent — readers validate each slot's Seq, so a concurrent overwrite
-// skips the slot instead of yielding a torn record.
+// Writer side: the engine's stepping goroutine. Reader side: any
+// goroutine, via Metrics and Recent — readers validate each slot's Seq, so
+// a concurrent overwrite skips the slot instead of yielding a torn record.
 type Collector struct {
 	epoch  time.Time
 	ring   []atomic.Pointer[StepRecord]
 	cursor atomic.Uint64
 
-	// Current-step scratch (stepping goroutine only, except the tile
-	// slot arrays, which are written one-goroutine-per-tile).
+	// Current-step scratch (stepping goroutine only).
 	cur       StepRecord
 	stepBegin int64
 	phaseBeg  [NumPhases]int64
-	tileBeg   [maxTileSlots]int64
-	tileDur   [maxTileSlots]int64
-	tilePh    [maxTileSlots]Phase
 
 	stepHist  hist
 	phaseHist [NumPhases]hist
@@ -171,22 +150,6 @@ func (c *Collector) PhaseEnd(p Phase) {
 	c.phaseHist[p].observe(d)
 }
 
-// TileSpanBegin implements Probe. Safe from tile workers: each tile owns
-// its own slot.
-func (c *Collector) TileSpanBegin(p Phase, tile int) {
-	if tile >= 0 && tile < maxTileSlots {
-		c.tileBeg[tile] = c.nowNs()
-		c.tilePh[tile] = p
-	}
-}
-
-// TileSpanEnd implements Probe.
-func (c *Collector) TileSpanEnd(_ Phase, tile int) {
-	if tile >= 0 && tile < maxTileSlots {
-		c.tileDur[tile] = c.nowNs() - c.tileBeg[tile]
-	}
-}
-
 // Counter implements Probe.
 func (c *Collector) Counter(ctr Counter, v int64) {
 	if ctr >= NumCounters {
@@ -210,15 +173,6 @@ func (c *Collector) EndStep(step int, changed bool) {
 	c.cur.Changed = changed
 	c.cur.BeginNs = c.stepBegin
 	c.cur.DurNs = now - c.stepBegin
-	for t := 0; t < maxTileSlots; t++ {
-		if c.tileBeg[t] == 0 && c.tileDur[t] == 0 {
-			continue
-		}
-		c.cur.Tiles = append(c.cur.Tiles, TileSpan{
-			Phase: c.tilePh[t], Tile: t, BeginNs: c.tileBeg[t], DurNs: c.tileDur[t],
-		})
-		c.tileBeg[t], c.tileDur[t] = 0, 0
-	}
 	c.stepHist.observe(c.cur.DurNs)
 
 	seq := c.cursor.Load()
@@ -227,7 +181,7 @@ func (c *Collector) EndStep(step int, changed bool) {
 	rec.Seq = seq
 	c.ring[seq%uint64(len(c.ring))].Store(rec)
 	c.cursor.Add(1)
-	c.cur = StepRecord{} // drop the published Tiles slice; records own theirs
+	c.cur = StepRecord{}
 }
 
 // Metrics returns the aggregate histograms and counters.

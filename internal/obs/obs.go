@@ -1,8 +1,8 @@
 // Package obs is the engine's instrumentation core: a Probe interface
-// the step path reports into (phase boundaries, per-tile halo-merge
-// spans, counter gauges) and a Collector sink that turns those reports
-// into a lock-free ring of per-step records, Prometheus-ready phase
-// histograms, and Chrome trace-event exports.
+// the step path reports into (phase boundaries, counter gauges) and a
+// Collector sink that turns those reports into a lock-free ring of
+// per-step records, Prometheus-ready phase histograms, and Chrome
+// trace-event exports.
 //
 // The package is built around two contracts:
 //
@@ -24,7 +24,7 @@ package obs
 
 // Phase identifies one phase of a Δ(τ) step. The engine brackets each
 // phase with PhaseBegin/PhaseEnd; phases absent from a given step path
-// (no churn hook, untiled, no data plane) are simply never emitted.
+// (no churn hook, no data plane) are simply never emitted.
 type Phase uint8
 
 const (
@@ -34,8 +34,7 @@ const (
 	// PhaseFrame is outgoing-frame assembly (and, on a full-scan engine,
 	// radio delivery).
 	PhaseFrame
-	// PhaseHalo is the tiled worklist expansion plus the cross-tile halo
-	// outbox merge (tiles > 1 only; per-tile merge spans nest inside).
+	// PhaseHalo is retired with the tile plane, never emitted; bench/ names it.
 	PhaseHalo
 	// PhaseIngest is neighbor-cache ingest plus the guarded assignments.
 	PhaseIngest
@@ -76,8 +75,7 @@ const (
 	// engine visit every node (cumulative; the engine emits 1 per such
 	// step).
 	CtrDenseFallback
-	// CtrHaloCross counts cross-tile halo-outbox activations staged this
-	// step (cumulative; the per-step value is also in the step record).
+	// CtrHaloCross is retired with the tile plane, never emitted; bench/ names it.
 	CtrHaloCross
 	// CtrCompactions counts dead-slot compactions (cumulative).
 	CtrCompactions
@@ -141,10 +139,7 @@ func (c Counter) Cumulative() bool {
 
 // Probe receives the engine's instrumentation stream. The engine calls
 // it only when attached (nil-probe sites are skipped entirely), from the
-// stepping goroutine — except TileSpanBegin/TileSpanEnd, which arrive
-// from the tile worker that owns the named tile (at most one goroutine
-// per tile at a time, with the engine's phase barrier ordering them
-// before EndStep).
+// stepping goroutine.
 //
 // Implementations must be pure observers (the obspure rule): no method
 // returns a value, and no method may mutate engine state, call back into
@@ -160,10 +155,6 @@ type Probe interface {
 	// PhaseBegin and PhaseEnd bracket one phase of the current step.
 	PhaseBegin(p Phase)
 	PhaseEnd(p Phase)
-	// TileSpanBegin and TileSpanEnd bracket one tile's slice of a
-	// tile-parallel phase (the halo merge).
-	TileSpanBegin(p Phase, tile int)
-	TileSpanEnd(p Phase, tile int)
 	// Counter reports v for c: the current value for gauge counters, an
 	// additive contribution for cumulative ones.
 	Counter(c Counter, v int64)

@@ -98,57 +98,6 @@ func TestCollectorRingWraparound(t *testing.T) {
 	}
 }
 
-// TestCollectorTileSpans exercises the per-tile slots from concurrent
-// goroutines, mirroring the engine's one-goroutine-per-tile contract.
-func TestCollectorTileSpans(t *testing.T) {
-	c := NewCollector(4)
-	c.BeginStep(0)
-	var wg sync.WaitGroup
-	const tiles = 5
-	for d := 0; d < tiles; d++ {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			c.TileSpanBegin(PhaseHalo, d)
-			c.TileSpanEnd(PhaseHalo, d)
-		}(d)
-	}
-	wg.Wait()
-	c.EndStep(1, true)
-
-	recs := c.Recent(1)
-	if len(recs) != 1 {
-		t.Fatalf("want 1 record, got %d", len(recs))
-	}
-	if len(recs[0].Tiles) != tiles {
-		t.Fatalf("want %d tile spans, got %d", tiles, len(recs[0].Tiles))
-	}
-	seen := map[int]bool{}
-	for _, ts := range recs[0].Tiles {
-		if ts.Phase != PhaseHalo {
-			t.Errorf("tile %d: phase %v, want halo", ts.Tile, ts.Phase)
-		}
-		seen[ts.Tile] = true
-	}
-	for d := 0; d < tiles; d++ {
-		if !seen[d] {
-			t.Errorf("tile %d span missing", d)
-		}
-	}
-
-	// Slots must be reset: next step has no tile spans.
-	drive(c, 2, false)
-	if recs := c.Recent(1); len(recs[0].Tiles) != 0 {
-		t.Errorf("tile slots leaked into next step: %+v", recs[0].Tiles)
-	}
-
-	// Out-of-range tiles are ignored, not a panic or corruption.
-	c.TileSpanBegin(PhaseHalo, maxTileSlots+3)
-	c.TileSpanEnd(PhaseHalo, maxTileSlots+3)
-	c.TileSpanBegin(PhaseHalo, -1)
-	c.TileSpanEnd(PhaseHalo, -1)
-}
-
 // TestCollectorConcurrentReaders hammers Metrics/Recent from readers
 // while the writer laps the ring; run under -race this pins the
 // lock-free publication protocol.
@@ -187,11 +136,7 @@ func TestWriteTrace(t *testing.T) {
 	c := NewCollector(8)
 	drive(c, 1, true)
 	c.BeginStep(1)
-	c.TileSpanBegin(PhaseHalo, 0)
-	c.TileSpanEnd(PhaseHalo, 0)
-	c.TileSpanBegin(PhaseHalo, 1)
-	c.TileSpanEnd(PhaseHalo, 1)
-	c.Counter(CtrHaloCross, 4)
+	c.Counter(CtrDenseFallback, 1)
 	c.EndStep(2, true)
 
 	var buf bytes.Buffer
@@ -204,7 +149,6 @@ func TestWriteTrace(t *testing.T) {
 			Ph   string         `json:"ph"`
 			Ts   float64        `json:"ts"`
 			Dur  float64        `json:"dur"`
-			Tid  int            `json:"tid"`
 			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 		DisplayTimeUnit string `json:"displayTimeUnit"`
@@ -213,12 +157,8 @@ func TestWriteTrace(t *testing.T) {
 		t.Fatalf("trace output is not valid JSON: %v\n%s", err, buf.String())
 	}
 	counts := map[string]int{}
-	tileTids := map[int]bool{}
 	for _, ev := range tf.TraceEvents {
 		counts[ev.Ph+":"+ev.Name]++
-		if ev.Ph == "X" && ev.Name == "halo" {
-			tileTids[ev.Tid] = true
-		}
 	}
 	if counts["X:step"] != 2 {
 		t.Errorf("want 2 step spans, got %d", counts["X:step"])
@@ -226,13 +166,10 @@ func TestWriteTrace(t *testing.T) {
 	if counts["X:frame"] != 1 || counts["X:ingest"] != 1 {
 		t.Errorf("phase spans: %v", counts)
 	}
-	if counts["X:halo"] != 2 || len(tileTids) != 2 {
-		t.Errorf("want 2 halo tile spans on distinct tids, got %d spans on %d tids", counts["X:halo"], len(tileTids))
-	}
-	if counts["C:halo_crossings"] != 1 || counts["C:frontier_len"] != 1 {
+	if counts["C:dense_fallbacks"] != 1 || counts["C:frontier_len"] != 1 {
 		t.Errorf("counter events: %v", counts)
 	}
-	if counts["M:process_name"] != 1 || counts["M:thread_name"] != 3 {
+	if counts["M:process_name"] != 1 || counts["M:thread_name"] != 1 {
 		t.Errorf("metadata events: %v", counts)
 	}
 }
@@ -260,7 +197,7 @@ func TestPhaseCounterStrings(t *testing.T) {
 	if Counter(250).String() != "unknown" || Counter(250).Cumulative() {
 		t.Errorf("out-of-range counter metadata")
 	}
-	if !CtrHaloCross.Cumulative() || CtrFrontier.Cumulative() {
+	if !CtrDenseFallback.Cumulative() || CtrFrontier.Cumulative() {
 		t.Errorf("cumulative flags wrong")
 	}
 }

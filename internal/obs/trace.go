@@ -26,18 +26,14 @@ type traceFile struct {
 
 const tracePid = 1
 
-// stepTid is the step loop's synthetic thread id; tile spans render on
-// tileTidBase+tile so per-tile halo merges stack as parallel tracks.
-const (
-	stepTid     = 0
-	tileTidBase = 1
-)
+// stepTid is the step loop's synthetic thread id.
+const stepTid = 0
 
 func usec(ns int64) float64 { return float64(ns) / 1e3 }
 
 // WriteTrace renders recs as Chrome trace-event JSON: one "step" span
-// and nested phase spans per record on the step track, per-tile halo
-// spans on their own tracks, and counter series as "C" events.
+// and nested phase spans per record on the step track, and counter
+// series as "C" events.
 func WriteTrace(w io.Writer, recs []StepRecord) error {
 	events := []traceEvent{
 		{Name: "process_name", Ph: "M", Pid: tracePid,
@@ -45,7 +41,6 @@ func WriteTrace(w io.Writer, recs []StepRecord) error {
 		{Name: "thread_name", Ph: "M", Pid: tracePid, Tid: stepTid,
 			Args: map[string]any{"name": "step"}},
 	}
-	tilesNamed := map[int]bool{}
 	for _, r := range recs {
 		events = append(events, traceEvent{
 			Name: "step", Ph: "X", Ts: usec(r.BeginNs), Dur: usec(r.DurNs),
@@ -61,21 +56,6 @@ func WriteTrace(w io.Writer, recs []StepRecord) error {
 				Name: p.String(), Ph: "X",
 				Ts: usec(span.BeginNs), Dur: usec(span.DurNs),
 				Pid: tracePid, Tid: stepTid,
-			})
-		}
-		for _, ts := range r.Tiles {
-			tid := tileTidBase + ts.Tile
-			if !tilesNamed[tid] {
-				tilesNamed[tid] = true
-				events = append(events, traceEvent{
-					Name: "thread_name", Ph: "M", Pid: tracePid, Tid: tid,
-					Args: map[string]any{"name": "tile " + itoa(ts.Tile)},
-				})
-			}
-			events = append(events, traceEvent{
-				Name: ts.Phase.String(), Ph: "X",
-				Ts: usec(ts.BeginNs), Dur: usec(ts.DurNs),
-				Pid: tracePid, Tid: tid,
 			})
 		}
 		endTs := usec(r.BeginNs + r.DurNs)
@@ -98,20 +78,4 @@ func WriteTrace(w io.Writer, recs []StepRecord) error {
 // negative: the whole ring) as Chrome trace-event JSON.
 func (c *Collector) WriteTrace(w io.Writer, max int) error {
 	return WriteTrace(w, c.Recent(max))
-}
-
-// itoa is a minimal strconv.Itoa for small non-negative tile indices,
-// keeping the exporter free of fmt.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

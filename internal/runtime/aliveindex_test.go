@@ -7,27 +7,7 @@ import (
 	"selfstab/internal/geom"
 	"selfstab/internal/radio"
 	"selfstab/internal/rng"
-	"selfstab/internal/topology"
 )
-
-// newTiledTwin is newTwin with a k-tile spatial sharding installed: tile
-// ownership follows the grid's positions, and the grid's move hook keeps
-// it current under mobility — the same wiring selfstab.WithTiles uses.
-func newTiledTwin(t *testing.T, seed int64, n int, r float64, proto Protocol, tiles, workers int) *twin {
-	t.Helper()
-	tw := newTwin(t, seed, n, r, proto, true, workers)
-	tiling := topology.NewTiling(geom.UnitSquare(), tiles)
-	if err := tw.e.SetTiles(tiling.Tiles(), func(i int) int {
-		return tiling.TileOf(tw.gi.Positions()[i])
-	}); err != nil {
-		t.Fatal(err)
-	}
-	tw.gi.SetOnMove(tw.e.Retile)
-	return tw
-}
-
-// TestTiledMatchesFlatMixedTrace: the tiled rows of the oracle.
-func TestTiledMatchesFlatMixedTrace(t *testing.T) { checkAgainstFullScan(t, 4, 7) }
 
 // TestNthAliveMatchesScan drives random lifecycle transitions and checks
 // the order-statistic index against a reference status scan after each.

@@ -326,7 +326,6 @@ func (e *Engine) Append(id int64) (int, error) {
 	if e.densityScale != nil {
 		e.densityScale = append(e.densityScale, 1) // arrivals start unscaled (full battery)
 	}
-	e.appendTile(i)
 	e.aliveIdx.grow()
 	e.aliveIdx.set(i)
 	e.aliveN++

@@ -106,7 +106,6 @@ func (e *Engine) Compact(remap []int32, newN int) error {
 	}
 	e.compactDisruption(remap, newN)
 	e.compactFrontier(remap, newN)
-	e.compactTiles(remap, newN)
 	// Rebuild the alive order-statistic index from the compacted statuses
 	// (dead slots are gone, so the surviving membership is dense anyway).
 	e.aliveIdx.init(newN)

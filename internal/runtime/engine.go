@@ -94,25 +94,14 @@ type Engine struct {
 
 	// The worklist (step.go, frontier.go). sparseOK records whether this
 	// configuration can run as a frontier engine at all; sparse whether it
-	// currently does. pend is next step's deduplicated worklist. execFlag
-	// deduplicates the current step's visit lists.
+	// currently does. pend is next step's deduplicated worklist. exec is
+	// the current step's visit list, deduplicated by execFlag.
 	sparse   bool
 	sparseOK bool
 	pendFlag []bool
 	pend     []int32
+	exec     []int32
 	execFlag []bool
-
-	// Spatial tiling (tile.go). tileOf maps each slot to its owning tile
-	// when tiles > 1 (kept current by tileAssign via Retile/Append/
-	// Compact). The remaining slices are per-tile step scratch, present at
-	// every tile count: the visit lists, how many entries of each are
-	// worklist seeds, and the T×T halo outbox.
-	tiles      int // 1 = untiled
-	tileOf     []int32
-	tileAssign func(i int) int
-	tileExec   [][]int32
-	tileSeeds  []int
-	tileOutbox [][]int32
 
 	// aliveIdx is a Fenwick tree over alive bits (aliveindex.go): NthAlive
 	// answers order-statistic queries ("the k-th living slot") in O(log N)
@@ -147,7 +136,7 @@ type Engine struct {
 	epoch uint64
 
 	// probe, when set, receives the instrumentation stream (phase spans,
-	// per-tile halo spans, counters). Every emission site is behind a nil
+	// counters). Every emission site is behind a nil
 	// check, so a detached probe costs nothing; an attached probe must be a
 	// pure observer (the obspure rule — see internal/obs) so the execution
 	// stays bit-identical either way. open is the phase whose span the
@@ -210,7 +199,6 @@ func New(g *topology.Graph, ids []int64, proto Protocol, medium radio.Medium, sr
 		sendMask: make([]bool, g.N()),
 		aliveN:   g.N(),
 	}
-	e.setTileCount(1)
 	e.aliveIdx.initAll(g.N())
 	// One contiguous node arena for the initial population: cold-start
 	// construction is part of every experiment's per-run cost, and n

@@ -342,16 +342,14 @@ func compareTwins(t *testing.T, label string, a, b *twin) {
 	}
 }
 
-// checkAgainstFullScan is the step pipeline's equivalence oracle, one row
-// per (protocol, seed, workers, tiles): over a randomized mixed trace —
-// mobility jitter through the incremental grid (which migrates nodes
-// across tile boundaries), node churn, corruption, interleaved stepping —
-// a frontier engine must be bit-identical, step by step, to its full-scan
-// twin. Every trace ends with whole-population corruptions of the settled
-// world, so every row also crosses the saturation cut-over in both
-// directions. Tiled == flat follows from both == the reference. Run under
-// -race the tiled rows also pin the halo exchange's no-locks discipline.
-func checkAgainstFullScan(t *testing.T, tileCounts ...int) {
+// TestSparseMatchesDenseMixedTrace is the step pipeline's equivalence
+// oracle, one row per (protocol, seed, workers): over a randomized mixed
+// trace — mobility jitter through the incremental grid, node churn,
+// corruption, interleaved stepping — a frontier engine must be
+// bit-identical, step by step, to its full-scan twin. Every trace ends with
+// whole-population corruptions of the settled world, so every row also
+// crosses the saturation cut-over in both directions.
+func TestSparseMatchesDenseMixedTrace(t *testing.T) {
 	protos := map[string]Protocol{
 		"basic-ttl4": {Order: cluster.OrderBasic, CacheTTL: 4},
 		"dag-fusion": {Order: cluster.OrderSticky, CacheTTL: 3, UseDag: true, Gamma: 1 << 14, Fusion: true},
@@ -364,53 +362,41 @@ func checkAgainstFullScan(t *testing.T, tileCounts ...int) {
 				trace = append(trace, traceOp{kind: "corrupt", frac: 1}, traceOp{kind: "step", steps: 3})
 			}
 			for _, workers := range []int{1, 4} {
-				for _, tiles := range tileCounts {
-					label := fmt.Sprintf("%s/seed%d/w%d", name, seed, workers)
-					if tiles > 1 {
-						label += fmt.Sprintf("/t%d", tiles) // 4 is 2x2, 7 a prime (1x7 strip)
+				t.Run(fmt.Sprintf("%s/seed%d/w%d", name, seed, workers), func(t *testing.T) {
+					ref := newTwin(t, seed*1000, n, r, proto, false, workers)
+					tw := newTwin(t, seed*1000, n, r, proto, true, workers)
+					for k, op := range trace {
+						if op.kind != "step" {
+							ref.apply(t, op)
+							tw.apply(t, op)
+							if got, alive := tw.e.FrontierLen(), tw.e.AliveCount(); op.kind == "corrupt" && op.frac == 1 && 2*got < alive {
+								t.Fatalf("op %d: corruption pended only %d of %d alive nodes — cut-over not exercised", k, got, alive)
+							}
+							continue
+						}
+						for s := 0; s < op.steps; s++ {
+							ref.apply(t, traceOp{kind: "step", steps: 1})
+							tw.apply(t, traceOp{kind: "step", steps: 1})
+							compareTwins(t, fmt.Sprintf("op %d step %d", k, s), ref, tw)
+						}
 					}
-					t.Run(label, func(t *testing.T) {
-						ref := newTwin(t, seed*1000, n, r, proto, false, workers)
-						tw := newTiledTwin(t, seed*1000, n, r, proto, tiles, workers)
-						if got := tw.e.Tiles(); got != tiles {
-							t.Fatalf("Tiles() = %d, want %d", got, tiles)
-						}
-						for k, op := range trace {
-							if op.kind != "step" {
-								ref.apply(t, op)
-								tw.apply(t, op)
-								if got, alive := tw.e.FrontierLen(), tw.e.AliveCount(); op.kind == "corrupt" && op.frac == 1 && 2*got < alive {
-									t.Fatalf("op %d: corruption pended only %d of %d alive nodes — cut-over not exercised", k, got, alive)
-								}
-								continue
-							}
-							for s := 0; s < op.steps; s++ {
-								ref.apply(t, traceOp{kind: "step", steps: 1})
-								tw.apply(t, traceOp{kind: "step", steps: 1})
-								compareTwins(t, fmt.Sprintf("op %d step %d", k, s), ref, tw)
-							}
-						}
-						// The settled frontier twin must also have drained
-						// its worklist (quiescence is what makes it O(1)).
-						if _, err := tw.e.RunUntilStable(3000, 5); err != nil {
-							t.Fatal(err)
-						}
-						if _, err := ref.e.RunUntilStable(3000, 5); err != nil {
-							t.Fatal(err)
-						}
-						compareTwins(t, "final", ref, tw)
-						if got := tw.e.FrontierLen(); got != 0 {
-							t.Fatalf("stabilized frontier twin keeps %d nodes on the frontier", got)
-						}
-					})
-				}
+					// The settled frontier twin must also have drained
+					// its worklist (quiescence is what makes it O(1)).
+					if _, err := tw.e.RunUntilStable(3000, 5); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := ref.e.RunUntilStable(3000, 5); err != nil {
+						t.Fatal(err)
+					}
+					compareTwins(t, "final", ref, tw)
+					if got := tw.e.FrontierLen(); got != 0 {
+						t.Fatalf("stabilized frontier twin keeps %d nodes on the frontier", got)
+					}
+				})
 			}
 		}
 	}
 }
-
-// TestSparseMatchesDenseMixedTrace: the untiled rows of the oracle.
-func TestSparseMatchesDenseMixedTrace(t *testing.T) { checkAgainstFullScan(t, 1) }
 
 // TestEngineCompactRemap: the remap plan drops exactly the dead slots
 // and preserves survivor order.

@@ -14,8 +14,8 @@ import (
 // cached R1 link count: after every operation of a mixed trace —
 // mobility, churn, sleep/wake, corruption, TTL eviction, density
 // rescaling, byzantine eviction, slot compaction — every alive node that
-// holds a cached count holds the one a from-scratch recount gives. Flat
-// and tiled, at one and four workers; run it under -race as well.
+// holds a cached count holds the one a from-scratch recount gives. At one
+// and four workers; run it under -race as well.
 func TestCachedLinkCountMatchesRecount(t *testing.T) {
 	protos := map[string]Protocol{
 		"basic-ttl4": {Order: cluster.OrderBasic, CacheTTL: 4},
@@ -23,41 +23,36 @@ func TestCachedLinkCountMatchesRecount(t *testing.T) {
 	}
 	for name, proto := range protos {
 		for _, workers := range []int{1, 4} {
-			for _, tiles := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/w%d/t%d", name, workers, tiles), func(t *testing.T) {
-					const n, r = 120, 0.14
-					const seed = 5000
-					trace := buildTraceKinds(t, seed, n, r, proto, 80, 10)
-					tw := newTwin(t, seed, n, r, proto, true, workers)
-					if tiles > 1 {
-						tw = newTiledTwin(t, seed, n, r, proto, tiles, workers)
+			t.Run(fmt.Sprintf("%s/w%d", name, workers), func(t *testing.T) {
+				const n, r = 120, 0.14
+				const seed = 5000
+				trace := buildTraceKinds(t, seed, n, r, proto, 80, 10)
+				tw := newTwin(t, seed, n, r, proto, true, workers)
+				checked := 0
+				for k, op := range trace {
+					// Step one at a time so every intermediate
+					// configuration is checked, not only the last.
+					reps := 1
+					if op.kind == "step" {
+						reps, op.steps = op.steps, 1
 					}
-					checked := 0
-					for k, op := range trace {
-						// Step one at a time so every intermediate
-						// configuration is checked, not only the last.
-						reps := 1
-						if op.kind == "step" {
-							reps, op.steps = op.steps, 1
-						}
-						for ; reps > 0; reps-- {
-							tw.apply(t, op)
-							for i, nd := range tw.e.nodes {
-								if tw.e.status[i] != StatusAlive || !nd.linksOK {
-									continue
-								}
-								checked++
-								if want := nd.countLinks(); nd.links != want {
-									t.Fatalf("op %d (%s): node %d caches %d links, recount %d", k, op.kind, i, nd.links, want)
-								}
+					for ; reps > 0; reps-- {
+						tw.apply(t, op)
+						for i, nd := range tw.e.nodes {
+							if tw.e.status[i] != StatusAlive || !nd.linksOK {
+								continue
+							}
+							checked++
+							if want := nd.countLinks(); nd.links != want {
+								t.Fatalf("op %d (%s): node %d caches %d links, recount %d", k, op.kind, i, nd.links, want)
 							}
 						}
 					}
-					if checked == 0 {
-						t.Fatal("no node ever held a cached link count")
-					}
-				})
-			}
+				}
+				if checked == 0 {
+					t.Fatal("no node ever held a cached link count")
+				}
+			})
 		}
 	}
 }

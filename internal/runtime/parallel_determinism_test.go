@@ -75,6 +75,26 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestForEachVisitsEachNodeOnce sweeps visit-list lengths against worker
+// counts up to the many-core shapes (chunks·(chunks−1) > n) where a
+// rounded-up chunk size would start the last chunks past the list's end.
+func TestForEachVisitsEachNodeOnce(t *testing.T) {
+	g, ids := randomNetwork(3, 10, 0.3)
+	e := mustEngine(t, g, ids, Protocol{Order: cluster.OrderBasic}, radio.Perfect{}, 1)
+	for _, workers := range []int{2, 13, 16, 64} {
+		e.SetParallelism(workers)
+		e.exec = e.exec[:0]
+		for n := 1; n < parallelThreshold+300; n++ {
+			e.exec = append(e.exec, int32(n-1)) // the visit list is 0..n-1
+			seen := make([]int32, n)
+			e.forEach(nodeSet{n: n}, func(_ *Engine, i int) bool { seen[i]++; return false })
+			if i := slices.IndexFunc(seen, func(c int32) bool { return c != 1 }); i >= 0 {
+				t.Fatalf("workers %d, n %d: node %d visited %d times", workers, n, i, seen[i])
+			}
+		}
+	}
+}
+
 // TestDirtyTrackingMatchesSnapshotCompare cross-checks the guards'
 // change-reporting (which RunUntilStable trusts) against the brute-force
 // method: snapshotting the shared state around every step and comparing.

@@ -15,23 +15,19 @@ import (
 // TestStepProbeDisabledZeroAlloc is the zero-overhead pin at the
 // allocation level: with no probe attached — including after an
 // attach/detach cycle — a steady-state step performs zero allocations,
-// exactly as before the instrumentation layer existed, untiled and under a
-// tiling with a worker per tile (an empty worklist is O(1) at any tile
-// count). The time half of the pin is the benchgate:
+// exactly as before the instrumentation layer existed, at one and four
+// workers. The time half of the pin is the benchgate:
 // BenchmarkStep1000/BenchmarkQuiescentStep medians are compared against
 // the committed baselines by scripts/bench.sh.
 func TestStepProbeDisabledZeroAlloc(t *testing.T) {
-	for _, tiles := range []int{1, 4} {
-		t.Run(fmt.Sprintf("tiles=%d", tiles), func(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			g, ids := randomNetwork(1, 1000, 0.1)
 			e, err := New(g, ids, Protocol{Order: cluster.OrderBasic}, radio.Perfect{}, rng.New(1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := e.SetTiles(tiles, func(i int) int { return i % tiles }); err != nil {
-				t.Fatal(err)
-			}
-			e.SetParallelism(tiles)
+			e.SetParallelism(workers)
 			if _, err := e.RunUntilStable(5000, 5); err != nil {
 				t.Fatal(err)
 			}
@@ -72,13 +68,11 @@ type spanProbe struct {
 	changed bool
 }
 
-func (p *spanProbe) BeginStep(int)                {}
-func (p *spanProbe) EndStep(_ int, changed bool)  { p.changed = changed }
-func (p *spanProbe) PhaseBegin(ph obs.Phase)      { p.open[ph]++ }
-func (p *spanProbe) PhaseEnd(ph obs.Phase)        { p.open[ph]-- }
-func (p *spanProbe) TileSpanBegin(obs.Phase, int) {}
-func (p *spanProbe) TileSpanEnd(obs.Phase, int)   {}
-func (p *spanProbe) Counter(obs.Counter, int64)   {}
+func (p *spanProbe) BeginStep(int)               {}
+func (p *spanProbe) EndStep(_ int, changed bool) { p.changed = changed }
+func (p *spanProbe) PhaseBegin(ph obs.Phase)     { p.open[ph]++ }
+func (p *spanProbe) PhaseEnd(ph obs.Phase)       { p.open[ph]-- }
+func (p *spanProbe) Counter(obs.Counter, int64)  {}
 
 // failingMedium is the lossless medium until told to fail.
 type failingMedium struct {
@@ -201,64 +195,5 @@ func TestProbePhaseEmission(t *testing.T) {
 	}
 	if !rec.CounterSeen[obs.CtrExec] {
 		t.Errorf("dense step: exec gauge unobserved")
-	}
-}
-
-// TestProbeTiledSpans pins the tiled path's halo instrumentation: halo
-// phase spans, per-tile merge spans and the crossing counter all appear,
-// and the execution stays bit-identical to an unprobed twin.
-func TestProbeTiledSpans(t *testing.T) {
-	build := func(probe bool) (*Engine, *obs.Collector) {
-		g, ids := randomNetwork(11, 600, 0.1)
-		e, err := New(g, ids, Protocol{Order: cluster.OrderBasic}, radio.Perfect{}, rng.New(11))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A crude 4-way tiling by index stripes: ownership just has to be
-		// a stable function of the node for the engine's contract.
-		if err := e.SetTiles(4, func(i int) int { return i % 4 }); err != nil {
-			t.Fatal(err)
-		}
-		var c *obs.Collector
-		if probe {
-			c = obs.NewCollector(0)
-			e.SetProbe(c)
-		}
-		if _, err := e.RunUntilStable(5000, 5); err != nil {
-			t.Fatal(err)
-		}
-		return e, c
-	}
-
-	probed, c := build(true)
-	bare, _ := build(false)
-	a, b := probed.Snapshot(), bare.Snapshot()
-	for i := range a.IDs {
-		if a.TieID[i] != b.TieID[i] || a.Density[i] != b.Density[i] ||
-			a.HeadID[i] != b.HeadID[i] || a.Parent[i] != b.Parent[i] {
-			t.Fatalf("probed and bare tiled runs diverged at node %d", i)
-		}
-	}
-
-	m := c.Metrics()
-	if m.Phases[obs.PhaseHalo].Count == 0 {
-		t.Errorf("tiled stabilization emitted no halo phase spans")
-	}
-	if m.Counters[obs.CtrHaloCross] == 0 {
-		t.Errorf("index-striped tiling reported zero halo crossings")
-	}
-	found := false
-	for _, r := range c.Recent(0) {
-		if len(r.Tiles) > 0 {
-			found = true
-			for _, ts := range r.Tiles {
-				if ts.Phase != obs.PhaseHalo || ts.Tile < 0 || ts.Tile >= 4 {
-					t.Fatalf("bad tile span %+v", ts)
-				}
-			}
-		}
-	}
-	if !found {
-		t.Errorf("no per-tile merge spans recorded")
 	}
 }

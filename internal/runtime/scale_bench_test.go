@@ -58,17 +58,16 @@ func stableScaleEngine(b *testing.B, n int, sparse bool) *Engine {
 }
 
 // BenchmarkQuiescentStep measures a stabilized network's step at 1k,
-// 10k and 100k nodes under frontier stepping, and at 10k under a 4-way
-// tiling. The acceptance criterion of the scale work is that these stay
-// roughly flat in N and in the tile count (O(frontier), and the frontier
-// is empty) with steady-state allocs/op ≤ 2; compare
+// 10k and 100k nodes under frontier stepping. The acceptance criterion of
+// the scale work is that these stay roughly flat in N (O(frontier), and
+// the frontier is empty) with steady-state allocs/op ≤ 2; compare
 // BenchmarkQuiescentStepDense1k for the O(N) full-scan baseline the
 // 100k cost would otherwise extrapolate from.
 func BenchmarkQuiescentStep(b *testing.B) {
 	requireScaleBench(b)
-	run := func(name string, n, tiles int) {
-		b.Run(name, func(b *testing.B) {
-			e := stableTiledScaleEngine(b, n, tiles)
+	for _, n := range []int{1_000, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			e := stableScaleEngine(b, n, true)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -78,10 +77,6 @@ func BenchmarkQuiescentStep(b *testing.B) {
 			}
 		})
 	}
-	for _, n := range []int{1_000, 10_000, 100_000} {
-		run(fmt.Sprintf("n=%d", n), n, 1)
-	}
-	run("n=10000/tiles=4", 10_000, 4)
 }
 
 // BenchmarkQuiescentStepDense1k is the full-scan cost of the same
@@ -111,7 +106,7 @@ func BenchmarkStep100k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		perturbedStep(b, e, n, i)
+		perturbedStep(b, e, n, 100, i)
 	}
 	b.StopTimer()
 	// Live heap for the whole stabilized world — the 1M scenario's
@@ -121,43 +116,16 @@ func BenchmarkStep100k(b *testing.B) {
 	b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "heapMB")
 }
 
-// stableTiledScaleEngine is stableScaleEngine plus a k-tile spatial
-// sharding (tiles <= 1 leaves the engine untiled).
-func stableTiledScaleEngine(b *testing.B, n, tiles int) *Engine {
-	b.Helper()
-	pts, ids, r := scalePoints(int64(n), n)
-	g := topology.FromPoints(pts, r)
-	e, err := New(g, ids, Protocol{Order: cluster.OrderBasic}, radio.Perfect{}, rng.New(int64(n)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := e.SetSparse(true); err != nil {
-		b.Fatal(err)
-	}
-	if tiles > 1 {
-		tiling := topology.NewTiling(geom.UnitSquare(), tiles)
-		if err := e.SetTiles(tiling.Tiles(), func(i int) int {
-			return tiling.TileOf(pts[i])
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if _, err := e.RunUntilStable(5000, 5); err != nil {
-		b.Fatal(err)
-	}
-	return e
-}
-
-// perturbedStep is the BenchmarkStep100k workload body: 100 spread-out
+// perturbedStep is the BenchmarkStep100k workload body: k spread-out
 // density-scale writes followed by one step, alternating the scale so
 // every iteration does real guard work.
-func perturbedStep(b *testing.B, e *Engine, n, i int) {
+func perturbedStep(b *testing.B, e *Engine, n, k, i int) {
 	s := 0.875
 	if i%2 == 1 {
 		s = 1.0
 	}
-	for k := 0; k < 100; k++ {
-		if err := e.SetDensityScale((k*997+13)%n, s); err != nil {
+	for j := 0; j < k; j++ {
+		if err := e.SetDensityScale((j*997+13)%n, s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -166,21 +134,25 @@ func perturbedStep(b *testing.B, e *Engine, n, i int) {
 	}
 }
 
-// BenchmarkStep100kTiles is BenchmarkStep100k across a tile-count sweep:
-// the same locally perturbed workload with the region sharded 1, 2, 4 and
-// 8 ways. With one worker the tiling's overhead (halo routing, outbox
-// merge) should be noise; on a multicore host the expansion runs
-// tile-parallel and the per-node phases spread over the pool either way.
-func BenchmarkStep100kTiles(b *testing.B) {
+// BenchmarkStep100kFrontier is BenchmarkStep100k across a worklist-size
+// sweep: k nodes re-scaled per step, from the local perturbation (k=100)
+// up through the saturation cut-over (k=45000 pends, with the nodes the
+// previous step re-armed, more than half the population, so the step scans
+// every slot). It is the row for the cut-over's placement: plan() tests
+// |pend| while a worklist step's cost follows |exec| ≈ |pend|·(1 + deg),
+// so k=20000 — a fifth of the nodes pending, below the cut-over — costs
+// more than the full scan k=45000 falls back to (46–52 ms against 34–39 ms
+// when the row was first committed). Recorded here, not retuned.
+func BenchmarkStep100kFrontier(b *testing.B) {
 	requireScaleBench(b)
 	const n = 100_000
-	for _, tiles := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("tiles=%d", tiles), func(b *testing.B) {
-			e := stableTiledScaleEngine(b, n, tiles)
+	for _, k := range []int{100, 5_000, 20_000, 45_000} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			e := stableScaleEngine(b, n, true)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				perturbedStep(b, e, n, i)
+				perturbedStep(b, e, n, k, i)
 			}
 		})
 	}
@@ -213,8 +185,8 @@ func BenchmarkStepSaturated(b *testing.B) {
 // micro-benchmark row for the work BenchmarkStepSaturated's clean,
 // nothing-to-do scan leaves out. The saturated step is also the only
 // regime with enough work per step to occupy a second core, so the row
-// is recorded at one and two workers (the flat worker split, untiled):
-// their ratio is the committed verdict on what the worker pool buys.
+// is recorded at one and two workers: their ratio is the committed
+// verdict on what the worker pool buys.
 func BenchmarkHealRound10k(b *testing.B) {
 	requireScaleBench(b)
 	for _, workers := range []int{1, 2} {
@@ -235,9 +207,9 @@ func BenchmarkHealRound10k(b *testing.B) {
 }
 
 // BenchmarkStep1M is the million-node tentpole scenario: the perturbed
-// step at n=1,000,000 under an 8-way tiling, with the post-setup heap
-// reported so the memory diet (interned neighbor identifier lists: O(deg)
-// per node instead of O(deg²)) shows up next to the step time. Gated twice —
+// step at n=1,000,000, with the post-setup heap reported so the memory
+// diet (interned neighbor identifier lists: O(deg) per node instead of
+// O(deg²)) shows up next to the step time. Gated twice —
 // SELFSTAB_SCALE_BENCH_1M on top of the scale gate — because setup alone
 // costs tens of seconds and over a gigabyte; the CI smoke tier never runs it.
 func BenchmarkStep1M(b *testing.B) {
@@ -246,11 +218,11 @@ func BenchmarkStep1M(b *testing.B) {
 		b.Skip("set SELFSTAB_SCALE_BENCH_1M=1 to run the million-node scenario")
 	}
 	const n = 1_000_000
-	e := stableTiledScaleEngine(b, n, 8)
+	e := stableScaleEngine(b, n, true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		perturbedStep(b, e, n, i)
+		perturbedStep(b, e, n, 100, i)
 	}
 	b.StopTimer()
 	// After ResetTimer (which clears custom metrics), report the live

@@ -45,41 +45,36 @@ import (
 // and a step visits the worklist plus the alive radio neighborhoods of
 // worklist nodes about to broadcast changed content: exactly the nodes
 // whose ingest can observe anything new (expand). A stabilized network
-// therefore steps in O(1), at any tile count, and a locally perturbed one
-// in O(frontier × density). Once half the living population is pending
-// the expansion and list indirection cost more than a straight scan, and
-// the node set becomes every slot for that step. That is safe because
-// visiting an off-worklist node is a no-op: every neighbor it caches is
-// alive and sending (a vanished one would have pended it through
-// activateSpread, an aging entry through Node.stale), so its ingest
-// refreshes every entry with identical content and leaves its guards
-// disarmed.
+// therefore steps in O(1), and a locally perturbed one in
+// O(frontier × density). Once half the living population is pending the
+// expansion and list indirection cost more than a straight scan, and the
+// node set becomes every slot for that step. That is safe because visiting
+// an off-worklist node is a no-op: every neighbor it caches is alive and
+// sending (a vanished one would have pended it through activateSpread, an
+// aging entry through Node.stale), so its ingest refreshes every entry
+// with identical content and leaves its guards disarmed.
 //
-// Tiles shard only the expansion, which deduplicates through execFlag and
-// so needs a single writer per flag: the worklist is dealt to the owning
-// tiles, each tile expands its own seeds and stages cross-tile neighbors
-// in a per-(source, destination) outbox, and each destination drains its
-// outboxes in source-tile order. Untiled is the T = 1 case — nothing ever
-// crosses, and there is no halo phase. The per-node phases ignore tile
-// boundaries: a visit writes only the visited node's own state (frame,
-// cache, shared variables, its disrupt.changed slot) and reads frames
-// that the barrier between the two phases has frozen, so the node set is
-// chunked evenly over the workers however the perturbation is distributed
-// over tiles.
+// The expansion is one sequential pass: it deduplicates through execFlag,
+// and it is 2–6 % of a traced step on the heal and churn benchmark
+// workloads (ingest is 83–89 %), too little to be worth sharding (README,
+// Scale). The per-node phases are what the workers split: a visit writes
+// only the visited node's own state (frame, cache, shared variables, its
+// disrupt.changed slot) and reads frames that the barrier between the two
+// phases has frozen, so the node set is chunked evenly over the workers
+// wherever the perturbation sits.
 //
 // Determinism: the medium and the daemon draw sequentially, in node
 // order, between the parallel phases; per-node draws (DAG colors) come
-// from per-node streams; every cross-tile merge drains in fixed order.
-// The execution is bit-identical for a fixed seed at any worker count,
-// any tile count and either node set, pinned by the mixed-trace oracle in
-// frontier_test.go.
+// from per-node streams; the visit list is built on one goroutine. The
+// execution is bit-identical for a fixed seed at any worker count and
+// either node set, pinned by the mixed-trace oracle in frontier_test.go.
 
 // parallelThreshold is the visit count below which the per-node phases run
 // inline: goroutine fan-out costs more than it saves on tiny node sets.
 const parallelThreshold = 128
 
 // nodeSet is what one step visits: every slot, or the expanded worklist
-// held in the per-tile lists. n is the length of that iteration space.
+// held in e.exec. n is the length of that iteration space.
 type nodeSet struct {
 	all bool
 	n   int
@@ -187,115 +182,35 @@ func (e *Engine) plan() nodeSet {
 	return set
 }
 
-// expand turns the worklist into the per-tile visit lists and returns
-// their total length: every pending node, plus the alive radio
-// neighborhood of every pending node about to broadcast changed content.
-// Within a tile, seeds keep their activation order and neighbors follow in
-// discovery order; halo arrivals follow in source-tile order.
+// expand turns the worklist into the visit list and returns its length:
+// every pending node, in activation order, then the alive radio
+// neighborhood of every pending node about to broadcast changed content, in
+// discovery order.
 //
 //selfstab:hotpath
 func (e *Engine) expand() int {
 	if len(e.pend) == 0 {
 		return 0
 	}
-	T := e.tiles
-	for t := range e.tileExec {
-		e.tileExec[t] = e.tileExec[t][:0]
-	}
-	for i := range e.tileOutbox {
-		e.tileOutbox[i] = e.tileOutbox[i][:0]
-	}
 	// pend is deduplicated (pendFlag), so execFlag is set unconditionally.
 	for _, v := range e.pend {
-		t := 0
-		if T > 1 {
-			t = int(e.tileOf[v])
-		}
 		e.pendFlag[v] = false
 		e.execFlag[v] = true
-		e.tileExec[t] = append(e.tileExec[t], v)
 	}
+	e.exec = append(e.exec[:0], e.pend...)
 	e.pend = e.pend[:0]
-	for t := range e.tileSeeds {
-		e.tileSeeds[t] = len(e.tileExec[t])
-	}
-
-	if T == 1 {
-		e.expandTile(0)
-		return len(e.tileExec[0])
-	}
-	e.span(obs.PhaseHalo)
-	e.fanOut(T, e.expandTile)
-	e.fanOut(T, e.mergeHalos)
-	e.closeSpan()
-	crossings := 0
-	for i := range e.tileOutbox {
-		crossings += len(e.tileOutbox[i])
-	}
-	e.count(obs.CtrHaloCross, int64(crossings))
-	total := 0
-	for t := range e.tileExec {
-		total += len(e.tileExec[t])
-	}
-	return total
-}
-
-// expandTile pulls the alive radio neighborhoods of tile t's seeds about
-// to broadcast changed content onto t's list; neighbors owned by another
-// tile are staged in the (t, owner) outbox instead. A tile writes only its
-// own nodes' execFlag entries, so tiles expand concurrently without locks.
-//
-//selfstab:hotpath
-func (e *Engine) expandTile(t int) {
-	T := e.tiles
-	for k := 0; k < e.tileSeeds[t]; k++ {
-		v := e.tileExec[t][k]
+	for _, v := range e.exec { // the seeds: range fixed its length before any append
 		if n := e.nodes[v]; e.status[v] != StatusAlive || !(n.frameDirty || n.headerDirty) {
 			continue
 		}
 		for _, w := range e.g.Neighbors(int(v)) {
-			if e.status[w] != StatusAlive {
-				continue
-			}
-			if T > 1 {
-				if wt := int(e.tileOf[w]); wt != t {
-					e.tileOutbox[t*T+wt] = append(e.tileOutbox[t*T+wt], int32(w))
-					continue
-				}
-			}
-			if !e.execFlag[w] {
+			if e.status[w] == StatusAlive && !e.execFlag[w] {
 				e.execFlag[w] = true
-				e.tileExec[t] = append(e.tileExec[t], int32(w))
+				e.exec = append(e.exec, int32(w))
 			}
 		}
 	}
-}
-
-// mergeHalos drains every halo outbox addressed to destination tile d in
-// source-tile order — fixed order, so the resulting lists are reproducible
-// run to run — deduplicating against d's own flags (a boundary node may be
-// queued by several source tiles, or already be on its own tile's list).
-// Radio reach is one unit-disk radius, so only boundary nodes ever cross
-// and halo traffic is O(perimeter).
-//
-//selfstab:hotpath
-func (e *Engine) mergeHalos(d int) {
-	probe := e.probe
-	if probe != nil {
-		probe.TileSpanBegin(obs.PhaseHalo, d)
-	}
-	T := e.tiles
-	for s := 0; s < T; s++ {
-		for _, w := range e.tileOutbox[s*T+d] {
-			if !e.execFlag[w] {
-				e.execFlag[w] = true
-				e.tileExec[d] = append(e.tileExec[d], w)
-			}
-		}
-	}
-	if probe != nil {
-		probe.TileSpanEnd(obs.PhaseHalo, d)
-	}
+	return len(e.exec)
 }
 
 // fillNode refreshes node i's outgoing frame in the engine's scratch when
@@ -367,8 +282,7 @@ func (e *Engine) execNode(i int) bool {
 // rearm rebuilds the worklist from the visited nodes: a node stays on the
 // frontier while its guards are armed, its broadcast content changed (next
 // step its neighbors join through expand), or a cache entry is aging
-// toward eviction. The worklist stays tile-agnostic between steps, so
-// Activate, Compact and the churn mutators need no tile awareness.
+// toward eviction.
 func (e *Engine) rearm(set nodeSet) {
 	if set.all {
 		for i := range e.nodes {
@@ -376,11 +290,9 @@ func (e *Engine) rearm(set nodeSet) {
 		}
 		return
 	}
-	for _, list := range e.tileExec {
-		for _, v := range list {
-			e.execFlag[v] = false
-			e.requeue(v)
-		}
+	for _, v := range e.exec {
+		e.execFlag[v] = false
+		e.requeue(v)
 	}
 }
 
@@ -395,7 +307,8 @@ func (e *Engine) requeue(v int32) {
 
 // forEach runs visit on every node of the set and reports whether any
 // call returned true. A set of parallelThreshold nodes or more is cut into
-// one even chunk per worker. visit must write only node i's own state.
+// one even chunk per worker, each on its own goroutine. visit must write
+// only node i's own state.
 func (e *Engine) forEach(set nodeSet, visit func(e *Engine, i int) bool) bool {
 	chunks := 1
 	if set.n >= parallelThreshold {
@@ -405,17 +318,24 @@ func (e *Engine) forEach(set nodeSet, visit func(e *Engine, i int) bool) bool {
 		return e.visitRange(set, 0, set.n, visit)
 	}
 	var changed atomic.Bool
-	size := (set.n + chunks - 1) / chunks
-	e.fanOut(chunks, func(k int) {
-		if e.visitRange(set, k*size, min((k+1)*size, set.n), visit) {
+	var wg sync.WaitGroup
+	work := func(k int) {
+		defer wg.Done()
+		// k·n/chunks never leaves [0, n]; a rounded-up chunk size would.
+		if e.visitRange(set, k*set.n/chunks, (k+1)*set.n/chunks, visit) {
 			changed.Store(true)
 		}
-	})
+	}
+	wg.Add(chunks)
+	for k := 0; k < chunks; k++ {
+		go work(k)
+	}
+	wg.Wait()
 	return changed.Load()
 }
 
 // visitRange is forEach over positions [lo, hi) of the set's iteration
-// space: slot indices, or the concatenation of the per-tile lists.
+// space: slot indices, or the visit list.
 func (e *Engine) visitRange(set nodeSet, lo, hi int, visit func(e *Engine, i int) bool) bool {
 	changed := false
 	if set.all {
@@ -426,56 +346,21 @@ func (e *Engine) visitRange(set nodeSet, lo, hi int, visit func(e *Engine, i int
 		}
 		return changed
 	}
-	for _, list := range e.tileExec {
-		if hi <= 0 {
-			break
+	for _, v := range e.exec[lo:hi] {
+		if visit(e, int(v)) {
+			changed = true
 		}
-		if lo < len(list) {
-			for _, v := range list[lo:min(hi, len(list))] {
-				if visit(e, int(v)) {
-					changed = true
-				}
-			}
-		}
-		lo = max(lo-len(list), 0)
-		hi -= len(list)
 	}
 	return changed
 }
 
-// pool returns how many goroutines n independent jobs are spread over.
+// pool returns how many goroutines a node set of n visits is cut over.
 func (e *Engine) pool(n int) int {
 	workers := e.workers
 	if workers == 0 {
 		workers = goruntime.GOMAXPROCS(0)
 	}
 	return max(min(workers, n), 1)
-}
-
-// fanOut runs job(k) for every k in [0, n) and returns when all are done.
-// Workers claim jobs from a shared counter, so uneven jobs (tiles)
-// balance; one job never runs on two workers.
-func (e *Engine) fanOut(n int, job func(k int)) {
-	workers := e.pool(n)
-	if workers == 1 {
-		for k := 0; k < n; k++ {
-			job(k)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	work := func() {
-		defer wg.Done()
-		for k := int(next.Add(1)) - 1; k < n; k = int(next.Add(1)) - 1 {
-			job(k)
-		}
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go work()
-	}
-	wg.Wait()
 }
 
 // span moves the probe to phase p: the phase span still open, if any, is

@@ -128,7 +128,7 @@ func writeProbeMetrics(b *strings.Builder, m obs.Metrics) {
 	fmt.Fprintf(b, "# TYPE selfstab_phase_duration_seconds histogram\n")
 	for p := obs.Phase(0); p < obs.NumPhases; p++ {
 		if m.Phases[p].Count == 0 {
-			continue // phase never ran (e.g. no tiling → no halo)
+			continue // phase never ran (e.g. no data plane → no traffic)
 		}
 		writeHistogram(b, "selfstab_phase_duration_seconds",
 			fmt.Sprintf("phase=%q", p.String()), m.Phases[p])

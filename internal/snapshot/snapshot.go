@@ -12,7 +12,7 @@
 // executed (Header.Step). Restoring therefore re-runs construction and
 // replays the journal through the same op-apply chokepoint the live
 // calls went through, which reconstructs every subsystem's private state
-// — engine nodes, frontier and tiles, the unit-disk grid, traffic queues
+// — engine nodes and frontier, the unit-disk grid, traffic queues
 // and ledgers, energy batteries, open churn episodes — exactly, because
 // the replay IS the original execution. Internal randomness (churn
 // schedules, lossy media, traffic workloads) needs no journaling: it is
@@ -148,7 +148,10 @@ type Options struct {
 	RowMajorIDs  bool    `json:"row_major_ids,omitempty"`
 	IDs          []int64 `json:"ids,omitempty"`
 	StableWindow int     `json:"stable_window"`
-	Tiles        int     `json:"tiles,omitempty"` // 0 = auto, 1 = untiled, k > 1 = force k tiles
+	// Tiles is retired: the engine no longer tiles its frontier. It stays a
+	// format-2 wire field so older documents decode (Decode rejects unknown
+	// fields) and re-snapshot to the same bytes; nothing acts on it.
+	Tiles int `json:"tiles,omitempty"`
 }
 
 // Blueprint is the construction recipe: deployment plus options.

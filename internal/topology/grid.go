@@ -47,19 +47,9 @@ type GridIndex struct {
 	// list was changed by an incremental operation (Update, Append,
 	// Deactivate, Reactivate) — both endpoints of every created or
 	// vanished edge. It is the topology-delta feed the frontier step
-	// engine activates its worklist from, and — under tiled stepping —
-	// the halo feed: a cross-tile edge delta lands both owning tiles'
-	// nodes on their respective frontiers. Duplicate notifications are
+	// engine activates its worklist from. Duplicate notifications are
 	// allowed; missing ones are not.
 	onAdjChange func(i int)
-
-	// onMove, when set, is invoked once per node whose position Update
-	// changed (including inactive nodes, whose recorded position moves
-	// even while they own no edges). The tiled step engine wires this to
-	// its re-tiling hook: tile ownership is a pure function of position,
-	// so a move — even one that changes no adjacency — may hand the node
-	// to another tile.
-	onMove func(i int)
 }
 
 // NewGridIndex builds the index and its unit-disk graph over pts: nodes
@@ -195,12 +185,6 @@ func (gi *GridIndex) collectNeighbors(i int, dst []int) []int {
 // the affected radio neighborhoods.
 func (gi *GridIndex) SetOnAdjacencyChange(fn func(i int)) { gi.onAdjChange = fn }
 
-// SetOnMove installs fn as the position-delta hook: Update calls it for
-// every node whose position changed, active or not, before recomputing any
-// adjacency. nil disables it. The tiled step engine uses this to keep its
-// tile-ownership map current under mobility.
-func (gi *GridIndex) SetOnMove(fn func(i int)) { gi.onMove = fn }
-
 // noteAdj fires the adjacency hook for node i.
 func (gi *GridIndex) noteAdj(i int) {
 	if gi.onAdjChange != nil {
@@ -244,9 +228,6 @@ func (gi *GridIndex) Update(pts []geom.Point) (*Graph, error) {
 			continue
 		}
 		gi.pts[i] = p
-		if gi.onMove != nil {
-			gi.onMove(i)
-		}
 		if gi.inactive[i] {
 			continue
 		}

@@ -25,9 +25,9 @@ import (
 //     auto-compactions are deterministic consequences of the seed and
 //     the journaled attach ops; journaling them too would apply them
 //     twice on replay.
-//   - Performance knobs. SetParallelism and the tile layout are
-//     bit-identical by contract (the determinism tests pin this), so
-//     they are not part of the world's trajectory.
+//   - Performance knobs. SetParallelism is bit-identical by contract
+//     (the determinism tests pin this), so it is not part of the
+//     world's trajectory.
 //   - Failed calls. applyOp journals only after the mutation succeeded,
 //     and every op validates its whole input up front — ids and status
 //     transitions, positions, configs — before it mutates a node or

@@ -344,10 +344,6 @@ func (n *Network) SetParallelism(workers int) {
 	}
 }
 
-// Tiles reports the step engine's spatial tile count (1 when untiled).
-// See WithTiles.
-func (n *Network) Tiles() int { return n.engine.Tiles() }
-
 // Neighbors returns the identifiers of node i's current radio neighbors.
 func (n *Network) Neighbors(i int) ([]int64, error) {
 	if i < 0 || i >= len(n.pts) {

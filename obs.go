@@ -6,11 +6,11 @@ import (
 	"selfstab/internal/obs"
 )
 
-// Observability. The network's step path — protocol engine, tiled
-// frontier machinery, traffic data plane, battery model — reports into a
-// single attached obs.Probe: phase begin/end boundaries, per-tile
-// halo-merge spans, and counter gauges (frontier length, dense
-// fallbacks, halo crossings, compactions, queue occupancy, depletions).
+// Observability. The network's step path — protocol engine, frontier
+// machinery, traffic data plane, battery model — reports into a single
+// attached obs.Probe: phase begin/end boundaries and counter gauges
+// (frontier length, dense fallbacks, compactions, queue occupancy,
+// depletions).
 // The probe contract is the obspure rule (see internal/obs): a probe is
 // a pure observer, wall-clock reads live only inside the sink, and the
 // simulation is bit-identical with the probe attached or detached. A

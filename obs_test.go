@@ -9,89 +9,53 @@ import (
 	"selfstab/internal/obs"
 )
 
-// obsNet is the mixed churn + traffic + energy workload the observability
-// oracles run: every phase of the step path fires, so a probe that
-// perturbed anything would be caught.
-func obsNet(t *testing.T, seed int64, tiles int) *Network {
-	t.Helper()
-	var opts []Option
-	if tiles > 1 {
-		opts = append(opts, WithTiles(tiles))
-	}
-	net := churnNet(t, 220, seed, opts...)
-	if err := net.AttachTraffic(TrafficConfig{
-		QueueCap: 8,
-		Flows:    mixedWorkload(net, 12),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.AttachEnergy(EnergyConfig{Capacity: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.AttachChurn(ChurnConfig{
-		ArrivalRate:   0.3,
-		DepartureRate: 0.3,
-		CrashRate:     0.1,
-		SleepRate:     0.1,
-		SleepSteps:    6,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return net
-}
-
 // TestProbeDeterminism is the tracing-on-vs-off oracle: through a mixed
-// churn + traffic + energy trace, a network with a Collector attached
-// produces bit-identical clusters, stats and ledgers to a probe-free
-// twin — at 1 and 4 workers, flat and tiled. Run under -race in CI, this
-// also exercises the collector's tile-span slots from the tile workers.
+// churn + traffic + energy trace (compactNet: every phase of the step path
+// fires, so a probe that perturbed anything would be caught), a network
+// with a Collector attached produces bit-identical clusters, stats and
+// ledgers to a probe-free twin — at 1 and 4 workers.
 func TestProbeDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		for _, tiles := range []int{1, 4} {
-			t.Run(fmt.Sprintf("workers=%d/tiles=%d", workers, tiles), func(t *testing.T) {
-				run := func(probe bool) (compactObservables, *obs.Collector) {
-					net := obsNet(t, 777, tiles)
-					net.SetParallelism(workers)
-					var c *obs.Collector
-					if probe {
-						c = NewCollector(256)
-						net.AttachProbe(c)
-					}
-					if err := net.Run(140); err != nil {
-						t.Fatal(err)
-					}
-					return observe(t, net), c
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			run := func(probe bool) (compactObservables, *obs.Collector) {
+				net := compactNet(t, 777)
+				net.SetParallelism(workers)
+				var c *obs.Collector
+				if probe {
+					c = NewCollector(256)
+					net.AttachProbe(c)
 				}
-				probed, c := run(true)
-				bare, _ := run(false)
-				compareObservables(t, "probe on vs off", probed, bare)
+				if err := net.Run(140); err != nil {
+					t.Fatal(err)
+				}
+				return observe(t, net), c
+			}
+			probed, c := run(true)
+			bare, _ := run(false)
+			compareObservables(t, "probe on vs off", probed, bare)
 
-				// The probed twin must actually have observed the run:
-				// every phase of the mixed workload appears in the stream.
-				m := c.Metrics()
-				if m.Steps != 140 {
-					t.Fatalf("collector recorded %d steps, want 140", m.Steps)
+			// The probed twin must actually have observed the run:
+			// every phase of the mixed workload appears in the stream.
+			m := c.Metrics()
+			if m.Steps != 140 {
+				t.Fatalf("collector recorded %d steps, want 140", m.Steps)
+			}
+			for _, p := range []obs.Phase{obs.PhaseChurn, obs.PhaseFrame, obs.PhaseIngest, obs.PhaseTraffic, obs.PhaseEnergy} {
+				if m.Phases[p].Count == 0 {
+					t.Errorf("phase %v unobserved through the mixed trace", p)
 				}
-				for _, p := range []obs.Phase{obs.PhaseChurn, obs.PhaseFrame, obs.PhaseIngest, obs.PhaseTraffic, obs.PhaseEnergy} {
-					if m.Phases[p].Count == 0 {
-						t.Errorf("phase %v unobserved through the mixed trace", p)
-					}
-				}
-				if m.Counters[obs.CtrTrafficForwarded] == 0 {
-					t.Errorf("no forwarded packets counted under the mixed workload")
-				}
-				if tiles > 1 && m.Phases[obs.PhaseHalo].Count == 0 {
-					t.Errorf("tiled run emitted no halo spans")
-				}
-			})
-		}
+			}
+			if m.Counters[obs.CtrTrafficForwarded] == 0 {
+				t.Errorf("no forwarded packets counted under the mixed workload")
+			}
+		})
 	}
 }
 
 // TestProbeSurvivesAttachOrder: subsystems attached after the probe
 // inherit it, and a detach silences every emitter at once.
 func TestProbeSurvivesAttachOrder(t *testing.T) {
-	net := churnNet(t, 220, 31, WithTiles(2))
+	net := churnNet(t, 220, 31)
 	c := NewCollector(64)
 	net.AttachProbe(c) // probe first, subsystems after
 	if err := net.AttachTraffic(TrafficConfig{
@@ -131,7 +95,7 @@ func TestProbeSurvivesAttachOrder(t *testing.T) {
 // attached collector's records as valid Chrome trace JSON covering the
 // post-guard phases too.
 func TestNetworkWriteTrace(t *testing.T) {
-	net := obsNet(t, 99, 2)
+	net := compactNet(t, 99)
 	c := NewCollector(128)
 	net.AttachProbe(c)
 	if err := net.Run(40); err != nil {

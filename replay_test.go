@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"selfstab/internal/snapshot"
 )
 
 // worldFingerprint collects everything observable about a world that the
@@ -177,25 +179,26 @@ func continueTrace(t *testing.T, net *Network, victims []int64) {
 // BOTH worlds with the same op sequence keeps them bit-identical —
 // protocol state, clustering, and all three ledgers — and (c) the
 // restored world's own next snapshot is byte-identical to the
-// original's, so checkpoints chain. Exercised at 1 and 4 workers, flat
-// and tiled (results must also be identical across those variants per
-// the repo's determinism contract, which restore leans on).
+// original's, so checkpoints chain. Exercised at 1 and 4 workers
+// (results must also be identical across those variants per the repo's
+// determinism contract, which restore leans on), and on a document that
+// carries the retired "tiles" option: a snapshot written by an older
+// build must restore to the same world and chain with the field intact.
 func TestSnapshotReplayOracle(t *testing.T) {
 	variants := []struct {
-		name    string
-		workers int
-		tiles   int
+		name     string
+		workers  int
+		docTiles int // written into the document before it is restored
 	}{
-		{"1worker_flat", 1, 1},
-		{"4workers_flat", 4, 1},
-		{"1worker_4tiles", 1, 4},
-		{"4workers_4tiles", 4, 4},
+		{"1worker", 1, 0},
+		{"4workers", 4, 0},
+		{"retired_tiles_field", 1, 4},
 	}
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()
-			net := churnNet(t, 80, 20260808, WithTiles(v.tiles))
+			net := churnNet(t, 80, 20260808)
 			net.SetParallelism(v.workers)
 			runMixedTrace(t, net)
 
@@ -211,6 +214,21 @@ func TestSnapshotReplayOracle(t *testing.T) {
 			}
 			if !bytes.Equal(snap.Bytes(), again.Bytes()) {
 				t.Fatal("two WriteSnapshot calls on an unchanged world differ")
+			}
+
+			if v.docTiles != 0 {
+				doc, err := snapshot.Decode(bytes.NewReader(snap.Bytes()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				doc.Blueprint.Options.Tiles = v.docTiles
+				snap.Reset()
+				if err := doc.Encode(&snap); err != nil {
+					t.Fatal(err)
+				}
+				if bytes.Equal(snap.Bytes(), again.Bytes()) {
+					t.Fatal("the document does not carry the retired field")
+				}
 			}
 
 			restored, err := ReadSnapshot(bytes.NewReader(snap.Bytes()))

@@ -17,10 +17,10 @@
 # the routing/traffic
 # suite in BENCH_traffic.json, the churn suite in BENCH_churn.json, the
 # energy suite in BENCH_energy.json and the scale suite (quiescent
-# frontier stepping, perturbed 100k step with a tile-count sweep,
+# frontier stepping, perturbed 100k step with a worklist-size sweep,
 # saturated-frontier fallback, the 10k full-corruption recovery round
 # at one and two workers, slot compaction, and — behind BENCH_1M=1 — the
-# million-node tiled scenario) in BENCH_scale.json — so successive runs
+# million-node scenario) in BENCH_scale.json — so successive runs
 # can be compared
 # (benchstat on the raw text, or any tool on the JSON).
 #
@@ -73,8 +73,8 @@ echo "== go vet" >&2
 go vet ./...
 
 echo "== race-instrumented determinism tests" >&2
-go test -race -run 'TestParallelDeterminism|TestParallelMatchesSequentialStabilization|TestEngineChurnParallelDeterminism|TestSparseMatchesDenseMixedTrace|TestTiledMatchesFlatMixedTrace|TestCachedLinkCountMatchesRecount|TestIngestMatchesReference|TestStepProbeDisabledZeroAlloc|TestStepErrorKeepsProbeStreamSound' ./internal/runtime
-go test -race -run 'TestTrafficDeterminism|TestChurnDeterminism|TestEnergyDeterminism|TestNetworkSparseMatchesDense|TestCompactTwinEquivalence|TestTilesOracleMixedTrace|TestCompactUnderTiling' .
+go test -race -run 'TestParallelDeterminism|TestForEachVisitsEachNodeOnce|TestParallelMatchesSequentialStabilization|TestEngineChurnParallelDeterminism|TestSparseMatchesDenseMixedTrace|TestCachedLinkCountMatchesRecount|TestIngestMatchesReference|TestStepProbeDisabledZeroAlloc|TestStepErrorKeepsProbeStreamSound' ./internal/runtime
+go test -race -run 'TestTrafficDeterminism|TestChurnDeterminism|TestEnergyDeterminism|TestNetworkSparseMatchesDense|TestCompactTwinEquivalence' .
 
 # Provenance, written at the head of every raw file in the benchmark
 # format's own "key: value" configuration syntax.

@@ -74,27 +74,26 @@
 // (deployment + options, seed included) plus the step-stamped op journal
 // — and ReadSnapshot rebuilds through the same constructor path,
 // replaying the journal interleaved with stepping, to a bit-identical
-// world: states, clusters and every ledger, at any worker count, flat or
-// tiled. Internal randomness (churn schedules, traffic workloads)
-// reproduces from the seed's split streams and is not journaled. The
-// internal/serve package runs a Network as a long-lived service stepping
-// in scaled real time behind an HTTP/JSON API (selfstab-sim serve).
+// world: states, clusters and every ledger, at any worker count. Internal
+// randomness (churn schedules, traffic workloads) reproduces from the
+// seed's split streams and is not journaled. The internal/serve package
+// runs a Network as a long-lived service stepping in scaled real time
+// behind an HTTP/JSON API (selfstab-sim serve).
 //
 // The world is observable without being perturbable: AttachProbe installs
-// an obs.Probe that receives step boundaries, per-phase and per-tile
-// spans, and engine counters from inside the step path. The probe
-// contract has two halves, both enforced. With no probe attached the
-// instrumentation costs nothing — the nil-probe path adds zero
-// allocations and no measurable time (pinned by test and benchmark
-// gate). With one attached, the engine is write-only toward it and the
-// probe must never feed back: callbacks may not call into engine
-// packages or mutate engine state (the obspure analyzer checks this
-// statically), so a traced run is bit-identical to an untraced twin.
-// Probe attachment is deliberately not journaled — replay without the
-// probe reproduces the same trajectory. NewCollector's lock-free sink
-// aggregates records into Prometheus-style histograms (served at
-// /metrics) and Chrome trace-event JSON (WriteTrace, selfstab-sim
-// trace, POST /trace).
+// an obs.Probe that receives step boundaries, per-phase spans and engine
+// counters from inside the step path. The probe contract has two halves,
+// both enforced. With no probe attached the instrumentation costs nothing
+// — the nil-probe path adds zero allocations and no measurable time
+// (pinned by test and benchmark gate). With one attached, the engine is
+// write-only toward it and the probe must never feed back: callbacks may
+// not call into engine packages or mutate engine state (the obspure
+// analyzer checks this statically), so a traced run is bit-identical to an
+// untraced twin. Probe attachment is deliberately not journaled — replay
+// without the probe reproduces the same trajectory. NewCollector's
+// lock-free sink aggregates records into Prometheus-style histograms
+// (served at /metrics) and Chrome trace-event JSON (WriteTrace,
+// selfstab-sim trace, POST /trace).
 //
 // Minimal use:
 //
@@ -120,9 +119,9 @@
 //     nodes whose adjacency an update touched) — and a step visits only
 //     worklist nodes plus the radio neighborhoods of nodes about to
 //     broadcast changed content. A stabilized network steps in O(1),
-//     flat in N and in the tile count (BenchmarkQuiescentStep: ~12 ns
-//     at 1k, 10k and 100k nodes, 0 allocs/op), instead of the full
-//     scan's O(N) (BenchmarkQuiescentStepDense1k: ~0.2 ms at 1k alone);
+//     flat in N (BenchmarkQuiescentStep: ~12 ns at 1k, 10k and 100k
+//     nodes, 0 allocs/op), instead of the full scan's O(N)
+//     (BenchmarkQuiescentStepDense1k: ~0.2 ms at 1k alone);
 //     a locally perturbed network steps in O(frontier × density)
 //     (BenchmarkStep100k). There is one step body; what varies is the
 //     set of nodes it visits, and the engine picks that from what it
@@ -132,31 +131,11 @@
 //     worklist otherwise; and every node again for any one step whose
 //     worklist holds half the living population or more (mass
 //     corruption, a blackout), where list bookkeeping costs more than
-//     it saves (BenchmarkStepSaturated pins the regime). The choices
-//     are bit-identical wherever more than one can run — pinned by a
-//     randomized mixed-trace oracle against the full scan at 1 and 4
-//     workers and 1, 4 and 7 tiles under -race
-//     (TestSparseMatchesDenseMixedTrace,
-//     TestTiledMatchesFlatMixedTrace).
-//
-//   - Spatial tiles (WithTiles). The deployment region is partitioned
-//     into k rectangular tiles, each owning its nodes. The worklist
-//     expansion — the one part of a step that deduplicates through
-//     shared flags — is sharded by that ownership: each tile expands
-//     its own seeds on the worker pool, and activations that cross a
-//     tile boundary are routed through per-(source, dest) outboxes and
-//     merged at a barrier — a halo exchange. Because the radio is a
-//     unit disk, only nodes within one radio range of a boundary can
-//     generate cross-tile traffic, so halo volume scales with tile
-//     perimeter while per-tile work scales with area. The per-node
-//     work that follows is spread evenly over the pool whatever tiles
-//     the perturbation fell in: a visit writes only the visited node's
-//     state. Untiled is simply the one-tile case. Tiling is purely a
-//     performance knob: merge order is fixed, so the trajectory is
-//     bit-identical at any tile count and worker count (the oracle
-//     above and the public-layer TestTilesOracleMixedTrace, both under
-//     -race; BenchmarkStep100kTiles is the sweep). The default is
-//     automatic — min(GOMAXPROCS, N/2048) tiles.
+//     it saves (BenchmarkStepSaturated pins the regime;
+//     BenchmarkStep100kFrontier sweeps the worklist size up to it). The
+//     choices are bit-identical wherever more than one can run — pinned
+//     by a randomized mixed-trace oracle against the full scan at 1 and
+//     4 workers under -race (TestSparseMatchesDenseMixedTrace).
 //
 //   - Publish only what the guards read, interned. A broadcast relays
 //     the sender's neighbor identifiers — all Definition 1 (guard R1)
@@ -271,9 +250,9 @@
 // The benchmark suite quantifies all of this: BenchmarkStep1000 (steady
 // protocol step at paper scale) is the headline throughput number and
 // should stay allocation-flat; the BenchmarkQuiescentStep family and
-// BenchmarkStep100k pin the worklist's flat-in-N claim, the
-// BenchmarkStep100kTiles sweep and BenchmarkStep1M pin scaling over
-// tiles and the million-node memory budget;
+// BenchmarkStep100k pin the worklist's flat-in-N claim,
+// BenchmarkStep100kFrontier the cost over worklist sizes and
+// BenchmarkStep1M the million-node memory budget;
 // BenchmarkColdStabilize and BenchmarkRecovery measure convergence
 // phases where guards actually run; the experiment-level benchmarks in
 // bench_test.go regenerate the paper's tables. scripts/bench.sh runs
@@ -286,7 +265,6 @@ package selfstab
 import (
 	"errors"
 	"fmt"
-	goruntime "runtime"
 	"slices"
 	"sort"
 
@@ -447,25 +425,6 @@ func WithCacheTTL(ttl int) Option {
 func WithRowMajorIDs() Option {
 	return func(c *snapshot.Options) error {
 		c.RowMajorIDs = true
-		return nil
-	}
-}
-
-// WithTiles controls spatial tiling of the step engine: the deployment
-// region is partitioned into k rectangular tiles, each owning its nodes,
-// and a step's worklist expansion runs tile-parallel with a halo
-// (boundary) exchange at its barrier. The execution is bit-identical at
-// every tile count — tiling is purely a performance knob. k = 1 disables
-// tiling; the default (auto) picks min(GOMAXPROCS, N/2048) tiles so small
-// worlds and single-core hosts stay untiled. Tiling matters only where
-// steps visit a worklist (lossless medium, synchronous daemon); otherwise
-// it sits idle.
-func WithTiles(k int) Option {
-	return func(c *snapshot.Options) error {
-		if k < 1 {
-			return fmt.Errorf("selfstab: tile count must be >= 1, got %d", k)
-		}
-		c.Tiles = k
 		return nil
 	}
 }
@@ -731,29 +690,6 @@ func buildWith(cfg snapshot.Options, pts []geom.Point, src *rng.Source) (*Networ
 	// node whose radio adjacency changes under mobility or churn is
 	// re-examined on the next step, and only those (see SetPositions).
 	n.grid.SetOnAdjacencyChange(engine.Activate)
-	// Spatial tiling: shard the frontier by region tile (WithTiles; the
-	// auto default only engages on multicore hosts with enough nodes to
-	// amortize the per-tile barriers). Ownership follows positions, so the
-	// grid's move hook keeps the assignment current under mobility.
-	tiles := cfg.Tiles
-	if tiles == 0 {
-		tiles = goruntime.GOMAXPROCS(0)
-		if maxT := len(n.pts) / 2048; tiles > maxT {
-			tiles = maxT
-		}
-		if tiles < 1 {
-			tiles = 1
-		}
-	}
-	if tiles > 1 {
-		tiling := topology.NewTiling(n.region, tiles)
-		if err := engine.SetTiles(tiling.Tiles(), func(i int) int {
-			return tiling.TileOf(n.grid.Positions()[i])
-		}); err != nil {
-			return nil, err
-		}
-		n.grid.SetOnMove(engine.Retile)
-	}
 	for _, id := range n.ids {
 		if id >= n.nextID {
 			n.nextID = id + 1

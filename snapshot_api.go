@@ -26,11 +26,11 @@ func (n *Network) WriteSnapshot(w io.Writer) error {
 // as the original (consuming the master seed's split streams in the same
 // order) and the journal is replayed through the same op-apply
 // chokepoint the live calls went through, so every subsystem's private
-// state — engine nodes, frontier and tiles, the unit-disk grid, traffic
+// state — engine nodes and frontier, the unit-disk grid, traffic
 // queues and ledgers, energy batteries, open churn episodes — comes back
 // bit-identical to the original at the snapshot step. Continuing both
 // worlds with the same subsequent ops yields bit-identical trajectories
-// (the replay oracle test pins this at 1 and 4 workers, tiled and flat).
+// (the replay oracle test pins this at 1 and 4 workers).
 //
 // Restore cost is proportional to the snapshot's step count: the journal
 // replays the original execution rather than deserializing raw arrays.
