@@ -253,20 +253,3 @@ func BenchmarkMotivationRoutingState(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkExtensionEnergy runs the Section 6 future-work extension: the
-// energy-aware metric rotates the head burden and extends the time to
-// first battery depletion.
-func BenchmarkExtensionEnergy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.Energy(benchOpts(2, 200, 0.12))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, "energy", res.Render())
-			b.ReportMetric(res.EnergyLifetime, "energyLifetime")
-			b.ReportMetric(res.PlainLifetime, "plainLifetime")
-		}
-	}
-}

@@ -15,8 +15,7 @@
 //	selfstab-sim attack -scenario flood -bots 12 -floodrate 4
 //
 // Experiments: table1, table2, table3, table4, table5, mobility,
-// stabilization, gamma, metrics, orders, energy, daemons, scalability,
-// all.
+// stabilization, gamma, metrics, orders, daemons, scalability, all.
 //
 // The traffic subcommand attaches a packet data plane (CBR / Poisson /
 // hotspot workloads) to a stabilized network, runs a static, mobility or
@@ -115,7 +114,7 @@ func run(args []string, out io.Writer) error {
 	}
 	fs := flag.NewFlagSet("selfstab-sim", flag.ContinueOnError)
 	var (
-		exp    = fs.String("exp", "all", "experiment: table1, table2, table3, table4, table5, mobility, stabilization, gamma, metrics, orders, energy, daemons, scalability, all")
+		exp    = fs.String("exp", "all", "experiment: table1, table2, table3, table4, table5, mobility, stabilization, gamma, metrics, orders, daemons, scalability, all")
 		runs   = fs.Int("runs", 30, "independent runs per cell (paper: 1000)")
 		seed   = fs.Int64("seed", 1, "master random seed")
 		lambda = fs.Float64("lambda", 1000, "Poisson deployment intensity")
@@ -167,13 +166,6 @@ func run(args []string, out io.Writer) error {
 		{"gamma", func() (renderer, error) { return experiment.AblationGamma(opts) }},
 		{"metrics", func() (renderer, error) { return experiment.AblationMetrics(opts) }},
 		{"orders", func() (renderer, error) { return experiment.AblationOrders(opts) }},
-		{"energy", func() (renderer, error) {
-			o := opts
-			if o.Intensity > 400 && !flagPassed(fs, "lambda") {
-				o.Intensity = 300 // many epochs per run; keep tractable by default
-			}
-			return experiment.Energy(o)
-		}},
 		{"daemons", func() (renderer, error) {
 			o := opts
 			if o.Intensity > 400 && !flagPassed(fs, "lambda") {

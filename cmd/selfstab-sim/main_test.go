@@ -135,6 +135,7 @@ func TestRunUnknownNamesExitNonZero(t *testing.T) {
 	}{
 		{"unknown subcommand", []string{"bogus"}, "unknown subcommand"},
 		{"unknown experiment", []string{"-exp", "nope"}, "unknown experiment"},
+		{"retired offline energy experiment", []string{"-exp", "energy"}, "unknown experiment"},
 		{"unknown traffic scenario", []string{"traffic", "-scenario", "nope"}, "unknown traffic scenario"},
 		{"unknown traffic workload", []string{"traffic", "-workload", "nope"}, "unknown workload"},
 		{"unknown churn scenario", []string{"churn", "-scenario", "nope"}, "unknown churn scenario"},

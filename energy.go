@@ -42,14 +42,17 @@ func (n *Network) attachEnergyImpl(cfg EnergyConfig) error {
 		return fmt.Errorf("selfstab: energy requires cache eviction — construct the network with WithCacheTTL")
 	}
 	hooks := energy.Hooks{
-		Alive: func(i int) bool {
-			return n.engine.Status(i) == runtime.StatusAlive
-		},
-		Sleeping: func(i int) bool {
-			return n.engine.Status(i) == runtime.StatusSleeping
-		},
-		IsHead: func(i int) bool {
-			return n.engine.Node(i).IsHead()
+		Role: func(i int) energy.Role {
+			switch n.engine.Status(i) {
+			case runtime.StatusAlive:
+				if n.engine.Node(i).IsHead() {
+					return energy.RoleHead
+				}
+				return energy.RoleMember
+			case runtime.StatusSleeping:
+				return energy.RoleSleep
+			}
+			return energy.RoleDead
 		},
 		// The tx/rx hooks read whatever data plane is attached at charge
 		// time, so traffic may be attached before or after the batteries.
@@ -84,7 +87,6 @@ func (n *Network) attachEnergyImpl(cfg EnergyConfig) error {
 			}
 		}
 	}
-	eng.SetParallelism(n.workers)
 	eng.SetProbe(n.probe) // late attach inherits the network's probe
 	n.energy = eng
 	n.energyOn = true

@@ -1,18 +1,31 @@
 package selfstab
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"testing"
+)
 
-// BenchmarkEnergyStep1000 is the energy headline: one Δ(τ) step of a
-// 1000-node network carrying a convergecast workload while the battery
+// BenchmarkEnergyStep is the energy layer row: one Δ(τ) step of a
+// quiescent network carrying a convergecast workload while the battery
 // model charges every node's role and radio activity, with energy-aware
-// rotation enabled so level crossings keep perturbing the election. The
-// battery pass itself must add zero steady-state allocations (see
+// rotation enabled. The protocol is at rest, so the step is the traffic
+// and energy phases; the sizes are the ones the layer runs at (1000 is
+// the historical headline, 20 000 the dataplane workload, 50 000 serve),
+// at the constant mean degree of the 1000-node row. The battery pass
+// itself must add zero steady-state allocations (see
 // TestEnergyPhaseAllocationFree); compare against BenchmarkTrafficStep1000
 // for the cost of the accounting itself.
-func BenchmarkEnergyStep1000(b *testing.B) {
-	net, err := NewRandomNetwork(1000,
+func BenchmarkEnergyStep(b *testing.B) {
+	for _, n := range []int{1000, 20000, 50000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchEnergyStep(b, n) })
+	}
+}
+
+func benchEnergyStep(b *testing.B, n int) {
+	net, err := NewRandomNetwork(n,
 		WithSeed(1),
-		WithRange(0.1),
+		WithRange(0.1*math.Sqrt(1000/float64(n))),
 		WithCacheTTL(8),
 		WithStableWindow(10),
 	)

@@ -54,24 +54,35 @@ func attachHotspotDrain(t testing.TB, net *Network, rotation bool) {
 // depletion is killed through the churn machinery and therefore shows up
 // as a departure disruption episode in ConvergenceStats, and enabling the
 // energy-aware rotation metric measurably extends the first-death step on
-// the very same seed.
+// the very same seed — by spreading the burden: while everyone still
+// lives, the worst-off battery is fuller with rotation than without.
 func TestEnergyClosedLoop(t *testing.T) {
-	run := func(rotation bool) (EnergyStats, ConvergenceStats) {
+	// midStep is a fixed step before the plain run's first death.
+	const midStep = 200
+	run := func(rotation bool) (mid, end EnergyStats, cs ConvergenceStats) {
 		net := energyNet(t, 150, 99)
 		attachHotspotDrain(t, net, rotation)
-		if err := net.Run(600); err != nil {
-			t.Fatal(err)
+		stats := func(steps int) EnergyStats {
+			if err := net.Run(steps); err != nil {
+				t.Fatal(err)
+			}
+			es, err := net.EnergyStats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return es
 		}
-		es, err := net.EnergyStats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return es, net.ConvergenceStats()
+		mid = stats(midStep)
+		end = stats(600 - midStep)
+		return mid, end, net.ConvergenceStats()
 	}
 
-	plain, cs := run(false)
+	plainMid, plain, cs := run(false)
 	if plain.FirstDeathStep < 0 || plain.Depletions == 0 {
 		t.Fatalf("hotspot drain killed nobody: %+v", plain)
+	}
+	if plain.FirstDeathStep <= midStep {
+		t.Fatalf("first death at step %d, not after the mid-run reading at %d", plain.FirstDeathStep, midStep)
 	}
 	if plain.DrainTx == 0 || plain.DrainRx == 0 {
 		t.Fatalf("traffic did not couple into the drain: %+v", plain)
@@ -90,7 +101,11 @@ func TestEnergyClosedLoop(t *testing.T) {
 		t.Fatalf("first depletion (step %d) left no departure episode: %+v", plain.FirstDeathStep, cs)
 	}
 
-	rotated, _ := run(true)
+	rotatedMid, rotated, _ := run(true)
+	if rotatedMid.MinRemaining <= plainMid.MinRemaining {
+		t.Errorf("rotation did not spread the burden: worst battery at step %d is %.4f (rotated) vs %.4f (plain)",
+			midStep, rotatedMid.MinRemaining, plainMid.MinRemaining)
+	}
 	if rotated.FirstDeathStep >= 0 && rotated.FirstDeathStep <= plain.FirstDeathStep {
 		t.Errorf("rotation did not extend lifetime: first death %d (rotated) vs %d (plain)",
 			rotated.FirstDeathStep, plain.FirstDeathStep)
@@ -106,7 +121,9 @@ func TestEnergyClosedLoop(t *testing.T) {
 // TestEnergyDeterminism mirrors the churn/traffic contracts: a fixed seed
 // with traffic, duty-cycle churn and the battery model (rotation on)
 // yields bit-identical EnergyStats, ConvergenceStats and per-node
-// batteries at 1 and 4 workers.
+// batteries at 1 and 4 workers. The battery pass is sequential by
+// construction; the worker axis exercises the protocol engine under it,
+// whose roles, kills and rescales are every input and output of the pass.
 func TestEnergyDeterminism(t *testing.T) {
 	build := func(workers int) (EnergyStats, ConvergenceStats, []float64) {
 		net := energyNet(t, 250, 424242)

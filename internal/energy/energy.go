@@ -10,21 +10,16 @@
 // aggregate and forward their members' traffic, so they idle hotter than
 // members), per-packet transmission and reception costs driven by the
 // actual data-plane counters, and a reduced cost while duty-cycled — the
-// whole point of SleepNodes-style scheduling. The accounting commits in a
-// sequential node-index-order pass over preallocated arrays (large
-// populations precompute the per-node hook reads on a worker pool first;
-// see stepParallel): it is allocation-free at steady state and
-// bit-identical for a fixed seed at any parallelism, because the commit
+// whole point of SleepNodes-style scheduling. The accounting is one
+// sequential node-index-order pass over preallocated arrays: it is
+// allocation-free, and bit-identical for a fixed seed because the commit
 // order — float accumulation, kills, rotation rescales — never varies and
-// every input it reads (roles, statuses, traffic counters) is itself
-// deterministic.
+// every input it reads (roles, traffic counters) is itself deterministic.
 package energy
 
 import (
 	"fmt"
 	"math"
-	goruntime "runtime"
-	"sync"
 
 	"selfstab/internal/obs"
 	"selfstab/internal/snapshot"
@@ -34,13 +29,11 @@ import (
 // field): the engine takes it as the caller gave it.
 type Config = snapshot.EnergyConfig
 
-// The reference drain schedule, shared by the live subsystem and the
-// offline epoch-level experiment (internal/experiment) so the two cannot
-// drift: heads idle 10x hotter than members (they carry the cluster's
-// control burden), sleep is 10x cheaper than member idle, and moving one
-// packet costs more at the transmitter than at the receiver — the usual
-// WSN radio asymmetry. All costs are in battery units (a full default
-// battery holds 1.0).
+// The reference drain schedule: heads idle 10x hotter than members (they
+// carry the cluster's control burden), sleep is 10x cheaper than member
+// idle, and moving one packet costs more at the transmitter than at the
+// receiver — the usual WSN radio asymmetry. All costs are in battery
+// units (a full default battery holds 1.0).
 const (
 	DefaultIdleHeadCost   = 0.002
 	DefaultIdleMemberCost = 0.0002
@@ -48,12 +41,6 @@ const (
 	DefaultTxCost         = 0.0005
 	DefaultRxCost         = 0.0002
 )
-
-// EpochSteps maps one epoch of the offline re-clustering experiment
-// (internal/experiment.Energy) onto this many Δ(τ) steps, so its per-epoch
-// role costs derive from the same schedule the live subsystem charges per
-// step.
-const EpochSteps = 10
 
 // fillDefaults takes the cost schedule as a whole: all five zero means
 // the reference schedule; any non-zero field means the caller specified
@@ -87,16 +74,22 @@ func validate(c *Config) error {
 	return nil
 }
 
-// Hooks connects the battery model to the engine it instruments. Alive,
-// Sleeping and IsHead are required; the rest are optional.
+// Role is what a node is doing this step, as far as its battery is
+// concerned: the one lifecycle-and-clustering read the drain pass makes.
+type Role int8
+
+const (
+	RoleDead   Role = iota // removed by churn: drains nothing
+	RoleSleep              // duty-cycled off: pays the sleep cost
+	RoleHead               // awake and claiming cluster headship
+	RoleMember             // awake, not a head
+)
+
+// Hooks connects the battery model to the engine it instruments. Role is
+// required; the rest are optional.
 type Hooks struct {
-	// Alive reports whether node i is powered on and awake.
-	Alive func(i int) bool
-	// Sleeping reports whether node i is duty-cycled off (a node that is
-	// neither alive nor sleeping is dead and drains nothing).
-	Sleeping func(i int) bool
-	// IsHead reports whether node i currently claims cluster headship.
-	IsHead func(i int) bool
+	// Role reports node i's current role.
+	Role func(i int) Role
 	// Tx and Rx return node i's cumulative data-plane transmission and
 	// reception counts; the model charges per-step deltas. nil means no
 	// data plane (idle costs only). A counter that moved backwards (the
@@ -143,37 +136,10 @@ type Engine struct {
 	deaths     int
 	stepsRun   int
 
-	// Parallel drain-pass scratch (see stepParallel): per-node role class
-	// and traffic-counter reads, precomputed concurrently, committed
-	// sequentially. Lazily sized on first parallel step.
-	workers  int // 0 = GOMAXPROCS; <= 1 forces the inline pass
-	classBuf []int8
-	txBuf    []int64
-	rxBuf    []int64
-
 	// probe, when set, receives the depletion gauge each step; nil costs
 	// one branch per Step (see internal/obs).
 	probe obs.Probe
 }
-
-// Role classes the parallel precompute hands to the sequential commit.
-const (
-	roleSkip int8 = iota // depleted, or dead by churn
-	roleSleep
-	roleHead
-	roleMember
-)
-
-// SetParallelism fixes the worker count of the drain pass's hook-reading
-// precompute. 0 (the default) sizes it to GOMAXPROCS; results are
-// bit-identical for any value (the commit stays sequential). Small
-// populations always run inline regardless.
-func (e *Engine) SetParallelism(workers int) { e.workers = workers }
-
-// parallelThreshold is the population below which the drain pass always
-// runs inline: goroutine fan-out costs more than the hooks it would
-// spread, and the inline pass stays allocation-free.
-const parallelThreshold = 4096
 
 // New builds a battery model for n nodes with full batteries.
 func New(n int, cfg Config, hooks Hooks) (*Engine, error) {
@@ -184,8 +150,8 @@ func New(n int, cfg Config, hooks Hooks) (*Engine, error) {
 	if err := validate(&cfg); err != nil {
 		return nil, err
 	}
-	if hooks.Alive == nil || hooks.Sleeping == nil || hooks.IsHead == nil {
-		return nil, fmt.Errorf("energy: Alive, Sleeping and IsHead hooks are required")
+	if hooks.Role == nil {
+		return nil, fmt.Errorf("energy: the Role hook is required")
 	}
 	if cfg.Rotation && hooks.Scale == nil {
 		return nil, fmt.Errorf("energy: rotation requires the Scale hook")
@@ -227,37 +193,28 @@ func (e *Engine) SetProbe(p obs.Probe) { e.probe = p }
 // pays its role idle cost plus the tx/rx cost of the data-plane activity
 // since the previous step, sleepers pay the sleep cost, and batteries
 // that crossed zero are killed through the churn hook. step is the
-// protocol's completed-step count. The pass is allocation-free (the
-// parallel variant reuses its scratch after the first sizing).
+// protocol's completed-step count. The pass is allocation-free.
 //
 //selfstab:mutator
 //selfstab:hotpath
 func (e *Engine) Step(step int) error {
 	e.stepsRun++
-	if workers := e.resolveWorkers(); workers > 1 && e.n >= parallelThreshold {
-		err := e.stepParallel(step, workers)
-		if p := e.probe; p != nil {
-			p.Counter(obs.CtrDepletions, int64(e.deaths))
-		}
-		return err
-	}
 	c := &e.cfg
 	for i := 0; i < e.n; i++ {
 		if e.depleted[i] {
 			continue
 		}
-		alive := e.hooks.Alive(i)
-		sleeping := !alive && e.hooks.Sleeping(i)
-		if !alive && !sleeping {
+		role := e.hooks.Role(i)
+		if role == RoleDead {
 			continue // dead by churn: the battery outlives the node, untouched
 		}
 		var drain float64
-		if sleeping {
+		if role == RoleSleep {
 			drain = c.SleepCost
 			e.acc.drainSleep += c.SleepCost
 			e.acc.sleepSteps++
 		} else {
-			if e.hooks.IsHead(i) {
+			if role == RoleHead {
 				drain = c.IdleHeadCost
 				e.acc.drainHead += c.IdleHeadCost
 				e.acc.headSteps++
@@ -325,142 +282,6 @@ func killErr(i int, err error) error {
 
 func scaleErr(i int, err error) error {
 	return fmt.Errorf("energy: rotation scale of node %d: %w", i, err)
-}
-
-func (e *Engine) resolveWorkers() int {
-	if e.workers == 0 {
-		return goruntime.GOMAXPROCS(0)
-	}
-	return e.workers
-}
-
-// stepParallel is Step's large-population variant: the per-node hook
-// reads (lifecycle, role, traffic counters — the bulk of the pass, five
-// indirect calls per node) run on a worker pool into per-node scratch,
-// and a sequential index-order commit replays exactly the inline pass's
-// arithmetic over those reads. Float accumulation order, battery updates
-// and hook invocation order (Kill, Scale) are therefore unchanged, which
-// keeps the parallel pass bit-identical to the inline one. Safe because
-// the precompute only reads protocol/traffic state, and because a commit-
-// time Kill or Scale of node i never changes another node's hook answers.
-func (e *Engine) stepParallel(step int, workers int) error {
-	n := e.n
-	if cap(e.classBuf) < n {
-		e.classBuf = make([]int8, n)
-		e.txBuf = make([]int64, n)
-		e.rxBuf = make([]int64, n)
-	}
-	class := e.classBuf[:n]
-	txB := e.txBuf[:n]
-	rxB := e.rxBuf[:n]
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if e.depleted[i] {
-					class[i] = roleSkip
-					continue
-				}
-				alive := e.hooks.Alive(i)
-				sleeping := !alive && e.hooks.Sleeping(i)
-				switch {
-				case !alive && !sleeping:
-					class[i] = roleSkip
-				case sleeping:
-					class[i] = roleSleep
-				default:
-					if e.hooks.IsHead(i) {
-						class[i] = roleHead
-					} else {
-						class[i] = roleMember
-					}
-					if e.hooks.Tx != nil {
-						txB[i] = e.hooks.Tx(i)
-					}
-					if e.hooks.Rx != nil {
-						rxB[i] = e.hooks.Rx(i)
-					}
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-
-	c := &e.cfg
-	for i := 0; i < n; i++ {
-		var drain float64
-		switch class[i] {
-		case roleSkip:
-			continue
-		case roleSleep:
-			drain = c.SleepCost
-			e.acc.drainSleep += c.SleepCost
-			e.acc.sleepSteps++
-		default:
-			if class[i] == roleHead {
-				drain = c.IdleHeadCost
-				e.acc.drainHead += c.IdleHeadCost
-				e.acc.headSteps++
-			} else {
-				drain = c.IdleMemberCost
-				e.acc.drainMember += c.IdleMemberCost
-				e.acc.memberSteps++
-			}
-			if e.hooks.Tx != nil {
-				tx := txB[i]
-				if d := tx - e.lastTx[i]; d > 0 {
-					cost := float64(d) * c.TxCost
-					drain += cost
-					e.acc.drainTx += cost
-				}
-				e.lastTx[i] = tx
-			}
-			if e.hooks.Rx != nil {
-				rx := rxB[i]
-				if d := rx - e.lastRx[i]; d > 0 {
-					cost := float64(d) * c.RxCost
-					drain += cost
-					e.acc.drainRx += cost
-				}
-				e.lastRx[i] = rx
-			}
-		}
-		b := e.battery[i] - drain
-		if b <= 0 {
-			e.battery[i] = 0
-			e.depleted[i] = true
-			e.deaths++
-			if e.firstDeath < 0 {
-				e.firstDeath = step
-			}
-			if e.hooks.Kill != nil {
-				if err := e.hooks.Kill(i); err != nil {
-					return killErr(i, err)
-				}
-			}
-			continue
-		}
-		e.battery[i] = b
-		if e.cfg.Rotation {
-			if lvl := e.quantize(b); lvl != e.level[i] {
-				e.level[i] = lvl
-				if err := e.hooks.Scale(i, float64(lvl)/float64(e.cfg.RotationLevels)); err != nil {
-					return scaleErr(i, err)
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // quantize rounds a positive battery value up to its level in

@@ -33,9 +33,17 @@ func newFixture(n int) *fixture {
 
 func (f *fixture) hooks(withTraffic bool) Hooks {
 	h := Hooks{
-		Alive:    func(i int) bool { return f.alive[i] },
-		Sleeping: func(i int) bool { return f.sleeping[i] },
-		IsHead:   func(i int) bool { return f.head[i] },
+		Role: func(i int) Role {
+			switch {
+			case f.alive[i] && f.head[i]:
+				return RoleHead
+			case f.alive[i]:
+				return RoleMember
+			case f.sleeping[i]:
+				return RoleSleep
+			}
+			return RoleDead
+		},
 		Kill: func(i int) error {
 			f.killed = append(f.killed, i)
 			f.alive[i] = false

@@ -75,7 +75,7 @@ func (e *Engine) Stats() Stats {
 	min := -1.0
 	operating := 0
 	for i := 0; i < e.n; i++ {
-		if e.depleted[i] || !(e.hooks.Alive(i) || e.hooks.Sleeping(i)) {
+		if e.depleted[i] || e.hooks.Role(i) == RoleDead {
 			continue
 		}
 		frac := e.battery[i] / e.cfg.Capacity

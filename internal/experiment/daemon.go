@@ -41,3 +41,20 @@ func AblationDaemons(opts Options) (*DaemonResult, error) {
 	}
 	return res, nil
 }
+
+// DaemonResult measures distributed stabilization steps under randomized
+// daemons of decreasing activation probability.
+type DaemonResult struct {
+	Probs []float64
+	Steps []float64
+}
+
+// Render formats the daemon ablation.
+func (r *DaemonResult) Render() string {
+	t := stats.NewTable("Ablation: randomized daemon activation probability",
+		"activation prob", "mean stabilization steps")
+	for i := range r.Probs {
+		t.AddRow(fmt.Sprintf("%.2f", r.Probs[i]), fmt.Sprintf("%.1f", r.Steps[i]))
+	}
+	return t.String()
+}

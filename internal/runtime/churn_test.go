@@ -547,3 +547,20 @@ func TestDensityScaleDrivesReelection(t *testing.T) {
 		t.Fatal("out-of-range scale index accepted")
 	}
 }
+
+// TestChurnKindString pins how a ledger episode's kind set prints under
+// %v: the empty set, one kind, and a set in bit order.
+func TestChurnKindString(t *testing.T) {
+	for _, tc := range []struct {
+		kinds ChurnKind
+		want  string
+	}{
+		{0, "none"},
+		{ChurnAttack, "attack"},
+		{ChurnCrash | ChurnJoin | ChurnWake, "join|crash|wake"},
+	} {
+		if got := tc.kinds.String(); got != tc.want {
+			t.Errorf("ChurnKind(%#x).String() = %q, want %q", uint8(tc.kinds), got, tc.want)
+		}
+	}
+}

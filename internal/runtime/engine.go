@@ -333,9 +333,6 @@ func (e *Engine) SetPreStep(fn func(step int) error) { e.preStep = fn }
 // check per emission site. Call only between steps.
 func (e *Engine) SetProbe(p obs.Probe) { e.probe = p }
 
-// Probe returns the attached instrumentation probe (nil when detached).
-func (e *Engine) Probe() obs.Probe { return e.probe }
-
 // SetParallelism fixes the number of workers used for the per-node step
 // phases. 0 (the default) sizes the pool to GOMAXPROCS. Results are
 // identical for any value; the knob exists for benchmarking and for the

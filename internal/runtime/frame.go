@@ -72,7 +72,3 @@ type Frame struct {
 	HeadID  int64
 	Nbrs    *NbrList
 }
-
-// IsHeadClaim reports whether the frame's sender currently claims to be a
-// cluster-head.
-func (f *Frame) IsHeadClaim() bool { return f.HeadID == f.ID }

@@ -302,9 +302,8 @@ type ChurnConfig struct {
 // EnergyConfig parameterizes the battery model attached to a Network.
 //
 // The five costs form one schedule: leave them ALL zero to use the
-// reference schedule shared with the offline energy experiment (the
-// internal/energy Default*Cost constants — the per-field values noted
-// below), or set any of them to specify the schedule yourself, in which
+// reference schedule (the internal/energy Default*Cost constants — the
+// per-field values noted below), or set any of them to specify the schedule yourself, in which
 // case the fields you leave zero really cost zero (an explicit free term,
 // e.g. RxCost 0 for a receive-free radio model, stays expressible).
 type EnergyConfig struct {

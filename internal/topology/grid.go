@@ -196,9 +196,6 @@ func (gi *GridIndex) noteAdj(i int) {
 // place by Update; callers that need a frozen snapshot must Clone it.
 func (gi *GridIndex) Graph() *Graph { return gi.g }
 
-// Positions returns the current positions (owned by the index).
-func (gi *GridIndex) Positions() []geom.Point { return gi.pts }
-
 // Update moves the indexed nodes to pts and incrementally repairs cells
 // and adjacency: only nodes whose position changed have their edge sets
 // recomputed (and their vanished/created edges patched into unmoved

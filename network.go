@@ -330,19 +330,14 @@ func (n *Network) setPositionsImpl(positions []Point) error {
 }
 
 // SetParallelism fixes the worker count of the step engine's per-node
-// phases (and, when an energy model is attached, of its drain pass). 0
-// (the default) sizes the pool to GOMAXPROCS. Results — protocol state,
-// traffic and energy statistics alike — are bit-identical for any value;
-// the knob exists for benchmarking and the determinism tests.
+// phases, the only fan-out in the stack (the traffic and energy phases
+// are sequential). 0 (the default) sizes the pool to GOMAXPROCS. Results
+// — protocol state, traffic and energy statistics alike — are
+// bit-identical for any value; the knob exists for benchmarking and the
+// determinism tests.
 //
 //selfstab:unjournaled perf knob; results are bit-identical for any worker count
-func (n *Network) SetParallelism(workers int) {
-	n.workers = workers
-	n.engine.SetParallelism(workers)
-	if n.energy != nil {
-		n.energy.SetParallelism(workers)
-	}
-}
+func (n *Network) SetParallelism(workers int) { n.engine.SetParallelism(workers) }
 
 // Neighbors returns the identifiers of node i's current radio neighbors.
 func (n *Network) Neighbors(i int) ([]int64, error) {

@@ -16,7 +16,8 @@
 # BenchmarkHandleState/n=50000) — plus
 # the routing/traffic
 # suite in BENCH_traffic.json, the churn suite in BENCH_churn.json, the
-# energy suite in BENCH_energy.json and the scale suite (quiescent
+# energy suite (BenchmarkEnergyStep at n=1000|20000|50000, the sizes the
+# battery pass runs at) in BENCH_energy.json and the scale suite (quiescent
 # frontier stepping, perturbed 100k step with a worklist-size sweep,
 # saturated-frontier fallback, the 10k full-corruption recovery round
 # at one and two workers, slot compaction, and — behind BENCH_1M=1 — the
@@ -100,7 +101,7 @@ echo "== churn benchmarks (count=$COUNT)" >&2
     -benchmem -count "$COUNT" .; } | tee "$CHURN_RAW"
 
 echo "== energy benchmarks (count=$COUNT)" >&2
-{ provenance; go test -run '^$' -bench 'BenchmarkEnergyStep1000' \
+{ provenance; go test -run '^$' -bench 'BenchmarkEnergyStep' \
     -benchmem -count "$COUNT" .; } | tee "$ENERGY_RAW"
 
 echo "== scale benchmarks (count=$SCALE_COUNT)" >&2

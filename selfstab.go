@@ -242,10 +242,11 @@
 //     costs and per-packet tx/rx deltas read straight off the data
 //     plane's counters (no copies), and rotation updates the engine's
 //     density scales only at quantized level crossings. The pass
-//     allocates nothing at steady state (TestEnergyPhaseAllocationFree)
-//     and its ledger is bit-identical at any worker count
-//     (TestEnergyDeterminism); BenchmarkEnergyStep1000 measures the full
-//     step with convergecast traffic and rotation enabled.
+//     allocates nothing (TestEnergyPhaseAllocationFree) and, being
+//     sequential, its ledger is bit-identical whatever worker count the
+//     protocol engine under it runs at (TestEnergyDeterminism);
+//     BenchmarkEnergyStep measures the full step with convergecast
+//     traffic and rotation enabled at 1000, 20 000 and 50 000 nodes.
 //
 // The benchmark suite quantifies all of this: BenchmarkStep1000 (steady
 // protocol step at paper scale) is the headline throughput number and
@@ -489,7 +490,6 @@ type Network struct {
 	churn         *churnState // attached churn schedule (nil until AttachChurn)
 	churnAttached bool        // schedule currently driving the pre-step phase
 	autoCompact   float64     // dead-slot fraction that triggers Compact (0: never)
-	workers       int         // SetParallelism setting, replayed onto late-attached subsystems
 
 	// Snapshot support: the construction blueprint — deployment and
 	// resolved options, the latter also what the running world consults —
