@@ -1,6 +1,7 @@
 package selfstab
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -283,15 +284,17 @@ func TestSelfFlowAPI(t *testing.T) {
 	}
 }
 
-// TestFlatDistMatchesBFS pins the Dist hook: the early-exit point-to-point
-// search agrees with the full BFS row for every pair (self 0, unreachable
-// -1), allocates nothing once its scratch has grown, and follows the
-// topology after SetPositions.
+// TestFlatDistMatchesBFS pins the Dist hook: the goal-directed search
+// agrees with the full BFS row for every pair (self 0, unreachable -1) and
+// allocates nothing once its scratch has grown. The worlds are chosen to
+// catch a bound that overestimates by a hair: lattices whose spacing
+// equals the range (where rounding keeps only some of the lattice edges,
+// so hops and the distance bound coincide), just under it, and at the
+// diagonal and double reach; a hotspot deployment; a world moved by
+// SetPositions; and one churned into unreachable pairs and compacted.
 func TestFlatDistMatchesBFS(t *testing.T) {
-	net := trafficNet(t, 80, 11)
-	check := func() {
+	check := func(t *testing.T, net *Network) (unreachable int) {
 		t.Helper()
-		unreachable := 0
 		for src := 0; src < net.N(); src++ {
 			row := net.g.Distances(src)
 			for dst, want := range row {
@@ -303,35 +306,89 @@ func TestFlatDistMatchesBFS(t *testing.T) {
 				}
 			}
 		}
-		if unreachable == 0 {
+		return unreachable
+	}
+
+	t.Run("moved", func(t *testing.T) {
+		net := trafficNet(t, 80, 11)
+		// Strand node 0 in a corner so some pairs are unreachable.
+		pos := net.Positions()
+		pos[0] = Point{X: 0.999, Y: 0.999}
+		pos[1] = Point{X: 0.001, Y: 0.001}
+		if err := net.SetPositions(pos); err != nil {
+			t.Fatal(err)
+		}
+		if check(t, net) == 0 {
 			t.Fatal("no unreachable pair: the -1 case went untested")
 		}
-	}
-	// Strand node 0 in a corner so some pairs are unreachable.
-	pos := net.Positions()
-	pos[0] = Point{X: 0.999, Y: 0.999}
-	pos[1] = Point{X: 0.001, Y: 0.001}
-	if err := net.SetPositions(pos); err != nil {
-		t.Fatal(err)
-	}
-	check()
-	allocs := testing.AllocsPerRun(200, func() {
-		_ = net.flatDist(3, 7)
-		_ = net.flatDist(0, 9)
-		_ = net.flatDist(5, 5)
+		allocs := testing.AllocsPerRun(200, func() {
+			_ = net.flatDist(3, 7)
+			_ = net.flatDist(0, 9)
+			_ = net.flatDist(5, 5)
+		})
+		if allocs != 0 {
+			t.Fatalf("flatDist allocates %.1f/op in steady state, want 0", allocs)
+		}
+		for i := range pos {
+			pos[i].X = 1 - pos[i].X
+			pos[i].Y = clamp01(pos[i].Y + 0.05)
+		}
+		pos[2] = Point{X: 0.5, Y: 0.001}
+		if err := net.SetPositions(pos); err != nil {
+			t.Fatal(err)
+		}
+		check(t, net)
 	})
-	if allocs != 0 {
-		t.Fatalf("flatDist allocates %.1f/op in steady state, want 0", allocs)
+
+	const side, spacing = 20, 1.0 / 20 // NewGridNetwork's lattice pitch
+	for _, tc := range []struct {
+		name string
+		r    float64
+	}{
+		{"grid/range=spacing", spacing},
+		{"grid/range=spacing*(1+1e-10)", spacing * (1 + 1e-10)},
+		{"grid/range=sqrt2*spacing", math.Sqrt2 * spacing},
+		{"grid/range=2*spacing", 2 * spacing},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, err := NewGridNetwork(side, side, WithRange(tc.r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, net)
+		})
 	}
-	for i := range pos {
-		pos[i].X = 1 - pos[i].X
-		pos[i].Y = clamp01(pos[i].Y + 0.05)
-	}
-	pos[2] = Point{X: 0.5, Y: 0.001}
-	if err := net.SetPositions(pos); err != nil {
-		t.Fatal(err)
-	}
-	check()
+
+	t.Run("hotspot", func(t *testing.T) {
+		net, err := NewHotspotNetwork(200, 4, 0.08, WithSeed(5), WithRange(0.08))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, net)
+	})
+
+	t.Run("churned", func(t *testing.T) {
+		net := trafficNet(t, 150, 3)
+		ids := net.IDs()
+		if err := net.CrashNodes(ids[4], ids[40]); err != nil {
+			t.Fatal(err)
+		}
+		if err := net.SleepNodes(ids[9], ids[120]); err != nil {
+			t.Fatal(err)
+		}
+		if err := net.RemoveNodes(ids[17], ids[77], ids[101]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := net.AddNodes([]Point{{X: 0.02, Y: 0.98}, {X: 0.5, Y: 0.5}, {X: 0.51, Y: 0.52}}); err != nil {
+			t.Fatal(err)
+		}
+		if removed, err := net.Compact(); err != nil || removed != 3 {
+			t.Fatalf("Compact removed %d slots, err %v; want the 3 removed", removed, err)
+		}
+		if check(t, net) == 0 {
+			t.Fatal("no unreachable pair: the -1 case went untested")
+		}
+	})
 }
 
 // TestInjectFaultsClampedAtNetworkLevel: frac outside [0, 1] is safe at

@@ -3,10 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestParseRanges(t *testing.T) {
@@ -292,6 +297,37 @@ func TestRunServeBadArgs(t *testing.T) {
 	// A missing restore file fails after validation, at open time.
 	if err := run([]string{"serve", "-restore", "/nonexistent/snap.json"}, &buf); err == nil {
 		t.Error("missing restore file accepted")
+	}
+}
+
+// TestServeHTTPServerTimeouts: the served API drops a connection that
+// never finishes its request header, and sets no write timeout, because
+// GET /events streams for as long as its subscriber stays.
+func TestServeHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout %v, want readHeaderTimeout (%v) > 0", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Fatalf("WriteTimeout %v would cut the /events stream", srv.WriteTimeout)
+	}
+	// Shortened so the test need not wait the real timeout out.
+	srv.ReadHeaderTimeout = 100 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprint(conn, "GET /healthz HTTP/1.1\r\nHost: localhost\r\n") // the header never ends
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("a stalled request header kept its connection open: %v", err)
 	}
 }
 

@@ -94,7 +94,7 @@ func runServe(args []string, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	httpErr := make(chan error, 1)
 	go func() {
 		if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
@@ -124,6 +124,17 @@ func runServe(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "drained at step %d\n", world.StepCount())
 	return nil
+}
+
+// readHeaderTimeout bounds how long a connection may take to send its
+// request header, so a client that opens connections and stalls cannot
+// hold them open.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer is the serve subcommand's HTTP server. It sets no
+// WriteTimeout: GET /events streams for as long as its subscriber stays.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }
 
 // serveWorld builds (or restores) and prepares the served world.

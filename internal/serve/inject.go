@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -75,11 +76,21 @@ type flowRequest struct {
 	Sources int     `json:"sources,omitempty"`
 }
 
+// maxInjectBody caps a POST /inject body. The largest legitimate request,
+// an add_nodes batch, spends under 40 bytes a point, so this still admits
+// tens of thousands of nodes in one call.
+const maxInjectBody = 1 << 20
+
 func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 	var req injectRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInjectBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "inject body over %d bytes", maxInjectBody)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad inject body: %v", err)
 		return
 	}

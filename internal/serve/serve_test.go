@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"selfstab"
+	"selfstab/internal/snapshot"
 )
 
 func testWorld(t testing.TB, nodes int) *selfstab.Network {
@@ -292,6 +293,46 @@ func TestInject(t *testing.T) {
 	oa, _, _ := srv.net.Population()
 	if ra != oa {
 		t.Errorf("restored alive %d, original %d", ra, oa)
+	}
+}
+
+// TestInjectBodyCap: a POST /inject body over maxInjectBody is refused
+// with 413 before the world lock is taken — the test holds the lock for
+// the whole request — and journals nothing. The body is a valid one-point
+// add_nodes padded with whitespace, so only its size is wrong.
+func TestInjectBodyCap(t *testing.T) {
+	srv, ts := testServer(t, 30, Config{})
+	journalLen := func() int {
+		t.Helper()
+		var buf bytes.Buffer
+		srv.mu.RLock()
+		err := srv.net.WriteSnapshot(&buf)
+		srv.mu.RUnlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := snapshot.Decode(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(doc.Ops)
+	}
+	before := journalLen()
+	body := `{"kind":"add_nodes","points":[{"x":0.5,"y":0.5}` + strings.Repeat(" ", 2<<20) + `]}`
+
+	client := &http.Client{Timeout: 5 * time.Second}
+	srv.mu.Lock()
+	resp, err := client.Post(ts.URL+"/inject", "application/json", strings.NewReader(body))
+	srv.mu.Unlock()
+	if err != nil {
+		t.Fatalf("a 2 MiB inject was not answered while the world lock was held: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("2 MiB inject: status %d, want 413", resp.StatusCode)
+	}
+	if after := journalLen(); after != before {
+		t.Errorf("journal grew from %d to %d ops on a refused inject", before, after)
 	}
 }
 

@@ -51,8 +51,8 @@ type flowState struct {
 
 	// flatDist caches the flat shortest-path hop count Src→Dst (-1 when
 	// disconnected, -2 when never computed), valid while flatEpoch matches
-	// the hooks' TopoEpoch. It is the per-packet stretch baseline; one BFS
-	// per flow per topology change instead of one per packet.
+	// the hooks' TopoEpoch. It is the per-packet stretch baseline; one Dist
+	// query per flow per topology change instead of one per packet.
 	flatDist  int
 	flatEpoch uint64
 

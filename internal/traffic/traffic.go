@@ -57,8 +57,8 @@ type Hooks struct {
 	// packet per hop; must not allocate on the happy path.
 	NextHop func(cur, dst int) (int, bool)
 	// Dist returns the flat shortest-path hop count between two nodes
-	// (-1 when disconnected) — the baseline for path stretch. Called only
-	// when TopoEpoch changes, so it may BFS.
+	// (-1 when disconnected) — the baseline for path stretch. Called once
+	// per flow per TopoEpoch, so it may search the graph.
 	Dist func(src, dst int) int
 	// TopoEpoch identifies the current topology version; cached flat
 	// distances are reused while it is unchanged.

@@ -1,8 +1,11 @@
 package selfstab
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"selfstab/internal/rng"
 )
 
 // benchStableNet builds and stabilizes a network once per benchmark.
@@ -94,6 +97,37 @@ func BenchmarkTrafficStepMovingEpoch2000(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(s.DeliveryRatio, "deliveryRatio")
+}
+
+// BenchmarkFlatDist is the stretch baseline as a layer row: one op is 700
+// flatDist queries between fixed seeded pairs on the mean-degree-10 world
+// the mixed recipe uses, at 2 000 and 20 000 nodes. It prices what a
+// topology epoch costs the traffic plane when every flow's baseline goes
+// stale at once; the scratch has grown before the timer starts, so it
+// allocates nothing.
+func BenchmarkFlatDist(b *testing.B) {
+	for _, nodes := range []int{2000, 20000} {
+		b.Run(fmt.Sprintf("n=%d", nodes), func(b *testing.B) {
+			net, err := NewRandomNetwork(nodes, WithSeed(1),
+				WithRange(math.Sqrt(10/(math.Pi*float64(nodes)))))
+			if err != nil {
+				b.Fatal(err)
+			}
+			src := rng.New(7)
+			pairs := make([][2]int, 700)
+			for i := range pairs {
+				pairs[i] = [2]int{src.Intn(nodes), src.Intn(nodes)}
+				net.flatDist(pairs[i][0], pairs[i][1])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, p := range pairs {
+					net.flatDist(p[0], p[1])
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkTrafficStep1000 is the traffic-phase headline: one Δ(τ) step of

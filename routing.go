@@ -3,7 +3,9 @@ package selfstab
 import (
 	"errors"
 	"fmt"
+	"math"
 
+	"selfstab/internal/geom"
 	"selfstab/internal/routing"
 )
 
@@ -93,37 +95,106 @@ func (n *Network) hierTable() (*routing.Hierarchical, error) {
 
 // flatDist returns the hop distance from src to dst on the current topology
 // (0 for src == dst, -1 when unreachable): the flat shortest path that is
-// the traffic data plane's stretch baseline. It is a breadth-first search
-// that stops at dst, over scratch reused across calls, so it allocates
-// nothing once the scratch has grown to the network.
+// the traffic data plane's stretch baseline.
+//
+// It is an exact A* search toward dst. Every edge of the unit-disk graph
+// joins two nodes at most Range apart (the grid index keeps an edge iff
+// Dist2 ≤ Range²), so a path of k hops spans at most k·Range and
+// h(w) = ⌈(1 − 1e-9)·|p_w − p_dst| / Range⌉ never exceeds the hops left
+// from w; the 1e-9 absorbs the rounding of that test and of the division.
+// The same triangle inequality makes h consistent (h differs by at most 1
+// across an edge), so f = g + h never decreases along a path and a node
+// generated from a node of level f lands on level f, f+1 or f+2: three
+// rings of buckets, one per level mod 3, each indexed by h, hold every
+// open node (its g is the level minus h, so an entry is just the node).
+// The search pops the deepest node (smallest h, largest g) of the lowest
+// level and returns the moment it generates dst from some u. That answer,
+// g(u) + 1, is optimal: no open path is shorter than the current level
+// f(u), and h(u) = 1 because u ≠ dst is within range of dst — h(u) = 0
+// would put u exactly on dst's position, where every neighbour of u,
+// the node that generated it among them, neighbours dst too and would
+// have generated dst first; only src has no such parent, and its answer
+// 1 is right. A node re-reached by a shorter path is pushed again and its
+// older entry is skipped when popped.
+//
+// The scratch — visit stamps, g values and the buckets — lives on the
+// Network and is reused across calls, so the search allocates nothing
+// once it has grown to the network.
+//
+//selfstab:hotpath
 func (n *Network) flatDist(src, dst int) int {
 	if src == dst {
 		return 0
 	}
 	if grow := n.g.N() - len(n.distSeen); grow > 0 {
 		n.distSeen = append(n.distSeen, make([]uint32, grow)...)
+		n.distG = append(n.distG, make([]int32, grow)...)
 	}
 	if n.distGen++; n.distGen == 0 { // wrapped: old marks would read as new
 		clear(n.distSeen)
 		n.distGen = 1
 	}
-	seen, gen := n.distSeen, n.distGen
-	seen[src] = gen
-	q := append(n.distQueue[:0], int32(src))
-	for i, hops := 0, 1; i < len(q); hops++ {
-		for level := len(q); i < level; i++ {
-			for _, w := range n.g.Neighbors(int(q[i])) {
+	seen, gen, g, open := n.distSeen, n.distGen, n.distG, &n.distOpen
+	for i := range open {
+		for h := range open[i] {
+			open[i][h] = open[i][h][:0] // an early return leaves entries behind
+		}
+	}
+	t, scale := n.pts[dst], (1-1e-9)/n.cfg.Range
+	f := n.hopBound(src, t, scale)
+	seen[src], g[src] = gen, 0
+	n.pushOpen(f, f, src)
+	for left := 1; left > 0; f++ {
+		ring := &open[f%3]
+		for h := int32(0); int(h) < len(*ring); {
+			b := (*ring)[h]
+			if len(b) == 0 {
+				h++
+				continue
+			}
+			u := int(b[len(b)-1])
+			(*ring)[h] = b[:len(b)-1]
+			left--
+			gu := f - h
+			if g[u] != gu {
+				continue // superseded by a shorter path to u
+			}
+			for _, w := range n.g.Neighbors(u) {
 				if w == dst {
-					n.distQueue = q
-					return hops
+					return int(gu) + 1
 				}
-				if seen[w] != gen {
-					seen[w] = gen
-					q = append(q, int32(w))
+				if seen[w] == gen && g[w] <= gu+1 {
+					continue
+				}
+				seen[w], g[w] = gen, gu+1
+				hw := n.hopBound(w, t, scale)
+				n.pushOpen(gu+1+hw, hw, w)
+				left++
+				if gu+1+hw == f {
+					h = hw // one deeper than u: the next node to pop
 				}
 			}
 		}
 	}
-	n.distQueue = q
 	return -1
+}
+
+// hopBound is flatDist's h: ⌈|p_w − t|·scale⌉ hops at least from w to the
+// node at t, with scale = (1 − 1e-9)/Range.
+func (n *Network) hopBound(w int, t geom.Point, scale float64) int32 {
+	x := math.Sqrt(n.pts[w].Dist2(t)) * scale
+	h := int32(x)
+	if float64(h) < x {
+		h++
+	}
+	return h
+}
+
+// pushOpen files w, whose bound is h, on flatDist's level f.
+func (n *Network) pushOpen(f, h int32, w int) {
+	ring := &n.distOpen[f%3]
+	for int(h) >= len(*ring) {
+		*ring = append(*ring, nil)
+	}
+	(*ring)[h] = append((*ring)[h], int32(w))
 }

@@ -15,7 +15,8 @@
 # (BenchmarkComputeStats and BenchmarkCheckInvariants at n=1000|50000,
 # BenchmarkHandleState/n=50000) — plus
 # the routing/traffic
-# suite in BENCH_traffic.json, the churn suite in BENCH_churn.json, the
+# suite (with BenchmarkFlatDist, the stretch baseline's 700 queries at
+# n=2000|20000) in BENCH_traffic.json, the churn suite in BENCH_churn.json, the
 # energy suite (BenchmarkEnergyStep at n=1000|20000|50000, the sizes the
 # battery pass runs at) in BENCH_energy.json and the scale suite (quiescent
 # frontier stepping, perturbed 100k step with a worklist-size sweep,
@@ -33,8 +34,8 @@
 # key across hosts and the header says which host shape it came from.
 #
 # After generating the fresh numbers, a regression gate compares the
-# median ns/op of every step-time, heal-round, ingest, link-count and
-# serve-layer benchmark ($GATE_MATCH) against the
+# median ns/op of every step-time, heal-round, ingest, link-count,
+# flat-distance and serve-layer benchmark ($GATE_MATCH) against the
 # committed BENCH_*.json baselines captured at script start and fails the
 # run on a >20% regression (scripts/benchgate; baselines recorded at a
 # different GOMAXPROCS are reported and skipped, not compared). Set
@@ -60,7 +61,7 @@ SCALE_RAW="BENCH_scale.txt"
 SCALE_JSON="BENCH_scale.json"
 SCALE_COUNT="${SCALE_COUNT:-3}"
 # The benchmarks the regression gate compares, by name.
-GATE_MATCH='Step|HealRound|Ingest|CountLinks|ComputeStats|CheckInvariants|HandleState'
+GATE_MATCH='Step|HealRound|Ingest|CountLinks|FlatDist|ComputeStats|CheckInvariants|HandleState'
 
 # Capture the committed baselines before anything overwrites them: these
 # are what the regression gate at the end compares against.
@@ -93,7 +94,7 @@ echo "== benchmarks (count=$COUNT)" >&2
 { provenance; go test -run '^$' -bench . -benchmem -count "$COUNT" "${PKGS[@]}"; } | tee "$RAW"
 
 echo "== traffic + routing benchmarks (count=$COUNT)" >&2
-{ provenance; go test -run '^$' -bench 'BenchmarkRouteCached|BenchmarkTrafficStep1000|BenchmarkTrafficStepMovingEpoch2000' \
+{ provenance; go test -run '^$' -bench 'BenchmarkRouteCached|BenchmarkTrafficStep1000|BenchmarkTrafficStepMovingEpoch2000|BenchmarkFlatDist' \
     -benchmem -count "$COUNT" .; } | tee "$TRAFFIC_RAW"
 
 echo "== churn benchmarks (count=$COUNT)" >&2

@@ -208,9 +208,12 @@
 //     pre-step phase allocates nothing at steady state for
 //     crash/sleep/wake churn (pinned by TestChurnPreStepAllocationFree;
 //     BenchmarkChurnStep1000 measures a 1000-node step under ~1%/step
-//     churn). The traffic stretch baseline is a point-to-point BFS that
-//     stops at the destination, over scratch kept on the Network: it
-//     allocates nothing (TestFlatDistMatchesBFS).
+//     churn). The traffic stretch baseline is an exact A* search toward
+//     the destination, bounded below by straight-line distance over the
+//     radio range (no edge is longer than the range), over scratch kept on
+//     the Network: it reads about a quarter of the edges a breadth-first
+//     search reads and allocates nothing (TestFlatDistMatchesBFS,
+//     BenchmarkFlatDist).
 //
 //   - A routing table that costs what the packets touch. One hierarchical
 //     table serves Route, RoutingState and the traffic data plane. When
@@ -462,11 +465,13 @@ type Network struct {
 	topoEpoch     uint64                // bumped by SetPositions and edge-changing churn
 
 	// Scratch of flatDist, the path-stretch baseline the traffic plane
-	// queries per flow: distSeen[v] == distGen marks v visited by the
-	// current search.
-	distSeen  []uint32 //selfstab:cache
-	distGen   uint32   //selfstab:cache
-	distQueue []int32  //selfstab:cache
+	// queries per flow: distSeen[v] == distGen marks v reached by the
+	// current search, distG[v] is then its hop count from the source, and
+	// distOpen[f%3][h] lists the open nodes of level f whose bound is h.
+	distSeen []uint32     //selfstab:cache
+	distGen  uint32       //selfstab:cache
+	distG    []int32      //selfstab:cache
+	distOpen [3][][]int32 //selfstab:cache
 
 	// Post-step phases, driven by stepPhases in order: traffic moves
 	// packets, then energy charges them. The attach flags track whether a
