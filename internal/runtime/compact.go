@@ -81,10 +81,6 @@ func (e *Engine) Compact(remap []int32, newN int) error {
 		}
 		i := int(nw)
 		e.nodes[i] = e.nodes[old]
-		// Caches key on identifiers, so the count would survive the
-		// remap; dropping it keeps "every wholesale rewrite of per-node
-		// state recounts" a rule with no exceptions to argue about.
-		e.nodes[i].linksOK = false
 		e.ids[i] = e.ids[old]
 		e.idx[e.ids[i]] = i
 		e.out[i] = e.out[old]

@@ -486,6 +486,7 @@ func TestStickyHysteresis(t *testing.T) {
 		e.nodes[1].cache.put(cacheEntry{frame: Frame{
 			ID: 9, TieID: 9, Density: 1, HeadID: 9, Nbrs: &NbrList{IDs: []int64{2}},
 		}})
+		e.nodes[0].linksOK, e.nodes[1].linksOK = false, false // the caches were edited outside ingest
 		if _, err := e.RunUntilStable(100, 5); err != nil {
 			t.Fatal(err)
 		}

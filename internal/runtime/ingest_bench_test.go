@@ -77,13 +77,86 @@ func BenchmarkIngest(b *testing.B) {
 	}
 }
 
+// BenchmarkLinkUpkeep is what keeping guard R1's link count costs when
+// lists move: one op is one node of a stabilized world ingesting its row,
+// in which one sender (relists=1: churn, where a node's neighborhood
+// changed and its neighbors relist) or every sender (relists=all: the
+// step after a full corruption or a cold start) republished its list
+// with one identifier swapped for a 2-hop neighbor's, and then guard R1.
+// relists=1 is the delta path; relists=all crosses ingest's cut-over and
+// is a recount, as every relist was before ingest kept the count.
+func BenchmarkLinkUpkeep(b *testing.B) {
+	const n = 20_000
+	for _, deg := range []int{10, 31} {
+		e := degreeEngine(b, n, deg)
+		// lists[0] holds each sender's list with one id swapped, lists[1]
+		// the list it publishes; an op shows its row the other version of
+		// whatever the node cached one pass earlier.
+		lists := [2][]*NbrList{make([]*NbrList, n), make([]*NbrList, n)}
+		for i := range e.out {
+			l := e.out[i].Nbrs
+			lists[1][i] = l
+			ids := slices.Clone(l.ids())
+			if len(ids) > 0 {
+				ids[len(ids)/2] = twoHopStranger(e, i, l.ids())
+				slices.Sort(ids)
+			}
+			lists[0][i] = &NbrList{IDs: ids}
+		}
+		for _, relists := range []string{"1", "all"} {
+			b.Run(fmt.Sprintf("deg=%d/relists=%s", deg, relists), func(b *testing.B) {
+				frames := slices.Clone(e.out)
+				pass := func(k int) {
+					i, shown := k%n, lists[(k/n)&1]
+					row := e.g.Neighbors(i)
+					switch {
+					case relists == "all":
+						for _, s := range row {
+							frames[s].Nbrs = shown[s]
+						}
+					case len(row) > 0:
+						frames[row[0]].Nbrs = shown[row[0]]
+					}
+					nd := e.nodes[i]
+					ingest(nd, frames, row, e.sendMask, e.proto)
+					nd.guardR1(1)
+					for _, s := range row {
+						frames[s].Nbrs = lists[1][s] // every other row sees what it cached
+					}
+				}
+				for k := 0; k < 2*n; k++ {
+					pass(k) // leave every cache as the timed loop's first pass expects it
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for k := 0; k < b.N; k++ {
+					pass(k)
+				}
+			})
+		}
+	}
+}
+
+// twoHopStranger returns the identifier of a node two hops from node i
+// that i's list does not hold, or i's own first listed id if none.
+func twoHopStranger(e *Engine, i int, listed []int64) int64 {
+	for _, w := range e.g.Neighbors(i) {
+		for _, u := range e.g.Neighbors(w) {
+			if u != i && !slices.Contains(listed, e.ids[u]) {
+				return e.ids[u]
+			}
+		}
+	}
+	return listed[0]
+}
+
 var countLinksSink int
 
 // BenchmarkCountLinks is guard R1's Definition-1 recount alone: one op is
 // one node counting the links of its cached neighborhood, at mean degree
 // 10 and 31, over worlds large enough that a node's cached lists are not
 // in cache when the count reaches them — the state a recount runs in,
-// since a recount follows a relist.
+// since it runs after most of a cache relisted.
 func BenchmarkCountLinks(b *testing.B) {
 	for _, c := range []struct{ n, deg int }{{50_000, 10}, {20_000, 31}} {
 		e := degreeEngine(b, c.n, c.deg)

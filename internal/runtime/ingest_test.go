@@ -23,9 +23,10 @@ func TestCacheEntrySize(t *testing.T) {
 // TestSpuriousRelistChangesNothing pins the one behavioural difference of
 // deciding "relisted" by list identity instead of by content: a cached
 // list that is equal to the sender's by value but is a different
-// allocation makes the node recount its links and re-run its guards once,
-// and nothing observable moves — no shared variable, not the quiescence
-// marker, not a draw from the node's rng stream.
+// allocation makes the node re-derive its link count (a zero delta, or —
+// as here, where every cached list is swapped — one recount) and re-run
+// its guards once, and nothing observable moves — no shared variable, not
+// the quiescence marker, not a draw from the node's rng stream.
 func TestSpuriousRelistChangesNothing(t *testing.T) {
 	proto := Protocol{Order: cluster.OrderSticky, UseDag: true, Gamma: 1 << 14, CacheTTL: 3}
 	build := func() *Engine {

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	"slices"
 
 	"selfstab/internal/cluster"
@@ -190,12 +191,14 @@ type Node struct {
 	// is evicted long before 2³¹ ingests pass.
 	tick int32
 
-	// links caches guard R1's Definition-1 link count over the current
-	// cache, valid while linksOK. The count depends only on the cached
-	// identifier lists, never on the densities and heads that cause most
-	// guard executions, so R1 recounts only after the cache's key set or
-	// one of its lists changed. Anything that edits the cache outside
-	// ingest (reset, fault injection, test fixtures) must clear linksOK.
+	// links is guard R1's Definition-1 link count over the current cache,
+	// valid while linksOK. The count depends only on the cache's key set
+	// and identifier lists, and ingest keeps it exact through every edit it
+	// makes — a relist, a join, a TTL eviction — by adding the difference
+	// (see ingest). A boot or reset leaves an empty cache and links 0,
+	// which is valid. linksOK goes false only where ingest's cut-over
+	// prefers a recount, and where something scribbles on cached lists
+	// outside ingest (fault injection, test fixtures); R1 then recounts.
 	links   int
 	linksOK bool
 }
@@ -222,6 +225,7 @@ func initNode(n *Node, id int64, proto Protocol, src *rng.Source) {
 		src:        src,
 		dirty:      true,
 		frameDirty: true,
+		linksOK:    true, // no neighbor, no link
 	}
 	if proto.UseDag {
 		n.tieID = src.Int63() % proto.Gamma
@@ -248,7 +252,7 @@ func (n *Node) reset(proto Protocol) {
 	n.dirty = true
 	n.frameDirty = true
 	n.stale = false
-	n.linksOK = false
+	n.links, n.linksOK = 0, true
 }
 
 // ID returns the node's application identifier.
@@ -342,27 +346,59 @@ func valueOf(f *Frame) NbrValue {
 // compares: the position hint and the identifier it points at, the list
 // pointer, three scalars and the heard stamp — no search, no list walk, no
 // write but the stamp (BenchmarkIngest/deg=10/heard=same: 15 ns a sender,
-// against 31 for the binary search and aging pass it replaced, same host). Identifiers are a random permutation of slots by default, so
-// a delivery row never arrives in cache order and a merge cursor would
-// never hit; the hint remembers, per row position, where that sender's
-// entry was found last time, and is believed only after the identifier
-// there matches (a miss binary-searches and rewrites it).
+// against 31 for the binary search and aging pass it replaced, same host).
+// Identifiers are a random permutation of slots by default, so a delivery
+// row never arrives in cache order and a merge cursor would never hit; the
+// hint remembers, per row position, where that sender's entry was found
+// last time, and is believed only after the identifier there matches (a
+// miss binary-searches and rewrites it).
 //
 // What a heard change re-arms follows from who reads it. Any difference
-// re-arms the guards. Only an identifier-list difference (or an appearing
-// or evicted neighbor) invalidates the cached R1 link count. And only a
-// change to what this node itself publishes — its cache's key set, plus
-// the cached scalars under fusion — re-arms its own broadcast.
+// re-arms the guards. Only a change to what this node itself publishes —
+// its cache's key set, plus the cached scalars under fusion — re-arms its
+// own broadcast. And only an identifier-list difference, an appearing
+// neighbor or an evicted one moves R1's link count, which ingest keeps
+// exact by adding what each edit changes (Definition 1's count is
+// links(C) = |C| + Σ_{v∈C} row(v), row(v) counting, with multiplicity,
+// the identifiers w > v in v's list that C holds — countLinks' sum):
+//
+//   - a relist of a cached v changes row(v) alone, by the ids only one of
+//     the two lists holds (relistDelta). Relists are deferred to the end
+//     of the row and applied against the final key set, where they are
+//     independent of each other;
+//   - a join of x adds memberLinks: the edge to x, row(x), and every
+//     listing of x in the lists of cached neighbors smaller than x;
+//   - an eviction of x subtracts the same quantity over the cache as it
+//     stands when x leaves (see the eviction pass).
+//
+// The one cost rule: a delta waits on its lists' misses in series, where
+// countLinks' gather pass overlaps every list's misses, so once most of
+// the cache changes in one row a recount is cheaper. A relist delta walks
+// both lists and the cache suffix past v once, a recount every list and
+// every suffix once: they cost the same at about half the cache, so
+// relists are deferred only while 2·relists < len(cache), and the relist
+// that crosses that line clears linksOK for R1 to recount instead (the
+// key set cannot grow under pending relists, see below, so the test can be
+// made at each relist). A join delta reads every list below it, about half
+// a recount, so a row filling an empty cache — all joins: a boot or a
+// reset — cuts over at its first join. A join while relists are pending
+// cuts over too, since it moves their positions, and so does a row of
+// more than relistCap relists. Without these cut-overs a cold 50k-node
+// Stabilize took 194 ms against 170 (medians of 16, alternating, 2 vCPU).
+// TestIngestMatchesReference, TestCachedLinkCountMatchesRecount and
+// FuzzLinkCount hold the count to a recount; TestLinkCountCutOver pins
+// where it cuts over.
 //
 // Without fusion a changed list pointer IS a changed identifier list:
 // fillFrame allocates a new NbrList only when the identifiers changed, so
-// the old list is never dereferenced. (Under fusion a value change also
-// republishes, over the same identifier slice, and sameList tells the two
-// apart.) The one case where identity and content disagree — a list equal
-// by value but allocated separately: a hand-built frame, or a sender that
-// went A→B→A while this node slept — costs one link recount and one guard
-// run that reproduce the values they replace and draw nothing from the
-// node's rng; TestSpuriousRelistChangesNothing pins that.
+// the old list is never dereferenced for the flags. (Under fusion a value
+// change also republishes, over the same identifier slice, and sameList
+// tells the two apart.) The one case where identity and content disagree —
+// a list equal by value but allocated separately: a hand-built frame, or a
+// sender that went A→B→A while this node slept — costs a zero link delta
+// (or, past the cut-over, one recount) and one guard run that reproduce
+// the values they replace and draw nothing from the node's rng;
+// TestSpuriousRelistChangesNothing pins that.
 //
 // Ages are derived, not maintained: an entry heard now is stamped with the
 // node's ingest counter and its age is tick − heard. When every entry was
@@ -378,8 +414,9 @@ func valueOf(f *Frame) NbrValue {
 func ingest[I int | int32](n *Node, frames []Frame, from []I, sending []bool, proto Protocol) {
 	n.tick++
 	tick := n.tick
-	fresh := 0   // entries heard by this ingest
-	c := n.cache // reloaded wherever an insertion may have moved it
+	fresh := 0       // entries heard by this ingest
+	c := n.cache     // reloaded wherever an insertion may have moved it
+	var owed relists // relist deltas owed to n.links
 	for j, s := range from {
 		if sending != nil && !sending[s] {
 			continue
@@ -397,6 +434,16 @@ func ingest[I int | int32](n *Node, frames []Frame, from []I, sending []bool, pr
 		if at < 0 {
 			at, added = n.cache.upsert(f.ID)
 			c = n.cache
+			if added && n.linksOK {
+				switch {
+				case len(c) == 1:
+					n.linksOK = false // the row is filling an empty cache
+				case owed.n > 0:
+					n.linksOK = false // the insertion moved the pending positions
+				default:
+					n.links += memberLinks(f, c[:at], c[at+1:])
+				}
+			}
 			if j < len(c) {
 				c[j].hint = int32(at)
 			}
@@ -409,15 +456,20 @@ func ingest[I int | int32](n *Node, frames []Frame, from []I, sending []bool, pr
 				relisted = !sameList(old.ids(), f.Nbrs.ids())
 				revalued = !sameList(old.vals(), f.Nbrs.vals())
 			}
+			if relisted && !added && n.linksOK {
+				if owed.n == relistCap || 2*(owed.n+1) >= len(c) {
+					n.linksOK = false // most of the cache relisted: R1 recounts
+				} else {
+					owed.list[owed.n] = relist{at: int32(at), old: old}
+					owed.n++
+				}
+			}
 			e.frame.Nbrs = f.Nbrs // equal content or not, hold the live alias
 		}
 		scalars := e.frame.TieID != f.TieID || e.frame.Density != f.Density || e.frame.HeadID != f.HeadID
 		if relisted || revalued || scalars {
 			e.frame = *f
 			n.dirty = true
-		}
-		if relisted {
-			n.linksOK = false
 		}
 		if added || (scalars && proto.Fusion) {
 			n.frameDirty = true
@@ -426,6 +478,12 @@ func ingest[I int | int32](n *Node, frames []Frame, from []I, sending []bool, pr
 			fresh++
 		}
 		e.heard = tick
+	}
+	if n.linksOK {
+		for _, r := range owed.list[:owed.n] {
+			e := &c[r.at]
+			n.links += c[r.at+1:].relistDelta(e.frame.ID, r.old.ids(), e.frame.Nbrs.ids())
+		}
 	}
 	n.stale = false
 	ttl := proto.CacheTTL
@@ -436,6 +494,14 @@ func ingest[I int | int32](n *Node, frames []Frame, from []I, sending []bool, pr
 	for i := range c {
 		age := int(tick - c[i].heard)
 		if age > ttl {
+			// The cache at this instant is c[:kept] (the survivors before
+			// i, already moved down), c[i] and c[i+1:] (not yet examined,
+			// never written by this pass: moves only write below i). That
+			// is the key set with every earlier eviction applied and none
+			// of the later ones, so c[i] leaves exactly what it holds.
+			if n.linksOK {
+				n.links -= memberLinks(&c[i].frame, c[:kept], c[i+1:])
+			}
 			continue
 		}
 		if age > 0 {
@@ -451,8 +517,95 @@ func ingest[I int | int32](n *Node, frames []Frame, from []I, sending []bool, pr
 		n.cache = c[:kept]
 		n.dirty = true
 		n.frameDirty = true
-		n.linksOK = false
 	}
+}
+
+// relists is the relist deltas one ingest defers to the end of its row.
+// The count is a field beside the list, not a local: a loop-carried
+// counter takes a register from every sender's path, quiescent ones
+// included (BenchmarkIngest/heard=same read 12–17 % slower with one, both
+// bodies in one binary), where this one is read only on a relist or a
+// join.
+type relists struct {
+	n    int
+	list [relistCap]relist
+}
+
+// relist is one deferred relist delta: the cache position of a neighbor
+// whose identifier list changed this ingest, and the list it replaced.
+type relist struct {
+	at  int32
+	old *NbrList
+}
+
+// relistCap bounds the relist deltas one ingest defers; a row with more
+// cuts over to a recount. It binds before the half-the-cache rule only
+// from 35 cached neighbors on, over three times the workloads' mean
+// degree.
+const relistCap = 16
+
+// memberLinks is what neighbor x contributes to Definition 1's link count
+// of a cache holding below ++ [x] ++ above (id-sorted, below < x < above):
+// the edge p-x, x's own row, and each listing of x in the list of a
+// neighbor smaller than x — the rows that count x. links(C) − links(C∖x)
+// is exactly this, so a join adds it and an eviction subtracts it.
+//
+//selfstab:hotpath
+func memberLinks(x *Frame, below, above neighborCache) int {
+	links := 1 + above.row(x.ID, x.Nbrs.ids(), math.MinInt64)
+	for k := range below {
+		for _, w := range below[k].frame.Nbrs.ids() {
+			if w == x.ID {
+				links++
+			}
+		}
+	}
+	return links
+}
+
+// relistDelta is row(v, nw) − row(v, old) over a cache suffix c holding
+// exactly the cached entries past v: how much v's switch from list old to
+// list nw moves the link count. The ids both lists hold cancel; merged,
+// the ids only one of them holds come out ascending, so one forward cursor
+// over c answers every membership test, and the walk costs one pass over
+// each list and over c. A merge keeps each list's own order, so its output
+// ascends exactly when both lists do; where it does not (a corrupted
+// cache), the two rows, which handle any order, give the delta.
+//
+//selfstab:hotpath
+func (c neighborCache) relistDelta(v int64, old, nw []int64) int {
+	delta, j, a, b := 0, 0, 0, 0
+	prev := int64(math.MinInt64)
+	for a < len(old) || b < len(nw) {
+		var w int64
+		sign := 0 // an id both lists hold changes nothing
+		switch {
+		case b == len(nw) || a < len(old) && old[a] < nw[b]:
+			w, sign = old[a], -1
+			a++
+		case a == len(old) || nw[b] < old[a]:
+			w, sign = nw[b], 1
+			b++
+		default:
+			w = old[a]
+			a++
+			b++
+		}
+		if w < prev {
+			return c.row(v, nw, math.MinInt64) - c.row(v, old, math.MinInt64)
+		}
+		prev = w
+		if sign == 0 || w <= v {
+			continue
+		}
+		for j < len(c) && c[j].frame.ID < w {
+			j++
+		}
+		if j < len(c) && c[j].frame.ID == w {
+			delta += sign
+		}
+	}
+	return delta
 }
 
 // guardN1 is Algorithm N1: redraw the color when it collides with a
@@ -504,10 +657,9 @@ func (n *Node) guardN1(proto Protocol) bool {
 // guardR1 recomputes the shared density from cached neighbor lists
 // (Definition 1 evaluated on 2-hop knowledge), scaled by the engine's
 // per-node density multiplier (1 unless an energy policy installed one).
-// The link count is cached on the node (see Node.links): most executions
-// are caused by a neighbor's density or head moving, which no identifier
-// list reflects, and then the guard is scale·links/deg in O(1). Reports
-// whether the shared density changed.
+// The link count is kept on the node (see Node.links), so the guard is
+// scale·links/deg in O(1) unless the count was dropped, and then it
+// recounts once. Reports whether the shared density changed.
 //
 //selfstab:hotpath
 func (n *Node) guardR1(scale float64) bool {
@@ -526,20 +678,22 @@ func (n *Node) guardR1(scale float64) bool {
 }
 
 // countLinks evaluates Definition 1's link count from scratch: the |Np|
-// edges p-q plus every edge among neighbors. The cache key set IS the
-// node's view of N(p), and both it and every advertised identifier list
-// are id-sorted, so the membership test is a merge scan — no hashing, no
-// allocation.
+// edges p-q plus every edge among neighbors, each counted once from its
+// smaller end's row. The cache key set IS the node's view of N(p), and
+// both it and every advertised identifier list are id-sorted, so the
+// membership test is a merge scan — no hashing, no allocation. Ingest
+// keeps the count current by delta; this recount runs when the node's
+// lists were scribbled on, and when most of its cache relisted at once.
 //
-// A recount follows a relist, so the lists it reads are usually not in
-// cache, and each costs two dependent misses (the NbrList header, then the
-// identifier array) that a merge scan's unpredictable branches keep the
-// processor from starting early. The count therefore runs in two passes
-// per block of neighbors: gather every list's slice header and first
-// identifier with no data-dependent branch, so the misses overlap; then
-// merge. The first identifier seeds the order check, which is what keeps
-// its load in the gather pass. BenchmarkCountLinks is the row that
-// justifies the split.
+// That is when the lists it reads are usually not in cache, and each
+// costs two dependent misses (the NbrList header, then the identifier
+// array) that a merge scan's unpredictable branches keep the processor
+// from starting early. The count therefore runs in two passes per block
+// of neighbors: gather every list's slice header and first identifier
+// with no data-dependent branch, so the misses overlap; then merge. The
+// first identifier seeds the order check, which is what keeps its load in
+// the gather pass. BenchmarkCountLinks is the row that justifies the
+// split.
 //
 //selfstab:hotpath
 func (n *Node) countLinks() int {
@@ -557,40 +711,45 @@ func (n *Node) countLinks() int {
 				heads[k] = ids[0]
 			}
 		}
-		// Count edges among neighbors once: v < w, both in N(p), adjacent
-		// according to v's advertised list.
 		for k := range block {
-			v := block[k].frame.ID
-			// Advance j over the cache (sorted) in lockstep with the
-			// identifier list, starting past v (only w > v counts). Honest
-			// frames carry id-sorted lists, making this a merge scan; a
-			// corrupted cache can hold a scrambled list, and from the first
-			// out-of-order element on we fall back to binary search so the
-			// count stays exactly Definition 1 even on garbage.
-			j := base + k + 1
-			sorted := true
-			prev := heads[k]
-			for _, w := range lists[k] {
-				if w < prev {
-					sorted = false
-				}
-				prev = w
-				if w <= v {
-					continue
-				}
-				if !sorted {
-					if c.has(w) {
-						links++
-					}
-					continue
-				}
-				for j < deg && c[j].frame.ID < w {
-					j++
-				}
-				if j < deg && c[j].frame.ID == w {
-					links++
-				}
+			links += c[base+k+1:].row(block[k].frame.ID, lists[k], heads[k])
+		}
+	}
+	return links
+}
+
+// row counts, with multiplicity, the identifiers w > v in ids that c
+// holds, where c is the cache suffix past v: v's edges to larger
+// neighbors according to v's advertised list. A cursor advances over c
+// in lockstep with the list, so an id-sorted list (every honest frame's)
+// is a merge scan; a corrupted cache can hold a scrambled list, and from
+// the first out-of-order element on the test falls back to binary search,
+// so the count stays exactly Definition 1 even on garbage. prev seeds the
+// order check: any value ≤ ids[0] gives the same count.
+//
+//selfstab:hotpath
+func (c neighborCache) row(v int64, ids []int64, prev int64) int {
+	links, j := 0, 0
+	sorted := true
+	for _, w := range ids {
+		if w < prev {
+			sorted = false
+		}
+		prev = w
+		if w <= v {
+			continue
+		}
+		if !sorted {
+			if c.has(w) {
+				links++
 			}
+			continue
+		}
+		for j < len(c) && c[j].frame.ID < w {
+			j++
+		}
+		if j < len(c) && c[j].frame.ID == w {
+			links++
 		}
 	}
 	return links

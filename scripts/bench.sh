@@ -10,7 +10,9 @@
 # its churn/frame/ingest phases via the instrumentation collector, the
 # layer rows under a saturated step (BenchmarkIngest at degree 10|31 for
 # a row heard unchanged, with new scalars and with new lists;
-# BenchmarkCountLinks at degree 10|31), and
+# BenchmarkCountLinks at degree 10|31), the link-count upkeep row
+# (BenchmarkLinkUpkeep at degree 10|31 with one sender or every sender
+# relisting), and
 # the layer rows under the serve workload's slow reads
 # (BenchmarkComputeStats and BenchmarkCheckInvariants at n=1000|50000,
 # BenchmarkHandleState/n=50000) — plus
@@ -35,7 +37,7 @@
 #
 # After generating the fresh numbers, a regression gate compares the
 # median ns/op of every step-time, heal-round, ingest, link-count,
-# flat-distance and serve-layer benchmark ($GATE_MATCH) against the
+# link-upkeep, flat-distance and serve-layer benchmark ($GATE_MATCH) against the
 # committed BENCH_*.json baselines captured at script start and fails the
 # run on a >20% regression (scripts/benchgate; baselines recorded at a
 # different GOMAXPROCS are reported and skipped, not compared). Set
@@ -61,7 +63,7 @@ SCALE_RAW="BENCH_scale.txt"
 SCALE_JSON="BENCH_scale.json"
 SCALE_COUNT="${SCALE_COUNT:-3}"
 # The benchmarks the regression gate compares, by name.
-GATE_MATCH='Step|HealRound|Ingest|CountLinks|FlatDist|ComputeStats|CheckInvariants|HandleState'
+GATE_MATCH='Step|HealRound|Ingest|CountLinks|LinkUpkeep|FlatDist|ComputeStats|CheckInvariants|HandleState'
 
 # Capture the committed baselines before anything overwrites them: these
 # are what the regression gate at the end compares against.
@@ -75,7 +77,7 @@ echo "== go vet" >&2
 go vet ./...
 
 echo "== race-instrumented determinism tests" >&2
-go test -race -run 'TestParallelDeterminism|TestForEachVisitsEachNodeOnce|TestParallelMatchesSequentialStabilization|TestEngineChurnParallelDeterminism|TestSparseMatchesDenseMixedTrace|TestCachedLinkCountMatchesRecount|TestIngestMatchesReference|TestStepProbeDisabledZeroAlloc|TestStepErrorKeepsProbeStreamSound' ./internal/runtime
+go test -race -run 'TestParallelDeterminism|TestForEachVisitsEachNodeOnce|TestParallelMatchesSequentialStabilization|TestEngineChurnParallelDeterminism|TestSparseMatchesDenseMixedTrace|TestCachedLinkCountMatchesRecount|TestLinkCountCutOver|TestIngestMatchesReference|TestStepProbeDisabledZeroAlloc|TestStepErrorKeepsProbeStreamSound' ./internal/runtime
 go test -race -run 'TestTrafficDeterminism|TestChurnDeterminism|TestEnergyDeterminism|TestNetworkSparseMatchesDense|TestCompactTwinEquivalence' .
 
 # Provenance, written at the head of every raw file in the benchmark

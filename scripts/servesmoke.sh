@@ -36,9 +36,18 @@ curl -fsS "http://$ADDR/healthz" | grep -q '"ok": true'
 
 # The instrumentation layer: phase histograms and engine counters from
 # the attached collector, plus the convergence and SSE-pressure blocks.
-# (Fetched once and matched from a here-string: under pipefail, curl piped
+# The world answers /healthz before its first served step, and the phase
+# histograms appear only once a step has been recorded, so poll until the
+# step histogram counts one (bounded like the boot loop).
+# (Fetched and matched from a here-string: under pipefail, curl piped
 # into grep -q fails whenever grep matches and exits before curl is done.)
-METRICS="$(curl -fsS "http://$ADDR/metrics")"
+stepped=""
+for _ in $(seq 1 40); do
+  METRICS="$(curl -fsS "http://$ADDR/metrics")"
+  if grep -Eq '^selfstab_step_duration_seconds_count [1-9]' <<<"$METRICS"; then stepped=1; break; fi
+  sleep 0.25
+done
+[ -n "$stepped" ] || { echo "no served step was recorded in /metrics" >&2; exit 1; }
 grep -q '^selfstab_step_count' <<<"$METRICS"
 grep -q '^selfstab_step_duration_seconds_bucket' <<<"$METRICS"
 grep -q 'selfstab_phase_duration_seconds_bucket{phase="churn"' <<<"$METRICS"

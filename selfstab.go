@@ -144,8 +144,9 @@
 //     published list is immutable: frame assembly reuses it while its
 //     content is unchanged, and receivers cache it by reference, so
 //     "this neighbor's list is the one I already counted" is a pointer
-//     comparison. Each node caches its R1 link count and recounts only
-//     when an identifier list or its own neighbor set changed; a head or
+//     comparison. Each node keeps its R1 link count current by delta as
+//     lists change and neighbors come and go, and recounts only after
+//     corruption or when most of its neighbors relist at once; a head or
 //     density change therefore wakes the 1-hop neighborhood that can
 //     observe it, not the 2-hop one. Steady-state per-node memory is
 //     O(degree) words instead of O(degree²), which is what keeps the
