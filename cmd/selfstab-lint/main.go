@@ -1,9 +1,12 @@
 // Command selfstab-lint is the repo's static-analysis gate: a
 // multichecker over the internal/analyze suite (detrand, maporder,
-// journalchoke, hotpath, obspure) that encodes the engine's standing
-// invariants — deterministic stepping, journal completeness, zero-alloc
-// hot paths, pure-observer instrumentation — as build-time checks. CI runs it over ./... and fails on any
-// finding; scripts/lint.sh runs the same gate locally.
+// journalchoke, hotpath, obspure, testonly) that encodes the engine's
+// standing invariants — deterministic stepping, journal completeness,
+// zero-alloc hot paths, pure-observer instrumentation, no exported code
+// that only tests use — as build-time checks. CI runs it over ./... and
+// fails on any finding; scripts/lint.sh runs the same gate locally.
+// testonly is whole-program, so a narrower package pattern reports names
+// whose only users were not loaded.
 //
 // Usage:
 //

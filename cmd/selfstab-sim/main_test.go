@@ -61,6 +61,26 @@ func TestRunTable3Small(t *testing.T) {
 	}
 }
 
+// TestRunExperimentsRender runs the paper-table and ablation
+// experiments no other test drives, at a tiny size, so every Render
+// behind the -exp flag executes.
+func TestRunExperimentsRender(t *testing.T) {
+	for _, tt := range []struct{ exp, want string }{
+		{"table4", "fixpoint rounds"},
+		{"orders", "sticky+fusion"},
+	} {
+		t.Run(tt.exp, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := run([]string{"-exp", tt.exp, "-runs", "1", "-lambda", "300"}, &buf); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(buf.String(), tt.want) {
+				t.Errorf("%s output missing %q:\n%s", tt.exp, tt.want, buf.String())
+			}
+		})
+	}
+}
+
 func TestRunUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-exp", "nope"}, &buf); err == nil {

@@ -1,7 +1,7 @@
-// Package analyze is the repo's static-analysis suite: five analyzers
-// (detrand, maporder, journalchoke, hotpath, obspure) that turn the
-// engine's standing invariants into machine-checked contracts, plus the
-// small framework they run on.
+// Package analyze is the repo's static-analysis suite: six analyzers
+// (detrand, maporder, journalchoke, hotpath, obspure, testonly) that turn
+// the engine's standing invariants into machine-checked contracts, plus
+// the small framework they run on.
 //
 // Why these rules exist:
 //
@@ -32,6 +32,14 @@
 //     closures, concrete-to-interface conversions) inside functions
 //     annotated //selfstab:hotpath, so the benchmark gate and the
 //     analyzer guard the same code from two sides.
+//   - Code nothing runs is not free. An exported name of an internal/
+//     package that only tests reference is a second implementation, an
+//     unused option or a convenience the system never needed, and the
+//     zero-coverage gate cannot see it because its tests execute it.
+//     testonly reports every such name; the only exemption is a name a
+//     test contract compares against, which says so with testref. It is
+//     the one whole-program rule: it reports from Analyzer.Finish, after
+//     Run has seen every importer.
 //
 // The framework deliberately mirrors a narrow slice of
 // golang.org/x/tools/go/analysis (Analyzer, Pass, Diagnostic, package
@@ -47,6 +55,7 @@
 //	//selfstab:mutator           exported fact: this method mutates world trajectory
 //	//selfstab:unjournaled       exported method deliberately outside the op journal (say why)
 //	//selfstab:cache             this field is derived state, rebuilt deterministically
+//	//selfstab:testref           exported internal/ name kept for a test contract (say which)
 package analyze
 
 import (
@@ -68,6 +77,10 @@ type Analyzer struct {
 	Doc string
 	// Run performs the check on one package.
 	Run func(*Pass) error
+	// Finish, if set, runs once after Run has seen every package: the
+	// hook for a whole-program rule, whose evidence lives in importers.
+	// Its pass carries the file set only.
+	Finish func(*Pass) error
 }
 
 // Diagnostic is one finding, positioned at Pos.
@@ -131,10 +144,11 @@ func (s *FactStore) get(analyzer, pkg, key string) any {
 
 // Run executes the analyzers over the packages, in the order given
 // (callers load packages in dependency order so facts flow from
-// imported to importing packages), and returns every diagnostic sorted
-// by position. Diagnostics with identical position and message are
-// deduplicated: the annotation scanner reports malformed annotations
-// from every analyzer that consults it, and one complaint is enough.
+// imported to importing packages), then each analyzer's Finish, and
+// returns every diagnostic sorted by position. Diagnostics with
+// identical position and message are deduplicated: the annotation
+// scanner reports malformed annotations from every analyzer that
+// consults it, and one complaint is enough.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	facts := NewFactStore()
 	var all []Diagnostic
@@ -150,6 +164,13 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.PkgPath, err)
+			}
+			all = append(all, pass.diags...)
+		}
+		if a.Finish != nil && len(pkgs) > 0 {
+			pass := &Pass{Analyzer: a, Fset: pkgs[0].Fset}
+			if err := a.Finish(pass); err != nil {
+				return nil, fmt.Errorf("%s: %w", a.Name, err)
 			}
 			all = append(all, pass.diags...)
 		}

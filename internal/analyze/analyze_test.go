@@ -1,6 +1,7 @@
 package analyze
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -60,6 +61,39 @@ func TestObsPure(t *testing.T) {
 func TestHotPath(t *testing.T) {
 	pkgs := loadFixture(t, "./hot")
 	checkDiagnostics(t, pkgs, NewHotPath())
+}
+
+func TestTestOnly(t *testing.T) {
+	pkgs := loadFixture(t, "./internal/tonly", "./tuser")
+	checkDiagnostics(t, pkgs, NewTestOnly())
+}
+
+// TestTestRefAnnotations: a testref without a reason exempts nothing, a
+// testref on a name non-test code uses is stale, and a testref outside a
+// declaration's doc comment governs nothing — each is a diagnostic.
+func TestTestRefAnnotations(t *testing.T) {
+	pkgs := loadFixture(t, "./internal/tann", "./tuser")
+	diags, err := Run(pkgs, []*Analyzer{NewTestOnly()})
+	if err != nil {
+		t.Fatalf("running testonly over tann: %v", err)
+	}
+	wants := []string{
+		"//selfstab:testref requires a reason",
+		"tann.Bare is exported but only tests reference it",
+		"//selfstab:testref on tann.Live, which non-test code references",
+		"misplaced //selfstab:testref",
+	}
+	if len(diags) != len(wants) {
+		for _, d := range diags {
+			t.Logf("got: %s: %s", pkgs[0].Fset.Position(d.Pos), d.Message)
+		}
+		t.Fatalf("want %d diagnostics, got %d", len(wants), len(diags))
+	}
+	for _, w := range wants {
+		if !slices.ContainsFunc(diags, func(d Diagnostic) bool { return strings.Contains(d.Message, w) }) {
+			t.Errorf("no diagnostic contains %q", w)
+		}
+	}
 }
 
 // TestMalformedAnnotations drives the shared annotation scanner over a

@@ -3,6 +3,7 @@ package analyze
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -29,6 +30,12 @@ import (
 //	cache          doc or trailing comment of a struct field — stores
 //	               to it are derived-state cache fills, not world
 //	               mutations
+//	testref        doc comment of a function, or doc or trailing comment
+//	               of a type, const or var spec (an ungrouped declaration's
+//	               doc comment counts) — an exported internal/ name kept
+//	               although only tests reference it, because a test
+//	               contract compares against it (checked by testonly);
+//	               reason required
 //
 // A malformed annotation (unknown verb, missing reason, stray space,
 // wrong placement) is a diagnostic, never a silent no-op: an annotation
@@ -43,6 +50,7 @@ const annPrefix = "//selfstab:"
 var reasonRequired = map[string]bool{
 	"orderinvariant": true,
 	"unjournaled":    true,
+	"testref":        true,
 }
 
 // verbPlacement names where each verb is allowed to appear.
@@ -52,6 +60,7 @@ var verbPlacement = map[string]string{
 	"unjournaled":    "method doc comment",
 	"orderinvariant": "on or directly above a range statement",
 	"cache":          "struct field doc or trailing comment",
+	"testref":        "function doc comment or type, const or var spec",
 }
 
 // annotation is one parsed //selfstab: comment.
@@ -69,6 +78,7 @@ type annotation struct {
 type annotations struct {
 	funcs  map[*ast.FuncDecl]map[string]*annotation
 	fields map[*ast.Field]map[string]*annotation
+	specs  map[ast.Spec]map[string]*annotation
 	// lines holds statement-level annotations (orderinvariant) keyed by
 	// file name and the line the annotation sits on.
 	lines map[string]map[int]*annotation
@@ -82,6 +92,12 @@ func (a *annotations) fn(decl *ast.FuncDecl, verb string) *annotation {
 // field returns the verb annotation attached to a struct field, or nil.
 func (a *annotations) field(f *ast.Field, verb string) *annotation {
 	return a.fields[f][verb]
+}
+
+// spec returns the verb annotation attached to a type, const or var
+// spec, or nil.
+func (a *annotations) spec(s ast.Spec, verb string) *annotation {
+	return a.specs[s][verb]
 }
 
 // stmtAllowed reports whether an orderinvariant annotation covers a
@@ -111,6 +127,7 @@ func scanAnnotations(pass *Pass) *annotations {
 	anns := &annotations{
 		funcs:  make(map[*ast.FuncDecl]map[string]*annotation),
 		fields: make(map[*ast.Field]map[string]*annotation),
+		specs:  make(map[ast.Spec]map[string]*annotation),
 		lines:  make(map[string]map[int]*annotation),
 	}
 	var parsed []*annotation
@@ -131,46 +148,54 @@ func scanAnnotations(pass *Pass) *annotations {
 		return anns
 	}
 
-	// Attach doc-comment annotations to their functions and fields.
+	// Attach doc-comment annotations to their functions, fields and specs.
 	byPos := make(map[token.Pos]*annotation, len(parsed))
 	for _, a := range parsed {
 		byPos[a.pos] = a
 	}
-	attach := func(doc *ast.CommentGroup, claim func(*annotation)) {
-		if doc == nil {
-			return
-		}
-		for _, c := range doc.List {
-			if a := byPos[c.Slash]; a != nil {
-				claim(a)
+	// attach claims every annotation in docs whose verb is one of verbs,
+	// and returns them by verb (nil when there are none).
+	attach := func(verbs []string, docs ...*ast.CommentGroup) map[string]*annotation {
+		var claimed map[string]*annotation
+		for _, doc := range docs {
+			if doc == nil {
+				continue
+			}
+			for _, c := range doc.List {
+				if a := byPos[c.Slash]; a != nil && slices.Contains(verbs, a.verb) {
+					if claimed == nil {
+						claimed = make(map[string]*annotation)
+					}
+					claimed[a.verb] = a
+					a.placed = true
+				}
 			}
 		}
+		return claimed
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
-				attach(n.Doc, func(a *annotation) {
-					if a.verb == "hotpath" || a.verb == "mutator" || a.verb == "unjournaled" {
-						if anns.funcs[n] == nil {
-							anns.funcs[n] = make(map[string]*annotation)
-						}
-						anns.funcs[n][a.verb] = a
-						a.placed = true
-					}
-				})
+				anns.funcs[n] = attach([]string{"hotpath", "mutator", "unjournaled", "testref"}, n.Doc)
 			case *ast.Field:
-				claim := func(a *annotation) {
-					if a.verb == "cache" {
-						if anns.fields[n] == nil {
-							anns.fields[n] = make(map[string]*annotation)
-						}
-						anns.fields[n][a.verb] = a
-						a.placed = true
+				anns.fields[n] = attach([]string{"cache"}, n.Doc, n.Comment)
+			case *ast.GenDecl:
+				for _, s := range n.Specs {
+					var docs []*ast.CommentGroup
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						docs = []*ast.CommentGroup{s.Doc, s.Comment}
+					case *ast.ValueSpec:
+						docs = []*ast.CommentGroup{s.Doc, s.Comment}
+					default:
+						continue
 					}
+					if !n.Lparen.IsValid() {
+						docs = append(docs, n.Doc) // an ungrouped declaration's doc is its spec's
+					}
+					anns.specs[s] = attach([]string{"testref"}, docs...)
 				}
-				attach(n.Doc, claim)
-				attach(n.Comment, claim)
 			case *ast.RangeStmt:
 				// orderinvariant placement is validated lazily: mark any
 				// annotation on or directly above a range statement as
@@ -232,11 +257,11 @@ func parseAnnotation(pass *Pass, c *ast.Comment) *annotation {
 		return nil
 	}
 	if _, ok := verbPlacement[verb]; !ok {
-		pass.Reportf(c.Slash, "malformed selfstab annotation: unknown verb %q (known: cache, hotpath, mutator, orderinvariant, unjournaled)", verb)
+		pass.Reportf(c.Slash, "malformed selfstab annotation: unknown verb %q (known: cache, hotpath, mutator, orderinvariant, testref, unjournaled)", verb)
 		return nil
 	}
 	if reasonRequired[verb] && reason == "" {
-		pass.Reportf(c.Slash, "malformed selfstab annotation: //selfstab:%s requires a reason (//selfstab:%s <why this is safe>)", verb, verb)
+		pass.Reportf(c.Slash, "malformed selfstab annotation: //selfstab:%s requires a reason (//selfstab:%s <why>)", verb, verb)
 		return nil
 	}
 	p := pass.Fset.Position(c.Slash)

@@ -11,5 +11,6 @@ func Suite() []*Analyzer {
 		NewJournalChoke(DefaultJournalChokeConfig()),
 		NewHotPath(),
 		NewObsPure(DefaultObsPureConfig()),
+		NewTestOnly(),
 	}
 }

@@ -17,7 +17,6 @@ package attack
 import (
 	"fmt"
 	"io"
-	"strings"
 	"text/tabwriter"
 
 	"selfstab"
@@ -429,12 +428,4 @@ func (r *Report) Render(out io.Writer) {
 		delta := r.Defended.LegitAttack - r.Undefended.LegitAttack
 		fmt.Fprintf(out, "defense recovered %+.3f legit delivery ratio under flood\n", delta)
 	}
-}
-
-// RenderString renders the report to a string (convenience for tests
-// and the smoke script).
-func (r *Report) RenderString() string {
-	var b strings.Builder
-	r.Render(&b)
-	return b.String()
 }

@@ -103,7 +103,9 @@ func TestRenderMentionsScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := r.RenderString()
+	var b strings.Builder
+	r.Render(&b)
+	s := b.String()
 	for _, want := range []string{"flood", "undefended", "defended", "legit delivery"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("rendered report missing %q:\n%s", want, s)

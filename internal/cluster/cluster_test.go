@@ -87,7 +87,7 @@ func TestSingleNodeIsOwnHead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.IsHead(0) || a.Head[0] != 0 {
+	if a.Parent[0] != 0 || a.Head[0] != 0 {
 		t.Error("isolated node must head itself")
 	}
 }
@@ -138,14 +138,6 @@ func TestOrderStickyHeadWinsTies(t *testing.T) {
 	other := Rank{Value: 1.5, TieID: 2, IsHead: true}
 	if !OrderSticky.Less(incumbent, other) {
 		t.Error("two incumbents: smaller id must win")
-	}
-}
-
-func TestOrderMax(t *testing.T) {
-	p := Rank{Value: 1, TieID: 1}
-	q := Rank{Value: 2, TieID: 2}
-	if OrderBasic.Max(p, q) != q || OrderBasic.Max(q, p) != q {
-		t.Error("Max should return the ≺-greater rank")
 	}
 }
 
@@ -253,7 +245,7 @@ func TestFusionPathExample(t *testing.T) {
 	}
 	// Without fusion: node 2 wins its neighborhood (id 1); node 0 vs node 1:
 	// equal degree, id 5 < 9 so node 0 wins locally => two heads at distance 2.
-	if !plain.IsHead(0) || !plain.IsHead(2) {
+	if plain.Parent[0] != 0 || plain.Parent[2] != 2 {
 		t.Fatalf("setup broken: heads = %v", plain.Heads())
 	}
 	cfg.Fusion = true
@@ -261,7 +253,7 @@ func TestFusionPathExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fused.Heads()) != 1 || !fused.IsHead(2) {
+	if len(fused.Heads()) != 1 || fused.Parent[2] != 2 {
 		t.Errorf("fusion: heads = %v, want just node 2", fused.Heads())
 	}
 	if err := CheckInvariants(g, fused, true); err != nil {
@@ -290,7 +282,7 @@ func TestStickyPreservesIncumbent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.IsHead(0) {
+	if a.Parent[0] != 0 {
 		t.Error("incumbent head lost despite sticky order")
 	}
 	// Under the basic order node 1 (smaller id) would win instead.
@@ -299,7 +291,7 @@ func TestStickyPreservesIncumbent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.IsHead(1) {
+	if b.Parent[1] != 1 {
 		t.Error("basic order should elect the smaller id")
 	}
 }
@@ -351,11 +343,12 @@ func TestMembersAndHeads(t *testing.T) {
 	}
 	total := 0
 	for _, h := range a.Heads() {
-		ms := a.Members(h)
-		total += len(ms)
-		for _, u := range ms {
-			if a.Head[u] != h {
-				t.Errorf("member %d of %d has head %d", u, h, a.Head[u])
+		if a.Head[h] != h {
+			t.Errorf("head %d has head %d", h, a.Head[h])
+		}
+		for _, hu := range a.Head {
+			if hu == h {
+				total++
 			}
 		}
 	}

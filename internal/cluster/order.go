@@ -69,11 +69,3 @@ func (o Order) Less(p, q Rank) bool {
 	}
 	return q.AppID < p.AppID
 }
-
-// Max returns the ≺-maximal rank of the two.
-func (o Order) Max(p, q Rank) Rank {
-	if o.Less(p, q) {
-		return q
-	}
-	return p
-}

@@ -155,7 +155,7 @@ func TestHeadsAreLocalMaxima(t *testing.T) {
 					break
 				}
 			}
-			if isMax != a.IsHead(u) {
+			if isMax != (a.Parent[u] == u) {
 				return false
 			}
 		}
@@ -234,7 +234,7 @@ func TestMetricValuesDriveElection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.IsHead(boost) {
+	if a.Parent[boost] != boost {
 		t.Error("globally maximal node not elected")
 	}
 	for _, v := range g.Neighbors(boost) {

@@ -182,17 +182,3 @@ func (a *Assignment) Heads() []int {
 	}
 	return hs
 }
-
-// IsHead reports whether u is a cluster-head.
-func (a *Assignment) IsHead(u int) bool { return a.Parent[u] == u }
-
-// Members returns the node indices whose head is h, in ascending order.
-func (a *Assignment) Members(h int) []int {
-	var ms []int
-	for u, hu := range a.Head {
-		if hu == h {
-			ms = append(ms, u)
-		}
-	}
-	return ms
-}

@@ -240,8 +240,8 @@ func TestComputeStatsMatchesReference(t *testing.T) {
 		dist := headDistances(gc.g, converged.Head)
 		for _, h := range converged.Heads() {
 			member := make([]bool, n)
-			for _, u := range converged.Members(h) {
-				member[u] = true
+			for u, hu := range converged.Head {
+				member[u] = hu == h
 			}
 			for u, d := range refDistancesWithin(gc.g, h, member) {
 				if member[u] && dist[u] != d {

@@ -106,18 +106,6 @@ func drawFresh(g *topology.Graph, colors []int64, u int, gamma int64, src *rng.S
 	}
 }
 
-// LocallyUnique reports whether no two adjacent nodes share a color.
-func LocallyUnique(g *topology.Graph, colors []int64) bool {
-	for u := 0; u < g.N(); u++ {
-		for _, v := range g.Neighbors(u) {
-			if v > u && colors[v] == colors[u] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Height returns the height, in nodes, of the DAG obtained by orienting
 // every edge of g from the node ranked greater to the node ranked lower
 // under less (less(u, v) meaning u ≺ v). less must be a strict total order

@@ -15,6 +15,18 @@ func randomGeometric(seed int64, n int, r float64) (*topology.Graph, []int64) {
 	return topology.FromPoints(d.Points, r), d.IDs
 }
 
+// locallyUnique reports whether no two adjacent nodes share a color.
+func locallyUnique(g *topology.Graph, colors []int64) bool {
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Neighbors(u) {
+			if v > u && colors[v] == colors[u] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestBuildProducesLocallyUniqueColors(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		g, ids := randomGeometric(seed, 100, 0.15)
@@ -23,7 +35,7 @@ func TestBuildProducesLocallyUniqueColors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if !LocallyUnique(g, res.Colors) {
+		if !locallyUnique(g, res.Colors) {
 			t.Errorf("seed %d: colors not locally unique", seed)
 		}
 		for u, c := range res.Colors {
@@ -88,7 +100,7 @@ func TestBuildTinyGammaStillConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !LocallyUnique(g, res.Colors) {
+	if !locallyUnique(g, res.Colors) {
 		t.Error("not locally unique")
 	}
 }

@@ -26,27 +26,6 @@ type Deployment struct {
 // N returns the number of deployed nodes.
 func (d *Deployment) N() int { return len(d.Points) }
 
-// Validate checks internal consistency: matching lengths, unique IDs, and
-// all points inside the region.
-func (d *Deployment) Validate() error {
-	if len(d.Points) != len(d.IDs) {
-		return fmt.Errorf("deployment: %d points but %d ids", len(d.Points), len(d.IDs))
-	}
-	seen := make(map[int64]int, len(d.IDs))
-	for i, id := range d.IDs {
-		if j, dup := seen[id]; dup {
-			return fmt.Errorf("deployment: duplicate id %d at nodes %d and %d", id, j, i)
-		}
-		seen[id] = i
-	}
-	for i, p := range d.Points {
-		if !d.Region.Contains(p) {
-			return fmt.Errorf("deployment: node %d at %v outside region", i, p)
-		}
-	}
-	return nil
-}
-
 // IDStrategy decides how identifiers are assigned to positions.
 type IDStrategy int
 
@@ -215,21 +194,4 @@ func Hotspots(n, k int, spread float64, region geom.Rect, ids IDStrategy, src *r
 	}
 	assignIDs(d, ids, src)
 	return d, nil
-}
-
-// PerturbedGrid deploys a grid whose points are jittered by a uniform
-// offset up to jitter*pitch in each axis. It interpolates between the
-// adversarial grid (jitter 0) and a random deployment, which is useful for
-// ablating how much spatial regularity the DAG mechanism actually needs.
-func PerturbedGrid(rows, cols int, jitter float64, region geom.Rect, ids IDStrategy, src *rng.Source) *Deployment {
-	d := Grid(rows, cols, region, IDSequential, src)
-	px := region.Width() / float64(cols)
-	py := region.Height() / float64(rows)
-	for i := range d.Points {
-		d.Points[i].X += (src.Float64()*2 - 1) * jitter * px
-		d.Points[i].Y += (src.Float64()*2 - 1) * jitter * py
-		d.Points[i] = region.Clamp(d.Points[i])
-	}
-	assignIDs(d, ids, src)
-	return d
 }

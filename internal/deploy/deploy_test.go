@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,13 +9,34 @@ import (
 	"selfstab/internal/rng"
 )
 
+// validate checks internal consistency: matching lengths, unique IDs, and
+// all points inside the region.
+func validate(d *Deployment) error {
+	if len(d.Points) != len(d.IDs) {
+		return fmt.Errorf("deployment: %d points but %d ids", len(d.Points), len(d.IDs))
+	}
+	seen := make(map[int64]int, len(d.IDs))
+	for i, id := range d.IDs {
+		if j, dup := seen[id]; dup {
+			return fmt.Errorf("deployment: duplicate id %d at nodes %d and %d", id, j, i)
+		}
+		seen[id] = i
+	}
+	for i, p := range d.Points {
+		if !d.Region.Contains(p) {
+			return fmt.Errorf("deployment: node %d at %v outside region", i, p)
+		}
+	}
+	return nil
+}
+
 func TestUniformCountAndRegion(t *testing.T) {
 	src := rng.New(1)
 	d := Uniform(200, geom.UnitSquare(), IDRandom, src)
 	if d.N() != 200 {
 		t.Fatalf("N = %d", d.N())
 	}
-	if err := d.Validate(); err != nil {
+	if err := validate(d); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -24,7 +46,7 @@ func TestUniformZero(t *testing.T) {
 	if d.N() != 0 {
 		t.Fatal("expected empty deployment")
 	}
-	if err := d.Validate(); err != nil {
+	if err := validate(d); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -63,7 +85,7 @@ func TestGridLayout(t *testing.T) {
 	if d.N() != 20 {
 		t.Fatalf("N = %d", d.N())
 	}
-	if err := d.Validate(); err != nil {
+	if err := validate(d); err != nil {
 		t.Fatal(err)
 	}
 	// Pitch between horizontal neighbors is width/cols = 0.2.
@@ -111,7 +133,7 @@ func TestIDRowMajorSpatiallyOrdered(t *testing.T) {
 func TestIDRowMajorOnRandomPoints(t *testing.T) {
 	src := rng.New(4)
 	d := Uniform(100, geom.UnitSquare(), IDRowMajor, src)
-	if err := d.Validate(); err != nil {
+	if err := validate(d); err != nil {
 		t.Fatal(err)
 	}
 	// The node with id 0 must be the one with minimal Y (ties by X).
@@ -161,7 +183,7 @@ func TestValidateCatchesDuplicates(t *testing.T) {
 		IDs:    []int64{7, 7},
 		Region: geom.UnitSquare(),
 	}
-	if err := d.Validate(); err == nil {
+	if err := validate(d); err == nil {
 		t.Error("duplicate ids not caught")
 	}
 }
@@ -172,7 +194,7 @@ func TestValidateCatchesLengthMismatch(t *testing.T) {
 		IDs:    []int64{1, 2},
 		Region: geom.UnitSquare(),
 	}
-	if err := d.Validate(); err == nil {
+	if err := validate(d); err == nil {
 		t.Error("length mismatch not caught")
 	}
 }
@@ -183,28 +205,8 @@ func TestValidateCatchesOutOfRegion(t *testing.T) {
 		IDs:    []int64{0},
 		Region: geom.UnitSquare(),
 	}
-	if err := d.Validate(); err == nil {
+	if err := validate(d); err == nil {
 		t.Error("out-of-region point not caught")
-	}
-}
-
-func TestPerturbedGridStaysInRegion(t *testing.T) {
-	d := PerturbedGrid(10, 10, 0.9, geom.UnitSquare(), IDRandom, rng.New(8))
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if d.N() != 100 {
-		t.Errorf("N = %d", d.N())
-	}
-}
-
-func TestPerturbedGridZeroJitterIsGrid(t *testing.T) {
-	a := PerturbedGrid(5, 5, 0, geom.UnitSquare(), IDSequential, rng.New(9))
-	b := Grid(5, 5, geom.UnitSquare(), IDSequential, rng.New(9))
-	for i := range a.Points {
-		if a.Points[i] != b.Points[i] {
-			t.Fatalf("jitter=0 differs from plain grid at %d", i)
-		}
 	}
 }
 
@@ -259,7 +261,7 @@ func TestHotspotsInRegionAndValid(t *testing.T) {
 	if d.N() != 300 {
 		t.Fatalf("N = %d", d.N())
 	}
-	if err := d.Validate(); err != nil {
+	if err := validate(d); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -273,7 +275,7 @@ func TestHotspotsAreConcentrated(t *testing.T) {
 			best := 10.0
 			for j, q := range pts {
 				if i != j {
-					if dd := p.Dist(q); dd < best {
+					if dd := math.Sqrt(p.Dist2(q)); dd < best {
 						best = dd
 					}
 				}

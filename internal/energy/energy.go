@@ -358,21 +358,6 @@ func (e *Engine) Remaining(i int) float64 {
 	return e.battery[i]
 }
 
-// Depleted reports whether node i's battery crossed zero.
-func (e *Engine) Depleted(i int) bool {
-	return i >= 0 && i < len(e.depleted) && e.depleted[i]
-}
-
-// RotationScale returns the density multiplier rotation currently applies
-// to node i (1 when rotation is off) — the value Verify-style oracles
-// must scale their expected densities by.
-func (e *Engine) RotationScale(i int) float64 {
-	if !e.cfg.Rotation || i < 0 || i >= len(e.level) {
-		return 1
-	}
-	return float64(e.level[i]) / float64(e.cfg.RotationLevels)
-}
-
 // Rotation reports whether energy-aware head rotation is enabled.
 func (e *Engine) Rotation() bool { return e.cfg.Rotation }
 

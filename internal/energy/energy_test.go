@@ -128,7 +128,7 @@ func TestDepletionKillsInNodeOrder(t *testing.T) {
 	if err := e.Step(4); err != nil {
 		t.Fatal(err)
 	}
-	if e.Remaining(0) != 0 || !e.Depleted(0) {
+	if e.Remaining(0) != 0 || !e.depleted[0] {
 		t.Errorf("depleted node not pinned at zero")
 	}
 	if s2 := e.Stats(); s2.TotalDrain != s.TotalDrain {
@@ -149,7 +149,7 @@ func TestDeadByChurnStopsDraining(t *testing.T) {
 	if got := e.Remaining(1); got != 1 {
 		t.Errorf("churn-dead node drained to %v", got)
 	}
-	if e.Depleted(1) {
+	if e.depleted[1] {
 		t.Error("churn death misreported as depletion")
 	}
 }
@@ -182,8 +182,8 @@ func TestRotationQuantization(t *testing.T) {
 			t.Errorf("step %d: scale moved to %v without a boundary crossing", step, f.scales[0])
 		}
 	}
-	if got := e.RotationScale(0); !almost(got, 0.25) {
-		t.Errorf("RotationScale %v, want 0.25", got)
+	if got := float64(e.level[0]) / float64(e.cfg.RotationLevels); !almost(got, 0.25) {
+		t.Errorf("rotation level scale %v, want 0.25", got)
 	}
 }
 

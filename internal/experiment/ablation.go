@@ -111,7 +111,11 @@ func AblationMetrics(opts Options) (*MetricAblationResult, error) {
 	r := opts.Ranges[0]
 	master := rng.New(opts.Seed)
 	metrics := []metric.Metric{metric.Density{}, metric.Degree{}, metric.Constant{}}
-	res := &MetricAblationResult{Names: []string{"density", "degree", "lowest-id", "max-min(d=2)"}}
+	res := &MetricAblationResult{}
+	for _, m := range metrics {
+		res.Names = append(res.Names, m.Name())
+	}
+	res.Names = append(res.Names, "max-min(d=2)")
 	counts := make([]stats.Welford, 4)
 	keeps := make([]stats.Welford, 4)
 	const (

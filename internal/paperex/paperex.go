@@ -68,22 +68,30 @@ func IDs() []int64 {
 }
 
 // WantNeighbors is Table 1's "# Neighbors" row.
+//
+//selfstab:testref Table 1 of the paper, which the cluster, metric and runtime tests compare against
 var WantNeighbors = map[int]int{
 	A: 2, B: 4, C: 1, D: 4, E: 1, F: 2, H: 2, I: 4, J: 2,
 }
 
 // WantLinks is Table 1's "# Links" row (the density numerator).
+//
+//selfstab:testref Table 1 of the paper, which the cluster, metric and runtime tests compare against
 var WantLinks = map[int]int{
 	A: 2, B: 5, C: 1, D: 5, E: 1, F: 3, H: 3, I: 5, J: 3,
 }
 
 // WantDensity is Table 1's "1-density" row.
+//
+//selfstab:testref Table 1 of the paper, which the cluster, metric and runtime tests compare against
 var WantDensity = map[int]float64{
 	A: 1, B: 1.25, C: 1, D: 1.25, E: 1, F: 1.5, H: 1.5, I: 1.25, J: 1.5,
 }
 
 // WantParent is the parent relation F(p) from the worked example. Nodes that
 // are their own parent are cluster-heads.
+//
+//selfstab:testref Table 1 of the paper, which the cluster, metric and runtime tests compare against
 var WantParent = map[int]int{
 	C: B, // "node c joins its neighbor node b"
 	B: H, // "F(b) = h"
@@ -100,6 +108,8 @@ var WantParent = map[int]int{
 
 // WantHead is the final cluster-head H(p) of every node: two clusters,
 // one around h and one around j.
+//
+//selfstab:testref Table 1 of the paper, which the cluster, metric and runtime tests compare against
 var WantHead = map[int]int{
 	A: J, B: H, C: H, D: J, E: H, F: J, H: H, I: H, J: J,
 }

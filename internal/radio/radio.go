@@ -99,9 +99,6 @@ func (in *Inbox) N() int { return len(in.off) - 1 }
 // ascending. The slice aliases the inbox; do not retain it across steps.
 func (in *Inbox) Senders(r int) []int32 { return in.senders[in.off[r]:in.off[r+1]] }
 
-// Total returns the number of delivered frames across all receivers.
-func (in *Inbox) Total() int { return len(in.senders) }
-
 // Medium decides one step of local broadcast outcomes.
 type Medium interface {
 	// Name identifies the medium in experiment output.

@@ -52,8 +52,8 @@ func TestPerfectDeliversAll(t *testing.T) {
 			t.Errorf("leaf %d inbox: %v", v, row)
 		}
 	}
-	if in.N() != 5 || in.Total() != 8 {
-		t.Errorf("inbox shape N=%d total=%d, want 5/8", in.N(), in.Total())
+	if in.N() != 5 || len(in.senders) != 8 {
+		t.Errorf("inbox shape N=%d total=%d, want 5/8", in.N(), len(in.senders))
 	}
 }
 
@@ -98,7 +98,7 @@ func TestInboxReuseAcrossSteps(t *testing.T) {
 		if err := (Perfect{}).Deliver(g, nil, &in); err != nil {
 			t.Fatal(err)
 		}
-		if len(in.Senders(0)) != 4 || in.Total() != 8 {
+		if len(in.Senders(0)) != 4 || len(in.senders) != 8 {
 			t.Fatalf("step %d: inbox corrupted on reuse", step)
 		}
 	}
@@ -316,8 +316,8 @@ func TestMediumNames(t *testing.T) {
 func TestInboxFromPairsEmpty(t *testing.T) {
 	var in Inbox
 	in.FromPairs(3, nil, nil)
-	if in.N() != 3 || in.Total() != 0 {
-		t.Fatalf("empty FromPairs: N=%d total=%d", in.N(), in.Total())
+	if in.N() != 3 || len(in.senders) != 0 {
+		t.Fatalf("empty FromPairs: N=%d total=%d", in.N(), len(in.senders))
 	}
 	for r := 0; r < 3; r++ {
 		if len(in.Senders(r)) != 0 {

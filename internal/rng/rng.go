@@ -60,9 +60,6 @@ func (s *Source) Int63() int64 { return s.r.Int63() }
 // Perm returns a random permutation of [0, n).
 func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
 
-// Shuffle randomizes the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
-
 // ExpFloat64 returns an exponentially distributed value with rate 1.
 func (s *Source) ExpFloat64() float64 { return s.r.ExpFloat64() }
 

@@ -160,19 +160,6 @@ func TestPoissonLargeMean(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsElements(t *testing.T) {
-	s := New(11)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	if sum != 36 {
-		t.Errorf("Shuffle lost elements: %v", xs)
-	}
-}
-
 func TestExpFloat64Positive(t *testing.T) {
 	s := New(2)
 	for i := 0; i < 100; i++ {

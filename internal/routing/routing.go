@@ -1,11 +1,11 @@
-// Package routing implements the two routing architectures whose contrast
-// motivates the paper (Sections 1-2): flat proactive routing, whose
-// per-node state and control traffic grow with the whole network, and
-// cluster-based hierarchical routing over the self-stabilizing clustering,
-// where a node keeps routes only within its cluster plus a summary of the
-// cluster overlay. The experiment layer uses both to regenerate the
-// scalability argument: state per node O(n) flat vs O(cluster) + O(degree
-// of the cluster overlay) hierarchical, at a small path-stretch cost.
+// Package routing implements cluster-based hierarchical routing over the
+// self-stabilizing clustering, the architecture whose contrast with flat
+// proactive routing motivates the paper (Sections 1-2): a node keeps
+// routes only within its cluster plus a summary of the cluster overlay,
+// where a flat table keeps one entry per other node. The experiment
+// layer measures that contrast — state per node O(cluster) + O(degree of
+// the cluster overlay) against n−1, at a small path-stretch cost over
+// shortest paths, which the topology's BFS distances give directly.
 //
 // The hierarchical table models that per-node state without materialising
 // it. Reset builds, in O(N+E), only a skeleton of the clustering: cluster
@@ -34,88 +34,6 @@ import (
 
 // ErrUnreachable is returned when no route exists between two nodes.
 var ErrUnreachable = errors.New("routing: destination unreachable")
-
-// Flat is a link-state routing table: every node knows a next hop toward
-// every other node (computed from all-pairs BFS).
-type Flat struct {
-	g    *topology.Graph
-	next [][]int // next[src][dst] = neighbor of src toward dst, -1 unreachable
-}
-
-// BuildFlat computes the flat table. O(V*E) time, O(V^2) state — the
-// scalability problem the paper opens with.
-func BuildFlat(g *topology.Graph) *Flat {
-	n := g.N()
-	f := &Flat{g: g, next: make([][]int, n)}
-	for src := 0; src < n; src++ {
-		f.next[src] = make([]int, n)
-		for i := range f.next[src] {
-			f.next[src][i] = -1
-		}
-	}
-	// One BFS per destination, recording each node's parent toward dst.
-	for dst := 0; dst < n; dst++ {
-		parent := bfsParents(g, dst)
-		for src := 0; src < n; src++ {
-			if src == dst {
-				f.next[src][dst] = src
-			} else if parent[src] >= 0 {
-				f.next[src][dst] = parent[src]
-			}
-		}
-	}
-	return f
-}
-
-// bfsParents returns, for each node, its BFS parent toward root (-1 if
-// unreachable; root's parent is itself).
-func bfsParents(g *topology.Graph, root int) []int {
-	parent := make([]int, g.N())
-	for i := range parent {
-		parent[i] = -1
-	}
-	parent[root] = root
-	queue := []int{root}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.Neighbors(v) {
-			if parent[w] < 0 {
-				parent[w] = v
-				queue = append(queue, w)
-			}
-		}
-	}
-	return parent
-}
-
-// Route returns the hop sequence from src to dst (inclusive of both).
-func (f *Flat) Route(src, dst int) ([]int, error) {
-	n := f.g.N()
-	if src < 0 || src >= n || dst < 0 || dst >= n {
-		return nil, fmt.Errorf("routing: endpoints (%d, %d) out of range", src, dst)
-	}
-	path := []int{src}
-	for cur := src; cur != dst; {
-		nxt := f.next[cur][dst]
-		if nxt < 0 {
-			return nil, ErrUnreachable
-		}
-		cur = nxt
-		path = append(path, cur)
-		if len(path) > n {
-			return nil, fmt.Errorf("routing: flat table loop between %d and %d", src, dst)
-		}
-	}
-	return path, nil
-}
-
-// StatePerNode returns the mean number of routing entries per node: n-1
-// for every node in flat routing (unreachable entries still occupy state
-// in a proactive protocol's table).
-func (f *Flat) StatePerNode() float64 {
-	return float64(f.g.N() - 1)
-}
 
 // Hierarchical routes over a clustering: each node keeps an intra-cluster
 // table (next hop toward every same-cluster member) plus one default

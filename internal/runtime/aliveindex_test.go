@@ -18,7 +18,7 @@ func TestNthAliveMatchesScan(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		k := 0
-		for i := 0; i < e.N(); i++ {
+		for i := 0; i < len(e.nodes); i++ {
 			if e.Status(i) != StatusAlive {
 				continue
 			}
@@ -39,7 +39,7 @@ func TestNthAliveMatchesScan(t *testing.T) {
 	}
 	check("initial")
 	for op := 0; op < 200; op++ {
-		i := src.Intn(e.N())
+		i := src.Intn(len(e.nodes))
 		switch src.Intn(4) {
 		case 0:
 			if e.Status(i) != StatusDead && e.AliveCount() > 2 {
@@ -80,7 +80,7 @@ func TestNthAliveAfterAppendAndCompact(t *testing.T) {
 		tw.apply(t, traceOp{kind: "append", point: geom.Point{X: src.Float64(), Y: src.Float64()}})
 	}
 	for k := 0; k < 12; k++ {
-		i := src.Intn(e.N())
+		i := src.Intn(len(e.nodes))
 		if e.Status(i) != StatusDead && e.AliveCount() > 2 {
 			tw.apply(t, traceOp{kind: "kill", node: i})
 		}
@@ -96,7 +96,7 @@ func TestNthAliveAfterAppendAndCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := 0
-	for i := 0; i < e.N(); i++ {
+	for i := 0; i < len(e.nodes); i++ {
 		if e.Status(i) != StatusAlive {
 			continue
 		}

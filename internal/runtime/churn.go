@@ -374,14 +374,25 @@ func (e *Engine) Kill(i int) error {
 // A sleeping node reboots awake.
 //
 //selfstab:mutator
-func (e *Engine) Reboot(i int) error {
+func (e *Engine) Reboot(i int) error { return e.restart(i, ChurnCrash) }
+
+// restart is the cold restart Reboot and Evict share: node i loses all
+// protocol state and its neighbor cache and comes back alive (a sleeping
+// node restarts awake), opening or extending a disruption episode of the
+// given kind. A crash marks the node alone; an attack response, like
+// MarkAttack, marks its current neighbors too.
+func (e *Engine) restart(i int, kind ChurnKind) error {
 	if err := e.checkIndex(i); err != nil {
 		return err
 	}
 	if e.status[i] == StatusDead {
 		return fmt.Errorf("runtime: node %d is dead", i)
 	}
-	e.markDisruption(ChurnCrash, i, nil)
+	var spread []int
+	if kind == ChurnAttack {
+		spread = e.g.Neighbors(i)
+	}
+	e.markDisruption(kind, i, spread)
 	e.markChanged(i)
 	e.Activate(i) // reset state re-broadcasts; the expansion covers neighbors
 	if e.status[i] != StatusAlive {
@@ -477,26 +488,12 @@ func (e *Engine) MarkAttack(i int) error {
 //
 //selfstab:mutator
 func (e *Engine) Evict(i int) error {
-	if err := e.checkIndex(i); err != nil {
+	if err := e.restart(i, ChurnAttack); err != nil {
 		return err
-	}
-	if e.status[i] == StatusDead {
-		return fmt.Errorf("runtime: node %d is dead", i)
 	}
 	if e.densityScale != nil {
 		e.densityScale[i] = 1
 	}
-	e.markDisruption(ChurnAttack, i, e.g.Neighbors(i))
-	e.markChanged(i)
-	e.Activate(i) // reset state re-broadcasts; the expansion covers neighbors
-	if e.status[i] != StatusAlive {
-		e.aliveN++
-	}
-	e.aliveIdx.set(i)
-	e.nodes[i].reset(e.proto)
-	e.status[i] = StatusAlive
-	e.sendMask[i] = true
-	e.epoch++
 	if p := e.probe; p != nil {
 		p.Counter(obs.CtrByzantineEvictions, 1)
 	}

@@ -28,9 +28,7 @@ func TestChurnNodeAppears(t *testing.T) {
 		t.Fatal("isolated node should head itself")
 	}
 	// Power it on: restore the full topology.
-	if err := e.SetGraph(g); err != nil {
-		t.Fatal(err)
-	}
+	setGraph(e, g)
 	if _, err := e.RunUntilStable(500, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -184,17 +182,13 @@ func TestPartitionAndMerge(t *testing.T) {
 			}
 		}
 	}
-	if err := e.SetGraph(split); err != nil {
-		t.Fatal(err)
-	}
+	setGraph(e, split)
 	if _, err := e.RunUntilStable(1000, 5); err != nil {
 		t.Fatal(err)
 	}
 
 	// Merge back.
-	if err := e.SetGraph(g); err != nil {
-		t.Fatal(err)
-	}
+	setGraph(e, g)
 	if _, err := e.RunUntilStable(1000, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +409,7 @@ func TestEngineChurnParallelDeterminism(t *testing.T) {
 			}
 			return nil
 		})
-		if err := e.Run(120); err != nil {
+		if err := runSteps(e, 120); err != nil {
 			t.Fatal(err)
 		}
 		return e.Snapshot(), e.DisruptionRecords()

@@ -96,10 +96,10 @@ func TestActivationZeroIsSynchronous(t *testing.T) {
 	g, ids := randomNetwork(11, 40, 0.25)
 	a := mustEngine(t, g, ids, Protocol{Order: cluster.OrderBasic}, radio.Perfect{}, 2300)
 	b := mustEngine(t, g, ids, Protocol{Order: cluster.OrderBasic, ActivationProb: 1}, radio.Perfect{}, 2300)
-	if err := a.Run(20); err != nil {
+	if err := runSteps(a, 20); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Run(20); err != nil {
+	if err := runSteps(b, 20); err != nil {
 		t.Fatal(err)
 	}
 	sa, sb := a.Snapshot(), b.Snapshot()

@@ -255,9 +255,6 @@ func (e *Engine) nodeStream(i int) *rng.Source {
 	return e.src.SplitN("node", i)
 }
 
-// N returns the number of nodes.
-func (e *Engine) N() int { return len(e.nodes) }
-
 // StepCount returns how many steps have executed.
 func (e *Engine) StepCount() int { return e.step }
 
@@ -269,29 +266,6 @@ func (e *Engine) LastChange() int { return e.lastChange }
 // Node returns the i-th node (read-only access for assertions).
 func (e *Engine) Node(i int) *Node { return e.nodes[i] }
 
-// Graph returns the current topology.
-func (e *Engine) Graph() *topology.Graph { return e.g }
-
-// SetGraph swaps the topology (mobility/churn). Node caches are kept; stale
-// neighbors age out via the protocol's TTL, exactly as in a real network.
-// The swap is opaque — the engine cannot know which adjacencies moved —
-// so on a frontier engine every node is conservatively re-examined.
-// Callers that maintain the engine's graph in place incrementally (the
-// GridIndex path) should instead Activate the changed nodes and call
-// NoteTopologyChanged, keeping the re-examination proportional to the
-// change.
-//
-//selfstab:mutator
-func (e *Engine) SetGraph(g *topology.Graph) error {
-	if g.N() != len(e.nodes) {
-		return fmt.Errorf("runtime: new graph has %d nodes, engine has %d", g.N(), len(e.nodes))
-	}
-	e.g = g
-	e.epoch++
-	e.ActivateAll()
-	return nil
-}
-
 // NoteTopologyChanged advances the epoch after the engine's graph was
 // mutated in place by an incremental index (no pointer swap). The caller
 // must have Activated every node whose adjacency changed — typically by
@@ -302,7 +276,8 @@ func (e *Engine) SetGraph(g *topology.Graph) error {
 func (e *Engine) NoteTopologyChanged() { e.epoch++ }
 
 // Epoch returns a counter that advances whenever the shared state or the
-// topology changed (a state-changing step, SetGraph, Corrupt). Derived
+// topology changed (a state-changing step, a lifecycle op,
+// NoteTopologyChanged, Corrupt). Derived
 // structures cached against an Epoch value are valid exactly while it is
 // unchanged.
 func (e *Engine) Epoch() uint64 { return e.epoch }
@@ -393,18 +368,6 @@ func (e *Engine) densityScaleOf(i int) float64 {
 		return 1
 	}
 	return e.densityScale[i]
-}
-
-// Run executes exactly steps steps.
-//
-//selfstab:mutator
-func (e *Engine) Run(steps int) error {
-	for i := 0; i < steps; i++ {
-		if err := e.Step(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // RunUntilStable steps the engine until the shared variables (color,

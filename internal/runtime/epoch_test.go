@@ -11,7 +11,7 @@ import (
 
 // TestEpochAdvancesExactlyWithChanges pins the cache-invalidation
 // contract: the epoch moves iff shared state could have changed — on
-// state-changing steps, Corrupt, and SetGraph — and stays put across
+// state-changing steps and Corrupt — and stays put across
 // quiescent steps, so epoch-keyed caches are never stale and never
 // rebuilt needlessly.
 func TestEpochAdvancesExactlyWithChanges(t *testing.T) {
@@ -40,13 +40,6 @@ func TestEpochAdvancesExactlyWithChanges(t *testing.T) {
 	if e.Epoch() == stable {
 		t.Error("Corrupt did not move the epoch")
 	}
-	after := e.Epoch()
-	if err := e.SetGraph(g.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	if e.Epoch() == after {
-		t.Error("SetGraph did not move the epoch")
-	}
 }
 
 // TestPostStepHook: the hook runs once per step with the completed-step
@@ -60,7 +53,7 @@ func TestPostStepHook(t *testing.T) {
 		calls = append(calls, step)
 		return nil
 	})
-	if err := e.Run(3); err != nil {
+	if err := runSteps(e, 3); err != nil {
 		t.Fatal(err)
 	}
 	if len(calls) != 3 || calls[0] != 1 || calls[2] != 3 {

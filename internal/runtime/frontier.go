@@ -36,6 +36,8 @@ func (e *Engine) Sparse() bool { return e.sparse }
 // Both settings produce bit-identical executions; the toggle exists for
 // the equivalence oracle tests and for benchmarking the full-scan
 // baseline. Call only between steps.
+//
+//selfstab:testref the full-scan reference of every sparse-vs-dense oracle
 func (e *Engine) SetSparse(on bool) error {
 	if on && !e.sparseOK {
 		return ErrSparseIneligible
@@ -89,8 +91,3 @@ func (e *Engine) activateSpread(i int, spread []int) {
 		e.Activate(s)
 	}
 }
-
-// FrontierLen returns how many nodes are currently queued for
-// re-examination (0 on a stabilized network).
-// Diagnostic: the scale CLI and the quiescence tests read it.
-func (e *Engine) FrontierLen() int { return len(e.pend) }

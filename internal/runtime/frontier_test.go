@@ -29,8 +29,8 @@ func TestSparseEligibility(t *testing.T) {
 	if err := e.SetSparse(true); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.FrontierLen(); got != e.N() {
-		t.Fatalf("re-enabled frontier engine re-examines %d of %d nodes", got, e.N())
+	if got := len(e.pend); got != len(e.nodes) {
+		t.Fatalf("re-enabled frontier engine re-examines %d of %d nodes", got, len(e.nodes))
 	}
 
 	lossy, err := radio.NewBernoulli(0.9, rng.New(7))
@@ -44,7 +44,7 @@ func TestSparseEligibility(t *testing.T) {
 	if err := e2.SetSparse(true); err == nil {
 		t.Fatal("SetSparse(true) accepted a lossy medium")
 	}
-	if got := e2.FrontierLen(); got != 0 {
+	if got := len(e2.pend); got != 0 {
 		t.Fatalf("dense-only engine carries a %d-entry worklist", got)
 	}
 
@@ -64,17 +64,17 @@ func TestFrontierQuiescence(t *testing.T) {
 	if _, err := e.RunUntilStable(2000, 5); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.FrontierLen(); got != 0 {
+	if got := len(e.pend); got != 0 {
 		t.Fatalf("stabilized network keeps %d nodes on the frontier", got)
 	}
 	before := e.Snapshot()
-	if err := e.Run(25); err != nil {
+	if err := runSteps(e, 25); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(before, e.Snapshot()) {
 		t.Fatal("quiescent steps changed protocol state")
 	}
-	if e.FrontierLen() != 0 {
+	if len(e.pend) != 0 {
 		t.Fatal("quiescent steps re-populated the frontier")
 	}
 }
@@ -200,7 +200,7 @@ func (tw *twin) apply(t *testing.T, op traceOp) {
 		}
 		tw.pts = tw.pts[:newN]
 	case "step":
-		if err := tw.e.Run(op.steps); err != nil {
+		if err := runSteps(tw.e, op.steps); err != nil {
 			t.Fatal(err)
 		}
 	default:
@@ -211,7 +211,7 @@ func (tw *twin) apply(t *testing.T, op traceOp) {
 // pickStatus returns a uniformly chosen node in the wanted status, or -1.
 func pickStatus(e *Engine, src *rng.Source, want NodeStatus) int {
 	count := 0
-	for i := 0; i < e.N(); i++ {
+	for i := 0; i < len(e.nodes); i++ {
 		if e.Status(i) == want {
 			count++
 		}
@@ -220,7 +220,7 @@ func pickStatus(e *Engine, src *rng.Source, want NodeStatus) int {
 		return -1
 	}
 	k := src.Intn(count)
-	for i := 0; i < e.N(); i++ {
+	for i := 0; i < len(e.nodes); i++ {
 		if e.Status(i) != want {
 			continue
 		}
@@ -328,7 +328,7 @@ func compareTwins(t *testing.T, label string, a, b *twin) {
 		}
 		t.Fatalf("%s: snapshots diverged", label)
 	}
-	for i := 0; i < a.e.N(); i++ {
+	for i := 0; i < len(a.e.nodes); i++ {
 		if a.e.Status(i) != b.e.Status(i) {
 			t.Fatalf("%s: node %d status %s vs %s", label, i, a.e.Status(i), b.e.Status(i))
 		}
@@ -369,7 +369,7 @@ func TestSparseMatchesDenseMixedTrace(t *testing.T) {
 						if op.kind != "step" {
 							ref.apply(t, op)
 							tw.apply(t, op)
-							if got, alive := tw.e.FrontierLen(), tw.e.AliveCount(); op.kind == "corrupt" && op.frac == 1 && 2*got < alive {
+							if got, alive := len(tw.e.pend), tw.e.AliveCount(); op.kind == "corrupt" && op.frac == 1 && 2*got < alive {
 								t.Fatalf("op %d: corruption pended only %d of %d alive nodes — cut-over not exercised", k, got, alive)
 							}
 							continue
@@ -389,7 +389,7 @@ func TestSparseMatchesDenseMixedTrace(t *testing.T) {
 						t.Fatal(err)
 					}
 					compareTwins(t, "final", ref, tw)
-					if got := tw.e.FrontierLen(); got != 0 {
+					if got := len(tw.e.pend); got != 0 {
 						t.Fatalf("stabilized frontier twin keeps %d nodes on the frontier", got)
 					}
 				})
@@ -410,7 +410,7 @@ func TestEngineCompactRemap(t *testing.T) {
 		if err := e.Kill(i); err != nil {
 			t.Fatal(err)
 		}
-		e.Graph().RemoveNode(i)
+		e.g.RemoveNode(i)
 	}
 	remap, n := e.CompactionRemap()
 	if n != 27 {

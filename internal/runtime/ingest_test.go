@@ -148,7 +148,7 @@ func TestGuardOnlyChangeRepublishesHeaderOnly(t *testing.T) {
 			if err := c.mutate(e); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.Run(c.steps); err != nil {
+			if err := runSteps(e, c.steps); err != nil {
 				t.Fatal(err)
 			}
 			if e.out[i].Nbrs == plant {

@@ -250,7 +250,7 @@ func TestDensityChangeWakesOneHop(t *testing.T) {
 			if err := e.SetDensityScale(mid, 0.5); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.Run(6); err != nil {
+			if err := runSteps(e, 6); err != nil {
 				t.Fatal(err)
 			}
 			after := e.Snapshot()
@@ -271,7 +271,7 @@ func TestDensityChangeWakesOneHop(t *testing.T) {
 			if widest != want {
 				t.Fatalf("widest worklist after a density change: %d nodes, want %d", widest, want)
 			}
-			if got := e.FrontierLen(); got != 0 {
+			if got := len(e.pend); got != 0 {
 				t.Fatalf("%d nodes still pending", got)
 			}
 		})

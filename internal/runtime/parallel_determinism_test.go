@@ -57,10 +57,10 @@ func TestParallelDeterminism(t *testing.T) {
 			e1 := build(1)
 			e4 := build(4)
 			for phase := 0; phase < 3; phase++ {
-				if err := e1.Run(15); err != nil {
+				if err := runSteps(e1, 15); err != nil {
 					t.Fatal(err)
 				}
-				if err := e4.Run(15); err != nil {
+				if err := runSteps(e4, 15); err != nil {
 					t.Fatal(err)
 				}
 				s1, s4 := e1.Snapshot(), e4.Snapshot()
@@ -174,7 +174,7 @@ func guardSkippingIsOutputEquivalent(t *testing.T, fusion bool) {
 	// neighborhoods — exactly the traffic a stale frame cache would get
 	// wrong. Both engines consume identical corruption streams.
 	cf, cr := rng.New(99), rng.New(99)
-	want := make([]Frame, fast.N())
+	want := make([]Frame, len(fast.nodes))
 	for s := 0; s < 80; s++ {
 		if s%7 == 3 {
 			fast.Corrupt(0.15, CorruptState, cf)

@@ -29,7 +29,7 @@ func BenchmarkPhaseBreakdown(b *testing.B) {
 			if err := e.SetSparse(false); err != nil {
 				b.Fatal(err)
 			}
-			if err := e.Run(5); err != nil {
+			if err := runSteps(e, 5); err != nil {
 				b.Fatal(err)
 			}
 			c := obs.NewCollector(1)

@@ -48,7 +48,7 @@ func TestStepProbeDisabledZeroAlloc(t *testing.T) {
 			// An attach/detach cycle must restore the exact nil-probe fast path.
 			c := obs.NewCollector(16)
 			e.SetProbe(c)
-			if err := e.Run(3); err != nil {
+			if err := runSteps(e, 3); err != nil {
 				t.Fatal(err)
 			}
 			e.SetProbe(nil)
@@ -149,7 +149,7 @@ func TestProbePhaseEmission(t *testing.T) {
 
 	// Cold start: the whole population pends, so the first steps hit the
 	// saturated dense fallback.
-	if err := e.Run(2); err != nil {
+	if err := runSteps(e, 2); err != nil {
 		t.Fatal(err)
 	}
 	m := c.Metrics()
@@ -164,7 +164,7 @@ func TestProbePhaseEmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := c.Metrics().Steps
-	if err := e.Run(4); err != nil {
+	if err := runSteps(e, 4); err != nil {
 		t.Fatal(err)
 	}
 	recs := c.Recent(4)

@@ -17,7 +17,7 @@ func BenchmarkStep1000(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Warm the caches so the steady-state cost is measured.
-	if err := e.Run(5); err != nil {
+	if err := runSteps(e, 5); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -37,7 +37,7 @@ func BenchmarkStep1000Fusion(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := e.Run(5); err != nil {
+	if err := runSteps(e, 5); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

@@ -246,7 +246,7 @@ func BenchmarkCompact(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := e.Run(3); err != nil {
+		if err := runSteps(e, 3); err != nil {
 			b.Fatal(err)
 		}
 		for k := 0; k < n/5; k++ {

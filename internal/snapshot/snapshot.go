@@ -242,19 +242,13 @@ type Flow struct {
 	DstID int64    `json:"dst"`
 	// Rate is the mean injection rate in packets per Δ(τ) step.
 	Rate float64 `json:"rate"`
-	// Start and Stop bound the steps the flow injects in; see Between.
+	// Start and Stop bound the steps the flow injects in, [Start, Stop]
+	// (1-based, counted in completed protocol steps; Stop 0 means forever).
 	Start int `json:"start,omitempty"`
 	Stop  int `json:"stop,omitempty"`
 	// HotspotSources > 0 makes the flow many-to-one: that many distinct
 	// sources, drawn at attach time, each send to DstID (SrcID is unused).
 	HotspotSources int `json:"hotspot_sources,omitempty"`
-}
-
-// Between restricts the flow to inject only in steps [start, stop]
-// (1-based, counted in completed protocol steps; stop 0 means forever).
-func (f Flow) Between(start, stop int) Flow {
-	f.Start, f.Stop = start, stop
-	return f
 }
 
 // TrafficConfig parameterizes the packet data plane attached to a

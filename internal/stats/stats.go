@@ -1,21 +1,13 @@
 // Package stats provides the small statistics toolkit used by the
-// experiment harness: streaming mean/variance (Welford), percentiles, and
+// experiment harness: a streaming, mergeable mean (Welford's update) and
 // plain-text table rendering in the style of the paper's Tables 3-5.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
-
 // Welford accumulates a stream of observations and exposes their running
-// mean and variance without storing the samples. The zero value is ready to
-// use.
+// mean without storing the samples. The zero value is ready to use.
 type Welford struct {
 	n    int
 	mean float64
-	m2   float64
 }
 
 // Add incorporates one observation.
@@ -23,39 +15,10 @@ func (w *Welford) Add(x float64) {
 	w.n++
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
 }
-
-// N returns the number of observations seen.
-func (w *Welford) N() int { return w.n }
 
 // Mean returns the running mean (0 for an empty accumulator).
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the unbiased sample variance (0 for fewer than two
-// observations).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// StdErr returns the standard error of the mean.
-func (w *Welford) StdErr() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.StdDev() / math.Sqrt(float64(w.n))
-}
-
-// CI95 returns the half-width of an approximate 95% confidence interval for
-// the mean (normal approximation, appropriate for the hundreds of runs the
-// experiments average over).
-func (w *Welford) CI95() float64 { return 1.96 * w.StdErr() }
 
 // Merge combines another accumulator into w (parallel Welford).
 func (w *Welford) Merge(o Welford) {
@@ -68,59 +31,8 @@ func (w *Welford) Merge(o Welford) {
 	}
 	n := w.n + o.n
 	delta := o.mean - w.mean
-	mean := w.mean + delta*float64(o.n)/float64(n)
-	m2 := w.m2 + o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	w.n, w.mean, w.m2 = n, mean, m2
+	w.n, w.mean = n, w.mean+delta*float64(o.n)/float64(n)
 }
-
-// Mean returns the arithmetic mean of xs (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	return w.StdDev()
-}
-
-// Percentile returns the p-th percentile of xs (p in [0, 100]) using linear
-// interpolation between closest ranks. It returns 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
 // Table renders aligned plain-text tables for experiment output, in the
 // visual style of the paper's result tables.
@@ -140,21 +52,6 @@ func (t *Table) AddRow(cells ...string) {
 	row := make([]string, len(t.header))
 	copy(row, cells)
 	t.rows = append(t.rows, row)
-}
-
-// AddRowf appends a row, formatting each cell with %v except float64 values,
-// which render with two decimals like the paper's tables.
-func (t *Table) AddRowf(cells ...interface{}) {
-	row := make([]string, 0, len(cells))
-	for _, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row = append(row, fmt.Sprintf("%.2f", v))
-		default:
-			row = append(row, fmt.Sprintf("%v", v))
-		}
-	}
-	t.AddRow(row...)
 }
 
 // String renders the table with a title line, a header row, a separator and

@@ -344,12 +344,6 @@ func (gi *GridIndex) Reactivate(i int) {
 	}
 }
 
-// Active reports whether node i currently has its radio on (i.e. it has
-// not been Deactivated).
-func (gi *GridIndex) Active(i int) bool {
-	return i >= 0 && i < len(gi.pts) && !gi.inactive[i]
-}
-
 // Compact drops the slots remap marks as removed (remap[old] < 0) and
 // renumbers survivors, truncating the index to newN nodes — the
 // dead-slot recycling half of the engine's Compact. Removed slots must
@@ -400,81 +394,6 @@ func (gi *GridIndex) bucketRemove(c, id int32) {
 			return
 		}
 	}
-}
-
-// Builder amortizes repeated from-scratch unit-disk constructions — a
-// mobility trace resampling FromPoints every step, or an experiment
-// deploying thousands of instances — by reusing every internal buffer
-// (cells, buckets, adjacency rows) across Build calls. The returned
-// graph is owned by the builder and valid only until the next Build;
-// Clone it to retain. For incremental maintenance of one persistent
-// topology use GridIndex.Update instead; the builder is for workloads
-// that genuinely rebuild.
-type Builder struct {
-	gi *GridIndex
-}
-
-// NewBuilder returns an empty builder.
-func NewBuilder() *Builder { return &Builder{} }
-
-// Build is FromPoints into the builder's reused buffers: nodes u != v are
-// adjacent iff their Euclidean distance is at most r.
-func (b *Builder) Build(pts []geom.Point, r float64) *Graph {
-	if b.gi == nil {
-		b.gi = NewGridIndex(pts, r)
-		return b.gi.g
-	}
-	return b.gi.rebuild(pts, r)
-}
-
-// rebuild re-anchors the index on pts and reconstructs cells, buckets and
-// adjacency from scratch into the retained buffers.
-func (gi *GridIndex) rebuild(pts []geom.Point, r float64) *Graph {
-	n := len(pts)
-	gi.r, gi.r2 = r, r*r
-	if cap(gi.pts) < n {
-		gi.pts = make([]geom.Point, n)
-	} else {
-		gi.pts = gi.pts[:n]
-	}
-	copy(gi.pts, pts)
-	if cap(gi.cell) < n {
-		gi.cell = make([]int32, n)
-	} else {
-		gi.cell = gi.cell[:n]
-	}
-	if cap(gi.inactive) < n {
-		gi.inactive = make([]bool, n)
-	} else {
-		gi.inactive = gi.inactive[:n]
-		for i := range gi.inactive {
-			gi.inactive[i] = false
-		}
-	}
-	gi.sizeGrid(nil)
-	cells := gi.cols * gi.rows
-	if cap(gi.buckets) < cells {
-		old := gi.buckets
-		gi.buckets = make([][]int32, cells)
-		copy(gi.buckets, old) // keep the old inner buckets' capacity
-	} else {
-		gi.buckets = gi.buckets[:cells]
-	}
-	for c := range gi.buckets {
-		gi.buckets[c] = gi.buckets[c][:0]
-	}
-	for i, p := range gi.pts {
-		c := gi.cellOf(p)
-		gi.cell[i] = c
-		gi.buckets[c] = append(gi.buckets[c], int32(i))
-	}
-	gi.g.resetTo(n)
-	if r > 0 {
-		for i := range gi.pts {
-			gi.g.adj[i] = gi.collectNeighbors(i, gi.g.adj[i])
-		}
-	}
-	return gi.g
 }
 
 // diffSorted computes newList minus oldList (added) and oldList minus

@@ -121,14 +121,14 @@ func TestGridIndexZeroRange(t *testing.T) {
 	src := rng.New(2)
 	pts := randPoints(20, src)
 	idx := NewGridIndex(pts, 0)
-	if idx.Graph().Edges() != 0 {
+	if edges(idx.Graph()) != 0 {
 		t.Fatal("zero range produced edges")
 	}
 	g, err := idx.Update(randPoints(20, src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Edges() != 0 {
+	if edges(g) != 0 {
 		t.Fatal("zero range update produced edges")
 	}
 }
@@ -164,43 +164,6 @@ func BenchmarkGridIndexUpdateMobility(b *testing.B) {
 		if _, err := idx.Update(pts); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkFromPointsMobility is the rebuild-from-scratch baseline for the
-// same workload.
-func BenchmarkFromPointsMobility(b *testing.B) {
-	src := rng.New(7)
-	pts := randPoints(1000, src)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range pts {
-			pts[j].X += (src.Float64() - 0.5) * 0.004
-			pts[j].Y += (src.Float64() - 0.5) * 0.004
-		}
-		FromPoints(pts, 0.1)
-	}
-}
-
-// BenchmarkBuilderMobility is the same rebuild-every-step workload
-// through the reusable Builder: construction buffers (cells, buckets,
-// adjacency rows) survive across builds, so the per-step allocation
-// bill of BenchmarkFromPointsMobility (~674 KB / 6.5k allocs) collapses
-// to whatever the jitter actually grew.
-func BenchmarkBuilderMobility(b *testing.B) {
-	src := rng.New(7)
-	pts := randPoints(1000, src)
-	builder := NewBuilder()
-	builder.Build(pts, 0.1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range pts {
-			pts[j].X += (src.Float64() - 0.5) * 0.004
-			pts[j].Y += (src.Float64() - 0.5) * 0.004
-		}
-		builder.Build(pts, 0.1)
 	}
 }
 
@@ -249,7 +212,7 @@ func TestGridIndexChurnMatchesOracle(t *testing.T) {
 				i := src.Intn(len(pts))
 				idx.Deactivate(i)
 				inactive[i] = true
-				if idx.Active(i) {
+				if !idx.inactive[i] {
 					t.Fatalf("node %d active after Deactivate", i)
 				}
 			case 2: // radio on
@@ -287,4 +250,133 @@ func TestGridIndexDeactivateIdempotent(t *testing.T) {
 	idx.Deactivate(3) // already inactive
 	idx.Reactivate(3)
 	graphsEqual(t, idx.Graph(), want, "deactivate/reactivate round trip")
+}
+
+// TestGridIndexCompactMatchesOracle: deactivate (kill) a subset, compact
+// under the monotone remap, and compare the surviving graph against the
+// brute-force unit-disk oracle over the surviving points.
+func TestGridIndexCompactMatchesOracle(t *testing.T) {
+	const r = 0.15
+	for seed := int64(0); seed < 3; seed++ {
+		src := rng.New(900 + seed)
+		pts := randPoints(80, src)
+		idx := NewGridIndexInRegion(pts, r, geom.UnitSquare())
+		dead := make([]bool, len(pts))
+		for k := 0; k < 25; k++ {
+			i := src.Intn(len(pts))
+			if !dead[i] {
+				dead[i] = true
+				idx.Deactivate(i)
+			}
+		}
+		remap := make([]int32, len(pts))
+		var survivors []geom.Point
+		next := int32(0)
+		for i := range pts {
+			if dead[i] {
+				remap[i] = -1
+				continue
+			}
+			remap[i] = next
+			next++
+			survivors = append(survivors, pts[i])
+		}
+		if err := idx.Compact(remap, int(next)); err != nil {
+			t.Fatal(err)
+		}
+		graphsEqual(t, idx.Graph(), FromPoints(survivors, r), "compacted graph")
+		// The compacted index must keep working incrementally: move a
+		// node, append one, and still match the oracle.
+		survivors[0].X = 1 - survivors[0].X
+		if _, err := idx.Update(survivors); err != nil {
+			t.Fatal(err)
+		}
+		graphsEqual(t, idx.Graph(), FromPoints(survivors, r), "post-compact update")
+		p := geom.Point{X: src.Float64(), Y: src.Float64()}
+		idx.Append(p)
+		survivors = append(survivors, p)
+		graphsEqual(t, idx.Graph(), FromPoints(survivors, r), "post-compact append")
+	}
+}
+
+// TestCompactRejectsActiveSlot: the remap may only drop deactivated
+// (edge-free) slots.
+func TestCompactRejectsActiveSlot(t *testing.T) {
+	pts := randPoints(10, rng.New(5))
+	idx := NewGridIndex(pts, 0.3)
+	remap := make([]int32, 10)
+	for i := range remap {
+		remap[i] = int32(i) - 1 // drop slot 0, which is still active
+	}
+	if err := idx.Compact(remap, 9); err == nil {
+		t.Fatal("compacting an active slot succeeded")
+	}
+}
+
+// TestAdjacencyChangeHook: every incremental operation must notify every
+// node whose adjacency list it changed (over-notification is allowed,
+// silence is not — the frontier engine depends on it).
+func TestAdjacencyChangeHook(t *testing.T) {
+	src := rng.New(31)
+	pts := randPoints(60, src)
+	const r = 0.2
+	idx := NewGridIndexInRegion(pts, r, geom.UnitSquare())
+	notified := map[int]bool{}
+	idx.SetOnAdjacencyChange(func(i int) { notified[i] = true })
+
+	adjCopy := func() [][]int {
+		g := idx.Graph()
+		out := make([][]int, g.N())
+		for i := range out {
+			out[i] = append([]int(nil), g.Neighbors(i)...)
+		}
+		return out
+	}
+	check := func(ctx string, before [][]int) {
+		t.Helper()
+		g := idx.Graph()
+		for i := 0; i < g.N() && i < len(before); i++ {
+			cur := g.Neighbors(i)
+			same := len(cur) == len(before[i])
+			if same {
+				for k := range cur {
+					if cur[k] != before[i][k] {
+						same = false
+						break
+					}
+				}
+			}
+			if !same && !notified[i] {
+				t.Fatalf("%s: node %d's adjacency changed without notification", ctx, i)
+			}
+		}
+	}
+
+	for iter := 0; iter < 60; iter++ {
+		before := adjCopy()
+		clear(notified)
+		switch src.Intn(4) {
+		case 0:
+			for j := 0; j < 1+src.Intn(4); j++ {
+				i := src.Intn(len(pts))
+				pts[i].X = src.Float64()
+				pts[i].Y = src.Float64()
+			}
+			if _, err := idx.Update(pts); err != nil {
+				t.Fatal(err)
+			}
+			check("update", before)
+		case 1:
+			p := geom.Point{X: src.Float64(), Y: src.Float64()}
+			idx.Append(p)
+			pts = append(pts, p)
+			check("append", before)
+		case 2:
+			idx.Deactivate(src.Intn(len(pts)))
+			check("deactivate", before)
+		case 3:
+			idx.Reactivate(src.Intn(len(pts)))
+			check("reactivate", before)
+		}
+	}
 }

@@ -42,23 +42,6 @@ func FromPoints(pts []geom.Point, r float64) *Graph {
 // N returns the number of nodes.
 func (g *Graph) N() int { return len(g.adj) }
 
-// resetTo empties the graph and resizes it to n nodes, keeping each
-// adjacency row's backing array for reuse (the Builder's rebuild path).
-func (g *Graph) resetTo(n int) {
-	if cap(g.adj) < n {
-		old := g.adj
-		g.adj = make([][]int, n)
-		copy(g.adj, old) // keep the old rows' capacity
-	} else {
-		g.adj = g.adj[:n]
-	}
-	for i := range g.adj {
-		if g.adj[i] != nil {
-			g.adj[i] = g.adj[i][:0]
-		}
-	}
-}
-
 // AddNode appends a new isolated vertex and returns its index. Indices of
 // existing nodes are unaffected — the graph only ever grows at the end, so
 // dense per-node arrays elsewhere stay aligned under churn.
@@ -122,41 +105,6 @@ func (g *Graph) MaxDegree() int {
 	return max
 }
 
-// Edges returns the number of undirected edges.
-func (g *Graph) Edges() int {
-	sum := 0
-	for _, a := range g.adj {
-		sum += len(a)
-	}
-	return sum / 2
-}
-
-// KNeighborhood returns N^k(u): every node within graph distance 1..k of u,
-// excluding u itself, in sorted order. k <= 0 yields an empty slice.
-func (g *Graph) KNeighborhood(u, k int) []int {
-	if k <= 0 || u < 0 || u >= len(g.adj) {
-		return nil
-	}
-	dist := map[int]int{u: 0}
-	frontier := []int{u}
-	var out []int
-	for d := 1; d <= k && len(frontier) > 0; d++ {
-		var next []int
-		for _, v := range frontier {
-			for _, w := range g.adj[v] {
-				if _, seen := dist[w]; !seen {
-					dist[w] = d
-					next = append(next, w)
-					out = append(out, w)
-				}
-			}
-		}
-		frontier = next
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Distances returns the BFS hop distance from u to every node; unreachable
 // nodes get -1.
 func (g *Graph) Distances(u int) []int {
@@ -180,18 +128,6 @@ func (g *Graph) Distances(u int) []int {
 		}
 	}
 	return dist
-}
-
-// Eccentricity returns the maximum finite BFS distance from u, i.e. the
-// eccentricity of u within its connected component.
-func (g *Graph) Eccentricity(u int) int {
-	max := 0
-	for _, d := range g.Distances(u) {
-		if d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // Components returns a component label per node (labels are 0-based and
@@ -221,28 +157,6 @@ func (g *Graph) Components() ([]int, int) {
 		n++
 	}
 	return comp, n
-}
-
-// IsConnected reports whether the graph has exactly one connected component
-// (the empty graph is considered connected).
-func (g *Graph) IsConnected() bool {
-	if len(g.adj) == 0 {
-		return true
-	}
-	_, n := g.Components()
-	return n == 1
-}
-
-// Diameter returns the largest eccentricity within any component
-// (ignoring unreachable pairs). It is O(V*E); fine at experiment scale.
-func (g *Graph) Diameter() int {
-	max := 0
-	for u := range g.adj {
-		if e := g.Eccentricity(u); e > max {
-			max = e
-		}
-	}
-	return max
 }
 
 // ClosedNeighborhoodLinks returns, for node u, the number of edges
@@ -317,7 +231,9 @@ func (g *Graph) Clone() *Graph {
 }
 
 // RemoveNode detaches u from all its neighbors (u stays as an isolated
-// vertex so indices remain stable). Used by churn experiments.
+// vertex so indices remain stable).
+//
+//selfstab:testref tests in runtime, routing, cluster and metric detach a node by hand to build the reference topology they compare against
 func (g *Graph) RemoveNode(u int) {
 	if u < 0 || u >= len(g.adj) {
 		return

@@ -27,25 +27,6 @@ func BenchmarkFromPoints1000(b *testing.B) {
 	}
 }
 
-// BenchmarkFromPointsBruteForceComparison shows why the grid index
-// matters: the quadratic construction at the same scale.
-func BenchmarkFromPointsBruteForceComparison(b *testing.B) {
-	pts := benchPoints(1000, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := New(len(pts))
-		for u := range pts {
-			for v := u + 1; v < len(pts); v++ {
-				if pts[u].Dist2(pts[v]) <= 0.01 {
-					g.adj[u] = append(g.adj[u], v)
-					g.adj[v] = append(g.adj[v], u)
-				}
-			}
-		}
-	}
-}
-
 // BenchmarkClosedNeighborhoodLinks is the density numerator, evaluated for
 // every node — the metric layer's hot loop.
 func BenchmarkClosedNeighborhoodLinks(b *testing.B) {
@@ -55,15 +36,6 @@ func BenchmarkClosedNeighborhoodLinks(b *testing.B) {
 		for u := 0; u < g.N(); u++ {
 			g.ClosedNeighborhoodLinks(u)
 		}
-	}
-}
-
-// BenchmarkKNeighborhood2 is the fusion rule's 2-hop scan.
-func BenchmarkKNeighborhood2(b *testing.B) {
-	g := FromPoints(benchPoints(1000, 3), 0.1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.KNeighborhood(i%g.N(), 2)
 	}
 }
 

@@ -1,9 +1,8 @@
 package topology
 
 import (
-	"sort"
+	"math"
 	"testing"
-	"testing/quick"
 
 	"selfstab/internal/geom"
 	"selfstab/internal/rng"
@@ -23,7 +22,7 @@ func path(t *testing.T, n int) *Graph {
 
 func TestNewEmpty(t *testing.T) {
 	g := New(0)
-	if g.N() != 0 || g.Edges() != 0 || !g.IsConnected() {
+	if g.N() != 0 || edges(g) != 0 {
 		t.Error("empty graph invariants violated")
 	}
 	if New(-3).N() != 0 {
@@ -96,8 +95,8 @@ func TestDegreeAndMaxDegree(t *testing.T) {
 	if g.MaxDegree() != 3 {
 		t.Errorf("MaxDegree = %d", g.MaxDegree())
 	}
-	if g.Edges() != 3 {
-		t.Errorf("Edges = %d", g.Edges())
+	if edges(g) != 3 {
+		t.Errorf("Edges = %d", edges(g))
 	}
 }
 
@@ -131,10 +130,10 @@ func TestFromPointsDegenerate(t *testing.T) {
 	if g := FromPoints(nil, 0.1); g.N() != 0 {
 		t.Error("nil points")
 	}
-	if g := FromPoints([]geom.Point{{X: 0, Y: 0}}, 0.1); g.N() != 1 || g.Edges() != 0 {
+	if g := FromPoints([]geom.Point{{X: 0, Y: 0}}, 0.1); g.N() != 1 || edges(g) != 0 {
 		t.Error("single point")
 	}
-	if g := FromPoints([]geom.Point{{X: 0, Y: 0}, {X: 0, Y: 0}}, 0); g.Edges() != 0 {
+	if g := FromPoints([]geom.Point{{X: 0, Y: 0}, {X: 0, Y: 0}}, 0); edges(g) != 0 {
 		t.Error("r=0 should produce no edges")
 	}
 }
@@ -153,59 +152,11 @@ func TestFromPointsMatchesBruteForce(t *testing.T) {
 		g := FromPoints(pts, r)
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
-				want := pts[u].Dist(pts[v]) <= r
-				if got := g.HasEdge(u, v); got != want {
+				d := math.Hypot(pts[u].X-pts[v].X, pts[u].Y-pts[v].Y)
+				if got, want := g.HasEdge(u, v), d <= r; got != want {
 					t.Fatalf("trial %d: edge (%d,%d) = %v, want %v (dist %v, r %v)",
-						trial, u, v, got, want, pts[u].Dist(pts[v]), r)
+						trial, u, v, got, want, d, r)
 				}
-			}
-		}
-	}
-}
-
-func TestKNeighborhoodPath(t *testing.T) {
-	g := path(t, 7) // 0-1-2-3-4-5-6
-	tests := []struct {
-		u, k int
-		want []int
-	}{
-		{3, 1, []int{2, 4}},
-		{3, 2, []int{1, 2, 4, 5}},
-		{3, 3, []int{0, 1, 2, 4, 5, 6}},
-		{0, 2, []int{1, 2}},
-		{3, 0, nil},
-		{3, 10, []int{0, 1, 2, 4, 5, 6}},
-	}
-	for _, tt := range tests {
-		got := g.KNeighborhood(tt.u, tt.k)
-		if len(got) != len(tt.want) {
-			t.Errorf("K(%d,%d) = %v, want %v", tt.u, tt.k, got, tt.want)
-			continue
-		}
-		for i := range tt.want {
-			if got[i] != tt.want[i] {
-				t.Errorf("K(%d,%d) = %v, want %v", tt.u, tt.k, got, tt.want)
-				break
-			}
-		}
-	}
-}
-
-func TestKNeighborhoodExcludesSelf(t *testing.T) {
-	g := New(3)
-	if err := g.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(2, 0); err != nil {
-		t.Fatal(err)
-	}
-	for k := 1; k <= 3; k++ {
-		for _, v := range g.KNeighborhood(0, k) {
-			if v == 0 {
-				t.Errorf("k=%d: neighborhood contains the node itself", k)
 			}
 		}
 	}
@@ -232,19 +183,6 @@ func TestDistancesUnreachable(t *testing.T) {
 	}
 }
 
-func TestEccentricityAndDiameter(t *testing.T) {
-	g := path(t, 6)
-	if e := g.Eccentricity(0); e != 5 {
-		t.Errorf("ecc(0) = %d, want 5", e)
-	}
-	if e := g.Eccentricity(2); e != 3 {
-		t.Errorf("ecc(2) = %d, want 3", e)
-	}
-	if d := g.Diameter(); d != 5 {
-		t.Errorf("diameter = %d, want 5", d)
-	}
-}
-
 func TestComponents(t *testing.T) {
 	g := New(6)
 	if err := g.AddEdge(0, 1); err != nil {
@@ -262,9 +200,6 @@ func TestComponents(t *testing.T) {
 	}
 	if comp[0] == comp[2] || comp[4] == comp[5] {
 		t.Errorf("distinct components merged: %v", comp)
-	}
-	if g.IsConnected() {
-		t.Error("disconnected graph reported connected")
 	}
 }
 
@@ -325,40 +260,11 @@ func TestRemoveNode(t *testing.T) {
 	g.RemoveNode(99)
 }
 
-// Property: in any unit-disk graph, KNeighborhood(u, diameter) spans u's
-// whole component.
-func TestKNeighborhoodSpansComponent(t *testing.T) {
-	src := rng.New(5)
-	f := func(seed int64) bool {
-		local := rng.New(seed)
-		n := 10 + local.Intn(40)
-		pts := make([]geom.Point, n)
-		for i := range pts {
-			pts[i] = geom.Point{X: local.Float64(), Y: local.Float64()}
-		}
-		g := FromPoints(pts, 0.3)
-		u := local.Intn(n)
-		nbh := g.KNeighborhood(u, n) // n >= any diameter
-		dist := g.Distances(u)
-		reachable := 0
-		for v, d := range dist {
-			if v != u && d > 0 {
-				reachable++
-				if !contains(nbh, v) {
-					return false
-				}
-			}
-		}
-		return reachable == len(nbh)
+// edges returns the number of undirected edges.
+func edges(g *Graph) int {
+	sum := 0
+	for _, a := range g.adj {
+		sum += len(a)
 	}
-	cfg := &quick.Config{MaxCount: 30, Values: nil}
-	_ = src
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func contains(sorted []int, v int) bool {
-	i := sort.SearchInts(sorted, v)
-	return i < len(sorted) && sorted[i] == v
+	return sum / 2
 }

@@ -31,14 +31,13 @@ import (
 	"selfstab/internal/snapshot"
 )
 
-// Config, Defense and the two enums are the journal's records
+// Config, Defense and FlowKind are the journal's records
 // (internal/snapshot documents every field): the engine takes them as the
 // caller gave them instead of re-declaring them.
 type (
-	Config     = snapshot.TrafficConfig
-	Defense    = snapshot.DefenseConfig
-	Discipline = snapshot.QueueDiscipline
-	FlowKind   = snapshot.FlowKind
+	Config   = snapshot.TrafficConfig
+	Defense  = snapshot.DefenseConfig
+	FlowKind = snapshot.FlowKind
 )
 
 // Re-exported enum values.
@@ -768,13 +767,6 @@ func (e *Engine) Load() []int64 {
 	return append([]int64(nil), e.load...)
 }
 
-// Recv returns a copy of the per-node reception-event counts. Every
-// forwarding event charged to a sender in Load has exactly one matching
-// reception here, so the totals of the two vectors are always equal.
-func (e *Engine) Recv() []int64 {
-	return append([]int64(nil), e.recv...)
-}
-
 // LoadAt returns node i's cumulative transmission count without copying —
 // the allocation-free per-step hook the energy subsystem charges tx costs
 // from (0 for out-of-range indices, so callers racing a Resize stay safe).
@@ -786,7 +778,8 @@ func (e *Engine) LoadAt(i int) int64 {
 }
 
 // RecvAt returns node i's cumulative reception count without copying (0
-// for out-of-range indices).
+// for out-of-range indices). Every forwarding event charged to a sender in
+// Load has exactly one matching reception, so the two totals are equal.
 func (e *Engine) RecvAt(i int) int64 {
 	if i < 0 || i >= len(e.recv) {
 		return 0

@@ -388,7 +388,7 @@ func TestRecvCountersMatchLoad(t *testing.T) {
 	cfg, flows := Config{}, []FlowSpec{{Kind: CBR, Src: 0, Dst: 3, Rate: 1}}
 	e := mustEngine(t, 4, cfg, flows, lineHooks(), 1)
 	runSteps(t, e, 50)
-	load, recv := e.Load(), e.Recv()
+	load, recv := e.Load(), e.recv
 	var txTotal, rxTotal int64
 	for i := range load {
 		txTotal += load[i]

@@ -46,8 +46,12 @@ func TestSVGWellFormed(t *testing.T) {
 	if got := strings.Count(svg, "<circle"); got != g.N() {
 		t.Errorf("drew %d circles for %d nodes", got, g.N())
 	}
-	if got := strings.Count(svg, "<line"); got != g.Edges() {
-		t.Errorf("drew %d lines for %d edges", got, g.Edges())
+	degrees := 0
+	for u := 0; u < g.N(); u++ {
+		degrees += g.Degree(u)
+	}
+	if got := strings.Count(svg, "<line"); got != degrees/2 {
+		t.Errorf("drew %d lines for %d edges", got, degrees/2)
 	}
 	// Heads are outlined.
 	if got := strings.Count(svg, `stroke="black"`); got != len(a.Heads()) {

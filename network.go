@@ -320,8 +320,7 @@ func (n *Network) setPositionsImpl(positions []Point) error {
 	// Update repaired the engine's graph in place and — via the grid's
 	// adjacency hook — activated exactly the nodes whose edge sets moved,
 	// so the frontier re-examines the motion, not the network. Only the
-	// epoch needs advancing (a SetGraph here would conservatively
-	// re-examine all N nodes).
+	// epoch needs advancing.
 	n.engine.NoteTopologyChanged()
 	n.pts = pts
 	n.g = g

@@ -476,7 +476,9 @@ func TestFailedOpsAreNotJournaled(t *testing.T) {
 		}},
 		{"spawn_flows", "stop before start", nil, withTraffic, func(t *testing.T, n *Network) error {
 			ids := firstAliveIDs(t, n, 2)
-			return n.SpawnFlows(CBRFlow(ids[0], ids[1], 1).Between(9, 3))
+			f := CBRFlow(ids[0], ids[1], 1)
+			f.Start, f.Stop = 9, 3
+			return n.SpawnFlows(f)
 		}},
 		{"scale_density", "scale not positive", nil, nil, func(t *testing.T, n *Network) error {
 			return n.InflateDensity(0, first(t, n))

@@ -3,9 +3,9 @@
 #
 # Order: the cheap universal checks first (gofmt, go vet), then the
 # repo's own analyzer suite (cmd/selfstab-lint: detrand, maporder,
-# journalchoke, hotpath, obspure — see internal/analyze), then the
-# third-party
-# scanners (staticcheck, govulncheck) when they are installed. The
+# journalchoke, hotpath, obspure, testonly — see internal/analyze), then
+# the third-party scanners (staticcheck, govulncheck) when they are
+# installed. The
 # third-party tools are gated on availability rather than installed on
 # the fly so the script works offline; CI installs pinned versions.
 set -euo pipefail
