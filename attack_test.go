@@ -23,127 +23,12 @@ func attackNet(t *testing.T, seed int64) *Network {
 	return net
 }
 
-// runAttackTrace drives a world through every adversarial op the journal
-// carries: defense installation, a head-targeted flood, byzantine density
-// inflation, and a sybil burst. Deterministic for a fixed seed, so the
-// same trace must reproduce bit-identically across worker counts and
-// snapshot restores.
-func runAttackTrace(t *testing.T, net *Network) {
-	t.Helper()
-	if err := net.Run(6); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.SetTrafficDefense(DefenseConfig{
-		HeadAdmission: true, HeadRate: 0.75, HeadBurst: 3, SourceCap: 2,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.FloodHeads(6, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Run(8); err != nil {
-		t.Fatal(err)
-	}
-	liars := firstAliveIDs(t, net, 2)
-	if err := net.InflateDensity(4, liars...); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Run(8); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.SybilJoin(liars[0], 5, 0.04); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Run(6); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// continueAttackTrace applies identical post-snapshot mutations: the
-// defense response (eviction of the given liars, computed once from the
-// original world so both receive byte-identical calls) and defense
-// removal.
-func continueAttackTrace(t *testing.T, net *Network, evict []int64) {
-	t.Helper()
-	if err := net.EvictNodes(evict...); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Run(6); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.SetTrafficDefense(DefenseConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Run(4); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestAttackDeterminism: the full adversarial trace — flood, byzantine
-// inflation, sybil burst, defenses — produces bit-identical worlds at 1
-// and 4 workers. Attacks are ordinary journaled ops; the determinism
-// contract does not bend for them.
+// inflation, sybil burst, defenses, eviction — is bit-identical at 1 and 4
+// workers; attacks are ordinary journaled ops. It is the determinism
+// matrix's attack trace on the lossless world at both worker counts.
 func TestAttackDeterminism(t *testing.T) {
-	build := func(workers int) worldFingerprint {
-		net := attackNet(t, 20260810)
-		net.SetParallelism(workers)
-		runAttackTrace(t, net)
-		return fingerprint(t, net)
-	}
-	baseline := build(1)
-	if baseline.Traffic == nil || baseline.Traffic.Offered == 0 {
-		t.Fatal("degenerate trace: no traffic offered")
-	}
-	if baseline.Traffic.DropsAdmission+baseline.Traffic.DropsRateLimit == 0 {
-		t.Fatal("degenerate trace: defenses never fired")
-	}
-	requireSameWorld(t, "4 workers", baseline, build(4))
-}
-
-// TestAttackReplayOracle is the snapshot contract under adversarial load:
-// snapshot a world mid-attack — flood flows live, densities inflated,
-// defenses installed, sybils joined — restore it, and (a) the restored
-// world is bit-identical, (b) its own snapshot is byte-identical (the
-// replayed journal chains), and (c) continuing BOTH worlds with the same
-// defense response keeps them bit-identical.
-func TestAttackReplayOracle(t *testing.T) {
-	net := attackNet(t, 20260811)
-	runAttackTrace(t, net)
-
-	var snap bytes.Buffer
-	if err := net.WriteSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := ReadSnapshot(bytes.NewReader(snap.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameWorld(t, "at snapshot step",
-		fingerprint(t, net), fingerprint(t, restored))
-
-	var resnap bytes.Buffer
-	if err := restored.WriteSnapshot(&resnap); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(snap.Bytes(), resnap.Bytes()) {
-		t.Fatalf("restored world's snapshot differs from the original's:\noriginal:\n%s\nrestored:\n%s",
-			snap.String(), resnap.String())
-	}
-
-	// The defense response: both worlds must agree on who is implausible,
-	// and evicting them must keep the twins identical.
-	evict := net.ImplausibleNodes(1.1)
-	if len(evict) == 0 {
-		t.Fatal("no implausible nodes detected after density inflation")
-	}
-	restoredEvict := restored.ImplausibleNodes(1.1)
-	if len(restoredEvict) != len(evict) {
-		t.Fatalf("twins disagree on detection: %v vs %v", evict, restoredEvict)
-	}
-	continueAttackTrace(t, net, evict)
-	continueAttackTrace(t, restored, evict)
-	requireSameWorld(t, "after continuing both worlds",
-		fingerprint(t, net), fingerprint(t, restored))
+	replayCells(t, "attack", "lossless", cell{workers: 1}, cell{workers: 4})
 }
 
 // TestDefendedLedgerIdentity: under a flood with both defenses firing,

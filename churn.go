@@ -57,7 +57,7 @@ type DisruptionRecord = runtime.DisruptionRecord
 
 // ConvergenceStats is the convergence ledger: every closed disruption
 // episode plus aggregates. For a fixed seed it is bit-identical at any
-// parallelism (pinned by TestChurnDeterminism).
+// parallelism (pinned by TestDeterminismMatrix).
 type ConvergenceStats struct {
 	// Disruptions lists the closed episodes in order.
 	Disruptions []DisruptionRecord

@@ -23,65 +23,12 @@ func churnNet(t testing.TB, nodes int, seed int64, opts ...Option) *Network {
 	return net
 }
 
-// TestChurnDeterminism is the acceptance contract of the churn subsystem:
-// a fixed seed under a churn schedule plus live traffic yields
-// bit-identical ConvergenceStats AND TrafficStats at 1 and 4 workers.
+// TestChurnDeterminism: under a churn schedule plus live traffic,
+// ConvergenceStats and TrafficStats are bit-identical at 1 and 4 workers.
+// It is the determinism matrix's mixed trace on the lossy (tau 0.7) world
+// at both worker counts.
 func TestChurnDeterminism(t *testing.T) {
-	build := func(workers int) (ConvergenceStats, TrafficStats, []Cluster) {
-		net := churnNet(t, 250, 424242)
-		net.SetParallelism(workers)
-		if err := net.AttachTraffic(TrafficConfig{
-			QueueCap: 8,
-			Flows:    mixedWorkload(net, 10),
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := net.AttachChurn(ChurnConfig{
-			ArrivalRate:   0.15,
-			DepartureRate: 0.1,
-			CrashRate:     0.2,
-			SleepRate:     0.2,
-			SleepSteps:    8,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := net.Run(120); err != nil {
-			t.Fatal(err)
-		}
-		// Stop churning and let the survivors re-stabilize so the final
-		// episode closes into the ledger.
-		net.DetachChurn()
-		if _, err := net.Stabilize(2000); err != nil {
-			t.Fatal(err)
-		}
-		cs := net.ConvergenceStats()
-		ts, err := net.TrafficStats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cs, ts, net.Clusters()
-	}
-	c1, t1, cl1 := build(1)
-	c4, t4, cl4 := build(4)
-	if !reflect.DeepEqual(c1, c4) {
-		t.Fatalf("convergence ledger diverged between 1 and 4 workers:\n1: %+v\n4: %+v", c1, c4)
-	}
-	if !reflect.DeepEqual(t1, t4) {
-		t.Fatalf("traffic stats diverged between 1 and 4 workers:\n1: %+v\n4: %+v", t1, t4)
-	}
-	if !reflect.DeepEqual(cl1, cl4) {
-		t.Fatalf("clusterings diverged between 1 and 4 workers")
-	}
-	if len(c1.Disruptions) == 0 {
-		t.Fatal("churn run closed no disruption episodes")
-	}
-	if c1.Open {
-		t.Error("episode still open after detach + stabilize")
-	}
-	if t1.Offered == 0 {
-		t.Fatalf("degenerate traffic run: %+v", t1)
-	}
-	checkTrafficLedger(t, t1)
+	replayCells(t, "mixed", "tau0.7", cell{workers: 1}, cell{workers: 4})
 }
 
 // TestChurnRestabilizesToOracle: after a battery of manual churn — add,

@@ -22,9 +22,14 @@ import (
 // protocol state, Clusters, Stats, TrafficStats, EnergyStats and
 // ConvergenceStats are all bit-identical to a run that never compacted
 // (survivors keep their relative order, so every index-ordered loop
-// visits them in the same sequence). What does change is the meaning of
-// node *indices*: Positions, State(i) and friends renumber, and N()
-// shrinks by the returned count. Call between steps — never from a hook.
+// visits them in the same sequence). Three draws are the exception: fault
+// injection, the slotted medium and the randomized daemon draw once per
+// index slot, dead slots included, so after a compaction they consume
+// their streams differently from a run that never compacted. Replay is
+// unaffected: it compacts exactly where the original did. What does
+// change is the meaning of node *indices*: Positions, State(i) and
+// friends renumber, and N() shrinks by the returned count. Call between
+// steps — never from a hook.
 func (n *Network) Compact() (removed int, err error) {
 	oldN := len(n.pts)
 	if err := n.applyOp(snapshot.Op{Kind: snapshot.OpCompact}); err != nil {

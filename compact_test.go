@@ -1,68 +1,10 @@
 package selfstab
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
-// compactObservables gathers every identifier-keyed ledger a compaction
-// must leave untouched.
-type compactObservables struct {
-	clusters []Cluster
-	stats    Stats
-	conv     ConvergenceStats
-	traffic  TrafficStats
-	energy   EnergyStats
-	alive    int
-	sleeping int
-}
-
-func observe(t *testing.T, net *Network) compactObservables {
-	t.Helper()
-	ts, err := net.TrafficStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	es, err := net.EnergyStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := compactObservables{
-		clusters: net.Clusters(),
-		stats:    net.Stats(),
-		conv:     net.ConvergenceStats(),
-		traffic:  ts,
-		energy:   es,
-	}
-	o.alive, o.sleeping, _ = net.Population()
-	return o
-}
-
-func compareObservables(t *testing.T, label string, a, b compactObservables) {
-	t.Helper()
-	if !reflect.DeepEqual(a.clusters, b.clusters) {
-		t.Fatalf("%s: clusterings diverged", label)
-	}
-	if a.stats != b.stats {
-		t.Fatalf("%s: stats diverged:\n%+v\n%+v", label, a.stats, b.stats)
-	}
-	if !reflect.DeepEqual(a.conv, b.conv) {
-		t.Fatalf("%s: convergence ledgers diverged:\n%+v\n%+v", label, a.conv, b.conv)
-	}
-	if !reflect.DeepEqual(a.traffic, b.traffic) {
-		t.Fatalf("%s: traffic ledgers diverged:\n%+v\n%+v", label, a.traffic, b.traffic)
-	}
-	if !reflect.DeepEqual(a.energy, b.energy) {
-		t.Fatalf("%s: energy ledgers diverged:\n%+v\n%+v", label, a.energy, b.energy)
-	}
-	if a.alive != b.alive || a.sleeping != b.sleeping {
-		t.Fatalf("%s: operating populations diverged: %d/%d vs %d/%d",
-			label, a.alive, a.sleeping, b.alive, b.sleeping)
-	}
-}
-
-// compactNet is a churn + traffic + energy network for the compaction
-// oracles: enough departures that dead slots actually accumulate.
+// compactNet is a churn + traffic + energy network: enough departures
+// that dead slots actually accumulate, and every phase of the step path
+// fires.
 func compactNet(t *testing.T, seed int64) *Network {
 	t.Helper()
 	net := churnNet(t, 220, seed)
@@ -100,7 +42,7 @@ func TestCompactStatsInvariant(t *testing.T) {
 	if dead < 5 {
 		t.Fatalf("churn produced only %d dead slots; test needs more", dead)
 	}
-	before := observe(t, net)
+	before := fingerprint(t, net)
 	nBefore := net.N()
 	removed, err := net.Compact()
 	if err != nil {
@@ -112,50 +54,13 @@ func TestCompactStatsInvariant(t *testing.T) {
 	if net.N() != nBefore-dead {
 		t.Fatalf("N() = %d after compacting %d of %d", net.N(), dead, nBefore)
 	}
-	compareObservables(t, "across Compact", before, observe(t, net))
+	requireSameWorld(t, "across Compact", before.compacted(), fingerprint(t, net))
 	if _, _, d := net.Population(); d != 0 {
 		t.Fatalf("%d dead slots survived Compact", d)
 	}
 	// A second Compact with nothing to reclaim is a no-op.
 	if removed, err := net.Compact(); err != nil || removed != 0 {
 		t.Fatalf("idle Compact: removed %d, err %v", removed, err)
-	}
-}
-
-// TestCompactTwinEquivalence is the strong compaction oracle: two
-// identical churn + traffic + energy runs, one compacting repeatedly
-// mid-run, must stay bit-identical in every identifier-keyed observable
-// for the rest of the execution — compaction may renumber indices but
-// must never alter what the simulation computes.
-func TestCompactTwinEquivalence(t *testing.T) {
-	plain := compactNet(t, 616)
-	compacted := compactNet(t, 616)
-	for seg := 0; seg < 4; seg++ {
-		if err := plain.Run(45); err != nil {
-			t.Fatal(err)
-		}
-		if err := compacted.Run(45); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := compacted.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		compareObservables(t, "mid-run segment", observe(t, plain), observe(t, compacted))
-	}
-	// Let both settle and check the final clustering is legitimate.
-	plain.DetachChurn()
-	compacted.DetachChurn()
-	plain.DetachEnergy()
-	compacted.DetachEnergy()
-	if _, err := plain.Stabilize(3000); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := compacted.Stabilize(3000); err != nil {
-		t.Fatal(err)
-	}
-	compareObservables(t, "final", observe(t, plain), observe(t, compacted))
-	if err := compacted.Verify(); err != nil {
-		t.Fatalf("compacted twin failed verification: %v", err)
 	}
 }
 
@@ -211,33 +116,5 @@ func TestSetAutoCompactValidation(t *testing.T) {
 	}
 	if err := net.SetAutoCompact(0); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestNetworkSparseMatchesDense: the public-layer twin of the runtime
-// equivalence oracle — a full churn + traffic + energy run must produce
-// identical ledgers with frontier stepping on and off.
-func TestNetworkSparseMatchesDense(t *testing.T) {
-	build := func(sparse bool, workers int) compactObservables {
-		net := compactNet(t, 919)
-		net.SetParallelism(workers)
-		if err := net.engine.SetSparse(sparse); err != nil {
-			t.Fatal(err)
-		}
-		if !sparse && net.SparseStepping() {
-			t.Fatal("dense twin still sparse")
-		}
-		if err := net.Run(130); err != nil {
-			t.Fatal(err)
-		}
-		net.DetachChurn()
-		if _, err := net.Stabilize(3000); err != nil {
-			t.Fatal(err)
-		}
-		return observe(t, net)
-	}
-	dense := build(false, 1)
-	for _, workers := range []int{1, 4} {
-		compareObservables(t, "sparse vs dense", dense, build(true, workers))
 	}
 }

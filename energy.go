@@ -149,7 +149,7 @@ func (n *Network) installStepPhases() {
 
 // EnergyStats is the battery ledger of the attached energy model; for a
 // fixed seed it is bit-identical at any parallelism (pinned by
-// TestEnergyDeterminism). It is energy.Stats.
+// TestDeterminismMatrix). It is energy.Stats.
 type EnergyStats = energy.Stats
 
 // EnergyStats snapshots the attached battery model's ledger. It fails if

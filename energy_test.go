@@ -1,10 +1,6 @@
 package selfstab
 
-import (
-	"math"
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // energyNet builds a stabilized network configured for the energy
 // subsystem (cache TTL for depletion-driven departures).
@@ -118,56 +114,12 @@ func TestEnergyClosedLoop(t *testing.T) {
 	}
 }
 
-// TestEnergyDeterminism mirrors the churn/traffic contracts: a fixed seed
-// with traffic, duty-cycle churn and the battery model (rotation on)
-// yields bit-identical EnergyStats, ConvergenceStats and per-node
-// batteries at 1 and 4 workers. The battery pass is sequential by
-// construction; the worker axis exercises the protocol engine under it,
-// whose roles, kills and rescales are every input and output of the pass.
+// TestEnergyDeterminism: with traffic, duty-cycle churn and the battery
+// model (rotation on), EnergyStats and every battery are bit-identical at
+// 1 and 4 workers. It is the determinism matrix's mixed trace on the
+// randomized-daemon world at both worker counts.
 func TestEnergyDeterminism(t *testing.T) {
-	build := func(workers int) (EnergyStats, ConvergenceStats, []float64) {
-		net := energyNet(t, 250, 424242)
-		net.SetParallelism(workers)
-		attachHotspotDrain(t, net, true)
-		if err := net.AttachChurn(ChurnConfig{
-			SleepRate:  0.5,
-			SleepSteps: 10,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := net.Run(200); err != nil {
-			t.Fatal(err)
-		}
-		es, err := net.EnergyStats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rem, err := net.EnergyRemaining()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return es, net.ConvergenceStats(), rem
-	}
-	e1, c1, r1 := build(1)
-	e4, c4, r4 := build(4)
-	if !reflect.DeepEqual(e1, e4) {
-		t.Fatalf("energy ledger diverged between 1 and 4 workers:\n1: %+v\n4: %+v", e1, e4)
-	}
-	if !reflect.DeepEqual(c1, c4) {
-		t.Fatalf("convergence ledger diverged between 1 and 4 workers:\n1: %+v\n4: %+v", c1, c4)
-	}
-	if !reflect.DeepEqual(r1, r4) {
-		t.Fatal("per-node batteries diverged between 1 and 4 workers")
-	}
-	if e1.Steps != 200 || e1.TotalDrain == 0 {
-		t.Fatalf("degenerate energy run: %+v", e1)
-	}
-	if e1.SleepSteps == 0 {
-		t.Fatalf("duty-cycle churn never slept anyone: %+v", e1)
-	}
-	if got := e1.DrainHead + e1.DrainMember + e1.DrainSleep + e1.DrainTx + e1.DrainRx; math.Abs(got-e1.TotalDrain) > 1e-9 {
-		t.Fatalf("drain identity broken: parts %v, total %v", got, e1.TotalDrain)
-	}
+	replayCells(t, "mixed", "daemon0.6", cell{workers: 1}, cell{workers: 4})
 }
 
 // TestEnergyVerifyUnderRotation: the legitimacy predicate stays exact

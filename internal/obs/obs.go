@@ -19,7 +19,8 @@
 // return nothing, the engine core never calls a value-returning function
 // of this package, and the obspure analyzer (internal/analyze) enforces
 // both directions statically. Tracing on versus off is therefore
-// bit-identical, pinned by the probe-determinism oracle tests.
+// bit-identical, pinned by the probe axis of the root package's
+// determinism matrix.
 package obs
 
 // Phase identifies one phase of a Δ(τ) step. The engine brackets each

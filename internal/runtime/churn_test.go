@@ -362,7 +362,9 @@ func TestEngineKillAndSleepHeal(t *testing.T) {
 
 // TestEngineChurnParallelDeterminism: a scripted churn schedule (joins,
 // kills, crashes, sleep/wake) must yield bit-identical snapshots AND a
-// bit-identical convergence ledger at 1 and 4 workers.
+// bit-identical convergence ledger at 1 and 4 workers. The root
+// determinism matrix churns through the Network; this test edits the
+// graph and the engine directly from a pre-step hook, as no Network does.
 func TestEngineChurnParallelDeterminism(t *testing.T) {
 	run := func(workers int) (Snapshot, []DisruptionRecord) {
 		g, ids := randomNetwork(133, 200, 0.12)

@@ -398,33 +398,6 @@ func TestConvergenceUnderSlottedMedium(t *testing.T) {
 	}
 }
 
-func TestEngineDeterminism(t *testing.T) {
-	g, ids := randomNetwork(21, 60, 0.18)
-	proto := Protocol{Order: cluster.OrderBasic, UseDag: true, Gamma: int64(g.MaxDegree()*g.MaxDegree() + 1)}
-	m1, err := radio.NewBernoulli(0.7, rng.New(900))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := radio.NewBernoulli(0.7, rng.New(900))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1 := mustEngine(t, g, ids, proto, m1, 901)
-	e2 := mustEngine(t, g, ids, proto, m2, 901)
-	if err := runSteps(e1, 50); err != nil {
-		t.Fatal(err)
-	}
-	if err := runSteps(e2, 50); err != nil {
-		t.Fatal(err)
-	}
-	s1, s2 := e1.Snapshot(), e2.Snapshot()
-	for u := range s1.HeadID {
-		if s1.HeadID[u] != s2.HeadID[u] || s1.TieID[u] != s2.TieID[u] || s1.Density[u] != s2.Density[u] {
-			t.Fatalf("node %d diverged between identical runs", u)
-		}
-	}
-}
-
 func TestRunUntilStableBudget(t *testing.T) {
 	// A two-node network under an always-lossy... we cannot make tau 0, so
 	// instead use a tiny budget that cannot possibly suffice.

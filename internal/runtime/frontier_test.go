@@ -349,6 +349,12 @@ func compareTwins(t *testing.T, label string, a, b *twin) {
 // bit-identical, step by step, to its full-scan twin. Every trace ends with
 // whole-population corruptions of the settled world, so every row also
 // crosses the saturation cut-over in both directions.
+//
+// The root determinism matrix compares whole worlds at a cut and at the
+// end, so it cannot see this test's subject: the engine compared after every
+// single step, the saturation cut-over asserted, and the drained
+// worklist of the settled frontier. Its twin and trace builder are shared
+// with TestCachedLinkCountMatchesRecount and the alive-index tests.
 func TestSparseMatchesDenseMixedTrace(t *testing.T) {
 	protos := map[string]Protocol{
 		"basic-ttl4": {Order: cluster.OrderBasic, CacheTTL: 4},

@@ -2,7 +2,10 @@ package runtime
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"selfstab/internal/cluster"
@@ -15,7 +18,9 @@ import (
 // honor: for a fixed seed, Snapshot trajectories are bit-identical
 // regardless of worker count — under the perfect and the Bernoulli medium,
 // with the DAG's per-node color draws, and with a randomized daemon
-// (ActivationProb < 1) whose scheduling draws must stay ordered.
+// (ActivationProb < 1) whose scheduling draws must stay ordered. The root
+// determinism matrix replays Network journals; this test drives the engine
+// alone, with no Network layer between, and compares it every 15 steps.
 func TestParallelDeterminism(t *testing.T) {
 	type scenario struct {
 		name       string
@@ -78,6 +83,9 @@ func TestParallelDeterminism(t *testing.T) {
 // TestForEachVisitsEachNodeOnce sweeps visit-list lengths against worker
 // counts up to the many-core shapes (chunks·(chunks−1) > n) where a
 // rounded-up chunk size would start the last chunks past the list's end.
+// The root determinism matrix runs 1 and 4 workers over worlds of a few
+// hundred nodes; the chunk boundaries of every length at 13, 16 and 64
+// workers are only swept here.
 func TestForEachVisitsEachNodeOnce(t *testing.T) {
 	g, ids := randomNetwork(3, 10, 0.3)
 	e := mustEngine(t, g, ids, Protocol{Order: cluster.OrderBasic}, radio.Perfect{}, 1)
@@ -92,6 +100,21 @@ func TestForEachVisitsEachNodeOnce(t *testing.T) {
 				t.Fatalf("workers %d, n %d: node %d visited %d times", workers, n, i, seen[i])
 			}
 		}
+	}
+}
+
+// TestRootFanOutIsParallelThreshold: the root determinism matrix fails a
+// trace whose widest step visits fewer than fanOut nodes, because below
+// parallelThreshold its 4-worker cells never split a phase. It cannot
+// see this package's constant, so it keeps a copy, and this test reads
+// that copy.
+func TestRootFanOutIsParallelThreshold(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "determinism_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("const fanOut = %d\n", parallelThreshold); !strings.Contains(string(src), want) {
+		t.Fatalf("determinism_test.go does not declare %q", strings.TrimSpace(want))
 	}
 }
 
@@ -275,7 +298,9 @@ func TestStatesEqualLengthGuard(t *testing.T) {
 }
 
 // TestParallelMatchesSequentialStabilization: the stabilization step index
-// — not just the final state — must agree across worker counts.
+// — not just the final state — must agree across worker counts. The root
+// determinism matrix compares LastChange on one sticky + fusion trace;
+// this test asks RunUntilStable itself, from three cold starts.
 func TestParallelMatchesSequentialStabilization(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		g, ids := randomNetwork(200+seed, 200, 0.12)

@@ -9,45 +9,13 @@ import (
 	"selfstab/internal/obs"
 )
 
-// TestProbeDeterminism is the tracing-on-vs-off oracle: through a mixed
-// churn + traffic + energy trace (compactNet: every phase of the step path
-// fires, so a probe that perturbed anything would be caught), a network
-// with a Collector attached produces bit-identical clusters, stats and
-// ledgers to a probe-free twin — at 1 and 4 workers.
+// TestProbeDeterminism: attaching a Collector changes nothing the world
+// computes, and the probe sees every phase. It is the determinism
+// matrix's probe cells of the mixed trace on the lossless world.
 func TestProbeDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			run := func(probe bool) (compactObservables, *obs.Collector) {
-				net := compactNet(t, 777)
-				net.SetParallelism(workers)
-				var c *obs.Collector
-				if probe {
-					c = NewCollector(256)
-					net.AttachProbe(c)
-				}
-				if err := net.Run(140); err != nil {
-					t.Fatal(err)
-				}
-				return observe(t, net), c
-			}
-			probed, c := run(true)
-			bare, _ := run(false)
-			compareObservables(t, "probe on vs off", probed, bare)
-
-			// The probed twin must actually have observed the run:
-			// every phase of the mixed workload appears in the stream.
-			m := c.Metrics()
-			if m.Steps != 140 {
-				t.Fatalf("collector recorded %d steps, want 140", m.Steps)
-			}
-			for _, p := range []obs.Phase{obs.PhaseChurn, obs.PhaseFrame, obs.PhaseIngest, obs.PhaseTraffic, obs.PhaseEnergy} {
-				if m.Phases[p].Count == 0 {
-					t.Errorf("phase %v unobserved through the mixed trace", p)
-				}
-			}
-			if m.Counters[obs.CtrTrafficForwarded] == 0 {
-				t.Errorf("no forwarded packets counted under the mixed workload")
-			}
+			replayCells(t, "mixed", "lossless", cell{workers: workers, probe: true})
 		})
 	}
 }

@@ -2,307 +2,110 @@ package selfstab
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 
 	"selfstab/internal/snapshot"
 )
 
-// worldFingerprint collects everything observable about a world that the
-// snapshot contract promises to preserve: step count, population, every
-// node's protocol state, the clustering, and all three ledgers. Two
-// worlds with equal fingerprints are indistinguishable to any caller.
-type worldFingerprint struct {
-	StepCount   int
-	N           int
-	IDs         []int64
-	Positions   []Point
-	States      []NodeState
-	Clusters    []Cluster
-	Alive       int
-	Sleeping    int
-	Dead        int
-	Convergence ConvergenceStats
-	Traffic     *TrafficStats
-	Energy      *EnergyStats
-}
-
-func fingerprint(t *testing.T, n *Network) worldFingerprint {
-	t.Helper()
-	fp := worldFingerprint{
-		StepCount: n.StepCount(),
-		N:         n.N(),
-		IDs:       n.IDs(),
-		Positions: n.Positions(),
-		Clusters:  n.Clusters(),
-	}
-	fp.Alive, fp.Sleeping, fp.Dead = n.Population()
-	fp.States = make([]NodeState, n.N())
-	for i := range fp.States {
-		st, err := n.State(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fp.States[i] = st
-	}
-	fp.Convergence = n.ConvergenceStats()
-	if ts, err := n.TrafficStats(); err == nil {
-		fp.Traffic = &ts
-	}
-	if es, err := n.EnergyStats(); err == nil {
-		fp.Energy = &es
-	}
-	return fp
-}
-
-func requireSameWorld(t *testing.T, label string, a, b worldFingerprint) {
-	t.Helper()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("%s: worlds diverged\noriginal: %+v\nrestored: %+v", label, a, b)
-	}
-}
-
-// firstAliveIDs returns the first k alive node ids in index order — a
-// deterministic victim pick both worlds agree on.
-func firstAliveIDs(t *testing.T, n *Network, k int) []int64 {
-	t.Helper()
-	var out []int64
-	for i := 0; i < n.N() && len(out) < k; i++ {
-		st, err := n.State(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Status == NodeAlive {
-			out = append(out, st.ID)
-		}
-	}
-	if len(out) < k {
-		t.Fatalf("only %d alive nodes, need %d", len(out), k)
-	}
-	return out
-}
-
-// runMixedTrace drives a world through every mutation family the journal
-// carries: churn schedule, traffic, energy with rotation, manual
-// lifecycle calls, fault injection, mobility-free growth, and the
-// compaction knobs. Deterministic for a fixed seed by the repo's
-// determinism contract, so the same trace on a restored world must
-// reproduce it exactly.
-func runMixedTrace(t *testing.T, net *Network) {
-	t.Helper()
-	if err := net.AttachChurn(ChurnConfig{
-		ArrivalRate:   0.2,
-		DepartureRate: 0.15,
-		CrashRate:     0.15,
-		SleepRate:     0.1,
-		SleepSteps:    6,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Run(8); err != nil {
-		t.Fatal(err)
-	}
-	ids := firstAliveIDs(t, net, 4)
-	if err := net.AttachTraffic(TrafficConfig{
-		QueueCap: 8,
-		Flows: []Flow{
-			CBRFlow(ids[0], ids[1], 0.6),
-			PoissonFlow(ids[1], ids[2], 0.4),
-			HotspotFlow(ids[3], 5, 0.2),
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.AttachEnergy(EnergyConfig{Rotation: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Run(8); err != nil {
-		t.Fatal(err)
-	}
-	net.InjectFaults(0.25)
-	if err := net.Run(4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.AddNodes([]Point{{X: 0.31, Y: 0.47}, {X: 0.72, Y: 0.18}}); err != nil {
-		t.Fatal(err)
-	}
-	ids = firstAliveIDs(t, net, 3)
-	if err := net.CrashNodes(ids[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.SleepNodes(ids[1]); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.SetAutoCompact(0.3); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.WakeNodes(ids[1]); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Run(4); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// continueTrace applies identical post-snapshot mutations to one world.
-// The victim ids are passed in (computed once from the original) so both
-// worlds receive byte-identical calls.
-func continueTrace(t *testing.T, net *Network, victims []int64) {
-	t.Helper()
-	if err := net.Run(5); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.RemoveNodes(victims[0]); err != nil {
-		t.Fatal(err)
-	}
-	net.InjectFaults(0.2)
-	if err := net.Run(6); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	net.DetachChurn()
-	if err := net.Run(4); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSnapshotReplayOracle is the acceptance contract of the snapshot
-// subsystem: snapshot a world mid-run through a mixed churn + traffic +
-// energy + lifecycle trace, restore it, and (a) the restored world is
-// bit-identical to the original at the snapshot step, (b) continuing
-// BOTH worlds with the same op sequence keeps them bit-identical —
-// protocol state, clustering, and all three ledgers — and (c) the
-// restored world's own next snapshot is byte-identical to the
-// original's, so checkpoints chain. Exercised at 1 and 4 workers
-// (results must also be identical across those variants per the repo's
-// determinism contract, which restore leans on), and on a document that
-// carries the retired "tiles" option: a snapshot written by an older
-// build must restore to the same world and chain with the field intact.
+// subsystem as a live twin: snapshot a world in the middle of the mixed
+// trace, restore it, and (a) the restored world is bit-identical to the
+// original at the snapshot step, (b) its own snapshot is byte-identical,
+// so checkpoints chain, and (c) continuing BOTH worlds through the rest of
+// the trace keeps them bit-identical. The continuation opens with a fault
+// injection, which draws from the master rng stream: a restore that left
+// that stream anywhere but where the original's stands corrupts other
+// nodes. The determinism matrix cannot ask this: its compaction cells
+// refuse fault injection after the cut, so its traces keep every
+// injection before it.
 func TestSnapshotReplayOracle(t *testing.T) {
-	variants := []struct {
-		name     string
-		workers  int
-		docTiles int // written into the document before it is restored
-	}{
-		{"1worker", 1, 0},
-		{"4workers", 4, 0},
-		{"retired_tiles_field", 1, 4},
-	}
-	for _, v := range variants {
-		v := v
+	for _, v := range []struct {
+		name    string
+		workers int
+	}{{"1worker", 1}, {"4workers", 4}} {
 		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()
-			net := churnNet(t, 80, 20260808)
+			net := churnNet(t, 260, 20260808)
 			net.SetParallelism(v.workers)
-			runMixedTrace(t, net)
+			mixedBeforeCut(t, net)
 
-			var snap bytes.Buffer
-			if err := net.WriteSnapshot(&snap); err != nil {
-				t.Fatal(err)
-			}
-			// WriteSnapshot is deterministic and read-only: a second write
-			// must produce the same bytes.
-			var again bytes.Buffer
-			if err := net.WriteSnapshot(&again); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(snap.Bytes(), again.Bytes()) {
+			snap := snapshotBytes(t, net)
+			if !bytes.Equal(snap, snapshotBytes(t, net)) {
 				t.Fatal("two WriteSnapshot calls on an unchanged world differ")
 			}
-
-			if v.docTiles != 0 {
-				doc, err := snapshot.Decode(bytes.NewReader(snap.Bytes()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				doc.Blueprint.Options.Tiles = v.docTiles
-				snap.Reset()
-				if err := doc.Encode(&snap); err != nil {
-					t.Fatal(err)
-				}
-				if bytes.Equal(snap.Bytes(), again.Bytes()) {
-					t.Fatal("the document does not carry the retired field")
-				}
-			}
-
-			restored, err := ReadSnapshot(bytes.NewReader(snap.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
+			restored, err := ReadSnapshot(bytes.NewReader(snap))
+			must(t, err)
 			restored.SetParallelism(v.workers)
-			requireSameWorld(t, "at snapshot step",
-				fingerprint(t, net), fingerprint(t, restored))
-
-			// The restored world re-journaled the replay, so its own
-			// checkpoint must equal the original's byte for byte.
-			var resnap bytes.Buffer
-			if err := restored.WriteSnapshot(&resnap); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(snap.Bytes(), resnap.Bytes()) {
-				t.Fatalf("restored world's snapshot differs from the original's:\noriginal:\n%s\nrestored:\n%s",
-					snap.String(), resnap.String())
+			requireSameWorld(t, "at snapshot step", fingerprint(t, net), fingerprint(t, restored))
+			if !bytes.Equal(snap, snapshotBytes(t, restored)) {
+				t.Fatalf("restored world's snapshot differs from the original's:\n%s", snap)
 			}
 
-			victims := firstAliveIDs(t, net, 2)
-			continueTrace(t, net, victims)
-			continueTrace(t, restored, victims)
-			requireSameWorld(t, "after continuing both worlds",
-				fingerprint(t, net), fingerprint(t, restored))
+			for _, w := range []*Network{net, restored} {
+				w.InjectFaults(0.2)
+				mixedAfterCut(t, w)
+			}
+			requireSameWorld(t, "after continuing both worlds", fingerprint(t, net), fingerprint(t, restored))
 		})
 	}
 }
 
 // TestSnapshotRoundTripEveryConstructor pins that each deployment kind's
-// blueprint restores through the same construction path: a fresh
-// snapshot of an unstepped world restores to the same positions, ids and
-// states.
+// blueprint restores through the same construction path: a snapshot of a
+// briefly stepped world restores to the same world, and the restored
+// world's own snapshot is the same document, so checkpoints chain. The
+// retired_tiles row is format compatibility: a v2 document written by an
+// older build carries the retired "tiles" option, and it must restore
+// to the same world and chain with the field intact.
 func TestSnapshotRoundTripEveryConstructor(t *testing.T) {
 	builds := []struct {
 		name  string
 		build func() (*Network, error)
+		tiles int // written into the document before it is restored
 	}{
 		{"explicit", func() (*Network, error) {
 			return NewNetwork([]Point{{X: 0.2, Y: 0.2}, {X: 0.25, Y: 0.22}, {X: 0.8, Y: 0.8}}, WithSeed(5))
-		}},
+		}, 0},
 		{"random", func() (*Network, error) {
 			return NewRandomNetwork(40, WithSeed(5), WithDAG(1<<16))
-		}},
+		}, 0},
 		{"poisson", func() (*Network, error) {
 			return NewPoissonNetwork(60, WithSeed(5), WithStickyHeads())
-		}},
+		}, 0},
 		{"hotspot", func() (*Network, error) {
 			return NewHotspotNetwork(40, 3, 0.05, WithSeed(5))
-		}},
+		}, 0},
 		{"grid", func() (*Network, error) {
 			return NewGridNetwork(6, 6, WithSeed(5), WithRowMajorIDs())
-		}},
+		}, 0},
+		{"retired_tiles", func() (*Network, error) {
+			return NewRandomNetwork(40, WithSeed(5), WithCacheTTL(4))
+		}, 4},
 	}
 	for _, b := range builds {
-		b := b
 		t.Run(b.name, func(t *testing.T) {
 			net, err := b.build()
-			if err != nil {
-				t.Fatal(err)
+			must(t, err)
+			must(t, net.Run(12))
+			doc := snapshotBytes(t, net)
+			if b.tiles != 0 {
+				d, err := snapshot.Decode(bytes.NewReader(doc))
+				must(t, err)
+				d.Blueprint.Options.Tiles = b.tiles
+				var buf bytes.Buffer
+				must(t, d.Encode(&buf))
+				if bytes.Equal(buf.Bytes(), doc) {
+					t.Fatal("the document does not carry the retired field")
+				}
+				doc = buf.Bytes()
 			}
-			if err := net.Run(12); err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := net.WriteSnapshot(&buf); err != nil {
-				t.Fatal(err)
-			}
-			restored, err := ReadSnapshot(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
+			restored, err := ReadSnapshot(bytes.NewReader(doc))
+			must(t, err)
 			requireSameWorld(t, b.name, fingerprint(t, net), fingerprint(t, restored))
+			if !bytes.Equal(doc, snapshotBytes(t, restored)) {
+				t.Fatalf("the restored world's snapshot differs from the document it was restored from:\n%s", doc)
+			}
 		})
 	}
 }
@@ -347,7 +150,9 @@ func snapshotBytes(t *testing.T, n *Network) []byte {
 // The fault injection after the failure is what exposes a stream the
 // failed call advanced: its corruption draw comes from a Split of the
 // master stream, so the live world and its replay corrupt different
-// nodes unless the failure left the stream where it was.
+// nodes unless the failure left the stream where it was. The determinism
+// matrix's mixed trace carries one failing call; this table carries one
+// for every op kind that can fail, which no trace does.
 func TestFailedOpsAreNotJournaled(t *testing.T) {
 	const ghost = 123456 // an id no world here ever hands out
 	withTraffic := func(t *testing.T, n *Network) {
@@ -529,7 +334,9 @@ func TestFailedOpsAreNotJournaled(t *testing.T) {
 // TestJournalOwnsItsMemory: the blueprint and the journal keep their own
 // copies of every slice a caller hands in, so editing those slices after
 // the call returns cannot rewrite the checkpoint — and neither can the
-// world's own in-place edits of its id array under Compact.
+// world's own in-place edits of its id array under Compact. The
+// determinism matrix replays journals whose callers never touch their
+// slices again, so it cannot see aliasing; this test edits them.
 func TestJournalOwnsItsMemory(t *testing.T) {
 	positions := []Point{{X: 0.2, Y: 0.2}, {X: 0.25, Y: 0.22}, {X: 0.3, Y: 0.2}, {X: 0.8, Y: 0.8}}
 	custom := []int64{40, 30, 20, 10}

@@ -77,8 +77,8 @@ echo "== go vet" >&2
 go vet ./...
 
 echo "== race-instrumented determinism tests" >&2
-go test -race -run 'TestParallelDeterminism|TestForEachVisitsEachNodeOnce|TestParallelMatchesSequentialStabilization|TestEngineChurnParallelDeterminism|TestSparseMatchesDenseMixedTrace|TestCachedLinkCountMatchesRecount|TestLinkCountCutOver|TestIngestMatchesReference|TestStepProbeDisabledZeroAlloc|TestStepErrorKeepsProbeStreamSound' ./internal/runtime
-go test -race -run 'TestTrafficDeterminism|TestChurnDeterminism|TestEnergyDeterminism|TestNetworkSparseMatchesDense|TestCompactTwinEquivalence' .
+go test -race -run 'TestParallelDeterminism|TestEngineChurnParallelDeterminism|TestParallelMatchesSequentialStabilization|TestForEachVisitsEachNodeOnce|TestSparseMatchesDenseMixedTrace|TestCachedLinkCountMatchesRecount|TestLinkCountCutOver|TestIngestMatchesReference|TestStepProbeDisabledZeroAlloc|TestStepErrorKeepsProbeStreamSound' ./internal/runtime
+go test -race -run 'TestDeterminismMatrix|TestSnapshotReplayOracle' .
 
 # Provenance, written at the head of every raw file in the benchmark
 # format's own "key: value" configuration syntax.

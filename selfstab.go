@@ -167,7 +167,9 @@
 //     the open convergence episode — so long-running churn simulations
 //     hold memory proportional to the operating population. Because
 //     survivors keep their relative order, every ledger is bit-identical
-//     to a run that never compacted (pinned by a twin-run oracle);
+//     to a run that never compacted (pinned by the determinism matrix's
+//     compaction cells; see Compact for the three per-slot draws that
+//     are the exception);
 //     BenchmarkCompact measures the remap at 10k nodes with 20% dead.
 //
 //   - Typed flat delivery. The radio layer never boxes frames: a medium
@@ -236,7 +238,7 @@
 //     a histogram that only grows to the maximum observed value. All
 //     workload randomness is drawn sequentially from a dedicated stream,
 //     so traffic statistics — like the protocol itself — are bit-identical
-//     for a fixed seed at any parallelism (pinned by TestTrafficDeterminism).
+//     for a fixed seed at any parallelism (pinned by TestDeterminismMatrix).
 //     BenchmarkTrafficStep1000 (1000 nodes, 100+ flows) adds zero
 //     steady-state allocations over the bare protocol step.
 //
@@ -248,7 +250,7 @@
 //     density scales only at quantized level crossings. The pass
 //     allocates nothing (TestEnergyPhaseAllocationFree) and, being
 //     sequential, its ledger is bit-identical whatever worker count the
-//     protocol engine under it runs at (TestEnergyDeterminism);
+//     protocol engine under it runs at (TestDeterminismMatrix);
 //     BenchmarkEnergyStep measures the full step with convergecast
 //     traffic and rotation enabled at 1000, 20 000 and 50 000 nodes.
 //

@@ -354,28 +354,6 @@ func TestRenderingBeforeStabilization(t *testing.T) {
 	}
 }
 
-func TestDeterministicSameSeed(t *testing.T) {
-	build := func() []Cluster {
-		net, err := NewRandomNetwork(80, WithSeed(15), WithRange(0.15), WithDAG(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := net.Stabilize(500); err != nil {
-			t.Fatal(err)
-		}
-		return net.Clusters()
-	}
-	a, b := build(), build()
-	if len(a) != len(b) {
-		t.Fatalf("cluster counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].HeadID != b[i].HeadID || len(a[i].Members) != len(b[i].Members) {
-			t.Fatal("same seed produced different clusterings")
-		}
-	}
-}
-
 func TestStickyAndFusionOptionsWork(t *testing.T) {
 	net, err := NewRandomNetwork(80, WithSeed(16), WithRange(0.12),
 		WithStickyHeads(), WithFusion())

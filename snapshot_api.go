@@ -30,7 +30,7 @@ func (n *Network) WriteSnapshot(w io.Writer) error {
 // queues and ledgers, energy batteries, open churn episodes — comes back
 // bit-identical to the original at the snapshot step. Continuing both
 // worlds with the same subsequent ops yields bit-identical trajectories
-// (the replay oracle test pins this at 1 and 4 workers).
+// (the determinism matrix's snapshot cells pin this).
 //
 // Restore cost is proportional to the snapshot's step count: the journal
 // replays the original execution rather than deserializing raw arrays.
@@ -51,29 +51,37 @@ func ReadSnapshot(r io.Reader) (*Network, error) {
 // restore rebuilds and replays one decoded snapshot document.
 func restore(doc *snapshot.Snapshot) (*Network, error) {
 	n, err := construct(doc.Blueprint.Deploy, doc.Blueprint.Options)
+	if err == nil {
+		err = n.replay(doc.Ops, doc.Header.Step)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("selfstab: restore: %w", err)
 	}
+	return n, nil
+}
+
+// replay applies journaled ops, each at the step it was first applied
+// at, stepping the world forward in between, and then steps on until
+// the step count reaches until. It is restore's loop; the determinism
+// matrix (determinism_test.go) replays its journals through it too.
+func (n *Network) replay(ops []snapshot.Op, until int) error {
 	advanceTo := func(step int) error {
 		for n.engine.StepCount() < step {
 			if err := n.Step(); err != nil {
-				return fmt.Errorf("selfstab: restore: replay step %d: %w", n.engine.StepCount(), err)
+				return fmt.Errorf("replay step %d: %w", n.engine.StepCount(), err)
 			}
 		}
 		return nil
 	}
-	for k, op := range doc.Ops {
+	for k, op := range ops {
 		if err := advanceTo(op.Step); err != nil {
-			return nil, err
+			return err
 		}
-		// applyOp re-journals the op at the same step, so the restored
+		// applyOp re-journals the op at the same step, so the replayed
 		// world's own journal — and hence its next snapshot — is complete.
 		if err := n.applyOp(op); err != nil {
-			return nil, fmt.Errorf("selfstab: restore: replay op %d (%s at step %d): %w", k, op.Kind, op.Step, err)
+			return fmt.Errorf("replay op %d (%s at step %d): %w", k, op.Kind, op.Step, err)
 		}
 	}
-	if err := advanceTo(doc.Header.Step); err != nil {
-		return nil, err
-	}
-	return n, nil
+	return advanceTo(until)
 }

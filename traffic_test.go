@@ -1,9 +1,6 @@
 package selfstab
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // trafficNet builds a stabilized random network ready to carry traffic.
 func trafficNet(t testing.TB, nodes int, seed int64, opts ...Option) *Network {
@@ -37,35 +34,12 @@ func mixedWorkload(net *Network, flows int) []Flow {
 	return out
 }
 
-// TestTrafficDeterminism is the traffic twin of the engine's parallel
-// determinism contract: same seed, different worker counts, identical
-// TrafficStats — packet trajectories included.
+// TestTrafficDeterminism: packet trajectories, and with them
+// TrafficStats, are bit-identical at 1 and 4 workers. It is the
+// determinism matrix's mixed trace on the lossless world at both worker
+// counts.
 func TestTrafficDeterminism(t *testing.T) {
-	build := func(workers int) TrafficStats {
-		net := trafficNet(t, 250, 99)
-		net.SetParallelism(workers)
-		if err := net.AttachTraffic(TrafficConfig{
-			QueueCap: 8,
-			Flows:    mixedWorkload(net, 12),
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := net.Run(120); err != nil {
-			t.Fatal(err)
-		}
-		ts, err := net.TrafficStats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ts
-	}
-	s1, s4 := build(1), build(4)
-	if !reflect.DeepEqual(s1, s4) {
-		t.Fatalf("traffic diverged between 1 and 4 workers:\n1: %+v\n4: %+v", s1, s4)
-	}
-	if s1.Offered == 0 || s1.Delivered == 0 {
-		t.Fatalf("degenerate run: %+v", s1)
-	}
+	replayCells(t, "mixed", "lossless", cell{workers: 1}, cell{workers: 4})
 }
 
 // checkTrafficLedger asserts that every offered packet has exactly one
