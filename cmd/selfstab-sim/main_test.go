@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -321,33 +322,61 @@ func TestRunServeBadArgs(t *testing.T) {
 }
 
 // TestServeHTTPServerTimeouts: the served API drops a connection that
-// never finishes its request header, and sets no write timeout, because
-// GET /events streams for as long as its subscriber stays.
+// never finishes its request header and a keep-alive connection left idle
+// after a request, and sets no write timeout, because GET /events streams
+// for as long as its subscriber stays.
 func TestServeHTTPServerTimeouts(t *testing.T) {
 	srv := newHTTPServer(http.NotFoundHandler())
 	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
 		t.Fatalf("ReadHeaderTimeout %v, want readHeaderTimeout (%v) > 0", srv.ReadHeaderTimeout, readHeaderTimeout)
 	}
+	if srv.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Fatalf("IdleTimeout %v, want idleTimeout (%v) > 0", srv.IdleTimeout, idleTimeout)
+	}
 	if srv.WriteTimeout != 0 {
 		t.Fatalf("WriteTimeout %v would cut the /events stream", srv.WriteTimeout)
 	}
-	// Shortened so the test need not wait the real timeout out.
+	// Shortened so the test need not wait the real timeouts out.
 	srv.ReadHeaderTimeout = 100 * time.Millisecond
+	srv.IdleTimeout = 100 * time.Millisecond
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go srv.Serve(ln)
 	defer srv.Close()
-	conn, err := net.Dial("tcp", ln.Addr().String())
+	dial := func() net.Conn {
+		t.Helper()
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		return conn
+	}
+
+	stalled := dial()
+	defer stalled.Close()
+	fmt.Fprint(stalled, "GET /healthz HTTP/1.1\r\nHost: localhost\r\n") // the header never ends
+	if _, err := io.ReadAll(stalled); err != nil {
+		t.Fatalf("a stalled request header kept its connection open: %v", err)
+	}
+
+	idle := dial()
+	defer idle.Close()
+	fmt.Fprint(idle, "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n")
+	br := bufio.NewReader(idle)
+	resp, err := http.ReadResponse(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	fmt.Fprint(conn, "GET /healthz HTTP/1.1\r\nHost: localhost\r\n") // the header never ends
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := io.ReadAll(conn); err != nil {
-		t.Fatalf("a stalled request header kept its connection open: %v", err)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.Close {
+		t.Fatal("the server closed the connection after one request; keep-alive is not exercised")
+	}
+	if _, err := io.ReadAll(br); err != nil {
+		t.Fatalf("an idle keep-alive connection stayed open: %v", err)
 	}
 }
 

@@ -127,14 +127,18 @@ func runServe(args []string, out io.Writer) error {
 }
 
 // readHeaderTimeout bounds how long a connection may take to send its
-// request header, so a client that opens connections and stalls cannot
-// hold them open.
-const readHeaderTimeout = 10 * time.Second
+// request header, and idleTimeout how long a keep-alive connection may
+// wait for its next request, so a client that opens connections and
+// stalls cannot hold them open.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // newHTTPServer is the serve subcommand's HTTP server. It sets no
 // WriteTimeout: GET /events streams for as long as its subscriber stays.
 func newHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // serveWorld builds (or restores) and prepares the served world.

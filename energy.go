@@ -54,19 +54,13 @@ func (n *Network) attachEnergyImpl(cfg EnergyConfig) error {
 			}
 			return energy.RoleDead
 		},
-		// The tx/rx hooks read whatever data plane is attached at charge
+		// The counters hook reads whatever data plane is attached at charge
 		// time, so traffic may be attached before or after the batteries.
-		Tx: func(i int) int64 {
+		Counters: func() (tx, rx []int64) {
 			if n.traffic == nil {
-				return 0
+				return nil, nil
 			}
-			return n.traffic.LoadAt(i)
-		},
-		Rx: func(i int) int64 {
-			if n.traffic == nil {
-				return 0
-			}
-			return n.traffic.RecvAt(i)
+			return n.traffic.Counters()
 		},
 		Kill: n.removeNodeIdx,
 		Scale: func(i int, s float64) error {

@@ -15,6 +15,15 @@
 // allocation-free, and bit-identical for a fixed seed because the commit
 // order — float accumulation, kills, rotation rescales — never varies and
 // every input it reads (roles, traffic counters) is itself deterministic.
+//
+// The pass pays per node for the role read and the drain, not for the
+// rotation arithmetic. The data plane's counters arrive as two slices
+// read once per step. With rotation on, New builds a per-level floor
+// table — floor[l] is the smallest battery in [0, Capacity] whose level
+// is at least l, found by a binary search over float64 bit patterns —
+// and a battery is re-quantized only when it drops below the floor of
+// its current level. Quantization is monotone on [0, Capacity] and
+// batteries only drain, so that is exactly when its level can change.
 package energy
 
 import (
@@ -90,12 +99,14 @@ const (
 type Hooks struct {
 	// Role reports node i's current role.
 	Role func(i int) Role
-	// Tx and Rx return node i's cumulative data-plane transmission and
-	// reception counts; the model charges per-step deltas. nil means no
-	// data plane (idle costs only). A counter that moved backwards (the
-	// data plane was re-attached) re-baselines without charging.
-	Tx func(i int) int64
-	Rx func(i int) int64
+	// Counters returns the data plane's cumulative per-node transmission
+	// and reception counts, indexed by node; the model charges per-step
+	// deltas. It is read once per Step and once at attach time for the
+	// baseline. A node past the end of a slice (nil slices: no data plane
+	// attached) counts 0. A nil hook means no data plane (idle costs
+	// only). A counter that moved backwards (the data plane was
+	// re-attached) re-baselines without charging.
+	Counters func() (tx, rx []int64)
 	// Kill permanently removes a node whose battery crossed zero. Routing
 	// it through the churn machinery makes depletion a first-class
 	// disruption episode. nil leaves depleted nodes running at zero.
@@ -130,6 +141,13 @@ type Engine struct {
 	level    []int16 // current rotation level (only meaningful with Rotation)
 	lastTx   []int64
 	lastRx   []int64
+
+	// floor[l] is the smallest battery value in [0, Capacity] that
+	// quantizes to level l or above (only built with Rotation). quantize
+	// is monotone there and batteries only drain, so a node keeps its
+	// level exactly while its battery stays at or above floor[level]: the
+	// pass re-quantizes only on a crossing.
+	floor []float64
 
 	acc        acc
 	firstDeath int // step of the first depletion, -1 while everyone lives
@@ -170,18 +188,40 @@ func New(n int, cfg Config, hooks Hooks) (*Engine, error) {
 	for i := range e.battery {
 		e.battery[i] = cfg.Capacity
 		e.level[i] = int16(cfg.RotationLevels)
-		// Baseline the traffic counters at attach time: the data plane may
-		// have been running for many steps already, and history before the
-		// batteries existed must not be charged as one giant first-step
-		// drain.
-		if hooks.Tx != nil {
-			e.lastTx[i] = hooks.Tx(i)
-		}
-		if hooks.Rx != nil {
-			e.lastRx[i] = hooks.Rx(i)
+	}
+	// Baseline the traffic counters at attach time: the data plane may
+	// have been running for many steps already, and history before the
+	// batteries existed must not be charged as one giant first-step drain.
+	if hooks.Counters != nil {
+		tx, rx := hooks.Counters()
+		copy(e.lastTx, tx)
+		copy(e.lastRx, rx)
+	}
+	if cfg.Rotation {
+		e.floor = make([]float64, cfg.RotationLevels+1)
+		for l := range e.floor {
+			e.floor[l] = e.levelFloor(int16(l))
 		}
 	}
 	return e, nil
+}
+
+// levelFloor returns the smallest battery value in [0, Capacity] whose
+// level is at least l. Non-negative float64s order like their bit
+// patterns, so it is a binary search over those. The search stops at
+// Capacity: quantize(Capacity) is the top level, and above it
+// quantize(+Inf) wraps through int(math.Ceil(+Inf)) and is not monotone.
+func (e *Engine) levelFloor(l int16) float64 {
+	lo, hi := uint64(0), math.Float64bits(e.cfg.Capacity)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if e.quantize(math.Float64frombits(mid)) >= l {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return math.Float64frombits(lo)
 }
 
 // SetProbe attaches an instrumentation probe (nil detaches it). The
@@ -200,6 +240,10 @@ func (e *Engine) SetProbe(p obs.Probe) { e.probe = p }
 func (e *Engine) Step(step int) error {
 	e.stepsRun++
 	c := &e.cfg
+	var tx, rx []int64
+	if e.hooks.Counters != nil {
+		tx, rx = e.hooks.Counters()
+	}
 	for i := 0; i < e.n; i++ {
 		if e.depleted[i] {
 			continue
@@ -223,23 +267,21 @@ func (e *Engine) Step(step int) error {
 				e.acc.drainMember += c.IdleMemberCost
 				e.acc.memberSteps++
 			}
-			if e.hooks.Tx != nil {
-				tx := e.hooks.Tx(i)
-				if d := tx - e.lastTx[i]; d > 0 {
+			if e.hooks.Counters != nil {
+				t := counterAt(tx, i)
+				if d := t - e.lastTx[i]; d > 0 {
 					cost := float64(d) * c.TxCost
 					drain += cost
 					e.acc.drainTx += cost
 				}
-				e.lastTx[i] = tx
-			}
-			if e.hooks.Rx != nil {
-				rx := e.hooks.Rx(i)
-				if d := rx - e.lastRx[i]; d > 0 {
+				e.lastTx[i] = t
+				r := counterAt(rx, i)
+				if d := r - e.lastRx[i]; d > 0 {
 					cost := float64(d) * c.RxCost
 					drain += cost
 					e.acc.drainRx += cost
 				}
-				e.lastRx[i] = rx
+				e.lastRx[i] = r
 			}
 		}
 		b := e.battery[i] - drain
@@ -258,7 +300,9 @@ func (e *Engine) Step(step int) error {
 			continue
 		}
 		e.battery[i] = b
-		if e.cfg.Rotation {
+		// The negated compare re-quantizes a NaN battery too, as a plain
+		// quantize would.
+		if e.cfg.Rotation && !(b >= e.floor[e.level[i]]) {
 			if lvl := e.quantize(b); lvl != e.level[i] {
 				e.level[i] = lvl
 				if err := e.hooks.Scale(i, float64(lvl)/float64(e.cfg.RotationLevels)); err != nil {
@@ -271,6 +315,14 @@ func (e *Engine) Step(step int) error {
 		p.Counter(obs.CtrDepletions, int64(e.deaths))
 	}
 	return nil
+}
+
+// counterAt is c[i], or 0 past the end of c.
+func counterAt(c []int64, i int) int64 {
+	if i < len(c) {
+		return c[i]
+	}
+	return 0
 }
 
 // killErr and scaleErr build the hook-failure errors off the hot path:

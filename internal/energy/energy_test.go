@@ -56,8 +56,7 @@ func (f *fixture) hooks(withTraffic bool) Hooks {
 		},
 	}
 	if withTraffic {
-		h.Tx = func(i int) int64 { return f.tx[i] }
-		h.Rx = func(i int) int64 { return f.rx[i] }
+		h.Counters = func() (tx, rx []int64) { return f.tx, f.rx }
 	}
 	return h
 }
@@ -212,6 +211,53 @@ func TestCounterResetRebaselines(t *testing.T) {
 	}
 	if got := e.Stats().DrainTx - s.DrainTx; !almost(got, 0.1) {
 		t.Errorf("post-reset delta charged %v, want 0.1", got)
+	}
+	// A detached data plane reads as nil counters: nothing is charged and
+	// the baseline drops to 0, so a re-attach charges from its own zero.
+	tx, rx := f.tx, f.rx
+	f.tx, f.rx = nil, nil
+	s = e.Stats()
+	if err := e.Step(4); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats().TotalDrain - s.TotalDrain; !almost(got, 0.0001) {
+		t.Errorf("a detached data plane charged %v beyond idle", got-0.0001)
+	}
+	f.tx, f.rx = tx, rx
+	tx[0], rx[0] = 1, 0
+	s = e.Stats()
+	if err := e.Step(5); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats().DrainTx - s.DrainTx; !almost(got, 0.1) {
+		t.Errorf("first transmission after a re-attach charged %v, want 0.1", got)
+	}
+}
+
+// TestRotationFloorIsExact: floor[l] is the exact lower edge of level l —
+// it quantizes to l or above, and the next float64 below it does not — so
+// skipping quantize while the battery stays at or above floor[level]
+// never misses a crossing.
+func TestRotationFloorIsExact(t *testing.T) {
+	for _, capacity := range []float64{1, 0.3, 1e6} {
+		for _, levels := range []int{2, 8, 1024} {
+			e, err := New(1, Config{Capacity: capacity, IdleMemberCost: 0.001, Rotation: true, RotationLevels: levels}, newFixture(1).hooks(false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(e.floor) != levels+1 {
+				t.Fatalf("capacity %v levels %d: %d floors", capacity, levels, len(e.floor))
+			}
+			for l := 2; l <= levels; l++ {
+				f := e.floor[l]
+				if got := e.quantize(f); int(got) < l {
+					t.Fatalf("capacity %v levels %d: quantize(floor[%d] = %v) = %d", capacity, levels, l, f, got)
+				}
+				if below := math.Nextafter(f, 0); int(e.quantize(below)) >= l {
+					t.Fatalf("capacity %v levels %d: %v, one ulp below floor[%d], still quantizes to %d", capacity, levels, below, l, e.quantize(below))
+				}
+			}
+		}
 	}
 }
 

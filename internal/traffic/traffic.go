@@ -17,14 +17,22 @@
 // arrivals, so a fixed seed reproduces the same packet trajectories
 // regardless of how many workers the protocol engine itself uses.
 //
-// The hot path is allocation-free at steady state: queues are fixed-size
-// rings, staged arrival buffers are reused every step, and the latency
-// histogram grows only to the maximum observed latency.
+// A step pays for its packets, not for the network's size. The
+// forwarding pass walks a bitset of the nodes whose queue may hold
+// packets, in ascending index order, so it reads N/64 words plus one
+// visit per busy node and never sorts. Every one-hop move of the pass
+// goes onto one flat staging list, admitted in staging order once the
+// pass is over: admission touches only the receiver's queue and bucket,
+// so only the order of arrivals within one receiver matters, and the
+// staging order keeps it. The hot path is allocation-free at steady
+// state: queues are fixed-size rings that wrap with a compare, the
+// staging list is reused every step, and the latency histogram grows
+// only to the maximum observed latency.
 package traffic
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"selfstab/internal/obs"
 	"selfstab/internal/rng"
@@ -133,8 +141,8 @@ func ValidateFlows(n int, flows []FlowSpec) error {
 	return nil
 }
 
-// packet is one in-flight datagram. Packets live in ring buffers and
-// staged-arrival slices, never on the heap individually.
+// packet is one in-flight datagram. Packets live in ring buffers and the
+// staging list, never on the heap individually.
 type packet struct {
 	flow int32 // index into Engine.flows
 	dst  int32
@@ -153,20 +161,40 @@ func (r *ring) init(cap int) { r.buf = make([]packet, cap) }
 
 func (r *ring) full() bool { return r.count == len(r.buf) }
 
+// at returns the slot k places behind the head. Both indices are below
+// len(r.buf), so one subtraction wraps their sum.
+func (r *ring) at(k int) *packet {
+	i := r.head + k
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return &r.buf[i]
+}
+
 func (r *ring) push(p packet) bool {
 	if r.full() {
 		return false
 	}
-	r.buf[(r.head+r.count)%len(r.buf)] = p
+	*r.at(r.count) = p
 	r.count++
 	return true
 }
 
 func (r *ring) pop() packet {
 	p := r.buf[r.head]
-	r.head = (r.head + 1) % len(r.buf)
+	r.head++
+	if r.head == len(r.buf) {
+		r.head = 0
+	}
 	r.count--
 	return p
+}
+
+// arrival is one staged one-hop move: p enters node to's queue when the
+// forwarding pass is over.
+type arrival struct {
+	to int32
+	p  packet
 }
 
 // Engine is the per-network data plane. It is not goroutine-safe; the
@@ -177,29 +205,22 @@ type Engine struct {
 	src   *rng.Source
 	n     int
 
-	queues   []ring
-	arrivals [][]packet // staged one-hop moves, merged after the pass
-	flows    []flowState
-	load     []int64 // forwarding events per node (transmissions)
-	recv     []int64 // reception events per node (one per transmission, at the receiver)
+	queues []ring
+	flows  []flowState
+	load   []int64 // forwarding events per node (transmissions)
+	recv   []int64 // reception events per node (one per transmission, at the receiver)
 
-	// busy is the forwarding worklist: the ascending indices of nodes
-	// whose queue held packets at last sight (emptied entries are culled
-	// lazily at the next pass). The forwarding phase walks it instead of
-	// all n nodes, so an idle 100k-node network pays for its traffic, not
-	// its size — and because the list is visited sorted, the visit order
-	// (and hence every queue interleaving) is bit-identical to the
-	// historical full scan. New members are appended out of place (O(1)
-	// amortized; the old sorted insert shifted O(busy) per newcomer, which
-	// at hotspot onset turned quadratic) and busyDirty triggers one sort
-	// at the next forwarding pass; culls preserve sortedness. arrList
-	// collects the receivers with staged arrivals for the merge phase the
-	// same way (no sort needed there — receivers are independent).
-	busy      []int32
-	busyFlag  []bool
-	busyDirty bool
-	arrList   []int32
-	arrFlag   []bool
+	// busy is the forwarding worklist as a bitset: bit v is set when node
+	// v's queue has taken a packet since the pass last found it empty, so
+	// a queue whose bit is clear is always empty. The forwarding pass
+	// walks the set bits in ascending order, which is the historical full
+	// scan's visit order (and hence every queue interleaving) at N/64
+	// words plus one visit per busy node; it clears the bit of a queue it
+	// finds empty. Marking a node is one OR.
+	busy []uint64
+	// staged holds the forwarding pass's one-hop moves in the order the
+	// pass made them; they are admitted in that order once it is over.
+	staged []arrival
 
 	// Defense state (nil slices while no defense is installed — the
 	// undefended hot path pays one zero-compare per packet). tokens and
@@ -249,17 +270,15 @@ func New(n int, cfg Config, flows []FlowSpec, hooks Hooks, src *rng.Source) (*En
 	fillDefaults(&cfg)
 	cfg.Flows = nil
 	e := &Engine{
-		cfg:      cfg,
-		hooks:    hooks,
-		src:      src,
-		n:        n,
-		queues:   make([]ring, n),
-		arrivals: make([][]packet, n),
-		load:     make([]int64, n),
-		recv:     make([]int64, n),
-		busyFlag: make([]bool, n),
-		arrFlag:  make([]bool, n),
-		flows:    make([]flowState, len(flows)),
+		cfg:    cfg,
+		hooks:  hooks,
+		src:    src,
+		n:      n,
+		queues: make([]ring, n),
+		load:   make([]int64, n),
+		recv:   make([]int64, n),
+		busy:   make([]uint64, words(n)),
+		flows:  make([]flowState, len(flows)),
 	}
 	for i := range e.queues {
 		e.queues[i].init(cfg.QueueCap)
@@ -382,97 +401,39 @@ func (e *Engine) Step(step int) error {
 		}
 	}
 
-	// Phase 2: forwarding, over the busy worklist in node-index order —
-	// the same visit sequence as a full scan over non-empty queues, at
-	// O(busy) instead of O(n). Moves are staged so a packet advances
+	// Phase 2: forwarding, over the busy bitset in node-index order — the
+	// same visit sequence as a full scan over non-empty queues, at O(N/64
+	// + busy) instead of O(N). Moves are staged so a packet advances
 	// exactly one hop per step no matter the node order. Dead nodes'
 	// queues were flushed when they died; a sleeping node's queue is
-	// frozen until it wakes (its worklist entry idles with it). Entries
-	// whose queue emptied since the last pass are culled here. The
-	// worklist is sorted lazily: appends since the last pass set
-	// busyDirty, and one sort here restores index order (culling keeps a
-	// sorted list sorted, so a steady-state step skips the sort too).
-	if e.busyDirty {
-		slices.Sort(e.busy)
-		e.busyDirty = false
-	}
-	w := 0
-	for _, bu := range e.busy {
-		u := int(bu)
-		q := &e.queues[u]
-		if q.count == 0 {
-			e.busyFlag[u] = false
-			continue
-		}
-		e.busy[w] = bu
-		w++
-		if !e.alive(u) {
-			continue
-		}
-		for b := e.cfg.Budget; b > 0 && q.count > 0; b-- {
-			p := q.pop()
-			if !e.alive(int(p.dst)) {
-				// The endpoint died or went to sleep while the packet was
-				// in flight: an accounted drop, never a routing panic.
-				e.acc.dropsDeadEndpoint++
-				e.flows[p.flow].dropped++
+	// frozen until it wakes (its bit idles with it). The bit of a queue
+	// that emptied since the last pass is cleared here. The pass sets no
+	// bit (it only stages), so each word is read once up front.
+	for wi, word := range e.busy {
+		for word != 0 {
+			u := wi<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			q := &e.queues[u]
+			if q.count == 0 {
+				e.busy[wi] &^= 1 << (u & 63)
 				continue
 			}
-			next, ok := e.hooks.NextHop(u, int(p.dst))
-			if !ok || next == u {
-				e.acc.dropsNoRoute++
-				e.flows[p.flow].dropped++
+			if !e.alive(u) {
 				continue
 			}
-			p.hops++
-			if int(p.hops) > e.cfg.TTL {
-				e.acc.dropsTTL++
-				e.flows[p.flow].dropped++
-				continue
-			}
-			// Only actual transmissions count as forwarding load; packets
-			// dropped above never left the node. Every transmission has
-			// exactly one receiver (next — the destination itself on the
-			// final hop), which pays the radio reception: the tx/rx pair
-			// the energy subsystem charges per packet.
-			e.load[u]++
-			e.recv[next]++
-			forwarded++
-			if next == int(p.dst) {
-				if e.headRefuses(next) {
-					// Admission applies to the final hop too: a head whose
-					// bucket is dry sheds the load instead of absorbing it.
-					e.acc.dropsAdmission++
-					e.flows[p.flow].dropped++
-					continue
-				}
-				e.deliver(p)
-				continue
-			}
-			if len(e.arrivals[next]) == 0 && !e.arrFlag[next] {
-				e.arrFlag[next] = true
-				e.arrList = append(e.arrList, int32(next))
-			}
-			e.arrivals[next] = append(e.arrivals[next], p)
+			forwarded += e.forward(u, q)
 		}
 	}
-	e.busy = e.busy[:w]
 
-	// Phase 3: merge staged arrivals. Only the order of packets within
-	// one receiver's staging buffer matters (it decides the FIFO and the
-	// overflow casualties), and that order was fixed in phase 2; the
-	// receivers themselves are independent, so the worklist needs no
-	// sort.
-	for _, av := range e.arrList {
-		v := int(av)
-		staged := e.arrivals[v]
-		for _, p := range staged {
-			e.admit(v, p)
-		}
-		e.arrivals[v] = staged[:0]
-		e.arrFlag[v] = false
+	// Phase 3: admit the staged moves in staging order. admit(v, ·)
+	// touches only v's queue, v's bucket and counters whose increments
+	// commute, so only the order of arrivals within one receiver matters
+	// (it decides the FIFO and the overflow casualties), and the staging
+	// order is the order phase 2 fixed for it.
+	for _, a := range e.staged {
+		e.admit(int(a.to), a.p)
 	}
-	e.arrList = e.arrList[:0]
+	e.staged = e.staged[:0]
 	if p := e.probe; p != nil {
 		p.Counter(obs.CtrTrafficForwarded, forwarded)
 		p.Counter(obs.CtrQueueOccupancy, e.InFlight())
@@ -481,6 +442,58 @@ func (e *Engine) Step(step int) error {
 		}
 	}
 	return nil
+}
+
+// forward sends up to Budget packets from node u's queue q one hop each
+// and returns how many it transmitted. Deliveries complete here; every
+// other move is staged for phase 3.
+//
+//selfstab:hotpath
+func (e *Engine) forward(u int, q *ring) int64 {
+	var sent int64
+	for b := e.cfg.Budget; b > 0 && q.count > 0; b-- {
+		p := q.pop()
+		if !e.alive(int(p.dst)) {
+			// The endpoint died or went to sleep while the packet was in
+			// flight: an accounted drop, never a routing panic.
+			e.acc.dropsDeadEndpoint++
+			e.flows[p.flow].dropped++
+			continue
+		}
+		next, ok := e.hooks.NextHop(u, int(p.dst))
+		if !ok || next == u {
+			e.acc.dropsNoRoute++
+			e.flows[p.flow].dropped++
+			continue
+		}
+		p.hops++
+		if int(p.hops) > e.cfg.TTL {
+			e.acc.dropsTTL++
+			e.flows[p.flow].dropped++
+			continue
+		}
+		// Only actual transmissions count as forwarding load; packets
+		// dropped above never left the node. Every transmission has
+		// exactly one receiver (next — the destination itself on the
+		// final hop), which pays the radio reception: the tx/rx pair the
+		// energy subsystem charges per packet.
+		e.load[u]++
+		e.recv[next]++
+		sent++
+		if next == int(p.dst) {
+			if e.headRefuses(next) {
+				// Admission applies to the final hop too: a head whose
+				// bucket is dry sheds the load instead of absorbing it.
+				e.acc.dropsAdmission++
+				e.flows[p.flow].dropped++
+				continue
+			}
+			e.deliver(p)
+			continue
+		}
+		e.staged = append(e.staged, arrival{to: int32(next), p: p})
+	}
+	return sent
 }
 
 // alive applies the optional liveness hook (nil: everything is alive).
@@ -493,20 +506,13 @@ func (e *Engine) alive(i int) bool {
 	return e.hooks.Alive == nil || e.hooks.Alive(i)
 }
 
-// markBusy puts node v on the forwarding worklist. The append is O(1);
-// the worklist is re-sorted once per forwarding pass when anything was
-// added (steady-state flows re-use their membership, so the common step
-// neither appends nor sorts).
+// words is the length of a bitset over n nodes.
+func words(n int) int { return (n + 63) >> 6 }
+
+// markBusy sets node v's bit in the forwarding worklist.
 //
 //selfstab:hotpath
-func (e *Engine) markBusy(v int) {
-	if e.busyFlag[v] {
-		return
-	}
-	e.busyFlag[v] = true
-	e.busy = append(e.busy, int32(v))
-	e.busyDirty = true
-}
+func (e *Engine) markBusy(v int) { e.busy[v>>6] |= 1 << (v & 63) }
 
 // inject creates one packet on flow fi and enqueues it at the source.
 //
@@ -608,11 +614,11 @@ func (e *Engine) Resize(n int) {
 	for len(e.queues) < n {
 		e.queues = append(e.queues, ring{})
 		e.queues[len(e.queues)-1].init(e.cfg.QueueCap)
-		e.arrivals = append(e.arrivals, nil)
 		e.load = append(e.load, 0)
 		e.recv = append(e.recv, 0)
-		e.busyFlag = append(e.busyFlag, false)
-		e.arrFlag = append(e.arrFlag, false)
+		if len(e.busy) < words(len(e.queues)) {
+			e.busy = append(e.busy, 0)
+		}
 		if e.tokens != nil {
 			e.tokens = append(e.tokens, 0)
 			e.tokensAt = append(e.tokensAt, -1) // newcomers start with a full bucket
@@ -662,7 +668,6 @@ func (e *Engine) Compact(remap []int32, newN int) error {
 		}
 		i := int(nw)
 		e.queues[i] = e.queues[old]
-		e.arrivals[i] = e.arrivals[old]
 		e.load[i] = e.load[old]
 		e.recv[i] = e.recv[old]
 		if e.tokens != nil {
@@ -675,7 +680,6 @@ func (e *Engine) Compact(remap []int32, newN int) error {
 		}
 	}
 	e.queues = e.queues[:newN]
-	e.arrivals = e.arrivals[:newN]
 	e.load = e.load[:newN]
 	e.recv = e.recv[:newN]
 	if e.tokens != nil {
@@ -686,23 +690,21 @@ func (e *Engine) Compact(remap []int32, newN int) error {
 		e.injCount = e.injCount[:newN]
 		e.injAt = e.injAt[:newN]
 	}
-	e.arrFlag = e.arrFlag[:newN]
-	for i := range e.busyFlag {
-		e.busyFlag[i] = false
-	}
-	e.busyFlag = e.busyFlag[:newN]
-	kept := e.busy[:0]
-	for _, bu := range e.busy {
-		if nw := remap[bu]; nw >= 0 {
-			kept = append(kept, nw) // monotone remap keeps the sort
-			e.busyFlag[nw] = true
+	old := e.busy
+	e.busy = make([]uint64, words(newN))
+	for wi, word := range old {
+		for word != 0 {
+			u := wi<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			if nw := remap[u]; nw >= 0 {
+				e.markBusy(int(nw))
+			}
 		}
 	}
-	e.busy = kept
 	for i := range e.queues {
 		q := &e.queues[i]
 		for k := 0; k < q.count; k++ {
-			p := &q.buf[(q.head+k)%len(q.buf)]
+			p := q.at(k)
 			if p.dst >= 0 {
 				p.dst = remap[p.dst] // -1 for a dropped destination
 			}
@@ -753,11 +755,15 @@ func (e *Engine) FlushNode(i int) {
 	}
 }
 
-// InFlight returns how many packets are currently queued.
+// InFlight returns how many packets are currently queued. It sums only
+// the queues whose busy bit is set: a queue outside the bitset is empty.
 func (e *Engine) InFlight() int64 {
 	total := int64(0)
-	for i := range e.queues {
-		total += int64(e.queues[i].count)
+	for wi, word := range e.busy {
+		for word != 0 {
+			total += int64(e.queues[wi<<6|bits.TrailingZeros64(word)].count)
+			word &= word - 1
+		}
 	}
 	return total
 }
@@ -767,22 +773,9 @@ func (e *Engine) Load() []int64 {
 	return append([]int64(nil), e.load...)
 }
 
-// LoadAt returns node i's cumulative transmission count without copying —
-// the allocation-free per-step hook the energy subsystem charges tx costs
-// from (0 for out-of-range indices, so callers racing a Resize stay safe).
-func (e *Engine) LoadAt(i int) int64 {
-	if i < 0 || i >= len(e.load) {
-		return 0
-	}
-	return e.load[i]
-}
-
-// RecvAt returns node i's cumulative reception count without copying (0
-// for out-of-range indices). Every forwarding event charged to a sender in
-// Load has exactly one matching reception, so the two totals are equal.
-func (e *Engine) RecvAt(i int) int64 {
-	if i < 0 || i >= len(e.recv) {
-		return 0
-	}
-	return e.recv[i]
-}
+// Counters returns the per-node cumulative transmission and reception
+// counts without copying: the allocation-free per-step read the energy
+// subsystem charges tx/rx costs from. Every transmission in tx has exactly
+// one matching reception in rx, so the two totals are equal. The slices
+// are the engine's own; they stay valid until the next Resize or Compact.
+func (e *Engine) Counters() (tx, rx []int64) { return e.load, e.recv }

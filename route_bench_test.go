@@ -160,6 +160,64 @@ func BenchmarkTrafficStep1000(b *testing.B) {
 	b.ReportMetric(s.DeliveryRatio, "deliveryRatio")
 }
 
+// BenchmarkTrafficStep is the forwarding layer's own row at the size the
+// bench/ "dataplane" workload runs: one Δ(τ) step of a static, stabilized
+// 20 000-node world at mean degree 10 carrying that workload's flow mix
+// (500 unicast CBR/Poisson flows at rate 0.1 between seeded random pairs,
+// plus 4 hotspots of 50 sources each, Budget 4, TTL 256), with no energy
+// model attached. The protocol is quiescent and the warm-up fills every
+// pipeline and flat-distance row, so an op is the traffic phase alone;
+// compare BenchmarkEnergyStep/n=20000 for the battery pass on top.
+func BenchmarkTrafficStep(b *testing.B) {
+	const nodes = 20000
+	b.Run(fmt.Sprintf("n=%d", nodes), func(b *testing.B) {
+		net, err := NewRandomNetwork(nodes, WithSeed(1),
+			WithRange(math.Sqrt(10/(math.Pi*nodes))), WithCacheTTL(8))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := net.Stabilize(5000); err != nil {
+			b.Fatal(err)
+		}
+		ids := net.IDs()
+		src := rng.New(7)
+		flows := make([]Flow, 0, 504)
+		for len(flows) < 500 {
+			s, d := ids[src.Intn(nodes)], ids[src.Intn(nodes)]
+			if s == d {
+				continue
+			}
+			if len(flows)%2 == 0 {
+				flows = append(flows, CBRFlow(s, d, 0.1))
+			} else {
+				flows = append(flows, PoissonFlow(s, d, 0.1))
+			}
+		}
+		for i := 0; i < 4; i++ {
+			flows = append(flows, HotspotFlow(ids[src.Intn(nodes)], 50, 0.1))
+		}
+		if err := net.AttachTraffic(TrafficConfig{Flows: flows, Budget: 4, TTL: 256}); err != nil {
+			b.Fatal(err)
+		}
+		if err := net.Run(200); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := net.Step(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		s, err := net.TrafficStats()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(s.DeliveryRatio, "deliveryRatio")
+	})
+}
+
 // benchFlows builds a deterministic 100-flow mix: 90 unicast pairs plus a
 // 10-source hotspot.
 func benchFlows(net *Network, flows int) []Flow {

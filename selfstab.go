@@ -229,10 +229,12 @@
 //     moves every step; BenchmarkRouteCached is a route query on a
 //     quiescent network, a table walk and two allocations.
 //
-//   - An O(1)-amortized traffic phase. The data plane attached by
-//     AttachTraffic runs as a post-guard phase of the same step loop:
-//     packets live in fixed-capacity per-node rings, one-hop moves are
-//     staged in reused buffers, forwarding walks the routing table via
+//   - A traffic phase that pays for its packets. The data plane attached
+//     by AttachTraffic runs as a post-guard phase of the same step loop:
+//     packets live in fixed-capacity per-node rings, the forwarding pass
+//     walks a bitset of the nodes holding packets (N/64 words, no sort),
+//     one-hop moves go onto one reused staging list, forwarding walks the
+//     routing table via
 //     the NextHop primitive (allocation-free once the trees a flow uses
 //     are filled), and latencies accumulate in
 //     a histogram that only grows to the maximum observed value. All
@@ -240,14 +242,18 @@
 //     so traffic statistics — like the protocol itself — are bit-identical
 //     for a fixed seed at any parallelism (pinned by TestDeterminismMatrix).
 //     BenchmarkTrafficStep1000 (1000 nodes, 100+ flows) adds zero
-//     steady-state allocations over the bare protocol step.
+//     steady-state allocations over the bare protocol step;
+//     BenchmarkTrafficStep/n=20000 is the layer at the bench/
+//     "dataplane" workload's size and flow mix.
 //
 //   - An allocation-free energy phase. The battery model attached by
 //     AttachEnergy runs after the traffic phase of the same step: one
 //     sequential pass over preallocated per-node arrays charges role idle
 //     costs and per-packet tx/rx deltas read straight off the data
-//     plane's counters (no copies), and rotation updates the engine's
-//     density scales only at quantized level crossings. The pass
+//     plane's counters (no copies, one read a step), and rotation
+//     re-quantizes a battery only when it falls below its level's
+//     precomputed floor, updating the engine's density scales only at
+//     quantized level crossings. The pass
 //     allocates nothing (TestEnergyPhaseAllocationFree) and, being
 //     sequential, its ledger is bit-identical whatever worker count the
 //     protocol engine under it runs at (TestDeterminismMatrix);
