@@ -42,18 +42,9 @@ func (n *Network) attachEnergyImpl(cfg EnergyConfig) error {
 		return fmt.Errorf("selfstab: energy requires cache eviction — construct the network with WithCacheTTL")
 	}
 	hooks := energy.Hooks{
-		Role: func(i int) energy.Role {
-			switch n.engine.Status(i) {
-			case runtime.StatusAlive:
-				if n.engine.Node(i).IsHead() {
-					return energy.RoleHead
-				}
-				return energy.RoleMember
-			case runtime.StatusSleeping:
-				return energy.RoleSleep
-			}
-			return energy.RoleDead
-		},
+		// Roles hands over the engine's status and head arrays as they are
+		// at charge time (an Append or a Compact may have replaced them).
+		Roles: func() ([]runtime.NodeStatus, []bool) { return n.engine.Roles() },
 		// The counters hook reads whatever data plane is attached at charge
 		// time, so traffic may be attached before or after the batteries.
 		Counters: func() (tx, rx []int64) {

@@ -17,13 +17,28 @@
 // every input it reads (roles, traffic counters) is itself deterministic.
 //
 // The pass pays per node for the role read and the drain, not for the
-// rotation arithmetic. The data plane's counters arrive as two slices
-// read once per step. With rotation on, New builds a per-level floor
-// table — floor[l] is the smallest battery in [0, Capacity] whose level
-// is at least l, found by a binary search over float64 bit patterns —
-// and a battery is re-quantized only when it drops below the floor of
-// its current level. Quantization is monotone on [0, Capacity] and
-// batteries only drain, so that is exactly when its level can change.
+// rotation arithmetic, and it reads dense arrays, not nodes:
+//
+//   - Roles are the protocol engine's own status and head arrays, read
+//     once per step, so a node's role is two byte loads instead of a call
+//     that follows the node's pointer. Only lifecycle ops and the guards
+//     write those arrays. The guards do not run during the pass, and the
+//     one lifecycle op that can (the Kill hook) changes only the slot it
+//     kills, which the pass has already charged; Scale writes neither. So
+//     the role read for node i is the one a per-node query would return.
+//   - The data plane's counters arrive the same way, as two slices read
+//     once per step.
+//   - The ledger, the five costs and the slice headers are locals for the
+//     loop, and the ledger is written back before every hook call and
+//     every return. Each accumulator still receives the same float adds
+//     in the same order, so the sums are bit-identical to updating the
+//     ledger in place, and a hook sees the ledger it always saw.
+//   - With rotation on, New builds a per-level floor table — floor[l] is
+//     the smallest battery in [0, Capacity] whose level is at least l,
+//     found by a binary search over float64 bit patterns — and a battery
+//     is re-quantized only when it drops below the floor of its current
+//     level. Quantization is monotone on [0, Capacity] and batteries only
+//     drain, so that is exactly when its level can change.
 package energy
 
 import (
@@ -31,6 +46,7 @@ import (
 	"math"
 
 	"selfstab/internal/obs"
+	"selfstab/internal/runtime"
 	"selfstab/internal/snapshot"
 )
 
@@ -83,22 +99,15 @@ func validate(c *Config) error {
 	return nil
 }
 
-// Role is what a node is doing this step, as far as its battery is
-// concerned: the one lifecycle-and-clustering read the drain pass makes.
-type Role int8
-
-const (
-	RoleDead   Role = iota // removed by churn: drains nothing
-	RoleSleep              // duty-cycled off: pays the sleep cost
-	RoleHead               // awake and claiming cluster headship
-	RoleMember             // awake, not a head
-)
-
-// Hooks connects the battery model to the engine it instruments. Role is
-// required; the rest are optional.
+// Hooks connects the battery model to the engine it instruments. Roles
+// is required; the rest are optional.
 type Hooks struct {
-	// Role reports node i's current role.
-	Role func(i int) Role
+	// Roles returns the protocol engine's per-slot lifecycle status and
+	// head bits, indexed by node (runtime.Engine.Roles). It is read once
+	// per Step and once per Stats, and the pass reads a node's role off
+	// the two arrays: a dead slot drains nothing, a sleeper pays the
+	// sleep cost, an alive node the head or member idle cost.
+	Roles func() (status []runtime.NodeStatus, head []bool)
 	// Counters returns the data plane's cumulative per-node transmission
 	// and reception counts, indexed by node; the model charges per-step
 	// deltas. It is read once per Step and once at attach time for the
@@ -168,8 +177,8 @@ func New(n int, cfg Config, hooks Hooks) (*Engine, error) {
 	if err := validate(&cfg); err != nil {
 		return nil, err
 	}
-	if hooks.Role == nil {
-		return nil, fmt.Errorf("energy: the Role hook is required")
+	if hooks.Roles == nil {
+		return nil, fmt.Errorf("energy: the Roles hook is required")
 	}
 	if cfg.Rotation && hooks.Scale == nil {
 		return nil, fmt.Errorf("energy: rotation requires the Scale hook")
@@ -239,78 +248,93 @@ func (e *Engine) SetProbe(p obs.Probe) { e.probe = p }
 //selfstab:hotpath
 func (e *Engine) Step(step int) error {
 	e.stepsRun++
-	c := &e.cfg
+	status, head := e.hooks.Roles()
+	counters := e.hooks.Counters != nil
 	var tx, rx []int64
-	if e.hooks.Counters != nil {
+	if counters {
 		tx, rx = e.hooks.Counters()
 	}
+	// The ledger, costs and arrays are locals (the package comment says
+	// why that is bit-identical): a goes back to e.acc before every hook
+	// call and every return. No hook reallocates the arrays — Kill and
+	// Scale act on the protocol engine; Resize and Compact run between
+	// steps. Do not write a back in a defer: the closure would take its
+	// address and keep it in memory.
+	a := e.acc
+	idleHead, idleMember, sleepCost := e.cfg.IdleHeadCost, e.cfg.IdleMemberCost, e.cfg.SleepCost
+	txCost, rxCost := e.cfg.TxCost, e.cfg.RxCost
+	rotation := e.cfg.Rotation
+	battery, depleted, level, floor := e.battery, e.depleted, e.level, e.floor
+	lastTx, lastRx := e.lastTx, e.lastRx
 	for i := 0; i < e.n; i++ {
-		if e.depleted[i] {
+		if depleted[i] {
 			continue
 		}
-		role := e.hooks.Role(i)
-		if role == RoleDead {
+		var drain float64
+		switch status[i] {
+		case runtime.StatusAlive:
+			if head[i] {
+				drain = idleHead
+				a.drainHead += idleHead
+				a.headSteps++
+			} else {
+				drain = idleMember
+				a.drainMember += idleMember
+				a.memberSteps++
+			}
+			if counters {
+				t := counterAt(tx, i)
+				if d := t - lastTx[i]; d > 0 {
+					cost := float64(d) * txCost
+					drain += cost
+					a.drainTx += cost
+				}
+				lastTx[i] = t
+				r := counterAt(rx, i)
+				if d := r - lastRx[i]; d > 0 {
+					cost := float64(d) * rxCost
+					drain += cost
+					a.drainRx += cost
+				}
+				lastRx[i] = r
+			}
+		case runtime.StatusSleeping:
+			drain = sleepCost
+			a.drainSleep += sleepCost
+			a.sleepSteps++
+		default:
 			continue // dead by churn: the battery outlives the node, untouched
 		}
-		var drain float64
-		if role == RoleSleep {
-			drain = c.SleepCost
-			e.acc.drainSleep += c.SleepCost
-			e.acc.sleepSteps++
-		} else {
-			if role == RoleHead {
-				drain = c.IdleHeadCost
-				e.acc.drainHead += c.IdleHeadCost
-				e.acc.headSteps++
-			} else {
-				drain = c.IdleMemberCost
-				e.acc.drainMember += c.IdleMemberCost
-				e.acc.memberSteps++
-			}
-			if e.hooks.Counters != nil {
-				t := counterAt(tx, i)
-				if d := t - e.lastTx[i]; d > 0 {
-					cost := float64(d) * c.TxCost
-					drain += cost
-					e.acc.drainTx += cost
-				}
-				e.lastTx[i] = t
-				r := counterAt(rx, i)
-				if d := r - e.lastRx[i]; d > 0 {
-					cost := float64(d) * c.RxCost
-					drain += cost
-					e.acc.drainRx += cost
-				}
-				e.lastRx[i] = r
-			}
-		}
-		b := e.battery[i] - drain
+		b := battery[i] - drain
 		if b <= 0 {
-			e.battery[i] = 0
-			e.depleted[i] = true
+			battery[i] = 0
+			depleted[i] = true
 			e.deaths++
 			if e.firstDeath < 0 {
 				e.firstDeath = step
 			}
 			if e.hooks.Kill != nil {
+				e.acc = a
 				if err := e.hooks.Kill(i); err != nil {
 					return killErr(i, err)
 				}
 			}
 			continue
 		}
-		e.battery[i] = b
+		battery[i] = b
 		// The negated compare re-quantizes a NaN battery too, as a plain
 		// quantize would.
-		if e.cfg.Rotation && !(b >= e.floor[e.level[i]]) {
-			if lvl := e.quantize(b); lvl != e.level[i] {
-				e.level[i] = lvl
+		if rotation && !(b >= floor[level[i]]) {
+			if lvl := e.quantize(b); lvl != level[i] {
+				level[i] = lvl
+				e.acc = a
 				if err := e.hooks.Scale(i, float64(lvl)/float64(e.cfg.RotationLevels)); err != nil {
 					return scaleErr(i, err)
 				}
 			}
 		}
 	}
+	e.acc = a
 	if p := e.probe; p != nil {
 		p.Counter(obs.CtrDepletions, int64(e.deaths))
 	}

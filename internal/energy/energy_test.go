@@ -3,51 +3,37 @@ package energy
 import (
 	"math"
 	"testing"
+
+	"selfstab/internal/runtime"
 )
 
 // fixture is a hand-driven network of n nodes backing the hooks: tests
-// flip roles, statuses and counters directly.
+// flip statuses, head bits and counters directly, in the two arrays the
+// Roles hook hands over as the protocol engine does.
 type fixture struct {
-	alive    []bool
-	sleeping []bool
-	head     []bool
-	tx, rx   []int64
-	killed   []int
-	scales   map[int]float64
+	status []runtime.NodeStatus
+	head   []bool
+	tx, rx []int64
+	killed []int
+	scales map[int]float64
 }
 
 func newFixture(n int) *fixture {
-	f := &fixture{
-		alive:    make([]bool, n),
-		sleeping: make([]bool, n),
-		head:     make([]bool, n),
-		tx:       make([]int64, n),
-		rx:       make([]int64, n),
-		scales:   map[int]float64{},
+	return &fixture{
+		status: make([]runtime.NodeStatus, n), // all StatusAlive
+		head:   make([]bool, n),
+		tx:     make([]int64, n),
+		rx:     make([]int64, n),
+		scales: map[int]float64{},
 	}
-	for i := range f.alive {
-		f.alive[i] = true
-	}
-	return f
 }
 
 func (f *fixture) hooks(withTraffic bool) Hooks {
 	h := Hooks{
-		Role: func(i int) Role {
-			switch {
-			case f.alive[i] && f.head[i]:
-				return RoleHead
-			case f.alive[i]:
-				return RoleMember
-			case f.sleeping[i]:
-				return RoleSleep
-			}
-			return RoleDead
-		},
+		Roles: func() ([]runtime.NodeStatus, []bool) { return f.status, f.head },
 		Kill: func(i int) error {
 			f.killed = append(f.killed, i)
-			f.alive[i] = false
-			f.sleeping[i] = false
+			f.status[i] = runtime.StatusDead
 			return nil
 		},
 		Scale: func(i int, s float64) error {
@@ -66,8 +52,8 @@ func almost(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 func TestDrainByRole(t *testing.T) {
 	f := newFixture(3)
 	f.head[0] = true
-	f.sleeping[2] = true
-	f.alive[2] = false
+	f.status[2] = runtime.StatusSleeping
+	f.head[2] = true // a sleeper's frozen head bit: its status decides, it pays the sleep cost
 	e, err := New(3, Config{Capacity: 1, IdleHeadCost: 0.01, IdleMemberCost: 0.001, SleepCost: 0.0001, TxCost: 0.1, RxCost: 0.05}, f.hooks(true))
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +127,7 @@ func TestDeadByChurnStopsDraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.alive[1] = false // churn killed it outside the battery model
+	f.status[1] = runtime.StatusDead // churn killed it outside the battery model
 	if err := e.Step(1); err != nil {
 		t.Fatal(err)
 	}
@@ -270,8 +256,7 @@ func TestResizeGivesFullBatteries(t *testing.T) {
 	if err := e.Step(1); err != nil {
 		t.Fatal(err)
 	}
-	f.alive = append(f.alive, true)
-	f.sleeping = append(f.sleeping, false)
+	f.status = append(f.status, runtime.StatusAlive)
 	f.head = append(f.head, false)
 	e.Resize(3)
 	if got := e.Remaining(2); got != 0.5 {

@@ -1,5 +1,7 @@
 package energy
 
+import "selfstab/internal/runtime"
+
 // Stats is the battery ledger at a point in time. The drain identity
 // DrainHead + DrainMember + DrainSleep + DrainTx + DrainRx == TotalDrain
 // holds at every step boundary, and every unit drained came out of some
@@ -74,8 +76,9 @@ func (e *Engine) Stats() Stats {
 	sum := 0.0
 	min := -1.0
 	operating := 0
+	status, _ := e.hooks.Roles()
 	for i := 0; i < e.n; i++ {
-		if e.depleted[i] || e.hooks.Role(i) == RoleDead {
+		if e.depleted[i] || status[i] == runtime.StatusDead {
 			continue
 		}
 		frac := e.battery[i] / e.cfg.Capacity

@@ -63,7 +63,11 @@ func Scalability(opts Options) (*ScalabilityResult, error) {
 			// A proactive flat table holds an entry for every other node,
 			// reachable or not.
 			flat.Add(float64(inst.g.N() - 1))
-			hier.Add(ht.StatePerNode())
+			state, err := ht.StatePerNode()
+			if err != nil {
+				return nil, err
+			}
+			hier.Add(state)
 			if s, ok := sampleStretch(inst, ht); ok {
 				stretch.Add(s)
 			}

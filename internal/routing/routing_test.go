@@ -141,9 +141,8 @@ func TestHierarchicalStateSmallerThanFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A flat table holds an entry for each of the other N−1 nodes.
-	if flat := float64(g.N() - 1); h.StatePerNode() >= flat/2 {
-		t.Errorf("hierarchical state %v not substantially below flat %v",
-			h.StatePerNode(), flat)
+	if state, flat := mustState(t, h), float64(g.N()-1); state >= flat/2 {
+		t.Errorf("hierarchical state %v not substantially below flat %v", state, flat)
 	}
 }
 
@@ -310,9 +309,19 @@ func TestSingleNodeGraph(t *testing.T) {
 	if err != nil || len(path) != 1 || path[0] != 0 {
 		t.Errorf("Route(0,0) = (%v, %v), want ([0], nil)", path, err)
 	}
-	if got := h.StatePerNode(); got != 0 {
+	if got := mustState(t, h); got != 0 {
 		t.Errorf("hierarchical state per node = %v on a single node, want 0", got)
 	}
+}
+
+// mustState is h.StatePerNode, failing the test on an error.
+func mustState(t *testing.T, h *Hierarchical) float64 {
+	t.Helper()
+	state, err := h.StatePerNode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return state
 }
 
 // oracleGraph draws a unit-disk graph sparse enough to fall apart into
@@ -384,7 +393,7 @@ func TestHierarchicalMatchesReference(t *testing.T) {
 			}
 			tag := fmt.Sprintf("graph %d (n=%d) kind %d", gi, n, kind)
 			if kind == 1 { // before any other query has filled a tree
-				if got, want := live.StatePerNode(), ref.StatePerNode(); got != want {
+				if got, want := mustState(t, live), ref.StatePerNode(); got != want {
 					t.Fatalf("%s: StatePerNode = %v, reference %v", tag, got, want)
 				}
 			}
@@ -402,7 +411,7 @@ func TestHierarchicalMatchesReference(t *testing.T) {
 					}
 				}
 			}
-			if got, want := live.StatePerNode(), ref.StatePerNode(); got != want {
+			if got, want := mustState(t, live), ref.StatePerNode(); got != want {
 				t.Fatalf("%s: StatePerNode = %v, reference %v", tag, got, want)
 			}
 			for _, q := range [][2]int{{-1, 0}, {0, n}, {n, -1}} {

@@ -285,6 +285,23 @@ func (e *Engine) DisruptionRecords() []DisruptionRecord {
 // Status returns node i's lifecycle state.
 func (e *Engine) Status(i int) NodeStatus { return e.status[i] }
 
+// IsHead reports whether node i currently claims headship, whatever its
+// status — Node(i).IsHead() read from a dense per-slot array.
+func (e *Engine) IsHead(i int) bool { return e.head[i] }
+
+// Roles returns the per-slot status and head arrays, indexed by node: the
+// battery pass reads them once per step instead of asking per node. The
+// slices are the engine's own and callers must not write them; Append and
+// Compact may replace them, so read them again after either.
+func (e *Engine) Roles() (status []NodeStatus, head []bool) { return e.status, e.head }
+
+// resetNode cold-restarts node i's protocol state (Node.reset), which
+// makes it its own head again.
+func (e *Engine) resetNode(i int) {
+	e.nodes[i].reset(e.proto)
+	e.head[i] = true
+}
+
 // AliveCount returns the number of StatusAlive nodes. O(1): the count is
 // maintained incrementally by the churn mutators (churn schedules query
 // it per victim draw, which at 100k+ nodes must not rescan the statuses).
@@ -319,6 +336,7 @@ func (e *Engine) Append(id int64) (int, error) {
 	e.active = append(e.active, false)
 	e.status = append(e.status, StatusAlive)
 	e.sendMask = append(e.sendMask, true)
+	e.head = append(e.head, true)
 	e.disrupt.changed = append(e.disrupt.changed, false)
 	e.disrupt.siteSet = append(e.disrupt.siteSet, false)
 	e.pendFlag = append(e.pendFlag, false)
@@ -361,7 +379,7 @@ func (e *Engine) Kill(i int) error {
 	}
 	e.aliveIdx.clear(i)
 	e.deadN++
-	e.nodes[i].reset(e.proto)
+	e.resetNode(i)
 	e.status[i] = StatusDead
 	e.sendMask[i] = false
 	e.epoch++
@@ -399,7 +417,7 @@ func (e *Engine) restart(i int, kind ChurnKind) error {
 		e.aliveN++
 	}
 	e.aliveIdx.set(i)
-	e.nodes[i].reset(e.proto)
+	e.resetNode(i)
 	e.status[i] = StatusAlive
 	e.sendMask[i] = true
 	e.epoch++

@@ -87,6 +87,7 @@ func (e *Engine) Compact(remap []int32, newN int) error {
 		e.active[i] = e.active[old]
 		e.status[i] = e.status[old]
 		e.sendMask[i] = e.sendMask[old]
+		e.head[i] = e.head[old]
 		if e.densityScale != nil {
 			e.densityScale[i] = e.densityScale[old]
 		}
@@ -97,6 +98,7 @@ func (e *Engine) Compact(remap []int32, newN int) error {
 	e.active = e.active[:newN]
 	e.status = e.status[:newN]
 	e.sendMask = e.sendMask[:newN]
+	e.head = e.head[:newN]
 	if e.densityScale != nil {
 		e.densityScale = e.densityScale[:newN]
 	}

@@ -92,6 +92,14 @@ type Engine struct {
 	aliveN   int
 	deadN    int
 
+	// head[i] mirrors nodes[i].IsHead() for every slot, whatever its
+	// status: the data plane and the battery pass read headship once per
+	// packet or node per step, and a dense byte read beats a node
+	// pointer chase. Every write of a node's headID writes its bit too —
+	// the guards (each worker its own slots), Corrupt, a cold restart,
+	// Append, construction and Compact.
+	head []bool
+
 	// The worklist (step.go, frontier.go). sparseOK records whether this
 	// configuration can run as a frontier engine at all; sparse whether it
 	// currently does. pend is next step's deduplicated worklist. exec is
@@ -197,6 +205,7 @@ func New(g *topology.Graph, ids []int64, proto Protocol, medium radio.Medium, sr
 		active:   make([]bool, g.N()),
 		status:   make([]NodeStatus, g.N()),
 		sendMask: make([]bool, g.N()),
+		head:     make([]bool, g.N()),
 		aliveN:   g.N(),
 	}
 	e.aliveIdx.initAll(g.N())
@@ -212,6 +221,7 @@ func New(g *topology.Graph, ids []int64, proto Protocol, medium radio.Medium, sr
 		initNode(&arena[i], ids[i], proto, e.nodeStream(i))
 		e.nodes[i] = &arena[i]
 		e.sendMask[i] = true
+		e.head[i] = true // cold start: every node heads itself
 	}
 	// Frontier stepping is on whenever the configuration supports it; the
 	// whole population starts on the worklist (cold start: every guard is
@@ -535,6 +545,7 @@ func (e *Engine) Corrupt(frac float64, kind CorruptionKind, src *rng.Source) {
 			n.density = src.Float64() * 100
 			n.headID = garbageID()
 			n.parent = garbageID()
+			e.head[i] = n.IsHead() // garbage can be the node's own id
 		}
 		if kind&CorruptCache != 0 {
 			n.linksOK = false // relayed identifiers are about to change

@@ -272,6 +272,7 @@ func (e *Engine) execNode(i int) bool {
 		// writes is part of the list the node relays.
 		n.dirty = true
 		n.headerDirty = true
+		e.head[i] = n.IsHead()
 		if e.disrupt.active {
 			e.disrupt.changed[i] = true
 		}

@@ -81,6 +81,12 @@ type flowRequest struct {
 // tens of thousands of nodes in one call.
 const maxInjectBody = 1 << 20
 
+// maxInjectNodes caps how many nodes one inject may create: a sybil
+// count, or an add_nodes point count. A sybil count costs no body bytes,
+// and the world would size its arrays for it under the write lock while
+// every reader waits, so the count is refused (422) before the lock.
+const maxInjectNodes = 10000
+
 func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 	var req injectRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInjectBody))
@@ -92,6 +98,10 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		writeError(w, http.StatusBadRequest, "bad inject body: %v", err)
+		return
+	}
+	if n := injectNodes(req); n > maxInjectNodes {
+		writeError(w, http.StatusUnprocessableEntity, "%s would create %d nodes, over %d", req.Kind, n, maxInjectNodes)
 		return
 	}
 	var (
@@ -107,6 +117,17 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"kind": req.Kind, "step": step, "affected": affected})
+}
+
+// injectNodes returns how many nodes req would create.
+func injectNodes(req injectRequest) int {
+	switch req.Kind {
+	case "sybil":
+		return req.Count
+	case "add_nodes":
+		return len(req.Points)
+	}
+	return 0
 }
 
 // applyInjectLocked performs one injection under the write lock and

@@ -336,6 +336,60 @@ func TestInjectBodyCap(t *testing.T) {
 	}
 }
 
+// TestInjectNodeCap: a sybil count or an add_nodes point count over
+// maxInjectNodes is refused with 422 before the world lock is taken — the
+// test holds the lock for the whole request — and leaves the journal and
+// the step where they were; the server keeps answering.
+func TestInjectNodeCap(t *testing.T) {
+	srv, ts := testServer(t, 30, Config{})
+	state := func() (ops, step int) {
+		t.Helper()
+		var buf bytes.Buffer
+		srv.mu.RLock()
+		err := srv.net.WriteSnapshot(&buf)
+		step = srv.net.StepCount()
+		srv.mu.RUnlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := snapshot.Decode(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(doc.Ops), step
+	}
+	target := srv.net.IDs()[0]
+	points := `{"x":0.5,"y":0.5}` + strings.Repeat(`,{"x":0.5,"y":0.5}`, maxInjectNodes)
+	client := &http.Client{Timeout: 5 * time.Second}
+	for name, body := range map[string]string{
+		"sybil":     fmt.Sprintf(`{"kind":"sybil","target":%d,"count":2000000000}`, target),
+		"add_nodes": `{"kind":"add_nodes","points":[` + points + `]}`,
+	} {
+		opsBefore, stepBefore := state()
+		srv.mu.Lock()
+		resp, err := client.Post(ts.URL+"/inject", "application/json", strings.NewReader(body))
+		srv.mu.Unlock()
+		if err != nil {
+			t.Fatalf("%s: an over-cap inject was not answered while the world lock was held: %v", name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("%s: status %d, want 422", name, resp.StatusCode)
+		}
+		if ops, step := state(); ops != opsBefore || step != stepBefore {
+			t.Errorf("%s: journal %d -> %d ops, step %d -> %d on a refused inject", name, opsBefore, ops, stepBefore, step)
+		}
+		resp, err = client.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: /healthz status %d after a refused inject, want 200", name, resp.StatusCode)
+		}
+	}
+}
+
 func TestSpawnFlow(t *testing.T) {
 	srv, ts := testServer(t, 40, Config{})
 	ids := srv.net.IDs()

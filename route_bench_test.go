@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"selfstab/internal/rng"
+	"selfstab/internal/routing"
 )
 
 // benchStableNet builds and stabilizes a network once per benchmark.
@@ -160,45 +161,53 @@ func BenchmarkTrafficStep1000(b *testing.B) {
 	b.ReportMetric(s.DeliveryRatio, "deliveryRatio")
 }
 
-// BenchmarkTrafficStep is the forwarding layer's own row at the size the
-// bench/ "dataplane" workload runs: one Δ(τ) step of a static, stabilized
-// 20 000-node world at mean degree 10 carrying that workload's flow mix
-// (500 unicast CBR/Poisson flows at rate 0.1 between seeded random pairs,
-// plus 4 hotspots of 50 sources each, Budget 4, TTL 256), with no energy
-// model attached. The protocol is quiescent and the warm-up fills every
-// pipeline and flat-distance row, so an op is the traffic phase alone;
-// compare BenchmarkEnergyStep/n=20000 for the battery pass on top.
-func BenchmarkTrafficStep(b *testing.B) {
+// dataplaneWorld builds the static world of the bench/ "dataplane"
+// workload at its size and flow mix: a stabilized 20 000-node network at
+// mean degree 10 carrying 500 unicast CBR/Poisson flows at rate 0.1
+// between seeded random pairs plus 4 hotspots of 50 sources each, Budget
+// 4, TTL 256, with no energy model attached.
+func dataplaneWorld(b *testing.B) *Network {
+	b.Helper()
 	const nodes = 20000
-	b.Run(fmt.Sprintf("n=%d", nodes), func(b *testing.B) {
-		net, err := NewRandomNetwork(nodes, WithSeed(1),
-			WithRange(math.Sqrt(10/(math.Pi*nodes))), WithCacheTTL(8))
-		if err != nil {
-			b.Fatal(err)
+	net, err := NewRandomNetwork(nodes, WithSeed(1),
+		WithRange(math.Sqrt(10/(math.Pi*nodes))), WithCacheTTL(8))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := net.Stabilize(5000); err != nil {
+		b.Fatal(err)
+	}
+	ids := net.IDs()
+	src := rng.New(7)
+	flows := make([]Flow, 0, 504)
+	for len(flows) < 500 {
+		s, d := ids[src.Intn(nodes)], ids[src.Intn(nodes)]
+		if s == d {
+			continue
 		}
-		if _, err := net.Stabilize(5000); err != nil {
-			b.Fatal(err)
+		if len(flows)%2 == 0 {
+			flows = append(flows, CBRFlow(s, d, 0.1))
+		} else {
+			flows = append(flows, PoissonFlow(s, d, 0.1))
 		}
-		ids := net.IDs()
-		src := rng.New(7)
-		flows := make([]Flow, 0, 504)
-		for len(flows) < 500 {
-			s, d := ids[src.Intn(nodes)], ids[src.Intn(nodes)]
-			if s == d {
-				continue
-			}
-			if len(flows)%2 == 0 {
-				flows = append(flows, CBRFlow(s, d, 0.1))
-			} else {
-				flows = append(flows, PoissonFlow(s, d, 0.1))
-			}
-		}
-		for i := 0; i < 4; i++ {
-			flows = append(flows, HotspotFlow(ids[src.Intn(nodes)], 50, 0.1))
-		}
-		if err := net.AttachTraffic(TrafficConfig{Flows: flows, Budget: 4, TTL: 256}); err != nil {
-			b.Fatal(err)
-		}
+	}
+	for i := 0; i < 4; i++ {
+		flows = append(flows, HotspotFlow(ids[src.Intn(nodes)], 50, 0.1))
+	}
+	if err := net.AttachTraffic(TrafficConfig{Flows: flows, Budget: 4, TTL: 256}); err != nil {
+		b.Fatal(err)
+	}
+	return net
+}
+
+// BenchmarkTrafficStep is the forwarding layer's own row at the size the
+// bench/ "dataplane" workload runs: one Δ(τ) step of dataplaneWorld. The
+// protocol is quiescent and the warm-up fills every pipeline and
+// flat-distance row, so an op is the traffic phase alone; compare
+// BenchmarkEnergyStep/n=20000 for the battery pass on top.
+func BenchmarkTrafficStep(b *testing.B) {
+	b.Run("n=20000", func(b *testing.B) {
+		net := dataplaneWorld(b)
 		if err := net.Run(200); err != nil {
 			b.Fatal(err)
 		}
@@ -215,6 +224,52 @@ func BenchmarkTrafficStep(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(s.DeliveryRatio, "deliveryRatio")
+	})
+}
+
+// BenchmarkNextHop is the routing layer's row under the data plane: one
+// op is every NextHop call that carries one packet of each of
+// dataplaneWorld's 700 expanded flows from its source to its destination
+// (or to the hop that finds no route), interleaved as the forwarder
+// interleaves them — hop k of every packet before hop k+1 of any. The
+// world is static, so the table is built once and the first pass fills
+// every tree and row the calls touch; an op then allocates nothing.
+func BenchmarkNextHop(b *testing.B) {
+	b.Run("n=20000", func(b *testing.B) {
+		net := dataplaneWorld(b)
+		table, err := net.hierTable()
+		if err != nil {
+			b.Fatal(err)
+		}
+		type call struct{ cur, dst int }
+		var calls []call
+		at := make([]call, 0, len(net.flowIDs)) // each packet's next call
+		for _, f := range net.flowIDs {
+			src, _ := net.IndexOf(f.src)
+			dst, _ := net.IndexOf(f.dst)
+			at = append(at, call{src, dst})
+		}
+		for len(at) > 0 {
+			kept := at[:0]
+			for _, c := range at {
+				calls = append(calls, c)
+				next, err := table.NextHop(c.cur, c.dst)
+				if err == nil && next != c.dst {
+					kept = append(kept, call{next, c.dst})
+				}
+			}
+			at = kept
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, c := range calls {
+				if _, err := table.NextHop(c.cur, c.dst); err != nil && err != routing.ErrUnreachable {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(float64(len(calls)), "calls/op")
 	})
 }
 

@@ -68,7 +68,11 @@ func (n *Network) RoutingState() (flat, hierarchical float64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	return float64(len(n.pts) - 1), ht.StatePerNode(), nil
+	hier, err := ht.StatePerNode()
+	if err != nil {
+		return 0, 0, err
+	}
+	return float64(len(n.pts) - 1), hier, nil
 }
 
 // hierTable returns the hierarchical routing table for the current epoch.

@@ -301,8 +301,10 @@ func TestLiveTableMatchesFreshBuild(t *testing.T) {
 					}
 				}
 				if step%10 == 0 {
-					if got, want := live.StatePerNode(), fresh.StatePerNode(); got != want {
-						t.Fatalf("step %d: StatePerNode = %v, fresh build says %v", step, got, want)
+					got, err := live.StatePerNode()
+					want, wantErr := fresh.StatePerNode()
+					if got != want || err != nil || wantErr != nil {
+						t.Fatalf("step %d: StatePerNode = (%v, %v), fresh build says (%v, %v)", step, got, err, want, wantErr)
 					}
 				}
 			}

@@ -18,8 +18,9 @@
 # BenchmarkHandleState/n=50000) — plus
 # the routing/traffic
 # suite (with BenchmarkFlatDist, the stretch baseline's 700 queries at
-# n=2000|20000, and BenchmarkTrafficStep/n=20000, the forwarding layer at
-# the dataplane workload's size and flow mix) in BENCH_traffic.json, the churn suite in BENCH_churn.json, the
+# n=2000|20000, BenchmarkTrafficStep/n=20000, the forwarding layer at
+# the dataplane workload's size and flow mix, and BenchmarkNextHop/n=20000,
+# the routing calls that flow mix makes) in BENCH_traffic.json, the churn suite in BENCH_churn.json, the
 # energy suite (BenchmarkEnergyStep at n=1000|20000|50000, the sizes the
 # battery pass runs at) in BENCH_energy.json and the scale suite (quiescent
 # frontier stepping, perturbed 100k step with a worklist-size sweep,
@@ -39,11 +40,13 @@
 # After generating the fresh numbers, a regression gate compares the
 # median ns/op of every step-time (the traffic and energy step rows
 # among them), heal-round, ingest, link-count, link-upkeep,
-# flat-distance and serve-layer benchmark ($GATE_MATCH) against the
-# committed BENCH_*.json baselines captured at script start and fails the
-# run on a >20% regression (scripts/benchgate; baselines recorded at a
-# different GOMAXPROCS are reported and skipped, not compared). Set
-# SKIP_BENCH_GATE=1 to record a new baseline through a known regression.
+# flat-distance, next-hop and serve-layer benchmark ($GATE_MATCH) against
+# the committed BENCH_*.json baselines captured at script start and fails
+# the run on a >20% regression (scripts/benchgate; baselines recorded at a
+# different GOMAXPROCS are reported and skipped, not compared). The gate
+# runs on all five files and prints every verdict before it fails, so one
+# regressed file does not hide the others. Set SKIP_BENCH_GATE=1 to
+# record a new baseline through a known regression.
 #
 # Usage: scripts/bench.sh [count]
 #   count        benchmark repetitions per benchmark (default 5)
@@ -65,7 +68,7 @@ SCALE_RAW="BENCH_scale.txt"
 SCALE_JSON="BENCH_scale.json"
 SCALE_COUNT="${SCALE_COUNT:-3}"
 # The benchmarks the regression gate compares, by name.
-GATE_MATCH='Step|TrafficStep|EnergyStep|HealRound|Ingest|CountLinks|LinkUpkeep|FlatDist|ComputeStats|CheckInvariants|HandleState'
+GATE_MATCH='Step|TrafficStep|EnergyStep|HealRound|Ingest|CountLinks|LinkUpkeep|FlatDist|NextHop|ComputeStats|CheckInvariants|HandleState'
 
 # Capture the committed baselines before anything overwrites them: these
 # are what the regression gate at the end compares against.
@@ -98,7 +101,7 @@ echo "== benchmarks (count=$COUNT)" >&2
 { provenance; go test -run '^$' -bench . -benchmem -count "$COUNT" "${PKGS[@]}"; } | tee "$RAW"
 
 echo "== traffic + routing benchmarks (count=$COUNT)" >&2
-{ provenance; go test -run '^$' -bench 'BenchmarkRouteCached|BenchmarkTrafficStep|BenchmarkFlatDist' \
+{ provenance; go test -run '^$' -bench 'BenchmarkRouteCached|BenchmarkTrafficStep|BenchmarkFlatDist|BenchmarkNextHop' \
     -benchmem -count "$COUNT" .; } | tee "$TRAFFIC_RAW"
 
 echo "== churn benchmarks (count=$COUNT)" >&2
@@ -168,11 +171,22 @@ if [ "${SKIP_BENCH_GATE:-0}" = "1" ]; then
     echo "== bench-regression gate skipped (SKIP_BENCH_GATE=1)" >&2
 else
     echo "== bench-regression gate (fail on >20% regression of $GATE_MATCH vs committed baselines)" >&2
+    failed=()
     for f in "$JSON" "$TRAFFIC_JSON" "$CHURN_JSON" "$ENERGY_JSON" "$SCALE_JSON"; do
         if [ -f "$BASELINE_DIR/$f" ]; then
-            go run ./scripts/benchgate -baseline "$BASELINE_DIR/$f" -fresh "$f" -threshold 1.2 -match "$GATE_MATCH"
+            echo "== benchgate $f" >&2
+            if go run ./scripts/benchgate -baseline "$BASELINE_DIR/$f" -fresh "$f" -threshold 1.2 -match "$GATE_MATCH"; then
+                echo "benchgate: $f passed" >&2
+            else
+                echo "benchgate: $f FAILED" >&2
+                failed+=("$f")
+            fi
         else
             echo "benchgate: no committed baseline for $f; skipping" >&2
         fi
     done
+    if [ "${#failed[@]}" -gt 0 ]; then
+        echo "benchgate: ${#failed[@]} of 5 files regressed: ${failed[*]}" >&2
+        exit 1
+    fi
 fi

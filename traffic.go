@@ -103,7 +103,7 @@ func (n *Network) attachTrafficImpl(cfg TrafficConfig) error {
 		// IsHead feeds the per-head admission defense (SetTrafficDefense);
 		// it is only consulted while that defense is installed.
 		IsHead: func(i int) bool {
-			return n.engine.Status(i) == runtime.StatusAlive && n.engine.Node(i).IsHead()
+			return n.engine.Status(i) == runtime.StatusAlive && n.engine.IsHead(i)
 		},
 	}
 	t, err := traffic.New(len(n.pts), cfg, specs, hooks, n.src.Split("traffic"))
@@ -303,7 +303,7 @@ func (n *Network) TrafficStats() (TrafficStats, error) {
 			continue
 		}
 		operating++
-		if n.engine.Node(i).IsHead() {
+		if n.engine.IsHead(i) {
 			heads++
 			headLoad += l
 		}
