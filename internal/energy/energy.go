@@ -21,11 +21,11 @@
 //
 //   - Roles are the protocol engine's own status and head arrays, read
 //     once per step, so a node's role is two byte loads instead of a call
-//     that follows the node's pointer. Only lifecycle ops and the guards
-//     write those arrays. The guards do not run during the pass, and the
-//     one lifecycle op that can (the Kill hook) changes only the slot it
-//     kills, which the pass has already charged; Scale writes neither. So
-//     the role read for node i is the one a per-node query would return.
+//     that follows the node's pointer. Only lifecycle ops, fault
+//     injection and the guards write those arrays, and during the pass
+//     only the Kill hook runs one: it changes the slot it kills, which the
+//     pass has already charged (Scale writes neither array). So the role
+//     read for node i is the one a per-node query would return.
 //   - The data plane's counters arrive the same way, as two slices read
 //     once per step.
 //   - The ledger, the five costs and the slice headers are locals for the

@@ -1,6 +1,7 @@
 package selfstab
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -264,7 +265,7 @@ func BenchmarkNextHop(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, c := range calls {
-				if _, err := table.NextHop(c.cur, c.dst); err != nil && err != routing.ErrUnreachable {
+				if _, err := table.NextHop(c.cur, c.dst); err != nil && !errors.Is(err, routing.ErrUnreachable) {
 					b.Fatal(err)
 				}
 			}
