@@ -86,7 +86,7 @@ func (n *Network) spawnFlowsImpl(flows []Flow) error {
 	}
 	specs, err := n.resolveFlows(flows)
 	if err == nil {
-		err = traffic.ValidateFlows(len(n.pts), specs)
+		err = traffic.ValidateFlows(n.N(), specs)
 	}
 	if err != nil {
 		return err
@@ -120,7 +120,7 @@ func (n *Network) FloodHeads(bots int, rate float64) ([]int64, error) {
 		return nil, fmt.Errorf("selfstab: no traffic attached — floods ride the data plane")
 	}
 	var heads, candidates []int
-	for i := range n.pts {
+	for i := range n.N() {
 		if n.engine.Status(i) != runtime.StatusAlive {
 			continue
 		}
@@ -138,10 +138,11 @@ func (n *Network) FloodHeads(bots int, rate float64) ([]int64, error) {
 	}
 	flows := make([]Flow, bots)
 	ids := make([]int64, bots)
+	all := n.engine.IDs()
 	for k := 0; k < bots; k++ {
 		src, dst := candidates[k], heads[k%len(heads)]
-		flows[k] = CBRFlow(n.ids[src], n.ids[dst], rate)
-		ids[k] = n.ids[src]
+		flows[k] = CBRFlow(all[src], all[dst], rate)
+		ids[k] = all[src]
 	}
 	if err := n.SpawnFlows(flows...); err != nil {
 		return nil, err
@@ -199,10 +200,10 @@ func (n *Network) scaleDensityImpl(ids []int64, scale float64) error {
 // the bound; a margin (e.g. 1.1) tolerates transiently stale caches
 // during convergence. Read-only; pair with EvictNodes to respond.
 func (n *Network) ImplausibleNodes(factor float64) []int64 {
-	idxs := n.engine.Implausible(factor)
+	idxs, all := n.engine.Implausible(factor), n.engine.IDs()
 	ids := make([]int64, len(idxs))
 	for k, i := range idxs {
-		ids[k] = n.ids[i]
+		ids[k] = all[i]
 	}
 	return ids
 }
@@ -242,7 +243,7 @@ func (n *Network) SybilJoin(targetID int64, count int, spread float64) ([]int64,
 	if !ok {
 		return nil, fmt.Errorf("selfstab: unknown node id %d", targetID)
 	}
-	center := n.pts[i]
+	center := n.grid.Points()[i]
 	// Deterministic geometry, not an rng stream: a snapshot restored
 	// mid-attack must produce the same placements for the same call on
 	// both the original and the restored world.

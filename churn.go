@@ -119,7 +119,7 @@ func (n *Network) ConvergenceStats() ConvergenceStats {
 func (n *Network) Population() (alive, sleeping, dead int) {
 	alive = n.engine.AliveCount()
 	dead = n.engine.DeadCount()
-	return alive, len(n.pts) - alive - dead, dead
+	return alive, n.N() - alive - dead, dead
 }
 
 // AddNodes powers up new nodes at the given positions. They receive fresh
@@ -165,24 +165,20 @@ func (n *Network) addNodesImpl(pts []Point) error {
 // structure that must stay aligned.
 func (n *Network) addNodeAt(p geom.Point) (int64, error) {
 	id := n.nextID
-	idx := n.grid.Append(p)
+	n.grid.Append(p)
 	if _, err := n.engine.Append(id); err != nil {
 		return 0, err
 	}
 	n.nextID++
-	n.pts = append(n.pts, p)
-	n.ids = append(n.ids, id)
-	n.id2idx[id] = idx
 	if n.traffic != nil {
-		n.traffic.Resize(len(n.pts))
+		n.traffic.Resize(n.N())
 	}
 	if n.energy != nil {
-		n.energy.Resize(len(n.pts)) // arrivals power up with a full battery
+		n.energy.Resize(n.N()) // arrivals power up with a full battery
 	}
 	if n.churn != nil {
 		n.churn.sleepUntil = append(n.churn.sleepUntil, 0)
 	}
-	n.topoEpoch++
 	return id, nil
 }
 
@@ -229,7 +225,6 @@ func (n *Network) removeNodeIdx(i int) error {
 	if n.churn != nil && i < len(n.churn.sleepUntil) {
 		n.churn.sleepUntil[i] = 0 // a removed sleeper must never be schedule-woken
 	}
-	n.topoEpoch++
 	return nil
 }
 
@@ -249,7 +244,6 @@ func (n *Network) restartNodeIdx(i int, restart func(i int) error) error {
 	}
 	if wasSleeping {
 		n.grid.Reactivate(i)
-		n.topoEpoch++
 	}
 	if n.traffic != nil {
 		n.traffic.FlushNode(i)
@@ -271,7 +265,6 @@ func (n *Network) sleepNodeIdx(i int, until int) error {
 			n.churn.sleepers = append(n.churn.sleepers, int32(i))
 		}
 	}
-	n.topoEpoch++
 	return nil
 }
 
@@ -286,7 +279,6 @@ func (n *Network) wakeNodeIdx(i int) error {
 	if n.churn != nil && i < len(n.churn.sleepUntil) {
 		n.churn.sleepUntil[i] = 0
 	}
-	n.topoEpoch++
 	return nil
 }
 
@@ -329,9 +321,15 @@ type churnState struct {
 	sleepers   []int32
 }
 
-// compactSleepers applies a dead-slot recycling remap to the worklist
-// (survivors keep their order; dropped slots leave it).
-func (c *churnState) compactSleepers(remap []int32) {
+// compact applies a dead-slot recycling remap to the wake deadlines and
+// the worklist (survivors keep their order; dropped slots leave it).
+func (c *churnState) compact(remap []int32, newN int) {
+	for old, nw := range remap {
+		if nw >= 0 {
+			c.sleepUntil[nw] = c.sleepUntil[old]
+		}
+	}
+	c.sleepUntil = c.sleepUntil[:newN]
 	kept := c.sleepers[:0]
 	for _, si := range c.sleepers {
 		if nw := remap[si]; nw >= 0 {
@@ -368,8 +366,8 @@ func (n *Network) attachChurnImpl(cfg ChurnConfig) error {
 		n.churn = &churnState{src: n.src.Split("churn")}
 	}
 	n.churn.cfg = cfg
-	if len(n.churn.sleepUntil) < len(n.pts) {
-		n.churn.sleepUntil = make([]int, len(n.pts))
+	if len(n.churn.sleepUntil) < n.N() {
+		n.churn.sleepUntil = make([]int, n.N())
 	}
 	n.engine.SetPreStep(n.churnPreStep)
 	n.churnAttached = true

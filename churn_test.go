@@ -67,7 +67,8 @@ func TestChurnRestabilizesToOracle(t *testing.T) {
 
 	// Sleeping nodes are hidden from the clustering and their state is
 	// frozen.
-	st, err := net.State(net.id2idx[ids[8]])
+	i8, _ := net.IndexOf(ids[8])
+	st, err := net.State(i8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestFlatDistMatchesBFS(t *testing.T) {
 	check := func(t *testing.T, net *Network) (unreachable int) {
 		t.Helper()
 		for src := 0; src < net.N(); src++ {
-			row := net.g.Distances(src)
+			row := net.grid.Graph().Distances(src)
 			for dst, want := range row {
 				if got := net.flatDist(src, dst); got != want {
 					t.Fatalf("flatDist(%d,%d) = %d, BFS row says %d", src, dst, got, want)
@@ -441,7 +442,7 @@ func TestRemoveScheduledSleeperNeverWoken(t *testing.T) {
 	if err := net.sleepNodeIdx(0, net.StepCount()+5); err != nil {
 		t.Fatal(err)
 	}
-	if err := net.RemoveNodes(net.ids[0]); err != nil {
+	if err := net.RemoveNodes(net.IDs()[0]); err != nil {
 		t.Fatal(err)
 	}
 	if err := net.Run(20); err != nil {

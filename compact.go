@@ -13,10 +13,12 @@ import (
 // cumulative arrivals instead of the operating population. Compact
 // closes that gap: dead slots are dropped and the survivors renumbered,
 // under one index remap propagated atomically to every structure that
-// caches indices — the spatial grid and unit-disk graph, the step
-// engine, the traffic queues and flow endpoints, the energy arrays, the
-// convergence ledger's open episode, and the cached routing tables
-// (which rebuild on their epoch check).
+// caches indices — the spatial grid (positions, cells and the unit-disk
+// graph), the step engine (node state, identifiers and the id→index
+// map), the traffic queues and flow endpoints, the energy arrays, the
+// churn schedule's wake deadlines and the convergence ledger's open
+// episode. The cached routing tables and flat distances rebuild because
+// compaction advances the graph's version.
 //
 // Compaction is invisible to everything keyed by node identifier: the
 // protocol state, Clusters, Stats, TrafficStats, EnergyStats and
@@ -31,11 +33,11 @@ import (
 // friends renumber, and N() shrinks by the returned count. Call between
 // steps — never from a hook.
 func (n *Network) Compact() (removed int, err error) {
-	oldN := len(n.pts)
+	oldN := n.N()
 	if err := n.applyOp(snapshot.Op{Kind: snapshot.OpCompact}); err != nil {
 		return 0, err
 	}
-	return oldN - len(n.pts), nil
+	return oldN - n.N(), nil
 }
 
 // compactImpl is the journaled implementation behind Compact. It is also
@@ -51,7 +53,8 @@ func (n *Network) compactImpl() (removed int, err error) {
 	}
 	// Order matters and mirrors construction: topology first (the engine
 	// validates its graph against newN), then the engine, then the
-	// attached subsystems, then the Network's own arrays.
+	// attached subsystems. The grid's graph advances its Version, which
+	// invalidates the index-keyed routing tables and flat distances.
 	if err := n.grid.Compact(remap, newN); err != nil {
 		return 0, fmt.Errorf("selfstab: compact: %w", err)
 	}
@@ -68,26 +71,9 @@ func (n *Network) compactImpl() (removed int, err error) {
 			return 0, fmt.Errorf("selfstab: compact: %w", err)
 		}
 	}
-	for old, nw := range remap {
-		if nw < 0 {
-			delete(n.id2idx, n.ids[old])
-			continue
-		}
-		i := int(nw)
-		n.pts[i] = n.pts[old]
-		n.ids[i] = n.ids[old]
-		n.id2idx[n.ids[i]] = i
-		if n.churn != nil {
-			n.churn.sleepUntil[i] = n.churn.sleepUntil[old]
-		}
-	}
-	n.pts = n.pts[:newN]
-	n.ids = n.ids[:newN]
 	if n.churn != nil {
-		n.churn.sleepUntil = n.churn.sleepUntil[:newN]
-		n.churn.compactSleepers(remap)
+		n.churn.compact(remap, newN)
 	}
-	n.topoEpoch++ // flat tables and distance rows are index-keyed
 	return len(remap) - newN, nil
 }
 
@@ -108,7 +94,7 @@ func (n *Network) maybeAutoCompact() error {
 		return nil
 	}
 	dead := n.engine.DeadCount()
-	if dead == 0 || float64(dead) < n.autoCompact*float64(len(n.pts)) {
+	if dead == 0 || float64(dead) < n.autoCompact*float64(n.N()) {
 		return nil
 	}
 	_, err := n.compactImpl()

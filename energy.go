@@ -58,7 +58,7 @@ func (n *Network) attachEnergyImpl(cfg EnergyConfig) error {
 			return n.engine.SetDensityScale(i, s)
 		},
 	}
-	eng, err := energy.New(len(n.pts), cfg, hooks)
+	eng, err := energy.New(n.N(), cfg, hooks)
 	if err != nil {
 		return err
 	}
@@ -66,7 +66,7 @@ func (n *Network) attachEnergyImpl(cfg EnergyConfig) error {
 		// A replaced rotating model leaves its scales behind; reset them
 		// so the fresh model (whose full batteries mean scale 1 on every
 		// node) or the plain-density election starts from a clean slate.
-		for i := range n.pts {
+		for i := range n.N() {
 			if err := n.engine.SetDensityScale(i, 1); err != nil {
 				return err
 			}
@@ -153,7 +153,7 @@ func (n *Network) EnergyRemaining() ([]float64, error) {
 	if n.energy == nil {
 		return nil, fmt.Errorf("selfstab: no energy model attached")
 	}
-	out := make([]float64, len(n.pts))
+	out := make([]float64, n.N())
 	cap := n.energy.Capacity()
 	for i := range out {
 		out[i] = n.energy.Remaining(i) / cap

@@ -38,15 +38,15 @@ func (n *Network) BuildHierarchy(maxLevels int) ([]HierarchyLevel, error) {
 	if n.cfg.Sticky {
 		order = cluster.OrderSticky
 	}
-	g, ids := n.g, n.ids
+	g, ids := n.grid.Graph(), n.engine.IDs()
 	sub := []int(nil) // level-0 vertex → physical index (nil: identity)
 	if mask := n.operatingMask(); mask != nil {
 		// Induce the operating subgraph with compacted indices. Dead and
 		// sleeping nodes are already isolated vertices of the live
 		// topology, so this only drops vertices, never edges.
-		sub = make([]int, 0, len(n.pts))
-		subIdx := make([]int, len(n.pts))
-		for i := range n.pts {
+		sub = make([]int, 0, len(mask))
+		subIdx := make([]int, len(mask))
+		for i := range mask {
 			subIdx[i] = -1
 			if mask[i] {
 				subIdx[i] = len(sub)
@@ -56,11 +56,12 @@ func (n *Network) BuildHierarchy(maxLevels int) ([]HierarchyLevel, error) {
 		if len(sub) == 0 {
 			return nil, fmt.Errorf("selfstab: no operating nodes to cluster")
 		}
+		live, all := g, ids
 		g = topology.New(len(sub))
 		ids = make([]int64, len(sub))
 		for k, u := range sub {
-			ids[k] = n.ids[u]
-			for _, v := range n.g.Neighbors(u) {
+			ids[k] = all[u]
+			for _, v := range live.Neighbors(u) {
 				if v > u && subIdx[v] >= 0 {
 					if err := g.AddEdge(k, subIdx[v]); err != nil {
 						return nil, err

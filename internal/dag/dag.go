@@ -32,6 +32,14 @@ type Result struct {
 	Steps int
 }
 
+// PaperGamma returns the paper's simulation name-space for g: |gamma| =
+// δ² for maximum degree δ, with a floor of δ+1 so a fresh color always
+// exists.
+func PaperGamma(g *topology.Graph) int64 {
+	d := int64(g.MaxDegree())
+	return max(d*d, d+1)
+}
+
 // Build runs the synchronized color-assignment protocol on a static graph.
 // ids are the globally-unique application identifiers: when two neighbors
 // collide, the one with the smaller identifier redraws (the paper's

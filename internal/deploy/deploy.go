@@ -55,15 +55,15 @@ func (s IDStrategy) String() string {
 	}
 }
 
-// assignIDs fills d.IDs for the given strategy.
-func assignIDs(d *Deployment, s IDStrategy, src *rng.Source) {
-	n := len(d.Points)
-	d.IDs = make([]int64, n)
+// AssignIDs returns identifiers for nodes at pts under strategy s. Only
+// IDRandom draws from src (one permutation); the others ignore it.
+func AssignIDs(pts []geom.Point, s IDStrategy, src *rng.Source) []int64 {
+	n := len(pts)
+	ids := make([]int64, n)
 	switch s {
 	case IDRandom:
-		perm := src.Perm(n)
-		for i, p := range perm {
-			d.IDs[i] = int64(p)
+		for i, p := range src.Perm(n) {
+			ids[i] = int64(p)
 		}
 	case IDRowMajor:
 		// Sort node indices by (Y, X) and hand out increasing ids: lowest
@@ -73,20 +73,21 @@ func assignIDs(d *Deployment, s IDStrategy, src *rng.Source) {
 			order[i] = i
 		}
 		sort.Slice(order, func(a, b int) bool {
-			pa, pb := d.Points[order[a]], d.Points[order[b]]
+			pa, pb := pts[order[a]], pts[order[b]]
 			if pa.Y != pb.Y {
 				return pa.Y < pb.Y
 			}
 			return pa.X < pb.X
 		})
 		for rank, idx := range order {
-			d.IDs[idx] = int64(rank)
+			ids[idx] = int64(rank)
 		}
 	default: // IDSequential and anything unknown
-		for i := range d.IDs {
-			d.IDs[i] = int64(i)
+		for i := range ids {
+			ids[i] = int64(i)
 		}
 	}
+	return ids
 }
 
 // Poisson deploys a homogeneous Poisson point process of the given
@@ -110,7 +111,7 @@ func Uniform(n int, region geom.Rect, ids IDStrategy, src *rng.Source) *Deployme
 			Y: region.MinY + src.Float64()*region.Height(),
 		}
 	}
-	assignIDs(d, ids, src)
+	d.IDs = AssignIDs(d.Points, ids, src)
 	return d
 }
 
@@ -140,7 +141,7 @@ func Grid(rows, cols int, region geom.Rect, ids IDStrategy, src *rng.Source) *De
 			})
 		}
 	}
-	assignIDs(d, ids, src)
+	d.IDs = AssignIDs(d.Points, ids, src)
 	return d
 }
 
@@ -192,6 +193,6 @@ func Hotspots(n, k int, spread float64, region geom.Rect, ids IDStrategy, src *r
 			Y: c.Y + src.NormFloat64()*sy,
 		})
 	}
-	assignIDs(d, ids, src)
+	d.IDs = AssignIDs(d.Points, ids, src)
 	return d, nil
 }

@@ -78,17 +78,6 @@ func deployGrid(intensity, r float64, src *rng.Source) instance {
 	return instance{dep: dep, g: topology.FromPoints(dep.Points, r), ids: dep.IDs}
 }
 
-// gammaFor returns the paper's simulation name-space: |γ| = δ² (with a
-// floor of δ+1 so a fresh color always exists).
-func gammaFor(g *topology.Graph) int64 {
-	d := g.MaxDegree()
-	gamma := int64(d) * int64(d)
-	if gamma <= int64(d) {
-		gamma = int64(d) + 1
-	}
-	return gamma
-}
-
 // tieIDs returns the tie-break identifiers for an instance: DAG colors when
 // useDag is set (built with the paper's γ = δ²), else the application ids.
 // It also reports the number of steps the DAG construction used (0 when
@@ -97,7 +86,7 @@ func tieIDs(inst instance, useDag bool, src *rng.Source) ([]int64, int, error) {
 	if !useDag {
 		return inst.ids, 0, nil
 	}
-	res, err := dag.Build(inst.g, inst.ids, gammaFor(inst.g), 10_000, src)
+	res, err := dag.Build(inst.g, inst.ids, dag.PaperGamma(inst.g), 10_000, src)
 	if err != nil {
 		return nil, 0, err
 	}

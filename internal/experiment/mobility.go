@@ -147,7 +147,7 @@ func recordTrace(band [2]float64, opts MobilityOptions, src *rng.Source) ([]samp
 	// mutates the index's graph in place.
 	idx := topology.NewGridIndexInRegion(walker.Positions(), opts.Range, geom.UnitSquare())
 	snap := func() error {
-		if _, err := idx.Update(walker.Positions()); err != nil {
+		if err := idx.Update(walker.Positions()); err != nil {
 			return err
 		}
 		g := idx.Graph().Clone()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"selfstab/internal/cluster"
+	"selfstab/internal/dag"
 	"selfstab/internal/radio"
 	"selfstab/internal/rng"
 	"selfstab/internal/runtime"
@@ -55,7 +56,7 @@ func Stabilization(opts Options) (*StabilizationResult, error) {
 			proto := runtime.Protocol{Order: cluster.OrderBasic}
 			if sc.useDag {
 				proto.UseDag = true
-				proto.Gamma = gammaFor(inst.g)
+				proto.Gamma = dag.PaperGamma(inst.g)
 			}
 			eng, err := runtime.New(inst.g, inst.ids, proto, radio.Perfect{}, src.Split("engine"))
 			if err != nil {

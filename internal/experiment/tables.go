@@ -94,14 +94,14 @@ func Table3(opts Options) (*Table3Result, error) {
 			src := master.SplitN(fmt.Sprintf("t3-%v", r), run)
 
 			gi := deployGrid(opts.Intensity, r, src)
-			gres, err := dag.Build(gi.g, gi.ids, gammaFor(gi.g), 10_000, src)
+			gres, err := dag.Build(gi.g, gi.ids, dag.PaperGamma(gi.g), 10_000, src)
 			if err != nil {
 				return nil, fmt.Errorf("table3 grid r=%v: %w", r, err)
 			}
 			grid.Add(float64(gres.Steps))
 
 			ri := deployRandom(opts.Intensity, r, src)
-			rres, err := dag.Build(ri.g, ri.ids, gammaFor(ri.g), 10_000, src)
+			rres, err := dag.Build(ri.g, ri.ids, dag.PaperGamma(ri.g), 10_000, src)
 			if err != nil {
 				return nil, fmt.Errorf("table3 random r=%v: %w", r, err)
 			}

@@ -11,7 +11,7 @@
 // it. Reset builds, in O(N+E), only a skeleton of the clustering: cluster
 // numbering and member lists in ascending-label order, the lexicographically
 // smallest gateway edge per adjacent cluster pair, the label-sorted overlay
-// adjacency and (per topology epoch) the component labels. Everything the
+// adjacency and (per graph version) the component labels. Everything the
 // skeleton knows about one node — component, cluster, rank in the cluster
 // and the offset of the tree toward it — is one packed 16-byte record
 // (nodeRec), so a hop loads one record per endpoint instead of four
@@ -50,8 +50,8 @@ var ErrUnreachable = errors.New("routing: destination unreachable")
 // what is filled on demand. Queries fill trees, so a table is not safe for
 // concurrent use. Every slice keeps its capacity across Resets.
 type Hierarchical struct {
-	g         *topology.Graph
-	topoEpoch uint64
+	g       *topology.Graph
+	version uint64 // g.Version() when the component labels were taken
 
 	// rec is the per-node skeleton, one packed record per node (nodeRec).
 	rec []nodeRec
@@ -81,8 +81,8 @@ type Hierarchical struct {
 // components of the true topology: routing between different components
 // fails with ErrUnreachable immediately, regardless of how scrambled a
 // mid-convergence assignment is (a transient head choice must never turn
-// "unreachable" into a detour). It is kept across Resets within a
-// topology epoch; the other three fields are rebuilt by every Reset.
+// "unreachable" into a detour). It is kept across Resets while the graph's
+// Version holds; the other three fields are rebuilt by every Reset.
 type nodeRec struct {
 	comp int32 // connected component
 	cl   int32 // cluster
@@ -103,7 +103,7 @@ type overlayEdge struct{ to, u, v int32 }
 // BuildHierarchical returns a new table over the assignment.
 func BuildHierarchical(g *topology.Graph, a *cluster.Assignment) (*Hierarchical, error) {
 	h := new(Hierarchical)
-	if err := h.Reset(g, a, 0); err != nil {
+	if err := h.Reset(g, a); err != nil {
 		return nil, err
 	}
 	return h, nil
@@ -124,9 +124,9 @@ func extend[T any](s []T, n int, v T) []T {
 
 // Reset points the table at an assignment over g and rebuilds the skeleton,
 // dropping every filled tree. It reads a only during the call. The
-// component labels are kept while g and topoEpoch are those of the previous
-// Reset: the caller advances topoEpoch whenever g's edges changed.
-func (h *Hierarchical) Reset(g *topology.Graph, a *cluster.Assignment, topoEpoch uint64) error {
+// component labels are kept while g and its Version are those of the
+// previous Reset.
+func (h *Hierarchical) Reset(g *topology.Graph, a *cluster.Assignment) error {
 	n := g.N()
 	if len(a.Head) != n || len(a.Parent) != n {
 		return fmt.Errorf("routing: assignment for %d nodes, graph has %d", len(a.Head), n)
@@ -141,10 +141,10 @@ func (h *Hierarchical) Reset(g *topology.Graph, a *cluster.Assignment, topoEpoch
 	}
 	// Resizing keeps the records while n is unchanged, so the component
 	// labels survive unless the topology moved.
-	relabel := g != h.g || topoEpoch != h.topoEpoch || len(h.rec) != n
+	relabel := g != h.g || g.Version() != h.version || len(h.rec) != n
 	h.rec = sized(h.rec, n)
 	if relabel {
-		h.g, h.topoEpoch = g, topoEpoch
+		h.g, h.version = g, g.Version()
 		h.labelComponents()
 	}
 

@@ -386,9 +386,9 @@ func TestHierarchicalMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Same graph, same topology epoch across the three kinds: the
+			// Same graph, same version across the three kinds: the
 			// component labels are the retained ones.
-			if err := live.Reset(g, a, uint64(gi)); err != nil {
+			if err := live.Reset(g, a); err != nil {
 				t.Fatal(err)
 			}
 			tag := fmt.Sprintf("graph %d (n=%d) kind %d", gi, n, kind)

@@ -139,8 +139,9 @@ type Engine struct {
 
 	// epoch increments whenever anything a derived structure (routing
 	// tables, cluster renderings) could depend on changes: a step that
-	// altered shared state, a topology swap, or fault injection. Callers
-	// cache derived state keyed by Epoch and rebuild only on a mismatch.
+	// altered shared state, a lifecycle op, or fault injection. Epoch adds
+	// the graph's Version, so an edge change moves it too. Callers cache
+	// derived state keyed by Epoch and rebuild only on a mismatch.
 	epoch uint64
 
 	// probe, when set, receives the instrumentation stream (phase spans,
@@ -276,21 +277,23 @@ func (e *Engine) LastChange() int { return e.lastChange }
 // Node returns the i-th node (read-only access for assertions).
 func (e *Engine) Node(i int) *Node { return e.nodes[i] }
 
-// NoteTopologyChanged advances the epoch after the engine's graph was
-// mutated in place by an incremental index (no pointer swap). The caller
-// must have Activated every node whose adjacency changed — typically by
-// wiring topology.GridIndex's adjacency hook to Activate — or frontier
-// stepping would silently miss the delta.
-//
-//selfstab:mutator
-func (e *Engine) NoteTopologyChanged() { e.epoch++ }
-
 // Epoch returns a counter that advances whenever the shared state or the
-// topology changed (a state-changing step, a lifecycle op,
-// NoteTopologyChanged, Corrupt). Derived
-// structures cached against an Epoch value are valid exactly while it is
-// unchanged.
-func (e *Engine) Epoch() uint64 { return e.epoch }
+// topology changed (a state-changing step, a lifecycle op, Corrupt, or
+// any change to the graph's Version). Derived structures cached against
+// an Epoch value are valid exactly while it is unchanged.
+func (e *Engine) Epoch() uint64 { return e.epoch + e.g.Version() }
+
+// IDs returns the node identifiers, indexed like the graph. The slice is
+// the engine's own: callers must not modify or retain it (Append and
+// Compact rewrite it).
+func (e *Engine) IDs() []int64 { return e.ids }
+
+// Index returns the dense index node id occupies and whether the engine
+// knows the id (a compacted-away id is unknown from then on).
+func (e *Engine) Index(id int64) (int, bool) {
+	i, ok := e.idx[id]
+	return i, ok
+}
 
 // SetPostStep installs a hook that runs at the end of every Step, after the
 // guarded assignments (nil disables it). The hook receives the number of

@@ -134,10 +134,9 @@ func (tw *twin) apply(t *testing.T, op traceOp) {
 		for k, i := range op.moves {
 			tw.pts[i] = op.jits[k]
 		}
-		if _, err := tw.gi.Update(tw.pts); err != nil {
+		if err := tw.gi.Update(tw.pts); err != nil {
 			t.Fatal(err)
 		}
-		tw.e.NoteTopologyChanged()
 	case "append":
 		tw.gi.Append(op.point)
 		tw.pts = append(tw.pts, op.point)

@@ -87,6 +87,14 @@ const maxInjectBody = 1 << 20
 // every reader waits, so the count is refused (422) before the lock.
 const maxInjectNodes = 10000
 
+// maxInjectRate caps the packets a step one flow may offer, the rate of a
+// flood or spawn_flow. Each offered packet is an injection made under
+// the write lock in every later step, so a rate of 1e12 stalls the
+// service and one of 1e300 overflows the CBR credit; the rate is refused
+// (422) before the lock. The cap is over fifteen times the default queue
+// capacity (64), so no rate a queue could absorb is refused.
+const maxInjectRate = 1000
+
 func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 	var req injectRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInjectBody))
@@ -102,6 +110,10 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 	}
 	if n := injectNodes(req); n > maxInjectNodes {
 		writeError(w, http.StatusUnprocessableEntity, "%s would create %d nodes, over %d", req.Kind, n, maxInjectNodes)
+		return
+	}
+	if r := injectRate(req); r > maxInjectRate {
+		writeError(w, http.StatusUnprocessableEntity, "%s rate %v over %d packets a step", req.Kind, r, maxInjectRate)
 		return
 	}
 	var (
@@ -126,6 +138,17 @@ func injectNodes(req injectRequest) int {
 		return req.Count
 	case "add_nodes":
 		return len(req.Points)
+	}
+	return 0
+}
+
+// injectRate returns the flow rate req asks for (0 when none).
+func injectRate(req injectRequest) float64 {
+	switch {
+	case req.Kind == "flood":
+		return req.Rate
+	case req.Kind == "spawn_flow" && req.Flow != nil:
+		return req.Flow.Rate
 	}
 	return 0
 }

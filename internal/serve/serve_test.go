@@ -337,11 +337,45 @@ func TestInjectBodyCap(t *testing.T) {
 }
 
 // TestInjectNodeCap: a sybil count or an add_nodes point count over
-// maxInjectNodes is refused with 422 before the world lock is taken — the
-// test holds the lock for the whole request — and leaves the journal and
-// the step where they were; the server keeps answering.
+// maxInjectNodes is refused with 422 before the world lock is taken.
 func TestInjectNodeCap(t *testing.T) {
 	srv, ts := testServer(t, 30, Config{})
+	target := srv.net.IDs()[0]
+	points := `{"x":0.5,"y":0.5}` + strings.Repeat(`,{"x":0.5,"y":0.5}`, maxInjectNodes)
+	requireRefusedUnderLock(t, srv, ts, map[string]string{
+		"sybil":     fmt.Sprintf(`{"kind":"sybil","target":%d,"count":2000000000}`, target),
+		"add_nodes": `{"kind":"add_nodes","points":[` + points + `]}`,
+	})
+}
+
+// TestInjectRateCap: a flood or spawn_flow rate over maxInjectRate is
+// refused with 422 before the world lock is taken, for CBR and Poisson
+// flows alike — every later step would otherwise inject that many
+// packets per flow under the lock.
+func TestInjectRateCap(t *testing.T) {
+	srv, ts := testServer(t, 30, Config{})
+	ids := srv.net.IDs()
+	if err := srv.net.AttachTraffic(selfstab.TrafficConfig{
+		Flows: []selfstab.Flow{selfstab.CBRFlow(ids[0], ids[1], 0.5)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	bodies := map[string]string{}
+	for _, rate := range []string{"1e12", "1e300"} {
+		bodies["flood "+rate] = `{"kind":"flood","count":2,"rate":` + rate + `}`
+		for _, kind := range []string{"cbr", "poisson"} {
+			bodies["spawn_flow "+kind+" "+rate] = fmt.Sprintf(
+				`{"kind":"spawn_flow","flow":{"kind":%q,"src":%d,"dst":%d,"rate":%s}}`, kind, ids[2], ids[3], rate)
+		}
+	}
+	requireRefusedUnderLock(t, srv, ts, bodies)
+}
+
+// requireRefusedUnderLock posts each inject body while the test holds the
+// world lock for the whole request, and requires a 422, a journal and a
+// step left where they were, and a server that keeps answering.
+func requireRefusedUnderLock(t *testing.T, srv *Server, ts *httptest.Server, bodies map[string]string) {
+	t.Helper()
 	state := func() (ops, step int) {
 		t.Helper()
 		var buf bytes.Buffer
@@ -358,13 +392,8 @@ func TestInjectNodeCap(t *testing.T) {
 		}
 		return len(doc.Ops), step
 	}
-	target := srv.net.IDs()[0]
-	points := `{"x":0.5,"y":0.5}` + strings.Repeat(`,{"x":0.5,"y":0.5}`, maxInjectNodes)
 	client := &http.Client{Timeout: 5 * time.Second}
-	for name, body := range map[string]string{
-		"sybil":     fmt.Sprintf(`{"kind":"sybil","target":%d,"count":2000000000}`, target),
-		"add_nodes": `{"kind":"add_nodes","points":[` + points + `]}`,
-	} {
+	for name, body := range bodies {
 		opsBefore, stepBefore := state()
 		srv.mu.Lock()
 		resp, err := client.Post(ts.URL+"/inject", "application/json", strings.NewReader(body))

@@ -193,19 +193,25 @@ func (gi *GridIndex) noteAdj(i int) {
 }
 
 // Graph returns the maintained unit-disk graph. The graph is updated in
-// place by Update; callers that need a frozen snapshot must Clone it.
+// place by every operation; callers that need a frozen snapshot must
+// Clone it.
 func (gi *GridIndex) Graph() *Graph { return gi.g }
 
+// Points returns the indexed positions, one per node slot (inactive slots
+// keep theirs). The slice is the index's own and changes under Update,
+// Append and Compact: callers must not modify or retain it.
+func (gi *GridIndex) Points() []geom.Point { return gi.pts }
+
 // Update moves the indexed nodes to pts and incrementally repairs cells
-// and adjacency: only nodes whose position changed have their edge sets
-// recomputed (and their vanished/created edges patched into unmoved
-// neighbors' lists). The returned graph is the same object Graph returns,
-// mutated in place. Cost is O(moved × local density); a no-op move list
-// costs O(n) comparisons and touches nothing.
-func (gi *GridIndex) Update(pts []geom.Point) (*Graph, error) {
+// and adjacency in place: only nodes whose position changed have their
+// edge sets recomputed (and their vanished/created edges patched into
+// unmoved neighbors' lists). pts is copied, not retained. Cost is
+// O(moved × local density); a no-op move list costs O(n) comparisons and
+// touches nothing.
+func (gi *GridIndex) Update(pts []geom.Point) error {
 	n := len(gi.pts)
 	if len(pts) != n {
-		return nil, fmt.Errorf("topology: update with %d positions for %d indexed nodes", len(pts), n)
+		return fmt.Errorf("topology: update with %d positions for %d indexed nodes", len(pts), n)
 	}
 	if cap(gi.movedFlag) < n {
 		gi.movedFlag = make([]bool, n)
@@ -237,7 +243,7 @@ func (gi *GridIndex) Update(pts []geom.Point) (*Graph, error) {
 		}
 	}
 	if gi.r <= 0 || len(gi.moved) == 0 {
-		return gi.g, nil
+		return nil
 	}
 
 	// Pass 2: recompute each moved node's edge set against the updated
@@ -265,10 +271,11 @@ func (gi *GridIndex) Update(pts []geom.Point) (*Graph, error) {
 		}
 		if len(gi.added)+len(gi.removed) > 0 {
 			gi.noteAdj(i)
+			gi.g.version++
 		}
 		gi.g.adj[i] = append(gi.g.adj[i][:0], gi.newNbrs...)
 	}
-	return gi.g, nil
+	return nil
 }
 
 // Append adds one new node at p to the index and its graph, wiring its
@@ -316,6 +323,7 @@ func (gi *GridIndex) Deactivate(i int) {
 	}
 	if len(gi.g.adj[i]) > 0 {
 		gi.noteAdj(i)
+		gi.g.version++
 	}
 	gi.g.adj[i] = gi.g.adj[i][:0]
 }
@@ -340,6 +348,7 @@ func (gi *GridIndex) Reactivate(i int) {
 		gi.g.adj[i] = append(gi.g.adj[i][:0], gi.newNbrs...)
 		if len(gi.newNbrs) > 0 {
 			gi.noteAdj(i)
+			gi.g.version++
 		}
 	}
 }

@@ -73,11 +73,10 @@ func TestGridIndexIncrementalMatchesRebuild(t *testing.T) {
 					pts[i] = geom.Point{X: src.Float64()*3 - 1, Y: src.Float64()*3 - 1}
 				}
 			}
-			got, err := idx.Update(pts)
-			if err != nil {
+			if err := idx.Update(pts); err != nil {
 				t.Fatal(err)
 			}
-			graphsEqual(t, got, FromPoints(pts, r), "after update")
+			graphsEqual(t, idx.Graph(), FromPoints(pts, r), "after update")
 		}
 	}
 }
@@ -100,18 +99,17 @@ func TestGridIndexInRegionHotspotDispersal(t *testing.T) {
 		for i := range pts {
 			pts[i] = geom.Point{X: src.Float64(), Y: src.Float64()}
 		}
-		got, err := idx.Update(pts)
-		if err != nil {
+		if err := idx.Update(pts); err != nil {
 			t.Fatal(err)
 		}
-		graphsEqual(t, got, FromPoints(pts, r), "after dispersal")
+		graphsEqual(t, idx.Graph(), FromPoints(pts, r), "after dispersal")
 	}
 }
 
 // TestGridIndexUpdateValidation: a wrong-length position slice errors.
 func TestGridIndexUpdateValidation(t *testing.T) {
 	idx := NewGridIndex(randPoints(10, rng.New(1)), 0.1)
-	if _, err := idx.Update(make([]geom.Point, 9)); err == nil {
+	if err := idx.Update(make([]geom.Point, 9)); err == nil {
 		t.Error("length mismatch accepted")
 	}
 }
@@ -124,11 +122,10 @@ func TestGridIndexZeroRange(t *testing.T) {
 	if edges(idx.Graph()) != 0 {
 		t.Fatal("zero range produced edges")
 	}
-	g, err := idx.Update(randPoints(20, src))
-	if err != nil {
+	if err := idx.Update(randPoints(20, src)); err != nil {
 		t.Fatal(err)
 	}
-	if edges(g) != 0 {
+	if edges(idx.Graph()) != 0 {
 		t.Fatal("zero range update produced edges")
 	}
 }
@@ -161,7 +158,7 @@ func BenchmarkGridIndexUpdateMobility(b *testing.B) {
 			pts[j].X += (src.Float64() - 0.5) * 0.004
 			pts[j].Y += (src.Float64() - 0.5) * 0.004
 		}
-		if _, err := idx.Update(pts); err != nil {
+		if err := idx.Update(pts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -225,7 +222,7 @@ func TestGridIndexChurnMatchesOracle(t *testing.T) {
 					i := src.Intn(len(pts))
 					next[i] = geom.Point{X: src.Float64(), Y: src.Float64()}
 				}
-				if _, err := idx.Update(next); err != nil {
+				if err := idx.Update(next); err != nil {
 					t.Fatal(err)
 				}
 				pts = next
@@ -288,7 +285,7 @@ func TestGridIndexCompactMatchesOracle(t *testing.T) {
 		// The compacted index must keep working incrementally: move a
 		// node, append one, and still match the oracle.
 		survivors[0].X = 1 - survivors[0].X
-		if _, err := idx.Update(survivors); err != nil {
+		if err := idx.Update(survivors); err != nil {
 			t.Fatal(err)
 		}
 		graphsEqual(t, idx.Graph(), FromPoints(survivors, r), "post-compact update")
@@ -362,7 +359,7 @@ func TestAdjacencyChangeHook(t *testing.T) {
 				pts[i].X = src.Float64()
 				pts[i].Y = src.Float64()
 			}
-			if _, err := idx.Update(pts); err != nil {
+			if err := idx.Update(pts); err != nil {
 				t.Fatal(err)
 			}
 			check("update", before)
@@ -379,4 +376,46 @@ func TestAdjacencyChangeHook(t *testing.T) {
 			check("reactivate", before)
 		}
 	}
+}
+
+// TestGraphVersion pins the contract the routing and stretch caches key
+// on: every Graph or GridIndex operation that changes an edge or the node
+// numbering advances Version, and an Update that moves no edge leaves it
+// where it was.
+func TestGraphVersion(t *testing.T) {
+	advances := func(g *Graph, what string, op func() error) {
+		t.Helper()
+		v := g.Version()
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if g.Version() == v {
+			t.Errorf("%s left Version at %d", what, v)
+		}
+	}
+
+	g := New(2)
+	advances(g, "Graph.AddNode", func() error { g.AddNode(); return nil })
+	advances(g, "Graph.AddEdge", func() error { return g.AddEdge(0, 1) })
+	advances(g, "Graph.Compact", func() error { return g.Compact([]int32{0, 1, -1}, 2) })
+
+	// Nodes 0 and 1 are neighbours; node 2 is far from both.
+	pts := []geom.Point{{X: 0.1, Y: 0.1}, {X: 0.15, Y: 0.1}, {X: 0.8, Y: 0.8}}
+	idx := NewGridIndexInRegion(pts, 0.1, geom.UnitSquare())
+	g = idx.Graph()
+	v := g.Version()
+	pts[2] = geom.Point{X: 0.82, Y: 0.8}
+	if err := idx.Update(pts); err != nil {
+		t.Fatal(err)
+	}
+	if g.Version() != v {
+		t.Errorf("an Update that moved no edge advanced Version %d -> %d", v, g.Version())
+	}
+	pts[2] = geom.Point{X: 0.18, Y: 0.1}
+	advances(g, "GridIndex.Update", func() error { return idx.Update(pts) })
+	advances(g, "GridIndex.Append", func() error { idx.Append(geom.Point{X: 0.9, Y: 0.9}); return nil })
+	advances(g, "GridIndex.Deactivate", func() error { idx.Deactivate(1); return nil })
+	advances(g, "GridIndex.Reactivate", func() error { idx.Reactivate(1); return nil })
+	idx.Deactivate(3)
+	advances(g, "GridIndex.Compact", func() error { return idx.Compact([]int32{0, 1, 2, -1}, 3) })
 }

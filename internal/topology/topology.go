@@ -15,6 +15,9 @@ import (
 // lists. The zero value is an empty graph; use New to size one.
 type Graph struct {
 	adj [][]int
+	// version advances whenever an adjacency list or the node numbering
+	// changes (see Version).
+	version uint64
 }
 
 // New returns an empty graph on n nodes.
@@ -42,11 +45,19 @@ func FromPoints(pts []geom.Point, r float64) *Graph {
 // N returns the number of nodes.
 func (g *Graph) N() int { return len(g.adj) }
 
+// Version returns a counter that advances whenever an adjacency list or
+// the node numbering changes — AddNode, AddEdge, RemoveNode, Compact and
+// every GridIndex operation that creates or drops an edge — and stays put
+// otherwise. Structures derived from the graph (component labels, flat
+// hop distances) are valid exactly while it is unchanged.
+func (g *Graph) Version() uint64 { return g.version }
+
 // AddNode appends a new isolated vertex and returns its index. Indices of
 // existing nodes are unaffected — the graph only ever grows at the end, so
 // dense per-node arrays elsewhere stay aligned under churn.
 func (g *Graph) AddNode() int {
 	g.adj = append(g.adj, nil)
+	g.version++
 	return len(g.adj) - 1
 }
 
@@ -64,6 +75,7 @@ func (g *Graph) AddEdge(u, v int) error {
 	}
 	g.adj[u] = insertSorted(g.adj[u], v)
 	g.adj[v] = insertSorted(g.adj[v], u)
+	g.version++
 	return nil
 }
 
@@ -218,6 +230,7 @@ func (g *Graph) Compact(remap []int32, newN int) error {
 		g.adj[nw] = row
 	}
 	g.adj = g.adj[:newN]
+	g.version++
 	return nil
 }
 
@@ -242,6 +255,7 @@ func (g *Graph) RemoveNode(u int) {
 		g.adj[v] = removeSorted(g.adj[v], u)
 	}
 	g.adj[u] = nil
+	g.version++
 }
 
 func removeSorted(xs []int, v int) []int {

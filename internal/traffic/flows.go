@@ -50,11 +50,12 @@ type flowState struct {
 	credit float64 // CBR fractional-packet accumulator
 
 	// flatDist caches the flat shortest-path hop count Src→Dst (-1 when
-	// disconnected, -2 when never computed), valid while flatEpoch matches
-	// the hooks' TopoEpoch. It is the per-packet stretch baseline; one Dist
-	// query per flow per topology change instead of one per packet.
-	flatDist  int
-	flatEpoch uint64
+	// disconnected, -2 when never computed), valid while flatVersion
+	// matches the hooks' TopoVersion. It is the per-packet stretch
+	// baseline; one Dist query per flow per topology change instead of
+	// one per packet.
+	flatDist    int
+	flatVersion uint64
 
 	offered   int64
 	delivered int64
@@ -84,10 +85,10 @@ func (f *flowState) arrivalsThisStep(step int, src *rng.Source) int {
 }
 
 // refreshFlatDist recomputes the cached flat distance when the topology
-// epoch moved.
+// version moved.
 func (f *flowState) refreshFlatDist(hooks Hooks) {
-	if ep := hooks.TopoEpoch(); f.flatDist == -2 || f.flatEpoch != ep {
+	if v := hooks.TopoVersion(); f.flatDist == -2 || f.flatVersion != v {
 		f.flatDist = hooks.Dist(f.spec.Src, f.spec.Dst)
-		f.flatEpoch = ep
+		f.flatVersion = v
 	}
 }

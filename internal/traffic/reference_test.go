@@ -426,9 +426,9 @@ func (w *world) hooks() Hooks {
 			}
 			return d
 		},
-		TopoEpoch: func() uint64 { return w.epoch },
-		Alive:     func(i int) bool { return w.alive[i] },
-		IsHead:    func(i int) bool { return w.head[i] },
+		TopoVersion: func() uint64 { return w.epoch },
+		Alive:       func(i int) bool { return w.alive[i] },
+		IsHead:      func(i int) bool { return w.head[i] },
 	}
 }
 

@@ -65,11 +65,11 @@ type Hooks struct {
 	NextHop func(cur, dst int) (int, bool)
 	// Dist returns the flat shortest-path hop count between two nodes
 	// (-1 when disconnected) — the baseline for path stretch. Called once
-	// per flow per TopoEpoch, so it may search the graph.
+	// per flow per TopoVersion, so it may search the graph.
 	Dist func(src, dst int) int
-	// TopoEpoch identifies the current topology version; cached flat
-	// distances are reused while it is unchanged.
-	TopoEpoch func() uint64
+	// TopoVersion returns the topology's version (topology.Graph.Version);
+	// cached flat distances are reused while it is unchanged.
+	TopoVersion func() uint64
 	// Alive reports whether node i is currently an operating endpoint
 	// (powered on and awake). nil means every node is always alive. A flow
 	// whose source is not alive pauses (nothing offered, no rng draws,
@@ -258,7 +258,7 @@ type Engine struct {
 // workload randomness; pass a dedicated Split so traffic draws never
 // perturb the protocol's streams.
 func New(n int, cfg Config, flows []FlowSpec, hooks Hooks, src *rng.Source) (*Engine, error) {
-	if hooks.NextHop == nil || hooks.Dist == nil || hooks.TopoEpoch == nil {
+	if hooks.NextHop == nil || hooks.Dist == nil || hooks.TopoVersion == nil {
 		return nil, fmt.Errorf("traffic: all hooks are required")
 	}
 	if src == nil {
@@ -725,8 +725,9 @@ func (e *Engine) Compact(remap []int32, newN int) error {
 		// The cached flat distance stays: compaction relabels the graph
 		// isomorphically, so the value is exactly as (in)valid as it was,
 		// and in-flight deliveries must keep sampling stretch against it
-		// just like an uncompacted run. The caller's topology-epoch bump
-		// triggers the (value-identical) recompute at the next injection.
+		// just like an uncompacted run. Compaction advances the graph's
+		// version, which triggers the (value-identical) recompute at the
+		// next injection.
 	}
 	e.n = newN
 	return nil

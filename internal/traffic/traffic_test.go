@@ -8,7 +8,7 @@ import (
 )
 
 // lineHooks routes along the path 0-1-2-...-(n-1): next hop toward dst is
-// cur±1. Dist is the exact hop count, TopoEpoch never moves.
+// cur±1. Dist is the exact hop count, TopoVersion never moves.
 func lineHooks() Hooks {
 	return Hooks{
 		NextHop: func(cur, dst int) (int, bool) {
@@ -27,7 +27,7 @@ func lineHooks() Hooks {
 				return d
 			}
 		},
-		TopoEpoch: func() uint64 { return 0 },
+		TopoVersion: func() uint64 { return 0 },
 	}
 }
 

@@ -13,22 +13,19 @@ import (
 )
 
 // N returns the number of nodes.
-func (n *Network) N() int { return len(n.pts) }
+func (n *Network) N() int { return len(n.engine.IDs()) }
 
 // IDs returns a copy of the node identifiers, indexed like Positions.
-func (n *Network) IDs() []int64 { return append([]int64(nil), n.ids...) }
+func (n *Network) IDs() []int64 { return slices.Clone(n.engine.IDs()) }
 
 // IndexOf returns the dense index node id currently occupies (the index
 // State and Positions use) and whether the world knows the id at all.
 // Indices move when Compact recycles dead slots, and a compacted-away id
 // is unknown from then on. Read-only and O(1).
-func (n *Network) IndexOf(id int64) (int, bool) {
-	i, ok := n.id2idx[id]
-	return i, ok
-}
+func (n *Network) IndexOf(id int64) (int, bool) { return n.engine.Index(id) }
 
 // Positions returns a copy of the node positions.
-func (n *Network) Positions() []Point { return slices.Clone(n.pts) }
+func (n *Network) Positions() []Point { return slices.Clone(n.grid.Points()) }
 
 // Range returns the radio transmission range.
 func (n *Network) Range() float64 { return n.cfg.Range }
@@ -133,13 +130,13 @@ type NodeState struct {
 
 // State returns the current protocol state of node i (by index).
 func (n *Network) State(i int) (NodeState, error) {
-	if i < 0 || i >= len(n.pts) {
-		return NodeState{}, fmt.Errorf("selfstab: node index %d out of range [0, %d)", i, len(n.pts))
+	if i < 0 || i >= n.N() {
+		return NodeState{}, fmt.Errorf("selfstab: node index %d out of range [0, %d)", i, n.N())
 	}
 	node := n.engine.Node(i)
 	return NodeState{
 		ID:       node.ID(),
-		Position: n.pts[i],
+		Position: n.grid.Points()[i],
 		Density:  node.Density(),
 		HeadID:   node.HeadID(),
 		ParentID: node.ParentID(),
@@ -165,7 +162,7 @@ type Cluster struct {
 // clusters.
 func (n *Network) Clusters() []Cluster {
 	byHead := make(map[int64][]int64, 8)
-	for i := range n.pts {
+	for i := range n.N() {
 		if n.engine.Status(i) != runtime.StatusAlive {
 			continue
 		}
@@ -196,7 +193,7 @@ type Stats struct {
 // and sleeping nodes keep their dense index slots under churn but are not
 // counted as singleton clusters.
 func (n *Network) Stats() Stats {
-	s := n.engine.Assignment().ComputeStatsOn(n.g, n.operatingMask())
+	s := n.engine.Assignment().ComputeStatsOn(n.grid.Graph(), n.operatingMask())
 	return Stats{
 		Clusters:             s.NumClusters,
 		MeanHeadEccentricity: s.MeanHeadEccentricity,
@@ -218,14 +215,14 @@ func (n *Network) Stats() Stats {
 // or cleared state is exempt, and the alive nodes must match the oracle
 // for the surviving graph.
 func (n *Network) Verify() error {
-	snap := n.engine.Snapshot()
+	snap, g := n.engine.Snapshot(), n.grid.Graph()
 	alive := func(i int) bool { return n.engine.Status(i) == runtime.StatusAlive }
 	// Densities (Lemma 1), scaled by the engine's per-node density
 	// multipliers (1 unless energy-aware rotation installed them): guard
 	// R1 computes scale * density, so the oracle must too — the legitimacy
 	// predicate stays exact under rotation, it just elects against the
 	// battery-weighted metric.
-	want := metric.Density{}.Values(n.g)
+	want := metric.Density{}.Values(g)
 	for i := range want {
 		want[i] *= n.engine.DensityScale(i)
 	}
@@ -246,10 +243,10 @@ func (n *Network) Verify() error {
 	if n.cfg.Sticky {
 		order = cluster.OrderSticky
 	}
-	oracle, err := cluster.Compute(n.g, cluster.Config{
+	oracle, err := cluster.Compute(g, cluster.Config{
 		Values:   want,
 		TieIDs:   snap.TieID,
-		AppIDs:   n.ids,
+		AppIDs:   snap.IDs,
 		Order:    order,
 		Fusion:   n.cfg.Fusion,
 		PrevHead: n.engine.Assignment().Head,
@@ -270,7 +267,7 @@ func (n *Network) Verify() error {
 			return fmt.Errorf("selfstab: node %d heads %d, oracle fixpoint %d", u, got.Head[u], oracle.Head[u])
 		}
 	}
-	if err := cluster.CheckInvariants(n.g, got, n.cfg.Fusion); err != nil {
+	if err := cluster.CheckInvariants(g, got, n.cfg.Fusion); err != nil {
 		return fmt.Errorf("selfstab: %w", err)
 	}
 	return nil
@@ -282,11 +279,11 @@ func (n *Network) Verify() error {
 // all-alive probe is an O(1) counter comparison, so observability calls
 // on a quiescent churn-free world never walk the population.
 func (n *Network) operatingMask() []bool {
-	if n.engine.AliveCount() == len(n.pts) {
+	if n.engine.AliveCount() == n.N() {
 		return nil
 	}
-	mask := make([]bool, len(n.pts))
-	for i := range n.pts {
+	mask := make([]bool, n.N())
+	for i := range mask {
 		mask[i] = n.engine.Status(i) == runtime.StatusAlive
 	}
 	return mask
@@ -304,28 +301,18 @@ func (n *Network) SetPositions(positions []Point) error {
 
 // setPositionsImpl is the journaled implementation behind SetPositions.
 func (n *Network) setPositionsImpl(positions []Point) error {
-	if len(positions) != len(n.pts) {
-		return fmt.Errorf("selfstab: %d positions for %d nodes", len(positions), len(n.pts))
-	}
 	for i, p := range positions {
 		if !n.region.Contains(p) {
 			return fmt.Errorf("selfstab: position %d outside the region", i)
 		}
 	}
-	pts := slices.Clone(positions) // the world's own copy, not the caller's slice
-	g, err := n.grid.Update(pts)
-	if err != nil {
-		return err
-	}
-	// Update repaired the engine's graph in place and — via the grid's
-	// adjacency hook — activated exactly the nodes whose edge sets moved,
-	// so the frontier re-examines the motion, not the network. Only the
-	// epoch needs advancing.
-	n.engine.NoteTopologyChanged()
-	n.pts = pts
-	n.g = g
-	n.topoEpoch++ // flat-routing and stretch baselines are stale now
-	return nil
+	// Update checks the count, copies the positions into the grid and
+	// repairs the engine's graph in place. Via the grid's adjacency hook
+	// it activates exactly the nodes whose edge sets moved, so the
+	// frontier re-examines the motion, not the network; an edge change
+	// advances the graph's Version, which the routing and stretch caches
+	// key on.
+	return n.grid.Update(positions)
 }
 
 // SetParallelism fixes the worker count of the step engine's per-node
@@ -340,12 +327,13 @@ func (n *Network) SetParallelism(workers int) { n.engine.SetParallelism(workers)
 
 // Neighbors returns the identifiers of node i's current radio neighbors.
 func (n *Network) Neighbors(i int) ([]int64, error) {
-	if i < 0 || i >= len(n.pts) {
+	if i < 0 || i >= n.N() {
 		return nil, fmt.Errorf("selfstab: node index %d out of range", i)
 	}
 	var out []int64
-	for _, v := range n.g.Neighbors(i) {
-		out = append(out, n.ids[v])
+	ids := n.engine.IDs()
+	for _, v := range n.grid.Graph().Neighbors(i) {
+		out = append(out, ids[v])
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out, nil
@@ -354,13 +342,13 @@ func (n *Network) Neighbors(i int) ([]int64, error) {
 // RenderSVG draws the current clustering as an SVG document of the given
 // pixel size (heads outlined, members colored by cluster).
 func (n *Network) RenderSVG(size int) (string, error) {
-	return viz.SVG(n.g, n.pts, n.renderAssignment(new(cluster.Assignment)), size)
+	return viz.SVG(n.grid.Graph(), n.grid.Points(), n.renderAssignment(new(cluster.Assignment)), size)
 }
 
 // RenderASCII draws the current clustering as a rows x cols character map
 // (uppercase letters are cluster-heads).
 func (n *Network) RenderASCII(rows, cols int) (string, error) {
-	return viz.ASCII(n.g, n.pts, n.renderAssignment(new(cluster.Assignment)), rows, cols)
+	return viz.ASCII(n.grid.Graph(), n.grid.Points(), n.renderAssignment(new(cluster.Assignment)), rows, cols)
 }
 
 // renderAssignment sanitizes the live assignment for rendering and routing:

@@ -103,8 +103,8 @@ func BenchmarkTrafficStepMovingEpoch2000(b *testing.B) {
 
 // BenchmarkFlatDist is the stretch baseline as a layer row: one op is 700
 // flatDist queries between fixed seeded pairs on the mean-degree-10 world
-// the mixed recipe uses, at 2 000 and 20 000 nodes. It prices what a
-// topology epoch costs the traffic plane when every flow's baseline goes
+// the mixed recipe uses, at 2 000 and 20 000 nodes. It prices what an
+// edge change costs the traffic plane when every flow's baseline goes
 // stale at once; the scratch has grown before the timer starts, so it
 // allocates nothing.
 func BenchmarkFlatDist(b *testing.B) {

@@ -51,9 +51,9 @@ func (n *Network) Route(srcID, dstID int64) ([]int64, error) {
 		}
 		return nil, err
 	}
-	out := make([]int64, len(path))
+	out, ids := make([]int64, len(path)), n.engine.IDs()
 	for i, u := range path {
-		out[i] = n.ids[u]
+		out[i] = ids[u]
 	}
 	return out, nil
 }
@@ -72,14 +72,14 @@ func (n *Network) RoutingState() (flat, hierarchical float64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	return float64(len(n.pts) - 1), hier, nil
+	return float64(n.N() - 1), hier, nil
 }
 
 // hierTable returns the hierarchical routing table for the current epoch.
 // When the engine epoch moved since the last call (state-changing step,
 // topology change, fault injection) it resets the one table in place: an
 // O(N+E) skeleton pass over reused buffers, with the component labels kept
-// unless topoEpoch moved too. Next-hop trees are then filled by the queries
+// unless the graph's Version moved too. Next-hop trees are then filled by the queries
 // that need them (see internal/routing), so a step under churn pays for the
 // packets it forwards, not for the table.
 func (n *Network) hierTable() (*routing.Hierarchical, error) {
@@ -88,7 +88,7 @@ func (n *Network) hierTable() (*routing.Hierarchical, error) {
 		if n.routeTab == nil {
 			n.routeTab = new(routing.Hierarchical)
 		}
-		if err := n.routeTab.Reset(n.g, n.renderAssignment(&n.routeAsg), n.topoEpoch); err != nil {
+		if err := n.routeTab.Reset(n.grid.Graph(), n.renderAssignment(&n.routeAsg)); err != nil {
 			n.routeTab = nil
 			return nil, err
 		}
@@ -130,7 +130,8 @@ func (n *Network) flatDist(src, dst int) int {
 	if src == dst {
 		return 0
 	}
-	if grow := n.g.N() - len(n.distSeen); grow > 0 {
+	adj, pts := n.grid.Graph(), n.grid.Points()
+	if grow := adj.N() - len(n.distSeen); grow > 0 {
 		n.distSeen = append(n.distSeen, make([]uint32, grow)...)
 		n.distG = append(n.distG, make([]int32, grow)...)
 	}
@@ -144,8 +145,8 @@ func (n *Network) flatDist(src, dst int) int {
 			open[i][h] = open[i][h][:0] // an early return leaves entries behind
 		}
 	}
-	t, scale := n.pts[dst], (1-1e-9)/n.cfg.Range
-	f := n.hopBound(src, t, scale)
+	t, scale := pts[dst], (1-1e-9)/n.cfg.Range
+	f := hopBound(pts[src], t, scale)
 	seen[src], g[src] = gen, 0
 	n.pushOpen(f, f, src)
 	for left := 1; left > 0; f++ {
@@ -163,7 +164,7 @@ func (n *Network) flatDist(src, dst int) int {
 			if g[u] != gu {
 				continue // superseded by a shorter path to u
 			}
-			for _, w := range n.g.Neighbors(u) {
+			for _, w := range adj.Neighbors(u) {
 				if w == dst {
 					return int(gu) + 1
 				}
@@ -171,7 +172,7 @@ func (n *Network) flatDist(src, dst int) int {
 					continue
 				}
 				seen[w], g[w] = gen, gu+1
-				hw := n.hopBound(w, t, scale)
+				hw := hopBound(pts[w], t, scale)
 				n.pushOpen(gu+1+hw, hw, w)
 				left++
 				if gu+1+hw == f {
@@ -183,10 +184,10 @@ func (n *Network) flatDist(src, dst int) int {
 	return -1
 }
 
-// hopBound is flatDist's h: ⌈|p_w − t|·scale⌉ hops at least from w to the
-// node at t, with scale = (1 − 1e-9)/Range.
-func (n *Network) hopBound(w int, t geom.Point, scale float64) int32 {
-	x := math.Sqrt(n.pts[w].Dist2(t)) * scale
+// hopBound is flatDist's h: ⌈|p − t|·scale⌉ hops at least from the node
+// at p to the node at t, with scale = (1 − 1e-9)/Range.
+func hopBound(p, t geom.Point, scale float64) int32 {
+	x := math.Sqrt(p.Dist2(t)) * scale
 	h := int32(x)
 	if float64(h) < x {
 		h++

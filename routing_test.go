@@ -40,7 +40,7 @@ func TestRouteSameCluster(t *testing.T) {
 	for i := 1; i < len(path); i++ {
 		prev, _ := net.IndexOf(path[i-1])
 		cur, _ := net.IndexOf(path[i])
-		if !net.g.HasEdge(prev, cur) {
+		if !net.grid.Graph().HasEdge(prev, cur) {
 			t.Fatalf("path uses non-edge %d-%d", path[i-1], path[i])
 		}
 	}
@@ -172,9 +172,10 @@ func TestRouteSingleNodeNetwork(t *testing.T) {
 }
 
 // TestRoutingCacheInvalidation pins the epoch contract: repeated queries
-// on a quiescent network keep the table (and the trees filled so far), and
-// anything that can change the clustering or topology (faults, mobility)
-// resets it.
+// on a quiescent network keep the table (and the trees filled so far), a
+// move that changes no edge keeps it too, and anything that can change
+// the clustering or topology (faults, mobility that moves an edge) resets
+// it.
 func TestRoutingCacheInvalidation(t *testing.T) {
 	net, err := NewRandomNetwork(120, WithSeed(44), WithRange(0.15))
 	if err != nil {
@@ -208,10 +209,20 @@ func TestRoutingCacheInvalidation(t *testing.T) {
 	if e4 == e1 {
 		t.Error("fault injection did not invalidate the routing table")
 	}
-	// Mobility must invalidate.
+	// A move that changes no edge leaves the graph's version, and so the
+	// table, where they were.
+	if err := net.SetPositions(net.Positions()); err != nil {
+		t.Fatal(err)
+	}
+	if builtAt() != e4 {
+		t.Error("an edge-preserving move invalidated the routing table")
+	}
+	// Mobility that moves edges must invalidate: shrinking the layout
+	// toward the centre brings pairs into range.
 	pos := net.Positions()
 	for i := range pos {
-		pos[i].X = clamp01(pos[i].X + 0.02)
+		pos[i].X = 0.5 + 0.8*(pos[i].X-0.5)
+		pos[i].Y = 0.5 + 0.8*(pos[i].Y-0.5)
 	}
 	if err := net.SetPositions(pos); err != nil {
 		t.Fatal(err)
@@ -225,9 +236,9 @@ func TestRoutingCacheInvalidation(t *testing.T) {
 // internal/routing's TestHierarchicalMatchesReference shows that a table
 // answers as the eager reference builder does; this test shows that the
 // one table the Network resets in place — from reused assignment buffers,
-// keeping component labels across engine epochs and dropping them on
-// topology epochs — is at every step boundary the table a fresh build from
-// the same graph and assignment would be. The trace moves every epoch
+// keeping component labels across engine epochs and dropping them when
+// the graph's version moves — is at every step boundary the table a fresh
+// build from the same graph and assignment would be. The trace moves every epoch
 // there is: churn (arrivals grow the buffers, auto-compaction renumbers
 // them), traffic, energy rotation and depletion, faults and mobility.
 func TestLiveTableMatchesFreshBuild(t *testing.T) {
@@ -280,7 +291,7 @@ func TestLiveTableMatchesFreshBuild(t *testing.T) {
 				if net.routeTabEpoch != before {
 					resets++
 				}
-				fresh, err := routing.BuildHierarchical(net.g, net.renderAssignment(new(cluster.Assignment)))
+				fresh, err := routing.BuildHierarchical(net.grid.Graph(), net.renderAssignment(new(cluster.Assignment)))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -119,9 +119,10 @@
 //     nodes whose adjacency an update touched) — and a step visits only
 //     worklist nodes plus the radio neighborhoods of nodes about to
 //     broadcast changed content. A stabilized network steps in O(1),
-//     flat in N (BenchmarkQuiescentStep: ~12 ns at 1k, 10k and 100k
-//     nodes, 0 allocs/op), instead of the full scan's O(N)
-//     (BenchmarkQuiescentStepDense1k: ~0.2 ms at 1k alone);
+//     flat in N (BenchmarkQuiescentStep at 1k, 10k and 100k nodes,
+//     0 allocs/op), instead of the full scan's O(N)
+//     (BenchmarkQuiescentStepDense1k at 1k alone; BENCH_scale.txt holds
+//     the measured times of both);
 //     a locally perturbed network steps in O(frontier × density)
 //     (BenchmarkStep100k). There is one step body; what varies is the
 //     set of nodes it visits, and the engine picks that from what it
@@ -162,9 +163,10 @@
 //     sustained add/remove churn would grow memory with cumulative
 //     arrivals; an explicit Network.Compact (or a SetAutoCompact
 //     dead-fraction threshold) recycles dead slots under one monotone
-//     index remap propagated to every index cache — grid and graph,
-//     engine arrays, traffic queues and flow endpoints, energy arrays,
-//     the open convergence episode — so long-running churn simulations
+//     index remap propagated to every index cache — the grid's positions
+//     and graph, the engine's arrays and identifiers, traffic queues and
+//     flow endpoints, energy arrays, churn wake deadlines, the open
+//     convergence episode — so long-running churn simulations
 //     hold memory proportional to the operating population. Because
 //     survivors keep their relative order, every ledger is bit-identical
 //     to a run that never compacted (pinned by the determinism matrix's
@@ -260,10 +262,10 @@
 //     BenchmarkEnergyStep measures the full step with convergecast
 //     traffic and rotation enabled at 1000, 20 000 and 50 000 nodes.
 //
-// The benchmark suite quantifies all of this: BenchmarkStep1000 (steady
-// protocol step at paper scale) is the headline throughput number and
-// should stay allocation-flat; the BenchmarkQuiescentStep family and
-// BenchmarkStep100k pin the worklist's flat-in-N claim,
+// The benchmark suite quantifies all of this. BenchmarkStep1000 steps a
+// stabilized 1000-node network, a quiescent no-op under the worklist, so
+// it pins allocation-flatness, not throughput; the BenchmarkQuiescentStep
+// family and BenchmarkStep100k pin the worklist's flat-in-N claim,
 // BenchmarkStep100kFrontier the cost over worklist sizes and
 // BenchmarkStep1M the million-node memory budget;
 // BenchmarkColdStabilize and BenchmarkRecovery measure convergence
@@ -272,16 +274,18 @@
 // the core suites, emits BENCH_step.json, BENCH_traffic.json,
 // BENCH_churn.json, BENCH_energy.json and BENCH_scale.json for the
 // performance trajectory, and gates on >20% step-time regressions
-// against the committed baselines (scripts/benchgate).
+// against the committed baselines (scripts/benchgate). The measured
+// numbers live in those files, each headed by its commit, host and
+// GOMAXPROCS, not in this comment.
 package selfstab
 
 import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"selfstab/internal/cluster"
+	"selfstab/internal/dag"
 	"selfstab/internal/deploy"
 	"selfstab/internal/energy"
 	"selfstab/internal/geom"
@@ -453,12 +457,14 @@ func WithIDs(ids []int64) Option {
 
 // Network is a simulated multihop wireless network running the clustering
 // protocol stack.
+//
+// Each per-node fact has one owner: the grid index holds the positions
+// and the unit-disk graph, whose Version is the topology epoch the
+// routing and stretch caches key on; the step engine holds the
+// identifiers and the id→index map. The Network reads them there and
+// keeps no copies.
 type Network struct {
 	region geom.Rect
-	pts    []geom.Point
-	ids    []int64
-	id2idx map[int64]int // identifier → dense index
-	g      *topology.Graph
 	grid   *topology.GridIndex // persistent unit-disk index for SetPositions
 	engine *runtime.Engine
 	src    *rng.Source
@@ -471,7 +477,6 @@ type Network struct {
 	routeTab      *routing.Hierarchical //selfstab:cache
 	routeTabEpoch uint64                //selfstab:cache
 	routeAsg      cluster.Assignment    //selfstab:cache
-	topoEpoch     uint64                // bumped by SetPositions and edge-changing churn
 
 	// Scratch of flatDist, the path-stretch baseline the traffic plane
 	// queries per flow: distSeen[v] == distGen marks v reached by the
@@ -653,22 +658,15 @@ func buildWith(cfg snapshot.Options, pts []geom.Point, src *rng.Source) (*Networ
 	n := &Network{
 		cfg:    cfg,
 		region: geom.UnitSquare(),
-		pts:    append([]geom.Point(nil), pts...),
 		src:    src,
 	}
-	if err := n.assignIDs(); err != nil {
-		return nil, err
-	}
-	n.id2idx = make(map[int64]int, len(n.ids))
-	for i, id := range n.ids {
-		n.id2idx[id] = i
-	}
+	ids := n.assignIDs(pts)
 	// The unit-disk index is anchored on the deployment region (not the
 	// initial point spread) and persists for the Network's lifetime, so
 	// SetPositions can repair the topology incrementally wherever the
 	// nodes later roam.
-	n.grid = topology.NewGridIndexInRegion(n.pts, cfg.Range, n.region)
-	n.g = n.grid.Graph()
+	n.grid = topology.NewGridIndexInRegion(pts, cfg.Range, n.region)
+	g := n.grid.Graph()
 
 	proto := runtime.Protocol{
 		Order:          cluster.OrderBasic,
@@ -683,18 +681,16 @@ func buildWith(cfg snapshot.Options, pts []geom.Point, src *rng.Source) (*Networ
 		proto.UseDag = true
 		proto.Gamma = cfg.Gamma
 		if proto.Gamma == 0 {
-			d := int64(n.g.MaxDegree())
-			proto.Gamma = d * d
-			if proto.Gamma <= d {
-				proto.Gamma = d + 1
-			}
+			proto.Gamma = dag.PaperGamma(g)
 		}
 	}
 	medium, err := n.makeMedium()
 	if err != nil {
 		return nil, err
 	}
-	engine, err := runtime.New(n.g, n.ids, proto, medium, src.Split("engine"))
+	// The engine validates the identifiers (count, uniqueness) and keeps
+	// its own copy.
+	engine, err := runtime.New(g, ids, proto, medium, src.Split("engine"))
 	if err != nil {
 		return nil, err
 	}
@@ -704,7 +700,7 @@ func buildWith(cfg snapshot.Options, pts []geom.Point, src *rng.Source) (*Networ
 	// node whose radio adjacency changes under mobility or churn is
 	// re-examined on the next step, and only those (see SetPositions).
 	n.grid.SetOnAdjacencyChange(engine.Activate)
-	for _, id := range n.ids {
+	for _, id := range ids {
 		if id >= n.nextID {
 			n.nextID = id + 1
 		}
@@ -712,52 +708,18 @@ func buildWith(cfg snapshot.Options, pts []geom.Point, src *rng.Source) (*Networ
 	return n, nil
 }
 
-func (n *Network) assignIDs() error {
-	count := len(n.pts)
+// assignIDs returns the identifiers the configuration gives the nodes at
+// pts: the explicit list, row-major order, or (the default) a random
+// permutation drawn from the "ids" stream.
+func (n *Network) assignIDs(pts []geom.Point) []int64 {
 	switch {
 	case n.cfg.IDs != nil:
-		if len(n.cfg.IDs) != count {
-			return fmt.Errorf("selfstab: %d ids for %d nodes", len(n.cfg.IDs), count)
-		}
-		seen := make(map[int64]bool, count)
-		for _, id := range n.cfg.IDs {
-			if seen[id] {
-				return fmt.Errorf("selfstab: duplicate id %d", id)
-			}
-			seen[id] = true
-		}
-		n.ids = slices.Clone(n.cfg.IDs) // the blueprint's copy must survive AddNodes and Compact
+		return n.cfg.IDs
 	case n.cfg.RowMajorIDs:
-		n.ids = rowMajorIDs(n.pts)
+		return deploy.AssignIDs(pts, deploy.IDRowMajor, nil)
 	default:
-		perm := n.src.Split("ids").Perm(count)
-		n.ids = make([]int64, count)
-		for i, p := range perm {
-			n.ids[i] = int64(p)
-		}
+		return deploy.AssignIDs(pts, deploy.IDRandom, n.src.Split("ids"))
 	}
-	return nil
-}
-
-// rowMajorIDs numbers nodes left-to-right, bottom-to-top (the adversarial
-// spatially-correlated assignment of Table 5).
-func rowMajorIDs(pts []geom.Point) []int64 {
-	order := make([]int, len(pts))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		pa, pb := pts[order[a]], pts[order[b]]
-		if pa.Y != pb.Y {
-			return pa.Y < pb.Y
-		}
-		return pa.X < pb.X
-	})
-	ids := make([]int64, len(pts))
-	for rank, idx := range order {
-		ids[idx] = int64(rank)
-	}
-	return ids
 }
 
 func (n *Network) makeMedium() (radio.Medium, error) {

@@ -77,7 +77,7 @@ func (n *Network) attachTrafficImpl(cfg TrafficConfig) error {
 	// is not journaled, so it must not advance the master stream either.
 	specs, err := n.resolveFlows(cfg.Flows)
 	if err == nil {
-		err = traffic.Validate(len(n.pts), cfg, specs)
+		err = traffic.Validate(n.N(), cfg, specs)
 	}
 	if err != nil {
 		return err
@@ -95,8 +95,8 @@ func (n *Network) attachTrafficImpl(cfg TrafficConfig) error {
 			}
 			return next, true
 		},
-		Dist:      n.flatDist,
-		TopoEpoch: func() uint64 { return n.topoEpoch },
+		Dist:        n.flatDist,
+		TopoVersion: n.grid.Graph().Version,
 		Alive: func(i int) bool {
 			return n.engine.Status(i) == runtime.StatusAlive
 		},
@@ -106,7 +106,7 @@ func (n *Network) attachTrafficImpl(cfg TrafficConfig) error {
 			return n.engine.Status(i) == runtime.StatusAlive && n.engine.IsHead(i)
 		},
 	}
-	t, err := traffic.New(len(n.pts), cfg, specs, hooks, n.src.Split("traffic"))
+	t, err := traffic.New(n.N(), cfg, specs, hooks, n.src.Split("traffic"))
 	if err != nil {
 		return err
 	}
@@ -138,8 +138,8 @@ func (n *Network) resolveFlows(flows []Flow) ([]traffic.FlowSpec, error) {
 			if !dstOK {
 				return nil, fmt.Errorf("selfstab: flow %d: unknown sink id %d", i, f.DstID)
 			}
-			if f.HotspotSources > len(n.pts)-1 {
-				return nil, fmt.Errorf("selfstab: flow %d: %d hotspot sources for %d nodes", i, f.HotspotSources, len(n.pts))
+			if f.HotspotSources > n.N()-1 {
+				return nil, fmt.Errorf("selfstab: flow %d: %d hotspot sources for %d nodes", i, f.HotspotSources, n.N())
 			}
 		} else {
 			var srcOK bool
@@ -168,7 +168,7 @@ func (n *Network) expandFlows(flows []Flow, specs []traffic.FlowSpec) []traffic.
 			out = append(out, s)
 			continue
 		}
-		for _, u := range src.Perm(len(n.pts)) {
+		for _, u := range src.Perm(n.N()) {
 			if u == s.Dst {
 				continue
 			}
@@ -186,8 +186,9 @@ func (n *Network) expandFlows(flows []Flow, specs []traffic.FlowSpec) []traffic.
 // renumber under Compact, identifiers never do, so the per-flow ledger
 // addresses flows by id.
 func (n *Network) pinFlowIDs(ids []flowEndpointIDs, specs []traffic.FlowSpec) []flowEndpointIDs {
+	all := n.engine.IDs()
 	for _, s := range specs {
-		ids = append(ids, flowEndpointIDs{src: n.ids[s.Src], dst: n.ids[s.Dst]})
+		ids = append(ids, flowEndpointIDs{src: all[s.Src], dst: all[s.Dst]})
 	}
 	return ids
 }
