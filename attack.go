@@ -251,8 +251,8 @@ func (n *Network) SybilJoin(targetID int64, count int, spread float64) ([]int64,
 	for k := range pts {
 		a := 2 * math.Pi * float64(k) / float64(count)
 		pts[k] = n.region.Clamp(Point{
-			X: center.X + spread*math.Cos(a),
-			Y: center.Y + spread*math.Sin(a),
+			X: center.X + float64(spread*math.Cos(a)),
+			Y: center.Y + float64(spread*math.Sin(a)),
 		})
 	}
 	ids, err := n.AddNodes(pts)

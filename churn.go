@@ -6,6 +6,7 @@ import (
 	"selfstab/internal/geom"
 	"selfstab/internal/rng"
 	"selfstab/internal/runtime"
+	"selfstab/internal/slot"
 	"selfstab/internal/snapshot"
 )
 
@@ -20,8 +21,9 @@ const (
 	// queued packets frozen until it wakes.
 	NodeSleeping = runtime.StatusSleeping
 	// NodeDead is a permanently departed (or never-recovered crashed)
-	// node. Its index slot survives so Positions/State stay aligned, but
-	// it takes no further part in the simulation.
+	// node. It takes no further part in the simulation; its index slot
+	// survives, so Positions/State stay aligned, until Compact (or the
+	// SetAutoCompact threshold) recycles it and renumbers the survivors.
 	NodeDead = runtime.StatusDead
 )
 
@@ -323,20 +325,9 @@ type churnState struct {
 
 // compact applies a dead-slot recycling remap to the wake deadlines and
 // the worklist (survivors keep their order; dropped slots leave it).
-func (c *churnState) compact(remap []int32, newN int) {
-	for old, nw := range remap {
-		if nw >= 0 {
-			c.sleepUntil[nw] = c.sleepUntil[old]
-		}
-	}
-	c.sleepUntil = c.sleepUntil[:newN]
-	kept := c.sleepers[:0]
-	for _, si := range c.sleepers {
-		if nw := remap[si]; nw >= 0 {
-			kept = append(kept, nw)
-		}
-	}
-	c.sleepers = kept
+func (c *churnState) compact(r slot.Remap) {
+	c.sleepUntil = slot.Apply(r, c.sleepUntil)
+	c.sleepers = slot.Renumber(r, c.sleepers)
 }
 
 // AttachChurn installs a node-lifecycle churn schedule that runs as a
@@ -407,8 +398,8 @@ func (n *Network) churnPreStep(step int) error {
 	c.sleepers = c.sleepers[:w]
 	for k := c.src.Poisson(c.cfg.ArrivalRate); k > 0; k-- {
 		p := geom.Point{
-			X: n.region.MinX + c.src.Float64()*(n.region.MaxX-n.region.MinX),
-			Y: n.region.MinY + c.src.Float64()*(n.region.MaxY-n.region.MinY),
+			X: n.region.MinX + float64(c.src.Float64()*(n.region.MaxX-n.region.MinX)),
+			Y: n.region.MinY + float64(c.src.Float64()*(n.region.MaxY-n.region.MinY)),
 		}
 		if _, err := n.addNodeAt(p); err != nil {
 			return err

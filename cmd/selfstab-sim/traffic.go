@@ -181,8 +181,8 @@ func runMobilityScenario(net *selfstab.Network, steps int, seed int64) error {
 			if r.Float64() < 0.1 {
 				dir[i] = r.Float64() * 2 * math.Pi
 			}
-			pos[i].X = reflect01(pos[i].X + stepSize*math.Cos(dir[i]))
-			pos[i].Y = reflect01(pos[i].Y + stepSize*math.Sin(dir[i]))
+			pos[i].X = reflect01(pos[i].X + float64(stepSize*math.Cos(dir[i])))
+			pos[i].Y = reflect01(pos[i].Y + float64(stepSize*math.Sin(dir[i])))
 		}
 		if err := net.SetPositions(pos); err != nil {
 			return err

@@ -47,34 +47,34 @@ func (n *Network) Compact() (removed int, err error) {
 //
 //selfstab:unjournaled auto-compaction replays as a deterministic consequence of the SetAutoCompact op; journaling it too would compact twice
 func (n *Network) compactImpl() (removed int, err error) {
-	remap, newN := n.engine.CompactionRemap()
-	if remap == nil {
+	r := n.engine.CompactionRemap()
+	if r.Dropped() == 0 {
 		return 0, nil
 	}
 	// Order matters and mirrors construction: topology first (the engine
-	// validates its graph against newN), then the engine, then the
-	// attached subsystems. The grid's graph advances its Version, which
-	// invalidates the index-keyed routing tables and flat distances.
-	if err := n.grid.Compact(remap, newN); err != nil {
+	// validates its graph against the survivor count), then the engine,
+	// then the attached subsystems. The grid's graph advances its Version,
+	// which invalidates the index-keyed routing tables and flat distances.
+	if err := n.grid.Compact(r); err != nil {
 		return 0, fmt.Errorf("selfstab: compact: %w", err)
 	}
-	if err := n.engine.Compact(remap, newN); err != nil {
+	if err := n.engine.Compact(r); err != nil {
 		return 0, fmt.Errorf("selfstab: compact: %w", err)
 	}
 	if n.traffic != nil {
-		if err := n.traffic.Compact(remap, newN); err != nil {
+		if err := n.traffic.Compact(r); err != nil {
 			return 0, fmt.Errorf("selfstab: compact: %w", err)
 		}
 	}
 	if n.energy != nil {
-		if err := n.energy.Compact(remap, newN); err != nil {
+		if err := n.energy.Compact(r); err != nil {
 			return 0, fmt.Errorf("selfstab: compact: %w", err)
 		}
 	}
 	if n.churn != nil {
-		n.churn.compact(remap, newN)
+		n.churn.compact(r)
 	}
-	return len(remap) - newN, nil
+	return r.Dropped(), nil
 }
 
 // SetAutoCompact installs a dead-slot threshold: before every step, if

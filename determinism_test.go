@@ -486,23 +486,11 @@ func TestDeterminismMatrix(t *testing.T) {
 		}
 	})
 	t.Run("digests", func(t *testing.T) {
-		if goruntime.GOARCH != "amd64" {
-			t.Skipf("digests are pinned on amd64: the Go spec lets the compiler fuse x*y+z into one FMA on %s, which rounds differently", goruntime.GOARCH)
+		if a := goruntime.GOARCH; a != "amd64" && a != "386" {
+			t.Skipf("digests are checked on amd64 and 386, where CI runs the matrix; on %s no run has compared them yet", a)
 		}
 		checkDigests(t, digests)
 	})
-}
-
-// replayCells records one trace on one world option and replays it in
-// the given cells of the matrix. The twin tests the matrix replaced keep
-// their names as calls of it.
-func replayCells(t *testing.T, trName, worldName string, cs ...cell) {
-	tr := traces[slices.IndexFunc(traces, func(tr trace) bool { return tr.name == trName })]
-	w := worlds[slices.IndexFunc(worlds, func(w world) bool { return w.name == worldName })]
-	_, j := record(t, tr, w.opts)
-	for _, c := range cs {
-		t.Run(c.String(), func(t *testing.T) { runCell(t, j, c, tr.phases) })
-	}
 }
 
 // checkDigests compares the live fingerprints' digests with the pinned

@@ -78,8 +78,8 @@ func headRetention(improvements bool) float64 {
 			if walk.Float64() < 0.1 {
 				dir[i] = walk.Float64() * 2 * math.Pi
 			}
-			pos[i].X = reflect01(pos[i].X + step*math.Cos(dir[i]))
-			pos[i].Y = reflect01(pos[i].Y + step*math.Sin(dir[i]))
+			pos[i].X = reflect01(pos[i].X + float64(step*math.Cos(dir[i])))
+			pos[i].Y = reflect01(pos[i].Y + float64(step*math.Sin(dir[i])))
 		}
 		if err := net.SetPositions(pos); err != nil {
 			log.Fatal(err)

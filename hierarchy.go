@@ -2,11 +2,12 @@ package selfstab
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"selfstab/internal/cluster"
 	"selfstab/internal/hierarchy"
-	"selfstab/internal/topology"
+	"selfstab/internal/slot"
 )
 
 // HierarchyLevel is one tier of a recursive clustering: level 0 clusters
@@ -39,55 +40,35 @@ func (n *Network) BuildHierarchy(maxLevels int) ([]HierarchyLevel, error) {
 		order = cluster.OrderSticky
 	}
 	g, ids := n.grid.Graph(), n.engine.IDs()
-	sub := []int(nil) // level-0 vertex → physical index (nil: identity)
-	if mask := n.operatingMask(); mask != nil {
-		// Induce the operating subgraph with compacted indices. Dead and
-		// sleeping nodes are already isolated vertices of the live
-		// topology, so this only drops vertices, never edges.
-		sub = make([]int, 0, len(mask))
-		subIdx := make([]int, len(mask))
-		for i := range mask {
-			subIdx[i] = -1
-			if mask[i] {
-				subIdx[i] = len(sub)
-				sub = append(sub, i)
-			}
-		}
-		if len(sub) == 0 {
-			return nil, fmt.Errorf("selfstab: no operating nodes to cluster")
-		}
-		live, all := g, ids
-		g = topology.New(len(sub))
-		ids = make([]int64, len(sub))
-		for k, u := range sub {
-			ids[k] = all[u]
-			for _, v := range live.Neighbors(u) {
-				if v > u && subIdx[v] >= 0 {
-					if err := g.AddEdge(k, subIdx[v]); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-	}
 	// With energy-aware rotation active the live election runs on
 	// scale * density; hand the same weights to the offline fixpoint so
 	// level 0 matches what the protocol actually stabilizes to.
 	var scales []float64
-	for k := 0; k < g.N(); k++ {
-		phys := k
-		if sub != nil {
-			phys = sub[k]
-		}
-		if s := n.engine.DensityScale(phys); s != 1 {
+	for i := range ids {
+		if s := n.engine.DensityScale(i); s != 1 {
 			if scales == nil {
-				scales = make([]float64, g.N())
+				scales = make([]float64, len(ids))
 				for j := range scales {
 					scales[j] = 1
 				}
 			}
-			scales[k] = s
+			scales[i] = s
 		}
+	}
+	if mask := n.operatingMask(); mask != nil {
+		// Cluster the operating subgraph only. Dead and sleeping nodes are
+		// already isolated vertices of the live topology, so dropping
+		// them drops no edge.
+		r := slot.Plan(len(mask), func(i int) bool { return !mask[i] })
+		if r.N() == 0 {
+			return nil, fmt.Errorf("selfstab: no operating nodes to cluster")
+		}
+		g = g.Clone()
+		if err := g.Compact(r); err != nil {
+			return nil, fmt.Errorf("selfstab: operating subgraph: %w", err)
+		}
+		ids = slot.Apply(r, slices.Clone(ids))
+		scales = slot.Apply(r, scales)
 	}
 	h, err := hierarchy.Build(g, ids, hierarchy.Options{
 		MaxLevels:   maxLevels,

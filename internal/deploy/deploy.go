@@ -107,8 +107,8 @@ func Uniform(n int, region geom.Rect, ids IDStrategy, src *rng.Source) *Deployme
 	}
 	for i := range d.Points {
 		d.Points[i] = geom.Point{
-			X: region.MinX + src.Float64()*region.Width(),
-			Y: region.MinY + src.Float64()*region.Height(),
+			X: region.MinX + float64(src.Float64()*region.Width()),
+			Y: region.MinY + float64(src.Float64()*region.Height()),
 		}
 	}
 	d.IDs = AssignIDs(d.Points, ids, src)
@@ -136,8 +136,8 @@ func Grid(rows, cols int, region geom.Rect, ids IDStrategy, src *rng.Source) *De
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			d.Points = append(d.Points, geom.Point{
-				X: region.MinX + (float64(c)+0.5)*px,
-				Y: region.MinY + (float64(r)+0.5)*py,
+				X: region.MinX + float64((float64(c)+0.5)*px),
+				Y: region.MinY + float64((float64(r)+0.5)*py),
 			})
 		}
 	}
@@ -176,8 +176,8 @@ func Hotspots(n, k int, spread float64, region geom.Rect, ids IDStrategy, src *r
 	centers := make([]geom.Point, k)
 	for i := range centers {
 		centers[i] = geom.Point{
-			X: region.MinX + src.Float64()*region.Width(),
-			Y: region.MinY + src.Float64()*region.Height(),
+			X: region.MinX + float64(src.Float64()*region.Width()),
+			Y: region.MinY + float64(src.Float64()*region.Height()),
 		}
 	}
 	d := &Deployment{
@@ -189,8 +189,8 @@ func Hotspots(n, k int, spread float64, region geom.Rect, ids IDStrategy, src *r
 	for i := range d.Points {
 		c := centers[src.Intn(k)]
 		d.Points[i] = region.Clamp(geom.Point{
-			X: c.X + src.NormFloat64()*sx,
-			Y: c.Y + src.NormFloat64()*sy,
+			X: c.X + float64(src.NormFloat64()*sx),
+			Y: c.Y + float64(src.NormFloat64()*sy),
 		})
 	}
 	d.IDs = AssignIDs(d.Points, ids, src)

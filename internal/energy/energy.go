@@ -47,6 +47,7 @@ import (
 
 	"selfstab/internal/obs"
 	"selfstab/internal/runtime"
+	"selfstab/internal/slot"
 	"selfstab/internal/snapshot"
 )
 
@@ -285,14 +286,16 @@ func (e *Engine) Step(step int) error {
 			if counters {
 				t := counterAt(tx, i)
 				if d := t - lastTx[i]; d > 0 {
-					cost := float64(d) * txCost
+					// Rounded before both sums: a fused multiply-add would
+					// change the ledger on some architectures.
+					cost := float64(float64(d) * txCost)
 					drain += cost
 					a.drainTx += cost
 				}
 				lastTx[i] = t
 				r := counterAt(rx, i)
 				if d := r - lastRx[i]; d > 0 {
-					cost := float64(d) * rxCost
+					cost := float64(float64(d) * rxCost)
 					drain += cost
 					a.drainRx += cost
 				}
@@ -376,8 +379,8 @@ func (e *Engine) quantize(b float64) int16 {
 }
 
 // Resize grows the model to n nodes; new arrivals under churn start with
-// a full battery. Shrinking is not supported — node slots are never
-// recycled.
+// a full battery. It never shrinks: dead slots are recycled only by
+// Compact, under the engine-wide remap.
 //
 //selfstab:mutator
 func (e *Engine) Resize(n int) {
@@ -402,27 +405,16 @@ func (e *Engine) Resize(n int) {
 // between steps.
 //
 //selfstab:mutator
-func (e *Engine) Compact(remap []int32, newN int) error {
-	if len(remap) != len(e.battery) {
-		return fmt.Errorf("energy: remap of %d entries for %d nodes", len(remap), len(e.battery))
+func (e *Engine) Compact(r slot.Remap) error {
+	if err := r.Check("energy", len(e.battery)); err != nil {
+		return err
 	}
-	for old, nw := range remap {
-		if nw < 0 {
-			continue
-		}
-		i := int(nw)
-		e.battery[i] = e.battery[old]
-		e.depleted[i] = e.depleted[old]
-		e.level[i] = e.level[old]
-		e.lastTx[i] = e.lastTx[old]
-		e.lastRx[i] = e.lastRx[old]
-	}
-	e.battery = e.battery[:newN]
-	e.depleted = e.depleted[:newN]
-	e.level = e.level[:newN]
-	e.lastTx = e.lastTx[:newN]
-	e.lastRx = e.lastRx[:newN]
-	e.n = newN
+	e.battery = slot.Apply(r, e.battery)
+	e.depleted = slot.Apply(r, e.depleted)
+	e.level = slot.Apply(r, e.level)
+	e.lastTx = slot.Apply(r, e.lastTx)
+	e.lastRx = slot.Apply(r, e.lastRx)
+	e.n = r.N()
 	return nil
 }
 

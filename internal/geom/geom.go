@@ -17,10 +17,13 @@ type Point struct {
 
 // Dist2 returns the squared Euclidean distance between p and q. It avoids
 // the square root on the hot path of unit-disk neighborhood construction.
+// The conversions round each product, so no architecture fuses the sum
+// into a multiply-add and a pair near the range boundary is decided the
+// same way everywhere (scripts/portable.sh checks every such site).
 func (p Point) Dist2(q Point) float64 {
 	dx := p.X - q.X
 	dy := p.Y - q.Y
-	return dx*dx + dy*dy
+	return float64(dx*dx) + float64(dy*dy)
 }
 
 // Add returns the translation of p by q.
@@ -28,9 +31,10 @@ func (p Point) Add(q Point) Point {
 	return Point{X: p.X + q.X, Y: p.Y + q.Y}
 }
 
-// Scale returns p scaled by k.
+// Scale returns p scaled by k, each product rounded so that p.Add(v.Scale(k))
+// is never fused into a multiply-add.
 func (p Point) Scale(k float64) Point {
-	return Point{X: p.X * k, Y: p.Y * k}
+	return Point{X: float64(p.X * k), Y: float64(p.Y * k)}
 }
 
 // String implements fmt.Stringer.

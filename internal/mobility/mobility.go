@@ -84,7 +84,7 @@ func validateSpeeds(minSpeed, maxSpeed float64) error {
 }
 
 func (w *RandomWalk) drawVelocity() geom.Point {
-	speed := w.minSpeed + w.src.Float64()*(w.maxSpeed-w.minSpeed)
+	speed := w.minSpeed + float64(w.src.Float64()*(w.maxSpeed-w.minSpeed))
 	theta := w.src.Float64() * 2 * math.Pi
 	return geom.Point{X: speed * math.Cos(theta), Y: speed * math.Sin(theta)}
 }

@@ -88,7 +88,7 @@ func (s *Source) Poisson(mean float64) int {
 		}
 	}
 	// Normal approximation with continuity correction.
-	v := mean + s.NormFloat64()*math.Sqrt(mean) + 0.5
+	v := mean + float64(s.NormFloat64()*math.Sqrt(mean)) + 0.5
 	if v < 0 {
 		return 0
 	}

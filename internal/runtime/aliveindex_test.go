@@ -85,14 +85,14 @@ func TestNthAliveAfterAppendAndCompact(t *testing.T) {
 			tw.apply(t, traceOp{kind: "kill", node: i})
 		}
 	}
-	remap, newN := e.CompactionRemap()
-	if remap == nil {
+	r := e.CompactionRemap()
+	if r.Dropped() == 0 {
 		t.Fatal("no dead slots to compact")
 	}
-	if err := tw.gi.Compact(remap, newN); err != nil {
+	if err := tw.gi.Compact(r); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Compact(remap, newN); err != nil {
+	if err := e.Compact(r); err != nil {
 		t.Fatal(err)
 	}
 	k := 0

@@ -6,9 +6,9 @@ import (
 	"selfstab/internal/obs"
 )
 
-// NodeStatus is a node slot's lifecycle state. Slots are never recycled:
-// a dead node keeps its dense index forever so per-node arrays across the
-// whole stack stay aligned under churn.
+// NodeStatus is a node slot's lifecycle state. A dead node keeps its
+// dense index, so per-node arrays across the whole stack stay aligned
+// under churn, until Compact recycles the dead slots under one remap.
 type NodeStatus int8
 
 const (

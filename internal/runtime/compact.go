@@ -4,19 +4,18 @@ import (
 	"fmt"
 
 	"selfstab/internal/obs"
+	"selfstab/internal/slot"
 )
 
 // Slot compaction. Dead slots are inert — no radio, no edges, cleared
 // state — but they pin a dense index in every per-node array across the
 // stack, so under sustained add/remove churn memory tracks cumulative
 // arrivals instead of the operating population. Compact recycles them
-// under an explicit index remap: survivors keep their relative order
-// (the remap is monotone), which is what makes the compacted execution
-// bit-identical to the uncompacted one — every index-ordered loop in the
-// stack (guards, forwarding, battery charging, victim picks) visits the
-// survivors in the same sequence either way.
+// under one slot.Remap, whose survivors keep their relative order, so
+// every index-ordered loop in the stack (guards, forwarding, battery
+// charging, victim picks) visits them in the same sequence either way.
 //
-// The engine owns the remap; every subsystem that caches node indices
+// The engine plans the remap; every subsystem that caches node indices
 // (the topology index, the traffic queues and flow endpoints, the energy
 // arrays, the routing tables, the caller's own position/id arrays) must
 // be compacted with the same remap in the same quiet instant between
@@ -24,24 +23,10 @@ import (
 // follow the same contract Append established: topology first, then the
 // engine, then everything downstream.
 
-// CompactionRemap builds the dead-slot recycling plan: remap[old] is the
-// survivor's new index, or -1 for a dead slot; newN is the surviving
-// slot count. It returns (nil, N()) when no slot is dead.
-func (e *Engine) CompactionRemap() ([]int32, int) {
-	if e.deadN == 0 {
-		return nil, len(e.nodes)
-	}
-	remap := make([]int32, len(e.nodes))
-	next := int32(0)
-	for i, s := range e.status {
-		if s == StatusDead {
-			remap[i] = -1
-			continue
-		}
-		remap[i] = next
-		next++
-	}
-	return remap, int(next)
+// CompactionRemap builds the dead-slot recycling plan: it drops every
+// dead slot. Its Dropped count is 0 when no slot is dead.
+func (e *Engine) CompactionRemap() slot.Remap {
+	return slot.Plan(len(e.status), func(i int) bool { return e.status[i] == StatusDead })
 }
 
 // Compact applies a CompactionRemap: dead slots are dropped, survivors
@@ -54,12 +39,17 @@ func (e *Engine) CompactionRemap() ([]int32, int) {
 // have computed without one. Call only between steps.
 //
 //selfstab:mutator
-func (e *Engine) Compact(remap []int32, newN int) error {
-	if len(remap) != len(e.nodes) {
-		return fmt.Errorf("runtime: remap of %d entries for %d nodes", len(remap), len(e.nodes))
+func (e *Engine) Compact(r slot.Remap) error {
+	if err := r.Check("runtime", len(e.nodes)); err != nil {
+		return err
 	}
-	if e.g.N() != newN {
-		return fmt.Errorf("runtime: graph has %d nodes, want %d (compact the graph before the engine)", e.g.N(), newN)
+	if e.g.N() != r.N() {
+		return fmt.Errorf("runtime: graph has %d nodes, want %d (compact the graph before the engine)", e.g.N(), r.N())
+	}
+	for old := range e.nodes {
+		if r.Of(old) < 0 && e.status[old] != StatusDead {
+			return fmt.Errorf("runtime: remap drops node %d which is %s", old, e.status[old])
+		}
 	}
 	// Compaction runs between steps: the collector attributes its span to
 	// the following step's record.
@@ -71,42 +61,30 @@ func (e *Engine) Compact(remap []int32, newN int) error {
 			probe.Counter(obs.CtrCompactions, 1)
 		}()
 	}
-	for old, nw := range remap {
-		if nw < 0 {
-			if e.status[old] != StatusDead {
-				return fmt.Errorf("runtime: remap drops node %d which is %s", old, e.status[old])
-			}
-			delete(e.idx, e.ids[old])
-			continue
-		}
-		i := int(nw)
-		e.nodes[i] = e.nodes[old]
-		e.ids[i] = e.ids[old]
-		e.idx[e.ids[i]] = i
-		e.out[i] = e.out[old]
-		e.active[i] = e.active[old]
-		e.status[i] = e.status[old]
-		e.sendMask[i] = e.sendMask[old]
-		e.head[i] = e.head[old]
-		if e.densityScale != nil {
-			e.densityScale[i] = e.densityScale[old]
+	for old, id := range e.ids {
+		if nw := r.Of(old); nw >= 0 {
+			e.idx[id] = nw
+		} else {
+			delete(e.idx, id)
 		}
 	}
-	e.nodes = e.nodes[:newN]
-	e.ids = e.ids[:newN]
-	e.out = e.out[:newN]
-	e.active = e.active[:newN]
-	e.status = e.status[:newN]
-	e.sendMask = e.sendMask[:newN]
-	e.head = e.head[:newN]
-	if e.densityScale != nil {
-		e.densityScale = e.densityScale[:newN]
-	}
-	e.compactDisruption(remap, newN)
-	e.compactFrontier(remap, newN)
+	e.nodes = slot.Apply(r, e.nodes)
+	e.ids = slot.Apply(r, e.ids)
+	e.out = slot.Apply(r, e.out)
+	e.active = slot.Apply(r, e.active)
+	e.status = slot.Apply(r, e.status)
+	e.sendMask = slot.Apply(r, e.sendMask)
+	e.head = slot.Apply(r, e.head)
+	e.densityScale = slot.Apply(r, e.densityScale)
+	// The worklist: pending survivors keep their queue order, dead slots
+	// leave it (they were inert anyway).
+	e.pend = slot.Renumber(r, e.pend)
+	e.pendFlag = slot.Apply(r, e.pendFlag)
+	e.execFlag = slot.Apply(r, e.execFlag)
+	e.compactDisruption(r)
 	// Rebuild the alive order-statistic index from the compacted statuses
 	// (dead slots are gone, so the surviving membership is dense anyway).
-	e.aliveIdx.init(newN)
+	e.aliveIdx.init(r.N())
 	for i, s := range e.status {
 		if s == StatusAlive {
 			e.aliveIdx.set(i)
@@ -117,26 +95,6 @@ func (e *Engine) Compact(remap []int32, newN int) error {
 	return nil
 }
 
-// compactFrontier remaps the worklist: pending survivors keep their
-// queue order, dead slots leave it (they were inert anyway).
-func (e *Engine) compactFrontier(remap []int32, newN int) {
-	kept := e.pend[:0]
-	for _, v := range e.pend {
-		if nw := remap[v]; nw >= 0 {
-			kept = append(kept, nw)
-		}
-	}
-	e.pend = kept
-	for i := range e.pendFlag {
-		e.pendFlag[i] = false
-	}
-	e.pendFlag = e.pendFlag[:newN]
-	for _, v := range e.pend {
-		e.pendFlag[v] = true
-	}
-	e.execFlag = e.execFlag[:newN]
-}
-
 // compactDisruption remaps the open-episode tracker so a Compact in the
 // middle of a converging disruption leaves the eventual ledger record
 // exactly what it would have been: per-slot changed/site flags move with
@@ -144,38 +102,23 @@ func (e *Engine) compactFrontier(remap []int32, newN int) {
 // count as affected nodes, and as radius-0 witnesses when they were
 // disruption sites — is folded into carry counters that affectedSpread
 // adds back at close time.
-func (e *Engine) compactDisruption(remap []int32, newN int) {
+func (e *Engine) compactDisruption(r slot.Remap) {
 	d := &e.disrupt
 	if d.active {
-		for old, nw := range remap {
-			if nw >= 0 {
+		for old, changed := range d.changed {
+			if r.Of(old) >= 0 || !changed {
 				continue
 			}
-			if d.changed[old] {
-				d.droppedChanged++
-				// A dead slot is isolated, so its BFS distance from the
-				// episode's sites is 0 if it is itself a site and
-				// unreachable otherwise — exactly the carry below.
-				if d.siteSet[old] {
-					d.droppedChangedSite = true
-				}
+			d.droppedChanged++
+			// A dead slot is isolated, so its BFS distance from the
+			// episode's sites is 0 if it is itself a site and
+			// unreachable otherwise — exactly the carry below.
+			if d.siteSet[old] {
+				d.droppedChangedSite = true
 			}
 		}
 	}
-	for old, nw := range remap {
-		if nw < 0 {
-			continue
-		}
-		d.changed[nw] = d.changed[old]
-		d.siteSet[nw] = d.siteSet[old]
-	}
-	d.changed = d.changed[:newN]
-	d.siteSet = d.siteSet[:newN]
-	kept := d.sites[:0]
-	for _, s := range d.sites {
-		if nw := remap[s]; nw >= 0 {
-			kept = append(kept, int(nw))
-		}
-	}
-	d.sites = kept
+	d.changed = slot.Apply(r, d.changed)
+	d.siteSet = slot.Apply(r, d.siteSet)
+	d.sites = slot.Renumber(r, d.sites)
 }

@@ -3,12 +3,14 @@ package runtime
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"selfstab/internal/cluster"
 	"selfstab/internal/geom"
 	"selfstab/internal/radio"
 	"selfstab/internal/rng"
+	"selfstab/internal/slot"
 	"selfstab/internal/topology"
 )
 
@@ -182,22 +184,17 @@ func (tw *twin) apply(t *testing.T, op traceOp) {
 			tw.gi.Reactivate(op.node)
 		}
 	case "compact":
-		remap, newN := tw.e.CompactionRemap()
-		if remap == nil {
+		r := tw.e.CompactionRemap()
+		if r.Dropped() == 0 {
 			return
 		}
-		if err := tw.gi.Compact(remap, newN); err != nil {
+		if err := tw.gi.Compact(r); err != nil {
 			t.Fatal(err)
 		}
-		if err := tw.e.Compact(remap, newN); err != nil {
+		if err := tw.e.Compact(r); err != nil {
 			t.Fatal(err)
 		}
-		for old, nw := range remap {
-			if nw >= 0 {
-				tw.pts[nw] = tw.pts[old]
-			}
-		}
-		tw.pts = tw.pts[:newN]
+		tw.pts = slot.Apply(r, tw.pts)
 	case "step":
 		if err := runSteps(tw.e, op.steps); err != nil {
 			t.Fatal(err)
@@ -404,12 +401,13 @@ func TestSparseMatchesDenseMixedTrace(t *testing.T) {
 }
 
 // TestEngineCompactRemap: the remap plan drops exactly the dead slots
-// and preserves survivor order.
+// and preserves survivor order, and applying it leaves exactly the
+// survivors, in order, under their identifiers.
 func TestEngineCompactRemap(t *testing.T) {
 	g, ids := randomNetwork(77, 30, 0.2)
 	e := mustEngine(t, g, ids, basicProtocol(), radio.Perfect{}, 77)
-	if remap, n := e.CompactionRemap(); remap != nil || n != 30 {
-		t.Fatalf("remap on a fully-alive engine: %v, %d", remap, n)
+	if r := e.CompactionRemap(); r.Dropped() != 0 || r.N() != 30 {
+		t.Fatalf("remap on a fully-alive engine drops %d, keeps %d", r.Dropped(), r.N())
 	}
 	for _, i := range []int{3, 7, 20} {
 		if err := e.Kill(i); err != nil {
@@ -417,12 +415,14 @@ func TestEngineCompactRemap(t *testing.T) {
 		}
 		e.g.RemoveNode(i)
 	}
-	remap, n := e.CompactionRemap()
-	if n != 27 {
-		t.Fatalf("newN = %d, want 27", n)
+	r := e.CompactionRemap()
+	if r.N() != 27 {
+		t.Fatalf("N = %d, want 27", r.N())
 	}
-	next := int32(0)
-	for old, nw := range remap {
+	var want []int64
+	next := 0
+	for old := 0; old < 30; old++ {
+		nw := r.Of(old)
 		switch old {
 		case 3, 7, 20:
 			if nw != -1 {
@@ -432,10 +432,28 @@ func TestEngineCompactRemap(t *testing.T) {
 			if nw != next {
 				t.Fatalf("survivor %d remapped to %d, want %d", old, nw, next)
 			}
+			want = append(want, e.ids[old])
 			next++
 		}
 	}
 	if e.DeadCount() != 3 {
 		t.Fatalf("DeadCount = %d, want 3", e.DeadCount())
+	}
+	if err := e.g.Compact(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Compact(r); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(e.IDs(), want) {
+		t.Fatalf("ids after Compact = %v, want %v", e.IDs(), want)
+	}
+	for i, id := range want {
+		if j, ok := e.Index(id); !ok || j != i || e.Status(i) != StatusAlive {
+			t.Fatalf("node %d: Index = %d, %v; status %s", id, j, ok, e.Status(i))
+		}
+	}
+	if e.DeadCount() != 0 || e.AliveCount() != 27 {
+		t.Fatalf("after Compact: %d dead, %d alive", e.DeadCount(), e.AliveCount())
 	}
 }

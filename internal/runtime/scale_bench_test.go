@@ -260,14 +260,14 @@ func BenchmarkCompact(b *testing.B) {
 			gi.Deactivate(v)
 		}
 		b.StartTimer()
-		remap, newN := e.CompactionRemap()
-		if remap == nil {
+		r := e.CompactionRemap()
+		if r.Dropped() == 0 {
 			b.Fatal("nothing to compact")
 		}
-		if err := gi.Compact(remap, newN); err != nil {
+		if err := gi.Compact(r); err != nil {
 			b.Fatal(err)
 		}
-		if err := e.Compact(remap, newN); err != nil {
+		if err := e.Compact(r); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -241,7 +241,7 @@ func (s *Server) aliveInRegionLocked(x, y, radius float64) ([]int64, error) {
 			continue
 		}
 		dx, dy := st.Position.X-x, st.Position.Y-y
-		if dx*dx+dy*dy <= r2 {
+		if float64(dx*dx)+float64(dy*dy) <= r2 {
 			ids = append(ids, st.ID)
 		}
 	}

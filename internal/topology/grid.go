@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"selfstab/internal/geom"
+	"selfstab/internal/slot"
 )
 
 // GridIndex is a persistent unit-disk spatial index: a dense uniform grid
@@ -353,32 +354,25 @@ func (gi *GridIndex) Reactivate(i int) {
 	}
 }
 
-// Compact drops the slots remap marks as removed (remap[old] < 0) and
-// renumbers survivors, truncating the index to newN nodes — the
+// Compact drops the slots r drops and renumbers survivors — the
 // dead-slot recycling half of the engine's Compact. Removed slots must
 // be inactive (Deactivated), which holds for every dead node. Cell
 // buckets are rebuilt from the surviving active population; positions,
 // cells and the activity flags move in place; the maintained graph is
 // compacted with the same remap. The adjacency hook does not fire: no
 // survivor's neighbor set changes, only its numbering.
-func (gi *GridIndex) Compact(remap []int32, newN int) error {
-	if len(remap) != len(gi.pts) {
-		return fmt.Errorf("topology: remap of %d entries for %d indexed nodes", len(remap), len(gi.pts))
+func (gi *GridIndex) Compact(r slot.Remap) error {
+	if err := r.Check("topology", len(gi.pts)); err != nil {
+		return err
 	}
-	for old, nw := range remap {
-		if nw < 0 {
-			if !gi.inactive[old] {
-				return fmt.Errorf("topology: compacting active node %d", old)
-			}
-			continue
+	for old, inactive := range gi.inactive {
+		if r.Of(old) < 0 && !inactive {
+			return fmt.Errorf("topology: compacting active node %d", old)
 		}
-		gi.pts[nw] = gi.pts[old]
-		gi.cell[nw] = gi.cell[old]
-		gi.inactive[nw] = gi.inactive[old]
 	}
-	gi.pts = gi.pts[:newN]
-	gi.cell = gi.cell[:newN]
-	gi.inactive = gi.inactive[:newN]
+	gi.pts = slot.Apply(r, gi.pts)
+	gi.cell = slot.Apply(r, gi.cell)
+	gi.inactive = slot.Apply(r, gi.inactive)
 	for c := range gi.buckets {
 		gi.buckets[c] = gi.buckets[c][:0]
 	}
@@ -387,10 +381,7 @@ func (gi *GridIndex) Compact(remap []int32, newN int) error {
 			gi.buckets[gi.cell[i]] = append(gi.buckets[gi.cell[i]], int32(i))
 		}
 	}
-	if len(gi.movedFlag) > newN {
-		gi.movedFlag = gi.movedFlag[:newN]
-	}
-	return gi.g.Compact(remap, newN)
+	return gi.g.Compact(r)
 }
 
 // bucketRemove drops node id from cell c's bucket (swap-remove).

@@ -5,6 +5,7 @@ import (
 
 	"selfstab/internal/geom"
 	"selfstab/internal/rng"
+	"selfstab/internal/slot"
 )
 
 // graphsEqual compares full sorted adjacency.
@@ -266,19 +267,13 @@ func TestGridIndexCompactMatchesOracle(t *testing.T) {
 				idx.Deactivate(i)
 			}
 		}
-		remap := make([]int32, len(pts))
 		var survivors []geom.Point
-		next := int32(0)
 		for i := range pts {
-			if dead[i] {
-				remap[i] = -1
-				continue
+			if !dead[i] {
+				survivors = append(survivors, pts[i])
 			}
-			remap[i] = next
-			next++
-			survivors = append(survivors, pts[i])
 		}
-		if err := idx.Compact(remap, int(next)); err != nil {
+		if err := idx.Compact(slot.Plan(len(pts), func(i int) bool { return dead[i] })); err != nil {
 			t.Fatal(err)
 		}
 		graphsEqual(t, idx.Graph(), FromPoints(survivors, r), "compacted graph")
@@ -301,11 +296,8 @@ func TestGridIndexCompactMatchesOracle(t *testing.T) {
 func TestCompactRejectsActiveSlot(t *testing.T) {
 	pts := randPoints(10, rng.New(5))
 	idx := NewGridIndex(pts, 0.3)
-	remap := make([]int32, 10)
-	for i := range remap {
-		remap[i] = int32(i) - 1 // drop slot 0, which is still active
-	}
-	if err := idx.Compact(remap, 9); err == nil {
+	dropFirst := slot.Plan(10, func(i int) bool { return i == 0 }) // slot 0 is still active
+	if err := idx.Compact(dropFirst); err == nil {
 		t.Fatal("compacting an active slot succeeded")
 	}
 }
@@ -397,7 +389,7 @@ func TestGraphVersion(t *testing.T) {
 	g := New(2)
 	advances(g, "Graph.AddNode", func() error { g.AddNode(); return nil })
 	advances(g, "Graph.AddEdge", func() error { return g.AddEdge(0, 1) })
-	advances(g, "Graph.Compact", func() error { return g.Compact([]int32{0, 1, -1}, 2) })
+	advances(g, "Graph.Compact", func() error { return g.Compact(slot.Plan(3, func(i int) bool { return i == 2 })) })
 
 	// Nodes 0 and 1 are neighbours; node 2 is far from both.
 	pts := []geom.Point{{X: 0.1, Y: 0.1}, {X: 0.15, Y: 0.1}, {X: 0.8, Y: 0.8}}
@@ -417,5 +409,5 @@ func TestGraphVersion(t *testing.T) {
 	advances(g, "GridIndex.Deactivate", func() error { idx.Deactivate(1); return nil })
 	advances(g, "GridIndex.Reactivate", func() error { idx.Reactivate(1); return nil })
 	idx.Deactivate(3)
-	advances(g, "GridIndex.Compact", func() error { return idx.Compact([]int32{0, 1, 2, -1}, 3) })
+	advances(g, "GridIndex.Compact", func() error { return idx.Compact(slot.Plan(4, func(i int) bool { return i == 3 })) })
 }

@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"selfstab/internal/geom"
+	"selfstab/internal/slot"
 )
 
 // Graph is an undirected graph over nodes 0..N-1 with sorted adjacency
@@ -205,31 +206,23 @@ func (g *Graph) ClosedNeighborhoodLinks(u int) int {
 	return count
 }
 
-// Compact drops the slots remap marks as removed (remap[old] < 0) and
-// renumbers the survivors to remap[old], truncating the graph to newN
-// nodes. remap must be monotone on survivors (slot order preserved) and
-// every removed slot must already be isolated — both hold by construction
-// for dead-node recycling, where departed nodes had their edges detached
-// at death. Adjacency rows keep their backing arrays; sorted order is
-// preserved because the remap is monotone.
-func (g *Graph) Compact(remap []int32, newN int) error {
-	if len(remap) != len(g.adj) {
-		return fmt.Errorf("topology: remap of %d entries for %d nodes", len(remap), len(g.adj))
+// Compact drops the slots r drops and renumbers the survivors. Every
+// dropped slot must already be isolated, which holds by construction for
+// dead-node recycling, where departed nodes had their edges detached at
+// death. Adjacency rows keep their backing arrays and their sorted order,
+// because the remap is monotone.
+func (g *Graph) Compact(r slot.Remap) error {
+	if err := r.Check("topology", len(g.adj)); err != nil {
+		return err
 	}
-	for old, nw := range remap {
-		if nw < 0 {
-			if len(g.adj[old]) != 0 {
-				return fmt.Errorf("topology: compacting node %d with %d live edges", old, len(g.adj[old]))
-			}
-			continue
+	for old, row := range g.adj {
+		if r.Of(old) >= 0 {
+			g.adj[old] = slot.Renumber(r, row)
+		} else if len(row) != 0 {
+			return fmt.Errorf("topology: compacting node %d with %d live edges", old, len(row))
 		}
-		row := g.adj[old]
-		for k, v := range row {
-			row[k] = int(remap[v])
-		}
-		g.adj[nw] = row
 	}
-	g.adj = g.adj[:newN]
+	g.adj = slot.Apply(r, g.adj)
 	g.version++
 	return nil
 }

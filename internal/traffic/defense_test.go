@@ -3,6 +3,8 @@ package traffic
 import (
 	"strings"
 	"testing"
+
+	"selfstab/internal/slot"
 )
 
 // headLineHooks is lineHooks plus a head predicate backed by *headIdx, so
@@ -145,7 +147,7 @@ func TestDefenseAcrossResizeAndCompact(t *testing.T) {
 
 	// Drop the never-used slot 0; every survivor shifts down one, the head
 	// included.
-	if err := e.Compact([]int32{-1, 0, 1, 2, 3}, 4); err != nil {
+	if err := e.Compact(slot.Plan(5, func(i int) bool { return i == 0 })); err != nil {
 		t.Fatal(err)
 	}
 	head = 1

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"selfstab/internal/rng"
+	"selfstab/internal/slot"
 	"selfstab/internal/snapshot"
 )
 
@@ -590,7 +591,8 @@ func refereeCompact(t *testing.T, w *world, e *Engine, r *refEngine, corpse int)
 		newN++
 	}
 	compareForwarders(t, "before compaction", e, r)
-	if err := e.Compact(remap, newN); err != nil {
+	// The engine compacts through slot.Remap, the referee by hand.
+	if err := e.Compact(slot.Plan(len(remap), func(i int) bool { return remap[i] < 0 })); err != nil {
 		t.Fatal(err)
 	}
 	r.compact(remap, newN)

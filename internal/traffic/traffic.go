@@ -36,6 +36,7 @@ import (
 
 	"selfstab/internal/obs"
 	"selfstab/internal/rng"
+	"selfstab/internal/slot"
 	"selfstab/internal/snapshot"
 )
 
@@ -355,7 +356,7 @@ func (e *Engine) takeToken(v int) bool {
 		e.tokens[v] = e.defense.HeadBurst
 		e.tokensAt[v] = int32(e.step)
 	} else if dt := e.step - int(e.tokensAt[v]); dt > 0 {
-		e.tokens[v] = min(e.defense.HeadBurst, e.tokens[v]+e.defense.HeadRate*float64(dt))
+		e.tokens[v] = min(e.defense.HeadBurst, e.tokens[v]+float64(e.defense.HeadRate*float64(dt)))
 		e.tokensAt[v] = int32(e.step)
 	}
 	if e.tokens[v] >= 1 {
@@ -606,8 +607,8 @@ func (e *Engine) deliver(p packet) {
 }
 
 // Resize grows the data plane to n nodes (new arrivals under churn get
-// empty queues). Shrinking is not supported — node slots are never
-// recycled, dead nodes just stop being routed to.
+// empty queues). It never shrinks: dead slots are recycled only by
+// Compact, under the engine-wide remap.
 //
 //selfstab:mutator
 func (e *Engine) Resize(n int) {
@@ -645,12 +646,12 @@ func (e *Engine) Resize(n int) {
 // a queue at its node's death. Call only between steps.
 //
 //selfstab:mutator
-func (e *Engine) Compact(remap []int32, newN int) error {
-	if len(remap) != len(e.queues) {
-		return fmt.Errorf("traffic: remap of %d entries for %d nodes", len(remap), len(e.queues))
+func (e *Engine) Compact(r slot.Remap) error {
+	if err := r.Check("traffic", len(e.queues)); err != nil {
+		return err
 	}
-	for old, nw := range remap {
-		if nw >= 0 {
+	for old := range e.queues {
+		if r.Of(old) >= 0 {
 			continue
 		}
 		if e.queues[old].count != 0 {
@@ -662,42 +663,21 @@ func (e *Engine) Compact(remap []int32, newN int) error {
 			e.retiredMaxLoad = e.load[old]
 		}
 	}
-	for old, nw := range remap {
-		if nw < 0 {
-			continue
-		}
-		i := int(nw)
-		e.queues[i] = e.queues[old]
-		e.load[i] = e.load[old]
-		e.recv[i] = e.recv[old]
-		if e.tokens != nil {
-			e.tokens[i] = e.tokens[old]
-			e.tokensAt[i] = e.tokensAt[old]
-		}
-		if e.injCount != nil {
-			e.injCount[i] = e.injCount[old]
-			e.injAt[i] = e.injAt[old]
-		}
-	}
-	e.queues = e.queues[:newN]
-	e.load = e.load[:newN]
-	e.recv = e.recv[:newN]
-	if e.tokens != nil {
-		e.tokens = e.tokens[:newN]
-		e.tokensAt = e.tokensAt[:newN]
-	}
-	if e.injCount != nil {
-		e.injCount = e.injCount[:newN]
-		e.injAt = e.injAt[:newN]
-	}
+	e.queues = slot.Apply(r, e.queues)
+	e.load = slot.Apply(r, e.load)
+	e.recv = slot.Apply(r, e.recv)
+	e.tokens = slot.Apply(r, e.tokens)
+	e.tokensAt = slot.Apply(r, e.tokensAt)
+	e.injCount = slot.Apply(r, e.injCount)
+	e.injAt = slot.Apply(r, e.injAt)
 	old := e.busy
-	e.busy = make([]uint64, words(newN))
+	e.busy = make([]uint64, words(r.N()))
 	for wi, word := range old {
 		for word != 0 {
 			u := wi<<6 | bits.TrailingZeros64(word)
 			word &= word - 1
-			if nw := remap[u]; nw >= 0 {
-				e.markBusy(int(nw))
+			if nw := r.Of(u); nw >= 0 {
+				e.markBusy(nw)
 			}
 		}
 	}
@@ -706,7 +686,7 @@ func (e *Engine) Compact(remap []int32, newN int) error {
 		for k := 0; k < q.count; k++ {
 			p := q.at(k)
 			if p.dst >= 0 {
-				p.dst = remap[p.dst] // -1 for a dropped destination
+				p.dst = int32(r.Of(int(p.dst))) // -1 for a dropped destination
 			}
 		}
 	}
@@ -715,12 +695,12 @@ func (e *Engine) Compact(remap []int32, newN int) error {
 		if f.spec.Src >= 0 {
 			// A dropped source pauses the flow forever — exactly its
 			// behavior while the source slot was dead.
-			f.spec.Src = int(remap[f.spec.Src])
+			f.spec.Src = r.Of(f.spec.Src)
 		}
 		if f.spec.Dst >= 0 {
 			// A dropped destination turns every injection into a
 			// dead-endpoint drop, as it already did.
-			f.spec.Dst = int(remap[f.spec.Dst])
+			f.spec.Dst = r.Of(f.spec.Dst)
 		}
 		// The cached flat distance stays: compaction relabels the graph
 		// isomorphically, so the value is exactly as (in)valid as it was,
@@ -729,7 +709,7 @@ func (e *Engine) Compact(remap []int32, newN int) error {
 		// version, which triggers the (value-identical) recompute at the
 		// next injection.
 	}
-	e.n = newN
+	e.n = r.N()
 	return nil
 }
 

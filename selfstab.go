@@ -163,7 +163,9 @@
 //     sustained add/remove churn would grow memory with cumulative
 //     arrivals; an explicit Network.Compact (or a SetAutoCompact
 //     dead-fraction threshold) recycles dead slots under one monotone
-//     index remap propagated to every index cache — the grid's positions
+//     index remap (internal/slot: one Remap, which every owner applies
+//     through slot.Apply and slot.Renumber) propagated to every index
+//     cache — the grid's positions
 //     and graph, the engine's arrays and identifiers, traffic queues and
 //     flow endpoints, energy arrays, churn wake deadlines, the open
 //     convergence episode — so long-running churn simulations
