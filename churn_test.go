@@ -23,6 +23,14 @@ func churnNet(t testing.TB, nodes int, seed int64, opts ...Option) *Network {
 	return net
 }
 
+// TestChurnDeterminism: under a churn schedule plus live traffic,
+// ConvergenceStats and TrafficStats are bit-identical at 1 and 4 workers.
+// It is the determinism matrix's mixed trace on the lossy (tau 0.7) world
+// at both worker counts.
+func TestChurnDeterminism(t *testing.T) {
+	replayCells(t, "mixed", "tau0.7", cell{workers: 1}, cell{workers: 4})
+}
+
 // TestChurnRestabilizesToOracle: after a battery of manual churn — add,
 // remove, crash, sleep, wake — the network re-stabilizes and Verify's
 // oracle comparison holds for the operating population.

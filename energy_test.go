@@ -114,6 +114,14 @@ func TestEnergyClosedLoop(t *testing.T) {
 	}
 }
 
+// TestEnergyDeterminism: with traffic, duty-cycle churn and the battery
+// model (rotation on), EnergyStats and every battery are bit-identical at
+// 1 and 4 workers. It is the determinism matrix's mixed trace on the
+// randomized-daemon world at both worker counts.
+func TestEnergyDeterminism(t *testing.T) {
+	replayCells(t, "mixed", "daemon0.6", cell{workers: 1}, cell{workers: 4})
+}
+
 // TestEnergyVerifyUnderRotation: the legitimacy predicate stays exact
 // while rotation scales the shared densities — Verify checks against the
 // battery-weighted oracle, and a stabilized rotating network passes it.

@@ -3,10 +3,22 @@ package selfstab
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"selfstab/internal/obs"
 )
+
+// TestProbeDeterminism: attaching a Collector changes nothing the world
+// computes, and the probe sees every phase. It is the determinism
+// matrix's probe cells of the mixed trace on the lossless world.
+func TestProbeDeterminism(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			replayCells(t, "mixed", "lossless", cell{workers: workers, probe: true})
+		})
+	}
+}
 
 // TestProbeSurvivesAttachOrder: subsystems attached after the probe
 // inherit it, and a detach silences every emitter at once.

@@ -34,6 +34,14 @@ func mixedWorkload(net *Network, flows int) []Flow {
 	return out
 }
 
+// TestTrafficDeterminism: packet trajectories, and with them
+// TrafficStats, are bit-identical at 1 and 4 workers. It is the
+// determinism matrix's mixed trace on the lossless world at both worker
+// counts.
+func TestTrafficDeterminism(t *testing.T) {
+	replayCells(t, "mixed", "lossless", cell{workers: 1}, cell{workers: 4})
+}
+
 // checkTrafficLedger asserts that every offered packet has exactly one
 // fate.
 func checkTrafficLedger(t *testing.T, s TrafficStats) {
