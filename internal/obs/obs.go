@@ -74,9 +74,8 @@ const (
 	CtrFrontier Counter = iota
 	// CtrExec is how many nodes the step actually examined (gauge).
 	CtrExec
-	// CtrDenseFallback counts steps whose saturated frontier made the
-	// engine visit every node (cumulative; the engine emits 1 per such
-	// step).
+	// CtrDenseFallback is retired with the saturation cut-over, never
+	// emitted; bench/ names it.
 	CtrDenseFallback
 	// CtrHaloCross is retired with the tile plane, never emitted; bench/ names it.
 	CtrHaloCross

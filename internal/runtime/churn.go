@@ -340,7 +340,9 @@ func (e *Engine) Append(id int64) (int, error) {
 	e.disrupt.changed = append(e.disrupt.changed, false)
 	e.disrupt.siteSet = append(e.disrupt.siteSet, false)
 	e.pendFlag = append(e.pendFlag, false)
-	e.execFlag = append(e.execFlag, false)
+	if len(e.visit) < words(len(e.nodes)) {
+		e.visit = append(e.visit, 0)
+	}
 	if e.densityScale != nil {
 		e.densityScale = append(e.densityScale, 1) // arrivals start unscaled (full battery)
 	}

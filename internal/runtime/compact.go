@@ -77,10 +77,10 @@ func (e *Engine) Compact(r slot.Remap) error {
 	e.head = slot.Apply(r, e.head)
 	e.densityScale = slot.Apply(r, e.densityScale)
 	// The worklist: pending survivors keep their queue order, dead slots
-	// leave it (they were inert anyway).
+	// leave it (they were inert anyway). The visit bitset is empty between
+	// steps, so it needs no remap; it keeps its words.
 	e.pend = slot.Renumber(r, e.pend)
 	e.pendFlag = slot.Apply(r, e.pendFlag)
-	e.execFlag = slot.Apply(r, e.execFlag)
 	e.compactDisruption(r)
 	// Rebuild the alive order-statistic index from the compacted statuses
 	// (dead slots are gone, so the surviving membership is dense anyway).

@@ -103,13 +103,15 @@ type Engine struct {
 	// The worklist (step.go, frontier.go). sparseOK records whether this
 	// configuration can run as a frontier engine at all; sparse whether it
 	// currently does. pend is next step's deduplicated worklist. exec is
-	// the current step's visit list, deduplicated by execFlag.
+	// the current step's visit list in ascending slot order; a frontier
+	// engine gathers it in visit, a bitset over slots that is empty
+	// between steps.
 	sparse   bool
 	sparseOK bool
 	pendFlag []bool
 	pend     []int32
 	exec     []int32
-	execFlag []bool
+	visit    []uint64
 
 	// aliveIdx is a Fenwick tree over alive bits (aliveindex.go): NthAlive
 	// answers order-statistic queries ("the k-th living slot") in O(log N)
@@ -230,7 +232,7 @@ func New(g *topology.Graph, ids []int64, proto Protocol, medium radio.Medium, sr
 	e.sparseOK = sparseEligible(medium, proto)
 	e.sparse = e.sparseOK
 	e.pendFlag = make([]bool, g.N())
-	e.execFlag = make([]bool, g.N())
+	e.visit = make([]uint64, words(g.N()))
 	e.pend = make([]int32, 0, g.N())
 	if e.sparse {
 		for i := range e.nodes {

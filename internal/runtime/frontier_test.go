@@ -344,11 +344,11 @@ func compareTwins(t *testing.T, label string, a, b *twin) {
 // corruption, interleaved stepping — a frontier engine must be
 // bit-identical, step by step, to its full-scan twin. Every trace ends with
 // whole-population corruptions of the settled world, so every row also
-// crosses the saturation cut-over in both directions.
+// runs fully pending steps, where expand skips the neighborhood walk.
 //
 // The root determinism matrix compares whole worlds at a cut and at the
 // end, so it cannot see this test's subject: the engine compared after every
-// single step, the saturation cut-over asserted, and the drained
+// single step, the fully pending step asserted, and the drained
 // worklist of the settled frontier. Its twin and trace builder are shared
 // with TestCachedLinkCountMatchesRecount and the alive-index tests.
 func TestSparseMatchesDenseMixedTrace(t *testing.T) {
@@ -371,8 +371,8 @@ func TestSparseMatchesDenseMixedTrace(t *testing.T) {
 						if op.kind != "step" {
 							ref.apply(t, op)
 							tw.apply(t, op)
-							if got, alive := len(tw.e.pend), tw.e.AliveCount(); op.kind == "corrupt" && op.frac == 1 && 2*got < alive {
-								t.Fatalf("op %d: corruption pended only %d of %d alive nodes — cut-over not exercised", k, got, alive)
+							if got, alive := len(tw.e.pend), tw.e.AliveCount(); op.kind == "corrupt" && op.frac == 1 && got < alive {
+								t.Fatalf("op %d: corruption pended only %d of %d alive nodes — no fully pending step", k, got, alive)
 							}
 							continue
 						}
@@ -398,6 +398,76 @@ func TestSparseMatchesDenseMixedTrace(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestVisitListMatchesReference pins a frontier step's visit list to its
+// definition. Before every step of a mixed trace the set is computed
+// naively from the worklist and the dirty flags; after the step exec must
+// hold exactly that set in strictly increasing slot order, and the visit
+// bitset must be empty again. The trace carries churn, compaction, grid
+// position updates (the incremental path Network.SetPositions drives)
+// and corruption of 1, 30, 60 and 100 % of the settled world.
+func TestVisitListMatchesReference(t *testing.T) {
+	proto := Protocol{Order: cluster.OrderBasic, CacheTTL: 4}
+	const n, r, seed = 150, 0.14, 5
+	trace := buildTraceKinds(t, seed, n, r, proto, 40, 10)
+	for _, kind := range []string{"move", "append", "kill", "compact"} {
+		if !slices.ContainsFunc(trace, func(op traceOp) bool { return op.kind == kind }) {
+			t.Fatalf("the trace has no %s op", kind)
+		}
+	}
+	for _, frac := range []float64{0.01, 0.3, 0.6, 1} {
+		trace = append(trace, traceOp{kind: "corrupt", frac: frac}, traceOp{kind: "step", steps: 4})
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			tw := newTwin(t, seed, n, r, proto, true, workers)
+			for k, op := range trace {
+				if op.kind != "step" {
+					tw.apply(t, op)
+					continue
+				}
+				for s := 0; s < op.steps; s++ {
+					want := referenceVisitList(tw.e)
+					tw.apply(t, traceOp{kind: "step", steps: 1})
+					got := tw.e.exec
+					if !slices.Equal(got, want) {
+						t.Fatalf("op %d step %d: visited %d nodes, want %d:\n got %v\nwant %v", k, s, len(got), len(want), got, want)
+					}
+					for i := 1; i < len(got); i++ {
+						if got[i] <= got[i-1] {
+							t.Fatalf("op %d step %d: visit list not strictly increasing at %d: %v", k, s, i, got)
+						}
+					}
+					if i := slices.IndexFunc(tw.e.visit, func(w uint64) bool { return w != 0 }); i >= 0 {
+						t.Fatalf("op %d step %d: visit bitset word %d left %#x", k, s, i, tw.e.visit[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// referenceVisitList is the set the next frontier step must visit, in slot
+// order: every pending node, plus every alive neighbor of a pending alive
+// node whose frame or header is dirty.
+func referenceVisitList(e *Engine) []int32 {
+	in := make([]bool, len(e.nodes))
+	for _, v := range e.pend {
+		in[v] = true
+		if n := e.nodes[v]; e.status[v] == StatusAlive && (n.frameDirty || n.headerDirty) {
+			for _, w := range e.g.Neighbors(int(v)) {
+				in[w] = in[w] || e.status[w] == StatusAlive
+			}
+		}
+	}
+	var list []int32
+	for i, ok := range in {
+		if ok {
+			list = append(list, int32(i))
+		}
+	}
+	return list
 }
 
 // TestEngineCompactRemap: the remap plan drops exactly the dead slots

@@ -95,7 +95,7 @@ func TestForEachVisitsEachNodeOnce(t *testing.T) {
 		for n := 1; n < parallelThreshold+300; n++ {
 			e.exec = append(e.exec, int32(n-1)) // the visit list is 0..n-1
 			seen := make([]int32, n)
-			e.forEach(nodeSet{n: n}, func(_ *Engine, i int) bool { seen[i]++; return false })
+			e.forEach(func(_ *Engine, i int) bool { seen[i]++; return false })
 			if i := slices.IndexFunc(seen, func(c int32) bool { return c != 1 }); i >= 0 {
 				t.Fatalf("workers %d, n %d: node %d visited %d times", workers, n, i, seen[i])
 			}

@@ -137,9 +137,10 @@ func TestStepErrorKeepsProbeStreamSound(t *testing.T) {
 
 // TestProbePhaseEmission drives both step paths and checks the probe
 // stream they emit: records pair Begin/End, the expected phases appear,
-// and the saturation fallback announces itself.
+// and the cold-start step reports visiting the whole population.
 func TestProbePhaseEmission(t *testing.T) {
-	g, ids := randomNetwork(7, 300, 0.12)
+	const n = 300
+	g, ids := randomNetwork(7, n, 0.12)
 	e, err := New(g, ids, Protocol{Order: cluster.OrderBasic}, radio.Perfect{}, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
@@ -147,15 +148,15 @@ func TestProbePhaseEmission(t *testing.T) {
 	c := obs.NewCollector(64)
 	e.SetProbe(c)
 
-	// Cold start: the whole population pends, so the first steps hit the
-	// saturated dense fallback.
+	// Cold start: the whole population pends, so the first step visits
+	// every node.
 	if err := runSteps(e, 2); err != nil {
 		t.Fatal(err)
 	}
-	m := c.Metrics()
-	if m.Counters[obs.CtrDenseFallback] == 0 {
-		t.Errorf("cold start did not report a dense fallback")
+	if got := c.Recent(2)[0].Counters[obs.CtrExec]; got != n {
+		t.Errorf("cold-start step visited %d nodes, want the population %d", got, n)
 	}
+	m := c.Metrics()
 	if m.Phases[obs.PhaseFrame].Count == 0 || m.Phases[obs.PhaseIngest].Count == 0 {
 		t.Errorf("frame/ingest phases unobserved: %+v", m.Phases)
 	}

@@ -136,13 +136,11 @@ func perturbedStep(b *testing.B, e *Engine, n, k, i int) {
 
 // BenchmarkStep100kFrontier is BenchmarkStep100k across a worklist-size
 // sweep: k nodes re-scaled per step, from the local perturbation (k=100)
-// up through the saturation cut-over (k=45000 pends, with the nodes the
-// previous step re-armed, more than half the population, so the step scans
-// every slot). It is the row for the cut-over's placement: plan() tests
-// |pend| while a worklist step's cost follows |exec| ≈ |pend|·(1 + deg),
-// so k=20000 — a fifth of the nodes pending, below the cut-over — costs
-// more than the full scan k=45000 falls back to (46–52 ms against 34–39 ms
-// when the row was first committed). Recorded here, not retuned.
+// up to a frontier that, with the nodes the previous step re-armed, pends
+// most of the population (k=45000). Every k runs the one step shape: the
+// expanded worklist visited in ascending slot order. A step's cost follows
+// the visit list, ≈ |pend|·(1 + deg) until it covers the population, so
+// the row should rise with k and flatten where the list saturates.
 func BenchmarkStep100kFrontier(b *testing.B) {
 	requireScaleBench(b)
 	const n = 100_000
@@ -159,10 +157,10 @@ func BenchmarkStep100kFrontier(b *testing.B) {
 }
 
 // BenchmarkStepSaturated pins the saturated node set: ActivateAll pends
-// the whole population before every step, so 2·|frontier| ≥ alive makes
-// the step visit every slot in index order instead of paying worklist
-// bookkeeping for nearly every node. This is the regime where naive
-// frontier stepping is strictly worse than the full scan.
+// the whole population before every step, so the visit list is every
+// alive node in slot order and expand skips the neighborhood walk. The
+// step has nothing to do, so the row is what worklist bookkeeping costs
+// on top of a scan of every node.
 func BenchmarkStepSaturated(b *testing.B) {
 	requireScaleBench(b)
 	const n = 10_000

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"math/bits"
 	goruntime "runtime"
 	"sync"
 	"sync/atomic"
@@ -16,7 +17,7 @@ import (
 // is that step, as one fixed phase sequence:
 //
 //	churn   close a converged disruption episode, run the pre-step hook
-//	plan    choose the node set the step visits
+//	plan    build the list of nodes the step visits
 //	frame   refresh the outgoing frame of every visited node that
 //	        publishes something new — three header scalars when its own
 //	        guards moved them, the relayed list too when anything else
@@ -39,46 +40,38 @@ import (
 // alive, sending radio neighbors, so ingest reads adjacency and the send
 // mask directly and nothing in the step consumes rng: a frontier engine.
 //
-// The node set. A frontier engine keeps a worklist (pend) of nodes whose
-// guard inputs may have changed — seeded by guard firings, lifecycle
-// transitions, corruption, density-scale changes and topology deltas —
-// and a step visits the worklist plus the alive radio neighborhoods of
-// worklist nodes about to broadcast changed content: exactly the nodes
-// whose ingest can observe anything new (expand). A stabilized network
-// therefore steps in O(1), and a locally perturbed one in
-// O(frontier × density). Once half the living population is pending the
-// expansion and list indirection cost more than a straight scan, and the
-// node set becomes every slot for that step. That is safe because visiting
-// an off-worklist node is a no-op: every neighbor it caches is alive and
-// sending (a vanished one would have pended it through activateSpread, an
-// aging entry through Node.stale), so its ingest refreshes every entry
-// with identical content and leaves its guards disarmed.
+// The node set. A full-scan engine visits every slot. A frontier engine
+// keeps a worklist (pend) of nodes whose guard inputs may have changed —
+// seeded by guard firings, lifecycle transitions, corruption, density-scale
+// changes and topology deltas — and a step visits the worklist plus the
+// alive radio neighborhoods of worklist nodes about to broadcast changed
+// content: exactly the nodes whose ingest can observe anything new
+// (expand). A stabilized network therefore steps in O(1), and a locally
+// perturbed one in O(frontier × density). Either way the step iterates one
+// list, exec, in ascending slot order: expand gathers the set in a bitset
+// and drains it, so a saturated frontier walks memory as the full scan
+// does, and once the set holds every alive node expand stops looking at
+// neighborhoods.
 //
-// The expansion is one sequential pass: it deduplicates through execFlag,
-// and it is 2–6 % of a traced step on the heal and churn benchmark
-// workloads (ingest is 83–89 %), too little to be worth sharding (README,
-// Scale). The per-node phases are what the workers split: a visit writes
-// only the visited node's own state (frame, cache, shared variables, its
-// disrupt.changed slot) and reads frames that the barrier between the two
-// phases has frozen, so the node set is chunked evenly over the workers
-// wherever the perturbation sits.
+// The expansion is one sequential pass, and it is 2–6 % of a traced step
+// on the heal and churn benchmark workloads (ingest is 83–89 %), too little
+// to be worth sharding (README, Scale). The per-node phases are what the
+// workers split: a visit writes only the visited node's own state (frame,
+// cache, shared variables, its disrupt.changed slot) and reads frames that
+// the barrier between the two phases has frozen, so visit order is
+// invisible and exec is chunked evenly over the workers wherever the
+// perturbation sits.
 //
 // Determinism: the medium and the daemon draw sequentially, in node
 // order, between the parallel phases; per-node draws (DAG colors) come
 // from per-node streams; the visit list is built on one goroutine. The
-// execution is bit-identical for a fixed seed at any worker count and
-// either node set, pinned by the mixed-trace oracle in frontier_test.go.
+// execution is bit-identical for a fixed seed at any worker count, on a
+// frontier or a full-scan engine, pinned by the mixed-trace oracle in
+// frontier_test.go.
 
 // parallelThreshold is the visit count below which the per-node phases run
 // inline: goroutine fan-out costs more than it saves on tiny node sets.
 const parallelThreshold = 128
-
-// nodeSet is what one step visits: every slot, or the expanded worklist
-// held in e.exec. n is the length of that iteration space.
-type nodeSet struct {
-	all bool
-	n   int
-}
 
 // Step executes one Δ(τ) step: every live node broadcasts its frame, the
 // medium delivers, every live node ingests and runs its guarded
@@ -117,13 +110,13 @@ func (e *Engine) runPhases() (changed bool, err error) {
 	}
 	e.closeSpan()
 
-	set := e.plan()
-	if set.all || set.n > 0 {
+	e.plan()
+	if len(e.exec) > 0 {
 		// All frames must exist before any node ingests: the barrier
 		// between the two per-node phases is what lets a node read any
 		// neighbor's freshly filled frame.
 		e.span(obs.PhaseFrame)
-		e.forEach(set, (*Engine).fillNode)
+		e.forEach((*Engine).fillNode)
 		if !e.sparse {
 			// The medium owns its rng stream, so delivery decisions are
 			// drawn on one goroutine regardless of worker count.
@@ -143,10 +136,10 @@ func (e *Engine) runPhases() (changed bool, err error) {
 				e.active[i] = e.daemon.Float64() < e.proto.ActivationProb
 			}
 		}
-		changed = e.forEach(set, (*Engine).execNode)
+		changed = e.forEach((*Engine).execNode)
 		e.closeSpan()
 		if e.sparse {
-			e.rearm(set)
+			e.rearm()
 		}
 	}
 
@@ -161,64 +154,70 @@ func (e *Engine) runPhases() (changed bool, err error) {
 	return changed, err
 }
 
-// plan chooses the step's node set and consumes the worklist into it.
-func (e *Engine) plan() nodeSet {
-	set := nodeSet{all: true, n: len(e.nodes)}
-	visited := e.aliveN
+// plan builds the step's visit list, e.exec, consuming the worklist.
+func (e *Engine) plan() {
+	e.exec = e.exec[:0]
 	switch {
 	case !e.sparse:
-		// A full-scan engine keeps no worklist.
-	case len(e.pend) > 0 && 2*len(e.pend) >= e.aliveN:
-		e.count(obs.CtrDenseFallback, 1)
-		for _, v := range e.pend {
-			e.pendFlag[v] = false
+		for i := range e.nodes {
+			e.exec = append(e.exec, int32(i))
 		}
-		e.pend = e.pend[:0]
-	default:
-		set = nodeSet{n: e.expand()}
-		visited = set.n
+	case len(e.pend) > 0:
+		e.expand()
 	}
-	e.count(obs.CtrExec, int64(visited))
-	return set
+	e.count(obs.CtrExec, int64(len(e.exec)))
 }
 
-// expand turns the worklist into the visit list and returns its length:
-// every pending node, in activation order, then the alive radio
-// neighborhood of every pending node about to broadcast changed content, in
-// discovery order.
+// expand turns the worklist into the visit list: every pending node, plus
+// the alive radio neighborhood of every pending alive node about to
+// broadcast changed content, appended to e.exec in ascending slot order.
+// The set is gathered in e.visit and drained from it, leaving it empty.
 //
 //selfstab:hotpath
-func (e *Engine) expand() int {
-	if len(e.pend) == 0 {
-		return 0
-	}
-	// pend is deduplicated (pendFlag), so execFlag is set unconditionally.
+func (e *Engine) expand() {
+	alive := 0 // alive members of the set
 	for _, v := range e.pend {
 		e.pendFlag[v] = false
-		e.execFlag[v] = true
+		e.visit[v>>6] |= 1 << (v & 63) // pend is deduplicated (pendFlag)
+		if e.status[v] == StatusAlive {
+			alive++
+		}
 	}
-	e.exec = append(e.exec[:0], e.pend...)
-	e.pend = e.pend[:0]
-	for _, v := range e.exec { // the seeds: range fixed its length before any append
+	for _, v := range e.pend {
+		if alive == e.aliveN {
+			break // no neighborhood can add a node
+		}
 		if n := e.nodes[v]; e.status[v] != StatusAlive || !(n.frameDirty || n.headerDirty) {
 			continue
 		}
 		for _, w := range e.g.Neighbors(int(v)) {
-			if e.status[w] == StatusAlive && !e.execFlag[w] {
-				e.execFlag[w] = true
-				e.exec = append(e.exec, int32(w))
+			if word, bit := &e.visit[w>>6], uint64(1)<<(w&63); *word&bit == 0 && e.status[w] == StatusAlive {
+				*word |= bit
+				alive++
 			}
 		}
 	}
-	return len(e.exec)
+	e.pend = e.pend[:0]
+	for i, word := range e.visit {
+		if word == 0 {
+			continue
+		}
+		e.visit[i] = 0
+		for ; word != 0; word &= word - 1 {
+			e.exec = append(e.exec, int32(i<<6|bits.TrailingZeros64(word)))
+		}
+	}
 }
+
+// words is how many 64-bit words a bitset over n slots takes.
+func words(n int) int { return (n + 63) >> 6 }
 
 // fillNode refreshes node i's outgoing frame in the engine's scratch when
 // anything the node publishes changed; otherwise the copy from an earlier
 // step is still valid. A node whose own guards moved a shared variable
 // (headerDirty) rewrites three scalars; every other cause (frameDirty)
 // rebuilds the frame and compares the relayed list. Every node carrying
-// either flag is in every node set (execNode's visit re-queues it, and
+// either flag is in the visit list (execNode's visit re-queues it, and
 // all mutators that set frameDirty also Activate the node), so after the
 // frame phase the whole arena is current. The result exists to fit forEach.
 func (e *Engine) fillNode(i int) bool {
@@ -284,46 +283,33 @@ func (e *Engine) execNode(i int) bool {
 // frontier while its guards are armed, its broadcast content changed (next
 // step its neighbors join through expand), or a cache entry is aging
 // toward eviction.
-func (e *Engine) rearm(set nodeSet) {
-	if set.all {
-		for i := range e.nodes {
-			e.requeue(int32(i))
-		}
-		return
-	}
+func (e *Engine) rearm() {
 	for _, v := range e.exec {
-		e.execFlag[v] = false
-		e.requeue(v)
+		if n := e.nodes[v]; e.status[v] == StatusAlive && (n.dirty || n.frameDirty || n.headerDirty || n.stale) {
+			e.Activate(int(v))
+		}
 	}
 }
 
-func (e *Engine) requeue(v int32) {
-	if e.status[v] != StatusAlive {
-		return
-	}
-	if n := e.nodes[v]; n.dirty || n.frameDirty || n.headerDirty || n.stale {
-		e.Activate(int(v))
-	}
-}
-
-// forEach runs visit on every node of the set and reports whether any
-// call returned true. A set of parallelThreshold nodes or more is cut into
-// one even chunk per worker, each on its own goroutine. visit must write
-// only node i's own state.
-func (e *Engine) forEach(set nodeSet, visit func(e *Engine, i int) bool) bool {
+// forEach runs visit on every node of the visit list and reports whether
+// any call returned true. A list of parallelThreshold nodes or more is cut
+// into one even chunk per worker, each on its own goroutine. visit must
+// write only node i's own state.
+func (e *Engine) forEach(visit func(e *Engine, i int) bool) bool {
+	n := len(e.exec)
 	chunks := 1
-	if set.n >= parallelThreshold {
-		chunks = e.pool(set.n)
+	if n >= parallelThreshold {
+		chunks = e.pool(n)
 	}
 	if chunks == 1 {
-		return e.visitRange(set, 0, set.n, visit)
+		return e.visitRange(0, n, visit)
 	}
 	var changed atomic.Bool
 	var wg sync.WaitGroup
 	work := func(k int) {
 		defer wg.Done()
 		// k·n/chunks never leaves [0, n]; a rounded-up chunk size would.
-		if e.visitRange(set, k*set.n/chunks, (k+1)*set.n/chunks, visit) {
+		if e.visitRange(k*n/chunks, (k+1)*n/chunks, visit) {
 			changed.Store(true)
 		}
 	}
@@ -335,18 +321,9 @@ func (e *Engine) forEach(set nodeSet, visit func(e *Engine, i int) bool) bool {
 	return changed.Load()
 }
 
-// visitRange is forEach over positions [lo, hi) of the set's iteration
-// space: slot indices, or the visit list.
-func (e *Engine) visitRange(set nodeSet, lo, hi int, visit func(e *Engine, i int) bool) bool {
+// visitRange is forEach over positions [lo, hi) of the visit list.
+func (e *Engine) visitRange(lo, hi int, visit func(e *Engine, i int) bool) bool {
 	changed := false
-	if set.all {
-		for i := lo; i < hi; i++ {
-			if visit(e, i) {
-				changed = true
-			}
-		}
-		return changed
-	}
 	for _, v := range e.exec[lo:hi] {
 		if visit(e, int(v)) {
 			changed = true

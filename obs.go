@@ -9,7 +9,7 @@ import (
 // Observability. The network's step path — protocol engine, frontier
 // machinery, traffic data plane, battery model — reports into a single
 // attached obs.Probe: phase begin/end boundaries and counter gauges
-// (frontier length, dense fallbacks, compactions, queue occupancy,
+// (frontier length, visit-list length, compactions, queue occupancy,
 // depletions).
 // The probe contract is the obspure rule (see internal/obs): a probe is
 // a pure observer, wall-clock reads live only inside the sink, and the

@@ -24,7 +24,7 @@
 # energy suite (BenchmarkEnergyStep at n=1000|20000|50000, the sizes the
 # battery pass runs at) in BENCH_energy.json and the scale suite (quiescent
 # frontier stepping, perturbed 100k step with a worklist-size sweep,
-# saturated-frontier fallback, the 10k full-corruption recovery round
+# saturated frontier, the 10k full-corruption recovery round
 # at one and two workers, slot compaction, and — behind BENCH_1M=1 — the
 # million-node scenario) in BENCH_scale.json — so successive runs
 # can be compared
