@@ -129,14 +129,14 @@
 //     observes, never from a switch: every node, every step, where the
 //     medium is lossy or the daemon randomized (both draw per-node
 //     randomness every step, so no node provably quiesces); the
-//     worklist otherwise; and every node again for any one step whose
-//     worklist holds half the living population or more (mass
-//     corruption, a blackout), where list bookkeeping costs more than
-//     it saves (BenchmarkStepSaturated pins the regime;
-//     BenchmarkStep100kFrontier sweeps the worklist size up to it). The
-//     choices are bit-identical wherever more than one can run — pinned
-//     by a randomized mixed-trace oracle against the full scan at 1 and
-//     4 workers under -race (TestSparseMatchesDenseMixedTrace).
+//     expanded worklist otherwise. Either set is one list in ascending
+//     slot order, so a worklist that holds most of the population (mass
+//     corruption, a blackout) walks memory as the full scan does
+//     (BenchmarkStepSaturated pins the regime; BenchmarkStep100kFrontier
+//     sweeps the worklist size up to it). The two are bit-identical
+//     wherever both can run — pinned by a randomized mixed-trace oracle
+//     against the full scan at 1 and 4 workers under -race
+//     (TestSparseMatchesDenseMixedTrace).
 //
 //   - Publish only what the guards read, interned. A broadcast relays
 //     the sender's neighbor identifiers — all Definition 1 (guard R1)
