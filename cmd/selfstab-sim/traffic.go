@@ -4,11 +4,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 	"text/tabwriter"
 
 	"selfstab"
+	"selfstab/internal/geom"
+	"selfstab/internal/mobility"
 	"selfstab/internal/rng"
 )
 
@@ -155,18 +156,15 @@ func buildWorkload(net *selfstab.Network, workload string, flows int, rate float
 	return out, nil
 }
 
-// runMobilityScenario moves every node on a random walk between bursts of
-// protocol+traffic steps, the cmd-line twin of the mobility experiments.
+// runMobilityScenario moves every node on the mobility experiments'
+// random walk at pedestrian speeds (0-1.6 m/s), one 2 s walk sample
+// between bursts of protocol+traffic steps.
 func runMobilityScenario(net *selfstab.Network, steps int, seed int64) error {
-	const (
-		burst    = 10    // protocol steps between motion samples
-		stepSize = 0.004 // region units moved per sample
-	)
-	r := rng.New(seed).Split("mobility-walk")
-	pos := net.Positions()
-	dir := make([]float64, len(pos))
-	for i := range dir {
-		dir[i] = r.Float64() * 2 * math.Pi
+	const burst = 10 // protocol steps between motion samples
+	walk, err := mobility.NewRandomWalk(net.Positions(), geom.UnitSquare(),
+		0, mobility.SpeedToUnits(1.6), 30, rng.New(seed).Split("mobility-walk"))
+	if err != nil {
+		return err
 	}
 	for done := 0; done < steps; {
 		n := burst
@@ -177,28 +175,12 @@ func runMobilityScenario(net *selfstab.Network, steps int, seed int64) error {
 			return err
 		}
 		done += n
-		for i := range pos {
-			if r.Float64() < 0.1 {
-				dir[i] = r.Float64() * 2 * math.Pi
-			}
-			pos[i].X = reflect01(pos[i].X + float64(stepSize*math.Cos(dir[i])))
-			pos[i].Y = reflect01(pos[i].Y + float64(stepSize*math.Sin(dir[i])))
-		}
-		if err := net.SetPositions(pos); err != nil {
+		walk.Step(2)
+		if err := net.SetPositions(walk.Positions()); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func reflect01(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	if v > 1 {
-		return 2 - v
-	}
-	return v
 }
 
 // renderTrafficStats prints the ledger as an aligned table.

@@ -8,9 +8,10 @@ package main
 import (
 	"fmt"
 	"log"
-	"math"
 
 	"selfstab"
+	"selfstab/internal/geom"
+	"selfstab/internal/mobility"
 	"selfstab/internal/rng"
 )
 
@@ -18,9 +19,8 @@ const (
 	nodes       = 150
 	samples     = 40  // 40 x 2 s = 80 simulated seconds
 	dtSeconds   = 2.0 // the paper samples every 2 s
-	speedMS     = 1.6 // pedestrian, m/s
-	metersPerU  = 1000.0
-	stepsPerDt  = 8 // protocol steps executed between samples
+	speedMS     = 1.6 // pedestrian top speed, m/s
+	stepsPerDt  = 8   // protocol steps executed between samples
 	radioRange  = 0.12
 	walkSeed    = 99
 	protocolTTL = 4 // cache entries expire after 4 silent steps
@@ -58,30 +58,21 @@ func headRetention(improvements bool) float64 {
 		log.Fatal(err)
 	}
 
-	// A tiny random-walk model over the public API: one labeled stream
-	// off the shared seed, so both protocol variants see the same motion
-	// and the walk never perturbs the network's own draws.
-	walk := rng.New(walkSeed).Split("campus-walk")
-	pos := net.Positions()
-	dir := make([]float64, nodes)
-	for i := range dir {
-		dir[i] = walk.Float64() * 2 * math.Pi
+	// The mobility experiments' random walk on one labeled stream off the
+	// shared seed, so both protocol variants see the same motion and the
+	// walk never perturbs the network's own draws.
+	walk, err := mobility.NewRandomWalk(net.Positions(), geom.UnitSquare(),
+		0, mobility.SpeedToUnits(speedMS), 30, rng.New(walkSeed).Split("campus-walk"))
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	retention := 0.0
 	counted := 0
 	prevHeads := headSet(net)
 	for s := 0; s < samples; s++ {
-		// Move everyone for dtSeconds.
-		step := speedMS / metersPerU * dtSeconds
-		for i := range pos {
-			if walk.Float64() < 0.1 {
-				dir[i] = walk.Float64() * 2 * math.Pi
-			}
-			pos[i].X = reflect01(pos[i].X + float64(step*math.Cos(dir[i])))
-			pos[i].Y = reflect01(pos[i].Y + float64(step*math.Sin(dir[i])))
-		}
-		if err := net.SetPositions(pos); err != nil {
+		walk.Step(dtSeconds)
+		if err := net.SetPositions(walk.Positions()); err != nil {
 			log.Fatal(err)
 		}
 		if err := net.Run(stepsPerDt); err != nil {
@@ -114,14 +105,4 @@ func headSet(net *selfstab.Network) map[int64]bool {
 		}
 	}
 	return heads
-}
-
-func reflect01(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	if v > 1 {
-		return 2 - v
-	}
-	return v
 }

@@ -18,9 +18,10 @@ package main
 import (
 	"fmt"
 	"log"
-	"math"
 
 	"selfstab"
+	"selfstab/internal/geom"
+	"selfstab/internal/mobility"
 	"selfstab/internal/rng"
 )
 
@@ -116,18 +117,15 @@ func workload(net *selfstab.Network) []selfstab.Flow {
 	return flows
 }
 
-// randomWalk moves every node at pedestrian pace, re-sampling directions
-// occasionally, with a burst of protocol+traffic steps between samples.
+// randomWalk moves every node on the mobility experiments' random walk
+// at pedestrian speeds (0-1.6 m/s), one 2 s walk sample after each burst
+// of protocol+traffic steps.
 func randomWalk(net *selfstab.Network, total int) error {
-	const (
-		burst    = 10
-		stepSize = 0.003
-	)
-	r := rng.New(seed).Split("storm-walk")
-	pos := net.Positions()
-	dir := make([]float64, len(pos))
-	for i := range dir {
-		dir[i] = r.Float64() * 2 * math.Pi
+	const burst = 10
+	walk, err := mobility.NewRandomWalk(net.Positions(), geom.UnitSquare(),
+		0, mobility.SpeedToUnits(1.6), 30, rng.New(seed).Split("storm-walk"))
+	if err != nil {
+		return err
 	}
 	for done := 0; done < total; {
 		n := burst
@@ -138,26 +136,10 @@ func randomWalk(net *selfstab.Network, total int) error {
 			return err
 		}
 		done += n
-		for i := range pos {
-			if r.Float64() < 0.1 {
-				dir[i] = r.Float64() * 2 * math.Pi
-			}
-			pos[i].X = reflect01(pos[i].X + float64(stepSize*math.Cos(dir[i])))
-			pos[i].Y = reflect01(pos[i].Y + float64(stepSize*math.Sin(dir[i])))
-		}
-		if err := net.SetPositions(pos); err != nil {
+		walk.Step(2)
+		if err := net.SetPositions(walk.Positions()); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func reflect01(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	if v > 1 {
-		return 2 - v
-	}
-	return v
 }

@@ -12,22 +12,11 @@ import (
 // rounds rather than a local metric, so it has its own result shape:
 // cluster membership is by head identifier, without a parent forest.
 type MaxMinResult struct {
-	// Head holds, for every node, the index of its elected cluster-head.
+	// Head holds, for every node, the index of its elected cluster-head;
+	// u is a head when Head[u] == u.
 	Head []int
 	// Rounds is the number of flooding rounds executed (always 2d).
 	Rounds int
-}
-
-// IsHead reports whether u elected itself.
-func (r *MaxMinResult) IsHead(u int) bool { return r.Head[u] == u }
-
-// NumClusters returns the number of distinct heads.
-func (r *MaxMinResult) NumClusters() int {
-	seen := make(map[int]bool, 8)
-	for _, h := range r.Head {
-		seen[h] = true
-	}
-	return len(seen)
 }
 
 // MaxMin runs the max-min d-cluster heuristic on g with the given unique

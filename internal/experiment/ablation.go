@@ -108,137 +108,37 @@ func AblationMetrics(opts Options) (*MetricAblationResult, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	r := opts.Ranges[0]
-	master := rng.New(opts.Seed)
-	metrics := []metric.Metric{metric.Density{}, metric.Degree{}, metric.Constant{}}
+	elections := []election{
+		{name: metric.Density{}.Name(), metric: metric.Density{}, order: cluster.OrderBasic},
+		{name: metric.Degree{}.Name(), metric: metric.Degree{}, order: cluster.OrderBasic},
+		{name: metric.Constant{}.Name(), metric: metric.Constant{}, order: cluster.OrderBasic},
+		{name: "max-min(d=2)"},
+	}
+	keep, clusters, err := replayRuns(rng.New(opts.Seed), "metrics", pedestrian,
+		pedestrianWalk(opts, 40), elections)
+	if err != nil {
+		return nil, err
+	}
 	res := &MetricAblationResult{}
-	for _, m := range metrics {
-		res.Names = append(res.Names, m.Name())
-	}
-	res.Names = append(res.Names, "max-min(d=2)")
-	counts := make([]stats.Welford, 4)
-	keeps := make([]stats.Welford, 4)
-	const (
-		mobilitySamples = 20
-		sampleDt        = 2.0
-	)
-	for run := 0; run < opts.Runs; run++ {
-		src := master.SplitN("metrics", run)
-		trace, ids, err := recordTrace([2]float64{0, 1.6},
-			MobilityOptions{
-				Runs: 1, Seed: opts.Seed, Intensity: opts.Intensity, Range: r,
-				DurationSec: mobilitySamples * sampleDt, SampleEverySec: sampleDt,
-				SpeedBands: [][2]float64{{0, 1.6}},
-			}, src)
-		if err != nil {
-			return nil, err
-		}
-		// Metric-driven variants share the clustering machinery.
-		for mi, m := range metrics {
-			a, err := cluster.Compute(trace[0].g, cluster.Config{
-				Values: m.Values(trace[0].g),
-				TieIDs: ids,
-				Order:  cluster.OrderBasic,
-			})
-			if err != nil {
-				return nil, err
-			}
-			counts[mi].Add(float64(len(a.Heads())))
-			w, err := replayMetricTrace(trace, ids, m)
-			if err != nil {
-				return nil, err
-			}
-			keeps[mi].Merge(w)
-		}
-		// Max-min baseline.
-		mm, err := cluster.MaxMin(trace[0].g, ids, 2)
-		if err != nil {
-			return nil, err
-		}
-		counts[3].Add(float64(mm.NumClusters()))
-		w, err := replayMaxMinTrace(trace, ids)
-		if err != nil {
-			return nil, err
-		}
-		keeps[3].Merge(w)
-	}
-	for i := range res.Names {
-		res.Clusters = append(res.Clusters, counts[i].Mean())
-		res.Retention = append(res.Retention, keeps[i].Mean())
+	for i, e := range elections {
+		res.Names = append(res.Names, e.name)
+		res.Clusters = append(res.Clusters, clusters[i].Mean())
+		res.Retention = append(res.Retention, keep[i].Mean())
 	}
 	return res, nil
 }
 
-// replayMetricTrace mirrors replayTrace but recomputes the metric at every
-// sample (degree and density are topology-dependent).
-func replayMetricTrace(trace []sample, ids []int64, m metric.Metric) (stats.Welford, error) {
-	var ret stats.Welford
-	a, err := cluster.Compute(trace[0].g, cluster.Config{
-		Values: m.Values(trace[0].g),
-		TieIDs: ids,
-		Order:  cluster.OrderBasic,
-	})
-	if err != nil {
-		return ret, err
-	}
-	for _, s := range trace[1:] {
-		next, err := cluster.Compute(s.g, cluster.Config{
-			Values:   m.Values(s.g),
-			TieIDs:   ids,
-			Order:    cluster.OrderBasic,
-			PrevHead: a.Head,
-		})
-		if err != nil {
-			return ret, err
-		}
-		ret.Add(retentionPct(a, next))
-		a = next
-	}
-	return ret, nil
-}
+// pedestrian is the paper's pedestrian speed band in m/s.
+var pedestrian = [2]float64{0, 1.6}
 
-func retentionPct(prev, next *cluster.Assignment) float64 {
-	heads := prev.Heads()
-	if len(heads) == 0 {
-		return 100
+// pedestrianWalk is the ablations' mobility setup: opts.Runs walks at the
+// first range, sampled every 2 s for durationSec seconds.
+func pedestrianWalk(opts Options, durationSec float64) MobilityOptions {
+	return MobilityOptions{
+		Runs: opts.Runs, Seed: opts.Seed, Intensity: opts.Intensity, Range: opts.Ranges[0],
+		DurationSec: durationSec, SampleEverySec: 2,
+		SpeedBands: [][2]float64{pedestrian},
 	}
-	kept := 0
-	for _, h := range heads {
-		if next.Head[h] == h {
-			kept++
-		}
-	}
-	return 100 * float64(kept) / float64(len(heads))
-}
-
-// replayMaxMinTrace measures head retention for the max-min baseline.
-func replayMaxMinTrace(trace []sample, ids []int64) (stats.Welford, error) {
-	var ret stats.Welford
-	prev, err := cluster.MaxMin(trace[0].g, ids, 2)
-	if err != nil {
-		return ret, err
-	}
-	for _, s := range trace[1:] {
-		next, err := cluster.MaxMin(s.g, ids, 2)
-		if err != nil {
-			return ret, err
-		}
-		heads := 0
-		kept := 0
-		for u := range prev.Head {
-			if prev.IsHead(u) {
-				heads++
-				if next.IsHead(u) {
-					kept++
-				}
-			}
-		}
-		if heads > 0 {
-			ret.Add(100 * float64(kept) / float64(heads))
-		}
-		prev = next
-	}
-	return ret, nil
 }
 
 // Render formats the metric ablation.
@@ -265,35 +165,20 @@ func AblationOrders(opts Options) (*OrderAblationResult, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	variants := []MobilityVariant{
-		{Name: "basic", Order: cluster.OrderBasic},
-		{Name: "sticky", Order: cluster.OrderSticky},
-		{Name: "sticky+fusion", Order: cluster.OrderSticky, Fusion: true},
+	elections := []election{
+		{name: "basic", metric: metric.Density{}, order: cluster.OrderBasic},
+		{name: "sticky", metric: metric.Density{}, order: cluster.OrderSticky},
+		{name: "sticky+fusion", metric: metric.Density{}, order: cluster.OrderSticky, fusion: true},
 	}
-	master := rng.New(opts.Seed)
-	keeps := make([]stats.Welford, len(variants))
-	for run := 0; run < opts.Runs; run++ {
-		src := master.SplitN("orders", run)
-		trace, ids, err := recordTrace([2]float64{0, 1.6}, MobilityOptions{
-			Runs: 1, Seed: opts.Seed, Intensity: opts.Intensity, Range: opts.Ranges[0],
-			DurationSec: 60, SampleEverySec: 2,
-			SpeedBands: [][2]float64{{0, 1.6}},
-		}, src)
-		if err != nil {
-			return nil, err
-		}
-		for vi, v := range variants {
-			w, err := replayTrace(trace, ids, v)
-			if err != nil {
-				return nil, err
-			}
-			keeps[vi].Merge(w)
-		}
+	keep, _, err := replayRuns(rng.New(opts.Seed), "orders", pedestrian,
+		pedestrianWalk(opts, 60), elections)
+	if err != nil {
+		return nil, err
 	}
 	res := &OrderAblationResult{}
-	for vi, v := range variants {
-		res.Names = append(res.Names, v.Name)
-		res.Retention = append(res.Retention, keeps[vi].Mean())
+	for i, e := range elections {
+		res.Names = append(res.Names, e.name)
+		res.Retention = append(res.Retention, keep[i].Mean())
 	}
 	return res, nil
 }

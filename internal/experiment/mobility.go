@@ -61,18 +61,11 @@ func (o *MobilityOptions) validate() error {
 	return nil
 }
 
-// MobilityVariant identifies a protocol variant in the comparison.
-type MobilityVariant struct {
-	Name   string
-	Order  cluster.Order
-	Fusion bool
-}
-
 // MobilityResult holds, per speed band and variant, the mean percentage of
 // cluster-heads still heads at the next 2-second sample.
 type MobilityResult struct {
 	Bands    [][2]float64
-	Variants []MobilityVariant
+	Variants []string
 	// Retention[band][variant] is the mean retention percentage.
 	Retention [][]float64
 }
@@ -87,130 +80,164 @@ func Mobility(opts MobilityOptions) (*MobilityResult, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	variants := []MobilityVariant{
-		{Name: "improved (sticky+fusion)", Order: cluster.OrderSticky, Fusion: true},
-		{Name: "basic", Order: cluster.OrderBasic, Fusion: false},
+	elections := []election{
+		{name: "improved (sticky+fusion)", metric: metric.Density{}, order: cluster.OrderSticky, fusion: true},
+		{name: "basic", metric: metric.Density{}, order: cluster.OrderBasic},
 	}
 	master := rng.New(opts.Seed)
-	res := &MobilityResult{Bands: opts.SpeedBands, Variants: variants}
+	res := &MobilityResult{Bands: opts.SpeedBands}
+	for _, e := range elections {
+		res.Variants = append(res.Variants, e.name)
+	}
 	for _, band := range opts.SpeedBands {
-		retention := make([]stats.Welford, len(variants))
-		for run := 0; run < opts.Runs; run++ {
-			src := master.SplitN(fmt.Sprintf("mob-%v-%v", band[0], band[1]), run)
-			trace, ids, err := recordTrace(band, opts, src)
-			if err != nil {
-				return nil, err
-			}
-			for vi, v := range variants {
-				w, err := replayTrace(trace, ids, v)
-				if err != nil {
-					return nil, fmt.Errorf("mobility %s: %w", v.Name, err)
-				}
-				retention[vi].Merge(w)
-			}
+		keep, _, err := replayRuns(master, fmt.Sprintf("mob-%v-%v", band[0], band[1]), band, opts, elections)
+		if err != nil {
+			return nil, fmt.Errorf("mobility %w", err)
 		}
-		row := make([]float64, len(variants))
-		for vi := range variants {
-			row[vi] = retention[vi].Mean()
+		row := make([]float64, len(elections))
+		for i := range elections {
+			row[i] = keep[i].Mean()
 		}
 		res.Retention = append(res.Retention, row)
 	}
 	return res, nil
 }
 
-// sample is one precomputed snapshot of a mobility trace: the topology and
-// the density values at a sampling instant. Precomputing the trace lets
-// every protocol variant replay the exact same motion, which is what makes
-// the with/without-improvements comparison paired (and fast: topology and
-// densities are variant-independent).
-type sample struct {
-	g      *topology.Graph
-	values []float64
+// election picks the cluster-heads of one sample: the paper's clustering
+// over a metric under a ≺ variant, or max-min with d=2 when metric is nil.
+type election struct {
+	name   string
+	metric metric.Metric
+	order  cluster.Order
+	fusion bool
+}
+
+// elect returns every node's head on g; prev, the previous sample's heads
+// (nil at the first), seeds the clustering and defines incumbency.
+func (e election) elect(g *topology.Graph, ids []int64, prev []int) ([]int, error) {
+	if e.metric == nil {
+		mm, err := cluster.MaxMin(g, ids, 2)
+		if err != nil {
+			return nil, err
+		}
+		return mm.Head, nil
+	}
+	a, err := cluster.Compute(g, cluster.Config{
+		Values:   e.metric.Values(g),
+		TieIDs:   ids,
+		Order:    e.order,
+		Fusion:   e.fusion,
+		PrevHead: prev,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return a.Head, nil
+}
+
+// trace is one recorded walk: the unit-disk graph at every sampling
+// instant (index 0 is the initial state) and the nodes' identifiers.
+// Recording the walk once lets every election replay the exact same
+// motion, which is what makes the comparisons paired.
+type trace struct {
+	graphs []*topology.Graph
+	ids    []int64
 }
 
 // recordTrace deploys one network, walks it for the configured duration and
-// captures a snapshot every sampling period (index 0 is the initial state).
-func recordTrace(band [2]float64, opts MobilityOptions, src *rng.Source) ([]sample, []int64, error) {
+// captures a snapshot every sampling period.
+func recordTrace(band [2]float64, opts MobilityOptions, src *rng.Source) (trace, error) {
 	inst := deployRandom(opts.Intensity, opts.Range, src)
 	walker, err := mobility.NewRandomWalk(
 		inst.dep.Points, geom.UnitSquare(),
 		mobility.SpeedToUnits(band[0]), mobility.SpeedToUnits(band[1]),
 		30, src.Split("walk"))
 	if err != nil {
-		return nil, nil, err
+		return trace{}, err
 	}
 	samples := int(opts.DurationSec / opts.SampleEverySec)
-	trace := make([]sample, 0, samples+1)
+	tr := trace{graphs: make([]*topology.Graph, 0, samples+1), ids: inst.ids}
 	// The grid index persists across samples: each mobility step only
 	// repairs the edges of nodes that moved instead of rebuilding the
 	// unit-disk graph. Samples retain a frozen Clone because Update
 	// mutates the index's graph in place.
 	idx := topology.NewGridIndexInRegion(walker.Positions(), opts.Range, geom.UnitSquare())
-	snap := func() error {
+	for s := 0; ; s++ {
 		if err := idx.Update(walker.Positions()); err != nil {
-			return err
+			return trace{}, err
 		}
-		g := idx.Graph().Clone()
-		trace = append(trace, sample{g: g, values: metric.Density{}.Values(g)})
-		return nil
-	}
-	if err := snap(); err != nil {
-		return nil, nil, err
-	}
-	for s := 0; s < samples; s++ {
+		tr.graphs = append(tr.graphs, idx.Graph().Clone())
+		if s == samples {
+			return tr, nil
+		}
 		walker.Step(opts.SampleEverySec)
-		if err := snap(); err != nil {
-			return nil, nil, err
-		}
 	}
-	return trace, inst.ids, nil
 }
 
-// replayTrace runs one protocol variant over a recorded trace and
-// accumulates per-sample head retention percentages.
-func replayTrace(trace []sample, ids []int64, v MobilityVariant) (stats.Welford, error) {
-	var ret stats.Welford
-	a, err := cluster.Compute(trace[0].g, cluster.Config{
-		Values: trace[0].values,
-		TieIDs: ids,
-		Order:  v.Order,
-		Fusion: v.Fusion,
-	})
+// retention replays a trace under one election. It returns the
+// percentage of each sample's heads still heads at the next sample, and
+// the first sample's cluster count (distinct heads).
+func retention(tr trace, e election) (kept stats.Welford, clusters int, err error) {
+	prev, err := e.elect(tr.graphs[0], tr.ids, nil)
 	if err != nil {
-		return ret, err
+		return kept, 0, err
 	}
-	for _, s := range trace[1:] {
-		next, err := cluster.Compute(s.g, cluster.Config{
-			Values:   s.values,
-			TieIDs:   ids,
-			Order:    v.Order,
-			Fusion:   v.Fusion,
-			PrevHead: a.Head,
-		})
-		if err != nil {
-			return ret, err
+	seen := make([]bool, len(prev))
+	for _, h := range prev {
+		if !seen[h] {
+			seen[h] = true
+			clusters++
 		}
-		prevHeads := a.Heads()
-		if len(prevHeads) > 0 {
-			kept := 0
-			for _, h := range prevHeads {
-				if next.Head[h] == h {
-					kept++
+	}
+	for _, g := range tr.graphs[1:] {
+		next, err := e.elect(g, tr.ids, prev)
+		if err != nil {
+			return kept, 0, err
+		}
+		heads, same := 0, 0
+		for u, h := range prev {
+			if h == u {
+				heads++
+				if next[u] == u {
+					same++
 				}
 			}
-			ret.Add(100 * float64(kept) / float64(len(prevHeads)))
 		}
-		a = next
+		if heads > 0 {
+			kept.Add(100 * float64(same) / float64(heads))
+		}
+		prev = next
 	}
-	return ret, nil
+	return kept, clusters, nil
+}
+
+// replayRuns records opts.Runs walks of one speed band, run i on the
+// stream master.SplitN(label, i), and replays each under every election.
+// It returns each election's head retention and first-sample cluster
+// count over the runs.
+func replayRuns(master *rng.Source, label string, band [2]float64, opts MobilityOptions, elections []election) (keep, clusters []stats.Welford, err error) {
+	keep = make([]stats.Welford, len(elections))
+	clusters = make([]stats.Welford, len(elections))
+	for run := 0; run < opts.Runs; run++ {
+		tr, err := recordTrace(band, opts, master.SplitN(label, run))
+		if err != nil {
+			return nil, nil, err
+		}
+		for i, e := range elections {
+			w, c, err := retention(tr, e)
+			if err != nil {
+				return nil, nil, fmt.Errorf("%s: %w", e.name, err)
+			}
+			keep[i].Merge(w)
+			clusters[i].Add(float64(c))
+		}
+	}
+	return keep, clusters, nil
 }
 
 // Render formats the result like the paper's prose summary.
 func (r *MobilityResult) Render() string {
-	header := []string{"speed band (m/s)"}
-	for _, v := range r.Variants {
-		header = append(header, v.Name)
-	}
+	header := append([]string{"speed band (m/s)"}, r.Variants...)
 	t := stats.NewTable("Mobility: % cluster-heads re-elected at each 2s sample", header...)
 	for bi, band := range r.Bands {
 		cells := []string{fmt.Sprintf("%.1f-%.1f", band[0], band[1])}
