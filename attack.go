@@ -124,7 +124,7 @@ func (n *Network) FloodHeads(bots int, rate float64) ([]int64, error) {
 		if n.engine.Status(i) != runtime.StatusAlive {
 			continue
 		}
-		if n.engine.Node(i).IsHead() {
+		if n.engine.IsHead(i) {
 			heads = append(heads, i)
 		} else {
 			candidates = append(candidates, i)

@@ -360,7 +360,6 @@ func (n *Network) attachChurnImpl(cfg ChurnConfig) error {
 	if len(n.churn.sleepUntil) < n.N() {
 		n.churn.sleepUntil = make([]int, n.N())
 	}
-	n.engine.SetPreStep(n.churnPreStep)
 	n.churnAttached = true
 	return nil
 }
@@ -373,9 +372,12 @@ func (n *Network) DetachChurn() {
 }
 
 // churnPreStep is the engine pre-step hook: one step's worth of scheduled
-// churn. Allocation-free at steady state for crash/sleep/wake churn
-// (arrivals allocate: they grow the network).
+// churn while a schedule is attached. Allocation-free at steady state for
+// crash/sleep/wake churn (arrivals allocate: they grow the network).
 func (n *Network) churnPreStep(step int) error {
+	if !n.churnAttached {
+		return nil
+	}
 	c := n.churn
 	// Due wakes first: they free capacity before new sleeps are drawn.
 	// Walk the deadline worklist, culling entries cleared out-of-band.

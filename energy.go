@@ -75,7 +75,6 @@ func (n *Network) attachEnergyImpl(cfg EnergyConfig) error {
 	eng.SetProbe(n.probe) // late attach inherits the network's probe
 	n.energy = eng
 	n.energyOn = true
-	n.installStepPhases()
 	return nil
 }
 
@@ -120,16 +119,6 @@ func (n *Network) stepPhases(step int) error {
 		}
 	}
 	return nil
-}
-
-// installStepPhases (re)installs the post-step dispatcher, or clears it
-// when no phase is attached.
-func (n *Network) installStepPhases() {
-	if n.trafficOn || n.energyOn {
-		n.engine.SetPostStep(n.stepPhases)
-		return
-	}
-	n.engine.SetPostStep(nil)
 }
 
 // EnergyStats is the battery ledger of the attached energy model; for a

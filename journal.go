@@ -77,7 +77,6 @@ func (n *Network) dispatchOp(op snapshot.Op) error {
 		return n.attachTrafficImpl(*op.Traffic)
 	case snapshot.OpDetachTraffic:
 		n.trafficOn = false
-		n.installStepPhases()
 		return nil
 	case snapshot.OpAttachChurn:
 		if op.Churn == nil {
@@ -85,7 +84,6 @@ func (n *Network) dispatchOp(op snapshot.Op) error {
 		}
 		return n.attachChurnImpl(*op.Churn)
 	case snapshot.OpDetachChurn:
-		n.engine.SetPreStep(nil)
 		n.churnAttached = false
 		return nil
 	case snapshot.OpAttachEnergy:
@@ -95,7 +93,6 @@ func (n *Network) dispatchOp(op snapshot.Op) error {
 		return n.attachEnergyImpl(*op.Energy)
 	case snapshot.OpDetachEnergy:
 		n.energyOn = false
-		n.installStepPhases()
 		return nil
 	case snapshot.OpCompact:
 		_, err := n.compactImpl()

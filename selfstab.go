@@ -702,6 +702,10 @@ func buildWith(cfg snapshot.Options, pts []geom.Point, src *rng.Source) (*Networ
 	// node whose radio adjacency changes under mobility or churn is
 	// re-examined on the next step, and only those (see SetPositions).
 	n.grid.SetOnAdjacencyChange(engine.Activate)
+	// The step hooks are installed once; each plane's flag (churnAttached,
+	// trafficOn, energyOn) is the one record of whether it runs.
+	engine.SetPreStep(n.churnPreStep)
+	engine.SetPostStep(n.stepPhases)
 	for _, id := range ids {
 		if id >= n.nextID {
 			n.nextID = id + 1

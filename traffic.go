@@ -114,7 +114,6 @@ func (n *Network) attachTrafficImpl(cfg TrafficConfig) error {
 	t.SetProbe(n.probe) // late attach inherits the network's probe
 	n.traffic = t
 	n.trafficOn = true
-	n.installStepPhases()
 	return nil
 }
 
