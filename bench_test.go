@@ -2,8 +2,9 @@
 // evaluation, plus the ablations (internal/experiment/ablation.go). Each
 // benchmark runs the corresponding experiment driver at a tractable
 // scale, reports the headline quantity via b.ReportMetric, and logs the
-// paper-shaped table once (go test -bench=. -v shows it; EXPERIMENTS.md
-// records the paper-vs-measured comparison at full scale).
+// paper-shaped table once (go test -bench=. -v shows it; README's
+// "Reproducing the paper's experiments" says how to run them at full
+// scale).
 package selfstab_test
 
 import (

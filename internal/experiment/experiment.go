@@ -1,7 +1,16 @@
 // Package experiment contains one driver per table and figure of the
-// paper's evaluation (Section 5), plus the ablations (ablation.go,
-// daemon.go) and the routing-state comparison behind the paper's
-// motivation (scalability.go).
+// paper's evaluation (Section 5), plus ablations and the routing-state
+// comparison behind the paper's motivation:
+//
+//   - tables.go: Tables 1, 3, 4 and 5; table2.go: Table 2 on the step
+//     engine; figures.go: the grid figures;
+//   - steps.go: stabilization from corrupted state;
+//   - mobility.go: the mobility study, and the one head-retention replay
+//     (retention) that it and the metrics and orders ablations share;
+//   - ablation.go: the color-space, metric and ≺-variant ablations;
+//     daemon.go: the randomized-daemon ablation;
+//   - scalability.go: flat vs hierarchical routing state.
+//
 // Each driver is deterministic given its options and returns a structured
 // result that renders to a plain-text table shaped like the paper's.
 // The CLI (cmd/selfstab-sim -exp) and the root benchmark suite

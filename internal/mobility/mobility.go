@@ -12,6 +12,11 @@
 // its incremental Update after each Step repairs the unit-disk graph for
 // exactly the nodes that moved instead of rebuilding it — the intended
 // hot loop for mobility experiments.
+//
+// It is the repository's one mobility model. internal/experiment records
+// its mobility study and the metrics and orders ablations on it; the
+// `selfstab-sim traffic -scenario mobility` command and the trafficstorm
+// and mobilecampus examples move a Network with it through SetPositions.
 package mobility
 
 import (
