@@ -135,9 +135,8 @@ var pedestrian = [2]float64{0, 1.6}
 // first range, sampled every 2 s for durationSec seconds.
 func pedestrianWalk(opts Options, durationSec float64) MobilityOptions {
 	return MobilityOptions{
-		Runs: opts.Runs, Seed: opts.Seed, Intensity: opts.Intensity, Range: opts.Ranges[0],
+		Runs: opts.Runs, Intensity: opts.Intensity, Range: opts.Ranges[0],
 		DurationSec: durationSec, SampleEverySec: 2,
-		SpeedBands: [][2]float64{pedestrian},
 	}
 }
 
