@@ -54,15 +54,6 @@ func (n *Network) setDefenseImpl(cfg DefenseConfig) error {
 	return n.traffic.SetDefense(cfg)
 }
 
-// TrafficDefense returns the currently installed traffic-plane defense
-// (the zero value when none, or when no data plane is attached).
-func (n *Network) TrafficDefense() DefenseConfig {
-	if n.traffic == nil {
-		return DefenseConfig{}
-	}
-	return n.traffic.Defense()
-}
-
 // SpawnFlows appends flows to the attached data plane without resetting
 // its ledger or its queues — unlike re-attaching, delivery history stays
 // continuous, which is what makes an attack's before/after delta

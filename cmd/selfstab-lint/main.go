@@ -3,16 +3,19 @@
 // journalchoke, hotpath, obspure, testonly) that encodes the engine's
 // standing invariants — deterministic stepping, journal completeness,
 // zero-alloc hot paths, pure-observer instrumentation, no exported code
-// that only tests use — as build-time checks. CI runs it over ./... and
-// fails on any finding; scripts/lint.sh runs the same gate locally.
-// testonly is whole-program, so a narrower package pattern reports names
-// whose only users were not loaded.
+// that only tests use — as build-time checks. CI runs it with no
+// arguments and fails on any finding; scripts/lint.sh runs the same gate
+// locally.
 //
 // Usage:
 //
 //	selfstab-lint [-list] [packages]
 //
-// With no packages, ./... is checked. Diagnostics print as
+// Run it from the repo root. With no packages it loads the whole program:
+// every package of this module and of the bench/ harness, type-checked as
+// one build from bench/ (whose go.mod replaces selfstab with ../). testonly
+// is whole-program, so a narrower pattern, ./... included, reports names
+// whose only users were not loaded. Diagnostics print as
 // file:line:col: message (analyzer), one per line; the exit status is 1
 // if anything was reported, 2 on operational errors (unparseable
 // source, missing export data).
@@ -43,11 +46,11 @@ func main() {
 		return
 	}
 
-	patterns := flag.Args()
+	dir, patterns := ".", flag.Args()
 	if len(patterns) == 0 {
-		patterns = []string{"./..."}
+		dir, patterns = "bench", []string{"selfstab/...", "./..."}
 	}
-	pkgs, err := analyze.Load(".", patterns...)
+	pkgs, err := analyze.Load(dir, patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "selfstab-lint:", err)
 		os.Exit(2)

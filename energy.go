@@ -138,6 +138,8 @@ func (n *Network) EnergyStats() (EnergyStats, error) {
 // EnergyRemaining returns each node's remaining battery as a fraction of
 // capacity, indexed like Positions (0 for depleted nodes) — the raw
 // material for lifetime analysis beyond the summary in EnergyStats.
+//
+//selfstab:testref TestDeterminismMatrix's fingerprint reads it as the battery column that testdata/digests.json pins
 func (n *Network) EnergyRemaining() ([]float64, error) {
 	if n.energy == nil {
 		return nil, fmt.Errorf("selfstab: no energy model attached")

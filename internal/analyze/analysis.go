@@ -33,13 +33,18 @@
 //     annotated //selfstab:hotpath, so the benchmark gate and the
 //     analyzer guard the same code from two sides.
 //   - Code nothing runs is not free. An exported name of an internal/
-//     package that only tests reference is a second implementation, an
-//     unused option or a convenience the system never needed, and the
-//     zero-coverage gate cannot see it because its tests execute it.
-//     testonly reports every such name; the only exemption is a name a
-//     test contract compares against, which says so with testref. It is
-//     the one whole-program rule: it reports from Analyzer.Finish, after
-//     Run has seen every importer.
+//     package, or a root function or method, that only tests reference
+//     is a second implementation, an unused option or a convenience the
+//     system never needed, and the zero-coverage gate cannot see it
+//     because its tests execute it. testonly reports every such name; the
+//     only exemption is a name a test contract compares against, which
+//     says so with testref. A method reached through an interface counts
+//     as used only when the interface is declared in this module (or fmt
+//     and encoding call it), so a call of a standard-library method such
+//     as types.Object's Name keeps no same-named method alive. It is the
+//     one whole-program rule: it reports from Analyzer.Finish, after Run
+//     has seen every importer, and cmd/selfstab-lint with no arguments
+//     loads the whole program, the bench/ harness included.
 //
 // The framework deliberately mirrors a narrow slice of
 // golang.org/x/tools/go/analysis (Analyzer, Pass, Diagnostic, package
@@ -55,7 +60,7 @@
 //	//selfstab:mutator           exported fact: this method mutates world trajectory
 //	//selfstab:unjournaled       exported method deliberately outside the op journal (say why)
 //	//selfstab:cache             this field is derived state, rebuilt deterministically
-//	//selfstab:testref           exported internal/ name kept for a test contract (say which)
+//	//selfstab:testref           exported name only tests use, kept for a test contract (say which)
 package analyze
 
 import (

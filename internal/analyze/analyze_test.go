@@ -64,8 +64,8 @@ func TestHotPath(t *testing.T) {
 }
 
 func TestTestOnly(t *testing.T) {
-	pkgs := loadFixture(t, "./internal/tonly", "./tuser")
-	checkDiagnostics(t, pkgs, NewTestOnly())
+	pkgs := loadFixture(t, ".", "./internal/tonly", "./tuser")
+	checkDiagnostics(t, pkgs, NewTestOnly("lintfix"))
 }
 
 // TestTestRefAnnotations: a testref without a reason exempts nothing, a
@@ -73,7 +73,7 @@ func TestTestOnly(t *testing.T) {
 // declaration's doc comment governs nothing — each is a diagnostic.
 func TestTestRefAnnotations(t *testing.T) {
 	pkgs := loadFixture(t, "./internal/tann", "./tuser")
-	diags, err := Run(pkgs, []*Analyzer{NewTestOnly()})
+	diags, err := Run(pkgs, []*Analyzer{NewTestOnly("lintfix")})
 	if err != nil {
 		t.Fatalf("running testonly over tann: %v", err)
 	}
@@ -139,12 +139,13 @@ func TestMalformedAnnotations(t *testing.T) {
 
 // TestSuiteOnRepo is the acceptance gate in test form: the shipped
 // suite, with its production configs, runs clean over the repository
-// itself. This is the same sweep CI performs via cmd/selfstab-lint.
+// itself and the bench/ harness, loaded as one program. This is the same
+// sweep CI performs via cmd/selfstab-lint with no arguments.
 func TestSuiteOnRepo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole repository")
 	}
-	pkgs, err := Load("../..", "./...")
+	pkgs, err := Load("../../bench", "selfstab/...", "./...")
 	if err != nil {
 		t.Fatalf("loading repository: %v", err)
 	}

@@ -32,10 +32,10 @@ import (
 //	               mutations
 //	testref        doc comment of a function, or doc or trailing comment
 //	               of a type, const or var spec (an ungrouped declaration's
-//	               doc comment counts) — an exported internal/ name kept
-//	               although only tests reference it, because a test
-//	               contract compares against it (checked by testonly);
-//	               reason required
+//	               doc comment counts) — an exported internal/ or root
+//	               name kept although only tests reference it, because
+//	               a test contract compares against it (checked by
+//	               testonly); reason required
 //
 // A malformed annotation (unknown verb, missing reason, stray space,
 // wrong placement) is a diagnostic, never a silent no-op: an annotation

@@ -44,6 +44,11 @@ func (s Square) Area() float64 { return s.Side * s.Side }
 // String is reached only through fmt.
 func (s Square) String() string { return fmt.Sprintf("square(%g)", s.Side) }
 
+// Name shares its name with reflect.Type's method, which tuser calls: a
+// standard-library interface outside the fixed String/Error/Marshal set
+// keeps nothing alive.
+func (s Square) Name() string { return "square" } // want `\(tonly.Square\).Name is exported`
+
 // Perimeter has no caller and no interface behind it.
 func (s Square) Perimeter() float64 { return 4 * s.Side } // want `\(tonly.Square\).Perimeter is exported`
 

@@ -8,31 +8,36 @@ import (
 )
 
 // NewTestOnly returns the analyzer that finds exported code nothing but
-// tests uses.
+// tests uses, in the module whose path is module.
 //
 // It reports every exported function, method, type, const or var
 // declared in a package whose import path has an `internal` element —
-// exported there means visible to nothing outside the module — that no
-// non-test file of the loaded packages references. The loader parses
-// non-test files only, so a use in a _test.go file is invisible by
-// construction, and a name only tests reach is reported. Such a name is
-// deleted, or carries //selfstab:testref <the test contract it serves>
-// when a test compares against it; a testref on a name that non-test
-// code does reference is reported too, so annotations do not outlive
-// their reason.
+// exported there means visible to nothing outside the module — and
+// every exported function and method of the module's root package (its
+// public API; root types and consts stay out, because they name values
+// of public record fields declared under internal/), that no non-test
+// file of the loaded packages references. The loader parses non-test
+// files only, so a use in a _test.go file is invisible by construction,
+// and a name only tests reach is reported. Such a name is deleted, or
+// carries //selfstab:testref <the test contract it serves> when a test
+// compares against it; a testref on a name non-test code does reference
+// is reported too, so annotations do not outlive their reason.
 //
 // Uses are keyed by package path, receiver type and name, because each
 // package is type-checked against its imports' export data and the same
 // declaration is a different types.Object in every importer. A method
-// counts as referenced when a same-named method of any interface is
-// referenced anywhere (dynamic dispatch), or when it is one the standard
-// library calls through fmt, encoding or reflection: String, Error and
-// the Marshal/Unmarshal pairs. A declaration's references to itself, a
-// method's receiver type and a `var _ I = T{}` assertion are not uses.
+// counts as referenced when a same-named method of an interface declared
+// in the module is referenced anywhere (dynamic dispatch), or when it is
+// one the standard library calls through fmt, encoding or reflection:
+// String, Error and the Marshal/Unmarshal pairs. A call through any other
+// standard-library interface (types.Object's Name, say) keeps nothing
+// alive. A declaration's references to itself, a method's receiver type
+// and a `var _ I = T{}` assertion are not uses.
 //
 // The rule is whole-program: it needs every importer loaded, so it is
-// meaningful over ./... only, and reports from Finish.
-func NewTestOnly() *Analyzer {
+// meaningful over the whole program only (selfstab-lint's default), and
+// reports from Finish.
+func NewTestOnly(module string) *Analyzer {
 	type decl struct {
 		obj       types.Object
 		key, name string
@@ -51,16 +56,19 @@ func NewTestOnly() *Analyzer {
 			"UnmarshalText": true, "MarshalJSON": true, "UnmarshalJSON": true}
 	}
 	reset()
+	inModule := func(path string) bool { return path == module || strings.HasPrefix(path, module+"/") }
 	a := &Analyzer{
 		Name: "testonly",
-		Doc: "report exported names of internal/ packages that only tests reference; " +
-			"delete them, or annotate //selfstab:testref <why> (whole-program: run over ./...).",
+		Doc: "report exported names of internal/ packages, and root functions and methods, that only tests reference; " +
+			"delete them, or annotate //selfstab:testref <why> (whole-program).",
 	}
 	a.Run = func(pass *Pass) error {
 		internal := slices.Contains(strings.Split(pass.Pkg.Path(), "/"), "internal")
+		root := pass.Pkg.Path() == module
 		anns := scanAnnotations(pass)
 		declare := func(id *ast.Ident, ann *annotation) {
-			if obj := pass.Info.Defs[id]; internal && obj != nil && obj.Exported() {
+			obj := pass.Info.Defs[id]
+			if _, fn := obj.(*types.Func); obj != nil && obj.Exported() && (internal || root && fn) {
 				key := objKey(obj)
 				name := strings.ReplaceAll(key, pass.Pkg.Path(), pass.Pkg.Name())
 				decls = append(decls, decl{obj, key, name, ann})
@@ -74,7 +82,7 @@ func NewTestOnly() *Analyzer {
 				if !ok || obj == nil || slices.ContainsFunc(self, func(s *ast.Ident) bool { return pass.Info.Defs[s] == obj }) {
 					return true
 				}
-				if recv := recvOf(obj); recv != nil && types.IsInterface(recv.Type()) {
+				if recv := recvOf(obj); recv != nil && types.IsInterface(recv.Type()) && obj.Pkg() != nil && inModule(obj.Pkg().Path()) {
 					dispatched[obj.Name()] = true
 				}
 				used[objKey(obj)] = true

@@ -101,9 +101,6 @@ func (w *RandomWalk) drawTurnDelay() float64 {
 	return w.src.ExpFloat64() * w.turnEvery
 }
 
-// Name identifies the model in experiment output.
-func (w *RandomWalk) Name() string { return "random-walk" }
-
 // Step advances the walk by dt seconds.
 func (w *RandomWalk) Step(dt float64) {
 	if dt <= 0 {

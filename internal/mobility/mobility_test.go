@@ -134,13 +134,3 @@ func TestRandomWalkDeterminism(t *testing.T) {
 		}
 	}
 }
-
-func TestRandomWalkName(t *testing.T) {
-	w, err := NewRandomWalk(startPositions(1, 1), geom.UnitSquare(), 0, 0, 0, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Name() != "random-walk" {
-		t.Error(w.Name())
-	}
-}

@@ -101,8 +101,6 @@ func (in *Inbox) Senders(r int) []int32 { return in.senders[in.off[r]:in.off[r+1
 
 // Medium decides one step of local broadcast outcomes.
 type Medium interface {
-	// Name identifies the medium in experiment output.
-	Name() string
 	// Deliver computes which sender→receiver deliveries succeed this step
 	// and writes them into in (reusing its backing arrays). active[s]
 	// false means node s stays silent this step; a nil active slice means
@@ -117,9 +115,6 @@ func sending(active []bool, s int) bool { return active == nil || active[s] }
 type Perfect struct{}
 
 var _ Medium = Perfect{}
-
-// Name implements Medium.
-func (Perfect) Name() string { return "perfect" }
 
 // Deliver implements Medium.
 func (Perfect) Deliver(g *topology.Graph, active []bool, in *Inbox) error {
@@ -162,9 +157,6 @@ func NewBernoulli(tau float64, src *rng.Source) (*Bernoulli, error) {
 	}
 	return &Bernoulli{Tau: tau, Src: src}, nil
 }
-
-// Name implements Medium.
-func (m *Bernoulli) Name() string { return fmt.Sprintf("bernoulli(tau=%.2f)", m.Tau) }
 
 // Deliver implements Medium. Loss draws happen in sender-major order (one
 // per directed edge with an active sender), then the pairs are
@@ -215,9 +207,6 @@ func NewSlotted(slots int, src *rng.Source) (*Slotted, error) {
 	}
 	return &Slotted{Slots: slots, Src: src}, nil
 }
-
-// Name implements Medium.
-func (m *Slotted) Name() string { return fmt.Sprintf("slotted(%d)", m.Slots) }
 
 // Deliver implements Medium.
 func (m *Slotted) Deliver(g *topology.Graph, active []bool, in *Inbox) error {

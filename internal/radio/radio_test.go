@@ -292,26 +292,6 @@ func TestSlottedHalfDuplex(t *testing.T) {
 	}
 }
 
-func TestMediumNames(t *testing.T) {
-	if (Perfect{}).Name() != "perfect" {
-		t.Error("perfect name")
-	}
-	b, err := NewBernoulli(0.25, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Name() != "bernoulli(tau=0.25)" {
-		t.Errorf("bernoulli name = %q", b.Name())
-	}
-	s, err := NewSlotted(8, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Name() != "slotted(8)" {
-		t.Errorf("slotted name = %q", s.Name())
-	}
-}
-
 // TestInboxFromPairsEmpty: zero pairs must still produce valid empty rows.
 func TestInboxFromPairsEmpty(t *testing.T) {
 	var in Inbox

@@ -111,8 +111,8 @@ func TestSetDefenseValidation(t *testing.T) {
 	if err := e.SetDefense(Defense{SourceCap: -1}); err == nil {
 		t.Error("negative source cap accepted")
 	}
-	if e.Defense() != good {
-		t.Errorf("failed SetDefense mutated the installed defense: %+v", e.Defense())
+	if e.defense != good {
+		t.Errorf("failed SetDefense mutated the installed defense: %+v", e.defense)
 	}
 }
 

@@ -325,9 +325,6 @@ func (e *Engine) SetDefense(d Defense) error {
 	return nil
 }
 
-// Defense returns the installed mitigations (zero value: none).
-func (e *Engine) Defense() Defense { return e.defense }
-
 // AddFlows appends workloads to the running data plane. Queues, the
 // ledger and every existing flow's accumulators are untouched — unlike a
 // re-attach, the delivery history across the append stays continuous,

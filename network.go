@@ -325,26 +325,6 @@ func (n *Network) setPositionsImpl(positions []Point) error {
 //selfstab:unjournaled perf knob; results are bit-identical for any worker count
 func (n *Network) SetParallelism(workers int) { n.engine.SetParallelism(workers) }
 
-// Neighbors returns the identifiers of node i's current radio neighbors.
-func (n *Network) Neighbors(i int) ([]int64, error) {
-	if i < 0 || i >= n.N() {
-		return nil, fmt.Errorf("selfstab: node index %d out of range", i)
-	}
-	var out []int64
-	ids := n.engine.IDs()
-	for _, v := range n.grid.Graph().Neighbors(i) {
-		out = append(out, ids[v])
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out, nil
-}
-
-// RenderSVG draws the current clustering as an SVG document of the given
-// pixel size (heads outlined, members colored by cluster).
-func (n *Network) RenderSVG(size int) (string, error) {
-	return viz.SVG(n.grid.Graph(), n.grid.Points(), n.renderAssignment(new(cluster.Assignment)), size)
-}
-
 // RenderASCII draws the current clustering as a rows x cols character map
 // (uppercase letters are cluster-heads).
 func (n *Network) RenderASCII(rows, cols int) (string, error) {

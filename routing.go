@@ -58,23 +58,6 @@ func (n *Network) Route(srcID, dstID int64) ([]int64, error) {
 	return out, nil
 }
 
-// RoutingState reports the mean number of routing-table entries per node
-// for the two architectures on the current network: flat link-state
-// routing (every node knows every other: N-1 entries, reachable or not)
-// versus hierarchical routing over the current clusters. Their ratio is
-// the scalability benefit the paper's clustering buys.
-func (n *Network) RoutingState() (flat, hierarchical float64, err error) {
-	ht, err := n.hierTable()
-	if err != nil {
-		return 0, 0, err
-	}
-	hier, err := ht.StatePerNode()
-	if err != nil {
-		return 0, 0, err
-	}
-	return float64(n.N() - 1), hier, nil
-}
-
 // hierTable returns the hierarchical routing table for the current epoch.
 // When the engine epoch moved since the last call (state-changing step,
 // topology change, fault injection) it resets the one table in place: an

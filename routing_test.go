@@ -92,30 +92,10 @@ func TestRouteUnknownIDs(t *testing.T) {
 	}
 }
 
-func TestRoutingStateAdvantage(t *testing.T) {
-	net, err := NewRandomNetwork(300, WithSeed(43), WithRange(0.1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Stabilize(1000); err != nil {
-		t.Fatal(err)
-	}
-	flat, hier, err := net.RoutingState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat != float64(net.N()-1) {
-		t.Errorf("flat state = %v, want %d", flat, net.N()-1)
-	}
-	if hier >= flat/2 {
-		t.Errorf("hierarchical state %v not substantially below flat %v", hier, flat)
-	}
-}
-
 // TestRoutePartitionedNetwork: Route between disconnected components
 // returns ErrUnreachable for every pair orientation, and intra-component
-// routing keeps working; RoutingState stays well-defined on a partitioned
-// network.
+// routing keeps working; the hierarchical routing state stays well-defined
+// on a partitioned network.
 func TestRoutePartitionedNetwork(t *testing.T) {
 	pts := []Point{
 		{X: 0.1, Y: 0.1}, {X: 0.12, Y: 0.1}, {X: 0.1, Y: 0.12},
@@ -142,8 +122,8 @@ func TestRoutePartitionedNetwork(t *testing.T) {
 	if _, err := net.Route(ids[0], ids[2]); err != nil {
 		t.Errorf("intra-component route failed: %v", err)
 	}
-	if _, _, err := net.RoutingState(); err != nil {
-		t.Errorf("RoutingState on a partitioned network: %v", err)
+	if _, err := hierState(net); err != nil {
+		t.Errorf("routing state on a partitioned network: %v", err)
 	}
 }
 
@@ -162,13 +142,23 @@ func TestRouteSingleNodeNetwork(t *testing.T) {
 	if err != nil || len(path) != 1 || path[0] != id {
 		t.Errorf("Route(self, self) = (%v, %v), want ([%d], nil)", path, err, id)
 	}
-	flat, hier, err := net.RoutingState()
+	hier, err := hierState(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flat != 0 || hier != 0 {
-		t.Errorf("routing state on 1 node = (%v, %v), want (0, 0)", flat, hier)
+	if hier != 0 {
+		t.Errorf("routing state on 1 node = %v, want 0", hier)
 	}
+}
+
+// hierState is the mean number of hierarchical routing-table entries per
+// node on the current network.
+func hierState(net *Network) (float64, error) {
+	ht, err := net.hierTable()
+	if err != nil {
+		return 0, err
+	}
+	return ht.StatePerNode()
 }
 
 // TestRoutingCacheInvalidation pins the epoch contract: repeated queries

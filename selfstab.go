@@ -223,9 +223,9 @@
 //     BenchmarkFlatDist).
 //
 //   - A routing table that costs what the packets touch. One hierarchical
-//     table serves Route, RoutingState and the traffic data plane. When
-//     the engine's epoch moved it is reset in place — an O(N+E) skeleton
-//     over reused buffers — and its next-hop trees fill as queries ask,
+//     table serves Route and the traffic data plane. When the engine's
+//     epoch moved it is reset in place — an O(N+E) skeleton over reused
+//     buffers — and its next-hop trees fill as queries ask,
 //     with the answers of a table built in full (see internal/routing;
 //     TestLiveTableMatchesFreshBuild pins the in-place reset through
 //     churn, compaction, faults and mobility).
@@ -372,6 +372,8 @@ func WithFusion() Option {
 
 // WithTau sets the per-link frame delivery probability of the radio medium
 // (the paper's CSMA/CA abstraction). Default 1 (lossless).
+//
+//selfstab:testref TestDeterminismMatrix's tau0.7 world, the paper's lossy medium, until a CLI flag reaches it
 func WithTau(tau float64) Option {
 	return func(c *snapshot.Options) error {
 		if tau <= 0 || tau > 1 {
@@ -385,6 +387,8 @@ func WithTau(tau float64) Option {
 // WithSlottedRadio replaces the Bernoulli loss model with an explicit
 // slotted-CSMA medium of the given slot count: collisions — and hence τ —
 // become emergent instead of assumed.
+//
+//selfstab:testref TestDeterminismMatrix's slotted32 world, the paper's collision model, until a CLI flag reaches it
 func WithSlottedRadio(slots int) Option {
 	return func(c *snapshot.Options) error {
 		if slots < 1 {
@@ -400,6 +404,8 @@ func WithSlottedRadio(slots int) Option {
 // p (broadcast and reception always happen). 1 (default) is the
 // synchronous daemon; lower values model slower, unsynchronized nodes —
 // self-stabilization holds regardless.
+//
+//selfstab:testref TestDeterminismMatrix's daemon0.6 world, the paper's randomized daemon, until a CLI flag reaches it
 func WithDaemon(p float64) Option {
 	return func(c *snapshot.Options) error {
 		if p <= 0 || p > 1 {
@@ -450,6 +456,8 @@ func WithRowMajorIDs() Option {
 
 // WithIDs supplies explicit unique node identifiers (overrides
 // WithRowMajorIDs). Length must match the node count.
+//
+//selfstab:testref ExampleNewNetwork's checked output and TestJournalOwnsItsMemory's explicit ids
 func WithIDs(ids []int64) Option {
 	return func(c *snapshot.Options) error {
 		c.IDs = append([]int64(nil), ids...)
@@ -471,8 +479,8 @@ type Network struct {
 	engine *runtime.Engine
 	src    *rng.Source
 
-	// The hierarchical routing table shared by Route, RoutingState and the
-	// traffic data plane. Its skeleton is rebuilt, from routeAsg's reused
+	// The hierarchical routing table shared by Route and the traffic data
+	// plane. Its skeleton is rebuilt, from routeAsg's reused
 	// slices, only when the engine's epoch moved (a state-changing step,
 	// fault injection, a topology change); its next-hop trees fill as
 	// queries ask. See hierTable.
@@ -528,10 +536,9 @@ type flowEndpointIDs struct {
 }
 
 // NewNetwork deploys nodes at explicit positions in the unit square.
+//
+//selfstab:testref ExampleNewNetwork's checked output and the explicit rows of TestSnapshotRoundTripEveryConstructor and TestJournalOwnsItsMemory
 func NewNetwork(positions []Point, opts ...Option) (*Network, error) {
-	if len(positions) == 0 {
-		return nil, errors.New("selfstab: no positions")
-	}
 	cfg, err := apply(opts)
 	if err != nil {
 		return nil, err
@@ -541,9 +548,6 @@ func NewNetwork(positions []Point, opts ...Option) (*Network, error) {
 
 // NewRandomNetwork deploys exactly n uniformly random nodes.
 func NewRandomNetwork(n int, opts ...Option) (*Network, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("selfstab: need at least one node, got %d", n)
-	}
 	cfg, err := apply(opts)
 	if err != nil {
 		return nil, err
@@ -554,9 +558,6 @@ func NewRandomNetwork(n int, opts ...Option) (*Network, error) {
 // NewPoissonNetwork deploys a Poisson point process of the given intensity
 // (expected nodes per unit area; the paper's evaluation uses 1000).
 func NewPoissonNetwork(intensity float64, opts ...Option) (*Network, error) {
-	if intensity <= 0 {
-		return nil, fmt.Errorf("selfstab: intensity must be positive, got %v", intensity)
-	}
 	cfg, err := apply(opts)
 	if err != nil {
 		return nil, err
@@ -569,6 +570,8 @@ func NewPoissonNetwork(intensity float64, opts ...Option) (*Network, error) {
 // "disaster area" scenario from the paper's introduction, where responders
 // cluster around incident sites and the density metric elects one head
 // per site rather than splitting co-located groups.
+//
+//selfstab:testref the hotspot row of TestSnapshotRoundTripEveryConstructor
 func NewHotspotNetwork(n, k int, spread float64, opts ...Option) (*Network, error) {
 	cfg, err := apply(opts)
 	if err != nil {
@@ -580,9 +583,6 @@ func NewHotspotNetwork(n, k int, spread float64, opts ...Option) (*Network, erro
 // NewGridNetwork deploys a rows x cols lattice (the paper's grid scenario;
 // combine with WithRowMajorIDs to reproduce the adversarial Table 5 case).
 func NewGridNetwork(rows, cols int, opts ...Option) (*Network, error) {
-	if rows < 1 || cols < 1 {
-		return nil, fmt.Errorf("selfstab: invalid grid %dx%d", rows, cols)
-	}
 	cfg, err := apply(opts)
 	if err != nil {
 		return nil, err
@@ -610,6 +610,9 @@ func construct(dep snapshot.Deployment, cfg snapshot.Options) (*Network, error) 
 	var pts []geom.Point
 	switch dep.Kind {
 	case snapshot.DeployExplicit:
+		if len(dep.Points) == 0 {
+			return nil, errors.New("selfstab: no positions")
+		}
 		region := geom.UnitSquare()
 		for i, p := range dep.Points {
 			if !region.Contains(p) {
@@ -635,6 +638,9 @@ func construct(dep snapshot.Deployment, cfg snapshot.Options) (*Network, error) 
 		}
 		pts = d.Points
 	case snapshot.DeployHotspot:
+		if dep.N < 1 {
+			return nil, fmt.Errorf("selfstab: need at least one node, got %d", dep.N)
+		}
 		d, err := deploy.Hotspots(dep.N, dep.Hotspots, dep.Spread, geom.UnitSquare(), deploy.IDSequential, src.Split("deploy"))
 		if err != nil {
 			return nil, err

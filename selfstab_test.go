@@ -31,6 +31,9 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := NewGridNetwork(0, 5); err == nil {
 		t.Error("0-row grid accepted")
 	}
+	if _, err := NewHotspotNetwork(0, 2, 0.05); err == nil || !strings.Contains(err.Error(), "at least one node") {
+		t.Errorf("0-node hotspot deployment: %v", err)
+	}
 	if _, err := NewNetwork(nil); err == nil {
 		t.Error("empty positions accepted")
 	}
@@ -304,17 +307,13 @@ func TestStateAndNeighbors(t *testing.T) {
 	if _, err := net.State(999); err == nil {
 		t.Error("out-of-range index accepted")
 	}
-	nbrs, err := net.Neighbors(0)
-	if err != nil {
-		t.Fatal(err)
+	// A stabilized node's parent is itself or one of its radio neighbors.
+	ok := st.ParentID == st.ID
+	for _, v := range net.grid.Graph().Neighbors(0) {
+		ok = ok || net.IDs()[v] == st.ParentID
 	}
-	for i := 1; i < len(nbrs); i++ {
-		if nbrs[i-1] >= nbrs[i] {
-			t.Error("neighbors not sorted")
-		}
-	}
-	if _, err := net.Neighbors(-1); err == nil {
-		t.Error("negative index accepted")
+	if !ok {
+		t.Errorf("parent %d of node %d is not a neighbor", st.ParentID, st.ID)
 	}
 }
 
@@ -325,13 +324,6 @@ func TestRendering(t *testing.T) {
 	}
 	if _, err := net.Stabilize(300); err != nil {
 		t.Fatal(err)
-	}
-	svg, err := net.RenderSVG(300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(svg, "<svg") {
-		t.Error("svg malformed")
 	}
 	txt, err := net.RenderASCII(10, 20)
 	if err != nil {
@@ -349,7 +341,7 @@ func TestRenderingBeforeStabilization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.RenderSVG(100); err != nil {
+	if _, err := net.RenderASCII(10, 20); err != nil {
 		t.Errorf("cold render: %v", err)
 	}
 }

@@ -323,13 +323,3 @@ func (n *Network) TrafficStats() (TrafficStats, error) {
 	}
 	return out, nil
 }
-
-// TrafficLoad returns the per-node forwarding-event counts of the attached
-// data plane, indexed like Positions — the raw material for load-hotspot
-// analysis beyond the summary in TrafficStats.
-func (n *Network) TrafficLoad() ([]int64, error) {
-	if n.traffic == nil {
-		return nil, fmt.Errorf("selfstab: no traffic attached")
-	}
-	return n.traffic.Load(), nil
-}

@@ -34,14 +34,6 @@ func mixedWorkload(net *Network, flows int) []Flow {
 	return out
 }
 
-// TestTrafficDeterminism: packet trajectories, and with them
-// TrafficStats, are bit-identical at 1 and 4 workers. It is the
-// determinism matrix's mixed trace on the lossless world at both worker
-// counts.
-func TestTrafficDeterminism(t *testing.T) {
-	replayCells(t, "mixed", "lossless", cell{workers: 1}, cell{workers: 4})
-}
-
 // checkTrafficLedger asserts that every offered packet has exactly one
 // fate.
 func checkTrafficLedger(t *testing.T, s TrafficStats) {
@@ -186,11 +178,7 @@ func TestTrafficAcrossPartition(t *testing.T) {
 	}
 	// No-route drops are not transmissions: nothing was ever forwarded,
 	// so the load ledger must stay empty.
-	load, err := net.TrafficLoad()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, l := range load {
+	for i, l := range net.traffic.Load() {
 		if l != 0 {
 			t.Errorf("node %d shows load %d on a network that only dropped", i, l)
 		}
@@ -236,9 +224,6 @@ func TestTrafficAttachValidation(t *testing.T) {
 	net := trafficNet(t, 30, 1)
 	if _, err := net.TrafficStats(); err == nil {
 		t.Error("TrafficStats before AttachTraffic succeeded")
-	}
-	if _, err := net.TrafficLoad(); err == nil {
-		t.Error("TrafficLoad before AttachTraffic succeeded")
 	}
 	cases := []TrafficConfig{
 		{},                                    // no flows
@@ -316,11 +301,7 @@ func TestHotspotConcentratesLoadOnHeads(t *testing.T) {
 		t.Errorf("head load share %.3f <= head population share %.3f — hierarchy should concentrate load on heads",
 			s.HeadLoadShare, s.HeadFraction)
 	}
-	load, err := net.TrafficLoad()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(load) != net.N() {
+	if load := net.traffic.Load(); len(load) != net.N() {
 		t.Errorf("load vector has %d entries for %d nodes", len(load), net.N())
 	}
 }
