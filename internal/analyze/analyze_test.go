@@ -1,6 +1,9 @@
 package analyze
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -134,6 +137,58 @@ func TestMalformedAnnotations(t *testing.T) {
 		if !found {
 			t.Errorf("no diagnostic contains %q", w)
 		}
+	}
+}
+
+// fixtureSuite is the six analyzers with the fixture configs the tests
+// above use.
+func fixtureSuite() []*Analyzer {
+	return []*Analyzer{
+		NewDetRand(fixtureDetRandConfig()),
+		NewMapOrder(MapOrderConfig{Packages: []string{"lintfix/mapiter"}}),
+		NewJournalChoke(JournalChokeConfig{PkgPath: "lintfix/world", TypeName: "World", Choke: "apply"}),
+		NewHotPath(),
+		NewObsPure(ObsPureConfig{ObsPkg: "lintfix/obsiface", Iface: "Probe", Core: []string{"lintfix/obscore"}}),
+		NewTestOnly("lintfix"),
+	}
+}
+
+// TestFixtureDiagnosticsGolden pins every diagnostic the whole suite
+// reports over the whole fixture module, one `file:line:col: message`
+// line each, against testdata/diags.golden. Paths, in positions and in
+// messages, are relative to the fixture module; the analyzer is left
+// out, so the file pins what is reported, not which pass reports it.
+// Regenerate with SELFSTAB_UPDATE_GOLDEN=1 go test -run
+// TestFixtureDiagnosticsGolden ./internal/analyze and review the diff.
+func TestFixtureDiagnosticsGolden(t *testing.T) {
+	pkgs := loadFixture(t, "./...")
+	diags, err := Run(pkgs, fixtureSuite())
+	if err != nil {
+		t.Fatalf("running the suite over the fixtures: %v", err)
+	}
+	dir, err := filepath.Abs(fixtureDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := strings.NewReplacer(dir+string(filepath.Separator), "")
+	var got strings.Builder
+	for _, d := range diags {
+		p := pkgs[0].Fset.Position(d.Pos)
+		fmt.Fprintf(&got, "%s:%d:%d: %s\n", filepath.ToSlash(rel.Replace(p.Filename)), p.Line, p.Column, rel.Replace(d.Message))
+	}
+	path := filepath.Join("testdata", "diags.golden")
+	if os.Getenv("SELFSTAB_UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with SELFSTAB_UPDATE_GOLDEN=1): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("fixture diagnostics differ from %s:\n%s", path, got.String())
 	}
 }
 
