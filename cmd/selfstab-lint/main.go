@@ -1,5 +1,5 @@
-// Command selfstab-lint is the repo's static-analysis gate: a
-// multichecker over the internal/analyze suite (detrand, maporder,
+// Command selfstab-lint is the repo's static-analysis gate: one
+// whole-program pass of the internal/analyze suite (detrand, maporder,
 // journalchoke, hotpath, obspure, testonly) that encodes the engine's
 // standing invariants — deterministic stepping, journal completeness,
 // zero-alloc hot paths, pure-observer instrumentation, no exported code
@@ -16,9 +16,10 @@
 // one build from bench/ (whose go.mod replaces selfstab with ../). testonly
 // is whole-program, so a narrower pattern, ./... included, reports names
 // whose only users were not loaded. Diagnostics print as
-// file:line:col: message (analyzer), one per line; the exit status is 1
-// if anything was reported, 2 on operational errors (unparseable
-// source, missing export data).
+// file:line:col: message (analyzer), one per line, with "annotation" in
+// place of the analyzer for a malformed or misplaced //selfstab:
+// comment. The exit status is 1 if anything was reported, 2 on
+// operational errors (unparseable source, missing export data).
 package main
 
 import (

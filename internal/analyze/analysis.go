@@ -41,51 +41,43 @@
 //     says so with testref. A method reached through an interface counts
 //     as used only when the interface is declared in this module (or fmt
 //     and encoding call it), so a call of a standard-library method such
-//     as types.Object's Name keeps no same-named method alive. It is the
-//     one whole-program rule: it reports from Analyzer.Finish, after Run
-//     has seen every importer, and cmd/selfstab-lint with no arguments
-//     loads the whole program, the bench/ harness included.
+//     as types.Object's Name keeps no same-named method alive. It needs
+//     every importer loaded, so cmd/selfstab-lint with no arguments loads
+//     the whole program, the bench/ harness included.
 //
-// The framework deliberately mirrors a narrow slice of
-// golang.org/x/tools/go/analysis (Analyzer, Pass, Diagnostic, package
-// facts) so the analyzers can migrate to the real multichecker
-// verbatim once the dependency is available; this environment builds
-// with the standard library only, so loading is done with
-// `go list -export` plus the gc importer instead of go/packages.
+// The framework is what the suite needs and no more. Load makes one
+// `go list -export -deps` call and type-checks the matched packages from
+// source against gc export data, so it builds with the standard library
+// only and works offline. Run scans each package's //selfstab:
+// annotations once, reporting malformed and misplaced ones itself, then
+// hands every analyzer the whole program at once.
 //
 // Annotation escape hatches (see annotation.go for the grammar):
 //
 //	//selfstab:hotpath           function must stay free of obvious allocation sites
 //	//selfstab:orderinvariant    this map range is order-independent (say why)
-//	//selfstab:mutator           exported fact: this method mutates world trajectory
+//	//selfstab:mutator           this method mutates the world trajectory
 //	//selfstab:unjournaled       exported method deliberately outside the op journal (say why)
 //	//selfstab:cache             this field is derived state, rebuilt deterministically
 //	//selfstab:testref           exported name only tests use, kept for a test contract (say which)
 package analyze
 
 import (
+	"cmp"
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
-	"sort"
+	"slices"
 )
 
-// Analyzer describes one static check. It mirrors
-// golang.org/x/tools/go/analysis.Analyzer closely enough that porting
-// to the real package is mechanical.
+// Analyzer describes one static check over the whole program.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and -<name>=false
-	// disable flags.
+	// Name identifies the analyzer in diagnostics and in
+	// selfstab-lint -list.
 	Name string
 	// Doc is a one-paragraph description of what the analyzer enforces.
 	Doc string
-	// Run performs the check on one package.
+	// Run performs the check over every loaded package.
 	Run func(*Pass) error
-	// Finish, if set, runs once after Run has seen every package: the
-	// hook for a whole-program rule, whose evidence lives in importers.
-	// Its pass carries the file set only.
-	Finish func(*Pass) error
 }
 
 // Diagnostic is one finding, positioned at Pos.
@@ -95,17 +87,16 @@ type Diagnostic struct {
 	Analyzer string
 }
 
-// Pass carries one package's syntax and type information to an
-// analyzer, and collects its diagnostics.
+// Pass carries the loaded program to one analyzer and collects its
+// diagnostics.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
-	Files    []*ast.File
-	Pkg      *types.Package
-	Info     *types.Info
+	// Pkgs are the loaded packages in dependency order: a package comes
+	// before the packages that import it.
+	Pkgs []*Package
 
 	diags []Diagnostic
-	facts *FactStore
 }
 
 // Reportf records a diagnostic at pos.
@@ -117,98 +108,30 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ExportPackageFact records a named fact about the package under
-// analysis, visible to later passes of the same analyzer over packages
-// that (transitively) import it.
-func (p *Pass) ExportPackageFact(key string, value any) {
-	p.facts.set(p.Analyzer.Name, p.Pkg.Path(), key, value)
-}
-
-// ImportPackageFact retrieves a fact exported by this analyzer for the
-// given package path, or nil if none was recorded.
-func (p *Pass) ImportPackageFact(pkgPath, key string) any {
-	return p.facts.get(p.Analyzer.Name, pkgPath, key)
-}
-
-// FactStore holds per-analyzer, per-package facts across a multi-package
-// run. Keys are (analyzer, package path, fact name).
-type FactStore struct {
-	m map[string]any
-}
-
-// NewFactStore returns an empty fact store.
-func NewFactStore() *FactStore { return &FactStore{m: make(map[string]any)} }
-
-func (s *FactStore) set(analyzer, pkg, key string, v any) {
-	s.m[analyzer+"\x00"+pkg+"\x00"+key] = v
-}
-
-func (s *FactStore) get(analyzer, pkg, key string) any {
-	return s.m[analyzer+"\x00"+pkg+"\x00"+key]
-}
-
-// Run executes the analyzers over the packages, in the order given
-// (callers load packages in dependency order so facts flow from
-// imported to importing packages), then each analyzer's Finish, and
-// returns every diagnostic sorted by position. Diagnostics with
-// identical position and message are deduplicated: the annotation
-// scanner reports malformed annotations from every analyzer that
-// consults it, and one complaint is enough.
+// Run scans every package's //selfstab: annotations, reporting malformed
+// and misplaced ones under the name "annotation", then runs each analyzer
+// over the whole program and returns every diagnostic sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	facts := NewFactStore()
-	var all []Diagnostic
+	if len(pkgs) == 0 {
+		return nil, nil
+	}
+	fset := pkgs[0].Fset
+	ann := &Pass{Analyzer: &Analyzer{Name: "annotation"}, Fset: fset, Pkgs: pkgs}
+	for _, pkg := range pkgs {
+		pkg.anns = scanAnnotations(ann, pkg)
+	}
+	all := ann.diags
 	for _, a := range analyzers {
-		for _, pkg := range pkgs {
-			pass := &Pass{
-				Analyzer: a,
-				Fset:     pkg.Fset,
-				Files:    pkg.Files,
-				Pkg:      pkg.Types,
-				Info:     pkg.Info,
-				facts:    facts,
-			}
-			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.PkgPath, err)
-			}
-			all = append(all, pass.diags...)
+		pass := &Pass{Analyzer: a, Fset: fset, Pkgs: pkgs}
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
-		if a.Finish != nil && len(pkgs) > 0 {
-			pass := &Pass{Analyzer: a, Fset: pkgs[0].Fset}
-			if err := a.Finish(pass); err != nil {
-				return nil, fmt.Errorf("%s: %w", a.Name, err)
-			}
-			all = append(all, pass.diags...)
-		}
+		all = append(all, pass.diags...)
 	}
-	return dedupeSorted(pkgs, all), nil
-}
-
-func dedupeSorted(pkgs []*Package, diags []Diagnostic) []Diagnostic {
-	var fset *token.FileSet
-	if len(pkgs) > 0 {
-		fset = pkgs[0].Fset
-	}
-	sort.SliceStable(diags, func(i, j int) bool {
-		if fset != nil {
-			pi, pj := fset.Position(diags[i].Pos), fset.Position(diags[j].Pos)
-			if pi.Filename != pj.Filename {
-				return pi.Filename < pj.Filename
-			}
-			if pi.Line != pj.Line {
-				return pi.Line < pj.Line
-			}
-			if pi.Column != pj.Column {
-				return pi.Column < pj.Column
-			}
-		}
-		return diags[i].Message < diags[j].Message
+	slices.SortStableFunc(all, func(a, b Diagnostic) int {
+		pa, pb := fset.Position(a.Pos), fset.Position(b.Pos)
+		return cmp.Or(cmp.Compare(pa.Filename, pb.Filename), cmp.Compare(pa.Line, pb.Line),
+			cmp.Compare(pa.Column, pb.Column), cmp.Compare(a.Message, b.Message))
 	})
-	out := diags[:0]
-	for i, d := range diags {
-		if i > 0 && diags[i-1].Pos == d.Pos && diags[i-1].Message == d.Message {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
+	return all, nil
 }

@@ -2,10 +2,12 @@ package analyze
 
 import (
 	"fmt"
+	"go/types"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -192,23 +194,68 @@ func TestFixtureDiagnosticsGolden(t *testing.T) {
 	}
 }
 
+// loadRepo loads the whole program, this module and the bench/ harness
+// as one build, once per test binary.
+var loadRepo = sync.OnceValues(func() ([]*Package, error) {
+	return Load("../../bench", "selfstab/...", "./...")
+})
+
+// repoPackages is loadRepo for a test: it skips under -short and fails
+// the test if the load failed.
+func repoPackages(t *testing.T) []*Package {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks the whole repository")
+	}
+	pkgs, err := loadRepo()
+	if err != nil {
+		t.Fatalf("loading repository: %v", err)
+	}
+	return pkgs
+}
+
 // TestSuiteOnRepo is the acceptance gate in test form: the shipped
 // suite, with its production configs, runs clean over the repository
 // itself and the bench/ harness, loaded as one program. This is the same
 // sweep CI performs via cmd/selfstab-lint with no arguments.
 func TestSuiteOnRepo(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole repository")
-	}
-	pkgs, err := Load("../../bench", "selfstab/...", "./...")
-	if err != nil {
-		t.Fatalf("loading repository: %v", err)
-	}
+	pkgs := repoPackages(t)
 	diags, err := Run(pkgs, Suite())
 	if err != nil {
 		t.Fatalf("running suite: %v", err)
 	}
 	for _, d := range diags {
 		t.Errorf("%s: %s (%s)", pkgs[0].Fset.Position(d.Pos), d.Message, d.Analyzer)
+	}
+}
+
+// TestDefaultConfigsNameRealCode: every package, type, method and
+// interface the production configs name exists in the whole program. An
+// analyzer skips a package path nothing loads without a word, so a
+// misspelled path would leave TestSuiteOnRepo green with its rule off.
+func TestDefaultConfigsNameRealCode(t *testing.T) {
+	loaded := map[string]*types.Package{}
+	for _, pkg := range repoPackages(t) {
+		loaded[pkg.Types.Path()] = pkg.Types
+	}
+	det, mo, obs, jc := DefaultDetRandConfig(), DefaultMapOrderConfig(), DefaultObsPureConfig(), DefaultJournalChokeConfig()
+	paths := slices.Concat(det.Core, []string{det.RNGImport}, mo.Packages, []string{mo.RNGImport},
+		obs.Core, []string{obs.ObsPkg, jc.PkgPath})
+	for _, p := range paths {
+		if loaded[p] == nil {
+			t.Errorf("config names package %q, which the whole program does not contain", p)
+		}
+	}
+	if w := loaded[jc.PkgPath]; w != nil {
+		if world := lookupNamedType(w, jc.TypeName); world == nil {
+			t.Errorf("journalchoke: no type %s.%s", jc.PkgPath, jc.TypeName)
+		} else if m, _, _ := types.LookupFieldOrMethod(types.NewPointer(world), false, w, jc.Choke); m == nil {
+			t.Errorf("journalchoke: no method (*%s).%s", jc.TypeName, jc.Choke)
+		}
+	}
+	if o := loaded[obs.ObsPkg]; o != nil {
+		if iface := o.Scope().Lookup(obs.Iface); iface == nil || !types.IsInterface(iface.Type()) {
+			t.Errorf("obspure: %s.%s is not an interface", obs.ObsPkg, obs.Iface)
+		}
 	}
 }

@@ -20,9 +20,10 @@ import (
 //	               hotpath analyzer)
 //	orderinvariant on or directly above a `for range` over a map —
 //	               declares the loop order-independent; reason required
-//	mutator        doc comment of a method — exported fact consumed by
-//	               journalchoke: calling this method changes the world
-//	               trajectory and must happen under the journal
+//	mutator        doc comment of a method — read by journalchoke:
+//	               calling this method changes the world trajectory and
+//	               must happen under the journal (obspure also walks the
+//	               step path from it)
 //	unjournaled    doc comment of a method of the journaled world type —
 //	               declares it deliberately outside the op journal, and
 //	               exempts its call subtree from the chokepoint walk;
@@ -37,8 +38,9 @@ import (
 //	               a test contract compares against it (checked by
 //	               testonly); reason required
 //
-// A malformed annotation (unknown verb, missing reason, stray space,
-// wrong placement) is a diagnostic, never a silent no-op: an annotation
+// Run scans each package once. A malformed annotation (unknown verb,
+// missing reason, stray space, wrong placement) is a diagnostic, never a
+// silent no-op: an annotation
 // that doesn't parse is an invariant that silently stopped being
 // enforced, which is exactly the failure mode this suite exists to
 // prevent.
@@ -66,10 +68,7 @@ var verbPlacement = map[string]string{
 // annotation is one parsed //selfstab: comment.
 type annotation struct {
 	verb   string
-	reason string
 	pos    token.Pos
-	line   int
-	file   string
 	placed bool // consumed by a legal attachment point
 }
 
@@ -79,9 +78,9 @@ type annotations struct {
 	funcs  map[*ast.FuncDecl]map[string]*annotation
 	fields map[*ast.Field]map[string]*annotation
 	specs  map[ast.Spec]map[string]*annotation
-	// lines holds statement-level annotations (orderinvariant) keyed by
-	// file name and the line the annotation sits on.
-	lines map[string]map[int]*annotation
+	// ranges holds the range statements an orderinvariant annotation
+	// covers: trailing on the same line or on the line directly above.
+	ranges map[*ast.RangeStmt]bool
 }
 
 // fn returns the verb annotation attached to decl's doc comment, or nil.
@@ -100,46 +99,28 @@ func (a *annotations) spec(s ast.Spec, verb string) *annotation {
 	return a.specs[s][verb]
 }
 
-// stmtAllowed reports whether an orderinvariant annotation covers a
-// statement starting at pos: either trailing on the same line or on the
-// line directly above.
-func (a *annotations) stmtAllowed(fset *token.FileSet, pos token.Pos) bool {
-	p := fset.Position(pos)
-	byLine := a.lines[p.Filename]
-	if byLine == nil {
-		return false
-	}
-	for _, l := range []int{p.Line, p.Line - 1} {
-		if ann := byLine[l]; ann != nil && ann.verb == "orderinvariant" {
-			ann.placed = true
-			return true
-		}
-	}
-	return false
-}
-
-// scanAnnotations parses every //selfstab: comment in the pass's files,
-// reports malformed or misplaced ones through the pass, and returns the
-// well-formed ones indexed by attachment point. Analyzers share this
-// scanner; duplicate malformed-annotation diagnostics from multiple
-// analyzers are collapsed by the runner.
-func scanAnnotations(pass *Pass) *annotations {
+// scanAnnotations parses every //selfstab: comment in pkg's files,
+// reports malformed or misplaced ones through pass, and returns the
+// well-formed ones indexed by attachment point.
+func scanAnnotations(pass *Pass, pkg *Package) *annotations {
 	anns := &annotations{
 		funcs:  make(map[*ast.FuncDecl]map[string]*annotation),
 		fields: make(map[*ast.Field]map[string]*annotation),
 		specs:  make(map[ast.Spec]map[string]*annotation),
-		lines:  make(map[string]map[int]*annotation),
+		ranges: make(map[*ast.RangeStmt]bool),
 	}
 	var parsed []*annotation
-	for _, f := range pass.Files {
+	lines := make(map[string]map[int]*annotation) // by file name and line
+	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				if a := parseAnnotation(pass, c); a != nil {
 					parsed = append(parsed, a)
-					if anns.lines[a.file] == nil {
-						anns.lines[a.file] = make(map[int]*annotation)
+					p := pass.Fset.Position(a.pos)
+					if lines[p.Filename] == nil {
+						lines[p.Filename] = make(map[int]*annotation)
 					}
-					anns.lines[a.file][a.line] = a
+					lines[p.Filename][p.Line] = a
 				}
 			}
 		}
@@ -173,7 +154,7 @@ func scanAnnotations(pass *Pass) *annotations {
 		}
 		return claimed
 	}
-	for _, f := range pass.Files {
+	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
@@ -197,15 +178,14 @@ func scanAnnotations(pass *Pass) *annotations {
 					anns.specs[s] = attach([]string{"testref"}, docs...)
 				}
 			case *ast.RangeStmt:
-				// orderinvariant placement is validated lazily: mark any
-				// annotation on or directly above a range statement as
-				// placed, whether or not the analyzer ends up needing it.
+				// An orderinvariant annotation on or directly above a
+				// range statement is placed, whether or not the range is
+				// over a map.
 				p := pass.Fset.Position(n.Pos())
-				if byLine := anns.lines[p.Filename]; byLine != nil {
-					for _, l := range []int{p.Line, p.Line - 1} {
-						if a := byLine[l]; a != nil && a.verb == "orderinvariant" {
-							a.placed = true
-						}
+				for _, l := range []int{p.Line, p.Line - 1} {
+					if a := lines[p.Filename][l]; a != nil && a.verb == "orderinvariant" {
+						a.placed = true
+						anns.ranges[n] = true
 					}
 				}
 			}
@@ -264,6 +244,5 @@ func parseAnnotation(pass *Pass, c *ast.Comment) *annotation {
 		pass.Reportf(c.Slash, "malformed selfstab annotation: //selfstab:%s requires a reason (//selfstab:%s <why>)", verb, verb)
 		return nil
 	}
-	p := pass.Fset.Position(c.Slash)
-	return &annotation{verb: verb, reason: reason, pos: c.Slash, line: p.Line, file: p.Filename}
+	return &annotation{verb: verb, pos: c.Slash}
 }

@@ -65,53 +65,50 @@ func NewDetRand(cfg DetRandConfig) *Analyzer {
 		core[p] = true
 	}
 	a.Run = func(pass *Pass) error {
-		isCore := core[pass.Pkg.Path()]
-		consumer := false
-		for _, imp := range pass.Pkg.Imports() {
-			if imp.Path() == cfg.RNGImport {
-				consumer = true
-				break
+		for _, pkg := range pass.Pkgs {
+			if core[pkg.Types.Path()] || imported(pkg.Types, cfg.RNGImport) != nil {
+				checkDetRand(pass, pkg, cfg.RNGImport, core[pkg.Types.Path()])
 			}
-		}
-		if !isCore && !consumer {
-			return nil
-		}
-		scanAnnotations(pass) // validate annotations even where no rule fires
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				id, ok := n.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				obj := pass.Info.Uses[id]
-				fn, ok := obj.(*types.Func)
-				if !ok || fn.Pkg() == nil {
-					return true
-				}
-				if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-					return true // methods (e.g. (*rand.Rand).Intn on a seeded instance) are fine
-				}
-				switch path := fn.Pkg().Path(); {
-				case path == "math/rand" || path == "math/rand/v2":
-					if randConstructors[fn.Name()] {
-						if pass.Pkg.Path() == cfg.RNGImport {
-							return true // the wrapper package is where generators are built
-						}
-						pass.Reportf(id.Pos(), "%s.%s constructs a generator outside the rng wrapper package; derive a stream from the master seed (Split/SplitN) instead", pathBase(path), fn.Name())
-						return true
-					}
-					pass.Reportf(id.Pos(), "global %s.%s draws from shared process-wide state; draw from a seeded rng stream (Split/SplitN) instead", pathBase(path), fn.Name())
-				case isCore && path == "time" && (fn.Name() == "Now" || fn.Name() == "Since" || fn.Name() == "Until"):
-					pass.Reportf(id.Pos(), "time.%s in deterministic package %s: wall-clock reads break replay determinism", fn.Name(), pass.Pkg.Path())
-				case isCore && path == "os" && (fn.Name() == "Getenv" || fn.Name() == "LookupEnv" || fn.Name() == "Environ"):
-					pass.Reportf(id.Pos(), "os.%s in deterministic package %s: environment-conditioned logic breaks replay determinism", fn.Name(), pass.Pkg.Path())
-				}
-				return true
-			})
 		}
 		return nil
 	}
 	return a
+}
+
+// checkDetRand reports pkg's global math/rand draws and generator
+// constructions, and, when isCore, its wall-clock and environment reads.
+func checkDetRand(pass *Pass, pkg *Package, rngImport string, isCore bool) {
+	for _, f := range pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			fn, ok := pkg.Info.Uses[id].(*types.Func)
+			if !ok || fn.Pkg() == nil {
+				return true
+			}
+			if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
+				return true // methods (e.g. (*rand.Rand).Intn on a seeded instance) are fine
+			}
+			switch path := fn.Pkg().Path(); {
+			case path == "math/rand" || path == "math/rand/v2":
+				if randConstructors[fn.Name()] {
+					if pkg.Types.Path() == rngImport {
+						return true // the wrapper package is where generators are built
+					}
+					pass.Reportf(id.Pos(), "%s.%s constructs a generator outside the rng wrapper package; derive a stream from the master seed (Split/SplitN) instead", pathBase(path), fn.Name())
+					return true
+				}
+				pass.Reportf(id.Pos(), "global %s.%s draws from shared process-wide state; draw from a seeded rng stream (Split/SplitN) instead", pathBase(path), fn.Name())
+			case isCore && path == "time" && (fn.Name() == "Now" || fn.Name() == "Since" || fn.Name() == "Until"):
+				pass.Reportf(id.Pos(), "time.%s in deterministic package %s: wall-clock reads break replay determinism", fn.Name(), pkg.Types.Path())
+			case isCore && path == "os" && (fn.Name() == "Getenv" || fn.Name() == "LookupEnv" || fn.Name() == "Environ"):
+				pass.Reportf(id.Pos(), "os.%s in deterministic package %s: environment-conditioned logic breaks replay determinism", fn.Name(), pkg.Types.Path())
+			}
+			return true
+		})
+	}
 }
 
 func pathBase(p string) string {

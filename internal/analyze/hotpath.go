@@ -34,19 +34,19 @@ func NewHotPath() *Analyzer {
 			"closures, interface boxing) inside functions annotated //selfstab:hotpath.",
 	}
 	a.Run = func(pass *Pass) error {
-		anns := scanAnnotations(pass)
-		forEachFuncDecl(pass, func(decl *ast.FuncDecl, fn *types.Func) {
-			if anns.fn(decl, "hotpath") == nil || decl.Body == nil {
-				return
-			}
-			checkHotBody(pass, fn.Name(), decl.Body)
-		})
+		for _, pkg := range pass.Pkgs {
+			forEachFuncDecl(pkg, func(decl *ast.FuncDecl, fn *types.Func) {
+				if pkg.anns.fn(decl, "hotpath") != nil && decl.Body != nil {
+					checkHotBody(pass, pkg.Info, fn.Name(), decl.Body)
+				}
+			})
+		}
 		return nil
 	}
 	return a
 }
 
-func checkHotBody(pass *Pass, name string, body *ast.BlockStmt) {
+func checkHotBody(pass *Pass, info *types.Info, name string, body *ast.BlockStmt) {
 	report := func(n ast.Node, format string, args ...any) {
 		pass.Reportf(n.Pos(), "hotpath function %s: "+format, append([]any{name}, args...)...)
 	}
@@ -56,7 +56,7 @@ func checkHotBody(pass *Pass, name string, body *ast.BlockStmt) {
 			report(n, "closure literal allocates when it escapes; hoist it to a named method")
 			return false // its body is cold by definition once hoisting is required
 		case *ast.CompositeLit:
-			t := pass.Info.Types[n].Type
+			t := info.Types[n].Type
 			if t == nil {
 				return true
 			}
@@ -67,12 +67,11 @@ func checkHotBody(pass *Pass, name string, body *ast.BlockStmt) {
 				report(n, "slice literal allocates on every execution")
 			}
 		case *ast.CallExpr:
-			checkHotCall(pass, report, n)
+			checkHotCall(info, report, n)
 		case *ast.AssignStmt:
 			if len(n.Lhs) == len(n.Rhs) {
 				for i := range n.Lhs {
-					lt := pass.Info.Types[n.Lhs[i]].Type
-					checkBoxing(pass, report, n.Rhs[i], lt)
+					checkBoxing(info, report, n.Rhs[i], info.Types[n.Lhs[i]].Type)
 				}
 			}
 		}
@@ -82,23 +81,26 @@ func checkHotBody(pass *Pass, name string, body *ast.BlockStmt) {
 
 // checkHotCall flags fmt calls, explicit interface conversions, and
 // implicit concrete-to-interface argument boxing.
-func checkHotCall(pass *Pass, report func(ast.Node, string, ...any), call *ast.CallExpr) {
+func checkHotCall(info *types.Info, report func(ast.Node, string, ...any), call *ast.CallExpr) {
+	tv := info.Types[call.Fun]
 	// Explicit conversion: T(x) where T is an interface type.
-	if tv, ok := pass.Info.Types[call.Fun]; ok && tv.IsType() {
+	if tv.IsType() {
 		if len(call.Args) == 1 {
-			checkBoxing(pass, report, call.Args[0], tv.Type)
+			checkBoxing(info, report, call.Args[0], tv.Type)
 		}
 		return
 	}
-	if fn := calleeFunc(pass, call); fn != nil {
-		if fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
-			report(call, "call to fmt.%s allocates; move error/formatting to a cold helper", fn.Name())
-			return
-		}
+	if fn := staticFunc(info, call.Fun); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
+		report(call, "call to fmt.%s allocates; move error/formatting to a cold helper", fn.Name())
+		return
 	}
-	// Implicit boxing at the call boundary.
-	sig := calleeSignature(pass, call)
-	if sig == nil {
+	// Implicit boxing at the call boundary, calls through func values
+	// included.
+	if tv.Type == nil {
+		return
+	}
+	sig, ok := tv.Type.Underlying().(*types.Signature)
+	if !ok {
 		return
 	}
 	params := sig.Params()
@@ -118,17 +120,17 @@ func checkHotCall(pass *Pass, report func(ast.Node, string, ...any), call *ast.C
 		default:
 			continue
 		}
-		checkBoxing(pass, report, arg, pt)
+		checkBoxing(info, report, arg, pt)
 	}
 }
 
 // checkBoxing reports expr if it is a concrete (non-interface, typed,
 // non-nil) value being placed into an interface-typed slot.
-func checkBoxing(pass *Pass, report func(ast.Node, string, ...any), expr ast.Expr, dst types.Type) {
+func checkBoxing(info *types.Info, report func(ast.Node, string, ...any), expr ast.Expr, dst types.Type) {
 	if dst == nil || !types.IsInterface(dst) {
 		return
 	}
-	tv, ok := pass.Info.Types[expr]
+	tv, ok := info.Types[expr]
 	if !ok || tv.Type == nil {
 		return
 	}
@@ -140,34 +142,4 @@ func checkBoxing(pass *Pass, report func(ast.Node, string, ...any), expr ast.Exp
 		return
 	}
 	report(expr, "%s value converted to interface %s allocates (boxing)", tv.Type.String(), dst.String())
-}
-
-// calleeFunc resolves a call's static callee, or nil for dynamic calls
-// and builtins.
-func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := pass.Info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		if sel, ok := pass.Info.Selections[fun]; ok {
-			fn, _ := sel.Obj().(*types.Func)
-			return fn
-		}
-		fn, _ := pass.Info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
-// calleeSignature returns the signature of the called function or
-// method, including dynamic calls through func values; nil for builtins
-// and conversions.
-func calleeSignature(pass *Pass, call *ast.CallExpr) *types.Signature {
-	tv, ok := pass.Info.Types[call.Fun]
-	if !ok || tv.Type == nil {
-		return nil
-	}
-	sig, _ := tv.Type.Underlying().(*types.Signature)
-	return sig
 }

@@ -3,8 +3,8 @@ package analyze
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
-	"sort"
 )
 
 // JournalChokeConfig parameterizes the journalchoke analyzer;
@@ -27,10 +27,6 @@ func DefaultJournalChokeConfig() JournalChokeConfig {
 	return JournalChokeConfig{PkgPath: "selfstab", TypeName: "Network", Choke: "applyOp"}
 }
 
-// mutatorFactKey is the package-fact name under which journalchoke
-// exports the set of //selfstab:mutator-annotated methods.
-const mutatorFactKey = "mutators"
-
 // NewJournalChoke returns the journal-chokepoint analyzer for cfg.
 //
 // The snapshot/replay contract (journal.go) holds only if the op
@@ -40,7 +36,8 @@ const mutatorFactKey = "mutators"
 // with call-graph reachability:
 //
 //  1. Engine packages annotate their trajectory-changing entry points
-//     //selfstab:mutator; journalchoke exports them as package facts.
+//     //selfstab:mutator; journalchoke collects them from every loaded
+//     package.
 //  2. For each exported method on the world type it walks the static
 //     intra-package call graph, NOT descending into the chokepoint
 //     (whose subtree is journaled by construction).
@@ -64,158 +61,114 @@ func NewJournalChoke(cfg JournalChokeConfig) *Analyzer {
 			"by construction.",
 	}
 	a.Run = func(pass *Pass) error {
-		anns := scanAnnotations(pass)
-
-		// Phase 1 (every package): export the set of mutator-annotated
-		// methods as a fact for importing packages.
-		local := map[string]bool{}
-		forEachFuncDecl(pass, func(decl *ast.FuncDecl, fn *types.Func) {
-			if anns.fn(decl, "mutator") != nil {
-				local[fn.FullName()] = true
-			}
-		})
-		if len(local) > 0 {
-			pass.ExportPackageFact(mutatorFactKey, local)
-		}
-		if pass.Pkg.Path() != cfg.PkgPath {
-			return nil
-		}
-
-		// Phase 2 (the world package): gather mutator facts from the
-		// transitive imports, plus any local annotations.
+		// Mutators are keyed by full name: each package is type-checked
+		// against its imports' export data, so the same method is a
+		// different types.Func in every package that sees it.
 		mutators := map[string]bool{}
-		for k := range local {
-			mutators[k] = true
-		}
-		seen := map[string]bool{}
-		var walk func(p *types.Package)
-		walk = func(p *types.Package) {
-			if seen[p.Path()] {
-				return
-			}
-			seen[p.Path()] = true
-			if f, ok := pass.ImportPackageFact(p.Path(), mutatorFactKey).(map[string]bool); ok {
-				for k := range f {
-					mutators[k] = true
+		var worldPkg *Package
+		for _, pkg := range pass.Pkgs {
+			forEachFuncDecl(pkg, func(decl *ast.FuncDecl, fn *types.Func) {
+				if pkg.anns.fn(decl, "mutator") != nil {
+					mutators[fn.FullName()] = true
 				}
-			}
-			for _, imp := range p.Imports() {
-				walk(imp)
+			})
+			if pkg.Types.Path() == cfg.PkgPath {
+				worldPkg = pkg
 			}
 		}
-		walk(pass.Pkg)
-
-		world := lookupNamedType(pass.Pkg, cfg.TypeName)
-		if world == nil {
-			return fmt.Errorf("journalchoke: type %s.%s not found", cfg.PkgPath, cfg.TypeName)
-		}
-
-		// Build per-function summaries: static callees plus mutation
-		// sites (mutator references and world-field stores).
-		cacheSet := cacheFields(pass, anns, world)
-		sums := map[*types.Func]*funcSummary{}
-		exempt := map[*types.Func]bool{}
-		var chokeFn *types.Func
-		forEachFuncDecl(pass, func(decl *ast.FuncDecl, fn *types.Func) {
-			s := summarize(pass, decl, world, mutators, cacheSet)
-			sums[fn] = s
-			if anns.fn(decl, "unjournaled") != nil {
-				exempt[fn] = true
-			}
-			if fn.Name() == cfg.Choke && receiverIs(fn, world) {
-				chokeFn = fn
-			}
-		})
-		if chokeFn == nil {
-			pass.Reportf(pass.Files[0].Pos(), "journal chokepoint (*%s).%s not found: the snapshot/replay contract has no enforcement point (renamed without updating the lint config?)", cfg.TypeName, cfg.Choke)
+		if worldPkg == nil {
 			return nil
 		}
-
-		// Phase 3: check each exported method of the world type.
-		forEachFuncDecl(pass, func(decl *ast.FuncDecl, fn *types.Func) {
-			if !fn.Exported() || !receiverIs(fn, world) || fn == chokeFn {
-				return
-			}
-			if exempt[fn] {
-				return
-			}
-			if site := findUnjournaledMutation(fn, chokeFn, exempt, sums); site != nil {
-				pass.Reportf(decl.Name.Pos(),
-					"exported method (*%s).%s mutates world state without the %s journal chokepoint (%s); route the mutation through %s or annotate //selfstab:unjournaled <why>",
-					cfg.TypeName, fn.Name(), cfg.Choke, site.desc, cfg.Choke)
-			}
-		})
-		return nil
+		return checkJournal(pass, worldPkg, cfg, mutators)
 	}
 	return a
 }
 
-// mutationSite describes one place a function changes world state.
-type mutationSite struct {
-	desc string
-}
-
-type funcSummary struct {
-	callees   []*types.Func
-	mutations []mutationSite
-}
-
-// summarize walks one function body collecting static callees and
-// mutation sites. Calls inside closures are attributed to the enclosing
-// declaration — conservative and order-safe, since the closure can run
-// whenever the method does.
-func summarize(pass *Pass, decl *ast.FuncDecl, world *types.Named, mutators map[string]bool, cacheSet map[string]bool) *funcSummary {
-	s := &funcSummary{}
-	if decl.Body == nil {
-		return s
+// checkJournal reports each exported method of the world type in pkg
+// that reaches a mutation without passing the chokepoint.
+func checkJournal(pass *Pass, pkg *Package, cfg JournalChokeConfig, mutators map[string]bool) error {
+	world := lookupNamedType(pkg.Types, cfg.TypeName)
+	if world == nil {
+		return fmt.Errorf("journalchoke: type %s.%s not found", cfg.PkgPath, cfg.TypeName)
 	}
-	calleeSet := map[*types.Func]bool{}
-	record := func(fn *types.Func, pos ast.Node) {
-		if fn == nil {
+	cacheSet := cacheFields(pkg, world)
+	g := newCallGraph(pkg)
+	sites := map[*types.Func]string{}
+	exempt := map[*types.Func]bool{}
+	var chokeFn *types.Func
+	forEachFuncDecl(pkg, func(decl *ast.FuncDecl, fn *types.Func) {
+		if site := firstMutation(pass.Fset, pkg.Info, decl, g.refs[fn], world, mutators, cacheSet); site != "" {
+			sites[fn] = site
+		}
+		if pkg.anns.fn(decl, "unjournaled") != nil {
+			exempt[fn] = true
+		}
+		if fn.Name() == cfg.Choke && receiverIs(fn, world) {
+			chokeFn = fn
+		}
+	})
+	if chokeFn == nil {
+		pass.Reportf(pkg.Files[0].Pos(), "journal chokepoint (*%s).%s not found: the snapshot/replay contract has no enforcement point (renamed without updating the lint config?)", cfg.TypeName, cfg.Choke)
+		return nil
+	}
+	stop := func(fn *types.Func) bool { return fn == chokeFn || exempt[fn] }
+	forEachFuncDecl(pkg, func(decl *ast.FuncDecl, fn *types.Func) {
+		if !fn.Exported() || !receiverIs(fn, world) || stop(fn) {
 			return
 		}
-		if mutators[fn.FullName()] {
-			s.mutations = append(s.mutations, mutationSite{desc: "call to " + fn.FullName() + " at " + pass.Fset.Position(pos.Pos()).String()})
+		for _, reached := range g.reach([]*types.Func{fn}, stop) {
+			site, ok := sites[reached]
+			if !ok {
+				continue
+			}
+			if reached != fn {
+				site = "via " + reached.Name() + ": " + site
+			}
+			pass.Reportf(decl.Name.Pos(),
+				"exported method (*%s).%s mutates world state without the %s journal chokepoint (%s); route the mutation through %s or annotate //selfstab:unjournaled <why>",
+				cfg.TypeName, fn.Name(), cfg.Choke, site, cfg.Choke)
+			return
 		}
-		if fn.Pkg() == pass.Pkg && !calleeSet[fn] {
-			calleeSet[fn] = true
-			s.callees = append(s.callees, fn)
-		}
-	}
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.Ident:
-			if fn, ok := pass.Info.Uses[n].(*types.Func); ok {
-				record(fn, n)
-			}
-		case *ast.SelectorExpr:
-			if sel, ok := pass.Info.Selections[n]; ok {
-				if fn, ok := sel.Obj().(*types.Func); ok {
-					record(fn, n)
-				}
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if site := worldStore(pass, lhs, world, cacheSet); site != nil {
-					s.mutations = append(s.mutations, *site)
-				}
-			}
-		case *ast.IncDecStmt:
-			if site := worldStore(pass, n.X, world, cacheSet); site != nil {
-				s.mutations = append(s.mutations, *site)
-			}
-		}
-		return true
 	})
-	// Deterministic summaries: report the first site in source order.
-	sort.SliceStable(s.mutations, func(i, j int) bool { return s.mutations[i].desc < s.mutations[j].desc })
-	return s
+	return nil
 }
 
-// worldStore reports whether lhs writes through a value of the world
-// type (a selector or index chain rooted at a *World/World variable),
-// excluding stores whose first field hop is annotated //selfstab:cache.
-func worldStore(pass *Pass, lhs ast.Expr, world *types.Named, cacheSet map[string]bool) *mutationSite {
+// firstMutation describes where decl changes world state: its first
+// call to a mutator among its references refs, or else its first store
+// to a world field not annotated //selfstab:cache, each in source order.
+// It returns "" when decl changes nothing.
+func firstMutation(fset *token.FileSet, info *types.Info, decl *ast.FuncDecl, refs []funcRef, world *types.Named, mutators map[string]bool, cacheSet map[string]bool) string {
+	for _, r := range refs {
+		if mutators[r.fn.FullName()] {
+			return "call to " + r.fn.FullName() + " at " + fset.Position(r.pos).String()
+		}
+	}
+	desc := ""
+	store := func(lhs ast.Expr) {
+		if field := worldField(info, lhs, world); desc == "" && field != "" && !cacheSet[field] {
+			desc = "store to " + world.Obj().Name() + "." + field + " at " + fset.Position(lhs.Pos()).String()
+		}
+	}
+	if decl.Body != nil {
+		ast.Inspect(decl.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					store(lhs)
+				}
+			case *ast.IncDecStmt:
+				store(n.X)
+			}
+			return true
+		})
+	}
+	return desc
+}
+
+// worldField returns the first field hop of lhs when lhs writes through
+// a value of the world type (a selector or index chain rooted at a
+// *World/World variable), and "" otherwise.
+func worldField(info *types.Info, lhs ast.Expr, world *types.Named) string {
 	firstField := ""
 	expr := lhs
 	for {
@@ -230,36 +183,33 @@ func worldStore(pass *Pass, lhs ast.Expr, world *types.Named, cacheSet map[strin
 			firstField = e.Sel.Name
 			expr = e.X
 		case *ast.Ident:
-			t := pass.Info.Types[e].Type
+			t := info.Types[e].Type
 			if t == nil {
-				if obj := pass.Info.Uses[e]; obj != nil {
+				if obj := info.Uses[e]; obj != nil {
 					t = obj.Type()
 				}
 			}
-			if t == nil || firstField == "" {
-				return nil
+			if t == nil {
+				return ""
 			}
 			if p, ok := t.(*types.Pointer); ok {
 				t = p.Elem()
 			}
 			if named, ok := t.(*types.Named); !ok || named.Obj() != world.Obj() {
-				return nil
+				return ""
 			}
-			if cacheSet[firstField] {
-				return nil
-			}
-			return &mutationSite{desc: "store to " + world.Obj().Name() + "." + firstField + " at " + pass.Fset.Position(lhs.Pos()).String()}
+			return firstField
 		default:
-			return nil
+			return ""
 		}
 	}
 }
 
 // cacheFields returns the set of world-struct field names annotated
 // //selfstab:cache.
-func cacheFields(pass *Pass, anns *annotations, world *types.Named) map[string]bool {
+func cacheFields(pkg *Package, world *types.Named) map[string]bool {
 	m := map[string]bool{}
-	for _, f := range pass.Files {
+	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
 			if !ok || ts.Name.Name != world.Obj().Name() {
@@ -270,7 +220,7 @@ func cacheFields(pass *Pass, anns *annotations, world *types.Named) map[string]b
 				return true
 			}
 			for _, field := range st.Fields.List {
-				if anns.field(field, "cache") != nil {
+				if pkg.anns.field(field, "cache") != nil {
 					for _, name := range field.Names {
 						m[name.Name] = true
 					}
@@ -280,55 +230,6 @@ func cacheFields(pass *Pass, anns *annotations, world *types.Named) map[string]b
 		})
 	}
 	return m
-}
-
-// findUnjournaledMutation walks the call graph from fn, never entering
-// the chokepoint or an //selfstab:unjournaled-vetted method, and returns
-// the first mutation site reached (BFS in deterministic order), or nil.
-func findUnjournaledMutation(fn, choke *types.Func, exempt map[*types.Func]bool, sums map[*types.Func]*funcSummary) *mutationSite {
-	visited := map[*types.Func]bool{fn: true}
-	queue := []*types.Func{fn}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		s := sums[cur]
-		if s == nil {
-			continue
-		}
-		if len(s.mutations) > 0 {
-			site := s.mutations[0]
-			if cur != fn {
-				site.desc = "via " + cur.Name() + ": " + site.desc
-			}
-			return &site
-		}
-		for _, callee := range s.callees {
-			if callee == choke || exempt[callee] || visited[callee] {
-				continue
-			}
-			visited[callee] = true
-			queue = append(queue, callee)
-		}
-	}
-	return nil
-}
-
-// forEachFuncDecl invokes fn for every declared function or method in
-// the package, in file order.
-func forEachFuncDecl(pass *Pass, fn func(*ast.FuncDecl, *types.Func)) {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			obj, ok := pass.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			fn(fd, obj)
-		}
-	}
 }
 
 // lookupNamedType resolves a named type declared in pkg.

@@ -13,19 +13,17 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 )
 
 // Package is one loaded, parsed and type-checked package ready for
 // analysis.
 type Package struct {
-	PkgPath string
-	Dir     string
-	Fset    *token.FileSet
-	Files   []*ast.File
-	Types   *types.Package
-	Info    *types.Info
-	Imports []string // import paths, restricted to other loaded packages
+	Fset  *token.FileSet
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
+
+	anns *annotations // set by Run
 }
 
 // listedPackage is the subset of `go list -json` output the loader
@@ -33,11 +31,10 @@ type Package struct {
 type listedPackage struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	GoFiles    []string
 	Export     string
 	Standard   bool
-	Imports    []string
+	DepOnly    bool
 	Error      *struct{ Err string }
 }
 
@@ -46,54 +43,37 @@ type listedPackage struct {
 // (non-test files only — the invariants the analyzers enforce live in
 // shipped code) and type-checked against gc export data produced by
 // `go list -export`, so loading works offline with only the standard
-// library. Packages are returned in dependency order: a package always
-// precedes the packages that import it, which is what lets analyzer
-// facts flow from imported to importing packages in a single pass.
+// library. One `go list -deps` call gives the transitive closure
+// depth-first, post-order: export data for every dependency (the
+// importer's food), the matched packages marked as not DepOnly, and
+// every package after its dependencies, which is the order Load keeps.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
-	// One invocation with -deps gives the transitive closure: export
-	// data for every dependency (the importer's food) and the full
-	// package metadata for the roots.
-	depArgs := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Dir,Name,GoFiles,Export,Standard,Imports,Error", "--"}, patterns...)
-	deps, err := runGoList(dir, depArgs)
-	if err != nil {
-		return nil, err
+	cmd := exec.Command("go", append([]string{"list", "-e", "-export", "-deps",
+		"-json=ImportPath,Dir,GoFiles,Export,Standard,DepOnly,Error", "--"}, patterns...)...)
+	cmd.Dir = dir
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout = &stdout
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		return nil, fmt.Errorf("analyze: go list: %v\n%s", err, stderr.String())
 	}
-	exports := make(map[string]string, len(deps))
-	for _, p := range deps {
+	var listed []*listedPackage
+	exports := make(map[string]string)
+	for dec := json.NewDecoder(&stdout); ; {
+		p := new(listedPackage)
+		if err := dec.Decode(p); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("analyze: decoding go list output: %w", err)
+		}
+		listed = append(listed, p)
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
 	}
-
-	// A second, non-deps invocation names the roots to analyze.
-	rootArgs := append([]string{"list", "-e", "-json=ImportPath,Error", "--"}, patterns...)
-	rootList, err := runGoList(dir, rootArgs)
-	if err != nil {
-		return nil, err
-	}
-	byPath := make(map[string]*listedPackage, len(deps))
-	for _, p := range deps {
-		byPath[p.ImportPath] = p
-	}
-	var roots []*listedPackage
-	for _, r := range rootList {
-		p, ok := byPath[r.ImportPath]
-		if !ok {
-			continue
-		}
-		if p.Error != nil {
-			return nil, fmt.Errorf("analyze: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if p.Standard || len(p.GoFiles) == 0 {
-			continue
-		}
-		roots = append(roots, p)
-	}
-	sortByDeps(roots)
 
 	fset := token.NewFileSet()
 	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
@@ -105,87 +85,23 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	})
 
 	var out []*Package
-	for _, p := range roots {
+	for _, p := range listed {
+		if p.DepOnly || p.Standard {
+			continue
+		}
+		if p.Error != nil {
+			return nil, fmt.Errorf("analyze: %s: %s", p.ImportPath, p.Error.Err)
+		}
+		if len(p.GoFiles) == 0 {
+			continue
+		}
 		pkg, err := typecheck(fset, imp, p)
 		if err != nil {
 			return nil, err
 		}
-		rootSet := make(map[string]bool, len(roots))
-		for _, r := range roots {
-			rootSet[r.ImportPath] = true
-		}
-		for _, ip := range p.Imports {
-			if rootSet[ip] {
-				pkg.Imports = append(pkg.Imports, ip)
-			}
-		}
 		out = append(out, pkg)
 	}
 	return out, nil
-}
-
-func runGoList(dir string, args []string) ([]*listedPackage, error) {
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("analyze: go %s: %v\n%s", args[0], err, stderr.String())
-	}
-	var pkgs []*listedPackage
-	dec := json.NewDecoder(&stdout)
-	for {
-		var p listedPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("analyze: decoding go list output: %w", err)
-		}
-		pkgs = append(pkgs, &p)
-	}
-	return pkgs, nil
-}
-
-// sortByDeps orders roots so every package precedes its importers
-// (stable within a rank: lexical by import path, so runs are
-// reproducible).
-func sortByDeps(roots []*listedPackage) {
-	rank := make(map[string]int, len(roots))
-	byPath := make(map[string]*listedPackage, len(roots))
-	for _, p := range roots {
-		byPath[p.ImportPath] = p
-	}
-	var depth func(p *listedPackage, seen map[string]bool) int
-	depth = func(p *listedPackage, seen map[string]bool) int {
-		if r, ok := rank[p.ImportPath]; ok {
-			return r
-		}
-		if seen[p.ImportPath] {
-			return 0 // import cycle: the compiler rejects it; don't recurse forever
-		}
-		seen[p.ImportPath] = true
-		d := 0
-		for _, ip := range p.Imports {
-			if q, ok := byPath[ip]; ok {
-				if dd := depth(q, seen) + 1; dd > d {
-					d = dd
-				}
-			}
-		}
-		rank[p.ImportPath] = d
-		return d
-	}
-	for _, p := range roots {
-		depth(p, make(map[string]bool))
-	}
-	sort.SliceStable(roots, func(i, j int) bool {
-		ri, rj := rank[roots[i].ImportPath], rank[roots[j].ImportPath]
-		if ri != rj {
-			return ri < rj
-		}
-		return roots[i].ImportPath < roots[j].ImportPath
-	})
 }
 
 func typecheck(fset *token.FileSet, imp types.Importer, p *listedPackage) (*Package, error) {
@@ -209,12 +125,5 @@ func typecheck(fset *token.FileSet, imp types.Importer, p *listedPackage) (*Pack
 	if err != nil {
 		return nil, fmt.Errorf("analyze: type-checking %s: %w", p.ImportPath, err)
 	}
-	return &Package{
-		PkgPath: p.ImportPath,
-		Dir:     p.Dir,
-		Fset:    fset,
-		Files:   files,
-		Types:   tpkg,
-		Info:    info,
-	}, nil
+	return &Package{Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }

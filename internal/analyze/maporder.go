@@ -48,55 +48,49 @@ func NewMapOrder(cfg MapOrderConfig) *Analyzer {
 		pkgs[p] = true
 	}
 	a.Run = func(pass *Pass) error {
-		apply := pkgs[pass.Pkg.Path()]
-		if !apply {
-			for _, imp := range pass.Pkg.Imports() {
-				if imp.Path() == cfg.RNGImport {
-					apply = true
-					break
-				}
+		for _, pkg := range pass.Pkgs {
+			if pkgs[pkg.Types.Path()] || imported(pkg.Types, cfg.RNGImport) != nil {
+				checkMapOrder(pass, pkg)
 			}
-		}
-		if !apply {
-			return nil
-		}
-		anns := scanAnnotations(pass)
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				rs, ok := n.(*ast.RangeStmt)
-				if !ok {
-					return true
-				}
-				t := pass.Info.Types[rs.X].Type
-				if t == nil {
-					return true
-				}
-				if _, isMap := t.Underlying().(*types.Map); !isMap {
-					return true
-				}
-				if rs.Key == nil && rs.Value == nil {
-					return true // body cannot see the iteration order
-				}
-				if anns.stmtAllowed(pass.Fset, rs.Pos()) {
-					return true
-				}
-				if isKeyCollectionLoop(pass, rs) {
-					return true
-				}
-				pass.Reportf(rs.Pos(), "map iteration order is nondeterministic in deterministic package %s; sort the keys before use or annotate //selfstab:orderinvariant <why>", pass.Pkg.Path())
-				return true
-			})
 		}
 		return nil
 	}
 	return a
 }
 
+// checkMapOrder reports pkg's map ranges that may observe the iteration
+// order.
+func checkMapOrder(pass *Pass, pkg *Package) {
+	for _, f := range pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			rs, ok := n.(*ast.RangeStmt)
+			if !ok {
+				return true
+			}
+			t := pkg.Info.Types[rs.X].Type
+			if t == nil {
+				return true
+			}
+			if _, isMap := t.Underlying().(*types.Map); !isMap {
+				return true
+			}
+			if rs.Key == nil && rs.Value == nil {
+				return true // body cannot see the iteration order
+			}
+			if pkg.anns.ranges[rs] || isKeyCollectionLoop(pkg.Info, rs) {
+				return true
+			}
+			pass.Reportf(rs.Pos(), "map iteration order is nondeterministic in deterministic package %s; sort the keys before use or annotate //selfstab:orderinvariant <why>", pkg.Types.Path())
+			return true
+		})
+	}
+}
+
 // isKeyCollectionLoop recognizes the one loop shape that is safe without
 // an annotation: a body that only appends the key to a slice
 // (`keys = append(keys, k)`), because any use of that slice must sort it
 // first — and maporder still guards the use sites.
-func isKeyCollectionLoop(pass *Pass, rs *ast.RangeStmt) bool {
+func isKeyCollectionLoop(info *types.Info, rs *ast.RangeStmt) bool {
 	if rs.Value != nil || rs.Key == nil {
 		return false
 	}
@@ -119,7 +113,7 @@ func isKeyCollectionLoop(pass *Pass, rs *ast.RangeStmt) bool {
 	if !ok || fn.Name != "append" {
 		return false
 	}
-	if b, ok := pass.Info.Uses[fn].(*types.Builtin); !ok || b.Name() != "append" {
+	if b, ok := info.Uses[fn].(*types.Builtin); !ok || b.Name() != "append" {
 		return false
 	}
 	arg, ok := call.Args[1].(*ast.Ident)

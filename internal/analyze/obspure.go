@@ -69,36 +69,31 @@ func NewObsPure(cfg ObsPureConfig) *Analyzer {
 		core[p] = true
 	}
 	a.Run = func(pass *Pass) error {
-		anns := scanAnnotations(pass)
-		checkProbeCallbacks(pass, cfg, core)
-		if core[pass.Pkg.Path()] {
-			checkStepPathReads(pass, cfg, anns)
+		for _, pkg := range pass.Pkgs {
+			checkProbeCallbacks(pass, pkg, cfg, core)
+			if core[pkg.Types.Path()] {
+				checkStepPathReads(pass, pkg, cfg.ObsPkg)
+			}
 		}
 		return nil
 	}
 	return a
 }
 
-// probeIface resolves the probe interface as seen from pass's package:
-// its own scope when it is the obs package, the imported scope otherwise
-// (a probe implementation necessarily imports the interface's package to
-// name the callback parameter types).
-func probeIface(pass *Pass, cfg ObsPureConfig) *types.Interface {
-	scope := func() *types.Scope {
-		if pass.Pkg.Path() == cfg.ObsPkg {
-			return pass.Pkg.Scope()
-		}
-		for _, imp := range pass.Pkg.Imports() {
-			if imp.Path() == cfg.ObsPkg {
-				return imp.Scope()
-			}
-		}
-		return nil
-	}()
-	if scope == nil {
+// probeIface resolves the probe interface as seen from pkg: its own
+// scope when it is the obs package, the imported scope otherwise (a probe
+// implementation necessarily imports the interface's package to name the
+// callback parameter types, and each package is type-checked against its
+// own import of it).
+func probeIface(pkg *types.Package, cfg ObsPureConfig) *types.Interface {
+	obs := pkg
+	if pkg.Path() != cfg.ObsPkg {
+		obs = imported(pkg, cfg.ObsPkg)
+	}
+	if obs == nil {
 		return nil
 	}
-	obj := scope.Lookup(cfg.Iface)
+	obj := obs.Scope().Lookup(cfg.Iface)
 	if obj == nil {
 		return nil
 	}
@@ -110,8 +105,8 @@ func probeIface(pass *Pass, cfg ObsPureConfig) *types.Interface {
 // that is part of a probe implementation's interface method set, the
 // body must not call into a core package nor store to core package-level
 // variables.
-func checkProbeCallbacks(pass *Pass, cfg ObsPureConfig, core map[string]bool) {
-	iface := probeIface(pass, cfg)
+func checkProbeCallbacks(pass *Pass, pkg *Package, cfg ObsPureConfig, core map[string]bool) {
+	iface := probeIface(pkg.Types, cfg)
 	if iface == nil {
 		return
 	}
@@ -119,7 +114,7 @@ func checkProbeCallbacks(pass *Pass, cfg ObsPureConfig, core map[string]bool) {
 	for i := 0; i < iface.NumMethods(); i++ {
 		callbacks[iface.Method(i).Name()] = true
 	}
-	forEachFuncDecl(pass, func(decl *ast.FuncDecl, fn *types.Func) {
+	forEachFuncDecl(pkg, func(decl *ast.FuncDecl, fn *types.Func) {
 		sig, ok := fn.Type().(*types.Signature)
 		if !ok || sig.Recv() == nil || !callbacks[fn.Name()] || decl.Body == nil {
 			return
@@ -139,17 +134,17 @@ func checkProbeCallbacks(pass *Pass, cfg ObsPureConfig, core map[string]bool) {
 		ast.Inspect(decl.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.Ident:
-				if callee, ok := pass.Info.Uses[n].(*types.Func); ok && callee.Pkg() != nil && core[callee.Pkg().Path()] {
+				if callee, ok := pkg.Info.Uses[n].(*types.Func); ok && callee.Pkg() != nil && core[callee.Pkg().Path()] {
 					pass.Reportf(n.Pos(),
 						"probe callback (%s).%s calls %s in engine package %s: probe callbacks must be pure observers and never feed back into the engine",
 						label, fn.Name(), callee.Name(), callee.Pkg().Path())
 				}
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
-					reportCoreStore(pass, lhs, core, label, fn.Name())
+					reportCoreStore(pass, pkg.Info, lhs, core, label, fn.Name())
 				}
 			case *ast.IncDecStmt:
-				reportCoreStore(pass, n.X, core, label, fn.Name())
+				reportCoreStore(pass, pkg.Info, n.X, core, label, fn.Name())
 			}
 			return true
 		})
@@ -159,13 +154,13 @@ func checkProbeCallbacks(pass *Pass, cfg ObsPureConfig, core map[string]bool) {
 // reportCoreStore flags an assignment target that resolves (through
 // selector/index/deref chains) to a package-level variable of a core
 // package.
-func reportCoreStore(pass *Pass, lhs ast.Expr, core map[string]bool, label, method string) {
+func reportCoreStore(pass *Pass, info *types.Info, lhs ast.Expr, core map[string]bool, label, method string) {
 	var obj types.Object
 	switch e := unwrapExpr(lhs).(type) {
 	case *ast.Ident:
-		obj = pass.Info.Uses[e]
+		obj = info.Uses[e]
 	case *ast.SelectorExpr:
-		obj = pass.Info.Uses[e.Sel]
+		obj = info.Uses[e.Sel]
 	default:
 		return
 	}
@@ -199,90 +194,31 @@ func unwrapExpr(e ast.Expr) ast.Expr {
 }
 
 // checkStepPathReads enforces direction 2 inside one core package: walk
-// the intra-package call graph from every //selfstab:mutator or
-// //selfstab:hotpath annotated function and flag any reachable call to a
-// value-returning function or method declared in the obs package.
-func checkStepPathReads(pass *Pass, cfg ObsPureConfig, anns *annotations) {
-	type obsRead struct {
-		pos  ast.Node
-		name string
-	}
-	type summary struct {
-		callees []*types.Func
-		reads   []obsRead
-	}
-	sums := map[*types.Func]*summary{}
+// the package's call graph from every //selfstab:mutator or
+// //selfstab:hotpath annotated function and flag any reachable reference
+// to a value-returning function or method declared in the obs package.
+func checkStepPathReads(pass *Pass, pkg *Package, obsPkg string) {
 	var roots []*types.Func
-	forEachFuncDecl(pass, func(decl *ast.FuncDecl, fn *types.Func) {
-		s := &summary{}
-		sums[fn] = s
-		if anns.fn(decl, "mutator") != nil || anns.fn(decl, "hotpath") != nil {
+	forEachFuncDecl(pkg, func(decl *ast.FuncDecl, fn *types.Func) {
+		if pkg.anns.fn(decl, "mutator") != nil || pkg.anns.fn(decl, "hotpath") != nil {
 			roots = append(roots, fn)
 		}
-		if decl.Body == nil {
-			return
-		}
-		seen := map[*types.Func]bool{}
-		record := func(callee *types.Func, n ast.Node) {
-			if callee == nil {
-				return
-			}
-			if callee.Pkg() != nil && callee.Pkg().Path() == cfg.ObsPkg {
-				if sig, ok := callee.Type().(*types.Signature); ok && sig.Results().Len() > 0 {
-					s.reads = append(s.reads, obsRead{pos: n, name: callee.Name()})
-				}
-			}
-			if callee.Pkg() == pass.Pkg && !seen[callee] {
-				seen[callee] = true
-				s.callees = append(s.callees, callee)
-			}
-		}
-		ast.Inspect(decl.Body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.Ident:
-				if callee, ok := pass.Info.Uses[n].(*types.Func); ok {
-					record(callee, n)
-				}
-			case *ast.SelectorExpr:
-				if sel, ok := pass.Info.Selections[n]; ok {
-					if callee, ok := sel.Obj().(*types.Func); ok {
-						record(callee, n)
-					}
-				}
-			}
-			return true
-		})
 	})
-
-	// Reachability from the union of step-path roots; one report per
-	// offending call site.
-	reachable := map[*types.Func]bool{}
-	queue := append([]*types.Func(nil), roots...)
-	for _, r := range roots {
-		reachable[r] = true
+	g := newCallGraph(pkg)
+	reachable := make(map[*types.Func]bool)
+	for _, fn := range g.reach(roots, nil) {
+		reachable[fn] = true
 	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		s := sums[cur]
-		if s == nil {
-			continue
-		}
-		for _, callee := range s.callees {
-			if !reachable[callee] {
-				reachable[callee] = true
-				queue = append(queue, callee)
-			}
-		}
-	}
-	forEachFuncDecl(pass, func(_ *ast.FuncDecl, fn *types.Func) {
+	forEachFuncDecl(pkg, func(_ *ast.FuncDecl, fn *types.Func) {
 		if !reachable[fn] {
 			return
 		}
-		for _, r := range sums[fn].reads {
-			pass.Reportf(r.pos.Pos(),
-				"step-path function %s reads observation state via %s.%s: the engine must be write-only toward the probe, or tracing on vs off diverges",
-				fn.Name(), pathBase(cfg.ObsPkg), r.name)
+		for _, r := range g.refs[fn] {
+			if r.fn.Pkg() != nil && r.fn.Pkg().Path() == obsPkg && r.fn.Type().(*types.Signature).Results().Len() > 0 {
+				pass.Reportf(r.pos,
+					"step-path function %s reads observation state via %s.%s: the engine must be write-only toward the probe, or tracing on vs off diverges",
+					fn.Name(), pathBase(obsPkg), r.fn.Name())
+			}
 		}
 	})
 }

@@ -36,26 +36,8 @@ import (
 //
 // The rule is whole-program: it needs every importer loaded, so it is
 // meaningful over the whole program only (selfstab-lint's default), and
-// reports from Finish.
+// reports once Run has seen every package.
 func NewTestOnly(module string) *Analyzer {
-	type decl struct {
-		obj       types.Object
-		key, name string
-		ann       *annotation
-	}
-	var (
-		decls []decl
-		used  map[string]bool
-		// dispatched holds the method names a call may reach without
-		// naming the method's type.
-		dispatched map[string]bool
-	)
-	reset := func() {
-		decls, used = nil, make(map[string]bool)
-		dispatched = map[string]bool{"String": true, "Error": true, "MarshalText": true,
-			"UnmarshalText": true, "MarshalJSON": true, "UnmarshalJSON": true}
-	}
-	reset()
 	inModule := func(path string) bool { return path == module || strings.HasPrefix(path, module+"/") }
 	a := &Analyzer{
 		Name: "testonly",
@@ -63,66 +45,75 @@ func NewTestOnly(module string) *Analyzer {
 			"delete them, or annotate //selfstab:testref <why> (whole-program).",
 	}
 	a.Run = func(pass *Pass) error {
-		internal := slices.Contains(strings.Split(pass.Pkg.Path(), "/"), "internal")
-		root := pass.Pkg.Path() == module
-		anns := scanAnnotations(pass)
-		declare := func(id *ast.Ident, ann *annotation) {
-			obj := pass.Info.Defs[id]
-			if _, fn := obj.(*types.Func); obj != nil && obj.Exported() && (internal || root && fn) {
-				key := objKey(obj)
-				name := strings.ReplaceAll(key, pass.Pkg.Path(), pass.Pkg.Name())
-				decls = append(decls, decl{obj, key, name, ann})
-			}
+		type decl struct {
+			obj       types.Object
+			key, name string
+			ann       *annotation
 		}
-		// mark records every reference under n except those to self.
-		mark := func(n ast.Node, self ...*ast.Ident) {
-			ast.Inspect(n, func(n ast.Node) bool {
-				id, ok := n.(*ast.Ident)
-				obj := pass.Info.Uses[id]
-				if !ok || obj == nil || slices.ContainsFunc(self, func(s *ast.Ident) bool { return pass.Info.Defs[s] == obj }) {
+		var decls []decl
+		used := make(map[string]bool)
+		// dispatched holds the method names a call may reach without
+		// naming the method's type.
+		dispatched := map[string]bool{"String": true, "Error": true, "MarshalText": true,
+			"UnmarshalText": true, "MarshalJSON": true, "UnmarshalJSON": true}
+		for _, pkg := range pass.Pkgs {
+			path := pkg.Types.Path()
+			internal := slices.Contains(strings.Split(path, "/"), "internal")
+			root := path == module
+			declare := func(id *ast.Ident, ann *annotation) {
+				obj := pkg.Info.Defs[id]
+				if _, fn := obj.(*types.Func); obj != nil && obj.Exported() && (internal || root && fn) {
+					key := objKey(obj)
+					decls = append(decls, decl{obj, key, strings.ReplaceAll(key, path, pkg.Types.Name()), ann})
+				}
+			}
+			// mark records every reference under n except those to self.
+			mark := func(n ast.Node, self ...*ast.Ident) {
+				ast.Inspect(n, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					obj := pkg.Info.Uses[id]
+					if !ok || obj == nil || slices.ContainsFunc(self, func(s *ast.Ident) bool { return pkg.Info.Defs[s] == obj }) {
+						return true
+					}
+					if recv := recvOf(obj); recv != nil && types.IsInterface(recv.Type()) && obj.Pkg() != nil && inModule(obj.Pkg().Path()) {
+						dispatched[obj.Name()] = true
+					}
+					used[objKey(obj)] = true
 					return true
-				}
-				if recv := recvOf(obj); recv != nil && types.IsInterface(recv.Type()) && obj.Pkg() != nil && inModule(obj.Pkg().Path()) {
-					dispatched[obj.Name()] = true
-				}
-				used[objKey(obj)] = true
-				return true
-			})
-		}
-		for _, f := range pass.Files {
-			for _, d := range f.Decls {
-				switch d := d.(type) {
-				case *ast.FuncDecl:
-					declare(d.Name, anns.fn(d, "testref"))
-					mark(d.Type, d.Name)
-					if d.Body != nil {
-						mark(d.Body, d.Name)
-					}
-				case *ast.GenDecl:
-					for _, s := range d.Specs {
-						var names []*ast.Ident
-						switch s := s.(type) {
-						case *ast.TypeSpec:
-							names = []*ast.Ident{s.Name}
-						case *ast.ValueSpec:
-							if s.Type != nil && !slices.ContainsFunc(s.Names, func(id *ast.Ident) bool { return id.Name != "_" }) {
-								continue // var _ I = T{}: an assertion, not a use
+				})
+			}
+			for _, f := range pkg.Files {
+				for _, d := range f.Decls {
+					switch d := d.(type) {
+					case *ast.FuncDecl:
+						declare(d.Name, pkg.anns.fn(d, "testref"))
+						mark(d.Type, d.Name)
+						if d.Body != nil {
+							mark(d.Body, d.Name)
+						}
+					case *ast.GenDecl:
+						for _, s := range d.Specs {
+							var names []*ast.Ident
+							switch s := s.(type) {
+							case *ast.TypeSpec:
+								names = []*ast.Ident{s.Name}
+							case *ast.ValueSpec:
+								if s.Type != nil && !slices.ContainsFunc(s.Names, func(id *ast.Ident) bool { return id.Name != "_" }) {
+									continue // var _ I = T{}: an assertion, not a use
+								}
+								names = s.Names
+							default:
+								continue
 							}
-							names = s.Names
-						default:
-							continue
+							for _, id := range names {
+								declare(id, pkg.anns.spec(s, "testref"))
+							}
+							mark(s, names...)
 						}
-						for _, id := range names {
-							declare(id, anns.spec(s, "testref"))
-						}
-						mark(s, names...)
 					}
 				}
 			}
 		}
-		return nil
-	}
-	a.Finish = func(pass *Pass) error {
 		for _, d := range decls {
 			ref := used[d.key] || recvOf(d.obj) != nil && dispatched[d.obj.Name()]
 			switch {
@@ -132,7 +123,6 @@ func NewTestOnly(module string) *Analyzer {
 				pass.Reportf(d.ann.pos, "//selfstab:testref on %s, which non-test code references: drop the annotation", d.name)
 			}
 		}
-		reset()
 		return nil
 	}
 	return a
