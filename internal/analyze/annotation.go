@@ -40,10 +40,9 @@ import (
 //
 // Run scans each package once. A malformed annotation (unknown verb,
 // missing reason, stray space, wrong placement) is a diagnostic, never a
-// silent no-op: an annotation
-// that doesn't parse is an invariant that silently stopped being
-// enforced, which is exactly the failure mode this suite exists to
-// prevent.
+// silent no-op: an annotation that doesn't parse is an invariant that
+// silently stopped being enforced, which is exactly the failure mode
+// this suite exists to prevent.
 
 const annPrefix = "//selfstab:"
 
