@@ -81,6 +81,17 @@ func (e *Engine) Compact(r slot.Remap) error {
 	// steps, so it needs no remap; it keeps its words.
 	e.pend = slot.Renumber(r, e.pend)
 	e.pendFlag = slot.Apply(r, e.pendFlag)
+	// Parked survivors keep their wake step; a dead slot's entry leaves
+	// with its node.
+	for b, bucket := range e.wheel {
+		kept := bucket[:0]
+		for _, p := range bucket {
+			if nw := r.Of(int(p.slot)); nw >= 0 {
+				kept = append(kept, wheelEntry{slot: int32(nw), at: p.at})
+			}
+		}
+		e.wheel[b] = kept
+	}
 	e.compactDisruption(r)
 	// Rebuild the alive order-statistic index from the compacted statuses
 	// (dead slots are gone, so the surviving membership is dense anyway).

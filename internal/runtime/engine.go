@@ -113,6 +113,11 @@ type Engine struct {
 	exec     []int32
 	visit    []uint64
 
+	// wheel is the deadline queue of parked nodes (frontier.go): bucket
+	// s mod len(wheel) holds the nodes due at step s. CacheTTL+1 buckets,
+	// nil without a TTL, where nothing ages and nothing parks.
+	wheel [][]wheelEntry
+
 	// aliveIdx is a Fenwick tree over alive bits (aliveindex.go): NthAlive
 	// answers order-statistic queries ("the k-th living slot") in O(log N)
 	// for churn victim picks. Maintained by every lifecycle transition.
@@ -234,6 +239,9 @@ func New(g *topology.Graph, ids []int64, proto Protocol, medium radio.Medium, sr
 	e.pendFlag = make([]bool, g.N())
 	e.visit = make([]uint64, words(g.N()))
 	e.pend = make([]int32, 0, g.N())
+	if proto.CacheTTL > 0 {
+		e.wheel = make([][]wheelEntry, proto.CacheTTL+1)
+	}
 	if e.sparse {
 		for i := range e.nodes {
 			e.pendFlag[i] = true

@@ -9,10 +9,17 @@ import (
 // The worklist API of a frontier engine (step.go describes how a step
 // consumes it). New makes the engine a frontier engine exactly when the
 // configuration allows it; SetSparse(false) forces the full scan with
-// Deliver, which the equivalence oracles use as their reference. TTL aging
-// stays exact on a frontier engine because a node whose ingest left any
-// entry unrefreshed re-enters the worklist every step until the entry is
-// refreshed or evicted (Node.stale).
+// Deliver, which the equivalence oracles use as their reference.
+//
+// TTL aging stays exact on a frontier engine without a visit per aging
+// step. A visited node whose only work left is an unrefreshed entry
+// (Node.stale) parks: it leaves the worklist for a deadline queue and is
+// woken at the step its oldest unheard entry is evicted (park, wake). Until
+// then every ingest it skips would have changed nothing but ages: nothing
+// it hears changes unseen, since a sender's new content pulls it in
+// through expand and a sender's arrival or departure activates it. Its
+// next visit, whichever path brings it, first replays the skipped ingests
+// (Node.unpark).
 
 // ErrSparseIneligible is returned by SetSparse(true) when the engine's
 // medium or daemon cannot support frontier stepping.
@@ -90,4 +97,54 @@ func (e *Engine) activateSpread(i int, spread []int) {
 	for _, s := range spread {
 		e.Activate(s)
 	}
+}
+
+// wheelEntry is one parked node in the deadline queue: its slot and the
+// step it parked at. The entry is void once the node has ingested again
+// (it is no longer parked, or parked again at a later step).
+type wheelEntry struct {
+	slot, at int32
+}
+
+// park takes visited alive node v, whose only work left is aging its stale
+// entries, off the worklist until the step its oldest unheard entry is
+// evicted: with age a now, that entry is evicted by the TTL−a+1-th ingest
+// from here, so the node is due CacheTTL−a+1 steps ahead, within 1..TTL.
+// The wheel has TTL+1 buckets, so a bucket is drained (plan) before any
+// later park can reach it again.
+func (e *Engine) park(v int32, n *Node) {
+	age := int32(0)
+	for i := range n.cache {
+		age = max(age, n.tick-n.cache[i].heard)
+	}
+	n.parked, n.parkedAt = true, int32(e.step)
+	b := &e.wheel[(e.step+e.proto.CacheTTL-int(age)+1)%len(e.wheel)]
+	*b = append(*b, wheelEntry{slot: v, at: n.parkedAt})
+}
+
+// wake activates the nodes parked for this step whose entries still hold.
+func (e *Engine) wake() {
+	b := &e.wheel[e.step%len(e.wheel)]
+	for _, p := range *b {
+		if n := e.nodes[p.slot]; n.parked && n.parkedAt == p.at {
+			e.Activate(int(p.slot))
+		}
+	}
+	*b = (*b)[:0]
+}
+
+// unpark replays the ingests node n skipped while parked, before the
+// ingest of step begins: each would have heard exactly the senders heard
+// at the park (their stamp equals n.tick) and nothing new from them, and
+// evicted nothing. So those entries stay age 0, every other entry ages one
+// step per skipped ingest, and the clock advances by the same amount.
+func (n *Node) unpark(step int32) {
+	n.parked = false
+	skipped := step - n.parkedAt - 1
+	for i := range n.cache {
+		if n.cache[i].heard == n.tick {
+			n.cache[i].heard += skipped
+		}
+	}
+	n.tick += skipped
 }

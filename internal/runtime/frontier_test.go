@@ -96,9 +96,18 @@ func newTwin(t *testing.T, seed int64, n int, r float64, proto Protocol, sparse 
 	t.Helper()
 	src := rng.New(seed)
 	pts := make([]geom.Point, n)
-	ids := make([]int64, n)
 	for i := range pts {
 		pts[i] = geom.Point{X: src.Float64(), Y: src.Float64()}
+	}
+	return placedTwin(t, seed, pts, r, proto, sparse, workers)
+}
+
+// placedTwin is newTwin over given positions; node i has identifier i.
+func placedTwin(t *testing.T, seed int64, pts []geom.Point, r float64, proto Protocol, sparse bool, workers int) *twin {
+	t.Helper()
+	n := len(pts)
+	ids := make([]int64, n)
+	for i := range ids {
 		ids[i] = int64(i)
 	}
 	gi := topology.NewGridIndexInRegion(pts, r, geom.UnitSquare())
@@ -354,6 +363,7 @@ func compareTwins(t *testing.T, label string, a, b *twin) {
 func TestSparseMatchesDenseMixedTrace(t *testing.T) {
 	protos := map[string]Protocol{
 		"basic-ttl4": {Order: cluster.OrderBasic, CacheTTL: 4},
+		"basic-ttl8": {Order: cluster.OrderBasic, CacheTTL: 8}, // the TTL every bench workload runs
 		"dag-fusion": {Order: cluster.OrderSticky, CacheTTL: 3, UseDag: true, Gamma: 1 << 14, Fusion: true},
 	}
 	const n, r = 120, 0.14
@@ -400,9 +410,153 @@ func TestSparseMatchesDenseMixedTrace(t *testing.T) {
 	}
 }
 
+// TestParkedNodeAgesLikeFullScan follows one parked node through the
+// deadline queue beside a full-scan twin, on five hand-placed nodes: X
+// far away, and a watcher W whose neighbors are a sleeper S, a mover M and
+// a fixed node F. When S falls asleep, W's next ingest leaves S's entry
+// aged 1 and nothing else to do, so W parks until the step that entry
+// reaches TTL+1 and is evicted. After every step every node's cache —
+// identifiers, frames and ages, a parked node's read as of its skipped
+// ingests — must equal the twin's, and W must be visited exactly on the
+// steps the row's pattern marks v:
+//
+//   - sleeper: W is absent until the eviction step and visited then;
+//   - restamp: M moves out of range mid-park, which wakes W early. W's
+//     skipped ingest heard M, so M's entry must start aging from that
+//     step, not from the park;
+//   - compact: X is dead, and Compact renumbers W while it is parked;
+//   - toggle: frontier stepping is switched off and back on while W is
+//     parked, once without a step between and once around a full-scan
+//     step, which visits W and voids its queue entry;
+//   - asleep: W itself falls asleep while parked. It ingested until then,
+//     so its entries must age up to the sleep and then freeze.
+func TestParkedNodeAgesLikeFullScan(t *testing.T) {
+	const ttl, r = 4, 0.1
+	const x, w, s, m = 0, 1, 2, 3
+	pts := []geom.Point{
+		x:     {X: 0.1, Y: 0.1},
+		w:     {X: 0.5, Y: 0.5},
+		s:     {X: 0.57, Y: 0.5},
+		m:     {X: 0.43, Y: 0.5},
+		m + 1: {X: 0.5, Y: 0.57}, // F
+	}
+	proto := Protocol{Order: cluster.OrderBasic, CacheTTL: ttl}
+	step := traceOp{kind: "step", steps: 1}
+	sleep := traceOp{kind: "sleep", node: s}
+	away := traceOp{kind: "move", moves: []int{m}, jits: []geom.Point{{X: 0.3, Y: 0.5}}}
+	off, on := traceOp{kind: "sparse-off"}, traceOp{kind: "sparse-on"}
+	parked := traceOp{kind: "parked"} // asserts that W is parked
+	rows := []struct {
+		name  string
+		setup []traceOp // applied, then settled, before the row starts
+		ops   []traceOp
+		want  string // W on step k of the row: v visited, - not, ? either
+	}{
+		{"sleeper", nil, []traceOp{sleep, step, parked, step, step, step, step, step}, "v---v?"},
+		{"restamp", nil, []traceOp{sleep, step, step, parked, away, step, step, step, step, step, step, step}, "v-v-v????"},
+		{"compact", []traceOp{{kind: "kill", node: x}}, []traceOp{sleep, step, parked, {kind: "compact"}, step, step, step, step, step}, "v---v?"},
+		{"toggle", nil, []traceOp{sleep, step, parked, off, on, step, step, parked, off, step, on, step, step}, "vv-vv?"},
+		{"asleep", nil, []traceOp{sleep, step, step, parked, {kind: "sleep", node: w}, step, step, {kind: "wake", node: w}, step, step, step, step, step}, "v-v-v"},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			ref := placedTwin(t, 7, slices.Clone(pts), r, proto, false, 1)
+			tw := placedTwin(t, 7, slices.Clone(pts), r, proto, true, 1)
+			settle := func() {
+				for _, e := range []*Engine{ref.e, tw.e} {
+					if _, err := e.RunUntilStable(200, ttl+2); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			settle()
+			for _, op := range row.setup {
+				ref.apply(t, op)
+				tw.apply(t, op)
+			}
+			settle()
+			compareTwins(t, "settled", ref, tw)
+			watcher := func() (int32, *Node) {
+				i, _ := tw.e.Index(w) // identifiers are the initial slots
+				return int32(i), tw.e.nodes[i]
+			}
+			if _, n := watcher(); len(tw.e.pend) != 0 || n.parked {
+				t.Fatal("the settled world still has work")
+			}
+			k := 0
+			for i, op := range row.ops {
+				switch op.kind {
+				case "parked":
+					if _, n := watcher(); !n.parked {
+						t.Fatalf("op %d: W is not parked", i)
+					}
+					continue
+				case "sparse-off", "sparse-on":
+					if err := tw.e.SetSparse(op.kind == "sparse-on"); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				case "step":
+				default:
+					ref.apply(t, op)
+					tw.apply(t, op)
+					continue
+				}
+				ref.apply(t, op)
+				tw.apply(t, op)
+				k++
+				label := fmt.Sprintf("step %d", k)
+				compareTwins(t, label, ref, tw)
+				compareCaches(t, label, ref.e, tw.e)
+				wi, _ := watcher()
+				visited := slices.Contains(tw.e.exec, wi)
+				if k <= len(row.want) && row.want[k-1] != '?' && visited != (row.want[k-1] == 'v') {
+					t.Fatalf("%s: W visited %v, want pattern %q", label, visited, row.want)
+				}
+			}
+			if _, n := watcher(); n.cache.has(s) {
+				t.Fatal("W never evicted the sleeper")
+			}
+		})
+	}
+}
+
+// compareCaches fails unless every node of a holds the cache of the same
+// node of b: the same neighbors, frames and ages. A parked node's ages
+// are read as if it had ingested on every step it skipped: an entry heard
+// at the park was heard again each time, every other one aged.
+func compareCaches(t *testing.T, label string, a, b *Engine) {
+	t.Helper()
+	type entry struct {
+		id, tie, head int64
+		density       float64
+		nbrs          string
+		age           int32
+	}
+	view := func(e *Engine, i int) []entry {
+		n := e.nodes[i]
+		var out []entry
+		for _, c := range n.cache {
+			age := n.tick - c.heard
+			if n.parked && age > 0 {
+				age += int32(e.step) - n.parkedAt - 1
+			}
+			f := c.frame
+			out = append(out, entry{f.ID, f.TieID, f.HeadID, f.Density, fmt.Sprint(f.Nbrs.ids(), f.Nbrs.vals()), age})
+		}
+		return out
+	}
+	for i := range a.nodes {
+		if va, vb := view(a, i), view(b, i); !slices.Equal(va, vb) {
+			t.Fatalf("%s: node %d cache diverged:\nfull scan %+v\n frontier %+v", label, i, va, vb)
+		}
+	}
+}
+
 // TestVisitListMatchesReference pins a frontier step's visit list to its
 // definition. Before every step of a mixed trace the set is computed
-// naively from the worklist and the dirty flags; after the step exec must
+// naively from the worklist, the parked nodes' caches and the dirty flags;
+// after the step exec must
 // hold exactly that set in strictly increasing slot order, and the visit
 // bitset must be empty again. The trace carries churn, compaction, grid
 // position updates (the incremental path Network.SetPositions drives)
@@ -422,13 +576,15 @@ func TestVisitListMatchesReference(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
 			tw := newTwin(t, seed, n, r, proto, true, workers)
+			woken := 0
 			for k, op := range trace {
 				if op.kind != "step" {
 					tw.apply(t, op)
 					continue
 				}
 				for s := 0; s < op.steps; s++ {
-					want := referenceVisitList(tw.e)
+					want, due := referenceVisitList(tw.e)
+					woken += due
 					tw.apply(t, traceOp{kind: "step", steps: 1})
 					got := tw.e.exec
 					if !slices.Equal(got, want) {
@@ -444,15 +600,35 @@ func TestVisitListMatchesReference(t *testing.T) {
 					}
 				}
 			}
+			if woken == 0 {
+				t.Fatal("no step woke a parked node")
+			}
 		})
 	}
 }
 
 // referenceVisitList is the set the next frontier step must visit, in slot
-// order: every pending node, plus every alive neighbor of a pending alive
-// node whose frame or header is dirty.
-func referenceVisitList(e *Engine) []int32 {
+// order: every pending node, plus every parked node whose oldest cache
+// entry is evicted by this step's ingest, plus every alive neighbor of a
+// pending alive node whose frame or header is dirty. A parked node's due
+// step is derived from its cache, not read from the deadline queue: the
+// entry aged a at the park is evicted CacheTTL−a+1 steps later.
+// It also reports how many parked nodes are due.
+func referenceVisitList(e *Engine) (list []int32, due int) {
 	in := make([]bool, len(e.nodes))
+	for v, n := range e.nodes {
+		if !n.parked {
+			continue
+		}
+		age := 0
+		for _, c := range n.cache {
+			age = max(age, int(n.tick-c.heard))
+		}
+		if int(n.parkedAt)+e.proto.CacheTTL-age+1 == e.step {
+			in[v] = true
+			due++
+		}
+	}
 	for _, v := range e.pend {
 		in[v] = true
 		if n := e.nodes[v]; e.status[v] == StatusAlive && (n.frameDirty || n.headerDirty) {
@@ -461,13 +637,12 @@ func referenceVisitList(e *Engine) []int32 {
 			}
 		}
 	}
-	var list []int32
 	for i, ok := range in {
 		if ok {
 			list = append(list, int32(i))
 		}
 	}
-	return list
+	return list, due
 }
 
 // TestEngineCompactRemap: the remap plan drops exactly the dead slots

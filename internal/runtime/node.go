@@ -179,9 +179,10 @@ type Node struct {
 	headerDirty bool
 
 	// stale records that the last ingest left at least one cache entry
-	// aging toward TTL eviction — on a frontier engine the node must stay
-	// on the worklist so the entry keeps aging exactly as the full scan
-	// would age it. Only ever set with a positive TTL; see ingest.
+	// aging toward TTL eviction — on a frontier engine the node must be
+	// visited again by the step its oldest such entry is evicted, so the
+	// entry ages exactly as the full scan would age it. Only ever set with
+	// a positive TTL; see ingest and Engine.park.
 	stale bool
 
 	// tick counts this node's ingests and is the clock cache ages are read
@@ -201,6 +202,13 @@ type Node struct {
 	// outside ingest (fault injection, test fixtures); R1 then recounts.
 	links   int
 	linksOK bool
+
+	// parked: a frontier engine took the node off the worklist at step
+	// parkedAt with nothing left to do but age its stale entries, and it
+	// has not ingested since (Engine.park). Both fit in the tail padding:
+	// Node stays 96 bytes (TestNodeSize).
+	parked   bool
+	parkedAt int32
 }
 
 // newNode boots a node in the protocol's cold-start state: it claims
@@ -406,9 +414,10 @@ func valueOf(f *Frame) NbrValue {
 // pass at all. Otherwise one pass evicts what outlived the TTL, moving an
 // entry only once something before it is gone. n.stale records whether any
 // entry survived that pass unheard, so the frontier engine knows the node
-// must be re-examined next step for its aging to stay bit-identical to the
-// full scan. With a zero TTL eviction never fires, aging is unobservable,
-// and stale stays false so fully-refreshed nodes can leave the frontier.
+// must be re-examined by the step that entry is evicted for its aging to
+// stay bit-identical to the full scan. With a zero TTL eviction never
+// fires, aging is unobservable, and stale stays false so fully-refreshed
+// nodes can leave the frontier.
 //
 //selfstab:hotpath
 func ingest[I int | int32](n *Node, frames []Frame, from []I, sending []bool, proto Protocol) {

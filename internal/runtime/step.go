@@ -24,7 +24,9 @@ import (
 //	        did; on a full-scan engine, Deliver
 //	ingest  on a full-scan engine, the daemon's draws; then every visited
 //	        node ingests its neighbors' frames and runs its armed guards
-//	re-arm  visited nodes that still have work rejoin the worklist
+//	re-arm  visited nodes that still have work rejoin the worklist; one
+//	        that only has cache entries to age parks until its oldest
+//	        is evicted (frontier.go)
 //	commit  epoch and quiescence marker, step count, post-step hook
 //
 // Two data choices vary between engines and between steps. Both are
@@ -43,7 +45,8 @@ import (
 // The node set. A full-scan engine visits every slot. A frontier engine
 // keeps a worklist (pend) of nodes whose guard inputs may have changed —
 // seeded by guard firings, lifecycle transitions, corruption, density-scale
-// changes and topology deltas — and a step visits the worklist plus the
+// changes and topology deltas — and a step visits the worklist, the parked
+// nodes whose oldest cache entry is evicted this step (wake), and the
 // alive radio neighborhoods of worklist nodes about to broadcast changed
 // content: exactly the nodes whose ingest can observe anything new
 // (expand). A stabilized network therefore steps in O(1), and a locally
@@ -154,16 +157,21 @@ func (e *Engine) runPhases() (changed bool, err error) {
 	return changed, err
 }
 
-// plan builds the step's visit list, e.exec, consuming the worklist.
+// plan builds the step's visit list, e.exec, consuming the worklist and
+// the deadline queue's bucket for this step.
 func (e *Engine) plan() {
 	e.exec = e.exec[:0]
-	switch {
-	case !e.sparse:
+	if !e.sparse {
 		for i := range e.nodes {
 			e.exec = append(e.exec, int32(i))
 		}
-	case len(e.pend) > 0:
-		e.expand()
+	} else {
+		if e.wheel != nil {
+			e.wake()
+		}
+		if len(e.pend) > 0 {
+			e.expand()
+		}
 	}
 	e.count(obs.CtrExec, int64(len(e.exec)))
 }
@@ -243,10 +251,15 @@ func (e *Engine) fillNode(i int) bool {
 //
 //selfstab:hotpath
 func (e *Engine) execNode(i int) bool {
+	n := e.nodes[i]
+	if n.parked {
+		// Before any status check: a node that fell asleep or died since
+		// it parked was alive, and ingesting, until this step.
+		n.unpark(int32(e.step))
+	}
 	if e.status[i] != StatusAlive {
 		return false // sleeping/dead: radio off, state frozen, no aging
 	}
-	n := e.nodes[i]
 	if e.sparse {
 		// Sleeping and dead neighbors stay silent via the send mask (their
 		// edges are gone too when the topology layer maintains churn, but
@@ -280,13 +293,17 @@ func (e *Engine) execNode(i int) bool {
 }
 
 // rearm rebuilds the worklist from the visited nodes: a node stays on the
-// frontier while its guards are armed, its broadcast content changed (next
-// step its neighbors join through expand), or a cache entry is aging
-// toward eviction.
+// frontier while its guards are armed or its broadcast content changed
+// (next step its neighbors join through expand), and parks while a cache
+// entry is only aging toward eviction.
 func (e *Engine) rearm() {
 	for _, v := range e.exec {
-		if n := e.nodes[v]; e.status[v] == StatusAlive && (n.dirty || n.frameDirty || n.headerDirty || n.stale) {
+		switch n := e.nodes[v]; {
+		case e.status[v] != StatusAlive:
+		case n.dirty || n.frameDirty || n.headerDirty:
 			e.Activate(int(v))
+		case n.stale:
+			e.park(v, n)
 		}
 	}
 }

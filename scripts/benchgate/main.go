@@ -11,6 +11,13 @@
 // the GOMAXPROCS it was recorded at; when the two differ the files are
 // not comparable, and the gate says so and passes rather than compare
 // a one-core median with a two-core one.
+//
+// With -pairs it instead summarizes a pairs file that scripts/pair.sh
+// wrote: for each end-to-end metric BENCHMARK.json declares, both sides'
+// median and quartiles, the change's wins out of n pairs, and whether the
+// difference is resolved. It prints and never fails on the numbers.
+//
+//	go run ./scripts/benchgate -pairs .bench_build/pairs/churn-seed1.jsonl
 package main
 
 import (
@@ -66,8 +73,17 @@ func main() {
 		fresh     = flag.String("fresh", "", "freshly generated BENCH_*.json")
 		threshold = flag.Float64("threshold", 1.2, "fail when fresh median exceeds baseline median by this factor")
 		match     = flag.String("match", "Step|HealRound", "regexp a benchmark name must match to be gated")
+		pairs     = flag.String("pairs", "", "summarize this pairs file (scripts/pair.sh) instead of gating")
+		declared  = flag.String("declared", "BENCHMARK.json", "with -pairs: the file declaring the end-to-end metrics")
 	)
 	flag.Parse()
+	if *pairs != "" {
+		if err := pairsMain(*pairs, *declared); err != nil {
+			fmt.Fprintln(os.Stderr, "benchgate:", err)
+			os.Exit(2)
+		}
+		return
+	}
 	if *baseline == "" || *fresh == "" {
 		fmt.Fprintln(os.Stderr, "benchgate: -baseline and -fresh are required")
 		os.Exit(2)
