@@ -14,8 +14,10 @@
 //
 // With -pairs it instead summarizes a pairs file that scripts/pair.sh
 // wrote: for each end-to-end metric BENCHMARK.json declares, both sides'
-// median and quartiles, the change's wins out of n pairs, and whether the
-// difference is resolved. It prints and never fails on the numbers.
+// median and quartiles, the change's wins out of n pairs, whether the
+// difference is resolved, and whether the change stays within the bound.
+// It prints and never fails on the numbers. It reads BENCHMARK.json from
+// the working directory, so it runs from the repo root.
 //
 //	go run ./scripts/benchgate -pairs .bench_build/pairs/churn-seed1.jsonl
 package main
@@ -74,11 +76,10 @@ func main() {
 		threshold = flag.Float64("threshold", 1.2, "fail when fresh median exceeds baseline median by this factor")
 		match     = flag.String("match", "Step|HealRound", "regexp a benchmark name must match to be gated")
 		pairs     = flag.String("pairs", "", "summarize this pairs file (scripts/pair.sh) instead of gating")
-		declared  = flag.String("declared", "BENCHMARK.json", "with -pairs: the file declaring the end-to-end metrics")
 	)
 	flag.Parse()
 	if *pairs != "" {
-		if err := pairsMain(*pairs, *declared); err != nil {
+		if err := pairsMain(*pairs); err != nil {
 			fmt.Fprintln(os.Stderr, "benchgate:", err)
 			os.Exit(2)
 		}

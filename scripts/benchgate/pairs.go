@@ -32,8 +32,9 @@ type declaredMetric struct {
 }
 
 // quartiles are a sample's first quartile, median and third quartile,
-// each linearly interpolated between the two nearest order statistics.
-type quartiles struct{ q1, med, q3 float64 }
+// each linearly interpolated between the two nearest order statistics,
+// and its least and greatest values.
+type quartiles struct{ lo, q1, med, q3, hi float64 }
 
 func quartilesOf(xs []float64) quartiles {
 	s := append([]float64(nil), xs...)
@@ -46,7 +47,7 @@ func quartilesOf(xs []float64) quartiles {
 		}
 		return s[lo] + (h-float64(lo))*(s[lo+1]-s[lo])
 	}
-	return quartiles{at(0.25), at(0.5), at(0.75)}
+	return quartiles{s[0], at(0.25), at(0.5), at(0.75), s[len(s)-1]}
 }
 
 // summary is one metric's paired comparison.
@@ -76,14 +77,29 @@ func (s summary) verdict() string {
 	return "not resolved"
 }
 
-// beyondBound reports whether the change's median is worse than the
-// parent's by more than the metric's declared bound.
-func (s summary) beyondBound() bool {
+// bound applies the no-regression rule to the pairs. The change is
+// "BEYOND BOUND" when its median is worse than the parent's by more than
+// the metric's declared bound. When either side's quartile distance is
+// wider than the bound times the parent's median, the medians cannot
+// show this, and the bound is "unresolved", unless every change run read
+// better than every parent run. Anything else is "within bound".
+func (s summary) bound() string {
 	worse := s.delta()
+	allBetter := s.change.hi < s.parent.lo
 	if s.metric.Better == "higher" {
 		worse = -worse
+		allBetter = s.change.lo > s.parent.hi
 	}
-	return worse > s.metric.Bound
+	wide := s.metric.Bound * s.parent.med
+	switch {
+	case allBetter:
+		return "within bound"
+	case s.parent.q3-s.parent.q1 > wide || s.change.q3-s.change.q1 > wide:
+		return "bound unresolved"
+	case worse > s.metric.Bound:
+		return "BEYOND BOUND"
+	}
+	return "within bound"
 }
 
 // readPairs parses a pairs file, one JSON run after another.
@@ -180,19 +196,17 @@ func printPairs(w io.Writer, runs []pairRun, sums []summary) {
 	}
 	fmt.Fprintf(w, "pairs: %d; %s; failed ops parent %d, change %d\n", sums[0].n, digest, failed["parent"], failed["change"])
 	for _, s := range sums {
-		bound := "within bound"
-		if s.beyondBound() {
-			bound = "BEYOND BOUND"
-		}
 		fmt.Fprintf(w, "%-12s parent %.4g [%.4g, %.4g]  change %.4g [%.4g, %.4g] %s  %+.1f%%  wins %d/%d  %s, %s\n",
 			s.metric.Name, s.parent.med, s.parent.q1, s.parent.q3, s.change.med, s.change.q1, s.change.q3,
-			s.metric.Unit, 100*s.delta(), s.wins, s.n, s.verdict(), bound)
+			s.metric.Unit, 100*s.delta(), s.wins, s.n, s.verdict(), s.bound())
 	}
 }
 
-// pairsMain is benchgate -pairs: it reads the end-to-end metrics from the
-// declaration file and prints the comparison of the pairs file.
-func pairsMain(pairsPath, declaredPath string) error {
+// pairsMain is benchgate -pairs: it reads the end-to-end metrics from
+// BENCHMARK.json in the working directory and prints the comparison of
+// the pairs file.
+func pairsMain(pairsPath string) error {
+	const declaredPath = "BENCHMARK.json"
 	raw, err := os.ReadFile(declaredPath)
 	if err != nil {
 		return err

@@ -45,9 +45,9 @@ func TestQuartiles(t *testing.T) {
 		xs   []float64
 		want quartiles
 	}{
-		{[]float64{5}, quartiles{5, 5, 5}},
-		{[]float64{4, 1, 3, 2}, quartiles{1.75, 2.5, 3.25}},
-		{[]float64{9, 1, 5, 3, 7}, quartiles{3, 5, 7}},
+		{[]float64{5}, quartiles{5, 5, 5, 5, 5}},
+		{[]float64{4, 1, 3, 2}, quartiles{1, 1.75, 2.5, 3.25, 4}},
+		{[]float64{9, 1, 5, 3, 7}, quartiles{1, 3, 5, 7, 9}},
 	} {
 		if got := quartilesOf(tc.xs); got != tc.want {
 			t.Errorf("quartilesOf(%v) = %+v, want %+v", tc.xs, got, tc.want)
@@ -108,25 +108,33 @@ func TestPairsVerdict(t *testing.T) {
 }
 
 // TestPairsBound: a median worse by more than the declared bound is
-// flagged in the metric's own direction, a smaller loss is not.
+// flagged in the metric's own direction, a smaller loss is not, and a
+// quartile distance on either side wider than the bound leaves the bound
+// unresolved unless every change run read better than every parent run.
 func TestPairsBound(t *testing.T) {
-	parent := []float64{10, 10, 10, 10}
+	flat := func(v float64) []float64 { return []float64{v, v, v, v} }
+	wide := []float64{6, 8, 12, 14} // median 10, quartile distance 5
 	for _, tc := range []struct {
-		change        float64
-		lower, higher bool // beyond bound for op_p50_ms, steps_per_s
+		name           string
+		parent, change []float64
+		lower, higher  string // op_p50_ms, steps_per_s
 	}{
-		{12, false, false},
-		{13, true, false},
-		{7, false, true},
-		{8, false, false},
+		{"20% up", flat(10), flat(12), "within bound", "within bound"},
+		{"30% up", flat(10), flat(13), "BEYOND BOUND", "within bound"},
+		{"30% down", flat(10), flat(7), "within bound", "BEYOND BOUND"},
+		{"20% down", flat(10), flat(8), "within bound", "within bound"},
+		{"parent wide", wide, flat(10), "bound unresolved", "bound unresolved"},
+		{"parent wide, all below", wide, flat(5), "within bound", "bound unresolved"},
+		{"parent wide, all above", wide, flat(15), "bound unresolved", "within bound"},
+		{"change wide", flat(10), wide, "bound unresolved", "bound unresolved"},
+		{"change wide, all below", flat(16), wide, "within bound", "bound unresolved"},
 	} {
-		change := []float64{tc.change, tc.change, tc.change, tc.change}
-		sums := summaries(t, parent, change)
-		if got := sums[0].beyondBound(); got != tc.lower {
-			t.Errorf("change %g: op_p50_ms beyond bound %v, want %v", tc.change, got, tc.lower)
+		sums := summaries(t, tc.parent, tc.change)
+		if got := sums[0].bound(); got != tc.lower {
+			t.Errorf("%s: op_p50_ms %q, want %q", tc.name, got, tc.lower)
 		}
-		if got := sums[1].beyondBound(); got != tc.higher {
-			t.Errorf("change %g: steps_per_s beyond bound %v, want %v", tc.change, got, tc.higher)
+		if got := sums[1].bound(); got != tc.higher {
+			t.Errorf("%s: steps_per_s %q, want %q", tc.name, got, tc.higher)
 		}
 	}
 }

@@ -5,14 +5,15 @@
 #   scripts/pair.sh <parent-rev> <workload> [pairs] [seed]
 #
 # Checks <parent-rev> out in a git worktree under .bench_build/parent,
-# builds the bench/ harness in both trees the way bench/run.sh does, then
-# runs `--workload <workload> --seed <seed> --trace 0` in each, <pairs>
-# times (default 10, seed 1): the parent first on odd pairs, the working
-# tree first on even ones. Each side runs from its own root, because the
-# harness reads BENCHMARK.json there. Every run is one line of
-# .bench_build/pairs/<workload>-seed<seed>.jsonl, {"pair", "side",
-# "digest", "result"}, where result is the run's result object; the
-# summary at the end is `go run ./scripts/benchgate -pairs` over it.
+# then runs each tree's own `bench/run.sh --workload <workload> --seed
+# <seed> --trace 0`, <pairs> times (default 10, seed 1): the parent first
+# on odd pairs, the working tree first on even ones. run.sh builds the
+# harness from its tree and runs it from that tree's root, where it reads
+# BENCHMARK.json; the harness times only the run, not the build. Every
+# run is one line of .bench_build/pairs/<workload>-seed<seed>.jsonl,
+# {"pair", "side", "digest", "result"}, where result is the run's result
+# object; the summary at the end is `go run ./scripts/benchgate -pairs`
+# over it.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
@@ -31,14 +32,6 @@ else
 fi
 echo "parent $(git -C "$parent" rev-parse --short HEAD), change: working tree at $(git rev-parse --short HEAD)"
 
-# build <tree>: the harness binary bench/run.sh would build there.
-build() {
-	mkdir -p "$1/.bench_build"
-	GOCACHE="$1/.bench_build/gocache" GOTOOLCHAIN=local go build -C "$1/bench" -o "$1/.bench_build/selfstab-bench" .
-}
-build "$parent"
-build "$root"
-
 out="$root/.bench_build/pairs/$workload-seed$seed.jsonl"
 mkdir -p "$(dirname "$out")"
 : >"$out"
@@ -46,7 +39,7 @@ mkdir -p "$(dirname "$out")"
 # run <pair> <side> <tree>: one untraced run, appended to the pairs file.
 run() {
 	local log
-	log=$(cd "$3" && ./.bench_build/selfstab-bench --workload "$workload" --seed "$seed" --trace 0)
+	log=$(bash "$3/bench/run.sh" --workload "$workload" --seed "$seed" --trace 0)
 	local digest
 	digest=$(sed -n 's/^sim_digest //p' <<<"$log")
 	printf '{"pair":%d,"side":"%s","digest":"%s","result":%s}\n' "$1" "$2" "$digest" "$(tail -n 1 <<<"$log")" >>"$out"
