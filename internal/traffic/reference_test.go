@@ -427,6 +427,7 @@ func (w *world) hooks() Hooks {
 			}
 			return d
 		},
+		Epoch:       func() uint64 { return w.epoch },
 		TopoVersion: func() uint64 { return w.epoch },
 		Alive:       func(i int) bool { return w.alive[i] },
 		IsHead:      func(i int) bool { return w.head[i] },

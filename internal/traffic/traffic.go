@@ -28,6 +28,18 @@
 // state: queues are fixed-size rings that wrap with a compare, the
 // staging list is reused every step, and the latency histogram grows
 // only to the maximum observed latency.
+//
+// A hop pays for the routing table once per flow per routing epoch, not
+// once per packet. Each flow memoises its walk route[0] = Src,
+// route[k+1] = NextHop(route[k], Dst) under the epoch the Epoch hook
+// reports, filled lazily by the first packet to need each entry and
+// capped at TTL+1 entries (route.go). A packet with k hops standing on
+// route[k] takes route[k+1]; any other packet, such as one that took its
+// first hops under an older epoch, asks the hook directly. Under one
+// epoch NextHop is a pure function of (cur, dst), and every packet of a
+// flow shares the flow's destination, so each memoised answer is the one
+// the hook would give: trajectories and ledgers are bit-identical to
+// asking on every hop.
 package traffic
 
 import (
@@ -57,13 +69,19 @@ const (
 	Poisson  = snapshot.Poisson
 )
 
-// Hooks connects the data plane to the control plane it routes over. All
-// three are required.
+// Hooks connects the data plane to the control plane it routes over.
+// NextHop, Epoch, Dist and TopoVersion are required.
 type Hooks struct {
 	// NextHop returns the neighbor a packet at cur takes toward dst, or
-	// false when the routing layer has no route. Called once per forwarded
-	// packet per hop; must not allocate on the happy path.
+	// false when the routing layer has no route. Its answer must depend
+	// only on (cur, dst) while Epoch is unchanged: the engine memoises it
+	// per flow, so a packet following its flow's route asks at most once
+	// per flow, hop index and epoch (see nextHop). Must not allocate on
+	// the happy path.
 	NextHop func(cur, dst int) (int, bool)
+	// Epoch returns the routing epoch NextHop answers under: a key that
+	// changes whenever any NextHop answer may. Read once per Step.
+	Epoch func() uint64
 	// Dist returns the flat shortest-path hop count between two nodes
 	// (-1 when disconnected) — the baseline for path stretch. Called once
 	// per flow per TopoVersion, so it may search the graph.
@@ -208,6 +226,12 @@ type Engine struct {
 
 	queues []ring
 	flows  []flowState
+	// routes are the per-flow next-hop memos (route.go), parallel to
+	// flows; their walks are carved from arena. epoch is the routing
+	// epoch of the current Step.
+	routes []route
+	arena  []int32
+	epoch  uint64
 	load   []int64 // forwarding events per node (transmissions)
 	recv   []int64 // reception events per node (one per transmission, at the receiver)
 
@@ -259,7 +283,7 @@ type Engine struct {
 // workload randomness; pass a dedicated Split so traffic draws never
 // perturb the protocol's streams.
 func New(n int, cfg Config, flows []FlowSpec, hooks Hooks, src *rng.Source) (*Engine, error) {
-	if hooks.NextHop == nil || hooks.Dist == nil || hooks.TopoVersion == nil {
+	if hooks.NextHop == nil || hooks.Epoch == nil || hooks.Dist == nil || hooks.TopoVersion == nil {
 		return nil, fmt.Errorf("traffic: all hooks are required")
 	}
 	if src == nil {
@@ -280,6 +304,7 @@ func New(n int, cfg Config, flows []FlowSpec, hooks Hooks, src *rng.Source) (*En
 		recv:   make([]int64, n),
 		busy:   make([]uint64, words(n)),
 		flows:  make([]flowState, len(flows)),
+		routes: make([]route, len(flows)),
 	}
 	for i := range e.queues {
 		e.queues[i].init(cfg.QueueCap)
@@ -339,6 +364,7 @@ func (e *Engine) AddFlows(specs []FlowSpec) error {
 	}
 	for _, s := range specs {
 		e.flows = append(e.flows, flowState{spec: s, flatDist: -2})
+		e.routes = append(e.routes, route{})
 	}
 	return nil
 }
@@ -383,6 +409,7 @@ func (e *Engine) headRefuses(v int) bool {
 func (e *Engine) Step(step int) error {
 	e.step = step
 	e.stepsRun++
+	e.epoch = e.hooks.Epoch()
 	var forwarded int64
 	rejects0 := e.acc.dropsAdmission + e.acc.dropsRateLimit
 
@@ -458,7 +485,7 @@ func (e *Engine) forward(u int, q *ring) int64 {
 			e.flows[p.flow].dropped++
 			continue
 		}
-		next, ok := e.hooks.NextHop(u, int(p.dst))
+		next, ok := e.nextHop(u, p)
 		if !ok || next == u {
 			e.acc.dropsNoRoute++
 			e.flows[p.flow].dropped++
@@ -705,6 +732,9 @@ func (e *Engine) Compact(r slot.Remap) error {
 		// just like an uncompacted run. Compaction advances the graph's
 		// version, which triggers the (value-identical) recompute at the
 		// next injection.
+	}
+	for i := range e.routes {
+		e.routes[i].walk = e.routes[i].walk[:0] // it holds old slot indices
 	}
 	e.n = r.N()
 	return nil

@@ -27,6 +27,7 @@ func lineHooks() Hooks {
 				return d
 			}
 		},
+		Epoch:       func() uint64 { return 0 },
 		TopoVersion: func() uint64 { return 0 },
 	}
 }
@@ -236,6 +237,11 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(3, Config{}, ok, Hooks{}, src); err == nil {
 		t.Error("missing hooks accepted")
+	}
+	noEpoch := hooks
+	noEpoch.Epoch = nil
+	if _, err := New(3, Config{}, ok, noEpoch, src); err == nil {
+		t.Error("nil Epoch hook accepted")
 	}
 	if _, err := New(0, Config{}, ok, hooks, src); err == nil {
 		t.Error("zero nodes accepted")

@@ -40,12 +40,12 @@ func quartilesOf(xs []float64) quartiles {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
 	at := func(p float64) float64 {
-		h := p * float64(len(s)-1)
+		h := float64(p * float64(len(s)-1))
 		lo := int(math.Floor(h))
 		if lo+1 >= len(s) {
 			return s[lo]
 		}
-		return s[lo] + (h-float64(lo))*(s[lo+1]-s[lo])
+		return s[lo] + float64((h-float64(lo))*(s[lo+1]-s[lo]))
 	}
 	return quartiles{s[0], at(0.25), at(0.5), at(0.75), s[len(s)-1]}
 }

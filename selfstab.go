@@ -237,10 +237,10 @@
 //     by AttachTraffic runs as a post-guard phase of the same step loop:
 //     packets live in fixed-capacity per-node rings, the forwarding pass
 //     walks a bitset of the nodes holding packets (N/64 words, no sort),
-//     one-hop moves go onto one reused staging list, forwarding walks the
-//     routing table via
-//     the NextHop primitive (allocation-free once the trees a flow uses
-//     are filled), and latencies accumulate in
+//     one-hop moves go onto one reused staging list, forwarding asks the
+//     routing table's NextHop primitive once per flow, hop index and
+//     epoch and reads a per-flow memo otherwise (see internal/traffic),
+//     and latencies accumulate in
 //     a histogram that only grows to the maximum observed value. All
 //     workload randomness is drawn sequentially from a dedicated stream,
 //     so traffic statistics — like the protocol itself — are bit-identical

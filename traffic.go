@@ -95,6 +95,9 @@ func (n *Network) attachTrafficImpl(cfg TrafficConfig) error {
 			}
 			return next, true
 		},
+		// The key hierTable resets on: the table, and so every NextHop
+		// answer, is fixed while it holds.
+		Epoch:       n.engine.Epoch,
 		Dist:        n.flatDist,
 		TopoVersion: n.grid.Graph().Version,
 		Alive: func(i int) bool {
