@@ -6,7 +6,6 @@ import (
 	"selfstab/internal/geom"
 	"selfstab/internal/rng"
 	"selfstab/internal/runtime"
-	"selfstab/internal/slot"
 	"selfstab/internal/snapshot"
 )
 
@@ -178,9 +177,6 @@ func (n *Network) addNodeAt(p geom.Point) (int64, error) {
 	if n.energy != nil {
 		n.energy.Resize(n.N()) // arrivals power up with a full battery
 	}
-	if n.churn != nil {
-		n.churn.sleepUntil = append(n.churn.sleepUntil, 0)
-	}
 	return id, nil
 }
 
@@ -216,72 +212,19 @@ func (n *Network) WakeNodes(ids ...int64) error {
 	return n.applyOp(snapshot.Op{Kind: snapshot.OpWakeNodes, IDs: ids})
 }
 
-func (n *Network) removeNodeIdx(i int) error {
-	if err := n.engine.Kill(i); err != nil { // before edge removal: captures spread sites
-		return err
-	}
-	n.grid.Deactivate(i)
-	if n.traffic != nil {
+// removeNodeIdx, crashNodeIdx and evictNodeIdx are the journaled
+// implementations behind RemoveNodes, CrashNodes and EvictNodes: one
+// engine transition each, which loses the node's queued packets too.
+func (n *Network) removeNodeIdx(i int) error { return n.flushed(i, n.engine.Kill(i)) }
+func (n *Network) crashNodeIdx(i int) error  { return n.flushed(i, n.engine.Reboot(i)) }
+func (n *Network) evictNodeIdx(i int) error  { return n.flushed(i, n.engine.Evict(i)) }
+
+// flushed drops node i's queue once its transition succeeded.
+func (n *Network) flushed(i int, err error) error {
+	if err == nil && n.traffic != nil {
 		n.traffic.FlushNode(i)
 	}
-	if n.churn != nil && i < len(n.churn.sleepUntil) {
-		n.churn.sleepUntil[i] = 0 // a removed sleeper must never be schedule-woken
-	}
-	return nil
-}
-
-func (n *Network) crashNodeIdx(i int) error { return n.restartNodeIdx(i, n.engine.Reboot) }
-
-// evictNodeIdx is the journaled implementation behind EvictNodes.
-func (n *Network) evictNodeIdx(i int) error { return n.restartNodeIdx(i, n.engine.Evict) }
-
-// restartNodeIdx restarts node i cold through one of the engine's two
-// state-clearing transitions (Reboot, Evict) and does what both imply
-// outside the engine: a restarted sleeper comes back awake, its queue is
-// part of the lost state, and any scheduled wake is void.
-func (n *Network) restartNodeIdx(i int, restart func(i int) error) error {
-	wasSleeping := n.engine.Status(i) == runtime.StatusSleeping
-	if err := restart(i); err != nil {
-		return err
-	}
-	if wasSleeping {
-		n.grid.Reactivate(i)
-	}
-	if n.traffic != nil {
-		n.traffic.FlushNode(i)
-	}
-	if n.churn != nil && i < len(n.churn.sleepUntil) {
-		n.churn.sleepUntil[i] = 0
-	}
-	return nil
-}
-
-func (n *Network) sleepNodeIdx(i int, until int) error {
-	if err := n.engine.Sleep(i); err != nil { // before edge removal: captures spread sites
-		return err
-	}
-	n.grid.Deactivate(i)
-	if n.churn != nil && i < len(n.churn.sleepUntil) {
-		n.churn.sleepUntil[i] = until
-		if until != 0 {
-			n.churn.sleepers = append(n.churn.sleepers, int32(i))
-		}
-	}
-	return nil
-}
-
-func (n *Network) wakeNodeIdx(i int) error {
-	if n.engine.Status(i) != runtime.StatusSleeping {
-		return fmt.Errorf("selfstab: node %d is %s, cannot wake", i, n.engine.Status(i))
-	}
-	n.grid.Reactivate(i) // before Wake: the join sites include current neighbors
-	if err := n.engine.Wake(i); err != nil {
-		return err
-	}
-	if n.churn != nil && i < len(n.churn.sleepUntil) {
-		n.churn.sleepUntil[i] = 0
-	}
-	return nil
+	return err
 }
 
 // ChurnConfig parameterizes the seeded churn schedule AttachChurn
@@ -311,23 +254,12 @@ func resolveChurn(c ChurnConfig) (ChurnConfig, error) {
 	return c, nil
 }
 
-// churnState is the attached schedule: config, dedicated rng stream, and
-// the per-node wake deadlines (0 = no scheduled wake). sleepers is the
-// deadline worklist — the slots with a scheduled wake — so the per-step
-// wake check costs O(scheduled sleepers), not O(N); entries whose
-// deadline was cleared out-of-band (wake, removal, crash) cull lazily.
+// churnState is the attached schedule: its config and its dedicated rng
+// stream. The wake deadlines of the nodes it puts to sleep are the
+// engine's (Engine.Sleep, Engine.WakeDue).
 type churnState struct {
-	cfg        ChurnConfig
-	src        *rng.Source
-	sleepUntil []int
-	sleepers   []int32
-}
-
-// compact applies a dead-slot recycling remap to the wake deadlines and
-// the worklist (survivors keep their order; dropped slots leave it).
-func (c *churnState) compact(r slot.Remap) {
-	c.sleepUntil = slot.Apply(r, c.sleepUntil)
-	c.sleepers = slot.Renumber(r, c.sleepers)
+	cfg ChurnConfig
+	src *rng.Source
 }
 
 // AttachChurn installs a node-lifecycle churn schedule that runs as a
@@ -357,9 +289,6 @@ func (n *Network) attachChurnImpl(cfg ChurnConfig) error {
 		n.churn = &churnState{src: n.src.Split("churn")}
 	}
 	n.churn.cfg = cfg
-	if len(n.churn.sleepUntil) < n.N() {
-		n.churn.sleepUntil = make([]int, n.N())
-	}
 	n.churnAttached = true
 	return nil
 }
@@ -378,26 +307,11 @@ func (n *Network) churnPreStep(step int) error {
 	if !n.churnAttached {
 		return nil
 	}
-	c := n.churn
 	// Due wakes first: they free capacity before new sleeps are drawn.
-	// Walk the deadline worklist, culling entries cleared out-of-band.
-	w := 0
-	for _, si := range c.sleepers {
-		i := int(si)
-		until := c.sleepUntil[i]
-		if until == 0 {
-			continue // woken, removed or crashed since scheduling
-		}
-		if step >= until {
-			if err := n.wakeNodeIdx(i); err != nil {
-				return err
-			}
-			continue // the wake cleared the deadline
-		}
-		c.sleepers[w] = si
-		w++
+	if err := n.engine.WakeDue(step); err != nil {
+		return err
 	}
-	c.sleepers = c.sleepers[:w]
+	c := n.churn
 	for k := c.src.Poisson(c.cfg.ArrivalRate); k > 0; k-- {
 		p := geom.Point{
 			X: n.region.MinX + float64(c.src.Float64()*(n.region.MaxX-n.region.MinX)),
@@ -430,7 +344,7 @@ func (n *Network) churnPreStep(step int) error {
 		if !ok {
 			break
 		}
-		if err := n.sleepNodeIdx(i, step+c.cfg.SleepSteps); err != nil {
+		if err := n.engine.Sleep(i, step+c.cfg.SleepSteps); err != nil {
 			return err
 		}
 	}

@@ -431,7 +431,7 @@ func TestRemoveScheduledSleeperNeverWoken(t *testing.T) {
 	}
 	// Simulate the schedule sleeping node 0 with a due wake, then the
 	// user removing it before the deadline.
-	if err := net.sleepNodeIdx(0, net.StepCount()+5); err != nil {
+	if err := net.engine.Sleep(0, net.StepCount()+5); err != nil {
 		t.Fatal(err)
 	}
 	if err := net.RemoveNodes(net.IDs()[0]); err != nil {

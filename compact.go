@@ -14,10 +14,10 @@ import (
 // closes that gap: dead slots are dropped and the survivors renumbered,
 // under one index remap propagated atomically to every structure that
 // caches indices — the spatial grid (positions, cells and the unit-disk
-// graph), the step engine (node state, identifiers and the id→index
-// map), the traffic queues and flow endpoints, the energy arrays, the
-// churn schedule's wake deadlines and the convergence ledger's open
-// episode. The cached routing tables and flat distances rebuild because
+// graph), the step engine (node state, identifiers, the id→index map,
+// the churn schedule's wake deadlines and the convergence ledger's open
+// episode), the traffic queues and flow endpoints, and the energy
+// arrays. The cached routing tables and flat distances rebuild because
 // compaction advances the graph's version.
 //
 // Compaction is invisible to everything keyed by node identifier: the
@@ -70,9 +70,6 @@ func (n *Network) compactImpl() (removed int, err error) {
 		if err := n.energy.Compact(r); err != nil {
 			return 0, fmt.Errorf("selfstab: compact: %w", err)
 		}
-	}
-	if n.churn != nil {
-		n.churn.compact(r)
 	}
 	return r.Dropped(), nil
 }

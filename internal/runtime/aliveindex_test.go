@@ -49,7 +49,7 @@ func TestNthAliveMatchesScan(t *testing.T) {
 			}
 		case 1:
 			if e.Status(i) == StatusAlive && e.AliveCount() > 2 {
-				if err := e.Sleep(i); err != nil {
+				if err := e.Sleep(i, 0); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -282,6 +282,22 @@ func (e *Engine) DisruptionRecords() []DisruptionRecord {
 	return append([]DisruptionRecord(nil), e.ledger...)
 }
 
+// Grid switches a node's radio edges off and on in the engine's graph:
+// topology.GridIndex. With one installed, Kill, Sleep, Wake and a
+// sleeper's Reboot or Evict edit the edges themselves, at the point each
+// one's doc names; a bare-graph engine has none, and its caller edits the
+// graph at those same points.
+type Grid interface {
+	Deactivate(i int)
+	Reactivate(i int)
+}
+
+// SetGrid installs the grid that owns the engine's graph, once, at
+// construction.
+//
+//selfstab:mutator
+func (e *Engine) SetGrid(g Grid) { e.grid = g }
+
 // Status returns node i's lifecycle state.
 func (e *Engine) Status(i int) NodeStatus { return e.status[i] }
 
@@ -313,12 +329,13 @@ func (e *Engine) AliveCount() int { return e.aliveN }
 func (e *Engine) DeadCount() int { return e.deadN }
 
 // Append adds one new live node with the given identifier. The caller
-// must have grown the engine's graph first (topology.Graph.AddNode or
-// GridIndex.Append), so the new node's edges are already in place and the
-// join's disruption sites include its radio neighbors. The node's rng
-// stream is derived from the engine's master source exactly as at
-// construction, so surviving nodes' streams are untouched and a fixed
-// seed plus a fixed churn schedule reproduces bit-identical runs.
+// grows the engine's graph first (GridIndex.Append or Graph.AddNode),
+// grid installed or not, since only the caller knows where the node is:
+// its edges are then in place and the join's disruption sites include
+// its radio neighbors. The node's rng stream is derived from the
+// engine's master source exactly as at construction, so surviving nodes'
+// streams are untouched and a fixed seed plus a fixed churn schedule
+// reproduces bit-identical runs.
 //
 //selfstab:mutator
 func (e *Engine) Append(id int64) (int, error) {
@@ -335,6 +352,7 @@ func (e *Engine) Append(id int64) (int, error) {
 	e.out = append(e.out, Frame{})
 	e.active = append(e.active, false)
 	e.status = append(e.status, StatusAlive)
+	e.wakeAt = append(e.wakeAt, 0)
 	e.sendMask = append(e.sendMask, true)
 	e.head = append(e.head, true)
 	e.disrupt.changed = append(e.disrupt.changed, false)
@@ -358,10 +376,11 @@ func (e *Engine) Append(id int64) (int, error) {
 	return i, nil
 }
 
-// Kill permanently removes node i: its state and cache are cleared and it
-// never participates again. The disruption sites are the node plus its
-// current neighbors — capture runs before the caller detaches the node's
-// edges, so call Kill first, then remove the edges from the topology.
+// Kill permanently removes node i: its state and cache are cleared, any
+// scheduled wake is void, and it never participates again. The
+// disruption sites are the node plus its current neighbors, so the edges
+// come off after that capture: the installed grid detaches them before
+// Kill returns; on a bare graph the caller removes them after it.
 //
 //selfstab:mutator
 func (e *Engine) Kill(i int) error {
@@ -383,8 +402,12 @@ func (e *Engine) Kill(i int) error {
 	e.deadN++
 	e.resetNode(i)
 	e.status[i] = StatusDead
+	e.wakeAt[i] = 0
 	e.sendMask[i] = false
 	e.epoch++
+	if e.grid != nil {
+		e.grid.Deactivate(i)
+	}
 	return nil
 }
 
@@ -397,10 +420,12 @@ func (e *Engine) Kill(i int) error {
 func (e *Engine) Reboot(i int) error { return e.restart(i, ChurnCrash) }
 
 // restart is the cold restart Reboot and Evict share: node i loses all
-// protocol state and its neighbor cache and comes back alive (a sleeping
-// node restarts awake), opening or extending a disruption episode of the
-// given kind. A crash marks the node alone; an attack response, like
-// MarkAttack, marks its current neighbors too.
+// protocol state and its neighbor cache and comes back alive, opening or
+// extending a disruption episode of the given kind. A crash marks the
+// node alone; an attack response, like MarkAttack, marks its current
+// neighbors too. A sleeper restarts awake with its scheduled wake void;
+// the installed grid reattaches its edges after the restart, and on a
+// bare graph the caller does.
 func (e *Engine) restart(i int, kind ChurnKind) error {
 	if err := e.checkIndex(i); err != nil {
 		return err
@@ -408,6 +433,7 @@ func (e *Engine) restart(i int, kind ChurnKind) error {
 	if e.status[i] == StatusDead {
 		return fmt.Errorf("runtime: node %d is dead", i)
 	}
+	wasSleeping := e.status[i] == StatusSleeping
 	var spread []int
 	if kind == ChurnAttack {
 		spread = e.g.Neighbors(i)
@@ -421,17 +447,23 @@ func (e *Engine) restart(i int, kind ChurnKind) error {
 	e.aliveIdx.set(i)
 	e.resetNode(i)
 	e.status[i] = StatusAlive
+	e.wakeAt[i] = 0
 	e.sendMask[i] = true
 	e.epoch++
+	if wasSleeping && e.grid != nil {
+		e.grid.Reactivate(i)
+	}
 	return nil
 }
 
-// Sleep duty-cycles node i off: radio silent, state frozen. The
-// disruption sites are the node plus its current neighbors — call Sleep
-// before detaching its edges from the topology.
+// Sleep duty-cycles node i off: radio silent, state frozen. until is the
+// step from which WakeDue wakes it again, 0 for no scheduled wake. The
+// disruption sites are the node plus its current neighbors, so the edges
+// come off after that capture: the installed grid detaches them before
+// Sleep returns; on a bare graph the caller removes them after it.
 //
 //selfstab:mutator
-func (e *Engine) Sleep(i int) error {
+func (e *Engine) Sleep(i, until int) error {
 	if err := e.checkIndex(i); err != nil {
 		return err
 	}
@@ -445,15 +477,24 @@ func (e *Engine) Sleep(i int) error {
 	e.aliveN--
 	e.aliveIdx.clear(i)
 	e.status[i] = StatusSleeping
+	e.wakeAt[i] = until
+	if until != 0 {
+		e.wakeList = append(e.wakeList, int32(i))
+	}
 	e.sendMask[i] = false
 	e.epoch++
+	if e.grid != nil {
+		e.grid.Deactivate(i)
+	}
 	return nil
 }
 
 // Wake brings a sleeping node back: radio on, frozen (possibly stale)
-// state resumed — self-stabilization repairs whatever went stale. Call
-// Wake after reattaching the node's edges so the join sites include its
-// current neighbors.
+// state resumed — self-stabilization repairs whatever went stale — and
+// any scheduled wake void. The join sites include the node's current
+// neighbors, so the edges go back before that capture: the installed grid
+// reattaches them inside Wake; on a bare graph the caller adds them
+// before calling it.
 //
 //selfstab:mutator
 func (e *Engine) Wake(i int) error {
@@ -463,16 +504,46 @@ func (e *Engine) Wake(i int) error {
 	if e.status[i] != StatusSleeping {
 		return fmt.Errorf("runtime: node %d is %s, cannot wake", i, e.status[i])
 	}
+	if e.grid != nil {
+		e.grid.Reactivate(i)
+	}
 	e.markDisruption(ChurnWake, i, e.g.Neighbors(i))
 	e.Activate(i) // frameDirty below pulls the neighbors in via the expansion
 	e.aliveN++
 	e.aliveIdx.set(i)
 	e.status[i] = StatusAlive
+	e.wakeAt[i] = 0
 	e.sendMask[i] = true
 	n := e.nodes[i]
 	n.dirty = true      // the stale cache must be re-evaluated
 	n.frameDirty = true // and the frozen state re-broadcast
 	e.epoch++
+	return nil
+}
+
+// WakeDue wakes every sleeper whose scheduled wake is due by step, in the
+// order Sleep scheduled them, and drops the deadlines a Wake, Kill,
+// Reboot or Evict voided since. It costs O(scheduled sleepers), not O(N).
+//
+//selfstab:mutator
+func (e *Engine) WakeDue(step int) error {
+	w := 0
+	for _, si := range e.wakeList {
+		i := int(si)
+		until := e.wakeAt[i]
+		if until == 0 {
+			continue // voided since scheduling
+		}
+		if step >= until {
+			if err := e.Wake(i); err != nil {
+				return err
+			}
+			continue // the wake cleared the deadline
+		}
+		e.wakeList[w] = si
+		w++
+	}
+	e.wakeList = e.wakeList[:w]
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"slices"
 	"testing"
 
 	"selfstab/internal/cluster"
@@ -295,14 +296,14 @@ func TestEngineKillAndSleepHeal(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.RemoveNode(dead)
-	if err := e.Sleep(sleeper); err != nil {
+	if err := e.Sleep(sleeper, 0); err != nil {
 		t.Fatal(err)
 	}
 	g.RemoveNode(sleeper)
 	if err := e.Kill(dead); err == nil {
 		t.Error("double kill accepted")
 	}
-	if err := e.Sleep(sleeper); err == nil {
+	if err := e.Sleep(sleeper, 0); err == nil {
 		t.Error("sleeping a sleeper accepted")
 	}
 	if err := e.Wake(dead); err == nil {
@@ -379,7 +380,7 @@ func TestEngineChurnParallelDeterminism(t *testing.T) {
 					return err
 				}
 			case 20:
-				if err := e.Sleep(3); err != nil {
+				if err := e.Sleep(3, 0); err != nil {
 					return err
 				}
 				g.RemoveNode(3)
@@ -558,5 +559,175 @@ func TestChurnKindString(t *testing.T) {
 		if got := tc.kinds.String(); got != tc.want {
 			t.Errorf("ChurnKind(%#x).String() = %q, want %q", uint8(tc.kinds), got, tc.want)
 		}
+	}
+}
+
+// recordingGrid is the real grid with every edge switch recorded, each
+// with what the transition's disruption episode held at that moment.
+type recordingGrid struct {
+	*topology.GridIndex
+	e     *Engine
+	calls []gridCall
+}
+
+// gridCall is one recorded switch. captured is whether the open episode
+// already holds the node and every current neighbour as sites; status is
+// the node's status at the call.
+type gridCall struct {
+	on       bool
+	node     int
+	captured bool
+	status   NodeStatus
+}
+
+func (r *recordingGrid) record(on bool, i int) {
+	d := &r.e.disrupt
+	captured := d.active && d.siteSet[i]
+	for _, v := range r.e.g.Neighbors(i) {
+		captured = captured && d.siteSet[v]
+	}
+	r.calls = append(r.calls, gridCall{on: on, node: i, captured: captured, status: r.e.status[i]})
+}
+
+func (r *recordingGrid) Deactivate(i int) { r.record(false, i); r.GridIndex.Deactivate(i) }
+func (r *recordingGrid) Reactivate(i int) { r.record(true, i); r.GridIndex.Reactivate(i) }
+
+// TestLifecycleEdgesAndWakeDeadlines: the engine owns a node's lifecycle.
+// Sleepers are scheduled with Sleep(i, until); one deadline each is voided
+// by Wake, Kill, Reboot and Evict (one more is rescheduled after its
+// Wake), and a Compact runs before any is due. WakeDue must then wake
+// exactly the surviving scheduled sleepers, each at its deadline and not
+// before, in scheduling order. Every transition runs in a fresh episode,
+// and the recording grid shows each edge switch at the point the site
+// capture needs: Deactivate once the sites hold the current neighbours
+// (Kill, Sleep), Reactivate before the capture (Wake), Reactivate after a
+// sleeper's restart (Reboot, Evict), and no switch for an alive node's
+// reboot.
+func TestLifecycleEdgesAndWakeDeadlines(t *testing.T) {
+	tw := newTwin(t, 4300, 80, 0.2, Protocol{Order: cluster.OrderBasic, CacheTTL: 3}, true, 1)
+	e := tw.e
+	rg := &recordingGrid{GridIndex: tw.gi, e: e}
+	e.SetGrid(rg)
+	type want struct {
+		on       bool
+		captured bool
+		status   NodeStatus
+	}
+	var (
+		off       = want{false, true, StatusSleeping}
+		offDead   = want{false, true, StatusDead}
+		onWake    = want{true, false, StatusSleeping}
+		onRestart = want{true, true, StatusAlive}
+	)
+	// do runs one transition of node i in a fresh episode and checks its
+	// edge switches; a switch on before the capture must leave the
+	// restored neighbours among the sites.
+	do := func(what string, i int, op func() error, switches ...want) {
+		t.Helper()
+		e.disrupt.active = false
+		rg.calls = nil
+		if err := op(); err != nil {
+			t.Fatalf("%s %d: %v", what, i, err)
+		}
+		if len(rg.calls) != len(switches) {
+			t.Fatalf("%s %d: grid calls %+v, want %+v", what, i, rg.calls, switches)
+		}
+		for k, c := range rg.calls {
+			if w := switches[k]; c.node != i || c.on != w.on || c.captured != w.captured || c.status != w.status {
+				t.Fatalf("%s %d: grid call %+v, want %+v", what, i, c, w)
+			}
+		}
+		if len(switches) == 1 && switches[0] == onWake {
+			for _, v := range e.g.Neighbors(i) {
+				if !e.disrupt.siteSet[v] {
+					t.Fatalf("%s %d: restored neighbour %d is no site", what, i, v)
+				}
+			}
+		}
+	}
+	rows := []struct {
+		name    string
+		until   int
+		void    string // transition voiding the deadline before it is due
+		resleep int    // deadline of a second Sleep after the void
+		wake    int    // step WakeDue must wake the node at; 0: never
+	}{
+		{"due last", 7, "", 0, 7},
+		{"due first", 4, "", 0, 4},
+		{"due first, scheduled after", 4, "", 0, 4},
+		{"voided by Wake", 5, "wake", 0, 0},
+		{"voided by Kill", 5, "kill", 0, 0},
+		{"voided by Reboot", 5, "reboot", 0, 0},
+		{"voided by Evict", 5, "evict", 0, 0},
+		{"rescheduled after Wake", 3, "wake", 6, 6},
+		{"no deadline", 0, "", 0, 0},
+	}
+	// Row k sleeps node 70-5k: descending slots, so scheduling order is
+	// not slot order. Every one has a neighbour to capture.
+	ids := make([]int64, len(rows))
+	for k, row := range rows {
+		i := 70 - 5*k
+		if len(e.g.Neighbors(i)) == 0 {
+			t.Fatalf("%s: node %d has no neighbours", row.name, i)
+		}
+		ids[k] = e.ids[i]
+		do("sleep", i, func() error { return e.Sleep(i, row.until) }, off)
+	}
+	for k, row := range rows {
+		i, _ := e.Index(ids[k])
+		switch row.void {
+		case "wake":
+			do("wake", i, func() error { return e.Wake(i) }, onWake)
+		case "kill":
+			do("kill", i, func() error { return e.Kill(i) }, offDead)
+		case "reboot":
+			do("reboot", i, func() error { return e.Reboot(i) }, onRestart)
+		case "evict":
+			do("evict", i, func() error { return e.Evict(i) }, onRestart)
+		}
+		if row.void != "" && e.wakeAt[i] != 0 {
+			t.Fatalf("%s: deadline %d survives the void", row.name, e.wakeAt[i])
+		}
+		if row.resleep != 0 {
+			do("sleep", i, func() error { return e.Sleep(i, row.resleep) }, off)
+		}
+	}
+	do("reboot alive", 1, func() error { return e.Reboot(1) })
+	r := e.CompactionRemap()
+	if r.Dropped() != 1 {
+		t.Fatalf("compaction drops %d slots, want the killed one", r.Dropped())
+	}
+	if err := tw.gi.Compact(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Compact(r); err != nil {
+		t.Fatal(err)
+	}
+	for step := 1; step <= 8; step++ {
+		rg.calls = nil
+		if err := e.WakeDue(step); err != nil {
+			t.Fatal(err)
+		}
+		var got, wantIDs []int64
+		for _, c := range rg.calls {
+			if !c.on || c.status != StatusSleeping {
+				t.Fatalf("step %d: WakeDue made grid call %+v, want only wakes", step, c)
+			}
+			got = append(got, e.ids[c.node])
+		}
+		for k, row := range rows {
+			if row.wake == step {
+				wantIDs = append(wantIDs, ids[k])
+			}
+		}
+		if !slices.Equal(got, wantIDs) {
+			t.Fatalf("step %d: WakeDue woke %v, want %v", step, got, wantIDs)
+		}
+	}
+	if i, _ := e.Index(ids[len(rows)-1]); e.Status(i) != StatusSleeping {
+		t.Fatalf("the sleeper without a deadline is %s", e.Status(i))
+	}
+	if len(e.wakeList) != 0 {
+		t.Fatalf("wake worklist keeps %v after every deadline passed", e.wakeList)
 	}
 }

@@ -15,11 +15,12 @@ import (
 // every index-ordered loop in the stack (guards, forwarding, battery
 // charging, victim picks) visits them in the same sequence either way.
 //
-// The engine plans the remap; every subsystem that caches node indices
-// (the topology index, the traffic queues and flow endpoints, the energy
-// arrays, the routing tables, the caller's own position/id arrays) must
-// be compacted with the same remap in the same quiet instant between
-// steps. The selfstab.Network layer orchestrates that; raw engine users
+// The engine plans the remap and applies it to everything it owns, the
+// schedule's wake deadlines included; every other subsystem that caches
+// node indices (the topology index, the traffic queues and flow
+// endpoints, the energy arrays, the routing tables, the caller's own
+// position/id arrays) must be compacted with the same remap in the same
+// quiet instant between steps. The selfstab.Network layer orchestrates that; raw engine users
 // follow the same contract Append established: topology first, then the
 // engine, then everything downstream.
 
@@ -30,11 +31,12 @@ func (e *Engine) CompactionRemap() slot.Remap {
 }
 
 // Compact applies a CompactionRemap: dead slots are dropped, survivors
-// are renumbered in place, and the epoch advances so every index-keyed
-// derived structure (routing tables, renderings) rebuilds. The caller
-// must already have compacted the engine's graph with the same remap
-// (topology.GridIndex.Compact / Graph.Compact); protocol state is
-// untouched — node caches key on application identifiers, which never
+// are renumbered in place (a scheduled sleeper keeps its wake deadline
+// and its place in WakeDue's order), and the epoch advances so every
+// index-keyed derived structure (routing tables, renderings) rebuilds.
+// The caller must already have compacted the engine's graph with the
+// same remap (topology.GridIndex.Compact / Graph.Compact); protocol state
+// is untouched — node caches key on application identifiers, which never
 // change — so the step after a Compact computes exactly what it would
 // have computed without one. Call only between steps.
 //
@@ -73,6 +75,8 @@ func (e *Engine) Compact(r slot.Remap) error {
 	e.out = slot.Apply(r, e.out)
 	e.active = slot.Apply(r, e.active)
 	e.status = slot.Apply(r, e.status)
+	e.wakeAt = slot.Apply(r, e.wakeAt)
+	e.wakeList = slot.Renumber(r, e.wakeList) // dead slots' entries were void
 	e.sendMask = slot.Apply(r, e.sendMask)
 	e.head = slot.Apply(r, e.head)
 	e.densityScale = slot.Apply(r, e.densityScale)

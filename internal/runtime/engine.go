@@ -92,6 +92,14 @@ type Engine struct {
 	aliveN   int
 	deadN    int
 
+	// grid switches lifecycle transitions' edges (Grid; nil on a bare
+	// graph). wakeAt holds each slot's scheduled wake step, 0 for none:
+	// Sleep sets it and every transition out of sleep clears it. wakeList
+	// is the slots Sleep scheduled, in scheduling order, for WakeDue.
+	grid     Grid
+	wakeAt   []int
+	wakeList []int32
+
 	// head[i] mirrors nodes[i].IsHead() for every slot, whatever its
 	// status: the data plane and the battery pass read headship once per
 	// packet or node per step, and a dense byte read beats a node
@@ -212,6 +220,7 @@ func New(g *topology.Graph, ids []int64, proto Protocol, medium radio.Medium, sr
 		out:      make([]Frame, g.N()),
 		active:   make([]bool, g.N()),
 		status:   make([]NodeStatus, g.N()),
+		wakeAt:   make([]int, g.N()),
 		sendMask: make([]bool, g.N()),
 		head:     make([]bool, g.N()),
 		aliveN:   g.N(),

@@ -121,6 +121,7 @@ func placedTwin(t *testing.T, seed int64, pts []geom.Point, r float64, proto Pro
 	if sparse {
 		gi.SetOnAdjacencyChange(e.Activate)
 	}
+	e.SetGrid(gi)
 	e.SetParallelism(workers)
 	return &twin{gi: gi, e: e, pts: pts, corrupt: rng.New(seed + 2), nextID: int64(n)}
 }
@@ -159,22 +160,15 @@ func (tw *twin) apply(t *testing.T, op traceOp) {
 		if err := tw.e.Kill(op.node); err != nil {
 			t.Fatal(err)
 		}
-		tw.gi.Deactivate(op.node)
 	case "reboot":
-		wasSleeping := tw.e.Status(op.node) == StatusSleeping
 		if err := tw.e.Reboot(op.node); err != nil {
 			t.Fatal(err)
 		}
-		if wasSleeping {
-			tw.gi.Reactivate(op.node)
-		}
 	case "sleep":
-		if err := tw.e.Sleep(op.node); err != nil {
+		if err := tw.e.Sleep(op.node, 0); err != nil {
 			t.Fatal(err)
 		}
-		tw.gi.Deactivate(op.node)
 	case "wake":
-		tw.gi.Reactivate(op.node)
 		if err := tw.e.Wake(op.node); err != nil {
 			t.Fatal(err)
 		}
@@ -185,12 +179,8 @@ func (tw *twin) apply(t *testing.T, op traceOp) {
 			t.Fatal(err)
 		}
 	case "evict":
-		wasSleeping := tw.e.Status(op.node) == StatusSleeping
 		if err := tw.e.Evict(op.node); err != nil {
 			t.Fatal(err)
-		}
-		if wasSleeping {
-			tw.gi.Reactivate(op.node)
 		}
 	case "compact":
 		r := tw.e.CompactionRemap()

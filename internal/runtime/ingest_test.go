@@ -140,7 +140,7 @@ func TestGuardOnlyChangeRepublishesHeaderOnly(t *testing.T) {
 		"Corrupt":         {func(e *Engine) error { e.Corrupt(1, CorruptAll, rng.New(5)); return nil }, 1},
 		"SetDensityScale": {func(e *Engine) error { return e.SetDensityScale(i, 0.25) }, 1},
 		"Wake": {func(e *Engine) error {
-			if err := e.Sleep(i); err != nil {
+			if err := e.Sleep(i, 0); err != nil {
 				return err
 			}
 			return e.Wake(i)

@@ -348,10 +348,11 @@ func TestInjectNodeCap(t *testing.T) {
 	})
 }
 
-// TestInjectRateCap: a flood or spawn_flow rate over maxInjectRate is
-// refused with 422 before the world lock is taken, for CBR and Poisson
-// flows alike — every later step would otherwise inject that many
-// packets per flow under the lock.
+// TestInjectRateCap: a spawn_flow rate, or a flood's count times its
+// rate, over maxInjectRate is refused with 422 before the world lock is
+// taken, for CBR and Poisson flows alike — every later step would
+// otherwise inject that many packets under the lock. A flood whose every
+// bot stays under the cap is refused on its total.
 func TestInjectRateCap(t *testing.T) {
 	srv, ts := testServer(t, 30, Config{})
 	ids := srv.net.IDs()
@@ -368,6 +369,8 @@ func TestInjectRateCap(t *testing.T) {
 				`{"kind":"spawn_flow","flow":{"kind":%q,"src":%d,"dst":%d,"rate":%s}}`, kind, ids[2], ids[3], rate)
 		}
 	}
+	bodies["flood total 2x600"] = `{"kind":"flood","count":2,"rate":600}`
+	bodies["flood total 5000x1"] = `{"kind":"flood","count":5000,"rate":1}`
 	requireRefusedUnderLock(t, srv, ts, bodies)
 }
 

@@ -67,9 +67,9 @@ func (n *Network) dispatchOp(op snapshot.Op) error {
 	case snapshot.OpCrashNodes:
 		return n.applyToNodes(op.IDs, notDead("is already dead"), n.crashNodeIdx)
 	case snapshot.OpSleepNodes:
-		return n.applyToNodes(op.IDs, only(runtime.StatusAlive, "sleep"), func(i int) error { return n.sleepNodeIdx(i, 0) })
+		return n.applyToNodes(op.IDs, only(runtime.StatusAlive, "sleep"), func(i int) error { return n.engine.Sleep(i, 0) })
 	case snapshot.OpWakeNodes:
-		return n.applyToNodes(op.IDs, only(runtime.StatusSleeping, "wake"), n.wakeNodeIdx)
+		return n.applyToNodes(op.IDs, only(runtime.StatusSleeping, "wake"), n.engine.Wake)
 	case snapshot.OpAttachTraffic:
 		if op.Traffic == nil {
 			return fmt.Errorf("selfstab: %s op without a traffic config", op.Kind)

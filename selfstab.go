@@ -166,9 +166,10 @@
 //     index remap (internal/slot: one Remap, which every owner applies
 //     through slot.Apply and slot.Renumber) propagated to every index
 //     cache — the grid's positions
-//     and graph, the engine's arrays and identifiers, traffic queues and
-//     flow endpoints, energy arrays, churn wake deadlines, the open
-//     convergence episode — so long-running churn simulations
+//     and graph, the engine's arrays and identifiers (the churn
+//     schedule's wake deadlines among them), traffic queues and flow
+//     endpoints, energy arrays, the open convergence episode — so
+//     long-running churn simulations
 //     hold memory proportional to the operating population. Because
 //     survivors keep their relative order, every ledger is bit-identical
 //     to a run that never compacted (pinned by the determinism matrix's
@@ -211,7 +212,8 @@
 //     rebuilding the unit-disk graph, allocation-free at steady state.
 //     Node churn uses the same index incrementally: Append wires a new
 //     node's edges in O(local density), Deactivate/Reactivate detach and
-//     reattach a slot's edges with their capacity retained, so the churn
+//     reattach a slot's edges with their capacity retained (the engine
+//     calls them itself in each lifecycle transition), so the churn
 //     pre-step phase allocates nothing at steady state for
 //     crash/sleep/wake churn (pinned by TestChurnPreStepAllocationFree;
 //     BenchmarkChurnStep1000 measures a 1000-node step under ~1%/step
@@ -708,6 +710,9 @@ func buildWith(cfg snapshot.Options, pts []geom.Point, src *rng.Source) (*Networ
 	// node whose radio adjacency changes under mobility or churn is
 	// re-examined on the next step, and only those (see SetPositions).
 	n.grid.SetOnAdjacencyChange(engine.Activate)
+	// The engine detaches and reattaches a node's edges itself, at the
+	// point each lifecycle transition captures its disruption sites.
+	engine.SetGrid(n.grid)
 	// The step hooks are installed once; each plane's flag (churnAttached,
 	// trafficOn, energyOn) is the one record of whether it runs.
 	engine.SetPreStep(n.churnPreStep)
