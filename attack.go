@@ -61,9 +61,6 @@ func (n *Network) setDefenseImpl(cfg DefenseConfig) error {
 // TrafficConfig.Flows (CBRFlow, PoissonFlow, HotspotFlow). It fails if
 // no data plane is attached.
 func (n *Network) SpawnFlows(flows ...Flow) error {
-	if len(flows) == 0 {
-		return fmt.Errorf("selfstab: no flows")
-	}
 	return n.applyOp(snapshot.Op{Kind: snapshot.OpSpawnFlows, Traffic: &TrafficConfig{Flows: flows}})
 }
 
@@ -157,9 +154,6 @@ func (n *Network) FloodHeads(bots int, rate float64) ([]int64, error) {
 // Detection: an inflated density is locally implausible — see
 // ImplausibleNodes for the bound and EvictNodes for the response.
 func (n *Network) InflateDensity(scale float64, ids ...int64) error {
-	if scale <= 0 {
-		return fmt.Errorf("selfstab: density scale %v <= 0", scale)
-	}
 	if err := n.applyOp(snapshot.Op{Kind: snapshot.OpScaleDensity, IDs: ids, Scale: scale}); err != nil {
 		return err
 	}

@@ -23,14 +23,6 @@ func attackNet(t *testing.T, seed int64) *Network {
 	return net
 }
 
-// TestAttackDeterminism: the full adversarial trace — flood, byzantine
-// inflation, sybil burst, defenses, eviction — is bit-identical at 1 and 4
-// workers; attacks are ordinary journaled ops. It is the determinism
-// matrix's attack trace on the lossless world at both worker counts.
-func TestAttackDeterminism(t *testing.T) {
-	replayCells(t, "attack", "lossless", cell{workers: 1}, cell{workers: 4})
-}
-
 // TestDefendedLedgerIdentity: under a flood with both defenses firing,
 // the extended accounting identity — every offered packet has exactly one
 // fate, defense drops included — holds at every step boundary.

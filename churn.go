@@ -193,6 +193,8 @@ func (n *Network) RemoveNodes(ids ...int64) error {
 // neighbor cache and any queued packets are lost, and each node restarts
 // cold at its current position (a sleeping node reboots awake). The
 // protocol re-integrates it exactly like a fresh arrival.
+//
+//selfstab:testref the typed form of the crash_nodes op, which TestInjectOpMatchesTypedMutator pins POST /inject's crash_nodes to
 func (n *Network) CrashNodes(ids ...int64) error {
 	return n.applyOp(snapshot.Op{Kind: snapshot.OpCrashNodes, IDs: ids})
 }

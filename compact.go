@@ -32,6 +32,8 @@ import (
 // change is the meaning of node *indices*: Positions, State(i) and
 // friends renumber, and N() shrinks by the returned count. Call between
 // steps — never from a hook.
+//
+//selfstab:testref the typed form of the compact op, which TestInjectOpMatchesTypedMutator pins POST /inject's compact to
 func (n *Network) Compact() (removed int, err error) {
 	oldN := n.N()
 	if err := n.applyOp(snapshot.Op{Kind: snapshot.OpCompact}); err != nil {

@@ -493,18 +493,6 @@ func TestDeterminismMatrix(t *testing.T) {
 	})
 }
 
-// replayCells records one trace on one world option and replays it in
-// the given cells of the matrix. The twin tests the matrix replaced keep
-// their names as calls of it.
-func replayCells(t *testing.T, trName, worldName string, cs ...cell) {
-	tr := traces[slices.IndexFunc(traces, func(tr trace) bool { return tr.name == trName })]
-	w := worlds[slices.IndexFunc(worlds, func(w world) bool { return w.name == worldName })]
-	_, j := record(t, tr, w.opts)
-	for _, c := range cs {
-		t.Run(c.String(), func(t *testing.T) { runCell(t, j, c, tr.phases) })
-	}
-}
-
 // checkDigests compares the live fingerprints' digests with the pinned
 // ones, or rewrites the pinned file under SELFSTAB_UPDATE_GOLDEN=1. A
 // deliberate trajectory change is then a reviewed one-line diff.

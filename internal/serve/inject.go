@@ -1,79 +1,80 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"maps"
 	"net/http"
+	"reflect"
+	"slices"
+	"strings"
 
 	"selfstab"
 )
 
-// injectRequest is the POST /inject body. Kind selects the scenario;
-// the other fields parameterize it:
+// injectRequest is the POST /inject body. It is either a journal op —
+// selfstab.Op, the record WriteSnapshot writes and ReadSnapshot replays —
+// applied as sent through Network.Apply:
 //
-//	{"kind":"faults","frac":0.3}
-//	{"kind":"crash","ids":[4,17]}            also sleep, wake, remove
-//	{"kind":"crash_region","x":0.5,"y":0.5,"radius":0.1}   also sleep_region
-//	{"kind":"churn_burst","count":10,"op":"crash"}         op: crash|sleep|remove
+//	{"kind":"inject_faults","frac":0.3}
+//	{"kind":"crash_nodes","ids":[4,17]}   also sleep_nodes, wake_nodes, remove_nodes
 //	{"kind":"add_nodes","points":[{"x":0.2,"y":0.8}]}
-//	{"kind":"spawn_flow","flow":{"kind":"cbr","src":1,"dst":2,"rate":0.5}}
+//	{"kind":"spawn_flows","traffic":{"flows":[{"kind":"cbr","src":1,"dst":2,"rate":0.5}]}}
+//	{"kind":"set_defense","defense":{"head_tokens":true,"head_rate":1,"head_burst":4,"source_cap":3}}
 //	{"kind":"compact"}
 //
-// Adversarial kinds (the attack plane):
+// or an intent, which needs the live world and resolves under the lock
+// into explicit ops before anything is journaled, so a restored snapshot
+// replays the same casualties without the server in the loop:
 //
-//	{"kind":"flood","count":5,"rate":2}            count bots flood the heads
-//	{"kind":"byzantine","ids":[4,17],"scale":4}    inflate advertised densities
-//	{"kind":"evict","ids":[4]}                     expel byzantine nodes
-//	{"kind":"evict","factor":1.1}                  ...or auto-detect implausible ones
+//	{"kind":"crash_region","x":0.5,"y":0.5,"radius":0.1}   also sleep_region
+//	{"kind":"churn_burst","count":10,"op":"crash"}         op: crash|sleep|remove
+//	{"kind":"flood","count":5,"rate":2}                    count bots flood the heads
+//	{"kind":"byzantine","ids":[4,17],"scale":4}            inflate advertised densities
+//	{"kind":"evict","ids":[4]}                             expel byzantine nodes
+//	{"kind":"evict","factor":1.1}                          ...or auto-detect implausible ones
 //	{"kind":"sybil","target":9,"count":8,"spread":0.05}
-//	{"kind":"defense","defense":{"head_admission":true,"head_rate":1,"head_burst":4,"source_cap":3}}
 //
-// Region and burst injections resolve their victims server-side into an
-// explicit id list before journaling, so a restored snapshot replays the
-// exact same casualties without the server in the loop; flood and the
-// id-less evict resolve against the live hierarchy the same way.
+// The adversarial intents go through the attack calls, which also count
+// the attack. A body that sets a field its kind does not read, step
+// included, is refused (400): Apply would otherwise journal it.
 type injectRequest struct {
-	Kind    string           `json:"kind"`
-	Frac    float64          `json:"frac,omitempty"`
-	IDs     []int64          `json:"ids,omitempty"`
-	X       float64          `json:"x,omitempty"`
-	Y       float64          `json:"y,omitempty"`
-	Radius  float64          `json:"radius,omitempty"`
-	Count   int              `json:"count,omitempty"`
-	Op      string           `json:"op,omitempty"`
-	Points  []selfstab.Point `json:"points,omitempty"`
-	Flow    *flowRequest     `json:"flow,omitempty"`
-	Rate    float64          `json:"rate,omitempty"`    // flood
-	Scale   float64          `json:"scale,omitempty"`   // byzantine
-	Factor  float64          `json:"factor,omitempty"`  // evict (auto-detect)
-	Target  int64            `json:"target,omitempty"`  // sybil
-	Spread  float64          `json:"spread,omitempty"`  // sybil
-	Defense *defenseRequest  `json:"defense,omitempty"` // defense
+	selfstab.Op
+	X      float64 `json:"x"`
+	Y      float64 `json:"y"`
+	Radius float64 `json:"radius"`
+	Count  int     `json:"count"`
+	Burst  string  `json:"op"` // churn_burst
+	Rate   float64 `json:"rate"`
+	Factor float64 `json:"factor"`
+	Target int64   `json:"target"`
+	Spread float64 `json:"spread"`
 }
 
-// defenseRequest is selfstab.DefenseConfig under this API's wire names —
-// field for field, so a request converts to the config — which differ
-// from the snapshot journal's in one place: head_admission here is
-// head_tokens there. A zero-valued (or empty) object removes every
-// installed defense.
-type defenseRequest struct {
-	HeadAdmission bool    `json:"head_admission,omitempty"`
-	HeadRate      float64 `json:"head_rate,omitempty"`
-	HeadBurst     float64 `json:"head_burst,omitempty"`
-	SourceCap     int     `json:"source_cap,omitempty"`
-}
-
-// flowRequest describes one flow for spawn_flow under this API's wire
-// names, which differ from the snapshot journal's: kind "hotspot" (the
-// journal has hotspot_sources on a poisson flow) uses Dst as the sink
-// and Sources as the fan-in.
-type flowRequest struct {
-	Kind    string  `json:"kind"` // "cbr", "poisson" or "hotspot"
-	Src     int64   `json:"src,omitempty"`
-	Dst     int64   `json:"dst"`
-	Rate    float64 `json:"rate"`
-	Sources int     `json:"sources,omitempty"`
+// injectReads names the body fields each kind reads besides its kind; a
+// kind not listed here is refused.
+var injectReads = map[string][]string{
+	// Journal kinds.
+	"inject_faults": {"frac"},
+	"crash_nodes":   {"ids"},
+	"sleep_nodes":   {"ids"},
+	"wake_nodes":    {"ids"},
+	"remove_nodes":  {"ids"},
+	"add_nodes":     {"points"},
+	"spawn_flows":   {"traffic"},
+	"set_defense":   {"defense"},
+	"compact":       nil,
+	// Intents.
+	"crash_region": {"x", "y", "radius"},
+	"sleep_region": {"x", "y", "radius"},
+	"churn_burst":  {"count", "op"},
+	"flood":        {"count", "rate"},
+	"byzantine":    {"ids", "scale"},
+	"evict":        {"ids", "factor"},
+	"sybil":        {"target", "count", "spread"},
 }
 
 // maxInjectBody caps a POST /inject body. The largest legitimate request,
@@ -81,27 +82,31 @@ type flowRequest struct {
 // tens of thousands of nodes in one call.
 const maxInjectBody = 1 << 20
 
-// maxInjectNodes caps how many nodes one inject may create: a sybil
-// count, or an add_nodes point count. A sybil count costs no body bytes,
-// and the world would size its arrays for it under the write lock while
-// every reader waits, so the count is refused (422) before the lock.
+// maxInjectNodes caps how many nodes or flows one inject may create: a
+// sybil count, an add_nodes point count, a flood's bot count, or a
+// spawn_flows op's flows, a hotspot counting once per source. A sybil
+// count costs no body bytes, and a 1 MiB spawn_flows body holds some
+// 17 000 hotspots of 20 000 sources at a negligible total rate; the world
+// would size its arrays for them under the write lock while every reader
+// waits, and every later step would walk them, so the count is refused
+// (422) before the lock.
 const maxInjectNodes = 10000
 
-// maxInjectRate caps the packets a step one inject may offer: a
-// spawn_flow's rate, or a flood's count times its rate. Each offered
-// packet is an injection made under the write lock in every later step,
-// so a rate of 1e12 stalls the service, one of 1e300 overflows the CBR
-// credit, and 5 000 bots at 1 000 each made a 20 000-node world's steps
-// some 300 times slower (2 vCPU); the load is refused (422) before the
+// maxInjectRate caps the packets a step one inject may offer: the sum
+// over a spawn_flows op's flows of rate times its hotspot sources (a
+// hotspot offers rate per source), or a flood's count times its rate.
+// Each offered packet is an injection made under the write lock in every
+// later step, so a rate of 1e12 stalls the service, one of 1e300
+// overflows the CBR credit, 5 000 bots at 1 000 each made a 20 000-node
+// world's steps some 300 times slower (2 vCPU), and so did one hotspot of
+// 19 999 sources at 1 000 each; the load is refused (422) before the
 // lock. The cap is over fifteen times the default queue capacity (64),
 // so no single flow a queue could absorb is refused.
 const maxInjectRate = 1000
 
 func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
-	var req injectRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInjectBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxInjectBody))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, "inject body over %d bytes", maxInjectBody)
@@ -110,18 +115,17 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad inject body: %v", err)
 		return
 	}
-	if n := injectNodes(req); n > maxInjectNodes {
-		writeError(w, http.StatusUnprocessableEntity, "%s would create %d nodes, over %d", req.Kind, n, maxInjectNodes)
+	req, err := decodeInject(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if r := injectRate(req); r > maxInjectRate {
-		writeError(w, http.StatusUnprocessableEntity, "%s rate %v over %d packets a step", req.Kind, r, maxInjectRate)
+	if n, rate := injectLoad(req); n > maxInjectNodes || rate > maxInjectRate {
+		writeError(w, http.StatusUnprocessableEntity, "%s would create %d nodes or flows and offer %v packets a step, over %d or %d",
+			req.Kind, n, rate, maxInjectNodes, maxInjectRate)
 		return
 	}
-	var (
-		affected, step int
-		err            error
-	)
+	var affected, step int
 	s.update(func(net *selfstab.Network) {
 		affected, err = s.applyInjectLocked(req)
 		step = net.StepCount()
@@ -133,76 +137,94 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"kind": req.Kind, "step": step, "affected": affected})
 }
 
-// injectNodes returns how many nodes req would create.
-func injectNodes(req injectRequest) int {
-	switch req.Kind {
-	case "sybil":
-		return req.Count
-	case "add_nodes":
-		return len(req.Points)
+// decodeInject decodes one inject body and refuses, before the lock, an
+// unknown kind, a field the kind does not read and a fault fraction over
+// 1 (which InjectFaults would clamp).
+func decodeInject(body []byte) (injectRequest, error) {
+	var req injectRequest
+	var fields map[string]json.RawMessage
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err := json.Unmarshal(body, &fields)
+	if err == nil {
+		err = dec.Decode(&req)
 	}
-	return 0
+	if err != nil {
+		return req, errf("bad inject body: %v", err)
+	}
+	reads, ok := injectReads[req.Kind]
+	if !ok {
+		return req, errf("unknown inject kind %q", req.Kind)
+	}
+	for _, f := range slices.Sorted(maps.Keys(fields)) {
+		if f != "kind" && !slices.Contains(reads, f) {
+			return req, errf("%s does not read %q", req.Kind, f)
+		}
+	}
+	if t := req.Traffic; t != nil && !reflect.DeepEqual(*t, selfstab.TrafficConfig{Flows: t.Flows}) {
+		return req, errf("spawn_flows reads only the flows of its traffic config")
+	}
+	if req.Kind == "inject_faults" && req.Frac > 1 {
+		return req, errf("inject_faults frac %v over 1", req.Frac)
+	}
+	return req, nil
 }
 
-// injectRate returns the packets a step req asks to offer, over all its
-// flows (0 when none).
-func injectRate(req injectRequest) float64 {
+// injectLoad returns how many nodes or flows req would create and how
+// many packets a step it would offer over all its flows.
+func injectLoad(req injectRequest) (created int, rate float64) {
 	switch {
+	case req.Kind == "sybil":
+		return req.Count, 0
+	case req.Kind == "add_nodes":
+		return len(req.Points), 0
 	case req.Kind == "flood":
-		return float64(req.Count) * req.Rate
-	case req.Kind == "spawn_flow" && req.Flow != nil:
-		return req.Flow.Rate
+		return req.Count, float64(req.Count) * req.Rate
+	case req.Kind == "spawn_flows" && req.Traffic != nil:
+		for _, f := range req.Traffic.Flows {
+			// Clamped so a huge hotspot_sources cannot overflow the sum.
+			sources := min(max(1, f.HotspotSources), maxInjectNodes+1)
+			created += sources
+			rate += float64(f.Rate * float64(sources))
+		}
 	}
-	return 0
+	return created, rate
 }
 
 // applyInjectLocked performs one injection under the write lock and
-// returns how many nodes it touched.
+// returns how many nodes (for spawn_flows, flows) it touched.
 func (s *Server) applyInjectLocked(req injectRequest) (int, error) {
 	switch req.Kind {
-	case "faults":
-		if req.Frac <= 0 || req.Frac > 1 {
-			return 0, errf("faults frac %v outside (0, 1]", req.Frac)
+	case "crash_region", "sleep_region":
+		if req.Radius <= 0 {
+			return 0, errf("region radius %v must be positive", req.Radius)
 		}
-		s.net.InjectFaults(req.Frac)
-		return s.net.N(), nil
-	case "crash":
-		return len(req.IDs), s.net.CrashNodes(req.IDs...)
-	case "sleep":
-		return len(req.IDs), s.net.SleepNodes(req.IDs...)
-	case "wake":
-		return len(req.IDs), s.net.WakeNodes(req.IDs...)
-	case "remove":
-		return len(req.IDs), s.net.RemoveNodes(req.IDs...)
-	case "crash_region":
-		ids, err := s.aliveInRegionLocked(req.X, req.Y, req.Radius)
+		ids, err := s.aliveLocked(s.net.N(), func(p selfstab.Point) bool {
+			dx, dy := p.X-req.X, p.Y-req.Y
+			return float64(dx*dx)+float64(dy*dy) <= req.Radius*req.Radius
+		})
 		if err != nil || len(ids) == 0 {
 			return 0, err
 		}
-		return len(ids), s.net.CrashNodes(ids...)
-	case "sleep_region":
-		ids, err := s.aliveInRegionLocked(req.X, req.Y, req.Radius)
-		if err != nil || len(ids) == 0 {
-			return 0, err
-		}
-		return len(ids), s.net.SleepNodes(ids...)
+		kind := strings.TrimSuffix(req.Kind, "_region") + "_nodes"
+		return len(ids), s.net.Apply(selfstab.Op{Kind: kind, IDs: ids})
 	case "churn_burst":
-		return s.churnBurstLocked(req.Count, req.Op)
-	case "add_nodes":
-		_, err := s.net.AddNodes(req.Points)
-		return len(req.Points), err
-	case "spawn_flow":
-		return s.spawnFlowLocked(req.Flow)
-	case "compact":
-		removed, err := s.net.Compact()
-		return removed, err
+		// The first count alive nodes in index order: deterministic, so
+		// the journaled id list is reproducible from the request alone.
+		// Apply refuses the empty list a count <= 0 or a dead world gives.
+		kind, ok := burstKinds[req.Burst]
+		if !ok {
+			return 0, errf("unknown churn burst op %q (want crash, sleep or remove)", req.Burst)
+		}
+		ids, err := s.aliveLocked(req.Count, func(selfstab.Point) bool { return true })
+		if err != nil {
+			return 0, err
+		}
+		return len(ids), s.net.Apply(selfstab.Op{Kind: kind, IDs: ids})
 	case "flood":
 		bots, err := s.net.FloodHeads(req.Count, req.Rate)
 		return len(bots), err
 	case "byzantine":
-		if req.Scale == 0 {
-			return 0, errf("byzantine inject needs a scale")
-		}
 		return len(req.IDs), s.net.InflateDensity(req.Scale, req.IDs...)
 	case "evict":
 		ids := req.IDs
@@ -218,96 +240,41 @@ func (s *Server) applyInjectLocked(req injectRequest) (int, error) {
 	case "sybil":
 		ids, err := s.net.SybilJoin(req.Target, req.Count, req.Spread)
 		return len(ids), err
-	case "defense":
-		if req.Defense == nil {
-			return 0, errf("defense inject without a defense object")
-		}
-		return 0, s.net.SetTrafficDefense(selfstab.DefenseConfig(*req.Defense))
 	}
-	return 0, errf("unknown inject kind %q", req.Kind)
+	// A journal op, applied as sent.
+	before := s.net.N()
+	if err := s.net.Apply(req.Op); err != nil {
+		return 0, err
+	}
+	switch req.Kind {
+	case "inject_faults":
+		return s.net.N(), nil
+	case "compact":
+		return before - s.net.N(), nil
+	case "spawn_flows":
+		return len(req.Traffic.Flows), nil
+	}
+	return len(req.IDs) + len(req.Points), nil
 }
 
-// aliveInRegionLocked resolves the alive nodes within radius of (x, y)
-// into an id list — the explicit form that gets journaled.
-func (s *Server) aliveInRegionLocked(x, y, radius float64) ([]int64, error) {
-	if radius <= 0 {
-		return nil, errf("region radius %v must be positive", radius)
-	}
+// burstKinds maps a churn_burst op to the journal kind it resolves to.
+var burstKinds = map[string]string{"crash": "crash_nodes", "sleep": "sleep_nodes", "remove": "remove_nodes"}
+
+// aliveLocked resolves an intent's victims into the explicit id list that
+// gets journaled: the first limit alive nodes, in index order, whose
+// position in accepts.
+func (s *Server) aliveLocked(limit int, in func(selfstab.Point) bool) ([]int64, error) {
 	var ids []int64
-	r2 := radius * radius
-	for i := 0; i < s.net.N(); i++ {
+	for i := 0; i < s.net.N() && len(ids) < limit; i++ {
 		st, err := s.net.State(i)
 		if err != nil {
 			return nil, err
 		}
-		if st.Status != selfstab.NodeAlive {
-			continue
-		}
-		dx, dy := st.Position.X-x, st.Position.Y-y
-		if float64(dx*dx)+float64(dy*dy) <= r2 {
+		if st.Status == selfstab.NodeAlive && in(st.Position) {
 			ids = append(ids, st.ID)
 		}
 	}
 	return ids, nil
-}
-
-// churnBurstLocked applies op to the first count alive nodes in index
-// order — deterministic, so the journaled id list is reproducible from
-// the request alone.
-func (s *Server) churnBurstLocked(count int, op string) (int, error) {
-	if count <= 0 {
-		return 0, errf("churn burst count %d must be positive", count)
-	}
-	var ids []int64
-	for i := 0; i < s.net.N() && len(ids) < count; i++ {
-		st, err := s.net.State(i)
-		if err != nil {
-			return 0, err
-		}
-		if st.Status == selfstab.NodeAlive {
-			ids = append(ids, st.ID)
-		}
-	}
-	if len(ids) == 0 {
-		return 0, errf("no alive nodes for a churn burst")
-	}
-	switch op {
-	case "crash":
-		return len(ids), s.net.CrashNodes(ids...)
-	case "sleep":
-		return len(ids), s.net.SleepNodes(ids...)
-	case "remove":
-		return len(ids), s.net.RemoveNodes(ids...)
-	}
-	return 0, errf("unknown churn burst op %q (want crash, sleep or remove)", op)
-}
-
-// spawnFlowLocked appends one flow to the attached data plane via
-// Network.SpawnFlows: the traffic ledger and queues carry over, so
-// scraped counters stay continuous across the spawn (until the attack
-// plane landed, this re-attached and reset the ledger).
-func (s *Server) spawnFlowLocked(fr *flowRequest) (int, error) {
-	if fr == nil {
-		return 0, errf("spawn_flow without a flow")
-	}
-	var flow selfstab.Flow
-	switch fr.Kind {
-	case "cbr":
-		flow = selfstab.CBRFlow(fr.Src, fr.Dst, fr.Rate)
-	case "poisson":
-		flow = selfstab.PoissonFlow(fr.Src, fr.Dst, fr.Rate)
-	case "hotspot":
-		if fr.Sources <= 0 {
-			return 0, errf("hotspot flow needs sources > 0")
-		}
-		flow = selfstab.HotspotFlow(fr.Dst, fr.Sources, fr.Rate)
-	default:
-		return 0, errf("unknown flow kind %q (want cbr, poisson or hotspot)", fr.Kind)
-	}
-	if err := s.net.SpawnFlows(flow); err != nil {
-		return 0, err
-	}
-	return 1, nil
 }
 
 func errf(format string, a ...any) error {

@@ -69,6 +69,7 @@ func TestNoHandlerWritesUnderLock(t *testing.T) {
 		{"GET", "/events", ""},
 		{"POST", "/inject", `{"kind":"churn_burst","count":1,"op":"sleep"}`},
 		{"POST", "/inject", `{"kind":"nope"}`},
+		{"POST", "/inject", `{"kind":"crash_nodes","ids":[999999]}`},
 		{"POST", "/snapshot", ""},
 		{"POST", "/snapshot?stream=1", ""},
 		{"POST", "/trace", ""},

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"selfstab"
-	"selfstab/internal/snapshot"
 )
 
 func testWorld(t testing.TB, nodes int) *selfstab.Network {
@@ -216,7 +215,7 @@ func TestInject(t *testing.T) {
 		Kind     string `json:"kind"`
 	}
 	resp := postJSON(t, ts.URL+"/inject",
-		map[string]any{"kind": "remove", "ids": []int64{victim}}, &result)
+		map[string]any{"kind": "remove_nodes", "ids": []int64{victim}}, &result)
 	if resp.StatusCode != http.StatusOK || result.Affected != 1 {
 		t.Fatalf("remove inject: status %d, result %+v", resp.StatusCode, result)
 	}
@@ -259,30 +258,35 @@ func TestInject(t *testing.T) {
 		t.Errorf("after add_nodes: %d nodes, want 41", health.Nodes)
 	}
 
-	// Bad requests are 400s and mutate nothing.
+	// Bad requests are 400s and mutate nothing: unknown kinds (the old
+	// spellings and journal kinds /inject does not take among them) and
+	// bad values. TestInjectRefusesStrayFields has the stray fields.
+	alive := state.Nodes[39].ID
+	before := snapshotBytes(t, srv)
+	flow := map[string]any{"kind": "cbr", "src": 1, "dst": 2, "rate": 0.5}
 	for _, body := range []any{
 		map[string]any{"kind": "nope"},
-		map[string]any{"kind": "faults", "frac": 2.0},
-		map[string]any{"kind": "crash", "ids": []int64{999999}},
+		map[string]any{"kind": "faults", "frac": 0.5},
+		map[string]any{"kind": "crash", "ids": []int64{alive}},
+		map[string]any{"kind": "attach_churn", "churn": map[string]any{"crash_rate": 1}},
+		map[string]any{"kind": "inject_faults", "frac": 2.0},
+		map[string]any{"kind": "inject_faults", "frac": 0},
+		map[string]any{"kind": "crash_nodes", "ids": []int64{999999}},
 		map[string]any{"kind": "crash_region", "x": 0.5, "y": 0.5, "radius": -1},
 		map[string]any{"kind": "churn_burst", "count": 0, "op": "crash"},
-		map[string]any{"kind": "spawn_flow", "flow": map[string]any{"kind": "cbr", "src": 1, "dst": 2, "rate": 0.5}},
+		map[string]any{"kind": "spawn_flows", "traffic": map[string]any{"flows": []any{flow}}},
 		map[string]any{"bogus_field": 1},
 	} {
 		if resp := postJSON(t, ts.URL+"/inject", body, nil); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("inject %v: status %d, want 400", body, resp.StatusCode)
 		}
 	}
+	if !bytes.Equal(snapshotBytes(t, srv), before) {
+		t.Error("a refused inject changed the snapshot")
+	}
 
 	// The injections were journaled: a snapshot restores to this world.
-	var snap bytes.Buffer
-	srv.mu.RLock()
-	err := srv.net.WriteSnapshot(&snap)
-	srv.mu.RUnlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := selfstab.ReadSnapshot(&snap)
+	restored, err := selfstab.ReadSnapshot(bytes.NewReader(before))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,28 +300,26 @@ func TestInject(t *testing.T) {
 	}
 }
 
+// snapshotBytes checkpoints the server's world under the read lock.
+func snapshotBytes(t testing.TB, srv *Server) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	srv.mu.RLock()
+	err := srv.net.WriteSnapshot(&buf)
+	srv.mu.RUnlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestInjectBodyCap: a POST /inject body over maxInjectBody is refused
 // with 413 before the world lock is taken — the test holds the lock for
 // the whole request — and journals nothing. The body is a valid one-point
 // add_nodes padded with whitespace, so only its size is wrong.
 func TestInjectBodyCap(t *testing.T) {
 	srv, ts := testServer(t, 30, Config{})
-	journalLen := func() int {
-		t.Helper()
-		var buf bytes.Buffer
-		srv.mu.RLock()
-		err := srv.net.WriteSnapshot(&buf)
-		srv.mu.RUnlock()
-		if err != nil {
-			t.Fatal(err)
-		}
-		doc, err := snapshot.Decode(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(doc.Ops)
-	}
-	before := journalLen()
+	before := snapshotBytes(t, srv)
 	body := `{"kind":"add_nodes","points":[{"x":0.5,"y":0.5}` + strings.Repeat(" ", 2<<20) + `]}`
 
 	client := &http.Client{Timeout: 5 * time.Second}
@@ -331,8 +333,8 @@ func TestInjectBodyCap(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("2 MiB inject: status %d, want 413", resp.StatusCode)
 	}
-	if after := journalLen(); after != before {
-		t.Errorf("journal grew from %d to %d ops on a refused inject", before, after)
+	if !bytes.Equal(snapshotBytes(t, srv), before) {
+		t.Error("a refused inject changed the journal or the step")
 	}
 }
 
@@ -348,11 +350,14 @@ func TestInjectNodeCap(t *testing.T) {
 	})
 }
 
-// TestInjectRateCap: a spawn_flow rate, or a flood's count times its
-// rate, over maxInjectRate is refused with 422 before the world lock is
-// taken, for CBR and Poisson flows alike — every later step would
+// TestInjectRateCap: a spawn_flows op's total rate, or a flood's count
+// times its rate, over maxInjectRate is refused with 422 before the world
+// lock is taken, for CBR and Poisson flows alike — every later step would
 // otherwise inject that many packets under the lock. A flood whose every
-// bot stays under the cap is refused on its total.
+// bot stays under the cap, two flows each under it, and a hotspot whose
+// per-source rate is under it are refused on their totals. So is a load
+// of negligible rate that would create over maxInjectNodes flows, a
+// hotspot counting once per source.
 func TestInjectRateCap(t *testing.T) {
 	srv, ts := testServer(t, 30, Config{})
 	ids := srv.net.IDs()
@@ -365,12 +370,27 @@ func TestInjectRateCap(t *testing.T) {
 	for _, rate := range []string{"1e12", "1e300"} {
 		bodies["flood "+rate] = `{"kind":"flood","count":2,"rate":` + rate + `}`
 		for _, kind := range []string{"cbr", "poisson"} {
-			bodies["spawn_flow "+kind+" "+rate] = fmt.Sprintf(
-				`{"kind":"spawn_flow","flow":{"kind":%q,"src":%d,"dst":%d,"rate":%s}}`, kind, ids[2], ids[3], rate)
+			bodies["spawn_flows "+kind+" "+rate] = fmt.Sprintf(
+				`{"kind":"spawn_flows","traffic":{"flows":[{"kind":%q,"src":%d,"dst":%d,"rate":%s}]}}`, kind, ids[2], ids[3], rate)
 		}
 	}
+	bodies["spawn_flows hotspot 29x100"] = fmt.Sprintf(
+		`{"kind":"spawn_flows","traffic":{"flows":[{"kind":"poisson","dst":%d,"rate":100,"hotspot_sources":29}]}}`, ids[3])
+	bodies["spawn_flows total 2x600"] = fmt.Sprintf(
+		`{"kind":"spawn_flows","traffic":{"flows":[{"kind":"cbr","src":%d,"dst":%d,"rate":600},{"kind":"cbr","src":%d,"dst":%d,"rate":600}]}}`,
+		ids[2], ids[3], ids[4], ids[5])
 	bodies["flood total 2x600"] = `{"kind":"flood","count":2,"rate":600}`
 	bodies["flood total 5000x1"] = `{"kind":"flood","count":5000,"rate":1}`
+	cbr := fmt.Sprintf(`{"kind":"cbr","src":%d,"dst":%d,"rate":1e-6}`, ids[2], ids[3])
+	bodies["spawn_flows count 10001 cbr"] = `{"kind":"spawn_flows","traffic":{"flows":[` +
+		strings.Repeat(cbr+",", maxInjectNodes) + cbr + `]}}`
+	bodies["spawn_flows count 2x5001 hotspot"] = fmt.Sprintf(
+		`{"kind":"spawn_flows","traffic":{"flows":[{"kind":"cbr","dst":%d,"rate":1e-6,"hotspot_sources":5001},{"kind":"cbr","dst":%d,"rate":1e-6,"hotspot_sources":5001}]}}`,
+		ids[3], ids[4])
+	bodies["spawn_flows count huge hotspot"] = fmt.Sprintf(
+		`{"kind":"spawn_flows","traffic":{"flows":[{"kind":"cbr","dst":%d,"rate":1e-300,"hotspot_sources":9223372036854775807},{"kind":"cbr","dst":%d,"rate":1e-300,"hotspot_sources":9223372036854775807}]}}`,
+		ids[3], ids[4])
+	bodies["flood count 10001"] = `{"kind":"flood","count":10001,"rate":1e-6}`
 	requireRefusedUnderLock(t, srv, ts, bodies)
 }
 
@@ -379,25 +399,9 @@ func TestInjectRateCap(t *testing.T) {
 // step left where they were, and a server that keeps answering.
 func requireRefusedUnderLock(t *testing.T, srv *Server, ts *httptest.Server, bodies map[string]string) {
 	t.Helper()
-	state := func() (ops, step int) {
-		t.Helper()
-		var buf bytes.Buffer
-		srv.mu.RLock()
-		err := srv.net.WriteSnapshot(&buf)
-		step = srv.net.StepCount()
-		srv.mu.RUnlock()
-		if err != nil {
-			t.Fatal(err)
-		}
-		doc, err := snapshot.Decode(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(doc.Ops), step
-	}
 	client := &http.Client{Timeout: 5 * time.Second}
 	for name, body := range bodies {
-		opsBefore, stepBefore := state()
+		before := snapshotBytes(t, srv)
 		srv.mu.Lock()
 		resp, err := client.Post(ts.URL+"/inject", "application/json", strings.NewReader(body))
 		srv.mu.Unlock()
@@ -408,8 +412,8 @@ func requireRefusedUnderLock(t *testing.T, srv *Server, ts *httptest.Server, bod
 		if resp.StatusCode != http.StatusUnprocessableEntity {
 			t.Errorf("%s: status %d, want 422", name, resp.StatusCode)
 		}
-		if ops, step := state(); ops != opsBefore || step != stepBefore {
-			t.Errorf("%s: journal %d -> %d ops, step %d -> %d on a refused inject", name, opsBefore, ops, stepBefore, step)
+		if !bytes.Equal(snapshotBytes(t, srv), before) {
+			t.Errorf("%s: a refused inject changed the journal or the step", name)
 		}
 		resp, err = client.Get(ts.URL + "/healthz")
 		if err != nil {
@@ -434,18 +438,20 @@ func TestSpawnFlow(t *testing.T) {
 		Affected int `json:"affected"`
 	}
 	resp := postJSON(t, ts.URL+"/inject", map[string]any{
-		"kind": "spawn_flow",
-		"flow": map[string]any{"kind": "poisson", "src": ids[2], "dst": ids[3], "rate": 0.4},
+		"kind": "spawn_flows",
+		"traffic": map[string]any{"flows": []any{
+			map[string]any{"kind": "poisson", "src": ids[2], "dst": ids[3], "rate": 0.4},
+		}},
 	}, &result)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("spawn_flow: status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK || result.Affected != 1 {
+		t.Fatalf("spawn_flows: status %d, affected %d", resp.StatusCode, result.Affected)
 	}
 	var stats struct {
 		Traffic selfstab.TrafficStats `json:"traffic"`
 	}
 	getJSON(t, ts.URL+"/stats/traffic", &stats)
 	if len(stats.Traffic.PerFlow) != 2 {
-		t.Errorf("after spawn_flow: %d flows, want 2", len(stats.Traffic.PerFlow))
+		t.Errorf("after spawn_flows: %d flows, want 2", len(stats.Traffic.PerFlow))
 	}
 }
 
@@ -732,7 +738,7 @@ func TestNodeLookupFollowsCompaction(t *testing.T) {
 	if node.ID != moved || node.Index != 30 {
 		t.Fatalf("before compaction: id %d served as %+v, want index 30", moved, node)
 	}
-	postJSON(t, ts.URL+"/inject", map[string]any{"kind": "remove", "ids": []int64{gone}}, nil)
+	postJSON(t, ts.URL+"/inject", map[string]any{"kind": "remove_nodes", "ids": []int64{gone}}, nil)
 	if resp := getJSON(t, fmt.Sprintf("%s/state/node?id=%d", ts.URL, gone), &node); resp.StatusCode != http.StatusOK || node.Status != "dead" {
 		t.Fatalf("removed, not yet compacted: status %d, node %+v; want 200 and dead", resp.StatusCode, node)
 	}

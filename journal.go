@@ -11,8 +11,9 @@ import (
 // This file is the world-mutation chokepoint. Every public mutator —
 // InjectFaults, SetPositions, the lifecycle calls, the subsystem
 // attach/detach pairs, Compact, SetAutoCompact — builds a snapshot.Op
-// and hands it to applyOp, which performs the mutation and, on success,
-// appends the op (stamped with the current step count) to the journal.
+// and hands it to applyOp (Apply hands one in as given), which validates
+// and performs the mutation and, on success, appends the op (stamped
+// with the current step count) to the journal.
 // The journal is therefore complete by construction: there is no code
 // path that mutates the world without writing it down, which is what
 // makes Network.WriteSnapshot / ReadSnapshot a faithful checkpoint and
@@ -38,6 +39,19 @@ import (
 // id, point and flow slices a caller passed in can be reused or edited
 // afterwards without rewriting history.
 
+// Op is one world mutation as the journal records it: the record
+// WriteSnapshot writes, ReadSnapshot replays and Apply takes. Kind
+// selects which payload fields are meaningful; Step is stamped by the
+// journal, so Apply ignores it.
+type Op = snapshot.Op
+
+// Apply performs one world mutation given as its journal record and
+// journals it, exactly as the typed mutator of its kind would: an op
+// that fails changes nothing and is not journaled. It is how a mutation
+// that arrives as data — over HTTP, say — reaches the world without a
+// second vocabulary.
+func (n *Network) Apply(op Op) error { return n.applyOp(op) }
+
 // applyOp performs one world mutation and journals it. It is the only
 // entry point through which the world changes, shared by the public
 // mutators and by snapshot replay (Restore feeds journaled ops back
@@ -56,6 +70,9 @@ func (n *Network) applyOp(op snapshot.Op) error {
 func (n *Network) dispatchOp(op snapshot.Op) error {
 	switch op.Kind {
 	case snapshot.OpFaults:
+		if op.Frac <= 0 {
+			return fmt.Errorf("selfstab: fault fraction %v <= 0", op.Frac)
+		}
 		n.engine.Corrupt(op.Frac, runtime.CorruptAll, n.src.Split("faults"))
 		return nil
 	case snapshot.OpSetPositions:
@@ -104,8 +121,8 @@ func (n *Network) dispatchOp(op snapshot.Op) error {
 		n.autoCompact = op.Frac
 		return nil
 	case snapshot.OpSpawnFlows:
-		if op.Traffic == nil {
-			return fmt.Errorf("selfstab: %s op without a traffic config", op.Kind)
+		if op.Traffic == nil || len(op.Traffic.Flows) == 0 {
+			return fmt.Errorf("selfstab: %s op without flows", op.Kind)
 		}
 		return n.spawnFlowsImpl(op.Traffic.Flows)
 	case snapshot.OpScaleDensity:

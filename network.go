@@ -105,11 +105,8 @@ func (n *Network) Stabilize(maxSteps int) (int, error) {
 // transient faults of the self-stabilization model. Call Stabilize
 // afterwards and the network heals.
 func (n *Network) InjectFaults(frac float64) {
-	if frac <= 0 {
-		return
-	}
 	// Journaled (the corruption draw comes from a split stream, so replay
-	// reproduces it); the dispatch never fails for frac > 0.
+	// reproduces it); the dispatch refuses only frac <= 0, a no-op here.
 	_ = n.applyOp(snapshot.Op{Kind: snapshot.OpFaults, Frac: frac})
 }
 

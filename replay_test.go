@@ -146,7 +146,9 @@ func snapshotBytes(t *testing.T, n *Network) []byte {
 // node, no ledger, and not the master rng stream either — and leaves no
 // journal entry, so a snapshot taken after a failed call replays to the
 // same world. One row (or more) per op kind that has a failing input;
-// inject_faults, compact and the three detach ops accept every input.
+// compact and the three detach ops accept every input. The Apply rows
+// send an op the typed wrapper would never build, so the chokepoint
+// itself must refuse it.
 // The fault injection after the failure is what exposes a stream the
 // failed call advanced: its corruption draw comes from a Split of the
 // master stream, so the live world and its replay corrupt different
@@ -303,6 +305,18 @@ func TestFailedOpsAreNotJournaled(t *testing.T) {
 		}},
 		{"set_defense", "admission without a rate", nil, withTraffic, func(t *testing.T, n *Network) error {
 			return n.SetTrafficDefense(DefenseConfig{HeadAdmission: true})
+		}},
+		{"inject_faults", "Apply frac 0", nil, nil, func(t *testing.T, n *Network) error {
+			return n.Apply(Op{Kind: "inject_faults"})
+		}},
+		{"spawn_flows", "Apply no flows", nil, withTraffic, func(t *testing.T, n *Network) error {
+			return n.Apply(Op{Kind: "spawn_flows", Traffic: &TrafficConfig{}})
+		}},
+		{"scale_density", "Apply scale 0", nil, nil, func(t *testing.T, n *Network) error {
+			return n.Apply(Op{Kind: "scale_density", IDs: []int64{first(t, n)}})
+		}},
+		{"unknown", "Apply unknown kind", nil, nil, func(t *testing.T, n *Network) error {
+			return n.Apply(Op{Kind: "nope"})
 		}},
 	}
 	for _, r := range rows {

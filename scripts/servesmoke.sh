@@ -3,8 +3,8 @@
 # world is live, scrape /metrics (including the step-phase histograms
 # from the instrumentation collector and the dropped-tick counter), fetch
 # the streamed /state document, fetch a Chrome trace over POST /trace, take a 1-second CPU profile through the -pprof endpoints,
-# inject a regional crash over HTTP, checkpoint to disk, and verify a
-# clean SIGTERM drain (including the drain snapshot) within a timeout.
+# inject a regional crash and a journal op over HTTP, checkpoint to disk
+# and find both in the journal, and verify a clean SIGTERM drain (including the drain snapshot) within a timeout.
 # This gates wiring, not timing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -78,8 +78,15 @@ curl -fsS "http://$ADDR/debug/pprof/profile?seconds=1" -o "$DIR/cpu.pprof"
 [ -s "$DIR/cpu.pprof" ] || { echo "empty CPU profile from /debug/pprof" >&2; exit 1; }
 curl -fsS -X POST -d '{"kind":"crash_region","x":0.5,"y":0.5,"radius":0.15}' \
   "http://$ADDR/inject" | grep -q '"kind": "crash_region"'
+# A journal op is posted as the journal records it.
+curl -fsS -X POST -d '{"kind":"inject_faults","frac":0.2}' \
+  "http://$ADDR/inject" | grep -q '"kind": "inject_faults"'
 curl -fsS -X POST "http://$ADDR/snapshot" | grep -q '"path"'
-ls "$DIR/snaps"/snapshot-step*.json >/dev/null
+# The checkpoint journals the posted op as sent, and the regional crash
+# as the explicit crash_nodes it resolved to.
+SNAP="$(ls "$DIR/snaps"/snapshot-step*.json)"
+grep -q '"kind": "inject_faults"' "$SNAP"
+grep -q '"kind": "crash_nodes"' "$SNAP"
 
 sleep 0.5 # let the world step past the explicit checkpoint before draining
 kill -TERM "$PID"
