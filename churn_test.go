@@ -522,3 +522,44 @@ func TestStatsOperatingPopulationUnderChurn(t *testing.T) {
 		t.Errorf("hierarchy level 0 has %d clusters, live clustering has %d", len(levels[0].Clusters), live)
 	}
 }
+
+// TestFlashCrowdJoinStaysLocal: fifty nodes powering up in one step
+// inside a small block (the disaster-area arrival of the paper's
+// introduction) are one join episode, and the re-election they cause
+// stays near the block. On this 400-node world, about 14 hops across,
+// seeds 1-20 read an affected radius of 2-5 hops (seed 1: 3, the same
+// as a 150-node crowd on 1 000 nodes); 5 is that measured ceiling.
+func TestFlashCrowdJoinStaysLocal(t *testing.T) {
+	const joins, maxRadius = 50, 5
+	net, err := NewRandomNetwork(400, WithSeed(1), WithRange(0.1), WithCacheTTL(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Stabilize(5000); err != nil {
+		t.Fatal(err)
+	}
+	before := len(net.ConvergenceStats().Disruptions)
+	pts := make([]Point, joins)
+	for i := range pts {
+		pts[i] = Point{X: 0.3 + 0.005*float64(i%10), Y: 0.7 + 0.01*float64(i/10)}
+	}
+	if _, err := net.AddNodes(pts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Stabilize(5000); err != nil {
+		t.Fatal(err)
+	}
+	recs := net.ConvergenceStats().Disruptions[before:]
+	if len(recs) != 1 {
+		t.Fatalf("the crowd opened %d episodes, want 1: %+v", len(recs), recs)
+	}
+	if r := recs[0]; r.Kinds != ChurnJoin || r.Ops != joins {
+		t.Errorf("episode %+v, want kind join with %d ops", r, joins)
+	}
+	if r := recs[0].AffectedRadius; r < 0 || r > maxRadius {
+		t.Errorf("affected radius %d hops, want within [0, %d]", r, maxRadius)
+	}
+	if err := net.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -49,6 +49,12 @@ func runChurn(args []string, out io.Writer) error {
 	if *sleepSteps < 1 {
 		return usageErrorf("sleepsteps %d must be at least 1", *sleepSteps)
 	}
+	if err := checkRun(*nodes, *steps); err != nil {
+		return err
+	}
+	if *flows > 0 && *rate <= 0 {
+		return usageErrorf("-rate %v must be positive when flows are attached", *rate)
+	}
 
 	net, err := selfstab.NewRandomNetwork(*nodes,
 		selfstab.WithSeed(*seed),
@@ -136,8 +142,12 @@ func runChurn(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	// Let the survivors re-stabilize so the final episode closes.
+	// Let the survivors re-stabilize so the final episode closes, and
+	// check that what they settled on is the legitimate clustering.
 	if _, err := net.Stabilize(20000); err != nil {
+		return err
+	}
+	if err := net.Verify(); err != nil {
 		return err
 	}
 

@@ -40,12 +40,17 @@ func runEnergy(args []string, out io.Writer) error {
 	if *capacity <= 0 {
 		return usageErrorf("capacity %v must be positive", *capacity)
 	}
-	if *sources < 0 || *rate < 0 {
-		return usageErrorf("sources %d and rate %v must be non-negative", *sources, *rate)
+	if err := checkRun(*nodes, *steps); err != nil {
+		return err
+	}
+	if *sources < 0 || *sources > 0 && *rate <= 0 {
+		return usageErrorf("sources %d must be non-negative, and rate %v positive when there are sources", *sources, *rate)
 	}
 	if *levels < 2 || *levels > 1024 {
 		return usageErrorf("levels %d outside [2, 1024]", *levels)
 	}
+	// A hotspot has at most one source per node besides its sink.
+	srcs := min(*sources, *nodes-1)
 
 	run := func(rotation, sleep bool) (*selfstab.Network, selfstab.EnergyStats, error) {
 		net, err := selfstab.NewRandomNetwork(*nodes,
@@ -60,15 +65,10 @@ func runEnergy(args []string, out io.Writer) error {
 		if _, err := net.Stabilize(5000); err != nil {
 			return nil, selfstab.EnergyStats{}, err
 		}
-		if *sources > 0 {
-			ids := net.IDs()
-			srcs := *sources
-			if max := len(ids) - 1; srcs > max {
-				srcs = max
-			}
+		if srcs > 0 {
 			if err := net.AttachTraffic(selfstab.TrafficConfig{
 				QueueCap: 32,
-				Flows:    []selfstab.Flow{selfstab.HotspotFlow(ids[0], srcs, *rate)},
+				Flows:    []selfstab.Flow{selfstab.HotspotFlow(net.IDs()[0], srcs, *rate)},
 			}); err != nil {
 				return nil, selfstab.EnergyStats{}, err
 			}
@@ -104,14 +104,18 @@ func runEnergy(args []string, out io.Writer) error {
 			return err
 		}
 		// Stop the drain and let the survivors re-stabilize so the final
-		// depletion episode closes into the ledger.
+		// depletion episode closes into the ledger, on the legitimate
+		// clustering.
 		net.DetachEnergy()
 		if _, err := net.Stabilize(20000); err != nil {
 			return err
 		}
+		if err := net.Verify(); err != nil {
+			return err
+		}
 		alive, sleeping, dead := net.Population()
 		fmt.Fprintf(out, "energy lifetime: %d nodes, %d steps, %d sources -> 1 sink\n",
-			*nodes, *steps, *sources)
+			*nodes, *steps, srcs)
 		fmt.Fprintf(out, "  population: %d alive, %d sleeping, %d dead\n", alive, sleeping, dead)
 		renderEnergyStats(out, es)
 		renderConvergence(out, net.ConvergenceStats())

@@ -91,6 +91,18 @@ func usageErrorf(format string, a ...any) error {
 	return fmt.Errorf(format+"\n"+usage, a...)
 }
 
+// checkRun refuses, before any network is built, a world too small to
+// cluster or a run with no step to report on.
+func checkRun(nodes, steps int) error {
+	if nodes < 2 {
+		return usageErrorf("need at least 2 nodes, got %d", nodes)
+	}
+	if steps < 1 {
+		return usageErrorf("-steps %d must be at least 1", steps)
+	}
+	return nil
+}
+
 func run(args []string, out io.Writer) error {
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		switch args[0] {

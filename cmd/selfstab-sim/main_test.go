@@ -70,20 +70,38 @@ func TestRunTable3Small(t *testing.T) {
 // SELFSTAB_UPDATE_GOLDEN=1 go test -run TestRunExperimentsRender ./cmd/selfstab-sim
 // and its diff is reviewed.
 func TestRunExperimentsRender(t *testing.T) {
-	if a := goruntime.GOARCH; a != "amd64" && a != "386" {
-		t.Skipf("experiment outputs are checked on amd64 and 386, where CI runs them; on %s no run has compared them yet", a)
-	}
+	var rows []goldenRow
 	for _, exp := range []string{
 		"table1", "table2", "table3", "table4", "table5", "mobility",
 		"stabilization", "gamma", "metrics", "orders", "daemons", "scalability",
 	} {
-		t.Run(exp, func(t *testing.T) {
+		rows = append(rows, goldenRow{exp, []string{"-exp", exp, "-runs", "2", "-lambda", "300", "-seed", "5", "-minutes", "0.5"}})
+	}
+	runGolden(t, "exp", rows)
+}
+
+// goldenRow is one pinned command line: its output must equal
+// testdata/<dir>/<name>.txt byte for byte.
+type goldenRow struct {
+	name string
+	args []string
+}
+
+// runGolden runs each row as a subtest and compares its output with its
+// golden file, or rewrites the file when SELFSTAB_UPDATE_GOLDEN is set.
+// The outputs are compared on amd64 and 386, where CI runs them;
+// elsewhere a row still has to succeed.
+func runGolden(t *testing.T, dir string, rows []goldenRow) {
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
 			var buf bytes.Buffer
-			args := []string{"-exp", exp, "-runs", "2", "-lambda", "300", "-seed", "5", "-minutes", "0.5"}
-			if err := run(args, &buf); err != nil {
+			if err := run(row.args, &buf); err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", "exp", exp+".txt")
+			if a := goruntime.GOARCH; a != "amd64" && a != "386" {
+				t.Skipf("outputs are compared on amd64 and 386, where CI runs them; on %s no run has compared them yet", a)
+			}
+			path := filepath.Join("testdata", dir, row.name+".txt")
 			if os.Getenv("SELFSTAB_UPDATE_GOLDEN") != "" {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
@@ -98,7 +116,7 @@ func TestRunExperimentsRender(t *testing.T) {
 				t.Fatalf("read golden (regenerate with SELFSTAB_UPDATE_GOLDEN=1): %v", err)
 			}
 			if got := buf.String(); got != string(want) {
-				t.Errorf("%s output differs from %s:\n--- got\n%s--- want\n%s", exp, path, got, want)
+				t.Errorf("%v output differs from %s:\n--- got\n%s--- want\n%s", row.args, path, got, want)
 			}
 		})
 	}
@@ -128,33 +146,23 @@ func TestRunInvalidOptions(t *testing.T) {
 	}
 }
 
+// The scenario tests pin each subcommand row's whole report in
+// testdata/scenarios/<row>.txt, regenerated like the -exp tables.
+
 func TestRunTrafficStatic(t *testing.T) {
-	var buf bytes.Buffer
-	err := run([]string{"traffic", "-nodes", "120", "-steps", "60", "-flows", "10", "-scenario", "static", "-budget", "2"}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"delivered", "head load share", "stretch", "latency"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("traffic output missing %q:\n%s", want, out)
-		}
-	}
+	runGolden(t, "scenarios", []goldenRow{
+		{"traffic-static", []string{"traffic", "-nodes", "120", "-steps", "60", "-flows", "10", "-scenario", "static", "-budget", "2"}},
+	})
 }
 
 func TestRunTrafficScenariosAndWorkloads(t *testing.T) {
-	for _, args := range [][]string{
-		{"traffic", "-nodes", "100", "-steps", "40", "-flows", "8", "-scenario", "mobility"},
-		{"traffic", "-nodes", "100", "-steps", "40", "-flows", "8", "-scenario", "faults"},
-		{"traffic", "-nodes", "100", "-steps", "40", "-flows", "8", "-workload", "hotspot"},
-		{"traffic", "-nodes", "100", "-steps", "40", "-flows", "8", "-workload", "cbr"},
-		{"traffic", "-nodes", "100", "-steps", "40", "-flows", "8", "-workload", "poisson"},
-	} {
-		var buf bytes.Buffer
-		if err := run(args, &buf); err != nil {
-			t.Errorf("%v: %v", args, err)
-		}
-	}
+	runGolden(t, "scenarios", []goldenRow{
+		{"traffic-mobility", []string{"traffic", "-nodes", "100", "-steps", "40", "-flows", "8", "-scenario", "mobility"}},
+		{"traffic-faults", []string{"traffic", "-nodes", "100", "-steps", "40", "-flows", "8", "-scenario", "faults"}},
+		{"traffic-hotspot", []string{"traffic", "-nodes", "100", "-steps", "40", "-flows", "8", "-workload", "hotspot"}},
+		{"traffic-cbr", []string{"traffic", "-nodes", "100", "-steps", "40", "-flows", "8", "-workload", "cbr"}},
+		{"traffic-poisson", []string{"traffic", "-nodes", "100", "-steps", "40", "-flows", "8", "-workload", "poisson"}},
+	})
 }
 
 func TestRunTrafficBadArgs(t *testing.T) {
@@ -192,6 +200,14 @@ func TestRunUnknownNamesExitNonZero(t *testing.T) {
 		{"scale too few nodes", []string{"scale", "-nodes", "3"}, "at least 10 nodes"},
 		{"scale bad compact fraction", []string{"scale", "-compact", "1.5"}, "outside [0, 1]"},
 		{"unknown serve preload", []string{"serve", "-preload", "nope"}, "unknown preload scenario"},
+		{"traffic no steps", []string{"traffic", "-steps", "-5"}, "at least 1"},
+		{"traffic negative rate", []string{"traffic", "-rate", "-1"}, "positive"},
+		{"traffic hotspot no flows", []string{"traffic", "-workload", "hotspot", "-flows", "0"}, "-flows 0"},
+		{"churn no steps", []string{"churn", "-steps", "-3"}, "at least 1"},
+		{"churn flows at zero rate", []string{"churn", "-flows", "4", "-rate", "0"}, "positive"},
+		{"energy no steps", []string{"energy", "-steps", "-1"}, "at least 1"},
+		{"energy one node", []string{"energy", "-nodes", "1"}, "at least 2 nodes"},
+		{"energy sources at zero rate", []string{"energy", "-rate", "0"}, "positive"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -214,26 +230,14 @@ func TestRunUnknownNamesExitNonZero(t *testing.T) {
 }
 
 // TestRunChurnScenarios drives the churn subcommand end to end on small
-// networks.
+// networks; each run ends with Verify on the re-stabilized survivors.
 func TestRunChurnScenarios(t *testing.T) {
-	for _, args := range [][]string{
-		{"churn", "-nodes", "80", "-steps", "40", "-arrival", "0.2", "-departure", "0.2",
-			"-crash", "0.3", "-sleep", "0.3", "-sleepsteps", "6", "-scenario", "steady"},
-		{"churn", "-nodes", "80", "-steps", "40", "-crash", "0.5", "-scenario", "burst"},
-		{"churn", "-nodes", "80", "-steps", "40", "-scenario", "blackout", "-flows", "4"},
-	} {
-		var buf bytes.Buffer
-		if err := run(args, &buf); err != nil {
-			t.Errorf("%v: %v", args, err)
-			continue
-		}
-		out := buf.String()
-		for _, want := range []string{"episodes", "alive", "clusters"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("%v output missing %q:\n%s", args, want, out)
-			}
-		}
-	}
+	runGolden(t, "scenarios", []goldenRow{
+		{"churn-steady", []string{"churn", "-nodes", "80", "-steps", "40", "-arrival", "0.2", "-departure", "0.2",
+			"-crash", "0.3", "-sleep", "0.3", "-sleepsteps", "6", "-scenario", "steady"}},
+		{"churn-burst", []string{"churn", "-nodes", "80", "-steps", "40", "-crash", "0.5", "-scenario", "burst"}},
+		{"churn-blackout", []string{"churn", "-nodes", "80", "-steps", "40", "-scenario", "blackout", "-flows", "4"}},
+	})
 }
 
 // TestRunChurnBadFlags: malformed flag values exit non-zero.
@@ -405,38 +409,11 @@ func TestServeHTTPServerTimeouts(t *testing.T) {
 // TestRunEnergyScenarios drives the energy subcommand end to end on small
 // networks.
 func TestRunEnergyScenarios(t *testing.T) {
-	for _, args := range [][]string{
-		{"energy", "-nodes", "100", "-steps", "60", "-sources", "10", "-scenario", "lifetime", "-capacity", "0.2"},
-		{"energy", "-nodes", "100", "-steps", "60", "-sources", "10", "-scenario", "rotation", "-capacity", "0.2"},
-		{"energy", "-nodes", "100", "-steps", "60", "-sources", "0", "-scenario", "sleep-savings"},
-	} {
-		var buf bytes.Buffer
-		if err := run(args, &buf); err != nil {
-			t.Errorf("%v: %v", args, err)
-			continue
-		}
-		out := buf.String()
-		scenario := ""
-		for i, a := range args {
-			if a == "-scenario" {
-				scenario = args[i+1]
-			}
-		}
-		var wants []string
-		switch scenario {
-		case "lifetime":
-			wants = []string{"first death", "drained", "episodes"}
-		case "rotation":
-			wants = []string{"plain density", "energy x density", "first death"}
-		case "sleep-savings":
-			wants = []string{"always awake", "duty-cycled", "remaining"}
-		}
-		for _, want := range wants {
-			if !strings.Contains(out, want) {
-				t.Errorf("%v output missing %q:\n%s", args, want, out)
-			}
-		}
-	}
+	runGolden(t, "scenarios", []goldenRow{
+		{"energy-lifetime", []string{"energy", "-nodes", "100", "-steps", "60", "-sources", "10", "-scenario", "lifetime", "-capacity", "0.2"}},
+		{"energy-rotation", []string{"energy", "-nodes", "100", "-steps", "60", "-sources", "10", "-scenario", "rotation", "-capacity", "0.2"}},
+		{"energy-sleep-savings", []string{"energy", "-nodes", "100", "-steps", "60", "-sources", "0", "-scenario", "sleep-savings"}},
+	})
 }
 
 // TestRunEnergyBadArgs: malformed names and magnitudes fail fast with the

@@ -32,11 +32,8 @@ func runTrace(args []string, out io.Writer) error {
 	if fs.NArg() > 0 {
 		return usageErrorf("trace: unexpected argument %q", fs.Arg(0))
 	}
-	if *nodes < 2 {
-		return usageErrorf("trace: need at least 2 nodes, got %d", *nodes)
-	}
-	if *steps < 1 {
-		return usageErrorf("trace: -steps %d must be at least 1", *steps)
+	if err := checkRun(*nodes, *steps); err != nil {
+		return err
 	}
 	if *radioRng <= 0 || *radioRng > 1 {
 		return usageErrorf("trace: -range %v outside (0, 1]", *radioRng)

@@ -45,6 +45,12 @@ func runTraffic(args []string, out io.Writer) error {
 	default:
 		return usageErrorf("unknown workload %q (want cbr, poisson, hotspot or mixed)", *workload)
 	}
+	if err := checkRun(*nodes, *steps); err != nil {
+		return err
+	}
+	if *flows < 1 || *rate <= 0 {
+		return usageErrorf("-flows %d must be at least 1 and -rate %v positive", *flows, *rate)
+	}
 
 	net, err := selfstab.NewRandomNetwork(*nodes,
 		selfstab.WithSeed(*seed),
@@ -86,8 +92,6 @@ func runTraffic(args []string, out io.Writer) error {
 		if err := net.Run(*steps - *steps/2); err != nil {
 			return err
 		}
-	default:
-		return fmt.Errorf("unknown scenario %q", *scenario)
 	}
 
 	s, err := net.TrafficStats()

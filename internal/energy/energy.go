@@ -39,6 +39,50 @@
 //     is re-quantized only when it drops below the floor of its current
 //     level. Quantization is monotone on [0, Capacity] and batteries only
 //     drain, so that is exactly when its level can change.
+//
+// # Why the pass is sequential
+//
+// Engine.Step used to have a second body: from 4 096 nodes up (a
+// private parallelThreshold) a worker pool pre-read every node's
+// lifecycle, role and traffic counters into scratch arrays and a
+// sequential commit loop "replayed exactly the inline pass's arithmetic"
+// over them, with its own SetParallelism knob. It was measured at
+// GOMAXPROCS 2 and deleted, on two grounds.
+//
+// No oracle ran it. go test -coverpkg=./... ./... with both bodies
+// reported stepParallel at 0.0 %: every test that attached batteries had N ≤ 250,
+// so the energy determinism test of the time, at 1 and 4 workers,
+// compared the inline body with itself, while dataplane (20k), serve
+// (50k) and every world of 4 096 nodes and up ran the other one.
+// scripts/deadpaths.sh now fails CI on any function of a step-path
+// package, of the root package or of internal/serve, internal/snapshot
+// and internal/obs that the whole suite never executes.
+//
+// No row showed it paying. The fan-out spreads two to five indirect hook
+// calls per node; the commit — float accumulation, kills, rotation
+// rescales, all order-dependent — stays sequential either way. A whole
+// quiescent step (traffic + energy phases), µs, with the two-body binary's
+// own switch, three runs each:
+//
+//	world                  inline (SetParallelism(1))  parallel (default)
+//	20k, idle costs only   229–262                     222–233
+//	20k, convergecast      385–392                     428–481
+//	50k, idle costs only   540–555                     504–554
+//	50k, convergecast      856–943                     900–1 060
+//
+// A tie without traffic and ~10 % slower with it, plus 5 allocs a step for
+// the goroutines. BenchmarkEnergyStep reads the same way: n=20000 427–617
+// µs with the parallel body against 335–482 inline only, n=50000
+// 861–1 346 against 790–1 074 (eight alternating rounds of the two test
+// binaries on one 2-vCPU host whose noise is most of each range; inline
+// only read lower in 8 of 8 and 7 of 8 rounds), and sim_digest is
+// identical on heal, churn, dataplane and mixed for seeds 1 and 2 (serve
+// replays wall-clock request arrivals, so its digest differs run to run on
+// either side and is checked against its own restored twin). Traced,
+// energy.phase_us read 539 → 383 on dataplane and 1 240 → 868 on serve
+// when the parallel body went; no gain is claimed from one run a side. What parallelism is left is the
+// step engine's flat worker split (runtime.forEach), which has its row
+// (HealRound10k).
 package energy
 
 import (

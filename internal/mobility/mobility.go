@@ -15,8 +15,8 @@
 //
 // It is the repository's one mobility model. internal/experiment records
 // its mobility study and the metrics and orders ablations on it; the
-// `selfstab-sim traffic -scenario mobility` command and the trafficstorm
-// and mobilecampus examples move a Network with it through SetPositions.
+// `selfstab-sim traffic -scenario mobility` command and the mobilecampus
+// example move a Network with it through SetPositions.
 package mobility
 
 import (

@@ -10,6 +10,25 @@
 // caches can be corrupted arbitrarily (transient faults) and the system
 // must return to a legitimate configuration — matching the static oracle in
 // package cluster — within a bounded expected number of steps.
+//
+// # Why there is no tiling
+//
+// The worklist expansion used to be shardable over k region tiles with a
+// halo exchange (WithTiles, default min(GOMAXPROCS, N/2048)). It was
+// measured at GOMAXPROCS 2 and deleted. Tiles sharded only the
+// expansion: traced with tiles on, runtime.halo_us was 95 of 1 627 µs of
+// a churn step (5.8 %) and 143 of 6 343 µs of a heal step (2.2 %), while
+// ingest, which the flat worker split already parallelises, is 83–89 %.
+// No tile count beat one tile: at 100k nodes with k nodes re-scaled per
+// step, tiles 1 / 2 / 4 read (ms/op) k=100 0.38–0.46 / 0.42–0.71 /
+// 0.41–0.63, k=5 000 15.2–18.2 / 16.6–17.6 / 15.5–16.4, k=20 000
+// 38.8–40.3 / 39.0–41.6 / 44.3–47.0, k=45 000 31.3–33.8 / 30.0–30.7 /
+// 30.9–32.8. Deleting it left sim_digest identical on heal, churn,
+// dataplane and mixed, and paired bench/run.sh runs overlap on every
+// end-to-end metric (all runs: CHANGES.md, the entry that deletes
+// WithTiles). The worklist and the flat worker split (HealRound10k
+// 1.2–1.4× on two workers) stay. A snapshot carrying "tiles": k still
+// decodes and re-encodes verbatim; nothing acts on it.
 package runtime
 
 // NbrValue is what a node relays about one cached neighbor's shared

@@ -9,8 +9,9 @@
 # Runs every test in the module once with coverage over ./..., then fails
 # on any function at 0.0 % outside the allowlist below in the root
 # package or any internal/ package. Binaries and examples (cmd/,
-# examples/, scripts/) are left out: their mains are driven by CI's
-# smoke steps, not by tests.
+# examples/, scripts/) are left out: cmd/selfstab-sim's subcommands are
+# pinned by its own golden tests, and every main is run by CI's examples
+# and smoke steps.
 #
 #   scripts/deadpaths.sh
 set -euo pipefail
