@@ -147,21 +147,25 @@ func TestRunInvalidOptions(t *testing.T) {
 }
 
 // The scenario tests pin each subcommand row's whole report in
-// testdata/scenarios/<row>.txt, regenerated like the -exp tables.
+// testdata/scenarios/<row>.txt, regenerated like the -exp tables. The
+// traffic rows run at -range 0.18 (mean degree about 10 at 100 nodes), so
+// their packets route and a change to forwarding or routing moves their
+// goldens; traffic-cbr keeps the default range and stays the partitioned
+// world that delivers nothing.
 
 func TestRunTrafficStatic(t *testing.T) {
 	runGolden(t, "scenarios", []goldenRow{
-		{"traffic-static", []string{"traffic", "-nodes", "120", "-steps", "60", "-flows", "10", "-scenario", "static", "-budget", "2"}},
+		{"traffic-static", []string{"traffic", "-nodes", "120", "-steps", "60", "-flows", "10", "-scenario", "static", "-budget", "2", "-range", "0.18"}},
 	})
 }
 
 func TestRunTrafficScenariosAndWorkloads(t *testing.T) {
 	runGolden(t, "scenarios", []goldenRow{
-		{"traffic-mobility", []string{"traffic", "-nodes", "100", "-steps", "40", "-flows", "8", "-scenario", "mobility"}},
-		{"traffic-faults", []string{"traffic", "-nodes", "100", "-steps", "40", "-flows", "8", "-scenario", "faults"}},
-		{"traffic-hotspot", []string{"traffic", "-nodes", "100", "-steps", "40", "-flows", "8", "-workload", "hotspot"}},
+		{"traffic-mobility", []string{"traffic", "-nodes", "100", "-steps", "40", "-flows", "8", "-scenario", "mobility", "-range", "0.18"}},
+		{"traffic-faults", []string{"traffic", "-nodes", "100", "-steps", "40", "-flows", "8", "-scenario", "faults", "-range", "0.18"}},
+		{"traffic-hotspot", []string{"traffic", "-nodes", "100", "-steps", "40", "-flows", "8", "-workload", "hotspot", "-range", "0.18"}},
 		{"traffic-cbr", []string{"traffic", "-nodes", "100", "-steps", "40", "-flows", "8", "-workload", "cbr"}},
-		{"traffic-poisson", []string{"traffic", "-nodes", "100", "-steps", "40", "-flows", "8", "-workload", "poisson"}},
+		{"traffic-poisson", []string{"traffic", "-nodes", "100", "-steps", "40", "-flows", "8", "-workload", "poisson", "-range", "0.18"}},
 	})
 }
 
@@ -407,10 +411,11 @@ func TestServeHTTPServerTimeouts(t *testing.T) {
 }
 
 // TestRunEnergyScenarios drives the energy subcommand end to end on small
-// networks.
+// networks. The lifetime row's capacity depletes nodes, so its closing
+// Verify runs on a world that lost nodes to their batteries.
 func TestRunEnergyScenarios(t *testing.T) {
 	runGolden(t, "scenarios", []goldenRow{
-		{"energy-lifetime", []string{"energy", "-nodes", "100", "-steps", "60", "-sources", "10", "-scenario", "lifetime", "-capacity", "0.2"}},
+		{"energy-lifetime", []string{"energy", "-nodes", "100", "-steps", "60", "-sources", "10", "-scenario", "lifetime", "-capacity", "0.05"}},
 		{"energy-rotation", []string{"energy", "-nodes", "100", "-steps", "60", "-sources", "10", "-scenario", "rotation", "-capacity", "0.2"}},
 		{"energy-sleep-savings", []string{"energy", "-nodes", "100", "-steps", "60", "-sources", "0", "-scenario", "sleep-savings"}},
 	})

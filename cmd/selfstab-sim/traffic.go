@@ -99,7 +99,7 @@ func runTraffic(args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "traffic %s/%s: %d nodes, %d flows, %d steps\n",
-		*scenario, *workload, net.N(), len(specs), *steps)
+		*scenario, *workload, net.N(), len(s.PerFlow), *steps)
 	renderTrafficStats(out, s)
 	return nil
 }
@@ -197,8 +197,12 @@ func renderTrafficStats(out io.Writer, s selfstab.TrafficStats) {
 		s.DropsQueue+s.DropsNoRoute+s.DropsTTL+s.DropsDeadEndpoint,
 		s.DropsQueue, s.DropsNoRoute, s.DropsTTL, s.DropsDeadEndpoint)
 	fmt.Fprintf(w, "  hops (mean)\t%.2f\tstretch vs flat %.3f\n", s.MeanHops, s.MeanStretch)
-	fmt.Fprintf(w, "  latency steps\tp50 %d\tp90 %d, p99 %d, max %d\n",
-		s.LatencyP50, s.LatencyP90, s.LatencyP99, s.LatencyMax)
+	if s.Delivered == 0 {
+		fmt.Fprintf(w, "  latency steps\tnone delivered\n")
+	} else {
+		fmt.Fprintf(w, "  latency steps\tp50 %d\tp90 %d, p99 %d, max %d\n",
+			s.LatencyP50, s.LatencyP90, s.LatencyP99, s.LatencyMax)
+	}
 	fmt.Fprintf(w, "  node load\tmean %.1f\tmax %d\n", s.MeanLoad, s.MaxLoad)
 	fmt.Fprintf(w, "  head load share\t%.1f%%\t(heads are %.1f%% of nodes)\n",
 		100*s.HeadLoadShare, 100*s.HeadFraction)
