@@ -4,6 +4,9 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"selfstab/internal/rng"
+	"selfstab/internal/traffic"
 )
 
 // churnNet builds a stabilized network configured for churn (cache TTL +
@@ -327,6 +330,114 @@ func TestFlatDistMatchesBFS(t *testing.T) {
 		}
 		if check(t, net) == 0 {
 			t.Fatal("no unreachable pair: the -1 case went untested")
+		}
+	})
+}
+
+// checkBaselines attaches cfg, whose flows must all be unicast, and then
+// swaps in a data plane built the same way except that its Dist hook
+// checks every answer against a BFS of the graph at that call. It
+// returns the calls made and how many read -1.
+func checkBaselines(t *testing.T, net *Network, cfg TrafficConfig) (calls, unreachable *int) {
+	t.Helper()
+	if err := net.AttachTraffic(cfg); err != nil {
+		t.Fatal(err)
+	}
+	specs, err := net.resolveFlows(cfg.Flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls, unreachable = new(int), new(int)
+	hooks := net.trafficHooks()
+	dist := hooks.Dist
+	hooks.Dist = func(src, dst int) int {
+		got := dist(src, dst)
+		if want := net.grid.Graph().Distances(src)[dst]; got != want {
+			t.Fatalf("step %d: baseline %d→%d = %d, BFS on the graph at delivery says %d", net.StepCount(), src, dst, got, want)
+		}
+		*calls++
+		if got < 0 {
+			*unreachable++
+		}
+		return got
+	}
+	if net.traffic, err = traffic.New(net.N(), cfg, specs, hooks, rng.New(1)); err != nil {
+		t.Fatal(err)
+	}
+	return calls, unreachable
+}
+
+// TestStretchBaselineMatchesBFSAtDelivery pins the baseline the data
+// plane divides by: through joins, departures, crashes, sleeps and a
+// compaction under traffic, every Dist it asks equals the BFS distance on
+// the graph at that call, the topology at delivery. A packet whose source
+// falls asleep before it lands is delivered with no stretch sample: the
+// sleeping source has no links, so there is no flat path to compare with.
+func TestStretchBaselineMatchesBFSAtDelivery(t *testing.T) {
+	t.Run("churned", func(t *testing.T) {
+		net := churnNet(t, 150, 13)
+		ids := net.IDs()
+		var flows []Flow
+		for i := 0; i < 30; i++ {
+			flows = append(flows, CBRFlow(ids[(i*7)%len(ids)], ids[(i*13+75)%len(ids)], 0.5))
+		}
+		calls, unreachable := checkBaselines(t, net, TrafficConfig{Flows: flows})
+		if err := net.AttachChurn(ChurnConfig{ArrivalRate: 0.3, DepartureRate: 0.2, CrashRate: 0.2, SleepRate: 0.3, SleepSteps: 8}); err != nil {
+			t.Fatal(err)
+		}
+		if err := net.Run(60); err != nil {
+			t.Fatal(err)
+		}
+		if removed, err := net.Compact(); err != nil || removed == 0 {
+			t.Fatalf("Compact removed %d slots, err %v; want the departed ones", removed, err)
+		}
+		if err := net.Run(60); err != nil {
+			t.Fatal(err)
+		}
+		s, err := net.TrafficStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkTrafficLedger(t, s)
+		if *calls < 30 || *calls >= int(s.Delivered) || s.MeanStretch < 1 {
+			t.Fatalf("%d baselines for %d deliveries, mean stretch %v: the churned run exercised too little", *calls, s.Delivered, s.MeanStretch)
+		}
+		t.Logf("%d baselines (%d unreachable) for %d deliveries", *calls, *unreachable, s.Delivered)
+	})
+
+	t.Run("source asleep at delivery", func(t *testing.T) {
+		const side = 8
+		net, err := NewGridNetwork(side, side, WithRange(1.2/side), WithCacheTTL(4), WithStableWindow(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := net.Stabilize(2000); err != nil {
+			t.Fatal(err)
+		}
+		ids := net.IDs()
+		src, dst := ids[0], ids[6] // six hops along the first row
+		at := net.StepCount() + 1
+		one := CBRFlow(src, dst, 1)
+		one.Start, one.Stop = at, at
+		calls, unreachable := checkBaselines(t, net, TrafficConfig{Flows: []Flow{one}})
+		if err := net.Step(); err != nil { // injected and one hop on its way
+			t.Fatal(err)
+		}
+		if err := net.SleepNodes(src); err != nil {
+			t.Fatal(err)
+		}
+		if err := net.Run(20); err != nil {
+			t.Fatal(err)
+		}
+		s, err := net.TrafficStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Offered != 1 || s.Delivered != 1 || s.MeanHops < 6 {
+			t.Fatalf("the one packet was not delivered: %+v", s)
+		}
+		if s.MeanStretch != 0 || *calls != 1 || *unreachable != 1 {
+			t.Fatalf("mean stretch %v from %d baselines (%d unreachable): a sleeping source must leave no sample", s.MeanStretch, *calls, *unreachable)
 		}
 	})
 }

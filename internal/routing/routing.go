@@ -11,11 +11,12 @@
 // it. Reset builds, in O(N+E), only a skeleton of the clustering: cluster
 // numbering and member lists in ascending-label order, the lexicographically
 // smallest gateway edge per adjacent cluster pair, the label-sorted overlay
-// adjacency and (per graph version) the component labels. Everything the
-// skeleton knows about one node — component, cluster, rank in the cluster
-// and the offset of the tree toward it — is one packed 16-byte record
-// (nodeRec), so a hop loads one record per endpoint instead of four
-// parallel arrays, and a filled tree is indexed straight off the record.
+// adjacency with each edge's reverse, and (per graph version) the component
+// labels. Everything the skeleton knows about one node — component,
+// cluster, rank in the cluster and the offset of the tree toward it — is
+// one packed 16-byte record (nodeRec), so a hop loads one record per
+// endpoint instead of four parallel arrays, and a filled tree is indexed
+// straight off the record.
 // The entries themselves are breadth-first trees: the intra-cluster next
 // hops toward a target node, and the overlay next hops toward a destination
 // cluster. Each is filled the first time NextHop, Route or StatePerNode
@@ -97,8 +98,9 @@ type nodeRec struct {
 var errTreesFull = errors.New("routing: next-hop trees outgrew int32 offsets")
 
 // overlayEdge is one directed edge of the cluster overlay with its gateway:
-// the border edge (u in this cluster, v in cluster to) used to cross.
-type overlayEdge struct{ to, u, v int32 }
+// the border edge (u in this cluster, v in cluster to) used to cross. rev
+// is the index in ov of the reverse edge, from cluster to back.
+type overlayEdge struct{ to, u, v, rev int32 }
 
 // BuildHierarchical returns a new table over the assignment.
 func BuildHierarchical(g *topology.Graph, a *cluster.Assignment) (*Hierarchical, error) {
@@ -193,6 +195,21 @@ func (h *Hierarchical) Reset(g *topology.Graph, a *cluster.Assignment) error {
 	}
 	h.ovStart = append(h.ovStart, int32(len(h.ov)))
 
+	// Reverse edges: the overlay is symmetric, and d's list, sorted by to,
+	// starts with its edges toward the clusters below d in ascending
+	// order, which is the order c visits them. So one cursor per cluster
+	// pairs every edge c→d, d > c, with the next unpaired edge of d.
+	clear(perCl) // perCl[d]: d's edges toward lower clusters paired so far
+	for c := int32(0); int(c) < clusters; c++ {
+		for e := h.ovStart[c]; e < h.ovStart[c+1]; e++ {
+			if d := h.ov[e].to; d > c {
+				back := h.ovStart[d] + perCl[d]
+				perCl[d]++
+				h.ov[e].rev, h.ov[back].rev = back, e
+			}
+		}
+	}
+
 	h.trees = h.trees[:0]
 	h.rowOff, h.rows = extend(h.rowOff[:0], clusters, -1), h.rows[:0]
 	return nil
@@ -272,9 +289,7 @@ func (h *Hierarchical) rowOf(d int32) int {
 		v := q[i]
 		for _, e := range h.ov[h.ovStart[v]:h.ovStart[v+1]] {
 			if s := e.to; s != d && row[s] < 0 {
-				back, _ := slices.BinarySearchFunc(h.ov[h.ovStart[s]:h.ovStart[s+1]], v,
-					func(x overlayEdge, to int32) int { return cmp.Compare(x.to, to) })
-				row[s] = h.ovStart[s] + int32(back)
+				row[s] = e.rev
 				q = append(q, s)
 			}
 		}

@@ -49,11 +49,12 @@ type flowState struct {
 	spec   FlowSpec
 	credit float64 // CBR fractional-packet accumulator
 
-	// flatDist caches the flat shortest-path hop count Src→Dst (-1 when
-	// disconnected, -2 when never computed), valid while flatVersion
-	// matches the hooks' TopoVersion. It is the per-packet stretch
-	// baseline; one Dist query per flow per topology change instead of
-	// one per packet.
+	// flatDist caches the flat shortest-path hop count Src→Dst on the
+	// topology at delivery (-1 when disconnected, -2 when never computed),
+	// valid while flatVersion matches the hooks' TopoVersion. It is the
+	// stretch baseline of every packet the flow delivers under that
+	// version: one Dist query per flow per topology version that sees a
+	// delivery, instead of one per packet.
 	flatDist    int
 	flatVersion uint64
 
@@ -84,11 +85,17 @@ func (f *flowState) arrivalsThisStep(step int, src *rng.Source) int {
 	}
 }
 
-// refreshFlatDist recomputes the cached flat distance when the topology
-// version moved.
-func (f *flowState) refreshFlatDist(hooks Hooks) {
+// refreshFlatDist returns the flat distance Src→Dst on the current
+// topology, recomputing the cached one when the topology version moved.
+// A source whose slot Compact dropped is disconnected from everything, so
+// it reads -1 without a query.
+func (f *flowState) refreshFlatDist(hooks Hooks) int {
 	if v := hooks.TopoVersion(); f.flatDist == -2 || f.flatVersion != v {
-		f.flatDist = hooks.Dist(f.spec.Src, f.spec.Dst)
+		f.flatDist = -1
+		if f.spec.Src >= 0 {
+			f.flatDist = hooks.Dist(f.spec.Src, f.spec.Dst)
+		}
 		f.flatVersion = v
 	}
+	return f.flatDist
 }

@@ -226,7 +226,6 @@ func (r *refEngine) inject(fi int, f *flowState) {
 		r.deliver(p)
 		return
 	}
-	f.refreshFlatDist(r.hooks)
 	r.admit(src, p)
 }
 
@@ -265,9 +264,11 @@ func (r *refEngine) deliver(p packet) {
 		latency = r.step - int(p.born) + 1
 	}
 	r.acc.observeLatency(latency)
-	if p.hops > 0 && f.flatDist > 0 {
-		r.acc.stretchSum += float64(p.hops) / float64(f.flatDist)
-		r.acc.stretchCount++
+	if p.hops > 0 {
+		if d := f.refreshFlatDist(r.hooks); d > 0 {
+			r.acc.stretchSum += float64(p.hops) / float64(d)
+			r.acc.stretchCount++
+		}
 	}
 }
 

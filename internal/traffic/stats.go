@@ -88,9 +88,13 @@ type Stats struct {
 
 	// MeanHops averages hop counts over delivered packets.
 	MeanHops float64
-	// MeanStretch averages (hierarchical hops / flat shortest-path hops)
-	// over delivered packets — the path-stretch cost of the hierarchy the
-	// paper's scalability argument accepts. 0 when nothing qualified.
+	// MeanStretch averages hops / flat distance over delivered packets —
+	// the path-stretch cost of the hierarchy the paper's scalability
+	// argument accepts. The flat distance is the shortest-path hop count
+	// from the flow's source to its destination on the topology at
+	// delivery (see Hooks.Dist). A packet has no sample when it took no
+	// hop (a self-flow) or when no flat path exists at delivery: its
+	// source is asleep, dead or cut off by then. 0 when nothing qualified.
 	MeanStretch float64
 
 	// Latency percentiles in steps over delivered packets (-1 when none).

@@ -83,8 +83,10 @@ type Hooks struct {
 	// changes whenever any NextHop answer may. Read once per Step.
 	Epoch func() uint64
 	// Dist returns the flat shortest-path hop count between two nodes
-	// (-1 when disconnected) — the baseline for path stretch. Called once
-	// per flow per TopoVersion, so it may search the graph.
+	// (-1 when disconnected) — the baseline for path stretch. It is asked
+	// only when a packet that took at least one hop is delivered, about
+	// its flow's endpoints, and at most once per flow per TopoVersion, so
+	// it may search the graph.
 	Dist func(src, dst int) int
 	// TopoVersion returns the topology's version (topology.Graph.Version);
 	// cached flat distances are reused while it is unchanged.
@@ -575,7 +577,6 @@ func (e *Engine) inject(fi int, f *flowState) {
 		e.deliver(p)
 		return
 	}
-	f.refreshFlatDist(e.hooks)
 	e.admit(src, packet{flow: int32(fi), dst: int32(dst), born: int32(e.step)})
 }
 
@@ -624,9 +625,13 @@ func (e *Engine) deliver(p packet) {
 		latency = e.step - int(p.born) + 1
 	}
 	e.acc.observeLatency(latency)
-	if p.hops > 0 && f.flatDist > 0 {
-		e.acc.stretchSum += float64(p.hops) / float64(f.flatDist)
-		e.acc.stretchCount++
+	// The stretch baseline is the flat distance on the topology at
+	// delivery, cached per flow per topology version.
+	if p.hops > 0 {
+		if d := f.refreshFlatDist(e.hooks); d > 0 {
+			e.acc.stretchSum += float64(p.hops) / float64(d)
+			e.acc.stretchCount++
+		}
 	}
 }
 
@@ -727,11 +732,10 @@ func (e *Engine) Compact(r slot.Remap) error {
 			f.spec.Dst = r.Of(f.spec.Dst)
 		}
 		// The cached flat distance stays: compaction relabels the graph
-		// isomorphically, so the value is exactly as (in)valid as it was,
-		// and in-flight deliveries must keep sampling stretch against it
-		// just like an uncompacted run. Compaction advances the graph's
-		// version, which triggers the (value-identical) recompute at the
-		// next injection.
+		// isomorphically, so the value is still the distance at its
+		// version. Compaction advances the graph's version, which
+		// triggers the (value-identical) recompute at the flow's next
+		// delivery.
 	}
 	for i := range e.routes {
 		e.routes[i].walk = e.routes[i].walk[:0] // it holds old slot indices

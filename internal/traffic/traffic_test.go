@@ -417,3 +417,80 @@ func TestRecvCountersMatchLoad(t *testing.T) {
 		}
 	}
 }
+
+// TestDistAskedOnlyAtDelivery pins when the stretch baseline is computed:
+// Dist runs only while the forwarding pass delivers a packet of the flow
+// it is asked about (so never at injection, and never for a self-flow's
+// zero-hop packets), at most once per flow per topology version, and
+// every flow that delivers under a version it has no baseline for asks.
+func TestDistAskedOnlyAtDelivery(t *testing.T) {
+	const n, unicast, steps = 120, 40, 150
+	w := &world{src: rng.New(7)}
+	w.grow(n)
+	w.rewire(n)
+	draw := rng.New(8)
+	var flows []FlowSpec
+	byPair := map[[2]int]int{}
+	for len(flows) < unicast {
+		pair := [2]int{draw.Intn(n), draw.Intn(n)}
+		if _, dup := byPair[pair]; dup || pair[0] == pair[1] {
+			continue
+		}
+		byPair[pair] = len(flows)
+		flows = append(flows, FlowSpec{Kind: Poisson, Src: pair[0], Dst: pair[1], Rate: 0.5})
+	}
+	flows = append(flows, FlowSpec{Kind: CBR, Src: 3, Dst: 3, Rate: 1})
+
+	type key struct {
+		flow    int
+		version uint64
+	}
+	var (
+		e      *Engine
+		step   int
+		before []int64 // each flow's deliveries when the step began
+		asked  = map[key]bool{}
+	)
+	hooks := w.hooks()
+	dist := hooks.Dist
+	hooks.Dist = func(src, dst int) int {
+		fi, ok := byPair[[2]int{src, dst}]
+		if !ok {
+			t.Fatalf("step %d: Dist(%d, %d) names no unicast flow", step, src, dst)
+		}
+		if e.flows[fi].delivered == before[fi] {
+			t.Fatalf("step %d: Dist for flow %d before it delivered a packet this step", step, fi)
+		}
+		k := key{fi, w.epoch}
+		if asked[k] {
+			t.Fatalf("step %d: Dist for flow %d asked twice under version %d", step, fi, w.epoch)
+		}
+		asked[k] = true
+		return dist(src, dst)
+	}
+	e = mustEngine(t, n, Config{QueueCap: 8}, flows, hooks, 9)
+	versions := map[uint64]bool{}
+	for step = 1; step <= steps; step++ {
+		if step%15 == 0 {
+			w.rewire(n) // a new topology version under packets in flight
+		}
+		before = before[:0]
+		for fi := range e.flows {
+			before = append(before, e.flows[fi].delivered)
+		}
+		if err := e.Step(step); err != nil {
+			t.Fatal(err)
+		}
+		for fi := range unicast {
+			if e.flows[fi].delivered > before[fi] {
+				if !asked[key{fi, w.epoch}] {
+					t.Fatalf("step %d: flow %d delivered under version %d without a baseline", step, fi, w.epoch)
+				}
+				versions[w.epoch] = true
+			}
+		}
+	}
+	if s := e.Stats(); s.Delivered == 0 || s.Offered <= int64(len(asked)) || len(versions) < 5 {
+		t.Fatalf("the run exercised too little: %d Dist calls, %d versions with deliveries, ledger %+v", len(asked), len(versions), s)
+	}
+}

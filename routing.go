@@ -104,9 +104,11 @@ func (n *Network) hierTable() (*routing.Hierarchical, error) {
 // 1 is right. A node re-reached by a shorter path is pushed again and its
 // older entry is skipped when popped.
 //
-// The scratch — visit stamps, g values and the buckets — lives on the
-// Network and is reused across calls, so the search allocates nothing
-// once it has grown to the network.
+// The scratch — visit marks and the buckets — lives on the Network and is
+// reused across calls, so the search allocates nothing once it has grown
+// to the network. A node's stamp and g value share one mark, so testing a
+// neighbour reads one cache line: searches run at deliveries, with the
+// step's other work between them, so the scratch is mostly cold.
 //
 //selfstab:hotpath
 func (n *Network) flatDist(src, dst int) int {
@@ -114,15 +116,14 @@ func (n *Network) flatDist(src, dst int) int {
 		return 0
 	}
 	adj, pts := n.grid.Graph(), n.grid.Points()
-	if grow := adj.N() - len(n.distSeen); grow > 0 {
-		n.distSeen = append(n.distSeen, make([]uint32, grow)...)
-		n.distG = append(n.distG, make([]int32, grow)...)
+	if grow := adj.N() - len(n.distMark); grow > 0 {
+		n.distMark = append(n.distMark, make([]distMark, grow)...)
 	}
 	if n.distGen++; n.distGen == 0 { // wrapped: old marks would read as new
-		clear(n.distSeen)
+		clear(n.distMark)
 		n.distGen = 1
 	}
-	seen, gen, g, open := n.distSeen, n.distGen, n.distG, &n.distOpen
+	mark, gen, open := n.distMark, n.distGen, &n.distOpen
 	for i := range open {
 		for h := range open[i] {
 			open[i][h] = open[i][h][:0] // an early return leaves entries behind
@@ -130,7 +131,7 @@ func (n *Network) flatDist(src, dst int) int {
 	}
 	t, scale := pts[dst], (1-1e-9)/n.cfg.Range
 	f := hopBound(pts[src], t, scale)
-	seen[src], g[src] = gen, 0
+	mark[src] = distMark{gen, 0}
 	n.pushOpen(f, f, src)
 	for left := 1; left > 0; f++ {
 		ring := &open[f%3]
@@ -144,17 +145,17 @@ func (n *Network) flatDist(src, dst int) int {
 			(*ring)[h] = b[:len(b)-1]
 			left--
 			gu := f - h
-			if g[u] != gu {
+			if mark[u].g != gu {
 				continue // superseded by a shorter path to u
 			}
 			for _, w := range adj.Neighbors(u) {
 				if w == dst {
 					return int(gu) + 1
 				}
-				if seen[w] == gen && g[w] <= gu+1 {
+				if m := mark[w]; m.gen == gen && m.g <= gu+1 {
 					continue
 				}
-				seen[w], g[w] = gen, gu+1
+				mark[w] = distMark{gen, gu + 1}
 				hw := hopBound(pts[w], t, scale)
 				n.pushOpen(gu+1+hw, hw, w)
 				left++
@@ -165,6 +166,13 @@ func (n *Network) flatDist(src, dst int) int {
 		}
 	}
 	return -1
+}
+
+// distMark is flatDist's per-node scratch: g is the node's hop count from
+// the source, valid while gen equals the search's stamp.
+type distMark struct {
+	gen uint32
+	g   int32
 }
 
 // hopBound is flatDist's h: ⌈|p − t|·scale⌉ hops at least from the node

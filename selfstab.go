@@ -222,7 +222,9 @@
 //     radio range (no edge is longer than the range), over scratch kept on
 //     the Network: it reads about a quarter of the edges a breadth-first
 //     search reads and allocates nothing (TestFlatDistMatchesBFS,
-//     BenchmarkFlatDist).
+//     BenchmarkFlatDist). It runs at delivery, once per flow per topology
+//     version, so only packets that arrive pay for it
+//     (TestStretchBaselineMatchesBFSAtDelivery).
 //
 //   - A routing table that costs what the packets touch. One hierarchical
 //     table serves Route and the traffic data plane. When the engine's
@@ -491,12 +493,11 @@ type Network struct {
 	routeAsg      cluster.Assignment    //selfstab:cache
 
 	// Scratch of flatDist, the path-stretch baseline the traffic plane
-	// queries per flow: distSeen[v] == distGen marks v reached by the
-	// current search, distG[v] is then its hop count from the source, and
-	// distOpen[f%3][h] lists the open nodes of level f whose bound is h.
-	distSeen []uint32     //selfstab:cache
+	// queries per flow: distMark[v].gen == distGen marks v reached by the
+	// current search, distMark[v].g is then its hop count from the source,
+	// and distOpen[f%3][h] lists the open nodes of level f whose bound is h.
+	distMark []distMark   //selfstab:cache
 	distGen  uint32       //selfstab:cache
-	distG    []int32      //selfstab:cache
 	distOpen [3][][]int32 //selfstab:cache
 
 	// Post-step phases, driven by stepPhases in order: traffic moves

@@ -83,7 +83,22 @@ func (n *Network) attachTrafficImpl(cfg TrafficConfig) error {
 		return err
 	}
 	specs = n.expandFlows(cfg.Flows, specs)
-	hooks := traffic.Hooks{
+	t, err := traffic.New(n.N(), cfg, specs, n.trafficHooks(), n.src.Split("traffic"))
+	if err != nil {
+		return err
+	}
+	n.flowIDs = n.pinFlowIDs(nil, specs)
+	t.SetProbe(n.probe) // late attach inherits the network's probe
+	n.traffic = t
+	n.trafficOn = true
+	return nil
+}
+
+// trafficHooks connects the data plane to this network's control plane:
+// the epoch-keyed hierarchical table, the flat stretch baseline and the
+// engine's liveness and headship.
+func (n *Network) trafficHooks() traffic.Hooks {
+	return traffic.Hooks{
 		NextHop: func(cur, dst int) (int, bool) {
 			table, err := n.hierTable()
 			if err != nil {
@@ -109,15 +124,6 @@ func (n *Network) attachTrafficImpl(cfg TrafficConfig) error {
 			return n.engine.Status(i) == runtime.StatusAlive && n.engine.IsHead(i)
 		},
 	}
-	t, err := traffic.New(n.N(), cfg, specs, hooks, n.src.Split("traffic"))
-	if err != nil {
-		return err
-	}
-	n.flowIDs = n.pinFlowIDs(nil, specs)
-	t.SetProbe(n.probe) // late attach inherits the network's probe
-	n.traffic = t
-	n.trafficOn = true
-	return nil
 }
 
 // DetachTraffic removes the data plane; subsequent steps run the protocol
@@ -239,8 +245,14 @@ type TrafficStats struct {
 	DeliveryRatio float64
 
 	// MeanHops is the mean hop count of delivered packets; MeanStretch is
-	// the mean ratio of hierarchical hops to flat shortest-path hops — the
-	// path-stretch cost of the hierarchy.
+	// the mean over delivered packets of hops / flat distance, where the
+	// flat distance is the shortest-path hop count from the flow's source
+	// to its destination on the topology at delivery — the path-stretch
+	// cost of the hierarchy. A delivered packet has no sample when it took
+	// no hop (a self-flow) or when its source is asleep, dead or cut off
+	// from the destination by then. Under the churn of the mixed benchmark
+	// workload that is under 1 % of deliveries (9 of 1 295 at seed 1, 6
+	// of 940 at seed 3).
 	MeanHops    float64
 	MeanStretch float64
 
