@@ -419,10 +419,10 @@ func TestRecvCountersMatchLoad(t *testing.T) {
 }
 
 // TestDistAskedOnlyAtDelivery pins when the stretch baseline is computed:
-// Dist runs only while the forwarding pass delivers a packet of the flow
-// it is asked about (so never at injection, and never for a self-flow's
-// zero-hop packets), at most once per flow per topology version, and
-// every flow that delivers under a version it has no baseline for asks.
+// Dist runs only for a flow that has delivered a packet earlier in the
+// same step (so never at injection, and never for a self-flow's zero-hop
+// packets), at most once per flow per topology version, and every flow
+// that delivers under a version it has no baseline for asks.
 func TestDistAskedOnlyAtDelivery(t *testing.T) {
 	const n, unicast, steps = 120, 40, 150
 	w := &world{src: rng.New(7)}

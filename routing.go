@@ -107,8 +107,8 @@ func (n *Network) hierTable() (*routing.Hierarchical, error) {
 // The scratch — visit marks and the buckets — lives on the Network and is
 // reused across calls, so the search allocates nothing once it has grown
 // to the network. A node's stamp and g value share one mark, so testing a
-// neighbour reads one cache line: searches run at deliveries, with the
-// step's other work between them, so the scratch is mostly cold.
+// neighbour reads one cache line: the data plane searches once a step,
+// for that step's deliveries, so the graph and the scratch are often cold.
 //
 //selfstab:hotpath
 func (n *Network) flatDist(src, dst int) int {
