@@ -1,5 +1,6 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation, plus the ablations (internal/experiment/ablation.go). Each
+// evaluation, plus the stabilization run and the metric, ≺-variant and
+// daemon ablations, each of which checks one of its claims. Each
 // benchmark runs the corresponding experiment driver at a tractable
 // scale, reports the headline quantity via b.ReportMetric, and logs the
 // paper-shaped table once (go test -bench=. -v shows it; README's
@@ -178,20 +179,6 @@ func BenchmarkConvergenceVsDAGHeight(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGammaSize sweeps the color-space size (Section 4.1
-// trade-off: larger gamma converges faster but yields a taller DAG).
-func BenchmarkAblationGammaSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.AblationGamma(benchOpts(3, 500, 0.08))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, "gamma", res.Render())
-		}
-	}
-}
-
 // BenchmarkAblationMetrics compares density against the degree, lowest-id
 // and max-min baselines on cluster count and mobility stability (the
 // paper's Section 3 claim that density is the most stable).
@@ -232,25 +219,6 @@ func BenchmarkAblationDaemons(b *testing.B) {
 		}
 		if i == 0 {
 			logTable(b, "daemons", res.Render())
-		}
-	}
-}
-
-// BenchmarkMotivationRoutingState regenerates the paper's Section 1-2
-// motivation: at constant local density, flat routing state per node grows
-// with the network while cluster-based hierarchical state stays near-flat,
-// at a small path stretch.
-func BenchmarkMotivationRoutingState(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.Scalability(benchOpts(2, 800, 0.08))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, "scalability", res.Render())
-			last := len(res.Intensities) - 1
-			b.ReportMetric(res.FlatState[last], "flatEntries")
-			b.ReportMetric(res.HierState[last], "hierEntries")
 		}
 	}
 }

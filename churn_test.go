@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"selfstab/internal/rng"
+	"selfstab/internal/topology"
 	"selfstab/internal/traffic"
 )
 
@@ -227,6 +228,25 @@ func TestSelfFlowAPI(t *testing.T) {
 	}
 }
 
+// hopDistances is a plain BFS over g: the hop distance from u to every
+// node, -1 where unreachable.
+func hopDistances(g *topology.Graph, u int) []int {
+	dist := make([]int, g.N())
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[u] = 0
+	for queue := []int{u}; len(queue) > 0; queue = queue[1:] {
+		for _, w := range g.Neighbors(queue[0]) {
+			if dist[w] < 0 {
+				dist[w] = dist[queue[0]] + 1
+				queue = append(queue, w)
+			}
+		}
+	}
+	return dist
+}
+
 // TestFlatDistMatchesBFS pins the Dist hook: the goal-directed search
 // agrees with the full BFS row for every pair (self 0, unreachable -1) and
 // allocates nothing once its scratch has grown. The worlds are chosen to
@@ -239,7 +259,7 @@ func TestFlatDistMatchesBFS(t *testing.T) {
 	check := func(t *testing.T, net *Network) (unreachable int) {
 		t.Helper()
 		for src := 0; src < net.N(); src++ {
-			row := net.grid.Graph().Distances(src)
+			row := hopDistances(net.grid.Graph(), src)
 			for dst, want := range row {
 				if got := net.flatDist(src, dst); got != want {
 					t.Fatalf("flatDist(%d,%d) = %d, BFS row says %d", src, dst, got, want)
@@ -352,7 +372,7 @@ func checkBaselines(t *testing.T, net *Network, cfg TrafficConfig) (calls, unrea
 	dist := hooks.Dist
 	hooks.Dist = func(src, dst int) int {
 		got := dist(src, dst)
-		if want := net.grid.Graph().Distances(src)[dst]; got != want {
+		if want := hopDistances(net.grid.Graph(), src)[dst]; got != want {
 			t.Fatalf("step %d: baseline %d→%d = %d, BFS on the graph at delivery says %d", net.StepCount(), src, dst, got, want)
 		}
 		*calls++

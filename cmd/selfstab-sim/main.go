@@ -15,7 +15,7 @@
 //	selfstab-sim attack -scenario flood -bots 12 -floodrate 4
 //
 // Experiments: table1, table2, table3, table4, table5, mobility,
-// stabilization, gamma, metrics, orders, daemons, scalability, all.
+// stabilization, metrics, orders, daemons, all.
 //
 // The traffic subcommand attaches a packet data plane (CBR / Poisson /
 // hotspot workloads) to a stabilized network, runs a static, mobility or
@@ -126,7 +126,7 @@ func run(args []string, out io.Writer) error {
 	}
 	fs := flag.NewFlagSet("selfstab-sim", flag.ContinueOnError)
 	var (
-		exp    = fs.String("exp", "all", "experiment: table1, table2, table3, table4, table5, mobility, stabilization, gamma, metrics, orders, daemons, scalability, all")
+		exp    = fs.String("exp", "all", "experiment: table1, table2, table3, table4, table5, mobility, stabilization, metrics, orders, daemons, all")
 		runs   = fs.Int("runs", 30, "independent runs per cell (paper: 1000)")
 		seed   = fs.Int64("seed", 1, "master random seed")
 		lambda = fs.Float64("lambda", 1000, "Poisson deployment intensity")
@@ -175,7 +175,6 @@ func run(args []string, out io.Writer) error {
 			}
 			return experiment.Stabilization(o)
 		}},
-		{"gamma", func() (renderer, error) { return experiment.AblationGamma(opts) }},
 		{"metrics", func() (renderer, error) { return experiment.AblationMetrics(opts) }},
 		{"orders", func() (renderer, error) { return experiment.AblationOrders(opts) }},
 		{"daemons", func() (renderer, error) {
@@ -185,7 +184,6 @@ func run(args []string, out io.Writer) error {
 			}
 			return experiment.AblationDaemons(o)
 		}},
-		{"scalability", func() (renderer, error) { return experiment.Scalability(opts) }},
 	}
 
 	selected := strings.ToLower(*exp)

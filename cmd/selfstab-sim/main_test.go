@@ -73,7 +73,7 @@ func TestRunExperimentsRender(t *testing.T) {
 	var rows []goldenRow
 	for _, exp := range []string{
 		"table1", "table2", "table3", "table4", "table5", "mobility",
-		"stabilization", "gamma", "metrics", "orders", "daemons", "scalability",
+		"stabilization", "metrics", "orders", "daemons",
 	} {
 		rows = append(rows, goldenRow{exp, []string{"-exp", exp, "-runs", "2", "-lambda", "300", "-seed", "5", "-minutes", "0.5"}})
 	}
@@ -196,6 +196,8 @@ func TestRunUnknownNamesExitNonZero(t *testing.T) {
 		{"unknown subcommand", []string{"bogus"}, "unknown subcommand"},
 		{"unknown experiment", []string{"-exp", "nope"}, "unknown experiment"},
 		{"retired offline energy experiment", []string{"-exp", "energy"}, "unknown experiment"},
+		{"retired gamma ablation", []string{"-exp", "gamma"}, "unknown experiment"},
+		{"retired scalability experiment", []string{"-exp", "scalability"}, "unknown experiment"},
 		{"unknown traffic scenario", []string{"traffic", "-scenario", "nope"}, "unknown traffic scenario"},
 		{"unknown traffic workload", []string{"traffic", "-workload", "nope"}, "unknown workload"},
 		{"unknown churn scenario", []string{"churn", "-scenario", "nope"}, "unknown churn scenario"},
@@ -207,6 +209,9 @@ func TestRunUnknownNamesExitNonZero(t *testing.T) {
 		{"traffic no steps", []string{"traffic", "-steps", "-5"}, "at least 1"},
 		{"traffic negative rate", []string{"traffic", "-rate", "-1"}, "positive"},
 		{"traffic hotspot no flows", []string{"traffic", "-workload", "hotspot", "-flows", "0"}, "-flows 0"},
+		{"traffic zero queue", []string{"traffic", "-queue", "0"}, "-queue 0"},
+		{"traffic negative queue", []string{"traffic", "-queue", "-1"}, "-queue -1"},
+		{"traffic negative budget", []string{"traffic", "-budget", "-2"}, "-budget -2"},
 		{"churn no steps", []string{"churn", "-steps", "-3"}, "at least 1"},
 		{"churn flows at zero rate", []string{"churn", "-flows", "4", "-rate", "0"}, "positive"},
 		{"energy no steps", []string{"energy", "-steps", "-1"}, "at least 1"},

@@ -48,8 +48,8 @@ func runTraffic(args []string, out io.Writer) error {
 	if err := checkRun(*nodes, *steps); err != nil {
 		return err
 	}
-	if *flows < 1 || *rate <= 0 {
-		return usageErrorf("-flows %d must be at least 1 and -rate %v positive", *flows, *rate)
+	if *flows < 1 || *queue < 1 || *budget < 1 || *rate <= 0 {
+		return usageErrorf("-flows %d, -queue %d and -budget %d must each be at least 1 and -rate %v positive", *flows, *queue, *budget, *rate)
 	}
 
 	net, err := selfstab.NewRandomNetwork(*nodes,

@@ -11,7 +11,6 @@ package dag
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"selfstab/internal/rng"
 	"selfstab/internal/topology"
@@ -111,52 +110,5 @@ func drawFresh(g *topology.Graph, colors []int64, u int, gamma int64, src *rng.S
 		if !taken[c] {
 			return c
 		}
-	}
-}
-
-// Height returns the height, in nodes, of the DAG obtained by orienting
-// every edge of g from the node ranked greater to the node ranked lower
-// under less (less(u, v) meaning u ≺ v). less must be a strict total order
-// on adjacent nodes — exactly what locally-unique colors (or the clustering
-// order ≺) provide. The height is the number of nodes on the longest
-// directed path; stabilization time of the clustering layer is proportional
-// to it (Lemma 2).
-func Height(g *topology.Graph, less func(u, v int) bool) int {
-	n := g.N()
-	if n == 0 {
-		return 0
-	}
-	// Process nodes in ascending order; L(u) = longest descending path
-	// starting at u = 1 + max L(v) over neighbors v ≺ u.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return less(order[a], order[b]) })
-	l := make([]int, n)
-	height := 1
-	for _, u := range order {
-		l[u] = 1
-		for _, v := range g.Neighbors(u) {
-			if less(v, u) && l[v]+1 > l[u] {
-				l[u] = l[v] + 1
-			}
-		}
-		if l[u] > height {
-			height = l[u]
-		}
-	}
-	return height
-}
-
-// ColorLess returns a strict order on adjacent nodes from colors, breaking
-// (impossible, once stabilized) color ties by identifier so Height is
-// well-defined even on transient states.
-func ColorLess(colors, ids []int64) func(u, v int) bool {
-	return func(u, v int) bool {
-		if colors[u] != colors[v] {
-			return colors[u] < colors[v]
-		}
-		return ids[u] < ids[v]
 	}
 }

@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"sort"
 	"testing"
 
 	"selfstab/internal/deploy"
@@ -128,6 +129,53 @@ func TestGammaTradeoff(t *testing.T) {
 	large := stepsFor(20) // gamma ~ 20*delta
 	if large > small+0.5 {
 		t.Errorf("larger gamma converged slower: %v steps vs %v", large, small)
+	}
+}
+
+// Height returns the height, in nodes, of the DAG obtained by orienting
+// every edge of g from the node ranked greater to the node ranked lower
+// under less (less(u, v) meaning u ≺ v). less must be a strict total order
+// on adjacent nodes — exactly what locally-unique colors (or the clustering
+// order ≺) provide. The height is the number of nodes on the longest
+// directed path; stabilization time of the clustering layer is proportional
+// to it (Lemma 2).
+func Height(g *topology.Graph, less func(u, v int) bool) int {
+	n := g.N()
+	if n == 0 {
+		return 0
+	}
+	// Process nodes in ascending order; L(u) = longest descending path
+	// starting at u = 1 + max L(v) over neighbors v ≺ u.
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return less(order[a], order[b]) })
+	l := make([]int, n)
+	height := 1
+	for _, u := range order {
+		l[u] = 1
+		for _, v := range g.Neighbors(u) {
+			if less(v, u) && l[v]+1 > l[u] {
+				l[u] = l[v] + 1
+			}
+		}
+		if l[u] > height {
+			height = l[u]
+		}
+	}
+	return height
+}
+
+// ColorLess returns a strict order on adjacent nodes from colors, breaking
+// (impossible, once stabilized) color ties by identifier so Height is
+// well-defined even on transient states.
+func ColorLess(colors, ids []int64) func(u, v int) bool {
+	return func(u, v int) bool {
+		if colors[u] != colors[v] {
+			return colors[u] < colors[v]
+		}
+		return ids[u] < ids[v]
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"selfstab/internal/radio"
 	"selfstab/internal/rng"
 	"selfstab/internal/runtime"
-	"selfstab/internal/stats"
 )
 
 // AblationDaemons measures how the daemon's activation probability scales
@@ -22,7 +21,7 @@ func AblationDaemons(opts Options) (*DaemonResult, error) {
 	master := rng.New(opts.Seed)
 	res := &DaemonResult{Probs: probs}
 	for _, p := range probs {
-		var acc stats.Welford
+		var acc Welford
 		for run := 0; run < opts.Runs; run++ {
 			src := master.SplitN(fmt.Sprintf("daemon-%.2f", p), run)
 			inst := deployRandom(opts.Intensity, opts.Ranges[0], src)
@@ -51,7 +50,7 @@ type DaemonResult struct {
 
 // Render formats the daemon ablation.
 func (r *DaemonResult) Render() string {
-	t := stats.NewTable("Ablation: randomized daemon activation probability",
+	t := NewTable("Ablation: randomized daemon activation probability",
 		"activation prob", "mean stabilization steps")
 	for i := range r.Probs {
 		t.AddRow(fmt.Sprintf("%.2f", r.Probs[i]), fmt.Sprintf("%.1f", r.Steps[i]))

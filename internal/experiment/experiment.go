@@ -1,15 +1,15 @@
 // Package experiment contains one driver per table and figure of the
-// paper's evaluation (Section 5), plus ablations and the routing-state
-// comparison behind the paper's motivation:
+// paper's evaluation (Section 5), plus the runs that check one of its
+// claims each:
 //
 //   - tables.go: Tables 1, 3, 4 and 5; table2.go: Table 2 on the step
 //     engine; figures.go: the grid figures;
 //   - steps.go: stabilization from corrupted state;
 //   - mobility.go: the mobility study, and the one head-retention replay
 //     (retention) that it and the metrics and orders ablations share;
-//   - ablation.go: the color-space, metric and ≺-variant ablations;
-//     daemon.go: the randomized-daemon ablation;
-//   - scalability.go: flat vs hierarchical routing state.
+//   - ablation.go: the metric and ≺-variant ablations; daemon.go: the
+//     randomized-daemon ablation;
+//   - stats.go: the running mean and the table renderer they all share.
 //
 // Each driver is deterministic given its options and returns a structured
 // result that renders to a plain-text table shaped like the paper's.

@@ -196,26 +196,6 @@ func TestMobilityValidation(t *testing.T) {
 	}
 }
 
-func TestAblationGammaTradeoff(t *testing.T) {
-	opts := small()
-	opts.Intensity = 500
-	res, err := AblationGamma(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Labels) != 3 {
-		t.Fatalf("labels: %v", res.Labels)
-	}
-	// delta+1 must not converge faster than delta^3.
-	if res.BuildSteps[0]+0.5 < res.BuildSteps[2] {
-		t.Errorf("tiny gamma built faster than huge gamma: %v vs %v",
-			res.BuildSteps[0], res.BuildSteps[2])
-	}
-	if !strings.Contains(res.Render(), "delta^2") {
-		t.Error("render missing gamma labels")
-	}
-}
-
 func TestAblationMetricsRuns(t *testing.T) {
 	opts := small()
 	opts.Runs = 2

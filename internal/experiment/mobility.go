@@ -8,7 +8,6 @@ import (
 	"selfstab/internal/metric"
 	"selfstab/internal/mobility"
 	"selfstab/internal/rng"
-	"selfstab/internal/stats"
 	"selfstab/internal/topology"
 )
 
@@ -177,7 +176,7 @@ func recordTrace(band [2]float64, opts MobilityOptions, src *rng.Source) (trace,
 // retention replays a trace under one election. It returns the
 // percentage of each sample's heads still heads at the next sample, and
 // the first sample's cluster count (distinct heads).
-func retention(tr trace, e election) (kept stats.Welford, clusters int, err error) {
+func retention(tr trace, e election) (kept Welford, clusters int, err error) {
 	prev, err := e.elect(tr.graphs[0], tr.ids, nil)
 	if err != nil {
 		return kept, 0, err
@@ -215,9 +214,9 @@ func retention(tr trace, e election) (kept stats.Welford, clusters int, err erro
 // stream master.SplitN(label, i), and replays each under every election.
 // It returns each election's head retention and first-sample cluster
 // count over the runs.
-func replayRuns(master *rng.Source, label string, band [2]float64, opts MobilityOptions, elections []election) (keep, clusters []stats.Welford, err error) {
-	keep = make([]stats.Welford, len(elections))
-	clusters = make([]stats.Welford, len(elections))
+func replayRuns(master *rng.Source, label string, band [2]float64, opts MobilityOptions, elections []election) (keep, clusters []Welford, err error) {
+	keep = make([]Welford, len(elections))
+	clusters = make([]Welford, len(elections))
 	for run := 0; run < opts.Runs; run++ {
 		tr, err := recordTrace(band, opts, master.SplitN(label, run))
 		if err != nil {
@@ -238,7 +237,7 @@ func replayRuns(master *rng.Source, label string, band [2]float64, opts Mobility
 // Render formats the result like the paper's prose summary.
 func (r *MobilityResult) Render() string {
 	header := append([]string{"speed band (m/s)"}, r.Variants...)
-	t := stats.NewTable("Mobility: % cluster-heads re-elected at each 2s sample", header...)
+	t := NewTable("Mobility: % cluster-heads re-elected at each 2s sample", header...)
 	for bi, band := range r.Bands {
 		cells := []string{fmt.Sprintf("%.1f-%.1f", band[0], band[1])}
 		for vi := range r.Variants {

@@ -1,7 +1,10 @@
-// Package stats provides the small statistics toolkit used by the
-// experiment harness: a streaming, mergeable mean (Welford's update) and
-// plain-text table rendering in the style of the paper's Tables 3-5.
-package stats
+package experiment
+
+import "strings"
+
+// The drivers' statistics toolkit: a streaming, mergeable mean (Welford's
+// update) and plain-text table rendering in the style of the paper's
+// Tables 3-5.
 
 // Welford accumulates a stream of observations and exposes their running
 // mean without storing the samples. The zero value is ready to use.
@@ -88,19 +91,11 @@ func (t *Table) String() string {
 	appendRow(t.header)
 	sep := make([]string, len(t.header))
 	for i := range sep {
-		sep[i] = repeat('-', widths[i])
+		sep[i] = strings.Repeat("-", widths[i])
 	}
 	appendRow(sep)
 	for _, row := range t.rows {
 		appendRow(row)
 	}
 	return string(out)
-}
-
-func repeat(b byte, n int) string {
-	s := make([]byte, n)
-	for i := range s {
-		s[i] = b
-	}
-	return string(s)
 }

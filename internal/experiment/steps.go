@@ -8,7 +8,6 @@ import (
 	"selfstab/internal/radio"
 	"selfstab/internal/rng"
 	"selfstab/internal/runtime"
-	"selfstab/internal/stats"
 )
 
 // StabilizationResult holds, per scenario, the mean number of Δ(τ) steps
@@ -44,7 +43,7 @@ func Stabilization(opts Options) (*StabilizationResult, error) {
 	master := rng.New(opts.Seed)
 	res := &StabilizationResult{}
 	for _, sc := range scenarios {
-		var cold, recover stats.Welford
+		var cold, recover Welford
 		for run := 0; run < opts.Runs; run++ {
 			src := master.SplitN("stab-"+sc.name, run)
 			var inst instance
@@ -85,7 +84,7 @@ func Stabilization(opts Options) (*StabilizationResult, error) {
 
 // Render formats the stabilization experiment.
 func (r *StabilizationResult) Render() string {
-	t := stats.NewTable("Stabilization: steps to converge (perfect medium)",
+	t := NewTable("Stabilization: steps to converge (perfect medium)",
 		"scenario", "cold start", "after corruption")
 	for i := range r.Scenarios {
 		t.AddRow(r.Scenarios[i],

@@ -9,7 +9,6 @@ import (
 	"selfstab/internal/radio"
 	"selfstab/internal/rng"
 	"selfstab/internal/runtime"
-	"selfstab/internal/stats"
 	"selfstab/internal/topology"
 )
 
@@ -33,8 +32,8 @@ func Table2(opts Options) (*Table2Result, error) {
 	}
 	const horizon = 12
 	master := rng.New(opts.Seed)
-	acc := make([][4]stats.Welford, horizon)
-	allHeads := stats.Welford{}
+	acc := make([][4]Welford, horizon)
+	allHeads := Welford{}
 	for run := 0; run < opts.Runs; run++ {
 		src := master.SplitN("t2", run)
 		inst := deployRandom(opts.Intensity, opts.Ranges[0], src)
@@ -133,7 +132,7 @@ func sameIDSet(view []int64, nbrs []int, ids []int64) bool {
 
 // Render formats the knowledge schedule like the paper's Table 2.
 func (r *Table2Result) Render() string {
-	t := stats.NewTable("Table 2: % of nodes with exact knowledge after each step",
+	t := NewTable("Table 2: % of nodes with exact knowledge after each step",
 		"step", "neighbors", "density", "father", "cluster-head")
 	for i, s := range r.Steps {
 		t.AddRow(fmt.Sprintf("%d", s),

@@ -7,7 +7,6 @@ import (
 	"selfstab/internal/metric"
 	"selfstab/internal/paperex"
 	"selfstab/internal/rng"
-	"selfstab/internal/stats"
 )
 
 // Table1Result is the illustrative example (Table 1 + Figure 1): per-node
@@ -44,7 +43,7 @@ func Table1() (*Table1Result, error) {
 // parent/head rows of the worked narrative).
 func (r *Table1Result) Render() string {
 	header := append([]string{"Nodes"}, r.Names...)
-	t := stats.NewTable("Table 1: illustrative example (Figure 1 topology)", header...)
+	t := NewTable("Table 1: illustrative example (Figure 1 topology)", header...)
 	row := func(label string, cell func(i int) string) {
 		cells := make([]string, 0, len(r.Names)+1)
 		cells = append(cells, label)
@@ -89,7 +88,7 @@ func Table3(opts Options) (*Table3Result, error) {
 	master := rng.New(opts.Seed)
 	res := &Table3Result{Ranges: opts.Ranges}
 	for _, r := range opts.Ranges {
-		var grid, random stats.Welford
+		var grid, random Welford
 		for run := 0; run < opts.Runs; run++ {
 			src := master.SplitN(fmt.Sprintf("t3-%v", r), run)
 
@@ -119,7 +118,7 @@ func (r *Table3Result) Render() string {
 	for _, rr := range r.Ranges {
 		header = append(header, fmt.Sprintf("%.2f", rr))
 	}
-	t := stats.NewTable("Table 3: mean steps to build the DAG (lambda=1000)", header...)
+	t := NewTable("Table 3: mean steps to build the DAG (lambda=1000)", header...)
 	grid := []string{"Grid"}
 	random := []string{"Random geometry"}
 	for i := range r.Ranges {
@@ -168,7 +167,7 @@ func tableClusters(opts Options, title string, deployer func(float64, float64, *
 	master := rng.New(opts.Seed)
 	res := &TableClustersResult{Title: title, Ranges: opts.Ranges}
 	for _, r := range opts.Ranges {
-		var acc [2][4]stats.Welford // [dag][clusters, ecc, tree, rounds]
+		var acc [2][4]Welford // [dag][clusters, ecc, tree, rounds]
 		for run := 0; run < opts.Runs; run++ {
 			src := master.SplitN(fmt.Sprintf("tc-%v", r), run)
 			inst := deployer(opts.Intensity, r, src)
@@ -209,7 +208,7 @@ func (r *TableClustersResult) Render() string {
 			fmt.Sprintf("R=%.2f DAG", rr),
 			fmt.Sprintf("R=%.2f noDAG", rr))
 	}
-	t := stats.NewTable(r.Title, header...)
+	t := NewTable(r.Title, header...)
 	row := func(label string, pick func(ClusterRow) float64) {
 		cells := []string{label}
 		for i := range r.Ranges {

@@ -2,10 +2,10 @@
 // self-stabilizing clustering, the architecture whose contrast with flat
 // proactive routing motivates the paper (Sections 1-2): a node keeps
 // routes only within its cluster plus a summary of the cluster overlay,
-// where a flat table keeps one entry per other node. The experiment
-// layer measures that contrast — state per node O(cluster) + O(degree of
-// the cluster overlay) against n−1, at a small path-stretch cost over
-// shortest paths, which the topology's BFS distances give directly.
+// where a flat table keeps one entry per other node. The traffic data
+// plane prices the hierarchy by what it costs packets: path stretch over
+// the shortest path (MeanStretch) and the share of forwarding that heads
+// carry (HeadLoadShare).
 //
 // The hierarchical table models that per-node state without materialising
 // it. Reset builds, in O(N+E), only a skeleton of the clustering: cluster
@@ -19,9 +19,9 @@
 // straight off the record.
 // The entries themselves are breadth-first trees: the intra-cluster next
 // hops toward a target node, and the overlay next hops toward a destination
-// cluster. Each is filled the first time NextHop, Route or StatePerNode
-// asks for it, by a FIFO search from that target over sorted adjacency, so
-// an epoch costs what its packets touch. A tree depends only on its root,
+// cluster. Each is filled the first time NextHop or Route asks for it,
+// by a FIFO search from that target over sorted adjacency, so an epoch
+// costs what its packets touch. A tree depends only on its root,
 // the adjacency order and the queue discipline, never on when it is built,
 // so every answer is the one a table holding all trees would give; that
 // all-trees builder is kept in the tests as the reference. An overlay row
@@ -101,15 +101,6 @@ var errTreesFull = errors.New("routing: next-hop trees outgrew int32 offsets")
 // the border edge (u in this cluster, v in cluster to) used to cross. rev
 // is the index in ov of the reverse edge, from cluster to back.
 type overlayEdge struct{ to, u, v, rev int32 }
-
-// BuildHierarchical returns a new table over the assignment.
-func BuildHierarchical(g *topology.Graph, a *cluster.Assignment) (*Hierarchical, error) {
-	h := new(Hierarchical)
-	if err := h.Reset(g, a); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
 
 // sized returns s with length n, reusing its capacity; the contents are
 // unspecified.
@@ -372,54 +363,4 @@ func (h *Hierarchical) Route(src, dst int) ([]int, error) {
 	}
 	h.path = path
 	return slices.Clone(path), nil
-}
-
-// StatePerNode returns the mean number of routing entries per node: the
-// intra-cluster table plus, for heads, the overlay and gateway entries.
-// This is the quantity the paper's scalability argument is about. Entries
-// are counted, not stored: nodes joined inside a cluster hold one entry per
-// ordered pair, as do heads joined on the overlay, and one tree or row per
-// such group is enough to size it. It fails only when the trees it fills
-// outgrow their offsets (errTreesFull).
-func (h *Hierarchical) StatePerNode() (float64, error) {
-	total := len(h.ov)
-	seen := make([]bool, len(h.rec))
-	for t := range h.rec {
-		if seen[t] {
-			continue
-		}
-		off, err := h.treeOf(t)
-		if err != nil {
-			return 0, err
-		}
-		c := h.rec[t].cl
-		first, size := int(h.mStart[c]), int(h.mStart[c+1]-h.mStart[c])
-		group := 0
-		for r, next := range h.trees[int(off) : int(off)+size] {
-			if next >= 0 {
-				seen[h.members[first+r]] = true
-				group++
-			}
-		}
-		total += group * (group - 1)
-	}
-	clusters := len(h.isHead)
-	seen = make([]bool, clusters)
-	for d := range h.isHead {
-		if seen[d] {
-			continue
-		}
-		heads := 0
-		off := h.rowOf(int32(d))
-		for s, e := range h.rows[off : off+clusters] {
-			if e >= 0 || s == d {
-				seen[s] = true
-				if h.isHead[s] {
-					heads++
-				}
-			}
-		}
-		total += heads * (heads - 1)
-	}
-	return float64(total) / float64(len(h.rec)), nil
 }

@@ -30,6 +30,31 @@ func clusteredNetwork(t *testing.T, seed int64, n int, r float64) (*topology.Gra
 	return g, a
 }
 
+// build returns a fresh table over the assignment.
+func build(g *topology.Graph, a *cluster.Assignment) (*Hierarchical, error) {
+	h := new(Hierarchical)
+	return h, h.Reset(g, a)
+}
+
+// hopDistances is a plain BFS over g: the hop distance from u to every
+// node, -1 where unreachable.
+func hopDistances(g *topology.Graph, u int) []int {
+	dist := make([]int, g.N())
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[u] = 0
+	for queue := []int{u}; len(queue) > 0; queue = queue[1:] {
+		for _, w := range g.Neighbors(queue[0]) {
+			if dist[w] < 0 {
+				dist[w] = dist[queue[0]] + 1
+				queue = append(queue, w)
+			}
+		}
+	}
+	return dist
+}
+
 func validatePath(t *testing.T, g *topology.Graph, path []int, src, dst int) {
 	t.Helper()
 	if len(path) == 0 || path[0] != src || path[len(path)-1] != dst {
@@ -44,13 +69,13 @@ func validatePath(t *testing.T, g *topology.Graph, path []int, src, dst int) {
 
 func TestHierarchicalRoutesValid(t *testing.T) {
 	g, a := clusteredNetwork(t, 4, 120, 0.15)
-	h, err := BuildHierarchical(g, a)
+	h, err := build(g, a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	routed, unreachable := 0, 0
 	for src := 0; src < g.N(); src += 11 {
-		dist := g.Distances(src)
+		dist := hopDistances(g, src)
 		for dst := 0; dst < g.N(); dst += 7 {
 			path, err := h.Route(src, dst)
 			if err != nil {
@@ -75,7 +100,7 @@ func TestHierarchicalRoutesValid(t *testing.T) {
 
 func TestHierarchicalIntraClusterDirect(t *testing.T) {
 	g, a := clusteredNetwork(t, 5, 80, 0.2)
-	h, err := BuildHierarchical(g, a)
+	h, err := build(g, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,13 +128,13 @@ func TestHierarchicalIntraClusterDirect(t *testing.T) {
 
 func TestHierarchicalStretchBounded(t *testing.T) {
 	g, a := clusteredNetwork(t, 6, 150, 0.15)
-	h, err := BuildHierarchical(g, a)
+	h, err := build(g, a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var totalHier, totalShort int
 	for src := 0; src < g.N(); src += 13 {
-		dist := g.Distances(src)
+		dist := hopDistances(g, src)
 		for dst := 0; dst < g.N(); dst += 9 {
 			if src == dst || dist[dst] < 0 {
 				continue
@@ -134,25 +159,13 @@ func TestHierarchicalStretchBounded(t *testing.T) {
 	}
 }
 
-func TestHierarchicalStateSmallerThanFlat(t *testing.T) {
-	g, a := clusteredNetwork(t, 7, 400, 0.1)
-	h, err := BuildHierarchical(g, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A flat table holds an entry for each of the other N−1 nodes.
-	if state, flat := mustState(t, h), float64(g.N()-1); state >= flat/2 {
-		t.Errorf("hierarchical state %v not substantially below flat %v", state, flat)
-	}
-}
-
 func TestHierarchicalValidation(t *testing.T) {
 	g, a := clusteredNetwork(t, 8, 20, 0.3)
 	short := &cluster.Assignment{Parent: a.Parent[:2], Head: a.Head[:2]}
-	if _, err := BuildHierarchical(g, short); err == nil {
+	if _, err := build(g, short); err == nil {
 		t.Error("short assignment accepted")
 	}
-	h, err := BuildHierarchical(g, a)
+	h, err := build(g, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +194,7 @@ func TestHierarchicalDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := BuildHierarchical(g, a)
+	h, err := build(g, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +213,7 @@ func TestHierarchicalDisconnected(t *testing.T) {
 // may never disagree.
 func TestNextHopWalksMatchRoute(t *testing.T) {
 	g, a := clusteredNetwork(t, 11, 150, 0.14)
-	h, err := BuildHierarchical(g, a)
+	h, err := build(g, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +251,7 @@ func TestNextHopWalksMatchRoute(t *testing.T) {
 // endpoints error.
 func TestNextHopSelfAndValidation(t *testing.T) {
 	g, a := clusteredNetwork(t, 2, 40, 0.25)
-	h, err := BuildHierarchical(g, a)
+	h, err := build(g, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +283,7 @@ func TestCrossPartitionAlwaysUnreachable(t *testing.T) {
 		Head:   []int{0, 0, 0, 0, 0, 0},
 		Parent: []int{0, 0, 0, 0, 3, 3},
 	}
-	h, err := BuildHierarchical(g, adversarial)
+	h, err := build(g, adversarial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +314,7 @@ func TestCrossPartitionAlwaysUnreachable(t *testing.T) {
 func TestSingleNodeGraph(t *testing.T) {
 	g := topology.New(1)
 	a := &cluster.Assignment{Head: []int{0}, Parent: []int{0}}
-	h, err := BuildHierarchical(g, a)
+	h, err := build(g, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,19 +322,6 @@ func TestSingleNodeGraph(t *testing.T) {
 	if err != nil || len(path) != 1 || path[0] != 0 {
 		t.Errorf("Route(0,0) = (%v, %v), want ([0], nil)", path, err)
 	}
-	if got := mustState(t, h); got != 0 {
-		t.Errorf("hierarchical state per node = %v on a single node, want 0", got)
-	}
-}
-
-// mustState is h.StatePerNode, failing the test on an error.
-func mustState(t *testing.T, h *Hierarchical) float64 {
-	t.Helper()
-	state, err := h.StatePerNode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return state
 }
 
 // oracleGraph draws a unit-disk graph sparse enough to fall apart into
@@ -367,8 +367,8 @@ func oracleAssignment(t *testing.T, src *rng.Source, g *topology.Graph, ids []in
 
 // TestHierarchicalMatchesReference is the table oracle: on seeded random
 // graphs under converged and scrambled assignments, one reused table
-// answers every NextHop, Route and StatePerNode exactly as the eager
-// reference does, errors included, whatever order the trees fill in.
+// answers every NextHop and Route exactly as the eager reference does,
+// errors included, whatever order the trees fill in.
 func TestHierarchicalMatchesReference(t *testing.T) {
 	src := rng.New(20260930)
 	live := new(Hierarchical)
@@ -392,11 +392,6 @@ func TestHierarchicalMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			tag := fmt.Sprintf("graph %d (n=%d) kind %d", gi, n, kind)
-			if kind == 1 { // before any other query has filled a tree
-				if got, want := mustState(t, live), ref.StatePerNode(); got != want {
-					t.Fatalf("%s: StatePerNode = %v, reference %v", tag, got, want)
-				}
-			}
 			for _, u := range src.Perm(n) {
 				for _, v := range src.Perm(n) {
 					next, err := live.NextHop(u, v)
@@ -410,9 +405,6 @@ func TestHierarchicalMatchesReference(t *testing.T) {
 						t.Fatalf("%s: Route(%d,%d) = (%v, %v), reference (%v, %v)", tag, u, v, path, err, wantPath, wantErr)
 					}
 				}
-			}
-			if got, want := mustState(t, live), ref.StatePerNode(); got != want {
-				t.Fatalf("%s: StatePerNode = %v, reference %v", tag, got, want)
 			}
 			for _, q := range [][2]int{{-1, 0}, {0, n}, {n, -1}} {
 				_, err := live.NextHop(q[0], q[1])
@@ -667,21 +659,4 @@ func (h *refTable) intraRoute(src, dst int) ([]int, error) {
 		}
 	}
 	return path, nil
-}
-
-// StatePerNode returns the mean number of routing entries per node:
-// the intra-cluster table plus, for heads, the overlay and gateway
-// entries. This is the quantity the paper's scalability argument is about.
-func (h *refTable) StatePerNode() float64 {
-	total := 0
-	for u := range h.intra {
-		total += len(h.intra[u])
-	}
-	for head := range h.overlayNext {
-		total += len(h.overlayNext[head])
-	}
-	for head := range h.gateway {
-		total += len(h.gateway[head])
-	}
-	return float64(total) / float64(h.g.N())
 }

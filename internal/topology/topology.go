@@ -1,7 +1,7 @@
 // Package topology provides the graph substrate of the simulator: unit-disk
-// graphs built from node positions, k-hop neighborhoods, BFS distances,
-// connected components and eccentricities. All node references are dense
-// indices 0..N-1; application-level identifiers live one layer up.
+// graphs built from node positions, k-hop neighborhoods and connected
+// components. All node references are dense indices 0..N-1;
+// application-level identifiers live one layer up.
 package topology
 
 import (
@@ -116,31 +116,6 @@ func (g *Graph) MaxDegree() int {
 		}
 	}
 	return max
-}
-
-// Distances returns the BFS hop distance from u to every node; unreachable
-// nodes get -1.
-func (g *Graph) Distances(u int) []int {
-	dist := make([]int, len(g.adj))
-	for i := range dist {
-		dist[i] = -1
-	}
-	if u < 0 || u >= len(g.adj) {
-		return dist
-	}
-	dist[u] = 0
-	queue := []int{u}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.adj[v] {
-			if dist[w] < 0 {
-				dist[w] = dist[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return dist
 }
 
 // Components returns a component label per node (labels are 0-based and

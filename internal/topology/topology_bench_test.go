@@ -38,12 +38,3 @@ func BenchmarkClosedNeighborhoodLinks(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkDistances is one BFS at paper scale (eccentricity inner loop).
-func BenchmarkDistances(b *testing.B) {
-	g := FromPoints(benchPoints(1000, 4), 0.1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Distances(i % g.N())
-	}
-}

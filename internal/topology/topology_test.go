@@ -162,6 +162,31 @@ func TestFromPointsMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// Distances returns the BFS hop distance from u to every node; unreachable
+// nodes get -1.
+func (g *Graph) Distances(u int) []int {
+	dist := make([]int, len(g.adj))
+	for i := range dist {
+		dist[i] = -1
+	}
+	if u < 0 || u >= len(g.adj) {
+		return dist
+	}
+	dist[u] = 0
+	queue := []int{u}
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		for _, w := range g.adj[v] {
+			if dist[w] < 0 {
+				dist[w] = dist[v] + 1
+				queue = append(queue, w)
+			}
+		}
+	}
+	return dist
+}
+
 func TestDistancesPath(t *testing.T) {
 	g := path(t, 5)
 	d := g.Distances(0)
