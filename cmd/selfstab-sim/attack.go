@@ -1,7 +1,7 @@
 package main
 
 import (
-	"flag"
+	"errors"
 	"io"
 	"strings"
 
@@ -15,44 +15,34 @@ import (
 // under byzantine density inflation, steps-to-restabilize after the
 // plausibility eviction — that make the defenses measurable.
 func runAttack(args []string, out io.Writer) error {
-	def := attack.DefaultConfig()
-	fs := flag.NewFlagSet("selfstab-sim attack", flag.ContinueOnError)
-	var (
-		nodes    = fs.Int("nodes", def.Nodes, "network size")
-		seed     = fs.Int64("seed", def.Seed, "master random seed (shared by both worlds)")
-		radioRng = fs.Float64("range", def.Range, "radio transmission range")
-		workers  = fs.Int("workers", 0, "step parallelism (0: single-threaded)")
-		scenario = fs.String("scenario", def.Scenario, "scenario: flood, byzantine, sybil")
-		warmup   = fs.Int("warmup", def.Warmup, "steps of legitimate traffic before the attack")
-		steps    = fs.Int("steps", def.AttackSteps, "steps under attack")
-		flows    = fs.Int("flows", def.Flows, "legitimate unicast flows")
-		rate     = fs.Float64("rate", def.FlowRate, "per-flow injection rate (packets per step)")
-		bots     = fs.Int("bots", def.Bots, "flood: compromised nodes")
-		flood    = fs.Float64("floodrate", def.FloodRate, "flood: per-bot injection rate")
-		byz      = fs.Int("byzantine", def.Byzantine, "byzantine: lying nodes")
-		scale    = fs.Float64("scale", def.Scale, "byzantine: density inflation factor")
-		sybils   = fs.Int("sybils", def.Sybils, "sybil: fake identities per burst")
-		spread   = fs.Float64("spread", def.SybilSpread, "sybil: ring radius around the target")
-		headRate = fs.Float64("headrate", def.HeadRate, "defense: head token-bucket refill per step")
-		burst    = fs.Float64("headburst", def.HeadBurst, "defense: head token-bucket capacity")
-		cap_     = fs.Int("sourcecap", def.SourceCap, "defense: max injections per source per step")
-		factor   = fs.Float64("plausfactor", def.PlausFactor, "defense: density-plausibility detection margin")
-		every    = fs.Int("evictevery", def.EvictEvery, "defense: steps between detection sweeps")
-	)
-	if err := fs.Parse(args); err != nil {
+	cfg := attack.DefaultConfig()
+	w := recipe{nodes: cfg.Nodes, seed: cfg.Seed, radio: cfg.Range, steps: cfg.AttackSteps}
+	fs := w.flags("attack", "steps under attack")
+	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "step parallelism (0: single-threaded)")
+	fs.StringVar(&cfg.Scenario, "scenario", cfg.Scenario, "scenario: flood, byzantine, sybil")
+	fs.IntVar(&cfg.Warmup, "warmup", cfg.Warmup, "steps of legitimate traffic before the attack")
+	fs.IntVar(&cfg.Flows, "flows", cfg.Flows, "legitimate unicast flows")
+	fs.Float64Var(&cfg.FlowRate, "rate", cfg.FlowRate, "per-flow injection rate (packets per step)")
+	fs.IntVar(&cfg.Bots, "bots", cfg.Bots, "flood: compromised nodes")
+	fs.Float64Var(&cfg.FloodRate, "floodrate", cfg.FloodRate, "flood: per-bot injection rate")
+	fs.IntVar(&cfg.Byzantine, "byzantine", cfg.Byzantine, "byzantine: lying nodes")
+	fs.Float64Var(&cfg.Scale, "scale", cfg.Scale, "byzantine: density inflation factor")
+	fs.IntVar(&cfg.Sybils, "sybils", cfg.Sybils, "sybil: fake identities per burst")
+	fs.Float64Var(&cfg.SybilSpread, "spread", cfg.SybilSpread, "sybil: ring radius around the target")
+	fs.Float64Var(&cfg.HeadRate, "headrate", cfg.HeadRate, "defense: head token-bucket refill per step")
+	fs.Float64Var(&cfg.HeadBurst, "headburst", cfg.HeadBurst, "defense: head token-bucket capacity")
+	fs.IntVar(&cfg.SourceCap, "sourcecap", cfg.SourceCap, "defense: max injections per source per step")
+	fs.Float64Var(&cfg.PlausFactor, "plausfactor", cfg.PlausFactor, "defense: density-plausibility detection margin")
+	fs.IntVar(&cfg.EvictEvery, "evictevery", cfg.EvictEvery, "defense: steps between detection sweeps")
+	if err := w.parse(fs, args, out); err != nil {
 		return err
 	}
-	cfg := attack.Config{
-		Nodes: *nodes, Seed: *seed, Range: *radioRng, Workers: *workers,
-		Scenario: strings.ToLower(*scenario), Warmup: *warmup, AttackSteps: *steps,
-		Flows: *flows, FlowRate: *rate,
-		Bots: *bots, FloodRate: *flood,
-		Byzantine: *byz, Scale: *scale,
-		Sybils: *sybils, SybilSpread: *spread,
-		HeadRate: *headRate, HeadBurst: *burst, SourceCap: *cap_,
-		PlausFactor: *factor, EvictEvery: *every,
-	}
+	cfg.Nodes, cfg.Seed, cfg.Range, cfg.AttackSteps = w.nodes, w.seed, w.radio, w.steps
+	cfg.Scenario = strings.ToLower(cfg.Scenario)
 	report, err := attack.Run(cfg)
+	if errors.As(err, new(attack.ConfigError)) {
+		return usageErrorf("%v", err)
+	}
 	if err != nil {
 		return err
 	}

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
-	"strings"
 	"text/tabwriter"
 
 	"selfstab"
@@ -15,12 +13,9 @@ import (
 // workload, run a churn scenario, and report the convergence ledger
 // (plus the traffic ledger when flows are attached).
 func runChurn(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("selfstab-sim churn", flag.ContinueOnError)
+	w := recipe{nodes: 1000, seed: 1, radio: 0.1, ttl: 8, steps: 500}
+	fs := w.flags("churn", "steps to run under churn")
 	var (
-		nodes      = fs.Int("nodes", 1000, "network size")
-		steps      = fs.Int("steps", 500, "steps to run under churn")
-		seed       = fs.Int64("seed", 1, "master random seed")
-		radioRng   = fs.Float64("range", 0.1, "radio transmission range")
 		scenario   = fs.String("scenario", "steady", "scenario: steady, burst, blackout")
 		arrival    = fs.Float64("arrival", 1, "mean node arrivals per step")
 		departure  = fs.Float64("departure", 1, "mean permanent departures per step")
@@ -30,18 +25,14 @@ func runChurn(args []string, out io.Writer) error {
 		flows      = fs.Int("flows", 0, "unicast flows to carry through the churn (0: protocol only)")
 		rate       = fs.Float64("rate", 0.2, "per-flow injection rate (packets per step)")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := w.parse(fs, args, out); err != nil {
 		return err
 	}
-	// Validate the scenario name and churn rates up front: a typo must
-	// fail fast with usage, not after a full network build and
-	// stabilization (and the blackout scenario never attaches the
-	// schedule, so its config would otherwise escape validation).
-	switch strings.ToLower(*scenario) {
-	case "steady", "burst", "blackout":
-	default:
-		return usageErrorf("unknown churn scenario %q (want steady, burst or blackout)", *scenario)
+	if err := oneOf("churn scenario", scenario, "steady", "burst", "blackout"); err != nil {
+		return err
 	}
+	// The churn rates are checked here, not by AttachChurn: the blackout
+	// scenario never attaches the schedule.
 	if *arrival < 0 || *departure < 0 || *crash < 0 || *sleep < 0 {
 		return usageErrorf("churn rates must be non-negative (arrival %v, departure %v, crash %v, sleep %v)",
 			*arrival, *departure, *crash, *sleep)
@@ -49,23 +40,12 @@ func runChurn(args []string, out io.Writer) error {
 	if *sleepSteps < 1 {
 		return usageErrorf("sleepsteps %d must be at least 1", *sleepSteps)
 	}
-	if err := checkRun(*nodes, *steps); err != nil {
-		return err
-	}
 	if *flows > 0 && *rate <= 0 {
 		return usageErrorf("-rate %v must be positive when flows are attached", *rate)
 	}
 
-	net, err := selfstab.NewRandomNetwork(*nodes,
-		selfstab.WithSeed(*seed),
-		selfstab.WithRange(*radioRng),
-		selfstab.WithCacheTTL(8),
-		selfstab.WithStableWindow(10),
-	)
+	net, err := w.build(selfstab.WithStableWindow(10))
 	if err != nil {
-		return err
-	}
-	if _, err := net.Stabilize(5000); err != nil {
 		return err
 	}
 	if *flows > 0 {
@@ -88,19 +68,19 @@ func runChurn(args []string, out io.Writer) error {
 		SleepRate:     *sleep,
 		SleepSteps:    *sleepSteps,
 	}
-	switch strings.ToLower(*scenario) {
+	switch *scenario {
 	case "steady":
 		// Continuous churn for the whole run, then recovery.
 		if err := net.AttachChurn(cfg); err != nil {
 			return err
 		}
-		if err := net.Run(*steps); err != nil {
+		if err := net.Run(w.steps); err != nil {
 			return err
 		}
 		net.DetachChurn()
 	case "burst":
 		// A quiet third, one third of triple-rate churn, recovery.
-		if err := net.Run(*steps / 3); err != nil {
+		if err := net.Run(w.steps / 3); err != nil {
 			return err
 		}
 		burst := cfg
@@ -111,11 +91,11 @@ func runChurn(args []string, out io.Writer) error {
 		if err := net.AttachChurn(burst); err != nil {
 			return err
 		}
-		if err := net.Run(*steps / 3); err != nil {
+		if err := net.Run(w.steps / 3); err != nil {
 			return err
 		}
 		net.DetachChurn()
-		if err := net.Run(*steps - 2*(*steps/3)); err != nil {
+		if err := net.Run(w.steps - 2*(w.steps/3)); err != nil {
 			return err
 		}
 	case "blackout":
@@ -126,19 +106,19 @@ func runChurn(args []string, out io.Writer) error {
 		for i := 0; i < len(ids); i += 3 {
 			down = append(down, ids[i])
 		}
-		if err := net.Run(*steps / 4); err != nil {
+		if err := net.Run(w.steps / 4); err != nil {
 			return err
 		}
 		if err := net.SleepNodes(down...); err != nil {
 			return err
 		}
-		if err := net.Run(*steps / 2); err != nil {
+		if err := net.Run(w.steps / 2); err != nil {
 			return err
 		}
 		if err := net.WakeNodes(down...); err != nil {
 			return err
 		}
-		if err := net.Run(*steps - *steps/4 - *steps/2); err != nil {
+		if err := net.Run(w.steps - w.steps/4 - w.steps/2); err != nil {
 			return err
 		}
 	}
@@ -153,7 +133,7 @@ func runChurn(args []string, out io.Writer) error {
 
 	alive, sleeping, dead := net.Population()
 	fmt.Fprintf(out, "churn %s: %d slots (%d alive, %d sleeping, %d dead), %d steps, %d clusters\n",
-		strings.ToLower(*scenario), net.N(), alive, sleeping, dead, net.StepCount(), len(net.Clusters()))
+		*scenario, net.N(), alive, sleeping, dead, net.StepCount(), len(net.Clusters()))
 	renderConvergence(out, net.ConvergenceStats())
 	if *flows > 0 {
 		s, err := net.TrafficStats()

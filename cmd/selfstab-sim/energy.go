@@ -1,10 +1,8 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
-	"strings"
 	"text/tabwriter"
 
 	"selfstab"
@@ -15,33 +13,23 @@ import (
 // model, run a lifetime, rotation or sleep-savings scenario, and report
 // the energy ledger (plus the convergence ledger the depletions feed).
 func runEnergy(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("selfstab-sim energy", flag.ContinueOnError)
+	w := recipe{nodes: 500, seed: 1, radio: 0.1, ttl: 8, steps: 500}
+	fs := w.flags("energy", "steps to run with batteries draining")
 	var (
-		nodes    = fs.Int("nodes", 500, "network size")
-		steps    = fs.Int("steps", 500, "steps to run with batteries draining")
-		seed     = fs.Int64("seed", 1, "master random seed")
-		radioRng = fs.Float64("range", 0.1, "radio transmission range")
 		scenario = fs.String("scenario", "lifetime", "scenario: lifetime, rotation, sleep-savings")
 		sources  = fs.Int("sources", 40, "hotspot sources converging on one sink (0: no traffic)")
 		rate     = fs.Float64("rate", 0.25, "per-source injection rate (packets per step)")
 		capacity = fs.Float64("capacity", 1, "initial battery per node (energy units)")
 		levels   = fs.Int("levels", 8, "rotation quantization levels")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := w.parse(fs, args, out); err != nil {
 		return err
 	}
-	// Validate names and magnitudes up front: a typo must fail fast with
-	// usage, not after a full network build and stabilization.
-	switch strings.ToLower(*scenario) {
-	case "lifetime", "rotation", "sleep-savings":
-	default:
-		return usageErrorf("unknown energy scenario %q (want lifetime, rotation or sleep-savings)", *scenario)
+	if err := oneOf("energy scenario", scenario, "lifetime", "rotation", "sleep-savings"); err != nil {
+		return err
 	}
 	if *capacity <= 0 {
 		return usageErrorf("capacity %v must be positive", *capacity)
-	}
-	if err := checkRun(*nodes, *steps); err != nil {
-		return err
 	}
 	if *sources < 0 || *sources > 0 && *rate <= 0 {
 		return usageErrorf("sources %d must be non-negative, and rate %v positive when there are sources", *sources, *rate)
@@ -50,19 +38,11 @@ func runEnergy(args []string, out io.Writer) error {
 		return usageErrorf("levels %d outside [2, 1024]", *levels)
 	}
 	// A hotspot has at most one source per node besides its sink.
-	srcs := min(*sources, *nodes-1)
+	srcs := min(*sources, w.nodes-1)
 
 	run := func(rotation, sleep bool) (*selfstab.Network, selfstab.EnergyStats, error) {
-		net, err := selfstab.NewRandomNetwork(*nodes,
-			selfstab.WithSeed(*seed),
-			selfstab.WithRange(*radioRng),
-			selfstab.WithCacheTTL(8),
-			selfstab.WithStableWindow(10),
-		)
+		net, err := w.build(selfstab.WithStableWindow(10))
 		if err != nil {
-			return nil, selfstab.EnergyStats{}, err
-		}
-		if _, err := net.Stabilize(5000); err != nil {
 			return nil, selfstab.EnergyStats{}, err
 		}
 		if srcs > 0 {
@@ -84,20 +64,20 @@ func runEnergy(args []string, out io.Writer) error {
 			// Duty-cycle a third of the population through the run, the
 			// schedule the sleep cost rewards.
 			if err := net.AttachChurn(selfstab.ChurnConfig{
-				SleepRate:  float64(*nodes) / 100,
+				SleepRate:  float64(w.nodes) / 100,
 				SleepSteps: 25,
 			}); err != nil {
 				return nil, selfstab.EnergyStats{}, err
 			}
 		}
-		if err := net.Run(*steps); err != nil {
+		if err := net.Run(w.steps); err != nil {
 			return nil, selfstab.EnergyStats{}, err
 		}
 		es, err := net.EnergyStats()
 		return net, es, err
 	}
 
-	switch strings.ToLower(*scenario) {
+	switch *scenario {
 	case "lifetime":
 		net, es, err := run(false, false)
 		if err != nil {
@@ -115,7 +95,7 @@ func runEnergy(args []string, out io.Writer) error {
 		}
 		alive, sleeping, dead := net.Population()
 		fmt.Fprintf(out, "energy lifetime: %d nodes, %d steps, %d sources -> 1 sink\n",
-			*nodes, *steps, srcs)
+			w.nodes, w.steps, srcs)
 		fmt.Fprintf(out, "  population: %d alive, %d sleeping, %d dead\n", alive, sleeping, dead)
 		renderEnergyStats(out, es)
 		renderConvergence(out, net.ConvergenceStats())
@@ -129,7 +109,7 @@ func runEnergy(args []string, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "energy rotation: %d nodes, %d steps, same seed with and without energy-aware heads\n",
-			*nodes, *steps)
+			w.nodes, w.steps)
 		fmt.Fprintf(out, "  plain density:   first death %s, %d depletions, head share %.3f\n",
 			deathStep(plain), plain.Depletions, plain.HeadShare)
 		fmt.Fprintf(out, "  energy x density: first death %s, %d depletions, head share %.3f\n",
@@ -144,7 +124,7 @@ func runEnergy(args []string, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "energy sleep-savings: %d nodes, %d steps, same seed with and without duty-cycling\n",
-			*nodes, *steps)
+			w.nodes, w.steps)
 		fmt.Fprintf(out, "  always awake: drained %.2f, mean remaining %.3f\n",
 			awake.TotalDrain, awake.MeanRemaining)
 		fmt.Fprintf(out, "  duty-cycled:  drained %.2f, mean remaining %.3f (%d node-steps asleep)\n",

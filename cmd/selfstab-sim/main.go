@@ -59,18 +59,34 @@
 // deltas: legitimate delivery ratio, defense drop counters, headship
 // capture rate, evictions and steps-to-restabilize.
 //
-// An unknown subcommand, experiment, scenario or workload name exits
-// non-zero with a usage line on stderr.
+// The subcommands share one world recipe: -nodes, -seed, -range (scale
+// derives its range from -degree instead), -steps (all but serve) and,
+// in serve and trace, -cachettl. Each keeps its own defaults, and each
+// refuses fewer than 2 nodes, a range outside (0, 1], a cache TTL below 1
+// and fewer than 1 step before it builds anything. Scenario, workload,
+// preload and experiment names match in any case and are reported in
+// lower case.
+//
+// Every bad invocation — an unknown subcommand, experiment, scenario or
+// workload name, a bad flag value, an out-of-range option or a stray
+// argument — is a usage error: selfstab-sim exits 1 with the message and
+// the usage line on stderr and writes nothing to stdout. -h prints the
+// usage line and the subcommand's flags with their defaults to stdout
+// and exits 0.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
+	"selfstab"
 	"selfstab/internal/experiment"
 )
 
@@ -83,47 +99,143 @@ func main() {
 
 type renderer interface{ Render() string }
 
-// usage is the one-line surface summary attached to every bad-name error,
-// so a typo exits non-zero with actionable help on stderr.
-const usage = "usage: selfstab-sim [-exp <experiment>] [flags] | selfstab-sim traffic [flags] | selfstab-sim churn [flags] | selfstab-sim energy [flags] | selfstab-sim scale [flags] | selfstab-sim serve [flags] | selfstab-sim trace [flags] | selfstab-sim attack [flags]"
+// subcommands is the one table run dispatches on and the usage line and
+// the unknown-subcommand error list. init fills it because its entries
+// reach usageErrorf, which reads it.
+var subcommands map[string]func(args []string, out io.Writer) error
 
-func usageErrorf(format string, a ...any) error {
-	return fmt.Errorf(format+"\n"+usage, a...)
+func init() {
+	subcommands = map[string]func([]string, io.Writer) error{
+		"traffic": runTraffic, "churn": runChurn, "energy": runEnergy, "scale": runScale,
+		"serve": runServe, "trace": runTrace, "attack": runAttack,
+	}
 }
 
-// checkRun refuses, before any network is built, a world too small to
-// cluster or a run with no step to report on.
-func checkRun(nodes, steps int) error {
-	if nodes < 2 {
-		return usageErrorf("need at least 2 nodes, got %d", nodes)
+// usage is the one-line surface summary every usage error carries and -h
+// prints.
+func usage() string {
+	line := "usage: selfstab-sim [-exp <experiment>] [flags]"
+	for _, name := range slices.Sorted(maps.Keys(subcommands)) {
+		line += " | selfstab-sim " + name + " [flags]"
 	}
-	if steps < 1 {
-		return usageErrorf("-steps %d must be at least 1", steps)
+	return line
+}
+
+func usageErrorf(format string, a ...any) error {
+	return fmt.Errorf(format+"\n"+usage(), a...)
+}
+
+// oneOf lower-cases *value and refuses it with a usage error unless it is
+// one of names.
+func oneOf(what string, value *string, names ...string) error {
+	if v := strings.ToLower(*value); slices.Contains(names, v) {
+		*value = v
+		return nil
+	}
+	n := len(names) - 1
+	return usageErrorf("unknown %s %q (want %s or %s)", what, *value, strings.Join(names[:n], ", "), names[n])
+}
+
+// parse parses args into fs. The flag package prints nothing: a bad flag
+// value or a stray argument is a usage error, and -h prints the usage
+// line and fs's flags to out and returns flag.ErrHelp, which run turns
+// into success.
+func parse(fs *flag.FlagSet, args []string, out io.Writer) error {
+	fs.SetOutput(io.Discard)
+	err := fs.Parse(args)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		fmt.Fprintln(out, usage())
+		fs.SetOutput(out)
+		fs.PrintDefaults()
+		return err
+	case err != nil:
+		return usageErrorf("%v", err)
+	case fs.NArg() > 0:
+		return usageErrorf("unexpected argument %q", fs.Arg(0))
 	}
 	return nil
 }
 
-func run(args []string, out io.Writer) error {
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		switch args[0] {
-		case "traffic":
-			return runTraffic(args[1:], out)
-		case "churn":
-			return runChurn(args[1:], out)
-		case "energy":
-			return runEnergy(args[1:], out)
-		case "scale":
-			return runScale(args[1:], out)
-		case "serve":
-			return runServe(args[1:], out)
-		case "trace":
-			return runTrace(args[1:], out)
-		case "attack":
-			return runAttack(args[1:], out)
-		default:
-			return usageErrorf("unknown subcommand %q (want traffic, churn, energy, scale, serve, trace or attack)", args[0])
-		}
+// recipe is the random world a subcommand builds: its size, seed, radio
+// range and neighbor cache TTL, and how many steps the subcommand runs
+// it for.
+type recipe struct {
+	nodes int
+	seed  int64
+	radio float64
+	ttl   int
+	steps int
+}
+
+// flags returns the flag set of subcommand name with -nodes and -seed
+// registered at w's values, -range too unless w has no range (scale sets
+// its own from -degree), and -steps too unless stepsUsage is empty.
+func (w *recipe) flags(name, stepsUsage string) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.IntVar(&w.nodes, "nodes", w.nodes, "network size")
+	fs.Int64Var(&w.seed, "seed", w.seed, "master random seed")
+	if w.radio != 0 {
+		fs.Float64Var(&w.radio, "range", w.radio, "radio transmission range")
 	}
+	if stepsUsage != "" {
+		fs.IntVar(&w.steps, "steps", w.steps, stepsUsage)
+	}
+	return fs
+}
+
+// parse parses args into fs and refuses, before any network is built, a
+// world too small to cluster, a range outside (0, 1], a cache TTL below 1
+// step and a run with no step to report on. Each check but the first
+// applies where fs has the flag.
+func (w *recipe) parse(fs *flag.FlagSet, args []string, out io.Writer) error {
+	if err := parse(fs, args, out); err != nil {
+		return err
+	}
+	switch {
+	case w.nodes < 2:
+		return usageErrorf("need at least 2 nodes, got %d", w.nodes)
+	case (w.radio <= 0 || w.radio > 1) && fs.Lookup("range") != nil:
+		return usageErrorf("-range %v outside (0, 1]", w.radio)
+	case w.ttl < 1 && fs.Lookup("cachettl") != nil:
+		return usageErrorf("-cachettl %d must be at least 1", w.ttl)
+	case w.steps < 1 && fs.Lookup("steps") != nil:
+		return usageErrorf("-steps %d must be at least 1", w.steps)
+	}
+	return nil
+}
+
+// build builds w's network with any further options and cold-stabilizes
+// it.
+func (w *recipe) build(opts ...selfstab.Option) (*selfstab.Network, error) {
+	net, err := selfstab.NewRandomNetwork(w.nodes, append([]selfstab.Option{
+		selfstab.WithSeed(w.seed), selfstab.WithRange(w.radio), selfstab.WithCacheTTL(w.ttl)}, opts...)...)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := net.Stabilize(5000); err != nil {
+		return nil, fmt.Errorf("cold stabilization: %w", err)
+	}
+	return net, nil
+}
+
+func run(args []string, out io.Writer) error {
+	cmd := runExperiments
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		name := args[0]
+		if err := oneOf("subcommand", &name, slices.Sorted(maps.Keys(subcommands))...); err != nil {
+			return err
+		}
+		cmd, args = subcommands[name], args[1:]
+	}
+	if err := cmd(args, out); !errors.Is(err, flag.ErrHelp) {
+		return err
+	}
+	return nil
+}
+
+// runExperiments regenerates the paper's tables and the ablations.
+func runExperiments(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("selfstab-sim", flag.ContinueOnError)
 	var (
 		exp    = fs.String("exp", "all", "experiment: table1, table2, table3, table4, table5, mobility, stabilization, metrics, orders, daemons, all")
@@ -133,74 +245,62 @@ func run(args []string, out io.Writer) error {
 		ranges = fs.String("ranges", "0.05,0.08,0.1", "comma-separated transmission ranges")
 		mins   = fs.Float64("minutes", 3, "mobility experiment duration in minutes (paper: 15)")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, out); err != nil {
 		return err
 	}
 	rs, err := parseRanges(*ranges)
 	if err != nil {
-		return err
+		return usageErrorf("%v", err)
 	}
 	opts := experiment.Options{Runs: *runs, Seed: *seed, Intensity: *lambda, Ranges: rs}
+	mob := experiment.MobilityDefaults()
+	mob.Runs, mob.Seed, mob.Intensity, mob.DurationSec = *runs, *seed, *lambda, *mins*60
 
+	// tame lowers the intensity of a heavier runtime-level experiment to
+	// lambda when it is above limit, unless -lambda was passed.
+	tame := func(limit, lambda float64) experiment.Options {
+		o := opts
+		if o.Intensity > limit && !flagPassed(fs, "lambda") {
+			o.Intensity = lambda
+		}
+		return o
+	}
 	type entry struct {
 		name string
 		run  func() (renderer, error)
 	}
 	entries := []entry{
 		{"table1", func() (renderer, error) { return experiment.Table1() }},
-		{"table2", func() (renderer, error) {
-			o := opts
-			if o.Intensity > 500 && !flagPassed(fs, "lambda") {
-				o.Intensity = 300 // runtime-level measurement; keep tractable
-			}
-			return experiment.Table2(o)
-		}},
+		{"table2", func() (renderer, error) { return experiment.Table2(tame(500, 300)) }},
 		{"table3", func() (renderer, error) { return experiment.Table3(opts) }},
 		{"table4", func() (renderer, error) { return experiment.Table4(opts) }},
 		{"table5", func() (renderer, error) { return experiment.Table5(opts) }},
-		{"mobility", func() (renderer, error) {
-			m := experiment.MobilityDefaults()
-			m.Runs = *runs
-			m.Seed = *seed
-			m.Intensity = *lambda
-			m.DurationSec = *mins * 60
-			return experiment.Mobility(m)
-		}},
-		{"stabilization", func() (renderer, error) {
-			o := opts
-			// The runtime experiment is heavier; keep lambda tractable
-			// unless the user insisted.
-			if o.Intensity > 500 && !flagPassed(fs, "lambda") {
-				o.Intensity = 500
-			}
-			return experiment.Stabilization(o)
-		}},
+		{"mobility", func() (renderer, error) { return experiment.Mobility(mob) }},
+		{"stabilization", func() (renderer, error) { return experiment.Stabilization(tame(500, 500)) }},
 		{"metrics", func() (renderer, error) { return experiment.AblationMetrics(opts) }},
 		{"orders", func() (renderer, error) { return experiment.AblationOrders(opts) }},
-		{"daemons", func() (renderer, error) {
-			o := opts
-			if o.Intensity > 400 && !flagPassed(fs, "lambda") {
-				o.Intensity = 300
-			}
-			return experiment.AblationDaemons(o)
-		}},
+		{"daemons", func() (renderer, error) { return experiment.AblationDaemons(tame(400, 300)) }},
 	}
-
-	selected := strings.ToLower(*exp)
-	found := false
+	var names []string
 	for _, e := range entries {
-		if selected != "all" && selected != e.name {
+		names = append(names, e.name)
+	}
+	if err := oneOf("experiment", exp, append(names, "all")...); err != nil {
+		return err
+	}
+	// Refuse the options before the first table is printed.
+	if err := errors.Join(opts.Validate(), mob.Validate()); err != nil {
+		return usageErrorf("%v", err)
+	}
+	for _, e := range entries {
+		if *exp != "all" && *exp != e.name {
 			continue
 		}
-		found = true
 		res, err := e.run()
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)
 		}
 		fmt.Fprintln(out, res.Render())
-	}
-	if !found {
-		return usageErrorf("unknown experiment %q", *exp)
 	}
 	return nil
 }

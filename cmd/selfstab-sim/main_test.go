@@ -123,26 +123,102 @@ func runGolden(t *testing.T, dir string, rows []goldenRow) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-exp", "nope"}, &buf); err == nil {
-		t.Error("unknown experiment accepted")
-	}
+	checkUsageRows(t, []usageRow{
+		{name: "unknown experiment", args: []string{"-exp", "nope"}, want: `unknown experiment "nope"`},
+	})
 }
 
 func TestRunBadFlags(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-runs", "abc"}, &buf); err == nil {
-		t.Error("bad flag value accepted")
-	}
-	if err := run([]string{"-exp", "table3", "-ranges", "zzz"}, &buf); err == nil {
-		t.Error("bad ranges accepted")
+	checkUsageRows(t, []usageRow{
+		{name: "bad flag value", args: []string{"-runs", "abc"}, want: "invalid value"},
+		{name: "bad ranges", args: []string{"-exp", "table3", "-ranges", "zzz"}, want: "bad range"},
+		{name: "stray argument", args: []string{"-exp", "table1", "extra"}, want: `unexpected argument "extra"`},
+	})
+}
+
+// TestRunInvalidOptions: the experiment options are refused before the
+// first table is printed.
+func TestRunInvalidOptions(t *testing.T) {
+	checkUsageRows(t, []usageRow{
+		{name: "zero runs", args: []string{"-exp", "table3", "-runs", "0"}, want: "runs must be >= 1"},
+		{name: "zero runs before table1", args: []string{"-exp", "all", "-runs", "0"}, want: "runs must be >= 1"},
+		{name: "negative minutes before table1", args: []string{"-exp", "all", "-runs", "1", "-lambda", "100", "-minutes", "-1"},
+			want: "bad duration/sample"},
+	})
+}
+
+// usageRow is one bad invocation: run must refuse it with an error that
+// mentions want and carries the usage line, and write nothing to stdout.
+// A late row fails after validation by design, so only its error is
+// checked.
+type usageRow struct {
+	name string
+	args []string
+	want string
+	late bool
+}
+
+// checkUsageRows runs each row as a subtest.
+func checkUsageRows(t *testing.T, rows []usageRow) {
+	t.Helper()
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			err := run(row.args, &buf)
+			if err == nil {
+				t.Fatalf("run(%v) succeeded, want an error mentioning %q", row.args, row.want)
+			}
+			if !strings.Contains(err.Error(), row.want) {
+				t.Errorf("run(%v) error %q, want it to mention %q", row.args, err, row.want)
+			}
+			if row.late {
+				return
+			}
+			if !strings.Contains(err.Error(), "usage: selfstab-sim") {
+				t.Errorf("run(%v) error %q lacks the usage line", row.args, err)
+			}
+			if buf.Len() != 0 {
+				t.Errorf("run(%v) wrote %q to stdout on a usage error", row.args, buf.String())
+			}
+		})
 	}
 }
 
-func TestRunInvalidOptions(t *testing.T) {
+// TestRunHelp: -h prints the usage line and the flags with their
+// defaults to stdout and succeeds.
+func TestRunHelp(t *testing.T) {
+	for _, tt := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-h"}, "-runs int\n    \tindependent runs per cell (paper: 1000) (default 30)"},
+		{[]string{"serve", "-h"}, "-nodes int\n    \tnetwork size (default 500)"},
+		{[]string{"trace", "-h"}, "-nodes int\n    \tnetwork size (default 500)"},
+		{[]string{"traffic", "-h"}, "-nodes int\n    \tnetwork size (default 1000)"},
+	} {
+		var buf bytes.Buffer
+		if err := run(tt.args, &buf); err != nil {
+			t.Errorf("run(%v): %v", tt.args, err)
+			continue
+		}
+		if out := buf.String(); !strings.HasPrefix(out, "usage: selfstab-sim") || !strings.Contains(out, tt.want) {
+			t.Errorf("run(%v) printed %q, want the usage line and %q", tt.args, out, tt.want)
+		}
+	}
+}
+
+// TestRunNamesAnyCase: scenario and workload names match in any case and
+// are reported in lower case.
+func TestRunNamesAnyCase(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-exp", "table3", "-runs", "0"}, &buf); err == nil {
-		t.Error("zero runs accepted")
+	if err := run([]string{"traffic", "-nodes", "30", "-steps", "2", "-flows", "2", "-scenario", "STATIC", "-workload", "CBR"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(buf.String(), "traffic static/cbr: ") {
+		t.Errorf("traffic report heads with %q, want the names in lower case", strings.SplitN(buf.String(), "\n", 2)[0])
+	}
+	if err := run([]string{"trace", "-nodes", "30", "-steps", "2", "-scenario", "MIXED", "-o", filepath.Join(t.TempDir(), "trace.json")}, &buf); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -170,16 +246,14 @@ func TestRunTrafficScenariosAndWorkloads(t *testing.T) {
 }
 
 func TestRunTrafficBadArgs(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"traffic", "-scenario", "nope", "-nodes", "50", "-steps", "5"}, &buf); err == nil {
-		t.Error("unknown scenario accepted")
-	}
-	if err := run([]string{"traffic", "-workload", "nope", "-nodes", "50", "-steps", "5"}, &buf); err == nil {
-		t.Error("unknown workload accepted")
-	}
-	if err := run([]string{"traffic", "-steps", "abc"}, &buf); err == nil {
-		t.Error("bad flag accepted")
-	}
+	checkUsageRows(t, []usageRow{
+		{name: "unknown scenario", args: []string{"traffic", "-scenario", "nope", "-nodes", "50", "-steps", "5"}, want: "unknown traffic scenario"},
+		{name: "unknown workload", args: []string{"traffic", "-workload", "nope", "-nodes", "50", "-steps", "5"}, want: "unknown workload"},
+		{name: "bad flag value", args: []string{"traffic", "-steps", "abc"}, want: "invalid value"},
+		{name: "range zero", args: []string{"traffic", "-range", "0"}, want: "outside (0, 1]"},
+		{name: "range above one", args: []string{"traffic", "-range", "5"}, want: "outside (0, 1]"},
+		{name: "stray argument", args: []string{"traffic", "-nodes", "20", "-steps", "1", "-flows", "1", "extra"}, want: "unexpected argument"},
+	})
 }
 
 // TestRunUnknownNamesExitNonZero is the CLI error-surface contract,
@@ -188,54 +262,36 @@ func TestRunTrafficBadArgs(t *testing.T) {
 // exits 1) whose message carries the usage line — and must fail fast,
 // before any network is built.
 func TestRunUnknownNamesExitNonZero(t *testing.T) {
-	tests := []struct {
-		name string
-		args []string
-		want string // substring the error must carry
-	}{
-		{"unknown subcommand", []string{"bogus"}, "unknown subcommand"},
-		{"unknown experiment", []string{"-exp", "nope"}, "unknown experiment"},
-		{"retired offline energy experiment", []string{"-exp", "energy"}, "unknown experiment"},
-		{"retired gamma ablation", []string{"-exp", "gamma"}, "unknown experiment"},
-		{"retired scalability experiment", []string{"-exp", "scalability"}, "unknown experiment"},
-		{"unknown traffic scenario", []string{"traffic", "-scenario", "nope"}, "unknown traffic scenario"},
-		{"unknown traffic workload", []string{"traffic", "-workload", "nope"}, "unknown workload"},
-		{"unknown churn scenario", []string{"churn", "-scenario", "nope"}, "unknown churn scenario"},
-		{"unknown energy scenario", []string{"energy", "-scenario", "nope"}, "unknown energy scenario"},
-		{"unknown scale scenario", []string{"scale", "-scenario", "nope"}, "unknown scale scenario"},
-		{"scale too few nodes", []string{"scale", "-nodes", "3"}, "at least 10 nodes"},
-		{"scale bad compact fraction", []string{"scale", "-compact", "1.5"}, "outside [0, 1]"},
-		{"unknown serve preload", []string{"serve", "-preload", "nope"}, "unknown preload scenario"},
-		{"traffic no steps", []string{"traffic", "-steps", "-5"}, "at least 1"},
-		{"traffic negative rate", []string{"traffic", "-rate", "-1"}, "positive"},
-		{"traffic hotspot no flows", []string{"traffic", "-workload", "hotspot", "-flows", "0"}, "-flows 0"},
-		{"traffic zero queue", []string{"traffic", "-queue", "0"}, "-queue 0"},
-		{"traffic negative queue", []string{"traffic", "-queue", "-1"}, "-queue -1"},
-		{"traffic negative budget", []string{"traffic", "-budget", "-2"}, "-budget -2"},
-		{"churn no steps", []string{"churn", "-steps", "-3"}, "at least 1"},
-		{"churn flows at zero rate", []string{"churn", "-flows", "4", "-rate", "0"}, "positive"},
-		{"energy no steps", []string{"energy", "-steps", "-1"}, "at least 1"},
-		{"energy one node", []string{"energy", "-nodes", "1"}, "at least 2 nodes"},
-		{"energy sources at zero rate", []string{"energy", "-rate", "0"}, "positive"},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			err := run(tt.args, &buf)
-			if err == nil {
-				t.Fatalf("run(%v) succeeded, want usage error", tt.args)
-			}
-			if !strings.Contains(err.Error(), tt.want) {
-				t.Errorf("run(%v) error %q, want it to mention %q", tt.args, err, tt.want)
-			}
-			if !strings.Contains(err.Error(), "usage: selfstab-sim") {
-				t.Errorf("run(%v) error %q lacks the usage line", tt.args, err)
-			}
-			if buf.Len() != 0 {
-				t.Errorf("run(%v) wrote %q to stdout on a usage error", tt.args, buf.String())
-			}
-		})
-	}
+	checkUsageRows(t, []usageRow{
+		{name: "unknown subcommand", args: []string{"bogus"}, want: "unknown subcommand"},
+		{name: "unknown experiment", args: []string{"-exp", "nope"}, want: "unknown experiment"},
+		{name: "retired offline energy experiment", args: []string{"-exp", "energy"}, want: "unknown experiment"},
+		{name: "retired gamma ablation", args: []string{"-exp", "gamma"}, want: "unknown experiment"},
+		{name: "retired scalability experiment", args: []string{"-exp", "scalability"}, want: "unknown experiment"},
+		{name: "unknown traffic scenario", args: []string{"traffic", "-scenario", "nope"}, want: "unknown traffic scenario"},
+		{name: "unknown traffic workload", args: []string{"traffic", "-workload", "nope"}, want: "unknown workload"},
+		{name: "unknown churn scenario", args: []string{"churn", "-scenario", "nope"}, want: "unknown churn scenario"},
+		{name: "unknown energy scenario", args: []string{"energy", "-scenario", "nope"}, want: "unknown energy scenario"},
+		{name: "unknown scale scenario", args: []string{"scale", "-scenario", "nope"}, want: "unknown scale scenario"},
+		{name: "scale too few nodes", args: []string{"scale", "-nodes", "3"}, want: "at least 10 nodes"},
+		{name: "scale bad compact fraction", args: []string{"scale", "-compact", "1.5"}, want: "outside [0, 1]"},
+		{name: "unknown serve preload", args: []string{"serve", "-preload", "nope"}, want: "unknown preload scenario"},
+		{name: "traffic no steps", args: []string{"traffic", "-steps", "-5"}, want: "at least 1"},
+		{name: "traffic negative rate", args: []string{"traffic", "-rate", "-1"}, want: "positive"},
+		{name: "traffic hotspot no flows", args: []string{"traffic", "-workload", "hotspot", "-flows", "0"}, want: "-flows 0"},
+		{name: "traffic zero queue", args: []string{"traffic", "-queue", "0"}, want: "-queue 0"},
+		{name: "traffic negative queue", args: []string{"traffic", "-queue", "-1"}, want: "-queue -1"},
+		{name: "traffic negative budget", args: []string{"traffic", "-budget", "-2"}, want: "-budget -2"},
+		{name: "churn no steps", args: []string{"churn", "-steps", "-3"}, want: "at least 1"},
+		{name: "churn flows at zero rate", args: []string{"churn", "-flows", "4", "-rate", "0"}, want: "positive"},
+		{name: "energy no steps", args: []string{"energy", "-steps", "-1"}, want: "at least 1"},
+		{name: "energy one node", args: []string{"energy", "-nodes", "1"}, want: "at least 2 nodes"},
+		{name: "energy sources at zero rate", args: []string{"energy", "-rate", "0"}, want: "positive"},
+		{name: "unknown attack scenario", args: []string{"attack", "-scenario", "nope"}, want: "unknown scenario"},
+		{name: "attack too few nodes", args: []string{"attack", "-nodes", "5"}, want: "too small to attack"},
+		{name: "attack range zero", args: []string{"attack", "-range", "0"}, want: "outside (0, 1]"},
+		{name: "attack range above one", args: []string{"attack", "-range", "5"}, want: "outside (0, 1]"},
+	})
 }
 
 // TestRunChurnScenarios drives the churn subcommand end to end on small
@@ -251,13 +307,12 @@ func TestRunChurnScenarios(t *testing.T) {
 
 // TestRunChurnBadFlags: malformed flag values exit non-zero.
 func TestRunChurnBadFlags(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"churn", "-steps", "abc"}, &buf); err == nil {
-		t.Error("bad churn flag accepted")
-	}
-	if err := run([]string{"churn", "-nodes", "50", "-steps", "5", "-crash", "-2"}, &buf); err == nil {
-		t.Error("negative churn rate accepted")
-	}
+	checkUsageRows(t, []usageRow{
+		{name: "bad flag value", args: []string{"churn", "-steps", "abc"}, want: "invalid value"},
+		{name: "negative crash rate", args: []string{"churn", "-nodes", "50", "-steps", "5", "-crash", "-2"}, want: "non-negative"},
+		{name: "range zero", args: []string{"churn", "-range", "0"}, want: "outside (0, 1]"},
+		{name: "range above one", args: []string{"churn", "-range", "5"}, want: "outside (0, 1]"},
+	})
 }
 
 // TestRunScaleScenarios drives the scale subcommand end to end on small
@@ -291,16 +346,11 @@ func TestRunScaleScenarios(t *testing.T) {
 // network is built, in every scenario — including blackout, which never
 // attaches the schedule.
 func TestRunChurnBadRatesFailFast(t *testing.T) {
-	for _, args := range [][]string{
-		{"churn", "-scenario", "blackout", "-crash", "-1"},
-		{"churn", "-scenario", "blackout", "-sleepsteps", "-5"},
-		{"churn", "-scenario", "burst", "-departure", "-0.5"},
-	} {
-		var buf bytes.Buffer
-		if err := run(args, &buf); err == nil {
-			t.Errorf("run(%v) accepted an invalid churn config", args)
-		}
-	}
+	checkUsageRows(t, []usageRow{
+		{name: "blackout negative crash", args: []string{"churn", "-scenario", "blackout", "-crash", "-1"}, want: "non-negative"},
+		{name: "blackout negative sleepsteps", args: []string{"churn", "-scenario", "blackout", "-sleepsteps", "-5"}, want: "sleepsteps -5"},
+		{name: "burst negative departure", args: []string{"churn", "-scenario", "burst", "-departure", "-0.5"}, want: "non-negative"},
+	})
 }
 
 // TestRunServeBadArgs is the serve subcommand's validation contract,
@@ -308,52 +358,24 @@ func TestRunChurnBadRatesFailFast(t *testing.T) {
 // usage line — before any world is built or port bound — and writes
 // nothing to stdout.
 func TestRunServeBadArgs(t *testing.T) {
-	tests := []struct {
-		name string
-		args []string
-		want string
-	}{
-		{"too few nodes", []string{"serve", "-nodes", "1"}, "at least 2 nodes"},
-		{"zero sps", []string{"serve", "-sps", "0"}, "must be positive"},
-		{"negative sps", []string{"serve", "-sps", "-3"}, "must be positive"},
-		{"bad range", []string{"serve", "-range", "0"}, "outside (0, 1]"},
-		{"range above one", []string{"serve", "-range", "1.5"}, "outside (0, 1]"},
-		{"zero cachettl", []string{"serve", "-cachettl", "0"}, "at least 1"},
-		{"unknown preload", []string{"serve", "-preload", "storm"}, "unknown preload scenario"},
-		{"empty addr", []string{"serve", "-addr", ""}, "must not be empty"},
-		{"drain without dir", []string{"serve", "-drain-snapshot"}, "requires -snapshot-dir"},
-		{"restore plus nodes", []string{"serve", "-restore", "x.json", "-nodes", "100"}, "conflicts"},
-		{"restore plus seed", []string{"serve", "-restore", "x.json", "-seed", "2"}, "conflicts"},
-		{"restore plus preload", []string{"serve", "-restore", "x.json", "-preload", "churn"}, "conflicts"},
-		{"positional argument", []string{"serve", "leftover"}, "unexpected argument"},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			err := run(tt.args, &buf)
-			if err == nil {
-				t.Fatalf("run(%v) succeeded, want usage error", tt.args)
-			}
-			if !strings.Contains(err.Error(), tt.want) {
-				t.Errorf("run(%v) error %q, want it to mention %q", tt.args, err, tt.want)
-			}
-			if !strings.Contains(err.Error(), "usage: selfstab-sim") {
-				t.Errorf("run(%v) error %q lacks the usage line", tt.args, err)
-			}
-			if buf.Len() != 0 {
-				t.Errorf("run(%v) wrote %q to stdout on a usage error", tt.args, buf.String())
-			}
-		})
-	}
-	// Malformed flag values come back from the flag package itself.
-	var buf bytes.Buffer
-	if err := run([]string{"serve", "-sps", "abc"}, &buf); err == nil {
-		t.Error("bad serve flag accepted")
-	}
-	// A missing restore file fails after validation, at open time.
-	if err := run([]string{"serve", "-restore", "/nonexistent/snap.json"}, &buf); err == nil {
-		t.Error("missing restore file accepted")
-	}
+	checkUsageRows(t, []usageRow{
+		{name: "too few nodes", args: []string{"serve", "-nodes", "1"}, want: "at least 2 nodes"},
+		{name: "zero sps", args: []string{"serve", "-sps", "0"}, want: "must be positive"},
+		{name: "negative sps", args: []string{"serve", "-sps", "-3"}, want: "must be positive"},
+		{name: "bad range", args: []string{"serve", "-range", "0"}, want: "outside (0, 1]"},
+		{name: "range above one", args: []string{"serve", "-range", "1.5"}, want: "outside (0, 1]"},
+		{name: "zero cachettl", args: []string{"serve", "-cachettl", "0"}, want: "at least 1"},
+		{name: "unknown preload", args: []string{"serve", "-preload", "storm"}, want: "unknown preload scenario"},
+		{name: "empty addr", args: []string{"serve", "-addr", ""}, want: "must not be empty"},
+		{name: "drain without dir", args: []string{"serve", "-drain-snapshot"}, want: "requires -snapshot-dir"},
+		{name: "restore plus nodes", args: []string{"serve", "-restore", "x.json", "-nodes", "100"}, want: "conflicts"},
+		{name: "restore plus seed", args: []string{"serve", "-restore", "x.json", "-seed", "2"}, want: "conflicts"},
+		{name: "restore plus preload", args: []string{"serve", "-restore", "x.json", "-preload", "churn"}, want: "conflicts"},
+		{name: "positional argument", args: []string{"serve", "leftover"}, want: "unexpected argument"},
+		{name: "bad flag value", args: []string{"serve", "-sps", "abc"}, want: "invalid value"},
+		{name: "preload name in any case", args: []string{"serve", "-preload", "CHURN", "-drain-snapshot"}, want: "requires -snapshot-dir"},
+		{name: "missing restore file", args: []string{"serve", "-restore", "/nonexistent/snap.json"}, want: "/nonexistent/snap.json", late: true},
+	})
 }
 
 // TestServeHTTPServerTimeouts: the served API drops a connection that
@@ -429,42 +451,31 @@ func TestRunEnergyScenarios(t *testing.T) {
 // TestRunEnergyBadArgs: malformed names and magnitudes fail fast with the
 // usage line, before any network is built.
 func TestRunEnergyBadArgs(t *testing.T) {
-	for _, args := range [][]string{
-		{"energy", "-scenario", "nope"},
-		{"energy", "-capacity", "-1"},
-		{"energy", "-capacity", "0"},
-		{"energy", "-sources", "-3"},
-		{"energy", "-levels", "1"},
-		{"energy", "-levels", "2000"},
-	} {
-		var buf bytes.Buffer
-		if err := run(args, &buf); err == nil {
-			t.Errorf("run(%v) accepted an invalid energy config", args)
-		}
-	}
-	var buf bytes.Buffer
-	if err := run([]string{"energy", "-steps", "abc"}, &buf); err == nil {
-		t.Error("bad energy flag accepted")
-	}
+	checkUsageRows(t, []usageRow{
+		{name: "unknown scenario", args: []string{"energy", "-scenario", "nope"}, want: "unknown energy scenario"},
+		{name: "negative capacity", args: []string{"energy", "-capacity", "-1"}, want: "capacity -1"},
+		{name: "zero capacity", args: []string{"energy", "-capacity", "0"}, want: "capacity 0"},
+		{name: "negative sources", args: []string{"energy", "-sources", "-3"}, want: "sources -3"},
+		{name: "one level", args: []string{"energy", "-levels", "1"}, want: "levels 1 outside"},
+		{name: "too many levels", args: []string{"energy", "-levels", "2000"}, want: "levels 2000 outside"},
+		{name: "bad flag value", args: []string{"energy", "-steps", "abc"}, want: "invalid value"},
+		{name: "range zero", args: []string{"energy", "-range", "0"}, want: "outside (0, 1]"},
+		{name: "range above one", args: []string{"energy", "-range", "5"}, want: "outside (0, 1]"},
+	})
 }
 
 // TestRunTraceValidation: every bad trace flag exits with a usage error
 // before any world is built.
 func TestRunTraceValidation(t *testing.T) {
-	for _, args := range [][]string{
-		{"trace", "-nodes", "1"},
-		{"trace", "-steps", "0"},
-		{"trace", "-range", "0"},
-		{"trace", "-range", "1.5"},
-		{"trace", "-cachettl", "0"},
-		{"trace", "-scenario", "bogus"},
-		{"trace", "extra-arg"},
-	} {
-		var buf bytes.Buffer
-		if err := run(args, &buf); err == nil {
-			t.Errorf("run(%v) accepted", args)
-		}
-	}
+	checkUsageRows(t, []usageRow{
+		{name: "one node", args: []string{"trace", "-nodes", "1"}, want: "at least 2 nodes"},
+		{name: "zero steps", args: []string{"trace", "-steps", "0"}, want: "-steps 0"},
+		{name: "range zero", args: []string{"trace", "-range", "0"}, want: "outside (0, 1]"},
+		{name: "range above one", args: []string{"trace", "-range", "1.5"}, want: "outside (0, 1]"},
+		{name: "zero cachettl", args: []string{"trace", "-cachettl", "0"}, want: "-cachettl 0"},
+		{name: "unknown scenario", args: []string{"trace", "-scenario", "bogus"}, want: "unknown trace scenario"},
+		{name: "stray argument", args: []string{"trace", "extra-arg"}, want: "unexpected argument"},
+	})
 }
 
 // TestRunTraceStdout records a small mixed run and checks the trace is

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -21,28 +20,22 @@ import (
 // drain on SIGINT/SIGTERM (the in-flight step completes; with
 // -snapshot-dir a final checkpoint is written).
 func runServe(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	w := recipe{nodes: 500, seed: 1, radio: 0.1, ttl: 8}
+	fs := w.flags("serve", "")
+	fs.IntVar(&w.ttl, "cachettl", w.ttl, "neighbor cache TTL in steps (needed for churn and energy)")
 	var (
-		nodes    = fs.Int("nodes", 500, "network size (uniform random deployment)")
-		seed     = fs.Int64("seed", 1, "master random seed")
-		radioRng = fs.Float64("range", 0.1, "radio transmission range")
-		cachettl = fs.Int("cachettl", 8, "neighbor cache TTL in steps (needed for churn and energy)")
-		addr     = fs.String("addr", "127.0.0.1:8650", "HTTP listen address")
-		sps      = fs.Float64("sps", 10, "simulation steps per second")
-		preload  = fs.String("preload", "none", "scenario preloaded before serving: none, traffic, churn or mixed")
-		snapDir  = fs.String("snapshot-dir", "", "directory for POST /snapshot checkpoints (empty: stream-only)")
-		restore  = fs.String("restore", "", "snapshot file to restore the world from instead of building one")
-		drain    = fs.Bool("drain-snapshot", false, "write a final checkpoint to -snapshot-dir on shutdown")
-		pprofOn  = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the service address")
+		addr    = fs.String("addr", "127.0.0.1:8650", "HTTP listen address")
+		sps     = fs.Float64("sps", 10, "simulation steps per second")
+		preload = fs.String("preload", "none", "scenario preloaded before serving: none, traffic, churn or mixed")
+		snapDir = fs.String("snapshot-dir", "", "directory for POST /snapshot checkpoints (empty: stream-only)")
+		restore = fs.String("restore", "", "snapshot file to restore the world from instead of building one")
+		drain   = fs.Bool("drain-snapshot", false, "write a final checkpoint to -snapshot-dir on shutdown")
+		pprofOn = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the service address")
 	)
-	fs.SetOutput(io.Discard)
-	if err := fs.Parse(args); err != nil {
+	// Strict validation, all before any network is built or port bound.
+	if err := w.parse(fs, args, out); err != nil {
 		return err
 	}
-	if fs.NArg() > 0 {
-		return usageErrorf("serve: unexpected argument %q", fs.Arg(0))
-	}
-	// Strict validation, all before any network is built or port bound.
 	if *restore != "" {
 		for _, conflicting := range []string{"nodes", "seed", "range", "cachettl"} {
 			if flagPassed(fs, conflicting) {
@@ -52,22 +45,12 @@ func runServe(args []string, out io.Writer) error {
 		if *preload != "none" {
 			return usageErrorf("serve: -restore replays the snapshot's own journal; -preload conflicts")
 		}
-	} else if *nodes < 2 {
-		return usageErrorf("serve: need at least 2 nodes, got %d", *nodes)
 	}
 	if *sps <= 0 {
 		return usageErrorf("serve: -sps %v must be positive", *sps)
 	}
-	if *radioRng <= 0 || *radioRng > 1 {
-		return usageErrorf("serve: -range %v outside (0, 1]", *radioRng)
-	}
-	if *cachettl < 1 {
-		return usageErrorf("serve: -cachettl %d must be at least 1", *cachettl)
-	}
-	switch *preload {
-	case "none", "traffic", "churn", "mixed":
-	default:
-		return usageErrorf("serve: unknown preload scenario %q (want none, traffic, churn or mixed)", *preload)
+	if err := oneOf("preload scenario", preload, preloads...); err != nil {
+		return err
 	}
 	if *addr == "" {
 		return usageErrorf("serve: -addr must not be empty")
@@ -76,7 +59,7 @@ func runServe(args []string, out io.Writer) error {
 		return usageErrorf("serve: -drain-snapshot requires -snapshot-dir")
 	}
 
-	world, err := serveWorld(*restore, *nodes, *seed, *radioRng, *cachettl, *preload, out)
+	world, err := serveWorld(*restore, &w, *preload, out)
 	if err != nil {
 		return err
 	}
@@ -141,8 +124,11 @@ func newHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
+// preloads are the scenarios serve's -preload and trace's -scenario name.
+var preloads = []string{"none", "traffic", "churn", "mixed"}
+
 // serveWorld builds (or restores) and prepares the served world.
-func serveWorld(restore string, nodes int, seed int64, radioRng float64, cachettl int, preload string, out io.Writer) (*selfstab.Network, error) {
+func serveWorld(restore string, w *recipe, preload string, out io.Writer) (*selfstab.Network, error) {
 	if restore != "" {
 		f, err := os.Open(restore)
 		if err != nil {
@@ -156,20 +142,16 @@ func serveWorld(restore string, nodes int, seed int64, radioRng float64, cachett
 		fmt.Fprintf(out, "restored %s\n", restore)
 		return world, nil
 	}
-	world, err := selfstab.NewRandomNetwork(nodes,
-		selfstab.WithSeed(seed), selfstab.WithRange(radioRng), selfstab.WithCacheTTL(cachettl))
+	world, err := w.build()
 	if err != nil {
 		return nil, err
-	}
-	if _, err := world.Stabilize(5000); err != nil {
-		return nil, fmt.Errorf("serve: cold stabilization: %w", err)
 	}
 	if preload == "traffic" || preload == "mixed" {
 		ids := world.IDs()
 		if err := world.AttachTraffic(selfstab.TrafficConfig{
 			Flows: []selfstab.Flow{
 				selfstab.CBRFlow(ids[0], ids[len(ids)-1], 0.5),
-				selfstab.HotspotFlow(ids[len(ids)/2], min(10, nodes-1), 0.2),
+				selfstab.HotspotFlow(ids[len(ids)/2], min(10, w.nodes-1), 0.2),
 			},
 		}); err != nil {
 			return nil, err

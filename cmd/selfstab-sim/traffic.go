@@ -1,10 +1,8 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
-	"strings"
 	"text/tabwriter"
 
 	"selfstab"
@@ -17,79 +15,56 @@ import (
 // line: build a network, attach a workload, run a scenario, report the
 // delivery/latency/load ledger.
 func runTraffic(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("selfstab-sim traffic", flag.ContinueOnError)
+	w := recipe{nodes: 1000, seed: 1, radio: 0.1, ttl: 8, steps: 500}
+	fs := w.flags("traffic", "traffic steps to run after stabilization")
 	var (
-		nodes    = fs.Int("nodes", 1000, "network size")
-		steps    = fs.Int("steps", 500, "traffic steps to run after stabilization")
 		flows    = fs.Int("flows", 100, "number of concurrent flows")
 		workload = fs.String("workload", "mixed", "workload: cbr, poisson, hotspot, mixed")
 		rate     = fs.Float64("rate", 0.2, "per-flow injection rate (packets per step)")
-		seed     = fs.Int64("seed", 1, "master random seed")
-		radioRng = fs.Float64("range", 0.1, "radio transmission range")
 		queue    = fs.Int("queue", 32, "per-node queue capacity")
 		budget   = fs.Int("budget", 1, "packets forwarded per node per step")
 		scenario = fs.String("scenario", "static", "scenario: static, mobility, faults")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := w.parse(fs, args, out); err != nil {
 		return err
 	}
-	// Validate names up front: a typo must fail fast with usage, not
-	// after a full network build and stabilization.
-	switch strings.ToLower(*scenario) {
-	case "static", "mobility", "faults":
-	default:
-		return usageErrorf("unknown traffic scenario %q (want static, mobility or faults)", *scenario)
+	if err := oneOf("traffic scenario", scenario, "static", "mobility", "faults"); err != nil {
+		return err
 	}
-	switch strings.ToLower(*workload) {
-	case "cbr", "poisson", "hotspot", "mixed":
-	default:
-		return usageErrorf("unknown workload %q (want cbr, poisson, hotspot or mixed)", *workload)
-	}
-	if err := checkRun(*nodes, *steps); err != nil {
+	if err := oneOf("workload", workload, "cbr", "poisson", "hotspot", "mixed"); err != nil {
 		return err
 	}
 	if *flows < 1 || *queue < 1 || *budget < 1 || *rate <= 0 {
 		return usageErrorf("-flows %d, -queue %d and -budget %d must each be at least 1 and -rate %v positive", *flows, *queue, *budget, *rate)
 	}
 
-	net, err := selfstab.NewRandomNetwork(*nodes,
-		selfstab.WithSeed(*seed),
-		selfstab.WithRange(*radioRng),
-		selfstab.WithCacheTTL(8),
-	)
-	if err != nil {
-		return err
-	}
-	if _, err := net.Stabilize(5000); err != nil {
-		return err
-	}
-	specs, err := buildWorkload(net, *workload, *flows, *rate, *seed)
+	net, err := w.build()
 	if err != nil {
 		return err
 	}
 	if err := net.AttachTraffic(selfstab.TrafficConfig{
 		QueueCap: *queue,
 		Budget:   *budget,
-		Flows:    specs,
+		Flows:    buildWorkload(net, *workload, *flows, *rate, w.seed),
 	}); err != nil {
 		return err
 	}
 
-	switch strings.ToLower(*scenario) {
+	switch *scenario {
 	case "static":
-		if err := net.Run(*steps); err != nil {
+		if err := net.Run(w.steps); err != nil {
 			return err
 		}
 	case "mobility":
-		if err := runMobilityScenario(net, *steps, *seed); err != nil {
+		if err := runMobilityScenario(net, w.steps, w.seed); err != nil {
 			return err
 		}
 	case "faults":
-		if err := net.Run(*steps / 2); err != nil {
+		if err := net.Run(w.steps / 2); err != nil {
 			return err
 		}
 		net.InjectFaults(0.5)
-		if err := net.Run(*steps - *steps/2); err != nil {
+		if err := net.Run(w.steps - w.steps/2); err != nil {
 			return err
 		}
 	}
@@ -99,18 +74,16 @@ func runTraffic(args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "traffic %s/%s: %d nodes, %d flows, %d steps\n",
-		*scenario, *workload, net.N(), len(s.PerFlow), *steps)
+		*scenario, *workload, net.N(), len(s.PerFlow), w.steps)
 	renderTrafficStats(out, s)
 	return nil
 }
 
-// buildWorkload expands a named workload into flows over the network's
-// identifiers, deterministically from the seed.
-func buildWorkload(net *selfstab.Network, workload string, flows int, rate float64, seed int64) ([]selfstab.Flow, error) {
+// buildWorkload expands a named workload (lower case, already checked)
+// into flows over the identifiers of a network of at least 2 nodes,
+// deterministically from the seed.
+func buildWorkload(net *selfstab.Network, workload string, flows int, rate float64, seed int64) []selfstab.Flow {
 	ids := net.IDs()
-	if len(ids) < 2 {
-		return nil, fmt.Errorf("need at least 2 nodes for traffic")
-	}
 	// One labeled stream off the master seed: adding draws to another
 	// subsystem (say, the mobility walk below) can never perturb the
 	// workload, which keeps every scenario reproducible from -seed alone.
@@ -124,7 +97,7 @@ func buildWorkload(net *selfstab.Network, workload string, flows int, rate float
 		return src, dst
 	}
 	var out []selfstab.Flow
-	switch strings.ToLower(workload) {
+	switch workload {
 	case "cbr":
 		for i := 0; i < flows; i++ {
 			src, dst := pair()
@@ -154,10 +127,8 @@ func buildWorkload(net *selfstab.Network, workload string, flows int, rate float
 		if hot := flows - unicast; hot > 0 {
 			out = append(out, selfstab.HotspotFlow(ids[r.Intn(len(ids))], hot, rate))
 		}
-	default:
-		return nil, fmt.Errorf("unknown workload %q", workload)
 	}
-	return out, nil
+	return out
 }
 
 // runMobilityScenario moves every node on the mobility experiments'

@@ -97,6 +97,10 @@ func DefaultConfig() Config {
 	}
 }
 
+// ConfigError is the error Run returns for a Config it refuses before
+// building either world.
+type ConfigError struct{ error }
+
 func (c *Config) validate() error {
 	switch c.Scenario {
 	case ScenarioFlood, ScenarioByzantine, ScenarioSybil:
@@ -160,7 +164,7 @@ type Report struct {
 // defended world built from the same seed.
 func Run(cfg Config) (*Report, error) {
 	if err := cfg.validate(); err != nil {
-		return nil, err
+		return nil, ConfigError{err}
 	}
 	und, err := runWorld(cfg, false)
 	if err != nil {

@@ -20,7 +20,7 @@ type MetricAblationResult struct {
 // AblationMetrics runs the metric comparison. Max-min d-cluster (d=2) is
 // included as the structurally different baseline.
 func AblationMetrics(opts Options) (*MetricAblationResult, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	elections := []election{
@@ -76,7 +76,7 @@ type OrderAblationResult struct {
 // AblationOrders compares basic, sticky, and sticky+fusion under pedestrian
 // mobility — isolating how much each Section 4.3 rule contributes.
 func AblationOrders(opts Options) (*OrderAblationResult, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	elections := []election{

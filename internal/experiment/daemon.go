@@ -14,7 +14,7 @@ import (
 // guards are eventually executed, so the protocol must stabilize for any
 // probability > 0 — just proportionally slower.
 func AblationDaemons(opts Options) (*DaemonResult, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	probs := []float64{1.0, 0.5, 0.25}

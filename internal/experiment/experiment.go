@@ -44,7 +44,9 @@ type Options struct {
 	Ranges []float64
 }
 
-func (o *Options) validate() error {
+// Validate refuses options no experiment can run: no runs, a
+// non-positive intensity, or an empty or out-of-(0, 1] range sweep.
+func (o *Options) Validate() error {
 	if o.Runs < 1 {
 		return fmt.Errorf("experiment: runs must be >= 1, got %d", o.Runs)
 	}

@@ -44,7 +44,10 @@ func MobilityDefaults() MobilityOptions {
 	}
 }
 
-func (o *MobilityOptions) validate() error {
+// Validate refuses options the mobility study cannot run: no runs, a bad
+// intensity or range, a sample period outside the duration, or no speed
+// band.
+func (o *MobilityOptions) Validate() error {
 	if o.Runs < 1 {
 		return fmt.Errorf("mobility experiment: runs must be >= 1")
 	}
@@ -76,7 +79,7 @@ type MobilityResult struct {
 // plain algorithm; the paper reports ~82% vs ~78% at pedestrian speeds and
 // ~31% vs ~25% at vehicle speeds.
 func Mobility(opts MobilityOptions) (*MobilityResult, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	elections := []election{

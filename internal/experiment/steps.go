@@ -25,7 +25,7 @@ type StabilizationResult struct {
 // Stabilization measures distributed stabilization times over a perfect
 // medium (τ = 1, so steps are exactly the paper's Δ(τ) units).
 func Stabilization(opts Options) (*StabilizationResult, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	r := opts.Ranges[0]

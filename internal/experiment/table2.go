@@ -27,7 +27,7 @@ type Table2Result struct {
 // Table2 runs the knowledge-schedule measurement on a random deployment
 // over a perfect medium, averaged over runs.
 func Table2(opts Options) (*Table2Result, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	const horizon = 12
