@@ -80,11 +80,7 @@ func (n *Network) spawnFlowsImpl(flows []Flow) error {
 		return err
 	}
 	specs = n.expandFlows(flows, specs)
-	if err := n.traffic.AddFlows(specs); err != nil {
-		return err
-	}
-	n.flowIDs = n.pinFlowIDs(n.flowIDs, specs)
-	return nil
+	return n.traffic.AddFlows(specs)
 }
 
 // FloodHeads launches a botnet flood against the current cluster

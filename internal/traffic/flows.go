@@ -14,6 +14,10 @@ import (
 type FlowSpec struct {
 	Kind     FlowKind
 	Src, Dst int
+	// SrcID and DstID are the same endpoints by identifier. The engine
+	// only reports them (Stats.PerFlow): Compact renumbers Src and Dst,
+	// identifiers never move.
+	SrcID, DstID int64
 	// Rate is the mean injection rate in packets per step. Must be > 0.
 	Rate float64
 	// Start is the first step (1-based, matching the engine's completed-

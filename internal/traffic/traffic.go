@@ -98,10 +98,11 @@ type Hooks struct {
 	// no CBR credit); packets addressed to a not-alive destination become
 	// DropsDeadEndpoint, at injection and at every forwarding hop.
 	Alive func(i int) bool
-	// IsHead reports whether node i is currently a cluster-head — the
-	// admission-control defense guards head queues only. nil means no node
-	// is ever a head (admission control never fires). Only consulted while
-	// a Defense with HeadAdmission is installed.
+	// IsHead reports whether node i is currently a cluster-head. The
+	// admission-control defense guards head queues only, and consults it
+	// only while a Defense with HeadAdmission is installed; Stats reads it
+	// for every alive node (HeadLoadShare, HeadFraction). nil means no
+	// node is ever a head.
 	IsHead func(i int) bool
 }
 
@@ -758,11 +759,6 @@ func (e *Engine) Compact(r slot.Remap) error {
 	return nil
 }
 
-// RetiredLoad returns the total forwarding events of slots dropped by
-// Compact — callers summing Load() for a share denominator must add it
-// so ratios stay invariant across compactions.
-func (e *Engine) RetiredLoad() int64 { return e.retiredLoad }
-
 // FlushNode drops every packet queued at node i, accounting each as a
 // dead-endpoint drop — the fate of a queue lost to a crash or a permanent
 // departure. (A sleeping node's queue is not flushed; it is frozen until
@@ -792,11 +788,6 @@ func (e *Engine) InFlight() int64 {
 		}
 	}
 	return total
-}
-
-// Load returns a copy of the per-node forwarding-event counts.
-func (e *Engine) Load() []int64 {
-	return append([]int64(nil), e.load...)
 }
 
 // Counters returns the per-node cumulative transmission and reception

@@ -84,7 +84,7 @@ func TestCBRLineDelivery(t *testing.T) {
 		t.Errorf("latency p50 %d max %d, want 4/4 on an uncongested line", s.LatencyP50, s.LatencyMax)
 	}
 	// Interior nodes forward everything; endpoints 0 forwards, 4 receives.
-	load := e.Load()
+	load, _ := e.Counters()
 	if load[4] != 0 {
 		t.Errorf("sink forwarded %d packets, want 0 (delivery on arrival)", load[4])
 	}
@@ -133,7 +133,7 @@ func TestQueueOverflowDropTail(t *testing.T) {
 		t.Errorf("offered %d, want 250", s.Offered)
 	}
 	// All drops are attributed to the single flow.
-	if got := s.Flows[0].Dropped; got != s.DropsQueue {
+	if got := s.PerFlow[0].Dropped; got != s.DropsQueue {
 		t.Errorf("flow dropped %d, engine counted %d", got, s.DropsQueue)
 	}
 }
@@ -147,7 +147,7 @@ func TestQueueOverflowDropHead(t *testing.T) {
 	if s.DropsQueue == 0 {
 		t.Fatal("no queue drops under overload with DropHead")
 	}
-	if got := s.Flows[0].Dropped; got != s.DropsQueue {
+	if got := s.PerFlow[0].Dropped; got != s.DropsQueue {
 		t.Errorf("flow dropped %d, engine counted %d", got, s.DropsQueue)
 	}
 }
@@ -284,7 +284,7 @@ func TestSelfFlowCountsInLedger(t *testing.T) {
 	runSteps(t, e, 50)
 	s := e.Stats()
 	checkLedger(t, s)
-	self := s.Flows[0]
+	self := s.PerFlow[0]
 	if self.Offered != 50 || self.Delivered != 50 || self.Dropped != 0 {
 		t.Errorf("self-flow ledger: %+v", self)
 	}
@@ -296,7 +296,7 @@ func TestSelfFlowCountsInLedger(t *testing.T) {
 	}
 	// Every self-flow packet was decided at injection: the only in-flight
 	// packets can belong to the real flow.
-	if s.InFlight > s.Flows[1].Offered-s.Flows[1].Delivered {
+	if s.InFlight > s.PerFlow[1].Offered-s.PerFlow[1].Delivered {
 		t.Errorf("self-flow packets entered the forwarding queues: %+v", s)
 	}
 }
@@ -337,10 +337,10 @@ func TestDeadEndpointDrops(t *testing.T) {
 	if s.DropsDeadEndpoint == 0 {
 		t.Fatalf("no dead-endpoint drops after killing the sink: %+v", s)
 	}
-	if got := s.Flows[1].Offered - before.Flows[1].Offered; got != 0 {
+	if got := s.PerFlow[1].Offered - before.PerFlow[1].Offered; got != 0 {
 		t.Errorf("dead source kept offering %d packets", got)
 	}
-	if got := s.Flows[0].Offered - before.Flows[0].Offered; got != 10 {
+	if got := s.PerFlow[0].Offered - before.PerFlow[0].Offered; got != 10 {
 		t.Errorf("live source offered %d, want 10", got)
 	}
 	// Everything flow 0 offered since the kill must have died as
@@ -355,8 +355,8 @@ func TestDeadEndpointDrops(t *testing.T) {
 	runSteps(t, e, 10)
 	s2 := e.Stats()
 	checkLedger(t, s2)
-	if s2.Flows[0].Delivered <= s.Flows[0].Delivered {
-		t.Errorf("delivery did not resume after wake: %+v", s2.Flows[0])
+	if s2.PerFlow[0].Delivered <= s.PerFlow[0].Delivered {
+		t.Errorf("delivery did not resume after wake: %+v", s2.PerFlow[0])
 	}
 }
 
@@ -367,8 +367,8 @@ func TestResizeAndFlush(t *testing.T) {
 	e := mustEngine(t, 4, cfg, flows, lineHooks(), 11)
 	runSteps(t, e, 2) // two packets in flight along the line
 	e.Resize(6)       // two new arrivals
-	if len(e.Load()) != 6 {
-		t.Fatalf("load vector has %d entries after Resize(6)", len(e.Load()))
+	if tx, _ := e.Counters(); len(tx) != 6 {
+		t.Fatalf("load vector has %d entries after Resize(6)", len(tx))
 	}
 	inFlight := e.InFlight()
 	if inFlight == 0 {
@@ -386,19 +386,14 @@ func TestResizeAndFlush(t *testing.T) {
 }
 
 // TestRecvCountersMatchLoad pins the tx/rx pairing the energy subsystem
-// charges from: every forwarding event in Load has exactly one matching
-// reception in Recv, receptions land on the receivers (relays and the
-// destination, never the source), and the allocation-free Counters read
-// agrees with the copying one.
+// charges from: every forwarding event in Counters' tx has exactly one
+// matching reception in rx, and receptions land on the receivers (relays
+// and the destination, never the source).
 func TestRecvCountersMatchLoad(t *testing.T) {
 	cfg, flows := Config{}, []FlowSpec{{Kind: CBR, Src: 0, Dst: 3, Rate: 1}}
 	e := mustEngine(t, 4, cfg, flows, lineHooks(), 1)
 	runSteps(t, e, 50)
-	load, recv := e.Load(), e.recv
-	tx, rx := e.Counters()
-	if !reflect.DeepEqual(tx, load) || !reflect.DeepEqual(rx, recv) {
-		t.Fatalf("Counters (%v, %v) disagree with the copies (%v, %v)", tx, rx, load, recv)
-	}
+	load, recv := e.Counters()
 	var txTotal, rxTotal int64
 	for i := range load {
 		txTotal += load[i]

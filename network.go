@@ -240,18 +240,20 @@ func (n *Network) Verify() error {
 	if n.cfg.Sticky {
 		order = cluster.OrderSticky
 	}
+	// Compute only reads PrevHead, so the live assignment seeds it before
+	// the loop below sanitizes the exempt nodes.
+	got := n.engine.Assignment()
 	oracle, err := cluster.Compute(g, cluster.Config{
 		Values:   want,
 		TieIDs:   snap.TieID,
 		AppIDs:   snap.IDs,
 		Order:    order,
 		Fusion:   n.cfg.Fusion,
-		PrevHead: n.engine.Assignment().Head,
+		PrevHead: got.Head,
 	})
 	if err != nil {
 		return fmt.Errorf("selfstab: oracle: %w", err)
 	}
-	got := n.engine.Assignment()
 	for u := range got.Head {
 		if !alive(u) {
 			// Exempt from the oracle; sanitize to the self-head state an

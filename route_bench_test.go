@@ -244,10 +244,14 @@ func BenchmarkNextHop(b *testing.B) {
 		}
 		type call struct{ cur, dst int }
 		var calls []call
-		at := make([]call, 0, len(net.flowIDs)) // each packet's next call
-		for _, f := range net.flowIDs {
-			src, _ := net.IndexOf(f.src)
-			dst, _ := net.IndexOf(f.dst)
+		ts, err := net.TrafficStats()
+		if err != nil {
+			b.Fatal(err)
+		}
+		at := make([]call, 0, len(ts.PerFlow)) // each packet's next call
+		for _, f := range ts.PerFlow {
+			src, _ := net.IndexOf(f.SrcID)
+			dst, _ := net.IndexOf(f.DstID)
 			at = append(at, call{src, dst})
 		}
 		for len(at) > 0 {

@@ -61,14 +61,21 @@ type summary struct {
 // delta is the change's median relative to the parent's.
 func (s summary) delta() float64 { return s.change.med/s.parent.med - 1 }
 
+// minPairs is the fewest pairs a verdict is drawn from: on a shared host
+// the two sides of a short set drift apart by more than either side's
+// quartile distance, so six of six pairs can read "better" on unchanged
+// code.
+const minPairs = 10
+
 // verdict applies the claim rule to the pairs: the change is "better"
-// (or "worse") when it read so on at least nine tenths of the pairs and
-// the medians differ by more than the parent's own quartile distance;
-// anything else is "not resolved".
+// (or "worse") when there are at least minPairs pairs, it read so on at
+// least nine tenths of them and the medians differ by more than the
+// parent's own quartile distance; anything else is "not resolved".
 func (s summary) verdict() string {
 	iqr := s.parent.q3 - s.parent.q1
 	apart := math.Abs(s.change.med-s.parent.med) > iqr
 	switch {
+	case s.n < minPairs:
 	case apart && 10*s.wins >= 9*s.n:
 		return "better"
 	case apart && 10*s.losses >= 9*s.n:

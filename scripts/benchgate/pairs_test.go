@@ -55,9 +55,9 @@ func TestQuartiles(t *testing.T) {
 	}
 }
 
-// TestPairsVerdict: the verdict needs nine tenths of the pairs and a
-// median gap wider than the parent's quartile distance, and reads the
-// metric's direction.
+// TestPairsVerdict: the verdict needs ten pairs, nine tenths of them
+// won and a median gap wider than the parent's quartile distance, and
+// reads the metric's direction.
 func TestPairsVerdict(t *testing.T) {
 	parent := []float64{1.40, 1.42, 1.44, 1.41, 1.43, 1.45, 1.39, 1.42, 1.40, 1.44}
 	faster := make([]float64, len(parent))
@@ -67,6 +67,9 @@ func TestPairsVerdict(t *testing.T) {
 	// Nine wins of ten, the tenth a tie: still better.
 	nineAndTie := append([]float64(nil), faster...)
 	nineAndTie[3] = parent[3]
+	// Nine wins of ten, the tenth a loss: still better.
+	nineAndLoss := append([]float64(nil), faster...)
+	nineAndLoss[3] = parent[3] * 1.01
 	// Eight wins of ten: not enough pairs.
 	eight := append([]float64(nil), faster...)
 	eight[0], eight[1] = parent[0]*1.01, parent[1]*1.01
@@ -77,22 +80,29 @@ func TestPairsVerdict(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name         string
-		change       []float64
+		change       []float64 // its length is the number of pairs
 		wins, losses int
 		lower        string // op_p50_ms: lower is better
 		higher       string // steps_per_s: higher is better
 	}{
 		{"faster", faster, 10, 0, "better", "worse"},
 		{"nine and a tie", nineAndTie, 9, 0, "better", "worse"},
+		{"nine and a loss", nineAndLoss, 9, 1, "better", "worse"},
 		{"eight", eight, 8, 2, "not resolved", "not resolved"},
 		{"within spread", hair, 10, 0, "not resolved", "not resolved"},
 		{"identical", parent, 0, 0, "not resolved", "not resolved"},
+		// Six of six, the medians as far apart as in "faster": too few.
+		{"six pairs", faster[:6], 6, 0, "not resolved", "not resolved"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sums := summaries(t, parent, tc.change)
+			n := len(tc.change)
+			sums := summaries(t, parent[:n], tc.change)
 			lo, hi := sums[0], sums[1]
-			if lo.n != 10 || lo.wins != tc.wins || lo.losses != tc.losses {
-				t.Fatalf("op_p50_ms: %d wins, %d losses of %d, want %d, %d of 10", lo.wins, lo.losses, lo.n, tc.wins, tc.losses)
+			if lo.n != n || lo.wins != tc.wins || lo.losses != tc.losses {
+				t.Fatalf("op_p50_ms: %d wins, %d losses of %d, want %d, %d of %d", lo.wins, lo.losses, lo.n, tc.wins, tc.losses, n)
+			}
+			if apart := lo.parent.med-lo.change.med > lo.parent.q3-lo.parent.q1; n < minPairs && !apart {
+				t.Fatalf("op_p50_ms: the medians of the %d-pair row are not apart", n)
 			}
 			if hi.wins != tc.losses || hi.losses != tc.wins {
 				t.Fatalf("steps_per_s: %d wins, %d losses, want the mirror of op_p50_ms", hi.wins, hi.losses)

@@ -13,7 +13,9 @@
 # run is one line of .bench_build/pairs/<workload>-seed<seed>.jsonl,
 # {"pair", "side", "digest", "result"}, where result is the run's result
 # object; the summary at the end is `go run ./scripts/benchgate -pairs`
-# over it.
+# over it. A verdict needs at least 10 pairs: a shorter set reads "not
+# resolved" whatever its wins, since on a shared host the two sides of a
+# short set drift apart by more than their quartile distance.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then

@@ -508,11 +508,6 @@ type Network struct {
 	energy    *energy.Engine // attached battery model (nil until AttachEnergy)
 	energyOn  bool
 
-	// flowIDs pins each attached flow's endpoint identifiers at attach
-	// time: indices move under Compact, identifiers never do, so the
-	// per-flow ledger stays addressable across compactions.
-	flowIDs []flowEndpointIDs
-
 	// probe is the attached instrumentation sink (nil when detached); it
 	// fans out to the engine and any attached subsystems. Pure-observer
 	// state, never journaled: a replay without it is bit-identical.
@@ -531,11 +526,6 @@ type Network struct {
 	deploy snapshot.Deployment
 	cfg    snapshot.Options
 	oplog  []snapshot.Op
-}
-
-// flowEndpointIDs is one attached flow's endpoints by identifier.
-type flowEndpointIDs struct {
-	src, dst int64
 }
 
 // NewNetwork deploys nodes at explicit positions in the unit square.

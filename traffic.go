@@ -87,7 +87,6 @@ func (n *Network) attachTrafficImpl(cfg TrafficConfig) error {
 	if err != nil {
 		return err
 	}
-	n.flowIDs = n.pinFlowIDs(nil, specs)
 	t.SetProbe(n.probe) // late attach inherits the network's probe
 	n.traffic = t
 	n.trafficOn = true
@@ -118,8 +117,8 @@ func (n *Network) trafficHooks() traffic.Hooks {
 		Alive: func(i int) bool {
 			return n.engine.Status(i) == runtime.StatusAlive
 		},
-		// IsHead feeds the per-head admission defense (SetTrafficDefense);
-		// it is only consulted while that defense is installed.
+		// IsHead feeds the per-head admission defense (SetTrafficDefense)
+		// and the ledger's head accounting (HeadLoadShare, HeadFraction).
 		IsHead: func(i int) bool {
 			return n.engine.Status(i) == runtime.StatusAlive && n.engine.IsHead(i)
 		},
@@ -158,7 +157,7 @@ func (n *Network) resolveFlows(flows []Flow) ([]traffic.FlowSpec, error) {
 				return nil, fmt.Errorf("selfstab: flow %d: unknown destination id %d", i, f.DstID)
 			}
 		}
-		specs[i] = traffic.FlowSpec{Kind: f.Kind, Src: src, Dst: dst, Rate: f.Rate, Start: f.Start, Stop: f.Stop}
+		specs[i] = traffic.FlowSpec{Kind: f.Kind, Src: src, Dst: dst, SrcID: f.SrcID, DstID: f.DstID, Rate: f.Rate, Start: f.Start, Stop: f.Stop}
 	}
 	return specs, nil
 }
@@ -168,7 +167,7 @@ func (n *Network) resolveFlows(flows []Flow) ([]traffic.FlowSpec, error) {
 // permutation seeded from the "traffic-flows" rng stream, skipping the
 // sink. specs is resolveFlows' answer for flows.
 func (n *Network) expandFlows(flows []Flow, specs []traffic.FlowSpec) []traffic.FlowSpec {
-	src := n.src.Split("traffic-flows")
+	src, ids := n.src.Split("traffic-flows"), n.engine.IDs()
 	out := make([]traffic.FlowSpec, 0, len(specs))
 	for i, s := range specs {
 		want := flows[i].HotspotSources
@@ -180,7 +179,7 @@ func (n *Network) expandFlows(flows []Flow, specs []traffic.FlowSpec) []traffic.
 			if u == s.Dst {
 				continue
 			}
-			s.Src = u
+			s.Src, s.SrcID = u, ids[u]
 			out = append(out, s)
 			if want--; want == 0 {
 				break
@@ -190,91 +189,13 @@ func (n *Network) expandFlows(flows []Flow, specs []traffic.FlowSpec) []traffic.
 	return out
 }
 
-// pinFlowIDs appends each spec's endpoints by identifier: indices
-// renumber under Compact, identifiers never do, so the per-flow ledger
-// addresses flows by id.
-func (n *Network) pinFlowIDs(ids []flowEndpointIDs, specs []traffic.FlowSpec) []flowEndpointIDs {
-	all := n.engine.IDs()
-	for _, s := range specs {
-		ids = append(ids, flowEndpointIDs{src: all[s.Src], dst: all[s.Dst]})
-	}
-	return ids
-}
+// TrafficStats is the data plane's ledger. It is traffic.Stats, the
+// record the engine keeps (internal/traffic documents every field).
+type TrafficStats = traffic.Stats
 
-// FlowTrafficStats is the per-flow slice of the traffic ledger.
-type FlowTrafficStats struct {
-	SrcID, DstID int64
-	Offered      int64
-	Delivered    int64
-	Dropped      int64
-}
-
-// TrafficStats is the data plane's ledger. The accounting identity
-// Offered == Delivered + DropsQueue + DropsNoRoute + DropsTTL +
-// DropsDeadEndpoint + DropsAdmission + DropsRateLimit + InFlight holds
-// at every step boundary.
-type TrafficStats struct {
-	// Steps is how many steps the data plane itself has run (steps taken
-	// since AttachTraffic, excluding any detached stretches) — the right
-	// denominator for per-step rates regardless of how long stabilization
-	// took before attach.
-	Steps int
-
-	Offered   int64
-	Delivered int64
-	InFlight  int64
-
-	DropsQueue   int64 // queue overflow (either discipline)
-	DropsNoRoute int64 // routing had no next hop (partition or transient assignment)
-	DropsTTL     int64 // hop budget exceeded
-	// DropsDeadEndpoint counts packets addressed to a dead or sleeping
-	// node — at injection or discovered mid-flight — plus packets lost
-	// with the queue of a crashed or removed node. Under churn the data
-	// plane never errors on a vanished endpoint; it accounts it here.
-	DropsDeadEndpoint int64
-	// DropsAdmission and DropsRateLimit are the defense drops (see
-	// SetTrafficDefense): packets a head's token bucket refused, and
-	// packets the per-source injection cap refused. Kept separate from
-	// the congestion reasons above so the attack-vs-defense delta is
-	// directly measurable from the ledger.
-	DropsAdmission int64
-	DropsRateLimit int64
-
-	// DeliveryRatio is Delivered over packets with a decided fate
-	// (Offered - InFlight).
-	DeliveryRatio float64
-
-	// MeanHops is the mean hop count of delivered packets; MeanStretch is
-	// the mean over delivered packets of hops / flat distance, where the
-	// flat distance is the shortest-path hop count from the flow's source
-	// to its destination on the topology at delivery — the path-stretch
-	// cost of the hierarchy. A delivered packet has no sample when it took
-	// no hop (a self-flow) or when its source is asleep, dead or cut off
-	// from the destination by then. Under the churn of the mixed benchmark
-	// workload that is under 1 % of deliveries (9 of 1 295 at seed 1, 6
-	// of 940 at seed 3).
-	MeanHops    float64
-	MeanStretch float64
-
-	// End-to-end latency percentiles in steps over delivered packets
-	// (-1 when nothing was delivered).
-	LatencyP50 int
-	LatencyP90 int
-	LatencyP99 int
-	LatencyMax int
-
-	// MeanLoad and MaxLoad summarize per-node forwarding events.
-	// HeadLoadShare is the fraction of all forwarding done by current
-	// cluster-heads against HeadFraction, the fraction of nodes that are
-	// heads — their gap is the hotspot the hierarchy concentrates on
-	// heads and gateways.
-	MeanLoad      float64
-	MaxLoad       int64
-	HeadLoadShare float64
-	HeadFraction  float64
-
-	PerFlow []FlowTrafficStats
-}
+// FlowTrafficStats is the per-flow slice of the traffic ledger. It is
+// traffic.FlowStats.
+type FlowTrafficStats = traffic.FlowStats
 
 // TrafficStats snapshots the attached data plane's ledger. It fails if
 // AttachTraffic was never called.
@@ -282,59 +203,5 @@ func (n *Network) TrafficStats() (TrafficStats, error) {
 	if n.traffic == nil {
 		return TrafficStats{}, fmt.Errorf("selfstab: no traffic attached")
 	}
-	ts := n.traffic.Stats()
-	out := TrafficStats{
-		Steps:             ts.Steps,
-		Offered:           ts.Offered,
-		Delivered:         ts.Delivered,
-		InFlight:          ts.InFlight,
-		DropsQueue:        ts.DropsQueue,
-		DropsNoRoute:      ts.DropsNoRoute,
-		DropsTTL:          ts.DropsTTL,
-		DropsDeadEndpoint: ts.DropsDeadEndpoint,
-		DropsAdmission:    ts.DropsAdmission,
-		DropsRateLimit:    ts.DropsRateLimit,
-		DeliveryRatio:     ts.DeliveryRatio,
-		MeanHops:          ts.MeanHops,
-		MeanStretch:       ts.MeanStretch,
-		LatencyP50:        ts.LatencyP50,
-		LatencyP90:        ts.LatencyP90,
-		LatencyP99:        ts.LatencyP99,
-		LatencyMax:        ts.LatencyMax,
-		MeanLoad:          ts.MeanLoad,
-		MaxLoad:           ts.MaxLoad,
-	}
-	// Head accounting over the operating population only: a dead slot's
-	// state is reset to self-head and a sleeping node's is frozen, so
-	// counting them would inflate the head fraction under churn. Slots
-	// recycled by Compact contribute their history via the retired carry.
-	load := n.traffic.Load()
-	total := n.traffic.RetiredLoad()
-	var headLoad int64
-	heads, operating := 0, 0
-	for i, l := range load {
-		total += l
-		if n.engine.Status(i) != runtime.StatusAlive {
-			continue
-		}
-		operating++
-		if n.engine.IsHead(i) {
-			heads++
-			headLoad += l
-		}
-	}
-	if total > 0 {
-		out.HeadLoadShare = float64(headLoad) / float64(total)
-	}
-	if operating > 0 {
-		out.HeadFraction = float64(heads) / float64(operating)
-	}
-	out.PerFlow = make([]FlowTrafficStats, len(ts.Flows))
-	for i, f := range ts.Flows {
-		out.PerFlow[i] = FlowTrafficStats{
-			SrcID: n.flowIDs[i].src, DstID: n.flowIDs[i].dst,
-			Offered: f.Offered, Delivered: f.Delivered, Dropped: f.Dropped,
-		}
-	}
-	return out, nil
+	return n.traffic.Stats(), nil
 }

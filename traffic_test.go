@@ -178,7 +178,8 @@ func TestTrafficAcrossPartition(t *testing.T) {
 	}
 	// No-route drops are not transmissions: nothing was ever forwarded,
 	// so the load ledger must stay empty.
-	for i, l := range net.traffic.Load() {
+	tx, _ := net.traffic.Counters()
+	for i, l := range tx {
 		if l != 0 {
 			t.Errorf("node %d shows load %d on a network that only dropped", i, l)
 		}
@@ -301,7 +302,7 @@ func TestHotspotConcentratesLoadOnHeads(t *testing.T) {
 		t.Errorf("head load share %.3f <= head population share %.3f — hierarchy should concentrate load on heads",
 			s.HeadLoadShare, s.HeadFraction)
 	}
-	if load := net.traffic.Load(); len(load) != net.N() {
-		t.Errorf("load vector has %d entries for %d nodes", len(load), net.N())
+	if tx, _ := net.traffic.Counters(); len(tx) != net.N() {
+		t.Errorf("load vector has %d entries for %d nodes", len(tx), net.N())
 	}
 }
