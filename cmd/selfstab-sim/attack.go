@@ -18,7 +18,7 @@ func runAttack(args []string, out io.Writer) error {
 	cfg := attack.DefaultConfig()
 	w := recipe{nodes: cfg.Nodes, seed: cfg.Seed, radio: cfg.Range, steps: cfg.AttackSteps}
 	fs := w.flags("attack", "steps under attack")
-	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "step parallelism (0: single-threaded)")
+	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "step parallelism (0: GOMAXPROCS workers)")
 	fs.StringVar(&cfg.Scenario, "scenario", cfg.Scenario, "scenario: flood, byzantine, sybil")
 	fs.IntVar(&cfg.Warmup, "warmup", cfg.Warmup, "steps of legitimate traffic before the attack")
 	fs.IntVar(&cfg.Flows, "flows", cfg.Flows, "legitimate unicast flows")

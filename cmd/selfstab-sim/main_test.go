@@ -291,6 +291,7 @@ func TestRunUnknownNamesExitNonZero(t *testing.T) {
 		{name: "attack too few nodes", args: []string{"attack", "-nodes", "5"}, want: "too small to attack"},
 		{name: "attack range zero", args: []string{"attack", "-range", "0"}, want: "outside (0, 1]"},
 		{name: "attack range above one", args: []string{"attack", "-range", "5"}, want: "outside (0, 1]"},
+		{name: "attack negative workers", args: []string{"attack", "-workers", "-3"}, want: "worker count -3 is negative"},
 	})
 }
 

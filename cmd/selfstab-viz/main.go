@@ -9,31 +9,48 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"selfstab/internal/experiment"
 )
 
+const usage = "usage: selfstab-viz [-figure 1|2|3] [-out file.svg] [-seed n] [-r range] [-quiet]"
+
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "selfstab-viz:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run regenerates one figure, writing the caption and preview to out. A
+// bad flag value or a stray argument is an error carrying the usage line;
+// -h prints the usage line and the flags with their defaults to out and
+// succeeds.
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("selfstab-viz", flag.ContinueOnError)
 	var (
 		figure = fs.Int("figure", 3, "paper figure to regenerate: 1, 2 or 3")
-		out    = fs.String("out", "", "SVG output file (empty: skip SVG, print ASCII only)")
+		svg    = fs.String("out", "", "SVG output file (empty: skip SVG, print ASCII only)")
 		seed   = fs.Int64("seed", 1, "random seed")
 		r      = fs.Float64("r", 0.05, "transmission range (figures 2-3)")
 		quiet  = fs.Bool("quiet", false, "suppress the ASCII preview")
 	)
-	if err := fs.Parse(args); err != nil {
-		return err
+	fs.SetOutput(io.Discard)
+	switch err := fs.Parse(args); {
+	case errors.Is(err, flag.ErrHelp):
+		fmt.Fprintln(out, usage)
+		fs.SetOutput(out)
+		fs.PrintDefaults()
+		return nil
+	case err != nil:
+		return fmt.Errorf("%v\n%s", err, usage)
+	case fs.NArg() > 0:
+		return fmt.Errorf("unexpected argument %q\n%s", fs.Arg(0), usage)
 	}
 
 	var fig *experiment.FigureResult
@@ -52,15 +69,15 @@ func run(args []string) error {
 		return err
 	}
 
-	fmt.Println(fig.Caption)
+	fmt.Fprintln(out, fig.Caption)
 	if !*quiet {
-		fmt.Println(fig.ASCII)
+		fmt.Fprintln(out, fig.ASCII)
 	}
-	if *out != "" {
-		if err := os.WriteFile(*out, []byte(fig.SVG), 0o644); err != nil {
+	if *svg != "" {
+		if err := os.WriteFile(*svg, []byte(fig.SVG), 0o644); err != nil {
 			return err
 		}
-		fmt.Println("wrote", *out)
+		fmt.Fprintln(out, "wrote", *svg)
 	}
 	return nil
 }

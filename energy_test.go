@@ -387,50 +387,3 @@ func TestEnergyReattachResetsRotationScales(t *testing.T) {
 		}
 	}
 }
-
-// TestBuildHierarchyMatchesClustersUnderRotation: with energy-aware
-// rotation active, the offline level-0 fixpoint must elect against the
-// same battery-weighted densities as the live protocol — the two agree
-// on a stabilized network even while scales are installed.
-func TestBuildHierarchyMatchesClustersUnderRotation(t *testing.T) {
-	net := energyNet(t, 150, 7)
-	if err := net.AttachEnergy(EnergyConfig{
-		IdleHeadCost:   0.05, // fast level crossings
-		IdleMemberCost: 0.02,
-		Rotation:       true,
-		RotationLevels: 4,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Run(30); err != nil {
-		t.Fatal(err)
-	}
-	scaled := 0
-	for i := 0; i < net.N(); i++ {
-		if net.engine.DensityScale(i) < 1 {
-			scaled++
-		}
-	}
-	if scaled == 0 {
-		t.Fatal("warm-up produced no rotation scaling; test premise broken")
-	}
-	net.DetachEnergy() // freeze the scales, then let the election settle
-	if _, err := net.Stabilize(3000); err != nil {
-		t.Fatal(err)
-	}
-	levels, err := net.BuildHierarchy(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := net.Clusters()
-	if len(levels[0].Clusters) != len(live) {
-		t.Fatalf("hierarchy level 0 has %d clusters, live rotating protocol has %d",
-			len(levels[0].Clusters), len(live))
-	}
-	for i := range live {
-		if levels[0].Clusters[i].HeadID != live[i].HeadID {
-			t.Errorf("cluster %d head: hierarchy %d, live %d",
-				i, levels[0].Clusters[i].HeadID, live[i].HeadID)
-		}
-	}
-}

@@ -44,7 +44,7 @@ type Config struct {
 	Nodes   int     // network size
 	Seed    int64   // master seed, shared by both worlds
 	Range   float64 // radio range
-	Workers int     // step parallelism (0: single-threaded)
+	Workers int     // step parallelism (0: GOMAXPROCS workers)
 
 	Scenario    string // flood, byzantine or sybil
 	Warmup      int    // steps of legitimate traffic before the attack
@@ -107,6 +107,9 @@ func (c *Config) validate() error {
 	default:
 		return fmt.Errorf("attack: unknown scenario %q (want %s, %s or %s)",
 			c.Scenario, ScenarioFlood, ScenarioByzantine, ScenarioSybil)
+	}
+	if c.Workers < 0 {
+		return fmt.Errorf("attack: worker count %d is negative", c.Workers)
 	}
 	if c.Nodes < 8 {
 		return fmt.Errorf("attack: %d nodes is too small to attack", c.Nodes)
@@ -191,9 +194,7 @@ func runWorld(cfg Config, defended bool) (*WorldStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Workers > 0 {
-		net.SetParallelism(cfg.Workers)
-	}
+	net.SetParallelism(cfg.Workers)
 	if _, err := net.Stabilize(5000); err != nil {
 		return nil, err
 	}

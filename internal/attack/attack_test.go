@@ -124,6 +124,7 @@ func TestConfigValidation(t *testing.T) {
 		{"tiny network", func(c *Config) { c.Nodes = 3 }, "too small"},
 		{"no warmup", func(c *Config) { c.Warmup = 0 }, "must be positive"},
 		{"no flows", func(c *Config) { c.Flows = 0 }, "legitimate flow"},
+		{"negative workers", func(c *Config) { c.Workers = -3 }, "worker count -3 is negative"},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := DefaultConfig()

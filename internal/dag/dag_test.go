@@ -12,8 +12,8 @@ import (
 
 func randomGeometric(seed int64, n int, r float64) (*topology.Graph, []int64) {
 	src := rng.New(seed)
-	d := deploy.Uniform(n, geom.UnitSquare(), deploy.IDRandom, src)
-	return topology.FromPoints(d.Points, r), d.IDs
+	pts := deploy.Uniform(n, geom.UnitSquare(), src)
+	return topology.FromPoints(pts, r), deploy.AssignIDs(pts, deploy.IDRandom, src)
 }
 
 // locallyUnique reports whether no two adjacent nodes share a color.

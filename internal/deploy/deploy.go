@@ -14,18 +14,6 @@ import (
 	"selfstab/internal/rng"
 )
 
-// Deployment is a set of node positions together with their application
-// identifiers. Identifiers are unique but otherwise arbitrary; the paper's
-// adversarial scenario depends on their spatial correlation.
-type Deployment struct {
-	Points []geom.Point
-	IDs    []int64
-	Region geom.Rect
-}
-
-// N returns the number of deployed nodes.
-func (d *Deployment) N() int { return len(d.Points) }
-
 // IDStrategy decides how identifiers are assigned to positions.
 type IDStrategy int
 
@@ -56,7 +44,9 @@ func (s IDStrategy) String() string {
 }
 
 // AssignIDs returns identifiers for nodes at pts under strategy s. Only
-// IDRandom draws from src (one permutation); the others ignore it.
+// IDRandom draws from src (one permutation); the others ignore it. The
+// deployment functions return positions only: a caller that wants
+// identifiers calls AssignIDs on them with the same source.
 func AssignIDs(pts []geom.Point, s IDStrategy, src *rng.Source) []int64 {
 	n := len(pts)
 	ids := make([]int64, n)
@@ -94,67 +84,58 @@ func AssignIDs(pts []geom.Point, s IDStrategy, src *rng.Source) []int64 {
 // intensity (expected points per unit area) in region. The realized count is
 // Poisson-distributed; positions are uniform. This is the paper's random
 // geometry workload (lambda in {500..2000}, typically 1000).
-func Poisson(intensity float64, region geom.Rect, ids IDStrategy, src *rng.Source) *Deployment {
-	n := src.Poisson(intensity * region.Area())
-	return Uniform(n, region, ids, src)
+func Poisson(intensity float64, region geom.Rect, src *rng.Source) []geom.Point {
+	return Uniform(src.Poisson(intensity*region.Area()), region, src)
 }
 
 // Uniform deploys exactly n uniformly random points in region.
-func Uniform(n int, region geom.Rect, ids IDStrategy, src *rng.Source) *Deployment {
-	d := &Deployment{
-		Points: make([]geom.Point, n),
-		Region: region,
-	}
-	for i := range d.Points {
-		d.Points[i] = geom.Point{
+func Uniform(n int, region geom.Rect, src *rng.Source) []geom.Point {
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Point{
 			X: region.MinX + float64(src.Float64()*region.Width()),
 			Y: region.MinY + float64(src.Float64()*region.Height()),
 		}
 	}
-	d.IDs = AssignIDs(d.Points, ids, src)
-	return d
+	return pts
 }
 
 // Grid deploys a rows x cols lattice filling region, with a half-pitch
 // margin on each side so the pitch is uniform (pitch = width/cols). With
 // rows = cols = 32 in the unit square this is the paper's grid scenario:
 // 1024 nodes (~lambda = 1000) at pitch ~0.031, below every studied radio
-// range.
-func Grid(rows, cols int, region geom.Rect, ids IDStrategy, src *rng.Source) *Deployment {
+// range. Points run left to right, bottom to top.
+func Grid(rows, cols int, region geom.Rect) []geom.Point {
 	if rows < 1 {
 		rows = 1
 	}
 	if cols < 1 {
 		cols = 1
 	}
-	d := &Deployment{
-		Points: make([]geom.Point, 0, rows*cols),
-		Region: region,
-	}
+	pts := make([]geom.Point, 0, rows*cols)
 	px := region.Width() / float64(cols)
 	py := region.Height() / float64(rows)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			d.Points = append(d.Points, geom.Point{
+			pts = append(pts, geom.Point{
 				X: region.MinX + float64((float64(c)+0.5)*px),
 				Y: region.MinY + float64((float64(r)+0.5)*py),
 			})
 		}
 	}
-	d.IDs = AssignIDs(d.Points, ids, src)
-	return d
+	return pts
 }
 
 // GridForIntensity returns the square grid whose node count best
 // approximates a Poisson intensity over the unit square: side =
 // round(sqrt(intensity)). The paper's "grid with lambda equal to 1000" maps
 // to a 32x32 grid.
-func GridForIntensity(intensity float64, region geom.Rect, ids IDStrategy, src *rng.Source) *Deployment {
+func GridForIntensity(intensity float64, region geom.Rect) []geom.Point {
 	side := int(math.Round(math.Sqrt(intensity)))
 	if side < 1 {
 		side = 1
 	}
-	return Grid(side, side, region, ids, src)
+	return Grid(side, side, region)
 }
 
 // Hotspots deploys n nodes around k Gaussian concentration points — the
@@ -163,7 +144,7 @@ func GridForIntensity(intensity float64, region geom.Rect, ids IDStrategy, src *
 // standard deviation as a fraction of the region extent; points are
 // clamped to the region. The density metric is designed to put one
 // cluster-head per hotspot instead of splitting co-located groups.
-func Hotspots(n, k int, spread float64, region geom.Rect, ids IDStrategy, src *rng.Source) (*Deployment, error) {
+func Hotspots(n, k int, spread float64, region geom.Rect, src *rng.Source) ([]geom.Point, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("deploy: negative node count %d", n)
 	}
@@ -180,19 +161,15 @@ func Hotspots(n, k int, spread float64, region geom.Rect, ids IDStrategy, src *r
 			Y: region.MinY + float64(src.Float64()*region.Height()),
 		}
 	}
-	d := &Deployment{
-		Points: make([]geom.Point, n),
-		Region: region,
-	}
+	pts := make([]geom.Point, n)
 	sx := spread * region.Width()
 	sy := spread * region.Height()
-	for i := range d.Points {
+	for i := range pts {
 		c := centers[src.Intn(k)]
-		d.Points[i] = region.Clamp(geom.Point{
+		pts[i] = region.Clamp(geom.Point{
 			X: c.X + float64(src.NormFloat64()*sx),
 			Y: c.Y + float64(src.NormFloat64()*sy),
 		})
 	}
-	d.IDs = AssignIDs(d.Points, ids, src)
-	return d, nil
+	return pts, nil
 }

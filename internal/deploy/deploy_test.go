@@ -3,27 +3,28 @@ package deploy
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"selfstab/internal/geom"
 	"selfstab/internal/rng"
 )
 
-// validate checks internal consistency: matching lengths, unique IDs, and
-// all points inside the region.
-func validate(d *Deployment) error {
-	if len(d.Points) != len(d.IDs) {
-		return fmt.Errorf("deployment: %d points but %d ids", len(d.Points), len(d.IDs))
+// validate checks a deployment's internal consistency: matching lengths,
+// unique IDs, and all points inside the region.
+func validate(pts []geom.Point, ids []int64, region geom.Rect) error {
+	if len(pts) != len(ids) {
+		return fmt.Errorf("deployment: %d points but %d ids", len(pts), len(ids))
 	}
-	seen := make(map[int64]int, len(d.IDs))
-	for i, id := range d.IDs {
+	seen := make(map[int64]int, len(ids))
+	for i, id := range ids {
 		if j, dup := seen[id]; dup {
 			return fmt.Errorf("deployment: duplicate id %d at nodes %d and %d", id, j, i)
 		}
 		seen[id] = i
 	}
-	for i, p := range d.Points {
-		if !d.Region.Contains(p) {
+	for i, p := range pts {
+		if !region.Contains(p) {
 			return fmt.Errorf("deployment: node %d at %v outside region", i, p)
 		}
 	}
@@ -32,21 +33,22 @@ func validate(d *Deployment) error {
 
 func TestUniformCountAndRegion(t *testing.T) {
 	src := rng.New(1)
-	d := Uniform(200, geom.UnitSquare(), IDRandom, src)
-	if d.N() != 200 {
-		t.Fatalf("N = %d", d.N())
+	pts := Uniform(200, geom.UnitSquare(), src)
+	if len(pts) != 200 {
+		t.Fatalf("N = %d", len(pts))
 	}
-	if err := validate(d); err != nil {
+	if err := validate(pts, AssignIDs(pts, IDRandom, src), geom.UnitSquare()); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestUniformZero(t *testing.T) {
-	d := Uniform(0, geom.UnitSquare(), IDRandom, rng.New(1))
-	if d.N() != 0 {
+	src := rng.New(1)
+	pts := Uniform(0, geom.UnitSquare(), src)
+	if len(pts) != 0 {
 		t.Fatal("expected empty deployment")
 	}
-	if err := validate(d); err != nil {
+	if err := validate(pts, AssignIDs(pts, IDRandom, src), geom.UnitSquare()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -57,8 +59,7 @@ func TestPoissonMeanCount(t *testing.T) {
 	total := 0
 	const runs = 50
 	for i := 0; i < runs; i++ {
-		d := Poisson(intensity, geom.UnitSquare(), IDSequential, src)
-		total += d.N()
+		total += len(Poisson(intensity, geom.UnitSquare(), src))
 	}
 	mean := float64(total) / runs
 	if math.Abs(mean-intensity) > 25 {
@@ -72,7 +73,7 @@ func TestPoissonScalesWithArea(t *testing.T) {
 	total := 0
 	const runs = 50
 	for i := 0; i < runs; i++ {
-		total += Poisson(1000, half, IDSequential, src).N()
+		total += len(Poisson(1000, half, src))
 	}
 	mean := float64(total) / runs
 	if math.Abs(mean-500) > 25 {
@@ -81,66 +82,63 @@ func TestPoissonScalesWithArea(t *testing.T) {
 }
 
 func TestGridLayout(t *testing.T) {
-	d := Grid(4, 5, geom.UnitSquare(), IDSequential, rng.New(1))
-	if d.N() != 20 {
-		t.Fatalf("N = %d", d.N())
+	pts := Grid(4, 5, geom.UnitSquare())
+	if len(pts) != 20 {
+		t.Fatalf("N = %d", len(pts))
 	}
-	if err := validate(d); err != nil {
+	if err := validate(pts, AssignIDs(pts, IDSequential, nil), geom.UnitSquare()); err != nil {
 		t.Fatal(err)
 	}
 	// Pitch between horizontal neighbors is width/cols = 0.2.
-	got := d.Points[1].X - d.Points[0].X
+	got := pts[1].X - pts[0].X
 	if math.Abs(got-0.2) > 1e-12 {
 		t.Errorf("horizontal pitch = %v, want 0.2", got)
 	}
 	// Vertical pitch is height/rows = 0.25.
-	got = d.Points[5].Y - d.Points[0].Y
+	got = pts[5].Y - pts[0].Y
 	if math.Abs(got-0.25) > 1e-12 {
 		t.Errorf("vertical pitch = %v, want 0.25", got)
 	}
 	// Half-pitch margin.
-	if math.Abs(d.Points[0].X-0.1) > 1e-12 || math.Abs(d.Points[0].Y-0.125) > 1e-12 {
-		t.Errorf("first point = %v", d.Points[0])
+	if math.Abs(pts[0].X-0.1) > 1e-12 || math.Abs(pts[0].Y-0.125) > 1e-12 {
+		t.Errorf("first point = %v", pts[0])
 	}
 }
 
 func TestGridClampsDegenerate(t *testing.T) {
-	d := Grid(0, -3, geom.UnitSquare(), IDSequential, rng.New(1))
-	if d.N() != 1 {
-		t.Errorf("degenerate grid should have 1 node, got %d", d.N())
+	if n := len(Grid(0, -3, geom.UnitSquare())); n != 1 {
+		t.Errorf("degenerate grid should have 1 node, got %d", n)
 	}
 }
 
 func TestGridForIntensity1000(t *testing.T) {
-	d := GridForIntensity(1000, geom.UnitSquare(), IDSequential, rng.New(1))
-	if d.N() != 32*32 {
-		t.Errorf("grid for lambda=1000 should be 32x32=1024 nodes, got %d", d.N())
+	if n := len(GridForIntensity(1000, geom.UnitSquare())); n != 32*32 {
+		t.Errorf("grid for lambda=1000 should be 32x32=1024 nodes, got %d", n)
 	}
 }
 
 func TestIDRowMajorSpatiallyOrdered(t *testing.T) {
-	src := rng.New(3)
-	d := Grid(8, 8, geom.UnitSquare(), IDRowMajor, src)
+	ids := AssignIDs(Grid(8, 8, geom.UnitSquare()), IDRowMajor, nil)
 	// Row-major: the node at grid (r, c) has id r*8+c since Grid generates
 	// points bottom-to-top, left-to-right already.
-	for i := range d.IDs {
-		if d.IDs[i] != int64(i) {
-			t.Fatalf("row-major ids on aligned grid should be identity, got IDs[%d]=%d", i, d.IDs[i])
+	for i := range ids {
+		if ids[i] != int64(i) {
+			t.Fatalf("row-major ids on aligned grid should be identity, got IDs[%d]=%d", i, ids[i])
 		}
 	}
 }
 
 func TestIDRowMajorOnRandomPoints(t *testing.T) {
-	src := rng.New(4)
-	d := Uniform(100, geom.UnitSquare(), IDRowMajor, src)
-	if err := validate(d); err != nil {
+	pts := Uniform(100, geom.UnitSquare(), rng.New(4))
+	ids := AssignIDs(pts, IDRowMajor, nil)
+	if err := validate(pts, ids, geom.UnitSquare()); err != nil {
 		t.Fatal(err)
 	}
 	// The node with id 0 must be the one with minimal Y (ties by X).
-	var min geom.Point = d.Points[0]
+	var min geom.Point = pts[0]
 	var zero geom.Point
-	for i, id := range d.IDs {
-		p := d.Points[i]
+	for i, id := range ids {
+		p := pts[i]
 		if p.Y < min.Y || (p.Y == min.Y && p.X < min.X) {
 			min = p
 		}
@@ -154,9 +152,9 @@ func TestIDRowMajorOnRandomPoints(t *testing.T) {
 }
 
 func TestIDRandomIsPermutation(t *testing.T) {
-	d := Uniform(50, geom.UnitSquare(), IDRandom, rng.New(5))
+	src := rng.New(5)
 	seen := make([]bool, 50)
-	for _, id := range d.IDs {
+	for _, id := range AssignIDs(Uniform(50, geom.UnitSquare(), src), IDRandom, src) {
 		if id < 0 || id >= 50 || seen[id] {
 			t.Fatalf("bad id %d", id)
 		}
@@ -165,9 +163,9 @@ func TestIDRandomIsPermutation(t *testing.T) {
 }
 
 func TestIDRandomShufflesSometimes(t *testing.T) {
-	d := Uniform(50, geom.UnitSquare(), IDRandom, rng.New(6))
+	src := rng.New(6)
 	fixed := 0
-	for i, id := range d.IDs {
+	for i, id := range AssignIDs(Uniform(50, geom.UnitSquare(), src), IDRandom, src) {
 		if id == int64(i) {
 			fixed++
 		}
@@ -178,48 +176,33 @@ func TestIDRandomShufflesSometimes(t *testing.T) {
 }
 
 func TestValidateCatchesDuplicates(t *testing.T) {
-	d := &Deployment{
-		Points: []geom.Point{{X: 0.1, Y: 0.1}, {X: 0.2, Y: 0.2}},
-		IDs:    []int64{7, 7},
-		Region: geom.UnitSquare(),
-	}
-	if err := validate(d); err == nil {
+	if err := validate([]geom.Point{{X: 0.1, Y: 0.1}, {X: 0.2, Y: 0.2}}, []int64{7, 7}, geom.UnitSquare()); err == nil {
 		t.Error("duplicate ids not caught")
 	}
 }
 
 func TestValidateCatchesLengthMismatch(t *testing.T) {
-	d := &Deployment{
-		Points: []geom.Point{{X: 0.1, Y: 0.1}},
-		IDs:    []int64{1, 2},
-		Region: geom.UnitSquare(),
-	}
-	if err := validate(d); err == nil {
+	if err := validate([]geom.Point{{X: 0.1, Y: 0.1}}, []int64{1, 2}, geom.UnitSquare()); err == nil {
 		t.Error("length mismatch not caught")
 	}
 }
 
 func TestValidateCatchesOutOfRegion(t *testing.T) {
-	d := &Deployment{
-		Points: []geom.Point{{X: 2, Y: 2}},
-		IDs:    []int64{0},
-		Region: geom.UnitSquare(),
-	}
-	if err := validate(d); err == nil {
+	if err := validate([]geom.Point{{X: 2, Y: 2}}, []int64{0}, geom.UnitSquare()); err == nil {
 		t.Error("out-of-region point not caught")
 	}
 }
 
 func TestDeterministicWithSameSeed(t *testing.T) {
-	a := Poisson(200, geom.UnitSquare(), IDRandom, rng.New(42))
-	b := Poisson(200, geom.UnitSquare(), IDRandom, rng.New(42))
-	if a.N() != b.N() {
-		t.Fatal("same seed, different counts")
+	draw := func() ([]geom.Point, []int64) {
+		src := rng.New(42)
+		pts := Poisson(200, geom.UnitSquare(), src)
+		return pts, AssignIDs(pts, IDRandom, src)
 	}
-	for i := range a.Points {
-		if a.Points[i] != b.Points[i] || a.IDs[i] != b.IDs[i] {
-			t.Fatal("same seed, different deployment")
-		}
+	aPts, aIDs := draw()
+	bPts, bIDs := draw()
+	if !slices.Equal(aPts, bPts) || !slices.Equal(aIDs, bIDs) {
+		t.Fatal("same seed, different deployment")
 	}
 }
 
@@ -242,26 +225,27 @@ func TestIDStrategyString(t *testing.T) {
 
 func TestHotspotsValidation(t *testing.T) {
 	src := rng.New(1)
-	if _, err := Hotspots(-1, 2, 0.05, geom.UnitSquare(), IDRandom, src); err == nil {
+	if _, err := Hotspots(-1, 2, 0.05, geom.UnitSquare(), src); err == nil {
 		t.Error("negative n accepted")
 	}
-	if _, err := Hotspots(10, 0, 0.05, geom.UnitSquare(), IDRandom, src); err == nil {
+	if _, err := Hotspots(10, 0, 0.05, geom.UnitSquare(), src); err == nil {
 		t.Error("zero hotspots accepted")
 	}
-	if _, err := Hotspots(10, 2, 0, geom.UnitSquare(), IDRandom, src); err == nil {
+	if _, err := Hotspots(10, 2, 0, geom.UnitSquare(), src); err == nil {
 		t.Error("zero spread accepted")
 	}
 }
 
 func TestHotspotsInRegionAndValid(t *testing.T) {
-	d, err := Hotspots(300, 4, 0.04, geom.UnitSquare(), IDRandom, rng.New(21))
+	src := rng.New(21)
+	pts, err := Hotspots(300, 4, 0.04, geom.UnitSquare(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.N() != 300 {
-		t.Fatalf("N = %d", d.N())
+	if len(pts) != 300 {
+		t.Fatalf("N = %d", len(pts))
 	}
-	if err := validate(d); err != nil {
+	if err := validate(pts, AssignIDs(pts, IDRandom, src), geom.UnitSquare()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -284,28 +268,26 @@ func TestHotspotsAreConcentrated(t *testing.T) {
 		}
 		return total / float64(len(pts))
 	}
-	hot, err := Hotspots(200, 3, 0.02, geom.UnitSquare(), IDRandom, rng.New(22))
+	hot, err := Hotspots(200, 3, 0.02, geom.UnitSquare(), rng.New(22))
 	if err != nil {
 		t.Fatal(err)
 	}
-	uni := Uniform(200, geom.UnitSquare(), IDRandom, rng.New(22))
-	if nnMean(hot.Points) >= nnMean(uni.Points) {
+	uni := Uniform(200, geom.UnitSquare(), rng.New(22))
+	if nnMean(hot) >= nnMean(uni) {
 		t.Error("hotspot deployment not more concentrated than uniform")
 	}
 }
 
 func TestHotspotsDeterministic(t *testing.T) {
-	a, err := Hotspots(50, 2, 0.05, geom.UnitSquare(), IDRandom, rng.New(23))
+	a, err := Hotspots(50, 2, 0.05, geom.UnitSquare(), rng.New(23))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Hotspots(50, 2, 0.05, geom.UnitSquare(), IDRandom, rng.New(23))
+	b, err := Hotspots(50, 2, 0.05, geom.UnitSquare(), rng.New(23))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Points {
-		if a.Points[i] != b.Points[i] {
-			t.Fatal("hotspots not deterministic")
-		}
+	if !slices.Equal(a, b) {
+		t.Fatal("hotspots not deterministic")
 	}
 }

@@ -66,27 +66,28 @@ func (o *Options) Validate() error {
 
 // instance is one deployed topology with identifiers.
 type instance struct {
-	dep *deploy.Deployment
+	pts []geom.Point
 	g   *topology.Graph
 	ids []int64
 }
 
 // deployRandom draws a Poisson deployment with random identifiers.
 func deployRandom(intensity, r float64, src *rng.Source) instance {
-	dep := deploy.Poisson(intensity, geom.UnitSquare(), deploy.IDRandom, src)
+	pts := deploy.Poisson(intensity, geom.UnitSquare(), src)
 	// An empty Poisson draw is theoretically possible at tiny intensities;
 	// redraw until non-empty so downstream code has nodes to work with.
-	for dep.N() == 0 {
-		dep = deploy.Poisson(intensity, geom.UnitSquare(), deploy.IDRandom, src)
+	for len(pts) == 0 {
+		pts = deploy.Poisson(intensity, geom.UnitSquare(), src)
 	}
-	return instance{dep: dep, g: topology.FromPoints(dep.Points, r), ids: dep.IDs}
+	return instance{pts: pts, g: topology.FromPoints(pts, r), ids: deploy.AssignIDs(pts, deploy.IDRandom, src)}
 }
 
 // deployGrid builds the adversarial grid: ~intensity nodes, row-major
-// identifiers (increasing left to right, bottom to top).
-func deployGrid(intensity, r float64, src *rng.Source) instance {
-	dep := deploy.GridForIntensity(intensity, geom.UnitSquare(), deploy.IDRowMajor, src)
-	return instance{dep: dep, g: topology.FromPoints(dep.Points, r), ids: dep.IDs}
+// identifiers (increasing left to right, bottom to top). It draws
+// nothing from the run's source, which it takes to fit tableClusters.
+func deployGrid(intensity, r float64, _ *rng.Source) instance {
+	pts := deploy.GridForIntensity(intensity, geom.UnitSquare())
+	return instance{pts: pts, g: topology.FromPoints(pts, r), ids: deploy.AssignIDs(pts, deploy.IDRowMajor, nil)}
 }
 
 // tieIDs returns the tie-break identifiers for an instance: DAG colors when

@@ -31,11 +31,11 @@ func FigureGrid(useDag bool, seed int64, r float64) (*FigureResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	svg, err := viz.SVG(inst.g, inst.dep.Points, a, 800)
+	svg, err := viz.SVG(inst.g, inst.pts, a, 800)
 	if err != nil {
 		return nil, err
 	}
-	txt, err := viz.ASCII(inst.g, inst.dep.Points, a, 32, 64)
+	txt, err := viz.ASCII(inst.g, inst.pts, a, 32, 64)
 	if err != nil {
 		return nil, err
 	}

@@ -151,7 +151,7 @@ type trace struct {
 func recordTrace(band [2]float64, opts MobilityOptions, src *rng.Source) (trace, error) {
 	inst := deployRandom(opts.Intensity, opts.Range, src)
 	walker, err := mobility.NewRandomWalk(
-		inst.dep.Points, geom.UnitSquare(),
+		inst.pts, geom.UnitSquare(),
 		mobility.SpeedToUnits(band[0]), mobility.SpeedToUnits(band[1]),
 		30, src.Split("walk"))
 	if err != nil {

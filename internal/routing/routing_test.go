@@ -17,11 +17,11 @@ import (
 func clusteredNetwork(t *testing.T, seed int64, n int, r float64) (*topology.Graph, *cluster.Assignment) {
 	t.Helper()
 	src := rng.New(seed)
-	dep := deploy.Uniform(n, geom.UnitSquare(), deploy.IDRandom, src)
-	g := topology.FromPoints(dep.Points, r)
+	pts := deploy.Uniform(n, geom.UnitSquare(), src)
+	g := topology.FromPoints(pts, r)
 	a, err := cluster.Compute(g, cluster.Config{
 		Values: metric.Density{}.Values(g),
-		TieIDs: dep.IDs,
+		TieIDs: deploy.AssignIDs(pts, deploy.IDRandom, src),
 		Order:  cluster.OrderBasic,
 	})
 	if err != nil {
@@ -328,14 +328,15 @@ func TestSingleNodeGraph(t *testing.T) {
 // several components, then cuts every edge of a few nodes: the isolated
 // slots a dead or sleeping node leaves behind.
 func oracleGraph(src *rng.Source, n int) (*topology.Graph, []int64) {
-	dep := deploy.Uniform(n, geom.UnitSquare(), deploy.IDRandom, src)
-	g := topology.FromPoints(dep.Points, 0.12+0.3*src.Float64())
+	pts := deploy.Uniform(n, geom.UnitSquare(), src)
+	ids := deploy.AssignIDs(pts, deploy.IDRandom, src)
+	g := topology.FromPoints(pts, 0.12+0.3*src.Float64())
 	for u := 0; u < n; u++ {
 		if src.Intn(8) == 0 {
 			g.RemoveNode(u)
 		}
 	}
-	return g, dep.IDs
+	return g, ids
 }
 
 // oracleAssignment returns, by kind: the converged clustering; that

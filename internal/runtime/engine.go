@@ -435,34 +435,6 @@ func (e *Engine) RunUntilStable(maxSteps, window int) (int, error) {
 	return 0, ErrNotStabilized
 }
 
-// Snapshot is a consistent copy of the network's shared state, indexed like
-// the engine's graph.
-type Snapshot struct {
-	IDs     []int64
-	TieID   []int64
-	Density []float64
-	HeadID  []int64
-	Parent  []int64
-}
-
-// Snapshot captures the current shared state of all nodes.
-func (e *Engine) Snapshot() Snapshot {
-	s := Snapshot{
-		IDs:     append([]int64(nil), e.ids...),
-		TieID:   make([]int64, len(e.nodes)),
-		Density: make([]float64, len(e.nodes)),
-		HeadID:  make([]int64, len(e.nodes)),
-		Parent:  make([]int64, len(e.nodes)),
-	}
-	for i, n := range e.nodes {
-		s.TieID[i] = n.tieID
-		s.Density[i] = n.density
-		s.HeadID[i] = n.headID
-		s.Parent[i] = n.parent
-	}
-	return s
-}
-
 // Assignment converts the current head/parent choices into index form for
 // comparison against the cluster oracle. Identifiers that do not resolve to
 // a node (possible only in corrupted, not-yet-stabilized states) map to -1.

@@ -46,10 +46,38 @@ func runSteps(e *Engine, steps int) error {
 	return nil
 }
 
+// Snapshot is a consistent copy of the network's shared state, indexed like
+// the engine's graph.
+type Snapshot struct {
+	IDs     []int64
+	TieID   []int64
+	Density []float64
+	HeadID  []int64
+	Parent  []int64
+}
+
+// Snapshot captures the current shared state of all nodes.
+func (e *Engine) Snapshot() Snapshot {
+	s := Snapshot{
+		IDs:     append([]int64(nil), e.ids...),
+		TieID:   make([]int64, len(e.nodes)),
+		Density: make([]float64, len(e.nodes)),
+		HeadID:  make([]int64, len(e.nodes)),
+		Parent:  make([]int64, len(e.nodes)),
+	}
+	for i, n := range e.nodes {
+		s.TieID[i] = n.tieID
+		s.Density[i] = n.density
+		s.HeadID[i] = n.headID
+		s.Parent[i] = n.parent
+	}
+	return s
+}
+
 func randomNetwork(seed int64, n int, r float64) (*topology.Graph, []int64) {
 	src := rng.New(seed)
-	d := deploy.Uniform(n, geom.UnitSquare(), deploy.IDRandom, src)
-	return topology.FromPoints(d.Points, r), d.IDs
+	pts := deploy.Uniform(n, geom.UnitSquare(), src)
+	return topology.FromPoints(pts, r), deploy.AssignIDs(pts, deploy.IDRandom, src)
 }
 
 func TestNewValidation(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"selfstab/internal/cluster"
-	"selfstab/internal/metric"
 	"selfstab/internal/runtime"
 	"selfstab/internal/snapshot"
 	"selfstab/internal/viz"
@@ -158,13 +157,21 @@ type Cluster struct {
 // Dead and sleeping nodes are not listed: only the operating population
 // clusters.
 func (n *Network) Clusters() []Cluster {
-	byHead := make(map[int64][]int64, 8)
-	for i := range n.N() {
-		if n.engine.Status(i) != runtime.StatusAlive {
-			continue
-		}
+	return groupClusters(n.N(), func(i int) (int64, int64, bool) {
 		node := n.engine.Node(i)
-		byHead[node.HeadID()] = append(byHead[node.HeadID()], node.ID())
+		return node.HeadID(), node.ID(), n.engine.Status(i) == runtime.StatusAlive
+	})
+}
+
+// groupClusters groups slots 0..n-1 into clusters: member(i) returns
+// slot i's head identifier, its own identifier, and whether it is listed
+// at all. Members are ascending and clusters sorted by head identifier.
+func groupClusters(n int, member func(i int) (head, id int64, ok bool)) []Cluster {
+	byHead := make(map[int64][]int64, 8)
+	for i := range n {
+		if h, id, ok := member(i); ok {
+			byHead[h] = append(byHead[h], id)
+		}
 	}
 	out := make([]Cluster, 0, len(byHead))
 	//selfstab:orderinvariant every cluster is emitted exactly once and the trailing sorts canonicalize the order
@@ -212,23 +219,21 @@ func (n *Network) Stats() Stats {
 // or cleared state is exempt, and the alive nodes must match the oracle
 // for the surviving graph.
 func (n *Network) Verify() error {
-	snap, g := n.engine.Snapshot(), n.grid.Graph()
+	want, got, oracle, err := n.fixpoint()
+	if err != nil {
+		return err
+	}
 	alive := func(i int) bool { return n.engine.Status(i) == runtime.StatusAlive }
-	// Densities (Lemma 1), scaled by the engine's per-node density
-	// multipliers (1 unless energy-aware rotation installed them): guard
-	// R1 computes scale * density, so the oracle must too — the legitimacy
+	// Densities (Lemma 1), scaled as guard R1 scales them: the legitimacy
 	// predicate stays exact under rotation, it just elects against the
 	// battery-weighted metric.
-	want := metric.Density{}.Values(g)
 	for i := range want {
-		want[i] *= n.engine.DensityScale(i)
-	}
-	for i := range snap.Density {
 		if !alive(i) {
 			continue
 		}
-		if diff := snap.Density[i] - want[i]; diff > 1e-9 || diff < -1e-9 {
-			return fmt.Errorf("selfstab: node %d density %v, want %v", i, snap.Density[i], want[i])
+		d := n.engine.Node(i).Density()
+		if diff := d - want[i]; diff > 1e-9 || diff < -1e-9 {
+			return fmt.Errorf("selfstab: node %d density %v, want %v", i, d, want[i])
 		}
 	}
 	// Locally unique colors (Theorem 1 legitimacy).
@@ -236,24 +241,6 @@ func (n *Network) Verify() error {
 		return fmt.Errorf("selfstab: DAG colors not locally unique")
 	}
 	// Head fixpoint (Lemma 2): equals the oracle on the realized colors.
-	order := cluster.OrderBasic
-	if n.cfg.Sticky {
-		order = cluster.OrderSticky
-	}
-	// Compute only reads PrevHead, so the live assignment seeds it before
-	// the loop below sanitizes the exempt nodes.
-	got := n.engine.Assignment()
-	oracle, err := cluster.Compute(g, cluster.Config{
-		Values:   want,
-		TieIDs:   snap.TieID,
-		AppIDs:   snap.IDs,
-		Order:    order,
-		Fusion:   n.cfg.Fusion,
-		PrevHead: got.Head,
-	})
-	if err != nil {
-		return fmt.Errorf("selfstab: oracle: %w", err)
-	}
 	for u := range got.Head {
 		if !alive(u) {
 			// Exempt from the oracle; sanitize to the self-head state an
@@ -266,7 +253,7 @@ func (n *Network) Verify() error {
 			return fmt.Errorf("selfstab: node %d heads %d, oracle fixpoint %d", u, got.Head[u], oracle.Head[u])
 		}
 	}
-	if err := cluster.CheckInvariants(g, got, n.cfg.Fusion); err != nil {
+	if err := cluster.CheckInvariants(n.grid.Graph(), got, n.cfg.Fusion); err != nil {
 		return fmt.Errorf("selfstab: %w", err)
 	}
 	return nil

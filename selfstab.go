@@ -620,30 +620,28 @@ func construct(dep snapshot.Deployment, cfg snapshot.Options) (*Network, error) 
 		if dep.N < 1 {
 			return nil, fmt.Errorf("selfstab: need at least one node, got %d", dep.N)
 		}
-		pts = deploy.Uniform(dep.N, geom.UnitSquare(), deploy.IDSequential, src.Split("deploy")).Points
+		pts = deploy.Uniform(dep.N, geom.UnitSquare(), src.Split("deploy"))
 	case snapshot.DeployPoisson:
 		if dep.Intensity <= 0 {
 			return nil, fmt.Errorf("selfstab: intensity must be positive, got %v", dep.Intensity)
 		}
-		d := deploy.Poisson(dep.Intensity, geom.UnitSquare(), deploy.IDSequential, src.Split("deploy"))
-		for d.N() == 0 {
-			d = deploy.Poisson(dep.Intensity, geom.UnitSquare(), deploy.IDSequential, src.Split("deploy-retry"))
+		pts = deploy.Poisson(dep.Intensity, geom.UnitSquare(), src.Split("deploy"))
+		for len(pts) == 0 {
+			pts = deploy.Poisson(dep.Intensity, geom.UnitSquare(), src.Split("deploy-retry"))
 		}
-		pts = d.Points
 	case snapshot.DeployHotspot:
 		if dep.N < 1 {
 			return nil, fmt.Errorf("selfstab: need at least one node, got %d", dep.N)
 		}
-		d, err := deploy.Hotspots(dep.N, dep.Hotspots, dep.Spread, geom.UnitSquare(), deploy.IDSequential, src.Split("deploy"))
-		if err != nil {
+		var err error
+		if pts, err = deploy.Hotspots(dep.N, dep.Hotspots, dep.Spread, geom.UnitSquare(), src.Split("deploy")); err != nil {
 			return nil, err
 		}
-		pts = d.Points
 	case snapshot.DeployGrid:
 		if dep.Rows < 1 || dep.Cols < 1 {
 			return nil, fmt.Errorf("selfstab: invalid grid %dx%d", dep.Rows, dep.Cols)
 		}
-		pts = deploy.Grid(dep.Rows, dep.Cols, geom.UnitSquare(), deploy.IDSequential, src.Split("deploy")).Points
+		pts = deploy.Grid(dep.Rows, dep.Cols, geom.UnitSquare())
 	default:
 		return nil, fmt.Errorf("selfstab: unknown deployment kind %q", dep.Kind)
 	}
@@ -670,13 +668,10 @@ func buildWith(cfg snapshot.Options, pts []geom.Point, src *rng.Source) (*Networ
 	g := n.grid.Graph()
 
 	proto := runtime.Protocol{
-		Order:          cluster.OrderBasic,
+		Order:          n.order(),
 		Fusion:         cfg.Fusion,
 		CacheTTL:       cfg.CacheTTL,
 		ActivationProb: cfg.Activation,
-	}
-	if cfg.Sticky {
-		proto.Order = cluster.OrderSticky
 	}
 	if cfg.DAG {
 		proto.UseDag = true
