@@ -387,3 +387,33 @@ func TestEnergyReattachResetsRotationScales(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildHierarchyMatchesClustersUnderRotation: with energy-aware
+// rotation active, the level-0 fixpoint must elect against the same
+// battery-weighted densities as the live protocol — the two agree on a
+// stabilized network even while scales are installed.
+func TestBuildHierarchyMatchesClustersUnderRotation(t *testing.T) {
+	net := energyNet(t, 150, 7)
+	if err := net.AttachEnergy(EnergyConfig{
+		IdleHeadCost:   0.05, // fast level crossings
+		IdleMemberCost: 0.02,
+		Rotation:       true,
+		RotationLevels: 4,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Run(30); err != nil {
+		t.Fatal(err)
+	}
+	scaled := 0
+	for i := range net.N() {
+		if net.engine.DensityScale(i) < 1 {
+			scaled++
+		}
+	}
+	if scaled == 0 {
+		t.Fatal("warm-up produced no rotation scaling; test premise broken")
+	}
+	net.DetachEnergy() // freeze the scales, then let the election settle
+	checkLevel0(t, net)
+}

@@ -45,6 +45,8 @@ func levelGraphs(t *testing.T, net *Network, levels []HierarchyLevel) ([]*topolo
 	return graphs, heads
 }
 
+// TestBuildHierarchyLevels: every level partitions its graph into
+// clusters whose heads are their own heads and pairwise non-adjacent.
 func TestBuildHierarchyLevels(t *testing.T) {
 	net, err := NewRandomNetwork(250, WithSeed(30), WithRange(0.08))
 	if err != nil {
@@ -58,14 +60,6 @@ func TestBuildHierarchyLevels(t *testing.T) {
 		t.Fatalf("%d levels; the checks need three", len(levels))
 	}
 	graphs, heads := levelGraphs(t, net, levels)
-	for lvl := 1; lvl < len(levels); lvl++ {
-		if got, prev := graphs[lvl].N(), len(levels[lvl-1].Clusters); got != prev {
-			t.Errorf("level %d has %d vertices, level %d has %d heads", lvl, got, lvl-1, prev)
-		}
-		if len(levels[lvl].Clusters) > len(levels[lvl-1].Clusters) {
-			t.Errorf("level %d grew the head count", lvl)
-		}
-	}
 	for lvl, g := range graphs {
 		for u, h := range heads[lvl] {
 			if heads[lvl][h] != h {
@@ -80,6 +74,86 @@ func TestBuildHierarchyLevels(t *testing.T) {
 	}
 }
 
+// TestBuildHierarchySingleLevel: a one-level cap builds exactly level 0,
+// the same level 0 a deeper build starts from.
+func TestBuildHierarchySingleLevel(t *testing.T) {
+	net, err := NewRandomNetwork(100, WithSeed(2), WithRange(0.15))
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := net.BuildHierarchy(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep, err := net.BuildHierarchy(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(one) != 1 || len(deep) < 2 {
+		t.Fatalf("%d levels under a cap of one, %d under five; the check needs 1 and at least 2", len(one), len(deep))
+	}
+	levelGraphs(t, net, one)
+	if !reflect.DeepEqual(one[0], deep[0]) {
+		t.Error("the level-cap changed level 0")
+	}
+}
+
+// TestBuildHierarchyShrinksPerLevel: each level above 0 has one vertex
+// per head of the level below, and never more heads than that.
+func TestBuildHierarchyShrinksPerLevel(t *testing.T) {
+	net, err := NewRandomNetwork(300, WithSeed(3), WithRange(0.08))
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels, err := net.BuildHierarchy(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(levels) < 2 {
+		t.Fatalf("%d levels; the check needs two", len(levels))
+	}
+	graphs, _ := levelGraphs(t, net, levels)
+	for lvl := 1; lvl < len(levels); lvl++ {
+		if got, prev := graphs[lvl].N(), len(levels[lvl-1].Clusters); got != prev {
+			t.Errorf("level %d has %d vertices, level %d has %d heads", lvl, got, lvl-1, prev)
+		}
+		if len(levels[lvl].Clusters) > len(levels[lvl-1].Clusters) {
+			t.Errorf("level %d grew the head count", lvl)
+		}
+	}
+}
+
+// TestBuildHierarchyLevelVerticesAreHeads: a node's head resolves up the
+// stack because the members of each level above 0 are exactly the heads
+// of the level below.
+func TestBuildHierarchyLevelVerticesAreHeads(t *testing.T) {
+	net, err := NewRandomNetwork(200, WithSeed(5), WithRange(0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels, err := net.BuildHierarchy(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(levels) < 2 {
+		t.Fatalf("%d levels; the check needs two", len(levels))
+	}
+	for k := 1; k < len(levels); k++ {
+		var members, heads []int64
+		for _, c := range levels[k].Clusters {
+			members = append(members, c.Members...)
+		}
+		for _, c := range levels[k-1].Clusters {
+			heads = append(heads, c.HeadID)
+		}
+		slices.Sort(members)
+		slices.Sort(heads)
+		if !slices.Equal(members, heads) {
+			t.Errorf("level %d members %v, want the level-%d heads %v", k, members, k-1, heads)
+		}
+	}
+}
+
 func TestBuildHierarchyValidation(t *testing.T) {
 	net, err := NewRandomNetwork(20, WithSeed(31))
 	if err != nil {
@@ -89,6 +163,16 @@ func TestBuildHierarchyValidation(t *testing.T) {
 		if _, err := net.BuildHierarchy(levels); err == nil {
 			t.Errorf("%d levels accepted", levels)
 		}
+	}
+}
+
+// TestBuildHierarchyNoOperatingNode: a world whose every node sleeps has
+// nothing to cluster, and BuildHierarchy says so instead of building an
+// empty level.
+func TestBuildHierarchyNoOperatingNode(t *testing.T) {
+	net, err := NewRandomNetwork(20, WithSeed(31))
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := net.SleepNodes(net.IDs()...); err != nil {
 		t.Fatal(err)
@@ -101,8 +185,9 @@ func TestBuildHierarchyValidation(t *testing.T) {
 // TestBuildHierarchyMatchesClustersAtLevel0: level 0 is the fixpoint
 // Verify checks, so on a stabilized world Verify accepts it equals the
 // live clustering, head for head and member for member: with the DAG's
-// realized colors as tie-breaks, sticky incumbents, fusion, battery-
-// weighted densities and a population with dead and sleeping nodes.
+// realized colors as tie-breaks, sticky incumbents, fusion and a
+// population with dead and sleeping nodes. Battery-weighted densities
+// are TestBuildHierarchyMatchesClustersUnderRotation's world.
 func TestBuildHierarchyMatchesClustersAtLevel0(t *testing.T) {
 	random := func(opts ...Option) func(*testing.T) *Network {
 		return func(t *testing.T) *Network {
@@ -121,31 +206,6 @@ func TestBuildHierarchyMatchesClustersAtLevel0(t *testing.T) {
 		{"dag", random(WithDAG(0))},
 		{"sticky", random(WithSeed(3), WithStickyHeads())},
 		{"fusion", random(WithFusion())},
-		{"energy rotation", func(t *testing.T) *Network {
-			net := energyNet(t, 150, 7)
-			if err := net.AttachEnergy(EnergyConfig{
-				IdleHeadCost:   0.05, // fast level crossings
-				IdleMemberCost: 0.02,
-				Rotation:       true,
-				RotationLevels: 4,
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if err := net.Run(30); err != nil {
-				t.Fatal(err)
-			}
-			scaled := 0
-			for i := range net.N() {
-				if net.engine.DensityScale(i) < 1 {
-					scaled++
-				}
-			}
-			if scaled == 0 {
-				t.Fatal("warm-up produced no rotation scaling; the row's premise is broken")
-			}
-			net.DetachEnergy() // freeze the scales, then let the election settle
-			return net
-		}},
 		{"churned", func(t *testing.T) *Network {
 			net := churnNet(t, 100, 47)
 			ids := net.IDs()
@@ -165,26 +225,30 @@ func TestBuildHierarchyMatchesClustersAtLevel0(t *testing.T) {
 			return net
 		}},
 	} {
-		t.Run(row.name, func(t *testing.T) {
-			net := row.world(t)
-			if _, err := net.Stabilize(5000); err != nil {
-				t.Fatal(err)
-			}
-			if err := net.Verify(); err != nil {
-				t.Fatal(err)
-			}
-			levels, err := net.BuildHierarchy(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(levels) != 1 {
-				t.Fatalf("%d levels built, asked for one", len(levels))
-			}
-			if live := net.Clusters(); !reflect.DeepEqual(levels[0].Clusters, live) {
-				t.Errorf("level 0 has %d clusters, the live clustering %d, and they differ:\nlevel 0 %v\nlive    %v",
-					len(levels[0].Clusters), len(live), levels[0].Clusters, live)
-			}
-		})
+		t.Run(row.name, func(t *testing.T) { checkLevel0(t, row.world(t)) })
+	}
+}
+
+// checkLevel0 stabilizes net, requires Verify to accept it, and fails t
+// unless a one-level hierarchy equals Clusters, heads and members.
+func checkLevel0(t *testing.T, net *Network) {
+	t.Helper()
+	if _, err := net.Stabilize(5000); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	levels, err := net.BuildHierarchy(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(levels) != 1 {
+		t.Fatalf("%d levels built, asked for one", len(levels))
+	}
+	if live := net.Clusters(); !reflect.DeepEqual(levels[0].Clusters, live) {
+		t.Errorf("level 0 has %d clusters, the live clustering %d, and they differ:\nlevel 0 %v\nlive    %v",
+			len(levels[0].Clusters), len(live), levels[0].Clusters, live)
 	}
 }
 
