@@ -15,12 +15,15 @@ import (
 	"selfstab/internal/experiment"
 )
 
-// benchOpts returns experiment options sized for a benchmark iteration.
+// benchOpts returns experiment options sized for a benchmark iteration:
+// the defaults at runs and intensity, and at ranges when any are given.
 func benchOpts(runs int, intensity float64, ranges ...float64) experiment.Options {
-	if len(ranges) == 0 {
-		ranges = []float64{0.05, 0.08, 0.1}
+	o := experiment.Defaults()
+	o.Runs, o.Intensity = runs, intensity
+	if len(ranges) > 0 {
+		o.Ranges = ranges
 	}
-	return experiment.Options{Runs: runs, Seed: 1, Intensity: intensity, Ranges: ranges}
+	return o
 }
 
 // logOnce logs a rendered table a single time per benchmark.
@@ -145,9 +148,8 @@ func BenchmarkFigure3GridDAG(b *testing.B) {
 // speeds, with and without the Section 4.3 improvements (paper: 82%/78%
 // and 31%/25%).
 func BenchmarkMobilityReelection(b *testing.B) {
-	opts := experiment.MobilityDefaults()
-	opts.Runs = 2
-	opts.DurationSec = 60
+	opts := experiment.Defaults()
+	opts.Runs, opts.Intensity, opts.Minutes = 2, 600, 1
 	for i := 0; i < b.N; i++ {
 		res, err := experiment.Mobility(opts)
 		if err != nil {

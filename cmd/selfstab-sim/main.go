@@ -237,33 +237,10 @@ func run(args []string, out io.Writer) error {
 // runExperiments regenerates the paper's tables and the ablations.
 func runExperiments(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("selfstab-sim", flag.ContinueOnError)
-	var (
-		exp    = fs.String("exp", "all", "experiment: table1, table2, table3, table4, table5, mobility, stabilization, metrics, orders, daemons, all")
-		runs   = fs.Int("runs", 30, "independent runs per cell (paper: 1000)")
-		seed   = fs.Int64("seed", 1, "master random seed")
-		lambda = fs.Float64("lambda", 1000, "Poisson deployment intensity")
-		ranges = fs.String("ranges", "0.05,0.08,0.1", "comma-separated transmission ranges")
-		mins   = fs.Float64("minutes", 3, "mobility experiment duration in minutes (paper: 15)")
-	)
+	exp := fs.String("exp", "all", "experiment: table1, table2, table3, table4, table5, mobility, stabilization, metrics, orders, daemons, all")
+	opts := experimentFlags(fs)
 	if err := parse(fs, args, out); err != nil {
 		return err
-	}
-	rs, err := parseRanges(*ranges)
-	if err != nil {
-		return usageErrorf("%v", err)
-	}
-	opts := experiment.Options{Runs: *runs, Seed: *seed, Intensity: *lambda, Ranges: rs}
-	mob := experiment.MobilityDefaults()
-	mob.Runs, mob.Seed, mob.Intensity, mob.DurationSec = *runs, *seed, *lambda, *mins*60
-
-	// tame lowers the intensity of a heavier runtime-level experiment to
-	// lambda when it is above limit, unless -lambda was passed.
-	tame := func(limit, lambda float64) experiment.Options {
-		o := opts
-		if o.Intensity > limit && !flagPassed(fs, "lambda") {
-			o.Intensity = lambda
-		}
-		return o
 	}
 	type entry struct {
 		name string
@@ -271,15 +248,15 @@ func runExperiments(args []string, out io.Writer) error {
 	}
 	entries := []entry{
 		{"table1", func() (renderer, error) { return experiment.Table1() }},
-		{"table2", func() (renderer, error) { return experiment.Table2(tame(500, 300)) }},
-		{"table3", func() (renderer, error) { return experiment.Table3(opts) }},
-		{"table4", func() (renderer, error) { return experiment.Table4(opts) }},
-		{"table5", func() (renderer, error) { return experiment.Table5(opts) }},
-		{"mobility", func() (renderer, error) { return experiment.Mobility(mob) }},
-		{"stabilization", func() (renderer, error) { return experiment.Stabilization(tame(500, 500)) }},
-		{"metrics", func() (renderer, error) { return experiment.AblationMetrics(opts) }},
-		{"orders", func() (renderer, error) { return experiment.AblationOrders(opts) }},
-		{"daemons", func() (renderer, error) { return experiment.AblationDaemons(tame(400, 300)) }},
+		{"table2", func() (renderer, error) { return experiment.Table2(*opts) }},
+		{"table3", func() (renderer, error) { return experiment.Table3(*opts) }},
+		{"table4", func() (renderer, error) { return experiment.Table4(*opts) }},
+		{"table5", func() (renderer, error) { return experiment.Table5(*opts) }},
+		{"mobility", func() (renderer, error) { return experiment.Mobility(*opts) }},
+		{"stabilization", func() (renderer, error) { return experiment.Stabilization(*opts) }},
+		{"metrics", func() (renderer, error) { return experiment.AblationMetrics(*opts) }},
+		{"orders", func() (renderer, error) { return experiment.AblationOrders(*opts) }},
+		{"daemons", func() (renderer, error) { return experiment.AblationDaemons(*opts) }},
 	}
 	var names []string
 	for _, e := range entries {
@@ -289,7 +266,7 @@ func runExperiments(args []string, out io.Writer) error {
 		return err
 	}
 	// Refuse the options before the first table is printed.
-	if err := errors.Join(opts.Validate(), mob.Validate()); err != nil {
+	if err := opts.Validate(); err != nil {
 		return usageErrorf("%v", err)
 	}
 	for _, e := range entries {
@@ -303,6 +280,36 @@ func runExperiments(args []string, out io.Writer) error {
 		fmt.Fprintln(out, res.Render())
 	}
 	return nil
+}
+
+// experimentFlags registers one flag per field of experiment.Options on
+// fs, each defaulting to experiment.Defaults(), and returns the options
+// they set.
+func experimentFlags(fs *flag.FlagSet) *experiment.Options {
+	o := experiment.Defaults()
+	fs.IntVar(&o.Runs, "runs", o.Runs, "independent runs per cell (paper: 1000)")
+	fs.Int64Var(&o.Seed, "seed", o.Seed, "master random seed")
+	fs.Float64Var(&o.Intensity, "lambda", o.Intensity, "Poisson deployment intensity (0: each experiment's own)")
+	fs.Var((*rangeList)(&o.Ranges), "ranges", "comma-separated transmission `ranges`")
+	fs.Float64Var(&o.Minutes, "minutes", o.Minutes, "mobility experiment duration in minutes (paper: 15)")
+	return &o
+}
+
+// rangeList is the -ranges flag: a comma-separated list of ranges.
+type rangeList []float64
+
+func (r *rangeList) String() string {
+	parts := make([]string, len(*r))
+	for i, v := range *r {
+		parts[i] = strconv.FormatFloat(v, 'g', -1, 64)
+	}
+	return strings.Join(parts, ",")
+}
+
+func (r *rangeList) Set(s string) error {
+	rs, err := parseRanges(s)
+	*r = rs
+	return err
 }
 
 func parseRanges(s string) ([]float64, error) {
@@ -324,6 +331,7 @@ func parseRanges(s string) ([]float64, error) {
 	return out, nil
 }
 
+// flagPassed reports whether the parsed arguments set fs's flag name.
 func flagPassed(fs *flag.FlagSet, name string) bool {
 	passed := false
 	fs.Visit(func(f *flag.Flag) {

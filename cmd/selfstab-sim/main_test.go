@@ -4,16 +4,20 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	goruntime "runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"selfstab/internal/experiment"
 )
 
 func TestParseRanges(t *testing.T) {
@@ -65,7 +69,9 @@ func TestRunTable3Small(t *testing.T) {
 
 // TestRunExperimentsRender runs every -exp table at a tiny size and
 // compares its output byte for byte with testdata/exp/<name>.txt, so a
-// refactor of the experiments that changes any number shows here. A
+// refactor of the experiments that changes any number shows here. Each
+// table runs twice: once at -lambda 300, and once as <name>-default
+// without -lambda, so each experiment runs at its own intensity. A
 // deliberate change regenerates the files with
 // SELFSTAB_UPDATE_GOLDEN=1 go test -run TestRunExperimentsRender ./cmd/selfstab-sim
 // and its diff is reviewed.
@@ -75,9 +81,48 @@ func TestRunExperimentsRender(t *testing.T) {
 		"table1", "table2", "table3", "table4", "table5", "mobility",
 		"stabilization", "metrics", "orders", "daemons",
 	} {
-		rows = append(rows, goldenRow{exp, []string{"-exp", exp, "-runs", "2", "-lambda", "300", "-seed", "5", "-minutes", "0.5"}})
+		rows = append(rows,
+			goldenRow{exp, []string{"-exp", exp, "-runs", "2", "-lambda", "300", "-seed", "5", "-minutes", "0.5"}},
+			goldenRow{exp + "-default", []string{"-exp", exp, "-runs", "1", "-seed", "5", "-minutes", "0.1"}})
 	}
 	runGolden(t, "exp", rows)
+}
+
+// TestExperimentFlagsAreDefaults: the -exp flags, left unset, give
+// experiment.Defaults() field by field, so the CLI and the library run
+// one setup.
+func TestExperimentFlagsAreDefaults(t *testing.T) {
+	fs := flag.NewFlagSet("selfstab-sim", flag.ContinueOnError)
+	got := experimentFlags(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	want := experiment.Defaults()
+	gv, wv := reflect.ValueOf(*got), reflect.ValueOf(want)
+	for i := range gv.NumField() {
+		if g, w := gv.Field(i).Interface(), wv.Field(i).Interface(); !reflect.DeepEqual(g, w) {
+			t.Errorf("flag default for %s = %v, experiment.Defaults() has %v", gv.Type().Field(i).Name, g, w)
+		}
+	}
+}
+
+// TestMobilityMatchesLibrary: -exp mobility prints the table
+// experiment.Mobility renders at the defaults with the same runs, seed
+// and minutes.
+func TestMobilityMatchesLibrary(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-exp", "mobility", "-runs", "1", "-seed", "5", "-minutes", "0.1"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	opts := experiment.Defaults()
+	opts.Runs, opts.Seed, opts.Minutes = 1, 5, 0.1
+	res, err := experiment.Mobility(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := res.Render() + "\n"; buf.String() != want {
+		t.Errorf("-exp mobility printed\n%s\nexperiment.Mobility rendered\n%s", buf.String(), want)
+	}
 }
 
 // goldenRow is one pinned command line: its output must equal

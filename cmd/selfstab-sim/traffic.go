@@ -132,12 +132,13 @@ func buildWorkload(net *selfstab.Network, workload string, flows int, rate float
 }
 
 // runMobilityScenario moves every node on the mobility experiments'
-// random walk at pedestrian speeds (0-1.6 m/s), one 2 s walk sample
-// between bursts of protocol+traffic steps.
+// random walk in the paper's pedestrian band, one walk sample of the
+// paper's period between bursts of protocol+traffic steps.
 func runMobilityScenario(net *selfstab.Network, steps int, seed int64) error {
 	const burst = 10 // protocol steps between motion samples
 	walk, err := mobility.NewRandomWalk(net.Positions(), geom.UnitSquare(),
-		0, mobility.SpeedToUnits(1.6), 30, rng.New(seed).Split("mobility-walk"))
+		mobility.SpeedToUnits(mobility.Pedestrian[0]), mobility.SpeedToUnits(mobility.Pedestrian[1]),
+		rng.New(seed).Split("mobility-walk"))
 	if err != nil {
 		return err
 	}
@@ -150,7 +151,7 @@ func runMobilityScenario(net *selfstab.Network, steps int, seed int64) error {
 			return err
 		}
 		done += n
-		walk.Step(2)
+		walk.Step(mobility.SampleSec)
 		if err := net.SetPositions(walk.Positions()); err != nil {
 			return err
 		}

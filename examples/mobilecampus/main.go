@@ -17,10 +17,8 @@ import (
 
 const (
 	nodes       = 150
-	samples     = 40  // 40 x 2 s = 80 simulated seconds
-	dtSeconds   = 2.0 // the paper samples every 2 s
-	speedMS     = 1.6 // pedestrian top speed, m/s
-	stepsPerDt  = 8   // protocol steps executed between samples
+	samples     = 40 // 40 x 2 s = 80 simulated seconds
+	stepsPerDt  = 8  // protocol steps executed between samples
 	radioRange  = 0.12
 	walkSeed    = 99
 	protocolTTL = 4 // cache entries expire after 4 silent steps
@@ -62,7 +60,8 @@ func headRetention(improvements bool) float64 {
 	// shared seed, so both protocol variants see the same motion and the
 	// walk never perturbs the network's own draws.
 	walk, err := mobility.NewRandomWalk(net.Positions(), geom.UnitSquare(),
-		0, mobility.SpeedToUnits(speedMS), 30, rng.New(walkSeed).Split("campus-walk"))
+		mobility.SpeedToUnits(mobility.Pedestrian[0]), mobility.SpeedToUnits(mobility.Pedestrian[1]),
+		rng.New(walkSeed).Split("campus-walk"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +70,7 @@ func headRetention(improvements bool) float64 {
 	counted := 0
 	prevHeads := headSet(net)
 	for s := 0; s < samples; s++ {
-		walk.Step(dtSeconds)
+		walk.Step(mobility.SampleSec)
 		if err := net.SetPositions(walk.Positions()); err != nil {
 			log.Fatal(err)
 		}

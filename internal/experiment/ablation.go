@@ -5,6 +5,7 @@ import (
 
 	"selfstab/internal/cluster"
 	"selfstab/internal/metric"
+	"selfstab/internal/mobility"
 	"selfstab/internal/rng"
 )
 
@@ -17,10 +18,16 @@ type MetricAblationResult struct {
 	Retention []float64 // mean head retention % under pedestrian mobility
 }
 
-// AblationMetrics runs the metric comparison. Max-min d-cluster (d=2) is
-// included as the structurally different baseline.
+// metricsWalkSec is how long the metrics ablation walks each run
+// (assumed).
+const metricsWalkSec = 40
+
+// AblationMetrics runs the metric comparison on opts.Runs pedestrian
+// walks at the first range. Max-min d-cluster (d=2) is included as the
+// structurally different baseline.
 func AblationMetrics(opts Options) (*MetricAblationResult, error) {
-	if err := opts.Validate(); err != nil {
+	opts, err := opts.own(paperIntensity)
+	if err != nil {
 		return nil, err
 	}
 	elections := []election{
@@ -29,8 +36,8 @@ func AblationMetrics(opts Options) (*MetricAblationResult, error) {
 		{name: metric.Constant{}.Name(), metric: metric.Constant{}, order: cluster.OrderBasic},
 		{name: "max-min(d=2)"},
 	}
-	keep, clusters, err := replayRuns(rng.New(opts.Seed), "metrics", pedestrian,
-		pedestrianWalk(opts, 40), elections)
+	keep, clusters, err := replayRuns(rng.New(opts.Seed), "metrics",
+		opts, mobility.Pedestrian, opts.Ranges[0], metricsWalkSec, elections)
 	if err != nil {
 		return nil, err
 	}
@@ -41,18 +48,6 @@ func AblationMetrics(opts Options) (*MetricAblationResult, error) {
 		res.Retention = append(res.Retention, keep[i].Mean())
 	}
 	return res, nil
-}
-
-// pedestrian is the paper's pedestrian speed band in m/s.
-var pedestrian = [2]float64{0, 1.6}
-
-// pedestrianWalk is the ablations' mobility setup: opts.Runs walks at the
-// first range, sampled every 2 s for durationSec seconds.
-func pedestrianWalk(opts Options, durationSec float64) MobilityOptions {
-	return MobilityOptions{
-		Runs: opts.Runs, Intensity: opts.Intensity, Range: opts.Ranges[0],
-		DurationSec: durationSec, SampleEverySec: 2,
-	}
 }
 
 // Render formats the metric ablation.
@@ -73,10 +68,16 @@ type OrderAblationResult struct {
 	Retention []float64
 }
 
-// AblationOrders compares basic, sticky, and sticky+fusion under pedestrian
-// mobility — isolating how much each Section 4.3 rule contributes.
+// ordersWalkSec is how long the orders ablation walks each run
+// (assumed).
+const ordersWalkSec = 60
+
+// AblationOrders compares basic, sticky, and sticky+fusion on opts.Runs
+// pedestrian walks at the first range, isolating how much each Section
+// 4.3 rule contributes.
 func AblationOrders(opts Options) (*OrderAblationResult, error) {
-	if err := opts.Validate(); err != nil {
+	opts, err := opts.own(paperIntensity)
+	if err != nil {
 		return nil, err
 	}
 	elections := []election{
@@ -84,8 +85,8 @@ func AblationOrders(opts Options) (*OrderAblationResult, error) {
 		{name: "sticky", metric: metric.Density{}, order: cluster.OrderSticky},
 		{name: "sticky+fusion", metric: metric.Density{}, order: cluster.OrderSticky, fusion: true},
 	}
-	keep, _, err := replayRuns(rng.New(opts.Seed), "orders", pedestrian,
-		pedestrianWalk(opts, 60), elections)
+	keep, _, err := replayRuns(rng.New(opts.Seed), "orders",
+		opts, mobility.Pedestrian, opts.Ranges[0], ordersWalkSec, elections)
 	if err != nil {
 		return nil, err
 	}

@@ -9,12 +9,18 @@ import (
 	"selfstab/internal/runtime"
 )
 
+// daemonsIntensity is the daemon ablation's own λ, lighter than the
+// paper's 1000 because each run steps the message-passing engine to
+// stability at every activation probability (assumed).
+const daemonsIntensity = 300
+
 // AblationDaemons measures how the daemon's activation probability scales
 // stabilization time: the paper's execution semantics only assume enabled
 // guards are eventually executed, so the protocol must stabilize for any
 // probability > 0 — just proportionally slower.
 func AblationDaemons(opts Options) (*DaemonResult, error) {
-	if err := opts.Validate(); err != nil {
+	opts, err := opts.own(daemonsIntensity)
+	if err != nil {
 		return nil, err
 	}
 	probs := []float64{1.0, 0.5, 0.25}

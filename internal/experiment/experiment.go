@@ -18,19 +18,25 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"selfstab/internal/cluster"
 	"selfstab/internal/dag"
 	"selfstab/internal/deploy"
 	"selfstab/internal/geom"
 	"selfstab/internal/metric"
+	"selfstab/internal/mobility"
 	"selfstab/internal/rng"
 	"selfstab/internal/topology"
 )
 
-// Options are the shared experiment knobs. The zero value is not valid:
-// every field must be set (cmd/selfstab-sim fills them from its flags).
+// Options is the evaluation's one setup: every driver takes it, and
+// cmd/selfstab-sim -exp takes its flags' defaults from Defaults. Each
+// driver reads Runs, Seed and Intensity; Ranges is read by every driver
+// but Mobility, which walks at mobilityRange, and Minutes by Mobility
+// alone. A driver refuses only the fields it reads.
 type Options struct {
 	// Runs is the number of independent repetitions averaged per cell
 	// (the paper uses 1000).
@@ -38,30 +44,62 @@ type Options struct {
 	// Seed is the master seed; every run derives its own stream.
 	Seed int64
 	// Intensity is the Poisson deployment intensity λ (nodes per unit
-	// area; the paper's tables use 1000).
+	// area). 0 runs each experiment at its own: paperIntensity for
+	// Tables 3-5, the mobility study and the metrics and orders
+	// ablations, and a lighter, assumed λ declared beside each
+	// protocol-level driver (Table 2, stabilization, daemons).
 	Intensity float64
-	// Ranges is the transmission-range sweep.
+	// Ranges is the transmission-range sweep. The drivers that run at
+	// one range take the first.
 	Ranges []float64
+	// Minutes is the mobility study's walk duration (the paper walks for
+	// 15 minutes).
+	Minutes float64
 }
 
-// Validate refuses options no experiment can run: no runs, a
-// non-positive intensity, or an empty or out-of-(0, 1] range sweep.
-func (o *Options) Validate() error {
-	if o.Runs < 1 {
+// paperIntensity is the paper's deployment intensity for its tables,
+// λ = 1000. The mobility study and the metrics and orders ablations
+// assume it too.
+const paperIntensity = 1000
+
+// Defaults returns the setup the CLI runs without flags: 30 runs of seed
+// 1, each experiment at its own intensity, the paper's ranges 0.05, 0.08
+// and 0.1, and a 3-minute mobility walk.
+func Defaults() Options {
+	return Options{Runs: 30, Seed: 1, Ranges: []float64{0.05, 0.08, 0.1}, Minutes: 3}
+}
+
+// Validate refuses options some experiment cannot run: no runs, a
+// negative intensity, an empty or out-of-(0, 1] range sweep, or a walk
+// shorter than one mobility sample. It checks every field, for a caller
+// about to run every driver; each driver checks only the fields it reads.
+func (o *Options) Validate() error { return o.validate(true, true) }
+
+// validate checks Runs and Intensity, the range sweep if sweep and the
+// walk duration if walk.
+func (o *Options) validate(sweep, walk bool) error {
+	bad := slices.IndexFunc(o.Ranges, func(r float64) bool { return r <= 0 || r > 1 })
+	switch {
+	case o.Runs < 1:
 		return fmt.Errorf("experiment: runs must be >= 1, got %d", o.Runs)
-	}
-	if o.Intensity <= 0 {
-		return fmt.Errorf("experiment: intensity must be positive, got %v", o.Intensity)
-	}
-	if len(o.Ranges) == 0 {
+	case !(o.Intensity >= 0):
+		return fmt.Errorf("experiment: intensity must be positive, or 0 for each experiment's own, got %v", o.Intensity)
+	case sweep && len(o.Ranges) == 0:
 		return fmt.Errorf("experiment: empty range sweep")
-	}
-	for _, r := range o.Ranges {
-		if r <= 0 || r > 1 {
-			return fmt.Errorf("experiment: invalid range %v", r)
-		}
+	case sweep && bad >= 0:
+		return fmt.Errorf("experiment: invalid range %v", o.Ranges[bad])
+	case walk && !(o.Minutes*60 >= mobility.SampleSec):
+		return fmt.Errorf("experiment: bad duration/sample %vs/%vs", o.Minutes*60, mobility.SampleSec)
 	}
 	return nil
+}
+
+// own returns o with a zero Intensity replaced by lambda, the calling
+// experiment's own, and refuses it unless it holds a run count, an
+// intensity and a range sweep.
+func (o Options) own(lambda float64) (Options, error) {
+	o.Intensity = cmp.Or(o.Intensity, lambda)
+	return o, o.validate(true, false)
 }
 
 // instance is one deployed topology with identifiers.

@@ -12,24 +12,35 @@ func small() Options {
 }
 
 func TestOptionsValidate(t *testing.T) {
+	table3 := func(o Options) error { _, err := Table3(o); return err }
+	mob := func(o Options) error { _, err := Mobility(o); return err }
 	tests := []struct {
 		name   string
 		mutate func(*Options)
+		run    func(Options) error // a driver that reads the field
 	}{
-		{"zero runs", func(o *Options) { o.Runs = 0 }},
-		{"bad intensity", func(o *Options) { o.Intensity = 0 }},
-		{"empty ranges", func(o *Options) { o.Ranges = nil }},
-		{"range too big", func(o *Options) { o.Ranges = []float64{1.5} }},
-		{"range negative", func(o *Options) { o.Ranges = []float64{-0.1} }},
+		{"zero runs", func(o *Options) { o.Runs = 0 }, table3},
+		{"bad intensity", func(o *Options) { o.Intensity = -1 }, table3},
+		{"empty ranges", func(o *Options) { o.Ranges = nil }, table3},
+		{"range too big", func(o *Options) { o.Ranges = []float64{1.5} }, table3},
+		{"range negative", func(o *Options) { o.Ranges = []float64{-0.1} }, table3},
+		{"walk shorter than a sample", func(o *Options) { o.Minutes = 1.0 / 60 }, mob},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			o := Options{Runs: 1, Seed: 1, Intensity: 300, Ranges: []float64{0.1}}
+			o := Options{Runs: 1, Seed: 1, Intensity: 300, Ranges: []float64{0.1}, Minutes: 1}
 			tt.mutate(&o)
-			if _, err := Table3(o); err == nil {
-				t.Error("invalid options accepted")
+			if o.Validate() == nil {
+				t.Error("Validate accepted invalid options")
+			}
+			if tt.run(o) == nil {
+				t.Error("driver accepted invalid options")
 			}
 		})
+	}
+	// A driver refuses only the fields it reads.
+	if err := table3(Options{Runs: 1, Seed: 1, Intensity: 300, Ranges: []float64{0.1}}); err != nil {
+		t.Errorf("Table3 without a walk duration: %v", err)
 	}
 }
 
@@ -152,15 +163,11 @@ func TestTable5DagRescuesGrid(t *testing.T) {
 }
 
 func TestMobilityImprovementHelps(t *testing.T) {
-	opts := MobilityDefaults()
-	opts.Runs = 2
-	opts.Intensity = 300
-	opts.DurationSec = 60
-	res, err := Mobility(opts)
+	res, err := Mobility(Options{Runs: 2, Seed: 1, Intensity: 300, Minutes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Retention) != len(opts.SpeedBands) {
+	if len(res.Retention) != 2 {
 		t.Fatalf("got %d bands", len(res.Retention))
 	}
 	for bi := range res.Bands {
@@ -184,15 +191,14 @@ func TestMobilityImprovementHelps(t *testing.T) {
 }
 
 func TestMobilityValidation(t *testing.T) {
-	opts := MobilityDefaults()
-	opts.SampleEverySec = 0
+	opts := Defaults()
+	opts.Minutes = 1.0 / 60
 	if _, err := Mobility(opts); err == nil {
-		t.Error("bad sampling accepted")
+		t.Error("a walk shorter than one sample accepted")
 	}
-	opts = MobilityDefaults()
-	opts.SpeedBands = nil
-	if _, err := Mobility(opts); err == nil {
-		t.Error("no bands accepted")
+	// The study walks at mobilityRange, so it needs no range sweep.
+	if _, err := Mobility(Options{Runs: 1, Seed: 1, Intensity: 300, Minutes: 2.0 / 60}); err != nil {
+		t.Errorf("Mobility without Ranges: %v", err)
 	}
 }
 

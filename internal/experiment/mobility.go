@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
 
 	"selfstab/internal/cluster"
@@ -11,60 +12,12 @@ import (
 	"selfstab/internal/topology"
 )
 
-// MobilityOptions configures the Section 5 mobility study.
-type MobilityOptions struct {
-	// Runs averages over independent deployments/trajectories.
-	Runs int
-	// Seed is the master seed.
-	Seed int64
-	// Intensity is the deployment intensity λ.
-	Intensity float64
-	// Range is the transmission range.
-	Range float64
-	// DurationSec is the simulated time (the paper uses 15 minutes).
-	DurationSec float64
-	// SampleEverySec is the sampling period (the paper uses 2 s).
-	SampleEverySec float64
-	// SpeedBands lists the (min, max) speed bands in m/s; the paper uses
-	// 0-1.6 (pedestrians) and 0-10 (cars).
-	SpeedBands [][2]float64
-}
-
-// MobilityDefaults mirrors the paper's setup with a shorter duration and
-// fewer runs; the CLI can restore the full 15-minute, many-run protocol.
-func MobilityDefaults() MobilityOptions {
-	return MobilityOptions{
-		Runs:           5,
-		Seed:           1,
-		Intensity:      600,
-		Range:          0.1,
-		DurationSec:    180,
-		SampleEverySec: 2,
-		SpeedBands:     [][2]float64{{0, 1.6}, {0, 10}},
-	}
-}
-
-// Validate refuses options the mobility study cannot run: no runs, a bad
-// intensity or range, a sample period outside the duration, or no speed
-// band.
-func (o *MobilityOptions) Validate() error {
-	if o.Runs < 1 {
-		return fmt.Errorf("mobility experiment: runs must be >= 1")
-	}
-	if o.Intensity <= 0 || o.Range <= 0 || o.Range > 1 {
-		return fmt.Errorf("mobility experiment: bad intensity/range %v/%v", o.Intensity, o.Range)
-	}
-	if o.DurationSec <= 0 || o.SampleEverySec <= 0 || o.SampleEverySec > o.DurationSec {
-		return fmt.Errorf("mobility experiment: bad duration/sample %v/%v", o.DurationSec, o.SampleEverySec)
-	}
-	if len(o.SpeedBands) == 0 {
-		return fmt.Errorf("mobility experiment: no speed bands")
-	}
-	return nil
-}
+// mobilityRange is the mobility study's transmission range, the largest
+// of the paper's table ranges (assumed).
+const mobilityRange = 0.1
 
 // MobilityResult holds, per speed band and variant, the mean percentage of
-// cluster-heads still heads at the next 2-second sample.
+// cluster-heads still heads at the next sample.
 type MobilityResult struct {
 	Bands    [][2]float64
 	Variants []string
@@ -77,9 +30,11 @@ type MobilityResult struct {
 // with the previous configuration) and we record which heads survived.
 // The Section 4.3 rules (sticky order + fusion) are compared against the
 // plain algorithm; the paper reports ~82% vs ~78% at pedestrian speeds and
-// ~31% vs ~25% at vehicle speeds.
-func Mobility(opts MobilityOptions) (*MobilityResult, error) {
-	if err := opts.Validate(); err != nil {
+// ~31% vs ~25% at vehicle speeds. It walks opts.Minutes in each of the
+// paper's speed bands at mobilityRange.
+func Mobility(opts Options) (*MobilityResult, error) {
+	opts.Intensity = cmp.Or(opts.Intensity, paperIntensity)
+	if err := opts.validate(false, true); err != nil {
 		return nil, err
 	}
 	elections := []election{
@@ -87,12 +42,13 @@ func Mobility(opts MobilityOptions) (*MobilityResult, error) {
 		{name: "basic", metric: metric.Density{}, order: cluster.OrderBasic},
 	}
 	master := rng.New(opts.Seed)
-	res := &MobilityResult{Bands: opts.SpeedBands}
+	res := &MobilityResult{Bands: [][2]float64{mobility.Pedestrian, mobility.Vehicle}}
 	for _, e := range elections {
 		res.Variants = append(res.Variants, e.name)
 	}
-	for _, band := range opts.SpeedBands {
-		keep, _, err := replayRuns(master, fmt.Sprintf("mob-%v-%v", band[0], band[1]), band, opts, elections)
+	for _, band := range res.Bands {
+		keep, _, err := replayRuns(master, fmt.Sprintf("mob-%v-%v", band[0], band[1]),
+			opts, band, mobilityRange, opts.Minutes*60, elections)
 		if err != nil {
 			return nil, fmt.Errorf("mobility %w", err)
 		}
@@ -146,24 +102,25 @@ type trace struct {
 	ids    []int64
 }
 
-// recordTrace deploys one network, walks it for the configured duration and
-// captures a snapshot every sampling period.
-func recordTrace(band [2]float64, opts MobilityOptions, src *rng.Source) (trace, error) {
-	inst := deployRandom(opts.Intensity, opts.Range, src)
+// recordTrace deploys one network at opts.Intensity and range radio,
+// walks it in band for seconds and captures a snapshot every sampling
+// period.
+func recordTrace(opts Options, band [2]float64, radio, seconds float64, src *rng.Source) (trace, error) {
+	inst := deployRandom(opts.Intensity, radio, src)
 	walker, err := mobility.NewRandomWalk(
 		inst.pts, geom.UnitSquare(),
 		mobility.SpeedToUnits(band[0]), mobility.SpeedToUnits(band[1]),
-		30, src.Split("walk"))
+		src.Split("walk"))
 	if err != nil {
 		return trace{}, err
 	}
-	samples := int(opts.DurationSec / opts.SampleEverySec)
+	samples := int(seconds / mobility.SampleSec)
 	tr := trace{graphs: make([]*topology.Graph, 0, samples+1), ids: inst.ids}
 	// The grid index persists across samples: each mobility step only
 	// repairs the edges of nodes that moved instead of rebuilding the
 	// unit-disk graph. Samples retain a frozen Clone because Update
 	// mutates the index's graph in place.
-	idx := topology.NewGridIndexInRegion(walker.Positions(), opts.Range, geom.UnitSquare())
+	idx := topology.NewGridIndexInRegion(walker.Positions(), radio, geom.UnitSquare())
 	for s := 0; ; s++ {
 		if err := idx.Update(walker.Positions()); err != nil {
 			return trace{}, err
@@ -172,7 +129,7 @@ func recordTrace(band [2]float64, opts MobilityOptions, src *rng.Source) (trace,
 		if s == samples {
 			return tr, nil
 		}
-		walker.Step(opts.SampleEverySec)
+		walker.Step(mobility.SampleSec)
 	}
 }
 
@@ -213,15 +170,15 @@ func retention(tr trace, e election) (kept Welford, clusters int, err error) {
 	return kept, clusters, nil
 }
 
-// replayRuns records opts.Runs walks of one speed band, run i on the
-// stream master.SplitN(label, i), and replays each under every election.
-// It returns each election's head retention and first-sample cluster
-// count over the runs.
-func replayRuns(master *rng.Source, label string, band [2]float64, opts MobilityOptions, elections []election) (keep, clusters []Welford, err error) {
+// replayRuns records opts.Runs walks (recordTrace), run i on the stream
+// master.SplitN(label, i), and replays each under every election. It
+// returns each election's head retention and first-sample cluster count
+// over the runs.
+func replayRuns(master *rng.Source, label string, opts Options, band [2]float64, radio, seconds float64, elections []election) (keep, clusters []Welford, err error) {
 	keep = make([]Welford, len(elections))
 	clusters = make([]Welford, len(elections))
 	for run := 0; run < opts.Runs; run++ {
-		tr, err := recordTrace(band, opts, master.SplitN(label, run))
+		tr, err := recordTrace(opts, band, radio, seconds, master.SplitN(label, run))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -240,7 +197,7 @@ func replayRuns(master *rng.Source, label string, band [2]float64, opts Mobility
 // Render formats the result like the paper's prose summary.
 func (r *MobilityResult) Render() string {
 	header := append([]string{"speed band (m/s)"}, r.Variants...)
-	t := NewTable("Mobility: % cluster-heads re-elected at each 2s sample", header...)
+	t := NewTable(fmt.Sprintf("Mobility: %% cluster-heads re-elected at each %gs sample", mobility.SampleSec), header...)
 	for bi, band := range r.Bands {
 		cells := []string{fmt.Sprintf("%.1f-%.1f", band[0], band[1])}
 		for vi := range r.Variants {

@@ -22,10 +22,16 @@ type StabilizationResult struct {
 	RecoverSteps []float64
 }
 
+// stabilizationIntensity is the stabilization runs' own λ, lighter than
+// the paper's 1000 because each run steps the message-passing engine
+// twice (assumed).
+const stabilizationIntensity = 500
+
 // Stabilization measures distributed stabilization times over a perfect
 // medium (τ = 1, so steps are exactly the paper's Δ(τ) units).
 func Stabilization(opts Options) (*StabilizationResult, error) {
-	if err := opts.Validate(); err != nil {
+	opts, err := opts.own(stabilizationIntensity)
+	if err != nil {
 		return nil, err
 	}
 	r := opts.Ranges[0]

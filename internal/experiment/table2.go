@@ -24,10 +24,16 @@ type Table2Result struct {
 	AllHeadsAtStep int       // first step at which every head is correct
 }
 
+// table2Intensity is Table 2's own λ: it steps the message-passing
+// engine, so it deploys lighter than the paper's 1000 (assumed; the
+// paper does not give Table 2's λ).
+const table2Intensity = 300
+
 // Table2 runs the knowledge-schedule measurement on a random deployment
 // over a perfect medium, averaged over runs.
 func Table2(opts Options) (*Table2Result, error) {
-	if err := opts.Validate(); err != nil {
+	opts, err := opts.own(table2Intensity)
+	if err != nil {
 		return nil, err
 	}
 	const horizon = 12

@@ -82,7 +82,8 @@ type Table3Result struct {
 // Table3 measures DAG construction cost: the paper reports ~2 steps across
 // the board, i.e. building the DAG is cheap.
 func Table3(opts Options) (*Table3Result, error) {
-	if err := opts.Validate(); err != nil {
+	opts, err := opts.own(paperIntensity)
+	if err != nil {
 		return nil, err
 	}
 	master := rng.New(opts.Seed)
@@ -161,7 +162,8 @@ func Table5(opts Options) (*TableClustersResult, error) {
 }
 
 func tableClusters(opts Options, title string, deployer func(float64, float64, *rng.Source) instance) (*TableClustersResult, error) {
-	if err := opts.Validate(); err != nil {
+	opts, err := opts.own(paperIntensity)
+	if err != nil {
 		return nil, err
 	}
 	master := rng.New(opts.Seed)

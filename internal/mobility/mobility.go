@@ -28,11 +28,28 @@ import (
 	"selfstab/internal/rng"
 )
 
-// MetersPerUnit is the physical scale of the unit square: the paper's radio
-// ranges (0.05-0.1 units) then correspond to 50-100 m, typical 802.11
-// outdoor ranges, and its speed bands (1.6 m/s pedestrian, 10 m/s vehicle)
-// convert naturally.
-const MetersPerUnit = 1000.0
+// The Section 5 setup, each value declared once and marked as the
+// paper's or as assumed where the paper gives none.
+const (
+	// MetersPerUnit is the physical scale of the unit square (assumed):
+	// the paper's radio ranges (0.05-0.1 units) then correspond to
+	// 50-100 m, typical 802.11 outdoor ranges, and its speed bands convert
+	// naturally.
+	MetersPerUnit = 1000.0
+	// SampleSec is the sampling period, 2 s (paper).
+	SampleSec = 2.0
+	// TurnEverySec is the mean time between a node's re-orientations,
+	// 30 s (assumed).
+	TurnEverySec = 30.0
+)
+
+// The speed bands in m/s.
+var (
+	// Pedestrian is the pedestrian band, 0-1.6 m/s (paper).
+	Pedestrian = [2]float64{0, 1.6}
+	// Vehicle is the vehicle band, 0-10 m/s (paper).
+	Vehicle = [2]float64{0, 10}
+)
 
 // SpeedToUnits converts meters/second into region units/second.
 func SpeedToUnits(metersPerSecond float64) float64 {
@@ -42,7 +59,7 @@ func SpeedToUnits(metersPerSecond float64) float64 {
 // RandomWalk moves every node along an individual heading at an individual
 // speed drawn uniformly from [MinSpeed, MaxSpeed] (units/s). Nodes reflect
 // off the region borders and re-draw heading and speed on a Poisson clock
-// with mean TurnEvery seconds.
+// with mean TurnEverySec seconds.
 type RandomWalk struct {
 	region    geom.Rect
 	pos       []geom.Point
@@ -50,16 +67,14 @@ type RandomWalk struct {
 	untilTurn []float64    // seconds until the next re-orientation
 	minSpeed  float64
 	maxSpeed  float64
-	turnEvery float64
 	src       *rng.Source
 }
 
 // NewRandomWalk starts a walk at the given positions. minSpeed and maxSpeed
-// are in units/s; turnEvery is the mean seconds between re-orientations
-// (<= 0 means never turn, straight-line billiards).
-func NewRandomWalk(pts []geom.Point, region geom.Rect, minSpeed, maxSpeed, turnEvery float64, src *rng.Source) (*RandomWalk, error) {
-	if err := validateSpeeds(minSpeed, maxSpeed); err != nil {
-		return nil, err
+// are in units/s.
+func NewRandomWalk(pts []geom.Point, region geom.Rect, minSpeed, maxSpeed float64, src *rng.Source) (*RandomWalk, error) {
+	if minSpeed < 0 || maxSpeed < minSpeed {
+		return nil, fmt.Errorf("mobility: invalid speed range [%v, %v]", minSpeed, maxSpeed)
 	}
 	if src == nil {
 		return nil, errors.New("mobility: nil rng source")
@@ -71,7 +86,6 @@ func NewRandomWalk(pts []geom.Point, region geom.Rect, minSpeed, maxSpeed, turnE
 		untilTurn: make([]float64, len(pts)),
 		minSpeed:  minSpeed,
 		maxSpeed:  maxSpeed,
-		turnEvery: turnEvery,
 		src:       src,
 	}
 	for i := range w.vel {
@@ -81,13 +95,6 @@ func NewRandomWalk(pts []geom.Point, region geom.Rect, minSpeed, maxSpeed, turnE
 	return w, nil
 }
 
-func validateSpeeds(minSpeed, maxSpeed float64) error {
-	if minSpeed < 0 || maxSpeed < minSpeed {
-		return fmt.Errorf("mobility: invalid speed range [%v, %v]", minSpeed, maxSpeed)
-	}
-	return nil
-}
-
 func (w *RandomWalk) drawVelocity() geom.Point {
 	speed := w.minSpeed + float64(w.src.Float64()*(w.maxSpeed-w.minSpeed))
 	theta := w.src.Float64() * 2 * math.Pi
@@ -95,10 +102,7 @@ func (w *RandomWalk) drawVelocity() geom.Point {
 }
 
 func (w *RandomWalk) drawTurnDelay() float64 {
-	if w.turnEvery <= 0 {
-		return math.Inf(1)
-	}
-	return w.src.ExpFloat64() * w.turnEvery
+	return w.src.ExpFloat64() * TurnEverySec
 }
 
 // Step advances the walk by dt seconds.

@@ -29,13 +29,13 @@ func TestSpeedToUnits(t *testing.T) {
 func TestRandomWalkValidation(t *testing.T) {
 	pts := startPositions(5, 1)
 	r := geom.UnitSquare()
-	if _, err := NewRandomWalk(pts, r, -1, 1, 10, rng.New(1)); err == nil {
+	if _, err := NewRandomWalk(pts, r, -1, 1, rng.New(1)); err == nil {
 		t.Error("negative min speed accepted")
 	}
-	if _, err := NewRandomWalk(pts, r, 2, 1, 10, rng.New(1)); err == nil {
+	if _, err := NewRandomWalk(pts, r, 2, 1, rng.New(1)); err == nil {
 		t.Error("inverted speed range accepted")
 	}
-	if _, err := NewRandomWalk(pts, r, 0, 1, 10, nil); err == nil {
+	if _, err := NewRandomWalk(pts, r, 0, 1, nil); err == nil {
 		t.Error("nil source accepted")
 	}
 }
@@ -43,7 +43,7 @@ func TestRandomWalkValidation(t *testing.T) {
 func TestRandomWalkStaysInRegion(t *testing.T) {
 	pts := startPositions(50, 2)
 	r := geom.UnitSquare()
-	w, err := NewRandomWalk(pts, r, 0, SpeedToUnits(10), 30, rng.New(3))
+	w, err := NewRandomWalk(pts, r, 0, SpeedToUnits(10), rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestRandomWalkStaysInRegion(t *testing.T) {
 
 func TestRandomWalkZeroSpeedIsStationary(t *testing.T) {
 	pts := startPositions(10, 4)
-	w, err := NewRandomWalk(pts, geom.UnitSquare(), 0, 0, 10, rng.New(5))
+	w, err := NewRandomWalk(pts, geom.UnitSquare(), 0, 0, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestRandomWalkZeroSpeedIsStationary(t *testing.T) {
 func TestRandomWalkDisplacementScalesWithSpeed(t *testing.T) {
 	displacement := func(speed float64) float64 {
 		pts := startPositions(100, 6)
-		w, err := NewRandomWalk(pts, geom.UnitSquare(), speed, speed, 0, rng.New(7))
+		w, err := NewRandomWalk(pts, geom.UnitSquare(), speed, speed, rng.New(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestRandomWalkDisplacementScalesWithSpeed(t *testing.T) {
 
 func TestRandomWalkZeroDtNoop(t *testing.T) {
 	pts := startPositions(5, 8)
-	w, err := NewRandomWalk(pts, geom.UnitSquare(), 0.1, 0.1, 10, rng.New(9))
+	w, err := NewRandomWalk(pts, geom.UnitSquare(), 0.1, 0.1, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +116,11 @@ func TestRandomWalkZeroDtNoop(t *testing.T) {
 
 func TestRandomWalkDeterminism(t *testing.T) {
 	pts := startPositions(20, 10)
-	a, err := NewRandomWalk(pts, geom.UnitSquare(), 0, 0.01, 30, rng.New(11))
+	a, err := NewRandomWalk(pts, geom.UnitSquare(), 0, 0.01, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRandomWalk(pts, geom.UnitSquare(), 0, 0.01, 30, rng.New(11))
+	b, err := NewRandomWalk(pts, geom.UnitSquare(), 0, 0.01, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}

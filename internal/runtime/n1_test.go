@@ -67,3 +67,44 @@ func TestGuardN1RedrawAllocatesNothing(t *testing.T) {
 		t.Fatalf("N1 redraw allocates %v times per run", allocs)
 	}
 }
+
+// TestGuardsAllocateNothing: the three guards allocate nothing on the
+// warm nodes of a stabilized world, on paths a quiescent step never runs:
+// R1 recounting its links (linksOK cleared), R2 under the basic order and
+// under sticky+fusion, and N1 on a DAG node whose color collides with no
+// neighbor's.
+func TestGuardsAllocateNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		proto Protocol
+	}{
+		{"plain", Protocol{Order: cluster.OrderBasic}},
+		{"fusion", Protocol{Order: cluster.OrderSticky, Fusion: true}},
+		{"dag", Protocol{Order: cluster.OrderBasic, UseDag: true, Gamma: 1 << 20}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, ids := randomNetwork(2, 400, 0.1)
+			e, err := New(g, ids, tc.proto, radio.Perfect{}, rng.New(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.RunUntilStable(5000, 5); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				for _, n := range e.nodes {
+					n.linksOK = false
+					if n.guardN1(tc.proto) || n.guardR1(1) || n.guardR2(tc.proto) {
+						t.Fatal("a guard fired on a stabilized node")
+					}
+					if !n.linksOK {
+						t.Fatal("R1 did not recount")
+					}
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("the guards allocate %v times per pass over %d nodes", allocs, len(e.nodes))
+			}
+		})
+	}
+}

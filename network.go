@@ -233,7 +233,7 @@ func (n *Network) Verify() error {
 		}
 		d := n.engine.Node(i).Density()
 		if diff := d - want[i]; diff > 1e-9 || diff < -1e-9 {
-			return fmt.Errorf("selfstab: node %d density %v, want %v", i, d, want[i])
+			return fmt.Errorf("selfstab: node %d density %v, want %v", n.engine.IDs()[i], d, want[i])
 		}
 	}
 	// Locally unique colors (Theorem 1 legitimacy).
@@ -250,7 +250,10 @@ func (n *Network) Verify() error {
 			continue
 		}
 		if got.Head[u] != oracle.Head[u] {
-			return fmt.Errorf("selfstab: node %d heads %d, oracle fixpoint %d", u, got.Head[u], oracle.Head[u])
+			// The live head comes from node state: a corrupted or stale
+			// head identifier has no slot, so got.Head[u] may be -1.
+			ids := n.engine.IDs()
+			return fmt.Errorf("selfstab: node %d heads %d, oracle fixpoint %d", ids[u], n.engine.Node(u).HeadID(), ids[oracle.Head[u]])
 		}
 	}
 	if err := cluster.CheckInvariants(n.grid.Graph(), got, n.cfg.Fusion); err != nil {

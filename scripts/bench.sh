@@ -31,7 +31,8 @@
 # (benchstat on the raw text, or any tool on the JSON).
 #
 # Every file starts with its provenance: the commit the tree was at
-# ("+dirty" when it had uncommitted changes) and GOMAXPROCS, as
+# ("+dirty" when it had uncommitted changes), GOMAXPROCS, the Go version
+# and the CPU model ("unknown" when /proc/cpuinfo names none), as
 # "key: value" configuration lines in the raw text and as header fields
 # of the JSON object whose "samples" array holds the rows. Benchmark
 # names are recorded without the -GOMAXPROCS suffix, so a row keeps its
@@ -92,9 +93,14 @@ if [ "$COMMIT" != unknown ] && [ -n "$(git status --porcelain --untracked-files=
     COMMIT="$COMMIT+dirty"
 fi
 export GOMAXPROCS="${GOMAXPROCS:-$(nproc)}"
+GOVERSION="$(go env GOVERSION)"
+CPUMODEL="$(awk -F': *' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null || true)"
+CPUMODEL="${CPUMODEL:-unknown}"
 provenance() {
     echo "commit: $COMMIT"
     echo "gomaxprocs: $GOMAXPROCS"
+    echo "goversion: $GOVERSION"
+    echo "cpumodel: $CPUMODEL"
 }
 
 echo "== benchmarks (count=$COUNT)" >&2
@@ -134,9 +140,17 @@ fi
 bench_to_json() {
 awk '
 BEGIN { first = 1 }
-function header() { printf "{\"commit\": \"%s\", \"gomaxprocs\": %d, \"samples\": [\n", commit, procs }
+# quote makes s a JSON string; it drops quotes and backslashes, which no
+# commit, Go version or CPU model needs.
+function quote(s) { gsub(/["\\]/, "", s); return "\"" s "\"" }
+function header() {
+    printf "{\"commit\": %s, \"gomaxprocs\": %d, \"goversion\": %s, \"cpumodel\": %s, \"samples\": [\n",
+        quote(commit), procs, quote(gover), quote(cpu)
+}
 /^commit: / { commit = $2 }
 /^gomaxprocs: / { procs = $2; suffix = "-" procs "$" }
+/^goversion: / { gover = $2 }
+/^cpumodel: / { cpu = substr($0, length("cpumodel: ") + 1) }
 /^pkg: / { pkg = $2 }
 /^Benchmark/ {
     if (first) header()

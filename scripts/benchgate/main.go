@@ -8,9 +8,10 @@
 // Benchmarks present on only one side are skipped (new benchmarks are
 // not regressions; retired ones are not failures), so the gate tracks
 // the trajectory without blocking additions. Each file's header carries
-// the GOMAXPROCS it was recorded at; when the two differ the files are
-// not comparable, and the gate says so and passes rather than compare
-// a one-core median with a two-core one.
+// the commit, GOMAXPROCS, Go version and CPU model it was recorded at,
+// and the gate prints both headers. When the GOMAXPROCS differ the files
+// are not comparable, and the gate says so and passes rather than
+// compare a one-core median with a two-core one.
 //
 // With -pairs it instead summarizes a pairs file that scripts/pair.sh
 // wrote: for each end-to-end metric BENCHMARK.json declares, both sides'
@@ -37,21 +38,26 @@ type sample struct {
 	NsPerOp *float64 `json:"ns_per_op"`
 }
 
-// benchFile is a BENCH_*.json document as scripts/bench.sh writes it.
+// benchFile is a BENCH_*.json document as scripts/bench.sh writes it:
+// the provenance header, then the samples. Files written before the Go
+// version and CPU model were recorded leave those two empty.
 type benchFile struct {
+	Commit     string   `json:"commit"`
 	GoMaxProcs int      `json:"gomaxprocs"`
+	GoVersion  string   `json:"goversion"`
+	CPUModel   string   `json:"cpumodel"`
 	Samples    []sample `json:"samples"`
 }
 
-// medians returns the file's GOMAXPROCS and each benchmark's median ns/op.
-func medians(path string) (int, map[string]float64, error) {
+// medians returns the file's header and each benchmark's median ns/op.
+func medians(path string) (benchFile, map[string]float64, error) {
+	var doc benchFile
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return 0, nil, err
+		return doc, nil, err
 	}
-	var doc benchFile
 	if err := json.Unmarshal(raw, &doc); err != nil {
-		return 0, nil, fmt.Errorf("%s: %w", path, err)
+		return doc, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	byKey := map[string][]float64{}
 	for _, s := range doc.Samples {
@@ -66,7 +72,7 @@ func medians(path string) (int, map[string]float64, error) {
 		sort.Float64s(vals)
 		out[key] = vals[len(vals)/2]
 	}
-	return doc.GoMaxProcs, out, nil
+	return doc, out, nil
 }
 
 func main() {
@@ -94,19 +100,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)
 	}
-	baseProcs, base, err := medians(*baseline)
+	baseDoc, base, err := medians(*baseline)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)
 	}
-	curProcs, cur, err := medians(*fresh)
+	curDoc, cur, err := medians(*fresh)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)
 	}
-	if baseProcs != curProcs {
+	for _, d := range []benchFile{baseDoc, curDoc} {
+		fmt.Printf("benchgate: commit %s, GOMAXPROCS=%d, Go %q, CPU %q\n", d.Commit, d.GoMaxProcs, d.GoVersion, d.CPUModel)
+	}
+	if baseDoc.GoMaxProcs != curDoc.GoMaxProcs {
 		fmt.Fprintf(os.Stderr, "benchgate: %s was recorded at GOMAXPROCS=%d, %s at %d: not comparable, skipping\n",
-			*baseline, baseProcs, *fresh, curProcs)
+			*baseline, baseDoc.GoMaxProcs, *fresh, curDoc.GoMaxProcs)
 		return
 	}
 	keys := make([]string, 0, len(cur))

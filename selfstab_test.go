@@ -1,6 +1,8 @@
 package selfstab
 
 import (
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -135,6 +137,94 @@ func TestVerifyDetectsUnstabilized(t *testing.T) {
 	// Definition 1 on a connected random graph.
 	if err := net.Verify(); err == nil {
 		t.Error("verify passed on an unstabilized network")
+	}
+}
+
+// TestVerifyErrorsNameIdentifiers: on a world whose identifiers are far
+// from its slot numbers, every node Verify names while the world
+// stabilizes, the failing node and both heads alike, is an identifier.
+func TestVerifyErrorsNameIdentifiers(t *testing.T) {
+	ids := make([]int64, 120)
+	known := make(map[string]bool, len(ids))
+	for i := range ids {
+		ids[i] = 1_000_003 + 1_000*int64(i)
+		known[strconv.FormatInt(ids[i], 10)] = true
+	}
+	net, err := NewRandomNetwork(len(ids), WithSeed(3), WithRange(0.15), WithIDs(ids))
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := regexp.MustCompile(`(node|heads|fixpoint) (-?\d+)`)
+	var sawDensity, sawHead bool
+	for step := 0; ; step++ {
+		err := net.Verify()
+		if err == nil {
+			break
+		}
+		if step == 200 {
+			t.Fatalf("not stabilized after %d steps: %v", step, err)
+		}
+		found := named.FindAllStringSubmatch(err.Error(), -1)
+		if len(found) == 0 {
+			t.Fatalf("step %d: %q names no node", step, err)
+		}
+		for _, m := range found {
+			if !known[m[2]] {
+				t.Errorf("step %d: %q names %s %s, not an identifier", step, err, m[1], m[2])
+			}
+		}
+		sawDensity = sawDensity || strings.Contains(err.Error(), "density")
+		sawHead = sawHead || strings.Contains(err.Error(), "heads")
+		if err := net.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !sawDensity || !sawHead {
+		t.Errorf("density error seen %v, head error seen %v; want both", sawDensity, sawHead)
+	}
+}
+
+// TestVerifyAfterFaultsNamesIdentifiers: after every state is corrupted,
+// nodes point at head identifiers no node carries. Verify must report
+// them, naming the failing node and the oracle's head by identifier,
+// on every step until the world heals.
+func TestVerifyAfterFaultsNamesIdentifiers(t *testing.T) {
+	ids := make([]int64, 120)
+	known := make(map[string]bool, len(ids))
+	for i := range ids {
+		ids[i] = 1_000_003 + 1_000*int64(i)
+		known[strconv.FormatInt(ids[i], 10)] = true
+	}
+	net, err := NewRandomNetwork(len(ids), WithSeed(3), WithRange(0.15), WithIDs(ids))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Stabilize(500); err != nil {
+		t.Fatal(err)
+	}
+	net.InjectFaults(1.0)
+	named := regexp.MustCompile(`(node|fixpoint) (-?\d+)`)
+	var sawHead bool
+	for step := 0; ; step++ {
+		err := net.Verify()
+		if err == nil {
+			break
+		}
+		if step == 200 {
+			t.Fatalf("not healed after %d steps: %v", step, err)
+		}
+		for _, m := range named.FindAllStringSubmatch(err.Error(), -1) {
+			if !known[m[2]] {
+				t.Errorf("step %d: %q names %s %s, not an identifier", step, err, m[1], m[2])
+			}
+		}
+		sawHead = sawHead || strings.Contains(err.Error(), "heads")
+		if err := net.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !sawHead {
+		t.Error("no head error seen while healing")
 	}
 }
 
