@@ -17,8 +17,9 @@ import (
 // graph), the step engine (node state, identifiers, the id→index map,
 // the churn schedule's wake deadlines and the convergence ledger's open
 // episode), the traffic queues and flow endpoints, and the energy
-// arrays. The cached routing tables and flat distances rebuild because
-// compaction advances the graph's version.
+// arrays. The routing table is rebuilt in full on its next use, since a
+// repair keyed by slot cannot survive a renumbering, and the flat
+// distances recompute because compaction advances the graph's version.
 //
 // Compaction is invisible to everything keyed by node identifier: the
 // protocol state, Clusters, Stats, TrafficStats, EnergyStats and
@@ -53,10 +54,13 @@ func (n *Network) compactImpl() (removed int, err error) {
 	if r.Dropped() == 0 {
 		return 0, nil
 	}
+	n.routeIDs = n.routeIDs[:0] // slots renumber: the next render resolves every slot
 	// Order matters and mirrors construction: topology first (the engine
 	// validates its graph against the survivor count), then the engine,
 	// then the attached subsystems. The grid's graph advances its Version,
-	// which invalidates the index-keyed routing tables and flat distances.
+	// which invalidates the index-keyed flat distances, and records the
+	// renumbering, which makes the routing table's next repair a full
+	// build.
 	if err := n.grid.Compact(r); err != nil {
 		return 0, fmt.Errorf("selfstab: compact: %w", err)
 	}

@@ -79,7 +79,7 @@ func BenchmarkCheckInvariants(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := CheckInvariants(g, a, false); err != nil {
+				if err := CheckInvariants(g, a, false, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"selfstab/internal/metric"
@@ -43,7 +45,7 @@ func TestPaperExampleClustering(t *testing.T) {
 	if got := len(a.Heads()); got != 2 {
 		t.Errorf("clusters = %d, want 2", got)
 	}
-	if err := CheckInvariants(g, a, false); err != nil {
+	if err := CheckInvariants(g, a, false, nil); err != nil {
 		t.Error(err)
 	}
 }
@@ -158,7 +160,7 @@ func TestNoAdjacentHeads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := CheckInvariants(g, a, false); err != nil {
+		if err := CheckInvariants(g, a, false, nil); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 	}
@@ -194,7 +196,7 @@ func TestFusionHeadSeparation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := CheckInvariants(g, a, true); err != nil {
+		if err := CheckInvariants(g, a, true, nil); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 	}
@@ -256,7 +258,7 @@ func TestFusionPathExample(t *testing.T) {
 	if len(fused.Heads()) != 1 || fused.Parent[2] != 2 {
 		t.Errorf("fusion: heads = %v, want just node 2", fused.Heads())
 	}
-	if err := CheckInvariants(g, fused, true); err != nil {
+	if err := CheckInvariants(g, fused, true, nil); err != nil {
 		t.Error(err)
 	}
 	// The dissolved head u=0 must reach v=2 through the common neighbor.
@@ -357,6 +359,49 @@ func TestMembersAndHeads(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsNamesIdentifiers: on a world whose identifiers are
+// not its indices, every violation names the nodes involved by
+// identifier, and an out-of-range parent by the index it holds.
+func TestCheckInvariantsNamesIdentifiers(t *testing.T) {
+	g, cfg := paperConfig()
+	a, err := Compute(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]int64, g.N())
+	for u := range ids {
+		ids[u] = 9000 + 7*int64(u)
+	}
+	tests := []struct {
+		name   string
+		mutate func(*Assignment)
+		want   string
+	}{
+		{"parent out of range", func(a *Assignment) { a.Parent[paperex.C] = 99 },
+			fmt.Sprintf("node %d: parent index 99 out of range", ids[paperex.C])},
+		{"parent not neighbor", func(a *Assignment) { a.Parent[paperex.C] = paperex.E },
+			fmt.Sprintf("node %d: parent %d is not a neighbor", ids[paperex.C], ids[paperex.E])},
+		{"head inconsistent", func(a *Assignment) { a.Head[paperex.C] = paperex.J },
+			fmt.Sprintf("Head is %d", ids[paperex.J])},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			b := &Assignment{
+				Parent: append([]int(nil), a.Parent...),
+				Head:   append([]int(nil), a.Head...),
+			}
+			tt.mutate(b)
+			err := CheckInvariants(g, b, false, ids)
+			if err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Fatalf("got %v, want an error containing %q", err, tt.want)
+			}
+		})
+	}
+	if err := CheckInvariants(g, a, false, ids[:3]); err == nil {
+		t.Error("a short identifier list was accepted")
+	}
+}
+
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	g, cfg := paperConfig()
 	a, err := Compute(g, cfg)
@@ -388,7 +433,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 				Head:   append([]int(nil), a.Head...),
 			}
 			tt.mutate(b)
-			if err := CheckInvariants(g, b, false); err == nil {
+			if err := CheckInvariants(g, b, false, nil); err == nil {
 				t.Error("corruption not detected")
 			}
 		})

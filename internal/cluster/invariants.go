@@ -29,28 +29,41 @@ import (
 //     adopted head, so 6 and 7 are deliberately not required — the merged
 //     cluster's identity is adopted directly, not learned along the parent
 //     chain.)
-func CheckInvariants(g *topology.Graph, a *Assignment, fusion bool) error {
+//
+// Errors name nodes by identifier: ids[u] is node u's (nil names each
+// node by its index). A parent or head outside the graph names no node,
+// so it is printed as the index it holds.
+func CheckInvariants(g *topology.Graph, a *Assignment, fusion bool, ids []int64) error {
 	n := g.N()
 	if len(a.Parent) != n || len(a.Head) != n {
 		return fmt.Errorf("assignment sized %d/%d for %d nodes", len(a.Parent), len(a.Head), n)
 	}
+	if ids != nil && len(ids) != n {
+		return fmt.Errorf("%d identifiers for %d nodes", len(ids), n)
+	}
+	id := func(u int) int64 {
+		if ids == nil {
+			return int64(u)
+		}
+		return ids[u]
+	}
 	for u := 0; u < n; u++ {
 		p := a.Parent[u]
 		if p < 0 || p >= n {
-			return fmt.Errorf("node %d: parent %d out of range", u, p)
+			return fmt.Errorf("node %d: parent index %d out of range", id(u), p)
 		}
 		if h := a.Head[u]; h < 0 || h >= n {
-			return fmt.Errorf("node %d: head %d out of range", u, h)
+			return fmt.Errorf("node %d: head index %d out of range", id(u), h)
 		}
 		if p != u && !g.HasEdge(u, p) {
-			return fmt.Errorf("node %d: parent %d is not a neighbor", u, p)
+			return fmt.Errorf("node %d: parent %d is not a neighbor", id(u), id(p))
 		}
 		if (p == u) != (a.Head[u] == u) {
 			return fmt.Errorf("node %d: parent fixpoint %v but head fixpoint %v",
-				u, p == u, a.Head[u] == u)
+				id(u), p == u, a.Head[u] == u)
 		}
 		if a.Head[a.Head[u]] != a.Head[u] {
-			return fmt.Errorf("node %d: head %d is not its own head", u, a.Head[u])
+			return fmt.Errorf("node %d: head %d is not its own head", id(u), id(a.Head[u]))
 		}
 	}
 	// Chain termination (and, without fusion, head consistency).
@@ -58,12 +71,12 @@ func CheckInvariants(g *topology.Graph, a *Assignment, fusion bool) error {
 		v := u
 		for hops := 0; a.Parent[v] != v; hops++ {
 			if hops > n {
-				return fmt.Errorf("node %d: parent chain does not terminate", u)
+				return fmt.Errorf("node %d: parent chain does not terminate", id(u))
 			}
 			v = a.Parent[v]
 		}
 		if !fusion && v != a.Head[u] {
-			return fmt.Errorf("node %d: chain ends at %d but Head is %d", u, v, a.Head[u])
+			return fmt.Errorf("node %d: chain ends at %d but Head is %d", id(u), id(v), id(a.Head[u]))
 		}
 	}
 	// No two adjacent heads.
@@ -73,7 +86,7 @@ func CheckInvariants(g *topology.Graph, a *Assignment, fusion bool) error {
 		}
 		for _, v := range g.Neighbors(u) {
 			if a.Parent[v] == v {
-				return fmt.Errorf("adjacent cluster-heads %d and %d", u, v)
+				return fmt.Errorf("adjacent cluster-heads %d and %d", id(u), id(v))
 			}
 		}
 	}
@@ -83,7 +96,7 @@ func CheckInvariants(g *topology.Graph, a *Assignment, fusion bool) error {
 		// above, so a.Head is the partition headDistances expects.)
 		for u, d := range headDistances(g, a.Head) {
 			if d < 0 {
-				return fmt.Errorf("cluster %d: member %d unreachable inside cluster", a.Head[u], u)
+				return fmt.Errorf("cluster %d: member %d unreachable inside cluster", id(a.Head[u]), id(u))
 			}
 		}
 		return nil
@@ -98,7 +111,7 @@ func CheckInvariants(g *topology.Graph, a *Assignment, fusion bool) error {
 		for _, x := range g.Neighbors(h) {
 			for _, v := range g.Neighbors(x) {
 				if v != h && isHead[v] {
-					return fmt.Errorf("fusion violated: heads %d and %d within 2 hops", h, v)
+					return fmt.Errorf("fusion violated: heads %d and %d within 2 hops", id(h), id(v))
 				}
 			}
 		}

@@ -387,8 +387,8 @@ func TestHierarchicalMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Same graph, same version across the three kinds: the
-			// component labels are the retained ones.
+			// One table, Reset over and over: each build reuses the
+			// buffers the last one left.
 			if err := live.Reset(g, a); err != nil {
 				t.Fatal(err)
 			}

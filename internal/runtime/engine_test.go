@@ -238,7 +238,7 @@ func TestConvergesToOracleWithFusion(t *testing.T) {
 				t.Errorf("seed %d: node %d head = %d, oracle %d", seed, u, got.Head[u], want.Head[u])
 			}
 		}
-		if err := cluster.CheckInvariants(g, got, true); err != nil {
+		if err := cluster.CheckInvariants(g, got, true, nil); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 	}

@@ -186,8 +186,11 @@ func (gi *GridIndex) collectNeighbors(i int, dst []int) []int {
 // the affected radio neighborhoods.
 func (gi *GridIndex) SetOnAdjacencyChange(fn func(i int)) { gi.onAdjChange = fn }
 
-// noteAdj fires the adjacency hook for node i.
+// noteAdj stamps node i's adjacency as changed by the operation under
+// way (Graph.TouchedSince) and fires the adjacency hook for it. Every
+// operation that calls it advances the graph's version before returning.
 func (gi *GridIndex) noteAdj(i int) {
+	gi.g.touch(i)
 	if gi.onAdjChange != nil {
 		gi.onAdjChange(i)
 	}
@@ -291,7 +294,9 @@ func (gi *GridIndex) Append(p geom.Point) int {
 	gi.cell = append(gi.cell, c)
 	gi.buckets[c] = append(gi.buckets[c], int32(i))
 	gi.inactive = append(gi.inactive, false)
-	gi.g.AddNode()
+	gi.g.adj = append(gi.g.adj, nil)
+	gi.g.stamp = append(gi.g.stamp, 0)
+	gi.g.touch(i)
 	if gi.r > 0 {
 		gi.newNbrs = gi.collectNeighbors(i, gi.newNbrs)
 		for _, j := range gi.newNbrs {
@@ -303,6 +308,7 @@ func (gi *GridIndex) Append(p geom.Point) int {
 			gi.noteAdj(i)
 		}
 	}
+	gi.g.version++
 	return i
 }
 

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 
 	"selfstab/internal/geom"
@@ -410,4 +411,84 @@ func TestGraphVersion(t *testing.T) {
 	advances(g, "GridIndex.Reactivate", func() error { idx.Reactivate(1); return nil })
 	idx.Deactivate(3)
 	advances(g, "GridIndex.Compact", func() error { return idx.Compact(slot.Plan(4, func(i int) bool { return i == 3 })) })
+}
+
+// TestTouchedSince: after every operation, TouchedSince at the version
+// before it names exactly the nodes whose adjacency the operation changed
+// (both ends of every edge created or removed) plus the nodes it added,
+// and TouchedSince at the version after it names none; after Compact, a
+// version from before the renumbering is refused.
+func TestTouchedSince(t *testing.T) {
+	check := func(g *Graph, what string, op func()) {
+		t.Helper()
+		before := make([][]int, g.N())
+		for u := range before {
+			before[u] = slices.Clone(g.Neighbors(u))
+		}
+		v := g.Version()
+		op()
+		var want []int32
+		for u := 0; u < g.N(); u++ {
+			if u >= len(before) || !slices.Equal(before[u], g.Neighbors(u)) {
+				want = append(want, int32(u))
+			}
+		}
+		got, ok := g.TouchedSince(v, nil)
+		if !ok || !slices.Equal(got, want) {
+			t.Fatalf("%s: TouchedSince = %v, %v; want %v", what, got, ok, want)
+		}
+		if got, _ := g.TouchedSince(g.Version(), nil); len(got) != 0 {
+			t.Fatalf("%s: TouchedSince(current version) = %v, want none", what, got)
+		}
+	}
+
+	g := New(3)
+	check(g, "Graph.AddNode", func() { g.AddNode() })
+	check(g, "Graph.AddEdge", func() {
+		if err := g.AddEdge(0, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	check(g, "Graph.RemoveNode", func() { g.RemoveNode(0) })
+
+	src := rng.New(7)
+	pts := make([]geom.Point, 60)
+	for i := range pts {
+		pts[i] = geom.Point{X: src.Float64(), Y: src.Float64()}
+	}
+	idx := NewGridIndexInRegion(pts, 0.2, geom.UnitSquare())
+	g = idx.Graph()
+	for round := 0; round < 40; round++ {
+		switch round % 4 {
+		case 0:
+			for k := 0; k < 3; k++ {
+				i := src.Intn(len(pts))
+				pts[i] = geom.Point{X: src.Float64(), Y: src.Float64()}
+			}
+			check(g, "GridIndex.Update", func() {
+				if err := idx.Update(pts); err != nil {
+					t.Fatal(err)
+				}
+			})
+		case 1:
+			p := geom.Point{X: src.Float64(), Y: src.Float64()}
+			pts = append(pts, p)
+			check(g, "GridIndex.Append", func() { idx.Append(p) })
+		case 2:
+			check(g, "GridIndex.Deactivate", func() { idx.Deactivate(src.Intn(len(pts))) })
+		case 3:
+			check(g, "GridIndex.Reactivate", func() { idx.Reactivate(src.Intn(len(pts))) })
+		}
+	}
+	v := g.Version()
+	idx.Deactivate(5)
+	if err := idx.Compact(slot.Plan(g.N(), func(i int) bool { return i == 5 })); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := g.TouchedSince(v, nil); ok {
+		t.Fatalf("TouchedSince across a Compact = %v, true; want it refused", got)
+	}
+	if _, ok := g.TouchedSince(g.Version(), nil); !ok {
+		t.Fatal("TouchedSince at the version Compact left was refused")
+	}
 }

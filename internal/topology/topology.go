@@ -19,6 +19,11 @@ type Graph struct {
 	// version advances whenever an adjacency list or the node numbering
 	// changes (see Version).
 	version uint64
+	// stamp[u] is the version that the last change to u's adjacency
+	// produced (0: none since the node's row was built), and renumbered
+	// the version Compact last produced. See TouchedSince.
+	stamp      []uint64
+	renumbered uint64
 }
 
 // New returns an empty graph on n nodes.
@@ -26,7 +31,7 @@ func New(n int) *Graph {
 	if n < 0 {
 		n = 0
 	}
-	return &Graph{adj: make([][]int, n)}
+	return &Graph{adj: make([][]int, n), stamp: make([]uint64, n)}
 }
 
 // FromPoints builds the unit-disk graph over pts: nodes u != v are adjacent
@@ -53,11 +58,40 @@ func (g *Graph) N() int { return len(g.adj) }
 // hop distances) are valid exactly while it is unchanged.
 func (g *Graph) Version() uint64 { return g.version }
 
+// touch records that u's adjacency changes in the operation under way.
+// Every operation that touches a node advances the version once it is
+// done, so the stamp is the version the operation leaves behind.
+func (g *Graph) touch(u int) { g.stamp[u] = g.version + 1 }
+
+// TouchedSince appends to dst every node whose adjacency changed after
+// the graph stood at version v — both endpoints of every edge created or
+// removed since, and every node added since — in ascending order, and
+// reports true. It reports false, appending nothing, when Compact has
+// renumbered the nodes since v: indices taken at v then name other nodes.
+// It scans one stamp per node, so a caller that keeps a structure derived
+// at version v in step with the graph pays O(N) for the scan plus its own
+// O(change) repair instead of a rebuild.
+func (g *Graph) TouchedSince(v uint64, dst []int32) ([]int32, bool) {
+	if g.renumbered > v {
+		return dst, false
+	}
+	for u, s := range g.stamp {
+		if s > v {
+			dst = append(dst, int32(u))
+		}
+	}
+	return dst, true
+}
+
 // AddNode appends a new isolated vertex and returns its index. Indices of
 // existing nodes are unaffected — the graph only ever grows at the end, so
 // dense per-node arrays elsewhere stay aligned under churn.
+//
+//selfstab:testref runtime's churn tests and TestGraphVersion grow hand-built graphs node by node; GridIndex.Append grows its graph in place
 func (g *Graph) AddNode() int {
 	g.adj = append(g.adj, nil)
+	g.stamp = append(g.stamp, 0)
+	g.touch(len(g.adj) - 1)
 	g.version++
 	return len(g.adj) - 1
 }
@@ -76,6 +110,8 @@ func (g *Graph) AddEdge(u, v int) error {
 	}
 	g.adj[u] = insertSorted(g.adj[u], v)
 	g.adj[v] = insertSorted(g.adj[v], u)
+	g.touch(u)
+	g.touch(v)
 	g.version++
 	return nil
 }
@@ -198,7 +234,9 @@ func (g *Graph) Compact(r slot.Remap) error {
 		}
 	}
 	g.adj = slot.Apply(r, g.adj)
+	g.stamp = slot.Apply(r, g.stamp)
 	g.version++
+	g.renumbered = g.version
 	return nil
 }
 
@@ -221,8 +259,10 @@ func (g *Graph) RemoveNode(u int) {
 	}
 	for _, v := range g.adj[u] {
 		g.adj[v] = removeSorted(g.adj[v], u)
+		g.touch(v)
 	}
 	g.adj[u] = nil
+	g.touch(u)
 	g.version++
 }
 

@@ -256,7 +256,7 @@ func (n *Network) Verify() error {
 			return fmt.Errorf("selfstab: node %d heads %d, oracle fixpoint %d", ids[u], n.engine.Node(u).HeadID(), ids[oracle.Head[u]])
 		}
 	}
-	if err := cluster.CheckInvariants(n.grid.Graph(), got, n.cfg.Fusion); err != nil {
+	if err := cluster.CheckInvariants(n.grid.Graph(), got, n.cfg.Fusion, n.engine.IDs()); err != nil {
 		return fmt.Errorf("selfstab: %w", err)
 	}
 	return nil
@@ -318,6 +318,51 @@ func (n *Network) SetParallelism(workers int) { n.engine.SetParallelism(workers)
 // (uppercase letters are cluster-heads).
 func (n *Network) RenderASCII(rows, cols int) (string, error) {
 	return viz.ASCII(n.grid.Graph(), n.grid.Points(), n.renderAssignment(new(cluster.Assignment)), rows, cols)
+}
+
+// renderMoved brings routeAsg up to date with the engine, rendered as
+// renderAssignment renders, and returns the slots below the previous slot
+// count whose rendered head or parent changed. routeIDs keeps the head
+// and parent identifiers each slot was rendered from, so only a slot
+// whose identifiers moved is resolved again; when slots were added, a
+// slot whose identifier did not resolve is retried too, since the new
+// identifiers may name it. With routeIDs empty (the first render, or the
+// first after Compact) every slot is rendered and none returned.
+func (n *Network) renderMoved() []int32 {
+	e, a, ids := n.engine, &n.routeAsg, n.engine.IDs()
+	prev := len(n.routeIDs)
+	grew := len(ids) > prev
+	a.Head = slices.Grow(a.Head[:prev], len(ids)-prev)[:len(ids)]
+	a.Parent = slices.Grow(a.Parent[:prev], len(ids)-prev)[:len(ids)]
+	n.routeIDs = slices.Grow(n.routeIDs[:prev], len(ids)-prev)[:len(ids)]
+	moved := n.routeMoved[:0]
+	for i := range ids {
+		nd, was := e.Node(i), &n.routeIDs[i]
+		head, parent := nd.HeadID(), nd.ParentID()
+		if i < prev && head == was.head && parent == was.parent &&
+			(!grew || (ids[a.Head[i]] == head && ids[a.Parent[i]] == parent)) {
+			continue
+		}
+		*was = headParentIDs{head, parent}
+		h, p := n.slotOr(head, i), n.slotOr(parent, i)
+		if i < prev && (h != a.Head[i] || p != a.Parent[i]) {
+			moved = append(moved, int32(i))
+		}
+		a.Head[i], a.Parent[i] = h, p
+	}
+	n.routeMoved = moved
+	return moved
+}
+
+// headParentIDs is the head and parent identifier a slot was rendered from.
+type headParentIDs struct{ head, parent int64 }
+
+// slotOr returns the slot of node id, or self when no slot holds it.
+func (n *Network) slotOr(id int64, self int) int {
+	if i, ok := n.engine.Index(id); ok {
+		return i
+	}
+	return self
 }
 
 // renderAssignment sanitizes the live assignment for rendering and routing:

@@ -49,10 +49,30 @@ func BenchmarkRouteCached(b *testing.B) {
 // benchmark: 2 000 nodes at mean degree 10 carrying 250 flows at rate 0.1
 // with energy rotation and churn (1 arrival, 0.5 departures, 0.5 crashes,
 // 1 sleep a step), so the engine epoch moves nearly every step and each
-// step's forwarding runs against a freshly reset routing table. What it
-// gates is that such a step pays for the trees its packets touch, not for
-// a table build.
+// step's forwarding runs against a routing table repaired for that
+// step's changes. What it gates is that such a step pays for the
+// clusters its changes touch and the trees its packets touch, not for a
+// table build.
 func BenchmarkTrafficStepMovingEpoch2000(b *testing.B) {
+	net := mixedWorld(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := net.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	s, err := net.TrafficStats()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(s.DeliveryRatio, "deliveryRatio")
+}
+
+// mixedWorld builds the bench/ "mixed" recipe's world, stepped 50 times.
+func mixedWorld(b *testing.B) *Network {
+	b.Helper()
 	const nodes = 2000
 	net, err := NewRandomNetwork(nodes, WithSeed(1),
 		WithRange(math.Sqrt(10/(math.Pi*nodes))), WithCacheTTL(8))
@@ -86,19 +106,61 @@ func BenchmarkTrafficStepMovingEpoch2000(b *testing.B) {
 	if err := net.Run(50); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := net.Step(); err != nil {
+	return net
+}
+
+// BenchmarkRoutingEpoch is the routing table's own row: what bringing
+// the table to a new epoch costs, without the queries that fill its
+// trees. repair steps the mixed recipe's world (BenchmarkTrafficStep-
+// MovingEpoch2000, warmed up with its traffic, which is then detached so
+// that nothing but the timed call touches the table) untimed and times
+// the update that follows, so an op is one epoch's render and repair.
+// fallback does the same after corrupting 1 % of the nodes before each
+// step (InjectFaults), which changes more than the quarter of the nodes
+// past which Repair rebuilds in full: the two rows sit on the two sides
+// of that cut-off, and builds/op says which side each op took. build
+// times the first table of the dataplane world (dataplaneWorld): the
+// render and full build a fresh Network pays once.
+func BenchmarkRoutingEpoch(b *testing.B) {
+	epochs := func(b *testing.B, faults float64) {
+		net := mixedWorld(b)
+		net.DetachTraffic()
+		tab, err := net.hierTable()
+		if err != nil {
 			b.Fatal(err)
 		}
+		builds := tab.Work().Builds
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if faults > 0 {
+				net.InjectFaults(faults)
+			}
+			if err := net.Step(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if _, err := net.hierTable(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(net.routeTab.Work().Builds-builds)/float64(b.N), "builds/op")
 	}
-	b.StopTimer()
-	s, err := net.TrafficStats()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(s.DeliveryRatio, "deliveryRatio")
+	b.Run("repair/n=2000", func(b *testing.B) { epochs(b, 0) })
+	b.Run("fallback/n=2000", func(b *testing.B) { epochs(b, 0.01) })
+	b.Run("build/n=20000", func(b *testing.B) {
+		net := dataplaneWorld(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			net.routeTab, net.routeIDs = nil, nil
+			if _, err := net.hierTable(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkFlatDist is the stretch baseline as a layer row: one op is 700

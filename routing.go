@@ -23,11 +23,13 @@ var ErrUnreachable = errors.New("selfstab: destination unreachable")
 // enable; each node's routing state is limited to its own cluster (plus
 // overlay summaries at the heads) instead of the whole network.
 //
-// The routing table lives on the Network and is reset only when the
-// cluster assignment or topology actually changed (epoch-based
-// invalidation); the reset builds a skeleton and the walk fills the
-// next-hop trees it needs (see hierTable). Repeated queries on a quiescent
-// network cost a table walk and two allocations.
+// The routing table lives on the Network and is brought up to date only
+// when the cluster assignment or topology actually changed (epoch-based
+// invalidation). The update repairs the clusters the change touched and
+// keeps the rest; the first table and the first after Compact are full
+// builds (see hierTable). The walk fills the next-hop trees it needs.
+// Repeated queries on a quiescent network cost a table walk and two
+// allocations.
 //
 // The returned path lists node identifiers from src to dst inclusive.
 // Call after Stabilize: routes follow the current head assignment.
@@ -60,23 +62,31 @@ func (n *Network) Route(srcID, dstID int64) ([]int64, error) {
 
 // hierTable returns the hierarchical routing table for the current epoch.
 // When the engine epoch moved since the last call (state-changing step,
-// topology change, fault injection) it resets the one table in place: an
-// O(N+E) skeleton pass over reused buffers, with the component labels kept
-// unless the graph's Version moved too. Next-hop trees are then filled by the queries
-// that need them (see internal/routing), so a step under churn pays for the
-// packets it forwards, not for the table.
+// topology change, fault injection) it brings the one table up to date in
+// place. The assignment is re-rendered only where a node's head or parent
+// identifier changed (renderMoved), and the table repairs the clusters
+// those nodes and the nodes whose edges moved belong to or border,
+// keeping every other cluster's members, gateways and filled trees
+// (routing.Hierarchical.Repair). The first table, and the first after
+// Compact renumbered the slots (the graph reports it), is a full O(N+E)
+// build, as is a repair that finds more than a quarter of the nodes
+// changed, past which a repair measures slower than the build. Next-hop
+// trees are then filled by the queries that need them (see
+// internal/routing), so a step under churn pays for the clusters it
+// touched and the packets it forwards, not for the table.
 func (n *Network) hierTable() (*routing.Hierarchical, error) {
 	ep := n.engine.Epoch()
-	if n.routeTab == nil || n.routeTabEpoch != ep {
-		if n.routeTab == nil {
-			n.routeTab = new(routing.Hierarchical)
-		}
-		if err := n.routeTab.Reset(n.grid.Graph(), n.renderAssignment(&n.routeAsg)); err != nil {
-			n.routeTab = nil
-			return nil, err
-		}
-		n.routeTabEpoch = ep
+	if n.routeTab != nil && n.routeTabEpoch == ep {
+		return n.routeTab, nil
 	}
+	if n.routeTab == nil {
+		n.routeTab = new(routing.Hierarchical)
+	}
+	if err := n.routeTab.Repair(n.grid.Graph(), &n.routeAsg, n.renderMoved()); err != nil {
+		n.routeTab, n.routeIDs = nil, n.routeIDs[:0]
+		return nil, err
+	}
+	n.routeTabEpoch = ep
 	return n.routeTab, nil
 }
 

@@ -201,93 +201,187 @@ func TestRoutingCacheInvalidation(t *testing.T) {
 	}
 }
 
+// liveTableLegs are the traces the live-table oracles run. churn moves
+// every epoch there is: arrivals grow the buffers, auto-compaction
+// renumbers them, traffic, energy rotation and depletion, two fault
+// injections and one mobility step. rotation keeps the topology fixed and
+// moves only heads (battery-driven rotation under traffic). move shifts
+// two nodes every step with SetPositions (each node once per 80 steps,
+// the direction flipping every 40), so edges come and go and components
+// split and merge without a lifecycle op.
+var liveTableLegs = []struct {
+	name    string
+	workers []int
+	steps   int
+}{
+	{"churn", []int{1, 4}, 140},
+	{"rotation", []int{1}, 120},
+	{"move", []int{1}, 80},
+}
+
+// liveTableTrace runs one leg and calls check after every step with the
+// network, its live table, brought up to date the way Route and the data
+// plane bring it, and the slot count before the step.
+func liveTableTrace(t *testing.T, leg string, workers, steps int, check func(step int, net *Network, live *routing.Hierarchical, slots int)) {
+	t.Helper()
+	net := churnNet(t, 160, 1606)
+	net.SetParallelism(workers)
+	if err := net.AttachTraffic(TrafficConfig{QueueCap: 8, Flows: mixedWorkload(net, 12)}); err != nil {
+		t.Fatal(err)
+	}
+	battery := EnergyConfig{Capacity: 4, Rotation: true}
+	if leg == "rotation" {
+		// Fine levels on a small battery re-elect heads every few steps,
+		// and no battery runs out within the leg.
+		battery = EnergyConfig{Capacity: 0.5, Rotation: true, RotationLevels: 16}
+	}
+	if err := net.AttachEnergy(battery); err != nil {
+		t.Fatal(err)
+	}
+	if leg == "churn" {
+		if err := net.AttachChurn(ChurnConfig{
+			ArrivalRate: 0.5, DepartureRate: 0.3, CrashRate: 0.2, SleepRate: 0.3, SleepSteps: 6,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := net.SetAutoCompact(0.05); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for step := 0; step < steps; step++ {
+		switch {
+		case leg == "churn" && (step == 40 || step == 95):
+			net.InjectFaults(0.3) // scrambled heads and parents
+		case leg == "churn" && step == 70, leg == "move":
+			pos := net.Positions()
+			for i := range pos {
+				if leg == "churn" {
+					pos[i].X = clamp01(pos[i].X + 0.03)
+				} else if i%80 == step%80 {
+					pos[i].X = clamp01(pos[i].X + 0.04*float64(1-2*(step/40%2)))
+					pos[i].Y = clamp01(pos[i].Y + 0.02)
+				}
+			}
+			if err := net.SetPositions(pos); err != nil {
+				t.Fatal(err)
+			}
+		}
+		slots := net.N()
+		if err := net.Step(); err != nil {
+			t.Fatal(err)
+		}
+		live, err := net.hierTable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(step, net, live, slots)
+	}
+}
+
 // TestLiveTableMatchesFreshBuild is the root half of the table oracle.
 // internal/routing's TestHierarchicalMatchesReference shows that a table
 // answers as the eager reference builder does; this test shows that the
-// one table the Network resets in place — from reused assignment buffers,
-// keeping component labels across engine epochs and dropping them when
-// the graph's version moves — is at every step boundary the table a fresh
-// build from the same graph and assignment would be. The trace moves every epoch
-// there is: churn (arrivals grow the buffers, auto-compaction renumbers
-// them), traffic, energy rotation and depletion, faults and mobility.
+// one table the Network keeps — repaired in place from the nodes whose
+// head or parent moved and the nodes whose edges moved, rebuilt in full
+// after Compact — is at every step boundary the table a fresh build from
+// the same graph and assignment would be: every (u, v) pair's NextHop,
+// and a sample of Routes. Through the table's work counters it shows that
+// the repair ran, kept trees, and gave way to a full build at every
+// compaction, so it cannot pass by always rebuilding.
 func TestLiveTableMatchesFreshBuild(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			net := churnNet(t, 160, 1606)
-			net.SetParallelism(workers)
-			if err := net.AttachTraffic(TrafficConfig{QueueCap: 8, Flows: mixedWorkload(net, 12)}); err != nil {
-				t.Fatal(err)
+	for _, leg := range liveTableLegs {
+		for _, workers := range leg.workers {
+			// The churn leg runs at two worker counts and is named by
+			// them, the other legs by their names.
+			name := leg.name
+			if leg.name == "churn" {
+				name = fmt.Sprintf("workers=%d", workers)
 			}
-			if err := net.AttachEnergy(EnergyConfig{Capacity: 4, Rotation: true}); err != nil {
-				t.Fatal(err)
-			}
-			if err := net.AttachChurn(ChurnConfig{
-				ArrivalRate: 0.5, DepartureRate: 0.3, CrashRate: 0.2, SleepRate: 0.3, SleepSteps: 6,
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if err := net.SetAutoCompact(0.05); err != nil {
-				t.Fatal(err)
-			}
-			src := rng.New(9)
-			resets, unreachable, grew, shrank := 0, 0, 0, 0
-			for step := 0; step < 140; step++ {
-				switch step {
-				case 40, 95:
-					net.InjectFaults(0.3) // scrambled heads and parents
-				case 70:
-					pos := net.Positions()
-					for i := range pos {
-						pos[i].X = clamp01(pos[i].X + 0.03)
+			t.Run(name, func(t *testing.T) {
+				src := rng.New(9)
+				unreachable, queries, grew, compactions := 0, 0, 0, 0
+				var last routing.Work
+				liveTableTrace(t, leg.name, workers, leg.steps, func(step int, net *Network, live *routing.Hierarchical, slots int) {
+					w := live.Work()
+					if net.N() > slots {
+						grew++
 					}
-					if err := net.SetPositions(pos); err != nil {
+					if net.N() < slots {
+						compactions++
+						if w.Builds == last.Builds {
+							t.Fatalf("step %d: Compact renumbered the slots and the table was repaired, not rebuilt", step)
+						}
+					}
+					last = w
+					fresh := new(routing.Hierarchical)
+					if err := fresh.Reset(net.grid.Graph(), net.renderAssignment(new(cluster.Assignment))); err != nil {
 						t.Fatal(err)
 					}
-				}
-				before, slots := net.routeTabEpoch, net.N()
-				if err := net.Step(); err != nil {
-					t.Fatal(err)
-				}
-				if net.N() > slots {
-					grew++
-				} else if net.N() < slots {
-					shrank++
-				}
-				live, err := net.hierTable()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if net.routeTabEpoch != before {
-					resets++
-				}
-				fresh := new(routing.Hierarchical)
-				if err := fresh.Reset(net.grid.Graph(), net.renderAssignment(new(cluster.Assignment))); err != nil {
-					t.Fatal(err)
-				}
-				for q := 0; q < 60; q++ {
-					u, v := src.Intn(net.N()), src.Intn(net.N())
-					next, err := live.NextHop(u, v)
-					wantNext, wantErr := fresh.NextHop(u, v)
-					if next != wantNext || !errors.Is(err, wantErr) {
-						t.Fatalf("step %d: NextHop(%d,%d) = (%d, %v), fresh build says (%d, %v)", step, u, v, next, err, wantNext, wantErr)
+					for u := 0; u < net.N(); u++ {
+						for v := 0; v < net.N(); v++ {
+							next, err := live.NextHop(u, v)
+							wantNext, wantErr := fresh.NextHop(u, v)
+							if next != wantNext || !errors.Is(err, wantErr) {
+								t.Fatalf("step %d: NextHop(%d,%d) = (%d, %v), fresh build says (%d, %v)", step, u, v, next, err, wantNext, wantErr)
+							}
+							if err != nil {
+								unreachable++
+							}
+							queries++
+						}
 					}
-					path, err := live.Route(u, v)
-					wantPath, wantErr := fresh.Route(u, v)
-					if !slices.Equal(path, wantPath) || !errors.Is(err, wantErr) {
-						t.Fatalf("step %d: Route(%d,%d) = (%v, %v), fresh build says (%v, %v)", step, u, v, path, err, wantPath, wantErr)
+					for q := 0; q < 60; q++ {
+						u, v := src.Intn(net.N()), src.Intn(net.N())
+						path, err := live.Route(u, v)
+						wantPath, wantErr := fresh.Route(u, v)
+						if !slices.Equal(path, wantPath) || !errors.Is(err, wantErr) {
+							t.Fatalf("step %d: Route(%d,%d) = (%v, %v), fresh build says (%v, %v)", step, u, v, path, err, wantPath, wantErr)
+						}
 					}
-					if err != nil {
-						unreachable++
-					}
+				})
+				// The comparison means something only if the table was
+				// repaired over and over and kept trees while it was and
+				// some pair routed, and if the churned trace also brought
+				// the table up to date at least 100 times, grew and
+				// compacted the slots, and saw unreachable pairs.
+				w := last
+				if w.Repairs < leg.steps/2 || w.TreesKept == 0 || unreachable == queries ||
+					(leg.name == "churn" && (w.Builds+w.Repairs < 100 || grew == 0 || compactions == 0 || unreachable == 0)) {
+					t.Fatalf("weak trace: %+v, slots grew %d times, %d compactions, %d unreachable of %d queries",
+						w, grew, compactions, unreachable, queries)
 				}
-			}
-			// The comparison means something only if the table was reset
-			// over and over, its buffers were regrown and renumbered, and
-			// both outcomes were seen.
-			if resets < 100 || grew == 0 || shrank == 0 || unreachable == 0 || unreachable == 140*60 {
-				t.Fatalf("weak trace: %d resets, slots grew %d times and shrank %d, %d unreachable of %d queries",
-					resets, grew, shrank, unreachable, 140*60)
-			}
+				switch {
+				case leg.name == "rotation" && w.ComponentNodesVisited != 0:
+					t.Fatalf("topology fixed, yet the component repair visited %d nodes", w.ComponentNodesVisited)
+				case leg.name != "rotation" && w.ComponentNodesVisited == 0:
+					t.Fatalf("edges moved, yet the component repair never ran: %+v", w)
+				}
+			})
+		}
+	}
+}
+
+// TestComponentLabelsMatchGraph is the oracle of the maintained component
+// labels: after every step of every live-table leg (churn with Compact,
+// faults, rotation, mobility) the table's labels split the slots exactly
+// as topology.Graph.Components does, up to renaming.
+func TestComponentLabelsMatchGraph(t *testing.T) {
+	for _, leg := range liveTableLegs {
+		t.Run(leg.name, func(t *testing.T) {
+			liveTableTrace(t, leg.name, 1, leg.steps, func(step int, net *Network, live *routing.Hierarchical, _ int) {
+				want, _ := net.grid.Graph().Components()
+				toLive, toWant := map[int]int{}, map[int]int{}
+				for u, c := range want {
+					l := live.Component(u)
+					if w, ok := toLive[l]; ok && w != c {
+						t.Fatalf("step %d: node %d has label %d, which also labels component %d; the graph puts it in %d", step, u, l, w, c)
+					}
+					if m, ok := toWant[c]; ok && m != l {
+						t.Fatalf("step %d: component %d carries labels %d and %d (node %d)", step, c, m, l, u)
+					}
+					toLive[l], toWant[c] = c, l
+				}
+			})
 		})
 	}
 }

@@ -19,8 +19,10 @@
 # the routing/traffic
 # suite (with BenchmarkFlatDist, the stretch baseline's 700 queries at
 # n=2000|20000, BenchmarkTrafficStep/n=20000, the forwarding layer at
-# the dataplane workload's size and flow mix, and BenchmarkNextHop/n=20000,
-# the routing calls that flow mix makes) in BENCH_traffic.json, the churn suite in BENCH_churn.json, the
+# the dataplane workload's size and flow mix, BenchmarkNextHop/n=20000,
+# the routing calls that flow mix makes, and BenchmarkRoutingEpoch, one
+# epoch's table repair on the mixed recipe, one past the full-build
+# cut-off and the first build at n=20000) in BENCH_traffic.json, the churn suite in BENCH_churn.json, the
 # energy suite (BenchmarkEnergyStep at n=1000|20000|50000, the sizes the
 # battery pass runs at) in BENCH_energy.json and the scale suite (quiescent
 # frontier stepping, perturbed 100k step with a worklist-size sweep,
@@ -107,7 +109,7 @@ echo "== benchmarks (count=$COUNT)" >&2
 { provenance; go test -run '^$' -bench . -benchmem -count "$COUNT" "${PKGS[@]}"; } | tee "$RAW"
 
 echo "== traffic + routing benchmarks (count=$COUNT)" >&2
-{ provenance; go test -run '^$' -bench 'BenchmarkRouteCached|BenchmarkTrafficStep|BenchmarkFlatDist|BenchmarkNextHop' \
+{ provenance; go test -run '^$' -bench 'BenchmarkRouteCached|BenchmarkTrafficStep|BenchmarkFlatDist|BenchmarkNextHop|BenchmarkRoutingEpoch' \
     -benchmem -count "$COUNT" .; } | tee "$TRAFFIC_RAW"
 
 echo "== churn benchmarks (count=$COUNT)" >&2

@@ -226,13 +226,23 @@
 //     version, so only packets that arrive pay for it
 //     (TestStretchBaselineMatchesBFSAtDelivery).
 //
-//   - A routing table that costs what the packets touch. One hierarchical
-//     table serves Route and the traffic data plane. When the engine's
-//     epoch moved it is reset in place — an O(N+E) skeleton over reused
-//     buffers — and its next-hop trees fill as queries ask,
-//     with the answers of a table built in full (see internal/routing;
-//     TestLiveTableMatchesFreshBuild pins the in-place reset through
-//     churn, compaction, faults and mobility).
+//   - A routing table that costs what changed and what the packets touch.
+//     One hierarchical table serves Route and the traffic data plane.
+//     When the engine's epoch moved it is repaired in place: the
+//     assignment is re-rendered only where a head or parent identifier
+//     changed, the graph names the nodes whose edges changed
+//     (topology.Graph.TouchedSince), and only the clusters those nodes
+//     belong to or border are rebuilt; the others keep their members,
+//     gateways and filled trees, and component labels are repaired from
+//     the changed edges. The first table, the first after Compact and a
+//     repair that finds more than a quarter of the nodes changed (where
+//     a repair measures as slow as the build) are full O(N+E) builds. Next-hop trees fill as queries ask, with the answers
+//     of a table built in full (see internal/routing;
+//     TestLiveTableMatchesFreshBuild and TestComponentLabelsMatchGraph pin
+//     the repaired table through churn, compaction, faults, rotation and
+//     mobility). BenchmarkRoutingEpoch times one epoch's repair on the
+//     mixed recipe, one past the cut-off (1 % of the nodes corrupted
+//     before the step) and the first build at 20 000 nodes;
 //     BenchmarkTrafficStepMovingEpoch2000 steps 2 000 nodes whose epoch
 //     moves every step; BenchmarkRouteCached is a route query on a
 //     quiescent network, a table walk and two allocations.
@@ -484,13 +494,17 @@ type Network struct {
 	src    *rng.Source
 
 	// The hierarchical routing table shared by Route and the traffic data
-	// plane. Its skeleton is rebuilt, from routeAsg's reused
-	// slices, only when the engine's epoch moved (a state-changing step,
-	// fault injection, a topology change); its next-hop trees fill as
-	// queries ask. See hierTable.
+	// plane. It is repaired, from routeAsg, only when the engine's epoch
+	// moved (a state-changing step, fault injection, a topology change);
+	// its next-hop trees fill as queries ask. routeIDs holds the
+	// identifiers routeAsg was rendered from (emptied by Compact, so the
+	// next render resolves every slot), routeMoved the slots the last
+	// render changed. See hierTable.
 	routeTab      *routing.Hierarchical //selfstab:cache
 	routeTabEpoch uint64                //selfstab:cache
 	routeAsg      cluster.Assignment    //selfstab:cache
+	routeIDs      []headParentIDs       //selfstab:cache
+	routeMoved    []int32               //selfstab:cache
 
 	// Scratch of flatDist, the path-stretch baseline the traffic plane
 	// queries per flow: distMark[v].gen == distGen marks v reached by the

@@ -109,8 +109,8 @@ func (n *Network) trafficHooks() traffic.Hooks {
 			}
 			return next, true
 		},
-		// The key hierTable resets on: the table, and so every NextHop
-		// answer, is fixed while it holds.
+		// The key hierTable brings the table up to date on: the table,
+		// and so every NextHop answer, is fixed while it holds.
 		Epoch:       n.engine.Epoch,
 		Dist:        n.flatDist,
 		TopoVersion: n.grid.Graph().Version,
