@@ -31,13 +31,16 @@ func sameSplit(t *testing.T, tag string, h *Hierarchical, g *topology.Graph) {
 	}
 }
 
-// sameAnswers fails unless live answers every NextHop exactly as a fresh
-// Reset from g and a does.
+// sameAnswers fails unless live keeps the gateways and answers every
+// NextHop exactly as a fresh Reset from g and a does.
 func sameAnswers(t *testing.T, tag string, live *Hierarchical, g *topology.Graph, a *cluster.Assignment) {
 	t.Helper()
 	fresh, err := build(g, a)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if msg := gatewayDiff(live.Gateways(), fresh.Gateways()); msg != "" {
+		t.Fatalf("%s: %s", tag, msg)
 	}
 	for u := 0; u < g.N(); u++ {
 		for v := 0; v < g.N(); v++ {
@@ -48,6 +51,22 @@ func sameAnswers(t *testing.T, tag string, live *Hierarchical, g *topology.Graph
 			}
 		}
 	}
+}
+
+// gatewayDiff names the first gateway, by cluster labels, that live keeps
+// and fresh does not, or the other way round; "" when they agree.
+func gatewayDiff(live, fresh []Gateway) string {
+	for i := 0; i < len(live) || i < len(fresh); i++ {
+		switch {
+		case i == len(fresh):
+			return fmt.Sprintf("the live table keeps %+v, a fresh Reset no gateway past %d", live[i], i)
+		case i == len(live):
+			return fmt.Sprintf("a fresh Reset keeps %+v, the live table no gateway past %d", fresh[i], i)
+		case live[i] != fresh[i]:
+			return fmt.Sprintf("the live table keeps %+v, a fresh Reset %+v", live[i], fresh[i])
+		}
+	}
+	return ""
 }
 
 // selfHeads is the assignment in which every node heads its own cluster.
@@ -86,8 +105,8 @@ func grid(cols, rows int, x0, y0, d float64) []geom.Point {
 // that splits a large component, where the search must stop at the small
 // side instead of relabelling the large one. Each row builds a table,
 // changes the grid, repairs, and checks the labels against
-// Graph.Components, every NextHop against a fresh Reset, and that the
-// repair ran instead of a rebuild. The radio range is 1.
+// Graph.Components, the gateways and every NextHop against a fresh Reset,
+// and that the repair ran instead of a rebuild. The radio range is 1.
 func TestComponentRepair(t *testing.T) {
 	bridged := append(grid(20, 20, 0, 0, 0.6), geom.Point{X: 12.0, Y: 5.7})
 	bridged = append(bridged, grid(3, 3, 12.8, 5.1, 0.6)...)
@@ -157,9 +176,10 @@ func TestComponentRepair(t *testing.T) {
 
 // TestRepairMatchesReset is the repair's own oracle: on seeded unit-disk
 // worlds, a table repaired round after round — nodes moving, switched off
-// and on, arriving, and changing head or parent, a few at a time — answers
-// every NextHop as a fresh Reset from the same graph and assignment does,
-// and its component labels split the nodes as Graph.Components does.
+// and on, arriving, and changing head or parent, a few at a time — keeps
+// the gateways and answers every NextHop as a fresh Reset from the same
+// graph and assignment does, and its component labels split the nodes as
+// Graph.Components does.
 func TestRepairMatchesReset(t *testing.T) {
 	src := rng.New(20261020)
 	repairs := 0

@@ -33,22 +33,24 @@
 // twice the width cost the dataplane workload ~9 MB of peak RSS for a
 // ~1.1× faster NextHop.
 //
-// Reset builds the skeleton in O(N+E). Repair follows the change instead:
-// given the nodes whose head or parent moved, and reading from the graph
-// the nodes whose adjacency moved (topology.Graph.TouchedSince), it
-// rebuilds only the clusters those nodes belong to or border. A cluster
-// whose members and internal edges are untouched keeps its member list,
-// its slot and its filled trees; one that borders a changed node patches
-// its gateways. Component labels are repaired from the changed edges.
-// Each removed edge is replayed on the old graph by a search from both of
-// its ends that stops when they meet or when one side runs out, which is
-// then a component of its own — every piece of a split holds an end of a
+// Reset builds the skeleton in O(N+E). Repair runs Reset's own passes
+// over the clusters the change reaches: given the nodes whose head or
+// parent moved, and reading from the graph the nodes whose adjacency
+// moved (topology.Graph.TouchedSince), it rebuilds only the clusters
+// those nodes belong to or border. A cluster whose members and internal
+// edges are untouched keeps its member list, its slot and its filled
+// trees; every cluster the change reaches lists its gateways again by the
+// pass Reset uses. Component labels are repaired from the changed edges.
+// Each removed edge is deleted from the table's adjacency copy, which is
+// the old graph, and replayed by a search over the copy from both of its
+// ends that stops when they meet or when one side runs out, which is then
+// a component of its own — every piece of a split holds an end of a
 // removed edge; then an added edge between two components relabels the
 // smaller one. The flat overlay is rebuilt and the overlay rows emptied
 // on every Repair that changes a cluster, in O(slots + overlay edges):
 // under churn the overlay changes nearly every epoch. Repair falls back
 // to Reset for another graph, after Compact renumbered the nodes, and
-// when more than a quarter of the nodes changed, past which a repair
+// when more than a third of the nodes changed, past which a repair
 // measures slower than the build (see Repair). Both leave the table
 // answering exactly as a fresh Reset from the same graph and assignment.
 package routing
@@ -120,20 +122,16 @@ type Hierarchical struct {
 	compSize []int32
 	freeComp []int32
 
-	// Repair scratch: changed edges, the removed edges replayed so far
-	// (pend, chained per node from pendHead), per-label dirt, the search
-	// marks and queues.
+	// Repair scratch: changed edges, per-label dirt, the search marks and
+	// queues.
 	touched        []int32
 	removed, added []edge
-	pendHead       []int32
-	pend           []pendEdge
 	dirt           []uint8
 	dirty, born    []int32
 	joins          []uint64 // joinKey of every node that joined a cluster
 	mark           []uint32
 	gen            uint32
 	side           [2][]int32
-	nb             []int32
 
 	perCl, queue []int32 // build and search scratch
 
@@ -173,6 +171,24 @@ type Work struct {
 //selfstab:testref the live-table oracle asserts that repairs ran, that Compact forced full builds and that trees survived
 func (h *Hierarchical) Work() Work { return h.work }
 
+// Gateway is a kept border edge between two adjacent clusters: U in the
+// cluster labelled From, V in the one labelled To.
+type Gateway struct{ From, To, U, V int }
+
+// Gateways returns every cluster's kept gateways, ascending by From and
+// then by To: the overlay by label, whatever the slots.
+//
+//selfstab:testref the repair oracles compare the live table's gateways with a fresh Reset's
+func (h *Hierarchical) Gateways() []Gateway {
+	var out []Gateway
+	for _, l := range h.labels {
+		for _, gw := range h.border[h.slotOf[l]] {
+			out = append(out, Gateway{int(l), int(gw.to), int(gw.u), int(gw.v)})
+		}
+	}
+	return out
+}
+
 // Component returns the component label of node u: two nodes share one
 // exactly when the graph joins them.
 //
@@ -198,15 +214,11 @@ type gateway struct{ to, u, v int32 }
 // edge is a pair of node indices, u < v for an edge of the graph.
 type edge struct{ u, v int32 }
 
-// pendEdge is one direction of a removed edge the component repair has
-// replayed: the other end, and the next entry of the same node.
-type pendEdge struct{ to, next int32 }
-
 // Per-label dirt a Repair collects.
 const (
 	dirtMembers uint8 = 1 << iota // a node joined or left: rebuild the member list
 	dirtTrees                     // an internal edge changed: drop the filled trees
-	dirtBorder                    // a member or neighbour changed: refresh the gateways
+	dirtBorder                    // a member or neighbour changed: list the gateways again
 )
 
 // rowState is one cluster's overlay row: its offset in rows (-1 until
@@ -238,7 +250,6 @@ func extend[T any](s []T, n int, v T) []T {
 func (h *Hierarchical) grow(n int) {
 	old := len(h.rec)
 	h.rec = slices.Grow(h.rec, n-old)[:n]
-	h.pendHead = extend(h.pendHead, n-old, -1)
 	h.dirt = extend(h.dirt, n-old, 0)
 	h.mark = extend(h.mark, n-old, 0)
 	h.slotOf = extend(h.slotOf, n-old, -1)
@@ -257,7 +268,7 @@ func (h *Hierarchical) Reset(g *topology.Graph, a *cluster.Assignment) error {
 	}
 	h.g, h.version = g, g.Version()
 	h.work.Builds++
-	h.rec, h.pendHead, h.dirt = h.rec[:0], h.pendHead[:0], h.dirt[:0]
+	h.rec, h.dirt = h.rec[:0], h.dirt[:0]
 	h.mark, h.slotOf, h.gen = h.mark[:0], h.slotOf[:0], 0
 	h.adj = h.adj[:0]
 	h.grow(n)
@@ -444,15 +455,22 @@ func (h *Hierarchical) buildOverlay() {
 // renumbered. moved lists, once each, the nodes of the old node count
 // whose Head or Parent differ in a (extra entries cost work, missing ones
 // give wrong answers); the nodes whose adjacency changed are read from g,
-// and nodes added since count as changed. It falls back to Reset for
-// another graph, after Compact, and when the touched and moved nodes
-// number more than a quarter of the nodes: that is where a repair costs
-// what a build does. On the mixed recipe's world at 2 000 and 20 000
-// nodes, epochs made by random jumps, local jitter and fault injection
-// repaired at the cost of a Reset at 0.23-0.27 of N changed, at a third
-// of it at 0.1 (a mixed epoch), and at 2-10 times it with every node
-// changed; BenchmarkRoutingEpoch's repair and fallback rows sit on the
-// two sides. The table then answers as a fresh Reset from g and a would.
+// and nodes added since count as changed. It runs Reset's own passes over
+// the clusters the change reaches. It falls back to Reset for another
+// graph, after Compact, and when the touched and moved nodes number more
+// than a third of the nodes: that is where a repair costs what a build
+// does. On the mixed recipe's world at 2 000 nodes and the dataplane
+// world at 20 000, a repair cost a Reset at 0.33-0.40 of N changed for
+// each epoch kind measured: random jumps 0.33 and 0.39, local jitter 0.33
+// and 0.40, fault injection 0.35 and 0.36 (2 000 and 20 000 nodes). Past
+// it the clusters' gateway pass costs what Reset's does, and what a build
+// does not pay for is the change itself: diffing and replaying the moved
+// edges (two fifths of a repair when 5 % of the nodes jump) and soiling,
+// filtering and merging the clusters their nodes left and joined. With
+// every node changed a repair costs 1.4-1.7 times a build after faults
+// and 3-6 times after motion. BenchmarkRoutingEpoch's repair row sits
+// below the cut-off, its fallback and jump rows above it. The table then
+// answers as a fresh Reset from g and a would.
 func (h *Hierarchical) Repair(g *topology.Graph, a *cluster.Assignment, moved []int32) error {
 	old, n := len(h.rec), g.N()
 	if g != h.g || n < old {
@@ -460,7 +478,7 @@ func (h *Hierarchical) Repair(g *topology.Graph, a *cluster.Assignment, moved []
 	}
 	touched, ok := g.TouchedSince(h.version, h.touched[:0])
 	h.touched = touched
-	if !ok || 4*(len(touched)+len(moved)) > n {
+	if !ok || 3*(len(touched)+len(moved)) > n {
 		return h.Reset(g, a)
 	}
 	if err := checkAssignment(g, a, old); err != nil {
@@ -522,11 +540,13 @@ func (h *Hierarchical) diffEdges(old int) {
 }
 
 // repairComponents brings the component labels from the old graph to the
-// current one. The removed edges are replayed first, one at a time, on
-// the old graph (split): throughout, the labels are the components of the
-// old graph without the edges replayed so far, and each new node is a
-// component of its own. Then the adjacency copy is brought up to date and
-// every added edge that joins two components relabels the smaller side.
+// current one. The removed edges are replayed first, one at a time: each
+// is deleted from the adjacency copy, which then holds the old graph
+// without the edges replayed so far, and split searches that copy.
+// Throughout, the labels are its components, and each new node is a
+// component of its own. Then the touched rows of the copy are brought up
+// to date and every added edge that joins two components relabels the
+// smaller side.
 // Removing before adding keeps a split's search local when a node jumps
 // far: its old edges are replayed while it still sits among its old
 // neighbours, and it then joins its new ones as a side of one node.
@@ -534,14 +554,10 @@ func (h *Hierarchical) repairComponents(old int) {
 	for u := old; u < len(h.rec); u++ {
 		h.rec[u].comp = h.newComp(1)
 	}
-	h.pend = h.pend[:0]
 	for _, e := range h.removed {
-		h.pend = append(h.pend, pendEdge{to: e.v, next: h.pendHead[e.u]}, pendEdge{to: e.u, next: h.pendHead[e.v]})
-		h.pendHead[e.u], h.pendHead[e.v] = int32(len(h.pend)-2), int32(len(h.pend)-1)
+		h.cut(e.u, e.v)
+		h.cut(e.v, e.u)
 		h.split(e.u, e.v)
-	}
-	for _, e := range h.removed {
-		h.pendHead[e.u], h.pendHead[e.v] = -1, -1
 	}
 	for _, t := range h.touched {
 		h.adj[t] = appendInt32(h.adj[t][:0], h.g.Neighbors(int(t)))
@@ -571,22 +587,10 @@ func (h *Hierarchical) newComp(size int32) int32 {
 	return int32(len(h.compSize) - 1)
 }
 
-// oldNbrs appends to dst the neighbours of x in the graph a split
-// stands on: the old edges less the removed ones replayed so far.
-func (h *Hierarchical) oldNbrs(x int32, dst []int32) []int32 {
-	if h.pendHead[x] < 0 {
-		return append(dst, h.adj[x]...)
-	}
-next:
-	for _, w := range h.adj[x] {
-		for e := h.pendHead[x]; e >= 0; e = h.pend[e].next {
-			if h.pend[e].to == w {
-				continue next
-			}
-		}
-		dst = append(dst, w)
-	}
-	return dst
+// cut deletes w from the adjacency copy of u.
+func (h *Hierarchical) cut(u, w int32) {
+	i, _ := slices.BinarySearch(h.adj[u], w)
+	h.adj[u] = slices.Delete(h.adj[u], i, i+1)
 }
 
 // relabel moves the component labelled from, which holds start, to the
@@ -609,8 +613,9 @@ func (h *Hierarchical) relabel(start, from, into int32) {
 	h.freeComp = append(h.freeComp, from)
 }
 
-// split replays the removal of the edge (u, v): a search from each end,
-// one node per side per turn, until the two meet (the component holds) or
+// split replays the removal of the edge (u, v), already deleted from the
+// adjacency copy: a search over the copy from each end, one node per side
+// per turn, until the two meet (the component holds) or
 // one side runs out of nodes — that side is then a whole component of the
 // graph without the edge, and takes a fresh label. Either way it costs
 // about twice the smaller side.
@@ -633,9 +638,9 @@ search:
 				break search
 			}
 			own, other := gen+uint32(s), gen+1-uint32(s)
-			h.nb = h.oldNbrs(q[at[s]], h.nb[:0])
+			x := q[at[s]]
 			at[s]++
-			for _, w := range h.nb {
+			for _, w := range h.adj[x] {
 				if h.mark[w] == other {
 					side[s] = q
 					break search
@@ -656,7 +661,10 @@ search:
 // whether any gateway may have changed. A node that changed cluster
 // dirties both clusters' member lists and the gateways of its
 // neighbours' clusters; a changed edge dirties the gateways of both ends'
-// clusters, and the trees of the one cluster that holds both ends.
+// clusters, and the trees of the one cluster that holds both ends. Every
+// dirty cluster lists its gateways again with appendGateways, as Reset
+// does; no other cluster has a member, a neighbour or a neighbour's
+// cluster that changed, so its gateways stand.
 func (h *Hierarchical) repairClusters(a *cluster.Assignment, moved []int32, old int) bool {
 	h.dirty, h.joins = h.dirty[:0], h.joins[:0]
 	for _, u := range moved {
@@ -756,28 +764,12 @@ func (h *Hierarchical) repairClusters(a *cluster.Assignment, moved []int32, old 
 		}
 	}
 
-	// Gateways: each cluster the change reaches refreshes the gateways it
-	// has, then every edge that newly runs between two clusters — from a
-	// node that changed cluster, or added — is offered to both ends'
-	// clusters. A new cluster starts with none, and is built by the
-	// offers of its members, all of them joiners.
+	// Every record now names its cluster's slot, so each cluster the
+	// change reaches lists its gateways as Reset does.
 	for _, l := range h.dirty {
 		if c := h.slotOf[l]; c >= 0 {
-			h.refreshGateways(c, a)
+			h.border[c] = h.appendGateways(c, h.border[c][:0])
 		}
-	}
-	for _, k := range h.joins {
-		u := int32(k)
-		for _, y := range h.g.Neighbors(int(u)) {
-			h.offer(u, int32(y), a)
-			h.offer(int32(y), u, a)
-		}
-	}
-	for _, e := range h.added {
-		h.offer(e.u, e.v, a)
-		h.offer(e.v, e.u, a)
-	}
-	for _, l := range h.dirty {
 		h.dirt[l] = 0
 	}
 	if died {
@@ -807,69 +799,6 @@ func (h *Hierarchical) takeSlot(l int32) int32 {
 // joinKey packs a node that joins the cluster labelled l so that sorting
 // the keys groups the joiners by cluster, each group ascending.
 func joinKey(l, u int32) uint64 { return uint64(l)<<32 | uint64(u) }
-
-// refreshGateways brings the gateways of the cluster in slot c up to
-// date except for the edges offer adds. A gateway toward a cluster that no
-// longer exists is dropped. One that no longer runs over an edge of the
-// graph from a member to a member of the cluster it leads to is replaced
-// by the first edge toward that cluster from the members at or after its
-// old near end: a qualifying edge from an earlier member was not one
-// before (the old gateway was the smallest), so it is new and offered.
-func (h *Hierarchical) refreshGateways(c int32, a *cluster.Assignment) {
-	l, b := h.labelOf[c], h.border[c][:0]
-	for _, gw := range h.border[c] {
-		switch {
-		case h.slotOf[gw.to] < 0:
-			continue
-		case int32(a.Head[gw.u]) != l || int32(a.Head[gw.v]) != gw.to || !h.g.HasEdge(int(gw.u), int(gw.v)):
-			ms := h.members[c]
-			i, _ := slices.BinarySearch(ms, gw.u)
-			if gw = h.firstGateway(ms[i:], gw.to, a); gw.to < 0 {
-				continue
-			}
-		}
-		b = append(b, gw)
-	}
-	h.border[c] = b
-}
-
-// firstGateway returns the first edge from the ascending members ms into
-// the cluster labelled d, or a gateway with to == -1 when there is none.
-func (h *Hierarchical) firstGateway(ms []int32, d int32, a *cluster.Assignment) gateway {
-	for _, u := range ms {
-		for _, v := range h.g.Neighbors(int(u)) {
-			if int32(a.Head[v]) == d {
-				return gateway{to: d, u: u, v: int32(v)}
-			}
-		}
-	}
-	return gateway{to: -1}
-}
-
-// offer proposes the edge (x, y) as the gateway from x's cluster toward
-// y's. It becomes the gateway when the pair has none or a larger one.
-func (h *Hierarchical) offer(x, y int32, a *cluster.Assignment) {
-	l, d := int32(a.Head[x]), int32(a.Head[y])
-	if l == d {
-		return
-	}
-	c := h.slotOf[l]
-	b := h.border[c]
-	i, j := 0, len(b)
-	for i < j {
-		if m := int(uint(i+j) >> 1); b[m].to < d {
-			i = m + 1
-		} else {
-			j = m
-		}
-	}
-	switch {
-	case i == len(b) || b[i].to != d:
-		h.border[c] = slices.Insert(b, i, gateway{to: d, u: x, v: y})
-	case x < b[i].u || (x == b[i].u && y < b[i].v):
-		b[i] = gateway{to: d, u: x, v: y}
-	}
-}
 
 // soil records dirt on the cluster labelled l.
 func (h *Hierarchical) soil(l int32, d uint8) {

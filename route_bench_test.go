@@ -116,13 +116,13 @@ func mixedWorld(b *testing.B) *Network {
 // that nothing but the timed call touches the table) untimed and times
 // the update that follows, so an op is one epoch's render and repair.
 // fallback does the same after corrupting 1 % of the nodes before each
-// step (InjectFaults), which changes more than the quarter of the nodes
-// past which Repair rebuilds in full: the two rows sit on the two sides
-// of that cut-off, and builds/op says which side each op took. build
-// times the first table of the dataplane world (dataplaneWorld): the
-// render and full build a fresh Network pays once.
+// step (InjectFaults), and jump after moving 5 % of the nodes to uniform
+// positions; both change more than the quarter of the nodes past which
+// Repair rebuilds in full, and builds/op says which side of that cut-off
+// each op took. build times the first table of the dataplane world
+// (dataplaneWorld): the render and full build a fresh Network pays once.
 func BenchmarkRoutingEpoch(b *testing.B) {
-	epochs := func(b *testing.B, faults float64) {
+	epochs := func(b *testing.B, perturb func(net *Network)) {
 		net := mixedWorld(b)
 		net.DetachTraffic()
 		tab, err := net.hierTable()
@@ -134,8 +134,8 @@ func BenchmarkRoutingEpoch(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			if faults > 0 {
-				net.InjectFaults(faults)
+			if perturb != nil {
+				perturb(net)
 			}
 			if err := net.Step(); err != nil {
 				b.Fatal(err)
@@ -148,8 +148,22 @@ func BenchmarkRoutingEpoch(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(net.routeTab.Work().Builds-builds)/float64(b.N), "builds/op")
 	}
-	b.Run("repair/n=2000", func(b *testing.B) { epochs(b, 0) })
-	b.Run("fallback/n=2000", func(b *testing.B) { epochs(b, 0.01) })
+	b.Run("repair/n=2000", func(b *testing.B) { epochs(b, nil) })
+	b.Run("fallback/n=2000", func(b *testing.B) {
+		epochs(b, func(net *Network) { net.InjectFaults(0.01) })
+	})
+	b.Run("jump/n=2000", func(b *testing.B) {
+		src := rng.New(5)
+		epochs(b, func(net *Network) {
+			pts := net.Positions()
+			for _, u := range src.Perm(len(pts))[:len(pts)/20] {
+				pts[u] = Point{X: src.Float64(), Y: src.Float64()}
+			}
+			if err := net.SetPositions(pts); err != nil {
+				b.Fatal(err)
+			}
+		})
+	})
 	b.Run("build/n=20000", func(b *testing.B) {
 		net := dataplaneWorld(b)
 		b.ReportAllocs()

@@ -284,8 +284,9 @@ func liveTableTrace(t *testing.T, leg string, workers, steps int, check func(ste
 // one table the Network keeps — repaired in place from the nodes whose
 // head or parent moved and the nodes whose edges moved, rebuilt in full
 // after Compact — is at every step boundary the table a fresh build from
-// the same graph and assignment would be: every (u, v) pair's NextHop,
-// and a sample of Routes. Through the table's work counters it shows that
+// the same graph and assignment would be: the gateway kept between each
+// pair of adjacent cluster labels, every (u, v) pair's NextHop, and a
+// sample of Routes. Through the table's work counters it shows that
 // the repair ran, kept trees, and gave way to a full build at every
 // compaction, so it cannot pass by always rebuilding.
 func TestLiveTableMatchesFreshBuild(t *testing.T) {
@@ -316,6 +317,14 @@ func TestLiveTableMatchesFreshBuild(t *testing.T) {
 					fresh := new(routing.Hierarchical)
 					if err := fresh.Reset(net.grid.Graph(), net.renderAssignment(new(cluster.Assignment))); err != nil {
 						t.Fatal(err)
+					}
+					if lg, fg := live.Gateways(), fresh.Gateways(); !slices.Equal(lg, fg) {
+						i := 0
+						for i < len(lg) && i < len(fg) && lg[i] == fg[i] {
+							i++
+						}
+						t.Fatalf("step %d: the gateways part at entry %d: live %+v, fresh build %+v",
+							step, i, lg[i:min(i+1, len(lg))], fg[i:min(i+1, len(fg))])
 					}
 					for u := 0; u < net.N(); u++ {
 						for v := 0; v < net.N(); v++ {

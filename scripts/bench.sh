@@ -21,7 +21,7 @@
 # n=2000|20000, BenchmarkTrafficStep/n=20000, the forwarding layer at
 # the dataplane workload's size and flow mix, BenchmarkNextHop/n=20000,
 # the routing calls that flow mix makes, and BenchmarkRoutingEpoch, one
-# epoch's table repair on the mixed recipe, one past the full-build
+# epoch's table repair on the mixed recipe, two past the full-build
 # cut-off and the first build at n=20000) in BENCH_traffic.json, the churn suite in BENCH_churn.json, the
 # energy suite (BenchmarkEnergyStep at n=1000|20000|50000, the sizes the
 # battery pass runs at) in BENCH_energy.json and the scale suite (quiescent

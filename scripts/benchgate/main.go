@@ -15,8 +15,10 @@
 //
 // With -pairs it instead summarizes a pairs file that scripts/pair.sh
 // wrote: for each end-to-end metric BENCHMARK.json declares, both sides'
-// median and quartiles, the change's wins out of n pairs, whether the
-// difference is resolved, and whether the change stays within the bound.
+// median and quartiles, the change's wins out of n pairs with the exact
+// two-sided sign-test p over the pairs that did not tie (printed beside
+// the verdict, not part of it), whether the difference is resolved, and
+// whether the change stays within the bound.
 // It prints and never fails on the numbers. It reads BENCHMARK.json from
 // the working directory, so it runs from the repo root.
 //

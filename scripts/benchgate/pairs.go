@@ -84,6 +84,19 @@ func (s summary) verdict() string {
 	return "not resolved"
 }
 
+// signP is the exact two-sided sign-test p over the pairs that did not
+// tie: the chance that a fair coin splits them at least as unevenly as
+// wins against losses. With no such pair it is 1.
+func (s summary) signP() float64 {
+	n, k := s.wins+s.losses, max(s.wins, s.losses)
+	tail, c := 0.0, 1.0 // c is C(n, i), from i = n down
+	for i := n; i >= k; i-- {
+		tail += c
+		c = c * float64(i) / float64(n-i+1)
+	}
+	return min(1, 2*tail/math.Pow(2, float64(n)))
+}
+
 // bound applies the no-regression rule to the pairs. The change is
 // "BEYOND BOUND" when its median is worse than the parent's by more than
 // the metric's declared bound. When either side's quartile distance is
@@ -203,9 +216,9 @@ func printPairs(w io.Writer, runs []pairRun, sums []summary) {
 	}
 	fmt.Fprintf(w, "pairs: %d; %s; failed ops parent %d, change %d\n", sums[0].n, digest, failed["parent"], failed["change"])
 	for _, s := range sums {
-		fmt.Fprintf(w, "%-12s parent %.4g [%.4g, %.4g]  change %.4g [%.4g, %.4g] %s  %+.1f%%  wins %d/%d  %s, %s\n",
+		fmt.Fprintf(w, "%-12s parent %.4g [%.4g, %.4g]  change %.4g [%.4g, %.4g] %s  %+.1f%%  wins %d/%d (sign p %.3g)  %s, %s\n",
 			s.metric.Name, s.parent.med, s.parent.q1, s.parent.q3, s.change.med, s.change.q1, s.change.q3,
-			s.metric.Unit, 100*s.delta(), s.wins, s.n, s.verdict(), s.bound())
+			s.metric.Unit, 100*s.delta(), s.wins, s.n, s.signP(), s.verdict(), s.bound())
 	}
 }
 

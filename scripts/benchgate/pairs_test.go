@@ -117,6 +117,40 @@ func TestPairsVerdict(t *testing.T) {
 	}
 }
 
+// TestSignP: the exact two-sided sign test over the pairs that did not
+// tie, in either direction, and 1 when every pair tied.
+func TestSignP(t *testing.T) {
+	for _, tc := range []struct {
+		name                 string
+		faster, slower, ties int
+		want                 float64
+	}{
+		{"10 of 10", 10, 0, 0, 2.0 / 1024},
+		{"9 of 10", 9, 1, 0, 22.0 / 1024},
+		{"8 of 10", 8, 2, 0, 112.0 / 1024},
+		{"8 of 10 lost", 2, 8, 0, 112.0 / 1024},
+		{"10 of 10 and two ties", 10, 0, 2, 2.0 / 1024},
+		{"an even split", 5, 5, 0, 1},
+		{"every pair tied", 0, 0, 10, 1},
+	} {
+		var parent, change []float64
+		for k := 0; k < tc.faster+tc.slower+tc.ties; k++ {
+			v := 10.0
+			switch {
+			case k < tc.faster:
+				v = 9
+			case k < tc.faster+tc.slower:
+				v = 11
+			}
+			parent, change = append(parent, 10), append(change, v)
+		}
+		s := summaries(t, parent, change)[0]
+		if got := s.signP(); got != tc.want {
+			t.Errorf("%s: sign p %v, want %v (%d wins, %d losses of %d)", tc.name, got, tc.want, s.wins, s.losses, s.n)
+		}
+	}
+}
+
 // TestPairsBound: a median worse by more than the declared bound is
 // flagged in the metric's own direction, a smaller loss is not, and a
 // quartile distance on either side wider than the bound leaves the bound

@@ -231,18 +231,21 @@
 //     When the engine's epoch moved it is repaired in place: the
 //     assignment is re-rendered only where a head or parent identifier
 //     changed, the graph names the nodes whose edges changed
-//     (topology.Graph.TouchedSince), and only the clusters those nodes
-//     belong to or border are rebuilt; the others keep their members,
-//     gateways and filled trees, and component labels are repaired from
-//     the changed edges. The first table, the first after Compact and a
-//     repair that finds more than a quarter of the nodes changed (where
-//     a repair measures as slow as the build) are full O(N+E) builds. Next-hop trees fill as queries ask, with the answers
-//     of a table built in full (see internal/routing;
-//     TestLiveTableMatchesFreshBuild and TestComponentLabelsMatchGraph pin
-//     the repaired table through churn, compaction, faults, rotation and
-//     mobility). BenchmarkRoutingEpoch times one epoch's repair on the
-//     mixed recipe, one past the cut-off (1 % of the nodes corrupted
-//     before the step) and the first build at 20 000 nodes;
+//     (topology.Graph.TouchedSince), and the repair is Reset's own
+//     passes over the clusters the change reaches, those nodes' clusters
+//     and their neighbours'; the others keep their members, gateways and
+//     filled trees, and component labels are repaired from the changed
+//     edges. The first table, the first after Compact and a repair that
+//     finds more than a third of the nodes changed (where a repair
+//     measures as slow as the build) are full O(N+E) builds. Next-hop
+//     trees fill as queries ask, with the answers of a table built in
+//     full (see internal/routing; TestLiveTableMatchesFreshBuild and
+//     TestComponentLabelsMatchGraph pin the repaired table, its gateways
+//     and its component labels through churn, compaction, faults,
+//     rotation and mobility). BenchmarkRoutingEpoch times one epoch's
+//     repair on the mixed recipe, two past the cut-off (1 % of the nodes
+//     corrupted, or 5 % jumping to uniform positions, before the step)
+//     and the first build at 20 000 nodes;
 //     BenchmarkTrafficStepMovingEpoch2000 steps 2 000 nodes whose epoch
 //     moves every step; BenchmarkRouteCached is a route query on a
 //     quiescent network, a table walk and two allocations.
